@@ -42,6 +42,7 @@ allow_flags=(
   --interval --slo --plain                         # examples/hia_top console
   --top                                            # tools/critical_path
   --stats                                          # tools/events_lint
+  --workload --seed --seconds                      # perfbench/run.py
   --help                                           # meta: docs talk about --help itself
 )
 

@@ -114,4 +114,15 @@ class HybridAnalysis {
   virtual void in_transit(TaskContext& ctx) { (void)ctx; }
 };
 
+/// Records `step` in `newest` and returns true unless a newer step was
+/// recorded already. Buckets run several steps' in-transit stages at once
+/// and finish them in any order, so an analysis keeps a finished stage's
+/// result as its "latest" only when this returns true (call it under the
+/// lock that guards that result).
+inline bool newest_step(long& newest, long step) {
+  if (step < newest) return false;
+  newest = step;
+  return true;
+}
+
 }  // namespace hia

@@ -40,6 +40,7 @@ void HybridContingency::in_transit(TaskContext& ctx) {
   ctx.set_result(std::move(bytes));
 
   std::lock_guard lock(mutex_);
+  if (!newest_step(latest_step_, ctx.task().step)) return;
   latest_ = model;
   latest_table_ = std::move(global);
 }

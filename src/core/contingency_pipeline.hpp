@@ -41,6 +41,7 @@ class HybridContingency final : public HybridAnalysis {
   ContingencyConfig config_;
   mutable std::mutex mutex_;
   ContingencyModel latest_{};
+  long latest_step_ = -1;  // step of the result held in latest_
   std::optional<ContingencyTable> latest_table_;
 };
 

@@ -32,6 +32,7 @@ class HybridCorrelation final : public HybridAnalysis {
   Variable x_, y_;
   mutable std::mutex mutex_;
   CorrelationModel latest_{};
+  long latest_step_ = -1;  // step of the result held in latest_
 };
 
 /// `learn` of the bivariate model over the co-located owned regions of two

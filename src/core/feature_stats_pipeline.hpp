@@ -46,6 +46,7 @@ class HybridFeatureStatistics final : public HybridAnalysis {
   FeatureStatsConfig config_;
   mutable std::mutex mutex_;
   std::vector<GlobalFeature> latest_;
+  long latest_step_ = -1;  // step of the result held in latest_
 };
 
 }  // namespace hia

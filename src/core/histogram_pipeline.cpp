@@ -90,6 +90,7 @@ void HybridHistogram::in_transit(TaskContext& ctx) {
   }());
 
   std::lock_guard lock(mutex_);
+  if (!newest_step(latest_step_, ctx.task().step)) return;
   latest_ = std::move(global);
 }
 

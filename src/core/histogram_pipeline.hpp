@@ -46,6 +46,7 @@ class HybridHistogram final : public HybridAnalysis {
   mutable std::mutex mutex_;
   std::optional<std::pair<double, double>> resolved_range_;
   std::optional<Histogram> latest_;
+  long latest_step_ = -1;  // step of the result held in latest_
 };
 
 /// Flat encoding of a histogram for transport:

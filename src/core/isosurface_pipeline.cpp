@@ -46,6 +46,7 @@ void HybridIsosurface::in_transit(TaskContext& ctx) {
   ctx.set_result(std::move(bytes));
 
   std::lock_guard lock(mutex_);
+  if (!newest_step(latest_step_, ctx.task().step)) return;
   latest_ = std::move(surface);
 }
 

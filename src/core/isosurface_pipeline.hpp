@@ -41,6 +41,7 @@ class HybridIsosurface final : public HybridAnalysis {
   IsosurfaceConfig config_;
   mutable std::mutex mutex_;
   std::optional<TriangleMesh> latest_;
+  long latest_step_ = -1;  // step of the result held in latest_
 };
 
 }  // namespace hia

@@ -189,6 +189,7 @@ void HybridStatistics::in_transit(TaskContext& ctx) {
 
   ctx.set_result(serialize_models(models));
   std::lock_guard lock(mutex_);
+  if (!newest_step(latest_step_, ctx.task().step)) return;
   latest_ = std::move(models);
 }
 
@@ -214,6 +215,7 @@ void InTransitStatistics::in_transit(TaskContext& ctx) {
   const DescriptiveModel model = derive_descriptive(acc);
   ctx.set_result(serialize_models({model}));
   std::lock_guard lock(mutex_);
+  if (!newest_step(latest_step_, ctx.task().step)) return;
   latest_ = model;
 }
 

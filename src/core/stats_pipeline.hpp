@@ -77,6 +77,7 @@ class HybridStatistics final : public HybridAnalysis {
   std::vector<Variable> variables_;
   mutable std::mutex mutex_;
   std::vector<DescriptiveModel> latest_;
+  long latest_step_ = -1;  // step of the result held in latest_
 };
 
 class InTransitStatistics final : public HybridAnalysis {
@@ -97,6 +98,7 @@ class InTransitStatistics final : public HybridAnalysis {
   Variable variable_;
   mutable std::mutex mutex_;
   DescriptiveModel latest_{};
+  long latest_step_ = -1;  // step of the result held in latest_
 };
 
 }  // namespace hia

@@ -144,6 +144,7 @@ void HybridTopology::in_transit(TaskContext& ctx) {
 
   ctx.set_result(summary.serialize());
   std::lock_guard lock(mutex_);
+  if (!newest_step(latest_step_, ctx.task().step)) return;
   latest_ = summary;
   latest_tree_ = std::move(tree);
 }

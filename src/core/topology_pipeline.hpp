@@ -64,6 +64,7 @@ class HybridTopology final : public HybridAnalysis {
   TopologyConfig config_;
   mutable std::mutex mutex_;
   TreeSummary latest_{};
+  long latest_step_ = -1;  // step of the result held in latest_
   MergeTree latest_tree_{};
   std::optional<GlobalGrid> grid_;  // captured in-situ for the stream driver
 };

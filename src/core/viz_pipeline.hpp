@@ -73,6 +73,7 @@ class HybridVisualization final : public HybridAnalysis {
   VizConfig config_;
   mutable std::mutex mutex_;
   std::optional<Image> latest_;
+  long latest_step_ = -1;  // step of the result held in latest_
   std::optional<GlobalGrid> grid_;  // captured in-situ for the renderer
 };
 

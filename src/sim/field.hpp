@@ -41,29 +41,32 @@ class Field {
     return data_[storage_.offset(i, j, k)];
   }
 
+  /// Address of (i, j, k); the rest of its x row within storage() follows
+  /// contiguously, so row loops index it without per-cell bounds checks.
+  [[nodiscard]] double* ptr(int64_t i, int64_t j, int64_t k) {
+    return &data_[storage_.offset(i, j, k)];
+  }
+  [[nodiscard]] const double* ptr(int64_t i, int64_t j, int64_t k) const {
+    return &data_[storage_.offset(i, j, k)];
+  }
+
   [[nodiscard]] std::span<double> data() { return data_; }
   [[nodiscard]] std::span<const double> data() const { return data_; }
 
   /// Copies the owned region (no ghosts) into a packed x-fastest buffer.
-  [[nodiscard]] std::vector<double> pack_owned() const {
-    std::vector<double> out;
-    out.reserve(static_cast<size_t>(owned_.num_cells()));
-    for (int64_t k = owned_.lo[2]; k < owned_.hi[2]; ++k)
-      for (int64_t j = owned_.lo[1]; j < owned_.hi[1]; ++j)
-        for (int64_t i = owned_.lo[0]; i < owned_.hi[0]; ++i)
-          out.push_back(at(i, j, k));
-    return out;
-  }
+  [[nodiscard]] std::vector<double> pack_owned() const { return pack(owned_); }
 
   /// Copies an arbitrary sub-box (must lie in storage) into a packed buffer.
   [[nodiscard]] std::vector<double> pack(const Box3& box) const {
     HIA_REQUIRE(storage_.contains(box), "pack box outside field storage");
     std::vector<double> out;
+    if (box.empty()) return out;
     out.reserve(static_cast<size_t>(box.num_cells()));
     for (int64_t k = box.lo[2]; k < box.hi[2]; ++k)
-      for (int64_t j = box.lo[1]; j < box.hi[1]; ++j)
-        for (int64_t i = box.lo[0]; i < box.hi[0]; ++i)
-          out.push_back(at(i, j, k));
+      for (int64_t j = box.lo[1]; j < box.hi[1]; ++j) {
+        const double* row = ptr(box.lo[0], j, k);
+        out.insert(out.end(), row, row + box.extent(0));
+      }
     return out;
   }
 
@@ -72,11 +75,13 @@ class Field {
     HIA_REQUIRE(storage_.contains(box), "unpack box outside field storage");
     HIA_REQUIRE(static_cast<int64_t>(values.size()) == box.num_cells(),
                 "unpack buffer size mismatch");
-    size_t idx = 0;
+    if (box.empty()) return;
+    const double* src = values.data();
     for (int64_t k = box.lo[2]; k < box.hi[2]; ++k)
-      for (int64_t j = box.lo[1]; j < box.hi[1]; ++j)
-        for (int64_t i = box.lo[0]; i < box.hi[0]; ++i)
-          at(i, j, k) = values[idx++];
+      for (int64_t j = box.lo[1]; j < box.hi[1]; ++j) {
+        std::copy_n(src, box.extent(0), ptr(box.lo[0], j, k));
+        src += box.extent(0);
+      }
   }
 
   void fill(double v) { std::fill(data_.begin(), data_.end(), v); }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "obs/histogram.hpp"
 #include "obs/trace.hpp"
@@ -18,6 +19,22 @@ constexpr int kGhost = 1;
 constexpr std::array<Variable, 5> kTransported{
     Variable::kTemperature, Variable::kYH2, Variable::kYO2, Variable::kYH2O,
     Variable::kYN2};
+
+/// Fuel-core indicator of the lifted jet on grid row (j, k): ~1 inside the
+/// jet radius, ~0 in the air coflow, joined by a smooth tanh shear layer.
+double jet_core(const S3DParams& p, int64_t j, int64_t k) {
+  const double y = p.grid.coord(1, j) - p.grid.physical[1] * 0.5;
+  const double z = p.grid.coord(2, k) - p.grid.physical[2] * 0.5;
+  const double r = std::sqrt(y * y + z * z);
+  return 0.5 * (1.0 - std::tanh((r - p.jet_radius) / (0.25 * p.jet_radius)));
+}
+
+/// Upwind advection along one axis: velocity times the backward difference
+/// when it is positive, else the forward one. Written as a blend, not a
+/// branch: the velocity's sign changes from cell to cell in turbulence.
+double upwind(double vel, double back, double fwd) {
+  return std::max(vel, 0.0) * back + std::min(vel, 0.0) * fwd;
+}
 }  // namespace
 
 S3DRank::S3DRank(const S3DParams& params, int rank)
@@ -44,7 +61,6 @@ size_t S3DRank::solution_bytes() const {
 }
 
 void S3DRank::initialize() {
-  const GlobalGrid& g = params_.grid;
   Field& T = field(Variable::kTemperature);
   Field& h2 = field(Variable::kYH2);
   Field& o2 = field(Variable::kYO2);
@@ -52,21 +68,12 @@ void S3DRank::initialize() {
   Field& n2 = field(Variable::kYN2);
   Field& P = field(Variable::kPressure);
 
-  const double cy = g.physical[1] * 0.5;
-  const double cz = g.physical[2] * 0.5;
-
   for (int64_t k = owned_.lo[2]; k < owned_.hi[2]; ++k) {
     for (int64_t j = owned_.lo[1]; j < owned_.hi[1]; ++j) {
+      const double core = jet_core(params_, j, k);
+      const double y_h2 = 0.9 * core;
+      const double y_o2 = 0.232 * (1.0 - core);  // air coflow
       for (int64_t i = owned_.lo[0]; i < owned_.hi[0]; ++i) {
-        const double y = g.coord(1, j) - cy;
-        const double z = g.coord(2, k) - cz;
-        const double r = std::sqrt(y * y + z * z);
-        // Fuel core: smooth tanh shear layer around the jet radius.
-        const double core =
-            0.5 * (1.0 - std::tanh((r - params_.jet_radius) /
-                                   (0.25 * params_.jet_radius)));
-        const double y_h2 = 0.9 * core;
-        const double y_o2 = 0.232 * (1.0 - core);  // air coflow
         T.at(i, j, k) = params_.chemistry.ambient_temperature;
         h2.at(i, j, k) = y_h2;
         o2.at(i, j, k) = y_o2;
@@ -118,47 +125,43 @@ void S3DRank::apply_kernels(long step) {
 }
 
 void S3DRank::update_velocity_and_diagnostics() {
-  const GlobalGrid& g = params_.grid;
   Field& u = field(Variable::kVelU);
-  Field& v = field(Variable::kVelV);
-  Field& w = field(Variable::kVelW);
-  Field& T = field(Variable::kTemperature);
-  Field& h2 = field(Variable::kYH2);
-  Field& o2 = field(Variable::kYO2);
-  Field& h2o = field(Variable::kYH2O);
+  const Field& T = field(Variable::kTemperature);
+  const Field& h2 = field(Variable::kYH2);
+  const Field& o2 = field(Variable::kYO2);
+  const Field& h2o = field(Variable::kYH2O);
 
   std::array<Field*, 5> minors{
       &field(Variable::kYH), &field(Variable::kYO), &field(Variable::kYOH),
       &field(Variable::kYHO2), &field(Variable::kYH2O2)};
 
-  const double cy = g.physical[1] * 0.5;
-  const double cz = g.physical[2] * 0.5;
+  turbulence_.sample(params_.grid, owned_, time_, u, field(Variable::kVelV),
+                     field(Variable::kVelW));
 
+  const int64_t i0 = owned_.lo[0];
+  const int64_t nx = owned_.extent(0);
   for (int64_t k = owned_.lo[2]; k < owned_.hi[2]; ++k) {
     for (int64_t j = owned_.lo[1]; j < owned_.hi[1]; ++j) {
-      for (int64_t i = owned_.lo[0]; i < owned_.hi[0]; ++i) {
-        const Vec3 x{g.coord(0, i), g.coord(1, j), g.coord(2, k)};
-        const double dy = x.y - cy;
-        const double dz = x.z - cz;
-        const double r = std::sqrt(dy * dy + dz * dz);
-        const double core =
-            0.5 * (1.0 - std::tanh((r - params_.jet_radius) /
-                                   (0.25 * params_.jet_radius)));
-        Vec3 vel = turbulence_.velocity(x, time_);
-        vel.x += params_.jet_velocity * core;  // mean jet along +x
-        u.at(i, j, k) = vel.x;
-        v.at(i, j, k) = vel.y;
-        w.at(i, j, k) = vel.z;
-
+      // Mean jet along +x.
+      const double jet = params_.jet_velocity * jet_core(params_, j, k);
+      double* ur = u.ptr(i0, j, k);
+      const double* tr = T.ptr(i0, j, k);
+      const double* h2r = h2.ptr(i0, j, k);
+      const double* o2r = o2.ptr(i0, j, k);
+      const double* h2or = h2o.ptr(i0, j, k);
+      double* hrr = heat_release_.ptr(i0, j, k);
+      std::array<double*, 5> mr{};
+      for (size_t s = 0; s < minors.size(); ++s) {
+        mr[s] = minors[s]->ptr(i0, j, k);
+      }
+      for (int64_t i = 0; i < nx; ++i) {
+        ur[i] += jet;
         // Diagnostics: heat-release rate and equilibrium minor species.
-        const double hrr =
-            chemistry_.rate(T.at(i, j, k), h2.at(i, j, k), o2.at(i, j, k));
-        heat_release_.at(i, j, k) = params_.chemistry.heat_release * hrr;
-        const double c = std::min(1.0, h2o.at(i, j, k) / 0.9);
-        const auto ms = chemistry_.minor_species(c);
-        for (size_t s = 0; s < minors.size(); ++s) {
-          minors[s]->at(i, j, k) = ms[s];
-        }
+        hrr[i] = params_.chemistry.heat_release *
+                 chemistry_.rate(tr[i], h2r[i], o2r[i]);
+        const auto ms =
+            chemistry_.minor_species(std::min(1.0, h2or[i] / 0.9));
+        for (size_t s = 0; s < ms.size(); ++s) mr[s][i] = ms[s];
       }
     }
   }
@@ -169,6 +172,9 @@ void S3DRank::compute_rhs(const std::vector<Field*>& transported,
   const GlobalGrid& g = params_.grid;
   const Box3 domain = g.bounds();
   const double dx = g.spacing(0), dy = g.spacing(1), dz = g.spacing(2);
+  const double idx = 1.0 / dx, idy = 1.0 / dy, idz = 1.0 / dz;
+  const double idx2 = 1.0 / (dx * dx), idy2 = 1.0 / (dy * dy),
+               idz2 = 1.0 / (dz * dz);
   const double nu = params_.diffusivity;
 
   const Field& u = field(Variable::kVelU);
@@ -178,48 +184,80 @@ void S3DRank::compute_rhs(const std::vector<Field*>& transported,
   const Field& h2 = *transported[1];
   const Field& o2 = *transported[2];
 
+  // Every field has the same ghosted storage, so one pair of strides steps
+  // a row pointer to its y and z neighbour rows.
+  for (const Field* f : transported) HIA_ASSERT(f->storage() == u.storage());
+  const int64_t sy = u.storage().extent(0);
+  const int64_t sz = sy * u.storage().extent(1);
+  const int64_t i0 = owned_.lo[0];
+  const int64_t nx = owned_.extent(0);
+  // Cells [x0, x1) of a row have both x neighbours in the domain; the
+  // others (at most one per end) sit on a domain face.
+  const bool lo_face = owned_.lo[0] == domain.lo[0];
+  const bool hi_face = owned_.hi[0] == domain.hi[0];
+  const int64_t x0 = lo_face ? 1 : 0;
+  const int64_t x1 = std::max(x0, hi_face ? nx - 1 : nx);
+
   const size_t cells = static_cast<size_t>(owned_.num_cells());
-  size_t cell = 0;
+  // Reaction sources of one row, kTransported-major; N2 is inert, so its
+  // row stays zero.
+  std::vector<double> reaction(kTransported.size() * static_cast<size_t>(nx),
+                               0.0);
+  double* const react = reaction.data();
+  size_t row = 0;
   for (int64_t k = owned_.lo[2]; k < owned_.hi[2]; ++k) {
-    for (int64_t j = owned_.lo[1]; j < owned_.hi[1]; ++j) {
-      for (int64_t i = owned_.lo[0]; i < owned_.hi[0]; ++i, ++cell) {
-        const double ui = u.at(i, j, k);
-        const double vj = v.at(i, j, k);
-        const double wk = w.at(i, j, k);
+    for (int64_t j = owned_.lo[1]; j < owned_.hi[1];
+         ++j, row += static_cast<size_t>(nx)) {
+      const double* tr = T.ptr(i0, j, k);
+      const double* h2r = h2.ptr(i0, j, k);
+      const double* o2r = o2.ptr(i0, j, k);
+      for (int64_t i = 0; i < nx; ++i) {
+        const auto src = chemistry_.sources(tr[i], h2r[i], o2r[i]);
+        react[i] = src.temperature;
+        react[nx + i] = src.h2;
+        react[2 * nx + i] = src.o2;
+        react[3 * nx + i] = src.h2o;
+      }
 
-        const auto src = chemistry_.sources(T.at(i, j, k), h2.at(i, j, k),
-                                            o2.at(i, j, k));
-        const std::array<double, 5> reaction{src.temperature, src.h2, src.o2,
-                                             src.h2o, 0.0};
+      const double* ur = u.ptr(i0, j, k);
+      const double* vr = v.ptr(i0, j, k);
+      const double* wr = w.ptr(i0, j, k);
+      // Clamped neighbours: outside the domain a neighbour reads the cell
+      // itself (zero-gradient outflow boundary), so at a y or z face the
+      // neighbour row is the row.
+      const int64_t ym = j > domain.lo[1] ? -sy : 0;
+      const int64_t yp = j + 1 < domain.hi[1] ? sy : 0;
+      const int64_t zm = k > domain.lo[2] ? -sz : 0;
+      const int64_t zp = k + 1 < domain.hi[2] ? sz : 0;
 
-        for (size_t f = 0; f < kTransported.size(); ++f) {
-          const Field& phi = *transported[f];
-          const double c = phi.at(i, j, k);
-
-          // Clamped neighbor lookups: outside the domain we use the local
-          // value (zero-gradient outflow boundary).
-          auto val = [&](int64_t ii, int64_t jj, int64_t kk) {
-            if (!domain.contains(ii, jj, kk)) return c;
-            return phi.at(ii, jj, kk);
-          };
-
-          const double xm = val(i - 1, j, k), xp = val(i + 1, j, k);
-          const double ym = val(i, j - 1, k), yp = val(i, j + 1, k);
-          const double zm = val(i, j, k - 1), zp = val(i, j, k + 1);
-
+      for (size_t f = 0; f < kTransported.size(); ++f) {
+        const double* p = transported[f]->ptr(i0, j, k);
+        const double* src = react + static_cast<int64_t>(f) * nx;
+        double* out = rhs.data() + f * cells + row;
+        // The x neighbours are arguments so domain-face cells can pass the
+        // cell itself; interior and face cells share every operation, so a
+        // cell's value does not depend on the rank layout.
+        auto cell = [=](int64_t i, double xm, double xp) {
+          const double c = p[i];
+          const double cym = p[i + ym], cyp = p[i + yp];
+          const double czm = p[i + zm], czp = p[i + zp];
           // First-order upwind advection.
-          const double adv =
-              ui * (ui > 0.0 ? (c - xm) / dx : (xp - c) / dx) +
-              vj * (vj > 0.0 ? (c - ym) / dy : (yp - c) / dy) +
-              wk * (wk > 0.0 ? (c - zm) / dz : (zp - c) / dz);
-
+          const double adv = upwind(ur[i], (c - xm) * idx, (xp - c) * idx) +
+                             upwind(vr[i], (c - cym) * idy, (cyp - c) * idy) +
+                             upwind(wr[i], (c - czm) * idz, (czp - c) * idz);
           // 7-point Laplacian diffusion.
-          const double lap = (xm - 2.0 * c + xp) / (dx * dx) +
-                             (ym - 2.0 * c + yp) / (dy * dy) +
-                             (zm - 2.0 * c + zp) / (dz * dz);
-
-          rhs[f * cells + cell] = -adv + nu * lap + reaction[f];
-        }
+          const double lap = (xm - 2.0 * c + xp) * idx2 +
+                             (cym - 2.0 * c + cyp) * idy2 +
+                             (czm - 2.0 * c + czp) * idz2;
+          out[i] = -adv + nu * lap + src[i];
+        };
+        for (int64_t i = x0; i < x1; ++i) cell(i, p[i - 1], p[i + 1]);
+        auto face = [=](int64_t i) {
+          cell(i, lo_face && i == 0 ? p[i] : p[i - 1],
+               hi_face && i == nx - 1 ? p[i] : p[i + 1]);
+        };
+        for (int64_t i = 0; i < x0; ++i) face(i);
+        for (int64_t i = x1; i < nx; ++i) face(i);
       }
     }
   }
@@ -228,19 +266,21 @@ void S3DRank::compute_rhs(const std::vector<Field*>& transported,
 void S3DRank::apply_update(const std::vector<Field*>& transported,
                            const std::vector<double>& rhs, double dt) {
   const size_t cells = static_cast<size_t>(owned_.num_cells());
-  size_t cell = 0;
+  const int64_t i0 = owned_.lo[0];
+  const int64_t nx = owned_.extent(0);
+  size_t row = 0;
   for (int64_t k = owned_.lo[2]; k < owned_.hi[2]; ++k) {
-    for (int64_t j = owned_.lo[1]; j < owned_.hi[1]; ++j) {
-      for (int64_t i = owned_.lo[0]; i < owned_.hi[0]; ++i, ++cell) {
-        for (size_t f = 0; f < kTransported.size(); ++f) {
-          Field& phi = *transported[f];
-          double next = phi.at(i, j, k) + dt * rhs[f * cells + cell];
-          if (kTransported[f] != Variable::kTemperature) {
-            next = std::clamp(next, 0.0, 1.0);
-          } else {
-            next = std::max(next, 0.0);
-          }
-          phi.at(i, j, k) = next;
+    for (int64_t j = owned_.lo[1]; j < owned_.hi[1];
+         ++j, row += static_cast<size_t>(nx)) {
+      for (size_t f = 0; f < kTransported.size(); ++f) {
+        // Mass fractions stay in [0, 1]; temperature stays non-negative.
+        const double hi = kTransported[f] == Variable::kTemperature
+                              ? std::numeric_limits<double>::infinity()
+                              : 1.0;
+        double* p = transported[f]->ptr(i0, j, k);
+        const double* r = rhs.data() + f * cells + row;
+        for (int64_t i = 0; i < nx; ++i) {
+          p[i] = std::clamp(p[i] + dt * r[i], 0.0, hi);
         }
       }
     }

@@ -1,11 +1,30 @@
 #include "sim/turbulence.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 
 #include "util/error.hpp"
 
 namespace hia {
+
+namespace {
+
+/// Cells of an x row summed together in registers by sample().
+constexpr size_t kBlock = 8;
+
+/// cos and sin of k * grid.coord(axis, lo + n) + shift for n < count.
+void axis_phasors(const GlobalGrid& grid, int axis, int64_t lo, size_t count,
+                  double k, double shift, double* c, double* s) {
+  for (size_t n = 0; n < count; ++n) {
+    const double a =
+        k * grid.coord(axis, lo + static_cast<int64_t>(n)) + shift;
+    c[n] = std::cos(a);
+    s[n] = std::sin(a);
+  }
+}
+
+}  // namespace
 
 SyntheticTurbulence::SyntheticTurbulence(const TurbulenceParams& params)
     : params_(params) {
@@ -75,6 +94,75 @@ Vec3 SyntheticTurbulence::velocity(const Vec3& x, double t) const {
     u += m.amplitude * std::cos(arg);
   }
   return u;
+}
+
+void SyntheticTurbulence::sample(const GlobalGrid& grid, const Box3& box,
+                                 double t, Field& u, Field& v,
+                                 Field& w) const {
+  HIA_REQUIRE(u.storage().contains(box) && v.storage().contains(box) &&
+                  w.storage().contains(box),
+              "turbulence sample box outside field storage");
+  if (box.empty()) return;
+  const auto nx = static_cast<size_t>(box.extent(0));
+  const auto ny = static_cast<size_t>(box.extent(1));
+  const auto nz = static_cast<size_t>(box.extent(2));
+  const size_t nm = modes_.size();
+  // The x table is padded to whole blocks; the padding holds phasors of
+  // points past the box, which are summed and then dropped.
+  const size_t nxp = (nx + kBlock - 1) / kBlock * kBlock;
+
+  // Per-axis phasor tables, mode-major. The time phase rides on z.
+  std::vector<double> xc(nm * nxp), xs(nm * nxp), yc(nm * ny), ys(nm * ny),
+      zc(nm * nz), zs(nm * nz);
+  for (size_t m = 0; m < nm; ++m) {
+    const Mode& mode = modes_[m];
+    axis_phasors(grid, 0, box.lo[0], nxp, mode.k.x, 0.0, &xc[m * nxp],
+                 &xs[m * nxp]);
+    axis_phasors(grid, 1, box.lo[1], ny, mode.k.y, 0.0, &yc[m * ny],
+                 &ys[m * ny]);
+    axis_phasors(grid, 2, box.lo[2], nz, mode.k.z,
+                 mode.omega * t + mode.phase, &zc[m * nz], &zs[m * nz]);
+  }
+
+  // cos(a + b) = cos a cos b - sin a sin b, with a = k_x x and b the rest
+  // of the phase, which is constant along an x row.
+  std::vector<double> cb(nm), sb(nm);
+  for (size_t k = 0; k < nz; ++k) {
+    for (size_t j = 0; j < ny; ++j) {
+      for (size_t m = 0; m < nm; ++m) {
+        const double cy = yc[m * ny + j], sy = ys[m * ny + j];
+        const double cz = zc[m * nz + k], sz = zs[m * nz + k];
+        cb[m] = cy * cz - sy * sz;
+        sb[m] = sy * cz + cy * sz;
+      }
+      const int64_t gj = box.lo[1] + static_cast<int64_t>(j);
+      const int64_t gk = box.lo[2] + static_cast<int64_t>(k);
+      double* ur = u.ptr(box.lo[0], gj, gk);
+      double* vr = v.ptr(box.lo[0], gj, gk);
+      double* wr = w.ptr(box.lo[0], gj, gk);
+      for (size_t i0 = 0; i0 < nx; i0 += kBlock) {
+        // Modes are summed in the order velocity() sums them.
+        double bu[kBlock] = {}, bv[kBlock] = {}, bw[kBlock] = {};
+        for (size_t m = 0; m < nm; ++m) {
+          const double* ca = &xc[m * nxp + i0];
+          const double* sa = &xs[m * nxp + i0];
+          const Vec3 amp = modes_[m].amplitude;
+          for (size_t l = 0; l < kBlock; ++l) {
+            const double c = ca[l] * cb[m] - sa[l] * sb[m];
+            bu[l] += amp.x * c;
+            bv[l] += amp.y * c;
+            bw[l] += amp.z * c;
+          }
+        }
+        const size_t n = std::min(kBlock, nx - i0);
+        for (size_t l = 0; l < n; ++l) {
+          ur[i0 + l] = bu[l];
+          vr[i0 + l] = bv[l];
+          wr[i0 + l] = bw[l];
+        }
+      }
+    }
+  }
 }
 
 }  // namespace hia

@@ -10,6 +10,8 @@
 
 #include <vector>
 
+#include "sim/field.hpp"
+#include "sim/grid.hpp"
 #include "util/rng.hpp"
 #include "util/vec3.hpp"
 
@@ -35,8 +37,18 @@ class SyntheticTurbulence {
  public:
   explicit SyntheticTurbulence(const TurbulenceParams& params = {});
 
-  /// Velocity at physical position x and time t.
+  /// Velocity at physical position x and time t: the direct sum, one cos()
+  /// per mode. The reference that sample() is tested against.
   [[nodiscard]] Vec3 velocity(const Vec3& x, double t) const;
+
+  /// Writes the velocity at time t at every grid point of `box` into u, v
+  /// and w, whose storage must cover `box`. The field is velocity() at
+  /// grid.coord(), evaluated separably: cos(k.x + w t + phi) is the real
+  /// part of e^{i k_x x} e^{i k_y y} e^{i (k_z z + w t + phi)}, so a call
+  /// costs O(modes * (nx + ny + nz)) sin/cos plus O(modes * cells)
+  /// multiply-adds instead of O(modes * cells) cos() calls.
+  void sample(const GlobalGrid& grid, const Box3& box, double t, Field& u,
+              Field& v, Field& w) const;
 
   [[nodiscard]] const TurbulenceParams& params() const { return params_; }
 
