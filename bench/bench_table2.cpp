@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
   std::printf("%s\n", format_table2(report, names).c_str());
   if (report.resilience.any()) {
     print_header("Resilience (fault injection active)");
-    std::printf("%s\n", format_resilience(report).c_str());
+    std::printf("%s\n", format_resilience(report.resilience).c_str());
   }
 
   print_header("Table II (paper, Jaguar XK6 @ 4896 cores)");

@@ -128,12 +128,11 @@ bool parse_triple(const char* arg, int64_t out[3]) {
       "                      defer-max; see docs/FAILURE_MODEL.md)\n"
       "  --steer POLICY      in-transit steering policy: in-transit\n"
       "                      (default), adaptive, in-situ, or shed\n"
-      "  --tenants N         run N concurrent campaigns through the\n"
-      "                      multi-tenant service: one shared staging area,\n"
-      "                      weighted fair-share scheduling, per-tenant\n"
-      "                      isolation ledgers (default 1: classic path)\n"
-      "  --weights a,b,...   per-tenant fair-share weights (needs --tenants;\n"
-      "                      length N; default: all 1.0)\n"
+      "  --tenants N         run N concurrent campaigns on one shared\n"
+      "                      staging area: weighted fair-share scheduling,\n"
+      "                      per-tenant isolation ledgers (default 1)\n"
+      "  --weights a,b,...   per-tenant fair-share weights, one per tenant\n"
+      "                      (default: all 1.0)\n"
       "  --pool-max N        elastic bucket pool: grow up to N buckets under\n"
       "                      sustained saturation, retire idle ones when\n"
       "                      pressure clears (default: fixed pool; needs\n"
@@ -156,8 +155,7 @@ bool parse_triple(const char* arg, int64_t out[3]) {
       "                      path (implies event recording; exits nonzero\n"
       "                      if any partition fails)\n"
       "  --status-interval S print a one-line service status digest every\n"
-      "                      S seconds while the campaigns run (needs\n"
-      "                      --tenants N with N > 1)\n"
+      "                      S seconds while the campaigns run\n"
       "  --summary FILE      write a RunSummary JSON (schema\n"
       "                      hia-run-summary-v1: metrics, counters,\n"
       "                      histograms, gauge time series)\n"
@@ -352,26 +350,121 @@ int report_attribution() {
   return 0;
 }
 
-/// The multi-tenant path: N concurrent campaigns through CampaignService.
-int run_tenants(const Options& opt, const RunConfig& base_config,
-                const std::vector<std::string>& wanted) {
+/// --weights: one fair-share weight per tenant, all 1.0 when the flag is
+/// absent. Returns an empty vector (after saying why) on a bad list.
+std::vector<double> parse_weights(const Options& opt) {
   std::vector<double> weights(static_cast<size_t>(opt.tenants), 1.0);
-  if (!opt.weights.empty()) {
-    const auto parts = split(opt.weights);
-    if (static_cast<int>(parts.size()) != opt.tenants) {
-      std::fprintf(stderr, "--weights needs %d comma-separated values\n",
-                   opt.tenants);
-      return 2;
-    }
-    for (size_t i = 0; i < parts.size(); ++i) {
-      weights[i] = std::atof(parts[i].c_str());
-      if (weights[i] <= 0.0) {
-        std::fprintf(stderr, "--weights: weight %zu must be > 0\n", i + 1);
-        return 2;
-      }
+  if (opt.weights.empty()) return weights;
+  const auto parts = split(opt.weights);
+  if (static_cast<int>(parts.size()) != opt.tenants) {
+    std::fprintf(stderr, "--weights needs %d comma-separated values\n",
+                 opt.tenants);
+    return {};
+  }
+  for (size_t i = 0; i < parts.size(); ++i) {
+    weights[i] = std::atof(parts[i].c_str());
+    if (weights[i] <= 0.0) {
+      std::fprintf(stderr, "--weights: weight %zu must be > 0\n", i + 1);
+      return {};
     }
   }
+  return weights;
+}
 
+}  // namespace
+
+int main(int argc, char** argv) {
+  const Options opt = parse(argc, argv);
+
+  if (opt.list_only) {
+    std::printf("available analyses:\n");
+    for (const auto& [name, help] : kAnalysisHelp) {
+      std::printf("  %-12s %s\n", name.c_str(), help.c_str());
+    }
+    return 0;
+  }
+  if (!opt.output_dir.empty()) ::mkdir(opt.output_dir.c_str(), 0755);
+
+  if (!opt.codec.empty()) {
+    try {
+      (void)make_codec(opt.codec);
+    } catch (const Error& e) {
+      std::fprintf(stderr, "bad --codec: %s\n", e.what());
+      return 2;
+    }
+  }
+  if (!opt.faults.empty()) {
+    try {
+      (void)FaultPlan::parse_spec(opt.faults);
+    } catch (const Error& e) {
+      std::fprintf(stderr, "bad --faults: %s\n", e.what());
+      return 2;
+    }
+  }
+  if (!opt.overload.empty()) {
+    try {
+      const OverloadConfig ocfg = OverloadConfig::parse_spec(opt.overload);
+      if (!ocfg.enabled()) {
+        std::fprintf(stderr,
+                     "bad --overload: spec sets no budget and no credits\n");
+        return 2;
+      }
+    } catch (const Error& e) {
+      std::fprintf(stderr, "bad --overload: %s\n", e.what());
+      return 2;
+    }
+  }
+  if (!opt.steer.empty()) {
+    try {
+      (void)parse_steer_policy(opt.steer);
+    } catch (const Error& e) {
+      std::fprintf(stderr, "bad --steer: %s\n", e.what());
+      return 2;
+    }
+  }
+  if (opt.tenants < 1) {
+    std::fprintf(stderr, "--tenants must be >= 1\n");
+    return 2;
+  }
+  if (opt.replicas < 1) {
+    std::fprintf(stderr, "--replicas must be >= 1\n");
+    return 2;
+  }
+  const std::vector<double> weights = parse_weights(opt);
+  if (weights.empty()) return 2;
+
+  auto wanted = split(opt.analyses == "all"
+                          ? "stats,stats-insitu,viz,viz-insitu,topo,corr,"
+                            "hist,features,cont,iso,tseries"
+                          : opt.analyses);
+  std::vector<std::string> report_names;
+  for (const std::string& name : wanted) {
+    if (kAnalysisHelp.find(name) == kAnalysisHelp.end()) {
+      std::fprintf(stderr, "unknown analysis: %s (try --list)\n",
+                   name.c_str());
+      return 2;
+    }
+    report_names.push_back(make_analysis(name, opt)->name());
+  }
+
+  if (!opt.trace_path.empty() || !opt.metrics_path.empty()) {
+    obs::enable();
+  }
+  obs::sample_now();  // t=0 point for every gauge series
+  if (opt.sample_hz > 0.0) obs::start_sampler(opt.sample_hz);
+
+  if (!opt.events_path.empty() || opt.attrib) {
+    // Raise the per-thread ring capacity before the bucket and tenant
+    // threads spin up (rings are sized at first touch): a recorded
+    // campaign that overflows loses submit events, and with them the exact
+    // per-tenant conservation partition. Then start from a clean stream.
+    obs::set_events_capacity(1 << 16);
+    obs::reset_events();
+    obs::enable_events();
+    register_run_config(opt, weights);
+  }
+
+  // One staging deployment, owned by the service, serves every campaign.
   CampaignService::Options sopts;
   sopts.staging_servers = opt.servers;
   sopts.staging_buckets = opt.buckets;
@@ -383,10 +476,17 @@ int run_tenants(const Options& opt, const RunConfig& base_config,
   sopts.pool_max = opt.pool_max;
   CampaignService service(sopts);
 
-  RunConfig config = base_config;
-  // The service owns fault injection and the overload ledger.
-  config.faults.clear();
-  config.overload.clear();
+  RunConfig config;
+  config.sim.grid = GlobalGrid{opt.grid,
+                               {1.0,
+                                static_cast<double>(opt.grid[1]) /
+                                    static_cast<double>(opt.grid[0]),
+                                static_cast<double>(opt.grid[2]) /
+                                    static_cast<double>(opt.grid[0])}};
+  config.sim.ranks_per_axis = opt.ranks;
+  config.steps = opt.steps;
+  config.staging_codec = opt.codec;
+  config.steer = opt.steer;
   for (int t = 0; t < opt.tenants; ++t) {
     CampaignService::TenantSpec spec;
     spec.name = "tenant-" + std::to_string(t + 1);
@@ -400,22 +500,32 @@ int run_tenants(const Options& opt, const RunConfig& base_config,
     service.add_tenant(std::move(spec));
   }
 
-  std::printf("multi-tenant service: %d campaigns x %ld steps, weights %s, "
-              "%d buckets%s\n\n",
-              opt.tenants, opt.steps,
+  std::printf("running %d campaign(s) x %ld steps of %lldx%lldx%lld on "
+              "%dx%dx%d ranks, weights %s, %d buckets%s, analyses every %d "
+              "step(s): %s\n\n",
+              opt.tenants, opt.steps, static_cast<long long>(opt.grid[0]),
+              static_cast<long long>(opt.grid[1]),
+              static_cast<long long>(opt.grid[2]), opt.ranks[0],
+              opt.ranks[1], opt.ranks[2],
               opt.weights.empty() ? "1.0 each" : opt.weights.c_str(),
-              opt.buckets,
-              opt.pool_max > 0 ? " (elastic)" : "");
-
-  if (!opt.events_path.empty() || opt.attrib) {
-    // Raise the per-thread ring capacity before the tenant threads spin
-    // up (rings are sized at first touch): a recorded campaign that
-    // overflows loses submit events, and with them the exact per-tenant
-    // conservation partition. Then start from a clean stream.
-    obs::set_events_capacity(1 << 16);
-    obs::reset_events();
-    obs::enable_events();
-    register_run_config(opt, weights);
+              opt.buckets, opt.pool_max > 0 ? " (elastic)" : "",
+              opt.frequency, opt.analyses.c_str());
+  if (!opt.codec.empty()) {
+    std::printf("staging codec: %s (wire/ratio columns below show the "
+                "published-byte reduction)\n\n",
+                opt.codec.c_str());
+  }
+  if (!opt.faults.empty()) {
+    std::printf("fault injection: %s (seed %llu)\n\n", opt.faults.c_str(),
+                static_cast<unsigned long long>(
+                    opt.fault_seed != 0 ? opt.fault_seed
+                                        : FaultPlan::parse_spec(opt.faults)
+                                              .seed));
+  }
+  if (!opt.overload.empty() || !opt.steer.empty()) {
+    std::printf("overload control: %s, steering: %s\n\n",
+                opt.overload.empty() ? "off" : opt.overload.c_str(),
+                opt.steer.empty() ? "in-transit" : opt.steer.c_str());
   }
 
   // --status-interval: a digest thread polls the service while the
@@ -455,8 +565,21 @@ int run_tenants(const Options& opt, const RunConfig& base_config,
   campaign_done.store(true, std::memory_order_release);
   if (digest.joinable()) digest.join();
   obs::stop_sampler();
-  obs::sample_now();
+  obs::sample_now();  // closing point for every gauge series
 
+  size_t in_transit_tasks = 0;
+  double mean_sim_step_s = 0.0;
+  for (const CampaignService::TenantReport& tr : report.tenants) {
+    std::printf("tenant %d (%s):\n%s\n%s\n", tr.tenant, tr.name.c_str(),
+                format_table2(tr.report, report_names).c_str(),
+                format_fig6(tr.report, report_names).c_str());
+    in_transit_tasks += tr.report.in_transit.size();
+    mean_sim_step_s += tr.report.mean_sim_step_seconds() /
+                       static_cast<double>(report.tenants.size());
+  }
+  if (report.resilience.any()) {
+    std::printf("%s\n", format_resilience(report.resilience).c_str());
+  }
   std::printf("%s\n", format_tenant_table(report.rows).c_str());
   if (opt.pool_max > 0) {
     std::printf("elastic pool: %llu grows, %llu shrinks, %d buckets at "
@@ -476,15 +599,21 @@ int run_tenants(const Options& opt, const RunConfig& base_config,
                 row.completed + row.degraded + row.deferred + row.shed ==
                     row.submitted;
   }
-  std::printf("processed %llu tasks across %d tenants; max |share error| "
-              "%.3f; per-tenant conservation %s\n",
-              static_cast<unsigned long long>(total_tasks), opt.tenants,
-              share_err_max, conserved ? "OK" : "VIOLATED");
+  std::printf("processed %llu tasks (%zu in-transit task records) across %d "
+              "tenant(s) over %ld steps; mean simulation step %.4f s; max "
+              "|share error| %.3f; per-tenant conservation %s\n",
+              static_cast<unsigned long long>(total_tasks), in_transit_tasks,
+              opt.tenants, opt.steps, mean_sim_step_s, share_err_max,
+              conserved ? "OK" : "VIOLATED");
   const bool attrib_ok = !opt.attrib || report_attribution() == 0;
 
+  if (!opt.output_dir.empty()) {
+    std::printf("artifacts written under %s/\n", opt.output_dir.c_str());
+  }
   if (!opt.trace_path.empty()) {
     if (!obs::write_chrome_trace(opt.trace_path)) return 1;
-    std::printf("trace written to %s\n", opt.trace_path.c_str());
+    std::printf("trace written to %s (load in https://ui.perfetto.dev)\n",
+                opt.trace_path.c_str());
   }
   if (!opt.metrics_path.empty()) {
     if (!obs::write_metrics(opt.metrics_path)) return 1;
@@ -536,14 +665,46 @@ int run_tenants(const Options& opt, const RunConfig& base_config,
                 events_ok ? "matches" : "MISMATCHES");
   }
   if (!opt.summary_path.empty()) {
+    const ResilienceSummary& res = report.resilience;
     obs::RunSummary summary;
     summary.bench = "hia_campaign";
-    summary.metrics["tenants"] = static_cast<double>(opt.tenants);
-    summary.metrics["total_tasks"] = static_cast<double>(total_tasks);
-    summary.metrics["share_err_max"] = share_err_max;
-    summary.metrics["conservation_ok"] = conserved ? 1.0 : 0.0;
-    summary.metrics["pool_grows"] = static_cast<double>(report.pool.grows);
-    summary.metrics["pool_shrinks"] = static_cast<double>(report.pool.shrinks);
+    const std::pair<const char*, double> metrics[] = {
+        {"steps", static_cast<double>(opt.steps)},
+        {"tenants", static_cast<double>(opt.tenants)},
+        {"in_transit_tasks", static_cast<double>(in_transit_tasks)},
+        {"total_tasks", static_cast<double>(total_tasks)},
+        {"mean_sim_step_s", mean_sim_step_s},
+        {"share_err_max", share_err_max},
+        {"conservation_ok", conserved ? 1.0 : 0.0},
+        {"pool_grows", static_cast<double>(report.pool.grows)},
+        {"pool_shrinks", static_cast<double>(report.pool.shrinks)},
+        {"tasks_completed", static_cast<double>(res.tasks_completed)},
+        {"tasks_degraded", static_cast<double>(res.tasks_degraded)},
+        {"tasks_shed", static_cast<double>(res.tasks_shed)},
+        {"tasks_deferred", static_cast<double>(res.tasks_deferred)},
+        {"task_retries", static_cast<double>(res.task_retries)},
+        {"backoff_s", res.backoff_seconds},
+        {"frame_retransmits", static_cast<double>(res.frame_retransmits)},
+        {"crc_failures", static_cast<double>(res.crc_failures)},
+        {"recovered_bytes", static_cast<double>(res.recovered_bytes)},
+        {"buckets_killed", static_cast<double>(res.buckets_killed)},
+        {"buckets_crashed", static_cast<double>(res.buckets_crashed)},
+        {"servers_crashed", static_cast<double>(res.servers_crashed)},
+        {"leases_expired", static_cast<double>(res.leases_expired)},
+        {"tasks_reexecuted", static_cast<double>(res.tasks_reexecuted)},
+        {"zombies_fenced", static_cast<double>(res.zombies_fenced)},
+        {"replicas_repaired", static_cast<double>(res.replicas_repaired)},
+        {"objects_lost", static_cast<double>(res.objects_lost)},
+        {"steer_in_situ", static_cast<double>(res.steer_in_situ)},
+        {"steer_deferred", static_cast<double>(res.steer_deferred)},
+        {"steer_shed", static_cast<double>(res.steer_shed)},
+        {"overload_diversions", static_cast<double>(res.overload_diversions)},
+        {"admission_overdrafts",
+         static_cast<double>(res.admission_overdrafts)},
+        {"admission_wait_s", res.admission_wait_s},
+        {"peak_queue_bytes", static_cast<double>(res.peak_queue_bytes)},
+    };
+    for (const auto& [key, value] : metrics) summary.metrics[key] = value;
     for (const TenantRunRow& row : report.rows) {
       const std::string prefix = "t" + std::to_string(row.tenant) + "_";
       summary.metrics[prefix + "completed"] =
@@ -555,247 +716,4 @@ int run_tenants(const Options& opt, const RunConfig& base_config,
     std::printf("run summary written to %s\n", opt.summary_path.c_str());
   }
   return conserved && events_ok && attrib_ok ? 0 : 1;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  const Options opt = parse(argc, argv);
-
-  if (opt.list_only) {
-    std::printf("available analyses:\n");
-    for (const auto& [name, help] : kAnalysisHelp) {
-      std::printf("  %-12s %s\n", name.c_str(), help.c_str());
-    }
-    return 0;
-  }
-  if (!opt.output_dir.empty()) ::mkdir(opt.output_dir.c_str(), 0755);
-
-  RunConfig config;
-  config.sim.grid = GlobalGrid{opt.grid,
-                               {1.0,
-                                static_cast<double>(opt.grid[1]) /
-                                    static_cast<double>(opt.grid[0]),
-                                static_cast<double>(opt.grid[2]) /
-                                    static_cast<double>(opt.grid[0])}};
-  config.sim.ranks_per_axis = opt.ranks;
-  config.staging_servers = opt.servers;
-  config.staging_buckets = opt.buckets;
-  config.staging_replicas = opt.replicas;
-  config.steps = opt.steps;
-  config.staging_codec = opt.codec;
-  config.faults = opt.faults;
-  config.fault_seed = opt.fault_seed;
-  config.overload = opt.overload;
-  config.steer = opt.steer;
-  if (!opt.codec.empty()) {
-    try {
-      (void)make_codec(opt.codec);
-    } catch (const Error& e) {
-      std::fprintf(stderr, "bad --codec: %s\n", e.what());
-      return 2;
-    }
-  }
-  if (!opt.faults.empty()) {
-    try {
-      (void)FaultPlan::parse_spec(opt.faults);
-    } catch (const Error& e) {
-      std::fprintf(stderr, "bad --faults: %s\n", e.what());
-      return 2;
-    }
-  }
-  if (!opt.overload.empty()) {
-    try {
-      const OverloadConfig ocfg = OverloadConfig::parse_spec(opt.overload);
-      if (!ocfg.enabled()) {
-        std::fprintf(stderr,
-                     "bad --overload: spec sets no budget and no credits\n");
-        return 2;
-      }
-    } catch (const Error& e) {
-      std::fprintf(stderr, "bad --overload: %s\n", e.what());
-      return 2;
-    }
-  }
-  if (!opt.steer.empty()) {
-    try {
-      (void)parse_steer_policy(opt.steer);
-    } catch (const Error& e) {
-      std::fprintf(stderr, "bad --steer: %s\n", e.what());
-      return 2;
-    }
-  }
-  if (opt.tenants < 1) {
-    std::fprintf(stderr, "--tenants must be >= 1\n");
-    return 2;
-  }
-  if (opt.replicas < 1) {
-    std::fprintf(stderr, "--replicas must be >= 1\n");
-    return 2;
-  }
-  if (!opt.weights.empty() && opt.tenants <= 1) {
-    std::fprintf(stderr, "--weights needs --tenants N with N > 1\n");
-    return 2;
-  }
-  if (opt.status_interval_s > 0.0 && opt.tenants <= 1) {
-    std::fprintf(stderr, "--status-interval needs --tenants N with N > 1\n");
-    return 2;
-  }
-
-  auto wanted = split(opt.analyses == "all"
-                          ? "stats,stats-insitu,viz,viz-insitu,topo,corr,"
-                            "hist,features,cont,iso,tseries"
-                          : opt.analyses);
-  for (const std::string& name : wanted) {
-    if (kAnalysisHelp.find(name) == kAnalysisHelp.end()) {
-      std::fprintf(stderr, "unknown analysis: %s (try --list)\n",
-                   name.c_str());
-      return 2;
-    }
-  }
-
-  if (!opt.trace_path.empty() || !opt.metrics_path.empty()) {
-    obs::enable();
-  }
-  obs::sample_now();  // t=0 point for every gauge series
-  if (opt.sample_hz > 0.0) obs::start_sampler(opt.sample_hz);
-
-  if (opt.tenants > 1) return run_tenants(opt, config, wanted);
-
-  if (!opt.events_path.empty() || opt.attrib) {
-    obs::set_events_capacity(1 << 16);
-    obs::reset_events();
-    obs::enable_events();
-    register_run_config(opt, {});
-  }
-
-  HybridRunner runner(config);
-
-  std::vector<std::string> report_names;
-  for (const std::string& name : wanted) {
-    std::shared_ptr<HybridAnalysis> analysis = make_analysis(name, opt);
-    report_names.push_back(analysis->name());
-    runner.add_analysis(std::move(analysis), opt.frequency);
-  }
-
-  std::printf("running %ld steps of %lldx%lldx%lld on %dx%dx%d ranks, "
-              "%d buckets, analyses every %d step(s): %s\n\n",
-              opt.steps, static_cast<long long>(opt.grid[0]),
-              static_cast<long long>(opt.grid[1]),
-              static_cast<long long>(opt.grid[2]), opt.ranks[0],
-              opt.ranks[1], opt.ranks[2], opt.buckets, opt.frequency,
-              opt.analyses.c_str());
-  if (!opt.codec.empty()) {
-    std::printf("staging codec: %s (wire/ratio columns below show the "
-                "published-byte reduction)\n\n",
-                opt.codec.c_str());
-  }
-  if (!opt.faults.empty()) {
-    std::printf("fault injection: %s (seed %llu)\n\n", opt.faults.c_str(),
-                static_cast<unsigned long long>(
-                    opt.fault_seed != 0 ? opt.fault_seed
-                                        : FaultPlan::parse_spec(opt.faults)
-                                              .seed));
-  }
-  if (!opt.overload.empty() || !opt.steer.empty()) {
-    std::printf("overload control: %s, steering: %s\n\n",
-                opt.overload.empty() ? "off" : opt.overload.c_str(),
-                opt.steer.empty() ? "in-transit" : opt.steer.c_str());
-  }
-
-  const RunReport report = runner.run();
-  obs::stop_sampler();
-  obs::sample_now();  // closing point for every gauge series
-
-  std::printf("%s\n", format_table2(report, report_names).c_str());
-  std::printf("%s\n", format_fig6(report, report_names).c_str());
-  if (report.resilience.any()) {
-    std::printf("%s\n", format_resilience(report).c_str());
-  }
-  std::printf("processed: %zu in-transit task records over %ld steps; mean "
-              "simulation step %.4f s\n",
-              report.in_transit.size(), report.steps,
-              report.mean_sim_step_seconds());
-  if (opt.attrib && report_attribution() != 0) return 1;
-  if (!opt.output_dir.empty()) {
-    std::printf("artifacts written under %s/\n", opt.output_dir.c_str());
-  }
-  if (!opt.trace_path.empty()) {
-    if (!obs::write_chrome_trace(opt.trace_path)) return 1;
-    std::printf("trace written to %s (load in https://ui.perfetto.dev)\n",
-                opt.trace_path.c_str());
-  }
-  if (!opt.metrics_path.empty()) {
-    if (!obs::write_metrics(opt.metrics_path)) return 1;
-    std::printf("metrics written to %s\n", opt.metrics_path.c_str());
-  }
-  if (!opt.events_path.empty()) {
-    if (!obs::write_events_file(opt.events_path)) return 1;
-    const obs::EventsValidation ev =
-        obs::validate_events_file(opt.events_path);
-    if (!ev.ok) {
-      std::fprintf(stderr, "events file %s INVALID: %s\n",
-                   opt.events_path.c_str(), ev.error.c_str());
-      return 1;
-    }
-    std::printf("events written to %s (%llu records, %llu dropped)\n",
-                opt.events_path.c_str(),
-                static_cast<unsigned long long>(ev.records),
-                static_cast<unsigned long long>(ev.dropped));
-  }
-  if (!opt.summary_path.empty()) {
-    obs::RunSummary summary;
-    summary.bench = "hia_campaign";
-    summary.metrics["steps"] = static_cast<double>(report.steps);
-    summary.metrics["in_transit_tasks"] =
-        static_cast<double>(report.in_transit.size());
-    summary.metrics["mean_sim_step_s"] = report.mean_sim_step_seconds();
-    if (report.resilience.any()) {
-      const ResilienceSummary& res = report.resilience;
-      summary.metrics["tasks_completed"] =
-          static_cast<double>(res.tasks_completed);
-      summary.metrics["tasks_degraded"] =
-          static_cast<double>(res.tasks_degraded);
-      summary.metrics["tasks_shed"] = static_cast<double>(res.tasks_shed);
-      summary.metrics["tasks_deferred"] =
-          static_cast<double>(res.tasks_deferred);
-      summary.metrics["task_retries"] = static_cast<double>(res.task_retries);
-      summary.metrics["backoff_s"] = res.backoff_seconds;
-      summary.metrics["frame_retransmits"] =
-          static_cast<double>(res.frame_retransmits);
-      summary.metrics["crc_failures"] = static_cast<double>(res.crc_failures);
-      summary.metrics["recovered_bytes"] =
-          static_cast<double>(res.recovered_bytes);
-      summary.metrics["buckets_killed"] =
-          static_cast<double>(res.buckets_killed);
-      summary.metrics["buckets_crashed"] =
-          static_cast<double>(res.buckets_crashed);
-      summary.metrics["servers_crashed"] =
-          static_cast<double>(res.servers_crashed);
-      summary.metrics["leases_expired"] =
-          static_cast<double>(res.leases_expired);
-      summary.metrics["tasks_reexecuted"] =
-          static_cast<double>(res.tasks_reexecuted);
-      summary.metrics["zombies_fenced"] =
-          static_cast<double>(res.zombies_fenced);
-      summary.metrics["replicas_repaired"] =
-          static_cast<double>(res.replicas_repaired);
-      summary.metrics["objects_lost"] = static_cast<double>(res.objects_lost);
-      summary.metrics["steer_in_situ"] =
-          static_cast<double>(res.steer_in_situ);
-      summary.metrics["steer_deferred"] =
-          static_cast<double>(res.steer_deferred);
-      summary.metrics["steer_shed"] = static_cast<double>(res.steer_shed);
-      summary.metrics["overload_diversions"] =
-          static_cast<double>(res.overload_diversions);
-      summary.metrics["admission_overdrafts"] =
-          static_cast<double>(res.admission_overdrafts);
-      summary.metrics["admission_wait_s"] = res.admission_wait_s;
-      summary.metrics["peak_queue_bytes"] =
-          static_cast<double>(res.peak_queue_bytes);
-    }
-    if (!obs::write_run_summary(opt.summary_path, summary)) return 1;
-    std::printf("run summary written to %s\n", opt.summary_path.c_str());
-  }
-  return 0;
 }

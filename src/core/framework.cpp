@@ -13,65 +13,102 @@
 
 namespace hia {
 
-HybridRunner::HybridRunner(RunConfig config)
-    : config_(config), network_(config.network) {
-  if (!config_.faults.empty()) {
-    FaultPlanConfig plan = FaultPlan::parse_spec(config_.faults);
-    if (config_.fault_seed != 0) plan.seed = config_.fault_seed;
+namespace {
+
+std::shared_ptr<const Codec> staging_codec(const std::string& spec) {
+  return spec.empty() ? nullptr : make_codec(spec);
+}
+
+}  // namespace
+
+StagingDeployment::StagingDeployment(const RunConfig& config)
+    : network_(config.network) {
+  Dart::Options dart = config.dart;
+  if (!config.faults.empty()) {
+    FaultPlanConfig plan = FaultPlan::parse_spec(config.faults);
+    if (config.fault_seed != 0) plan.seed = config.fault_seed;
     faults_ = std::make_unique<FaultPlan>(plan);
-    config_.dart.faults = faults_.get();
+    dart.faults = faults_.get();
     // The thread pools inside analysis kernels are created ad hoc, so the
     // plan reaches them through the process-wide hook.
     install_worker_faults(faults_.get());
   }
-  if (!config_.overload.empty()) {
-    OverloadConfig ocfg = OverloadConfig::parse_spec(config_.overload);
+  if (!config.overload.empty()) {
+    OverloadConfig ocfg = OverloadConfig::parse_spec(config.overload);
     HIA_REQUIRE(ocfg.enabled(),
                 "--overload spec sets no budget and no credits: " +
-                    config_.overload);
-    owned_overload_ = std::make_unique<OverloadControl>(ocfg);
-    config_.dart.overload = owned_overload_.get();
+                    config.overload);
+    overload_ = std::make_unique<OverloadControl>(ocfg);
+    dart.overload = overload_.get();
   }
-  overload_ = owned_overload_.get();
-  steer_ = parse_steer_policy(config_.steer);
-  owned_dart_ = std::make_unique<Dart>(network_, config_.dart);
-  dart_ = owned_dart_.get();
-  owned_staging_ = std::make_unique<StagingService>(
-      *dart_, StagingService::Options{config_.staging_servers,
-                                      config_.staging_buckets,
-                                      faults_.get(), overload_,
-                                      config_.staging_replicas});
-  staging_ = owned_staging_.get();
-  if (!config_.staging_codec.empty()) {
-    codec_ = make_codec(config_.staging_codec);
-  }
+  dart_ = std::make_unique<Dart>(network_, dart);
+  staging_ = std::make_unique<StagingService>(
+      *dart_, StagingService::Options{config.staging_servers,
+                                      config.staging_buckets, faults_.get(),
+                                      overload_.get(),
+                                      config.staging_replicas});
 }
 
-HybridRunner::HybridRunner(RunConfig config, const SharedStagingEnv& env)
-    : config_(std::move(config)), network_(config_.network) {
-  HIA_REQUIRE(env.dart != nullptr && env.staging != nullptr,
-              "shared-mode runner needs a Dart and a StagingService");
-  HIA_REQUIRE(config_.faults.empty() && config_.overload.empty(),
-              "shared-mode runner: faults/overload belong to the service");
-  shared_ = true;
-  tenant_ = env.tenant;
-  ns_prefix_ = env.ns_prefix;
-  dart_ = env.dart;
-  staging_ = env.staging;
-  overload_ = env.overload;
-  steer_ = parse_steer_policy(config_.steer);
-  if (!config_.staging_codec.empty()) {
-    codec_ = make_codec(config_.staging_codec);
-  }
-}
-
-HybridRunner::~HybridRunner() {
+StagingDeployment::~StagingDeployment() {
   // Staging buckets may still touch the plan until destroyed; tear down in
-  // reverse dependency order before releasing it. (Shared mode owns none
-  // of these — the resets are no-ops and the service tears its own down.)
-  owned_staging_.reset();
-  owned_dart_.reset();
+  // reverse dependency order before releasing it.
+  staging_.reset();
+  dart_.reset();
   if (faults_ != nullptr) install_worker_faults(nullptr);
+}
+
+void StagingDeployment::add_ledger(ResilienceSummary& res) const {
+  const DartCounters dart_counters = dart_->counters();
+  res.frame_retransmits = dart_counters.get_retries;
+  res.crc_failures = dart_counters.crc_failures;
+  res.recovered_bytes = dart_counters.recovered_bytes;
+  res.leases_expired = staging_->leases_expired();
+  res.tasks_reexecuted = staging_->tasks_reexecuted();
+  res.zombies_fenced = staging_->zombies_fenced();
+  res.replicas_repaired = staging_->store().replicas_repaired();
+  res.objects_lost = staging_->store().objects_lost();
+  if (faults_ != nullptr) {
+    const FaultStats stats = faults_->stats();
+    res.frames_dropped = stats.frames_dropped;
+    res.frames_corrupted = stats.frames_corrupted;
+    res.frames_delayed = stats.frames_delayed;
+    res.injected_delay_s = stats.injected_delay_s;
+    res.tasks_failed = stats.tasks_failed;
+    res.worker_stalls = stats.worker_stalls;
+    res.buckets_killed = stats.buckets_killed;
+    res.buckets_crashed = stats.buckets_crashed;
+    res.servers_crashed = stats.servers_crashed;
+    res.overload_bytes_injected = stats.overload_bytes_injected;
+    res.credits_starved = stats.credits_starved;
+    res.tenant_hog_bytes = stats.tenant_hog_bytes;
+  }
+  if (overload_ != nullptr) {
+    const OverloadControl::Stats ostats = overload_->stats();
+    res.admission_overdrafts = ostats.admission_overdrafts;
+    res.admission_wait_s = ostats.admission_wait_s;
+    res.peak_queue_bytes = ostats.peak_queue_bytes;
+    res.overload_diversions = staging_->overload_diversions();
+  }
+}
+
+HybridRunner::HybridRunner(RunConfig config)
+    : config_(std::move(config)),
+      own_deployment_(std::make_unique<StagingDeployment>(config_)),
+      deployment_(*own_deployment_),
+      steer_(parse_steer_policy(config_.steer)),
+      codec_(staging_codec(config_.staging_codec)) {}
+
+HybridRunner::HybridRunner(RunConfig config, StagingDeployment& deployment,
+                           int tenant, std::string ns_prefix)
+    : config_(std::move(config)),
+      deployment_(deployment),
+      steer_(parse_steer_policy(config_.steer)),
+      tenant_(tenant),
+      ns_prefix_(std::move(ns_prefix)),
+      codec_(staging_codec(config_.staging_codec)) {
+  HIA_REQUIRE(config_.faults.empty() && config_.overload.empty(),
+              "a runner on a borrowed deployment: faults/overload belong to "
+              "the deployment");
 }
 
 void HybridRunner::add_analysis(std::shared_ptr<HybridAnalysis> analysis,
@@ -80,12 +117,12 @@ void HybridRunner::add_analysis(std::shared_ptr<HybridAnalysis> analysis,
   HIA_REQUIRE(frequency >= 1, "frequency must be >= 1");
   HIA_REQUIRE(!ran_, "cannot add analyses after run()");
 
-  // Register the in-transit handler if the analysis stages data. In shared
-  // mode the handler key carries the tenant's namespace prefix, so two
-  // tenants running the same analysis never collide.
+  // Register the in-transit handler if the analysis stages data. The
+  // handler key carries the tenant's namespace prefix, so two tenants
+  // running the same analysis never collide.
   if (!analysis->staged_variables().empty()) {
     std::shared_ptr<HybridAnalysis> a = analysis;
-    staging_->register_handler(
+    staging().register_handler(
         ns_prefix_ + a->name(), [a](TaskContext& ctx) { a->in_transit(ctx); });
   }
   analyses_.push_back(Scheduled{std::move(analysis), frequency});
@@ -94,6 +131,9 @@ void HybridRunner::add_analysis(std::shared_ptr<HybridAnalysis> analysis,
 RunReport HybridRunner::run() {
   HIA_REQUIRE(!ran_, "run() may be called once");
   ran_ = true;
+  StagingService& staging = deployment_.staging();
+  Dart& dart = deployment_.dart();
+  const OverloadControl* overload = deployment_.overload();
 
   const int nranks = config_.sim.ranks_per_axis[0] *
                      config_.sim.ranks_per_axis[1] *
@@ -121,9 +161,9 @@ RunReport HybridRunner::run() {
   uint64_t steer_in_transit = 0, steer_in_situ = 0, steer_deferred = 0,
            steer_shed = 0;
   const bool steering_active =
-      steer_ != SteerPolicy::kInTransit || overload_ != nullptr;
+      steer_ != SteerPolicy::kInTransit || overload != nullptr;
   const int max_defers =
-      overload_ != nullptr ? overload_->config().max_defers : 1;
+      overload != nullptr ? overload->config().max_defers : 1;
 
   // Routes one in-transit submission through the steering table. Deferring
   // writes a terminal kDeferred record and parks the payload (the staged
@@ -139,13 +179,13 @@ RunReport HybridRunner::run() {
     auto labeled = [this](const char* name) -> obs::Counter* {
       return tenant_ > 0 ? &obs::counter(name, {.tenant = tenant_}) : nullptr;
     };
-    const PressureSignal pressure = staging_->pressure();
+    const PressureSignal pressure = staging.pressure();
     switch (steer_decide(steer_, pressure, defers, max_defers)) {
       case SteerDecision::kInTransit:
         ++steer_in_transit;
         c_transit.add(1);
         if (auto* c = labeled("steer_in_transit")) c->add(1);
-        staging_->submit_for(analysis, step, staged, SubmitRoute::kQueue,
+        staging.submit_for(analysis, step, staged, SubmitRoute::kQueue,
                              tenant_);
         break;
       case SteerDecision::kInSitu:
@@ -153,7 +193,7 @@ RunReport HybridRunner::run() {
         c_insitu.add(1);
         if (auto* c = labeled("steer_in_situ")) c->add(1);
         obs::instant("overload", "steer_in_situ", {.step = step});
-        staging_->submit_for(analysis, step, staged, SubmitRoute::kFallback,
+        staging.submit_for(analysis, step, staged, SubmitRoute::kFallback,
                              tenant_);
         break;
       case SteerDecision::kShed:
@@ -161,14 +201,14 @@ RunReport HybridRunner::run() {
         c_shed.add(1);
         if (auto* c = labeled("steer_shed")) c->add(1);
         obs::instant("overload", "steer_shed", {.step = step});
-        staging_->submit_for(analysis, step, staged, SubmitRoute::kShed,
+        staging.submit_for(analysis, step, staged, SubmitRoute::kShed,
                              tenant_);
         break;
       case SteerDecision::kDefer:
         ++steer_deferred;
         c_defer.add(1);
         if (auto* c = labeled("steer_deferred")) c->add(1);
-        staging_->record_deferred(analysis, step, tenant_);
+        staging.record_deferred(analysis, step, tenant_);
         parked.push_back(Parked{analysis, step, staged, defers + 1});
         break;
     }
@@ -179,7 +219,7 @@ RunReport HybridRunner::run() {
     const int r = comm.rank();
     obs::set_thread_track(obs::rank_track(r));
     const int dart_node =
-        dart_->register_node(ns_prefix_ + "sim-" + std::to_string(r));
+        dart.register_node(ns_prefix_ + "sim-" + std::to_string(r));
 
     S3DRank sim(config_.sim, r);
     sim.initialize();
@@ -207,7 +247,7 @@ RunReport HybridRunner::run() {
       for (const Scheduled& sched : analyses_) {
         if (sim.step() % sched.frequency != 0) continue;
 
-        InSituContext ctx(sim, comm, *staging_, steering_, dart_node,
+        InSituContext ctx(sim, comm, staging, steering_, dart_node,
                           sim.step(), codec_.get(), tenant_, ns_prefix_);
         Stopwatch watch;
         {
@@ -241,7 +281,7 @@ RunReport HybridRunner::run() {
                            staged, 0);
             } else {
               // Steering off: byte-identical to the PR-4 submit path.
-              staging_->submit_for(ns_prefix_ + sched.analysis->name(),
+              staging.submit_for(ns_prefix_ + sched.analysis->name(),
                                    sim.step(), staged, SubmitRoute::kQueue,
                                    tenant_);
             }
@@ -257,7 +297,7 @@ RunReport HybridRunner::run() {
       }
     }
     comm.barrier();
-    dart_->unregister_node(dart_node);
+    dart.unregister_node(dart_node);
   });
 
   // The campaign is over: anything still parked is past every deadline and
@@ -272,25 +312,20 @@ RunReport HybridRunner::run() {
     HIA_ASSERT(parked.empty());
   }
 
-  // Wait for the staging pipeline to finish outstanding analyses. A shared
-  // runner drains (and reports) only its own tenant's tasks — the service
-  // and the other tenants keep going.
-  if (shared_) {
-    staging_->drain_tenant(tenant_);
-    for (TaskRecord rec : staging_->records()) {
-      if (rec.tenant != tenant_) continue;
-      if (rec.analysis.compare(0, ns_prefix_.size(), ns_prefix_) == 0) {
-        rec.analysis.erase(0, ns_prefix_.size());
-      }
-      report.in_transit.push_back(std::move(rec));
+  // Wait for this tenant's outstanding analyses and report its records,
+  // with the namespace prefix stripped back off. Other tenants sharing the
+  // deployment keep going.
+  staging.drain_tenant(tenant_);
+  for (TaskRecord rec : staging.records()) {
+    if (rec.tenant != tenant_) continue;
+    if (rec.analysis.compare(0, ns_prefix_.size(), ns_prefix_) == 0) {
+      rec.analysis.erase(0, ns_prefix_.size());
     }
-  } else {
-    staging_->drain();
-    report.in_transit = staging_->records();
+    report.in_transit.push_back(std::move(rec));
   }
 
-  // Assemble the resilience ledger: reaction side from the task records and
-  // transport counters, injection side from the plan's own tally.
+  // This tenant's slice of the resilience ledger: the reaction side from
+  // its task records and steering verdicts, and its admission waits.
   ResilienceSummary& res = report.resilience;
   for (const TaskRecord& rec : report.in_transit) {
     switch (rec.outcome) {
@@ -302,60 +337,19 @@ RunReport HybridRunner::run() {
     res.task_retries += static_cast<uint64_t>(rec.attempts - 1);
     res.backoff_seconds += rec.backoff_seconds;
   }
-  if (!shared_) {
-    // Transport counters are service-global; in shared mode they mix every
-    // tenant's traffic, so only the owning (single-campaign) runner reports
-    // them.
-    const DartCounters dart_counters = dart_->counters();
-    res.frame_retransmits = dart_counters.get_retries;
-    res.crc_failures = dart_counters.crc_failures;
-    res.recovered_bytes = dart_counters.recovered_bytes;
-  }
-  if (steering_active) {
-    res.steer_in_transit = steer_in_transit;
-    res.steer_in_situ = steer_in_situ;
-    res.steer_deferred = steer_deferred;
-    res.steer_shed = steer_shed;
-  }
-  if (overload_ != nullptr && !shared_) {
-    const OverloadControl::Stats ostats = overload_->stats();
-    res.admission_overdrafts = ostats.admission_overdrafts;
-    res.admission_wait_s = ostats.admission_wait_s;
-    res.peak_queue_bytes = ostats.peak_queue_bytes;
-    res.overload_diversions = staging_->overload_diversions();
-  } else if (overload_ != nullptr) {
-    // Shared mode: this tenant's slice of the admission ledger.
+  res.steer_in_transit = steer_in_transit;
+  res.steer_in_situ = steer_in_situ;
+  res.steer_deferred = steer_deferred;
+  res.steer_shed = steer_shed;
+  if (overload != nullptr) {
     const OverloadControl::TenantStats tstats =
-        overload_->tenant_stats(tenant_);
+        overload->tenant_stats(tenant_);
     res.admission_overdrafts = tstats.overdrafts;
     res.admission_wait_s = tstats.wait_s;
   }
-  if (faults_ != nullptr) {
-    const FaultStats stats = faults_->stats();
-    res.frames_dropped = stats.frames_dropped;
-    res.frames_corrupted = stats.frames_corrupted;
-    res.frames_delayed = stats.frames_delayed;
-    res.injected_delay_s = stats.injected_delay_s;
-    res.tasks_failed = stats.tasks_failed;
-    res.worker_stalls = stats.worker_stalls;
-    res.buckets_killed = stats.buckets_killed;
-    res.buckets_crashed = stats.buckets_crashed;
-    res.servers_crashed = stats.servers_crashed;
-    res.leases_expired = staging_->leases_expired();
-    res.tasks_reexecuted = staging_->tasks_reexecuted();
-    res.zombies_fenced = staging_->zombies_fenced();
-    res.replicas_repaired = staging_->store().replicas_repaired();
-    res.objects_lost = staging_->store().objects_lost();
-    res.overload_bytes_injected = stats.overload_bytes_injected;
-    res.credits_starved = stats.credits_starved;
-    HIA_LOG_INFO("framework",
-                 "resilience: %llu retries, %llu degraded, %llu shed, "
-                 "%llu frame retransmits",
-                 static_cast<unsigned long long>(res.task_retries),
-                 static_cast<unsigned long long>(res.tasks_degraded),
-                 static_cast<unsigned long long>(res.tasks_shed),
-                 static_cast<unsigned long long>(res.frame_retransmits));
-  }
+  // The deployment's owner adds its global ledger: this runner when it
+  // built the deployment, the campaign service otherwise.
+  if (own_deployment_ != nullptr) own_deployment_->add_ledger(res);
 
   HIA_LOG_INFO("framework",
                "run complete: %ld steps, %d ranks, %zu in-transit tasks",

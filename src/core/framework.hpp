@@ -46,7 +46,7 @@ struct RunConfig {
   std::string staging_codec;
   /// Fault-injection spec (FaultPlan::parse_spec grammar, e.g.
   /// "drop=0.05,task-fail=0.1,kill-bucket=2@3"). Empty = faults off: the
-  /// runner passes null plans everywhere and the hot paths only pay
+  /// deployment passes null plans everywhere and the hot paths only pay
   /// null-pointer branches.
   std::string faults;
   /// Overrides the plan's seed when nonzero (same seed + same config =>
@@ -61,33 +61,60 @@ struct RunConfig {
   std::string steer;
 };
 
-/// A borrowed staging environment for multi-tenant campaigns: the campaign
-/// service owns one Dart/StagingService/OverloadControl set and hands each
-/// tenant's HybridRunner this view of it. The runner then namespaces its
-/// handlers and published variables under `ns_prefix` and charges all
-/// admission/queue/store accounting to `tenant`. All pointers are unowned
-/// and must outlive the runner.
-struct SharedStagingEnv {
-  Dart* dart = nullptr;
-  StagingService* staging = nullptr;
-  OverloadControl* overload = nullptr;  // null = admission off
-  int tenant = 0;
-  std::string ns_prefix;  // e.g. "t3/" (empty for the default tenant)
+/// The secondary resources of Fig. 5 as one unit: the fault plan, the
+/// overload ledger, the Dart transport and the staging service (object
+/// store + bucket scheduler), built together and torn down in reverse
+/// order. A single campaign owns one through HybridRunner(RunConfig); the
+/// campaign service owns one and lends it to every tenant's runner.
+class StagingDeployment {
+ public:
+  /// Built from the staging fields of `config`: servers, buckets,
+  /// replicas, network, dart, faults, fault_seed and overload.
+  explicit StagingDeployment(const RunConfig& config);
+  ~StagingDeployment();
+
+  StagingDeployment(const StagingDeployment&) = delete;
+  StagingDeployment& operator=(const StagingDeployment&) = delete;
+
+  [[nodiscard]] Dart& dart() { return *dart_; }
+  [[nodiscard]] StagingService& staging() { return *staging_; }
+  /// The overload ledger (null when overload control is off).
+  [[nodiscard]] OverloadControl* overload() { return overload_.get(); }
+
+  /// Writes the deployment-global ledger into `res`: the fault plan's
+  /// injection tally, crash recovery, transport retransmits, and the
+  /// overload gate's totals. The reaction side (task outcomes, retries,
+  /// steering) is left as the caller summed it from the task records.
+  void add_ledger(ResilienceSummary& res) const;
+
+ private:
+  NetworkModel network_;
+  // Declared in dependency order: Dart and staging hold unowned pointers
+  // into the plan and the overload ledger, so they are destroyed first.
+  std::unique_ptr<FaultPlan> faults_;          // null = faults off
+  std::unique_ptr<OverloadControl> overload_;  // null = overload off
+  std::unique_ptr<Dart> dart_;
+  std::unique_ptr<StagingService> staging_;
 };
 
+/// One campaign over a staging deployment. The runner namespaces its
+/// handlers and published variables under its tenant's prefix, charges
+/// admission/queue/store accounting to its tenant, and at the end of run()
+/// drains and reports only that tenant's tasks.
 class HybridRunner {
  public:
+  /// A single campaign: builds and owns its deployment from `config` and
+  /// runs as the default tenant 0 (empty prefix, FCFS matcher). run()
+  /// adds the deployment's global ledger to the report.
   explicit HybridRunner(RunConfig config);
 
-  /// Shared-mode runner: one tenant's campaign multiplexed onto a shared
-  /// staging environment. The config's faults/overload specs must be empty
-  /// (the service owns fault injection and the overload ledger); the
-  /// steering policy still applies, consulting the *shared* pressure.
-  /// run() drains only this tenant's tasks and reports only its records
-  /// (with the namespace prefix stripped back off).
-  HybridRunner(RunConfig config, const SharedStagingEnv& env);
-
-  ~HybridRunner();
+  /// One tenant's campaign on a borrowed deployment, which must outlive
+  /// the runner. The config's faults/overload specs must be empty (they
+  /// belong to the deployment); the steering policy still applies,
+  /// consulting the deployment's shared pressure. Records come back with
+  /// `ns_prefix` stripped; the deployment's owner adds the global ledger.
+  HybridRunner(RunConfig config, StagingDeployment& deployment, int tenant,
+               std::string ns_prefix);
 
   HybridRunner(const HybridRunner&) = delete;
   HybridRunner& operator=(const HybridRunner&) = delete;
@@ -100,15 +127,9 @@ class HybridRunner {
   /// May be called once.
   RunReport run();
 
-  [[nodiscard]] StagingService& staging() { return *staging_; }
-  [[nodiscard]] Dart& dart() { return *dart_; }
+  [[nodiscard]] StagingService& staging() { return deployment_.staging(); }
+  [[nodiscard]] Dart& dart() { return deployment_.dart(); }
   [[nodiscard]] SteeringBoard& steering() { return steering_; }
-  [[nodiscard]] const RunConfig& config() const { return config_; }
-  /// The overload ledger (null when overload control is off).
-  [[nodiscard]] const OverloadControl* overload() const { return overload_; }
-  /// True when this runner borrows a shared staging environment.
-  [[nodiscard]] bool shared_mode() const { return shared_; }
-  [[nodiscard]] int tenant() const { return tenant_; }
 
  private:
   struct Scheduled {
@@ -117,21 +138,10 @@ class HybridRunner {
   };
 
   RunConfig config_;
-  NetworkModel network_;
-  std::unique_ptr<FaultPlan> faults_;  // null = faults off
-  // Owned singletons, declared in dependency order (the overload ledger is
-  // destroyed after Dart/staging, which hold unowned pointers into it). In
-  // shared mode all three stay null and the raw pointers below borrow the
-  // service's instances instead.
-  std::unique_ptr<OverloadControl> owned_overload_;
-  std::unique_ptr<Dart> owned_dart_;
-  std::unique_ptr<StagingService> owned_staging_;
-  // Working pointers: every call site goes through these, owned or shared.
-  OverloadControl* overload_ = nullptr;  // null = overload off
-  Dart* dart_ = nullptr;
-  StagingService* staging_ = nullptr;
+  // Set only by HybridRunner(RunConfig); deployment_ then refers to it.
+  std::unique_ptr<StagingDeployment> own_deployment_;
+  StagingDeployment& deployment_;
   SteerPolicy steer_ = SteerPolicy::kInTransit;
-  bool shared_ = false;
   int tenant_ = 0;
   std::string ns_prefix_;
   std::shared_ptr<const Codec> codec_;  // null = publish raw

@@ -63,8 +63,7 @@ std::string format_fig6(const RunReport& report,
   return table.render();
 }
 
-std::string format_resilience(const RunReport& report) {
-  const ResilienceSummary& r = report.resilience;
+std::string format_resilience(const ResilienceSummary& r) {
   const uint64_t total = r.tasks_completed + r.tasks_degraded +
                          r.tasks_deferred + r.tasks_shed;
   Table table({"resilience metric", "value"});

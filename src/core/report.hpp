@@ -24,9 +24,9 @@ std::string format_fig6(const RunReport& report,
 
 /// Resilience block: task outcomes (completed/degraded/shed), retry and
 /// backoff totals, and the transport-level retransmit/CRC ledger. Callers
-/// normally print it only when report.resilience.any() — on a fault-free
+/// normally print it only when the ledger's any() is true — on a fault-free
 /// run every row is zero.
-std::string format_resilience(const RunReport& report);
+std::string format_resilience(const ResilienceSummary& r);
 
 /// Multi-tenant service block: one row per tenant with its conservation
 /// counts, observed vs. target bucket-time share, p99 turnaround, and

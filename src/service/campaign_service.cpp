@@ -8,37 +8,47 @@
 
 #include "obs/counters.hpp"
 #include "obs/histogram.hpp"
-#include "runtime/fault.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 
 namespace hia {
 
+namespace {
+
+/// The deployment fields of a service's options, as the RunConfig that
+/// StagingDeployment is built from.
+RunConfig deployment_config(const CampaignService::Options& options) {
+  HIA_REQUIRE(options.staging_buckets >= 1, "service needs >= 1 bucket");
+  RunConfig config;
+  config.staging_servers = options.staging_servers;
+  config.staging_buckets = options.staging_buckets;
+  config.staging_replicas = options.staging_replicas;
+  config.network = options.network;
+  config.faults = options.faults;
+  config.fault_seed = options.fault_seed;
+  config.overload = options.overload;
+  return config;
+}
+
+/// Adds one tenant's reaction-side ledger slice into the service total.
+void add_slice(ResilienceSummary& total, const ResilienceSummary& slice) {
+  total.tasks_completed += slice.tasks_completed;
+  total.tasks_degraded += slice.tasks_degraded;
+  total.tasks_shed += slice.tasks_shed;
+  total.tasks_deferred += slice.tasks_deferred;
+  total.task_retries += slice.task_retries;
+  total.backoff_seconds += slice.backoff_seconds;
+  total.steer_in_transit += slice.steer_in_transit;
+  total.steer_in_situ += slice.steer_in_situ;
+  total.steer_deferred += slice.steer_deferred;
+  total.steer_shed += slice.steer_shed;
+}
+
+}  // namespace
+
 CampaignService::CampaignService(Options options)
-    : options_(std::move(options)), network_(options_.network) {
-  HIA_REQUIRE(options_.staging_buckets >= 1, "service needs >= 1 bucket");
-  if (!options_.faults.empty()) {
-    FaultPlanConfig plan = FaultPlan::parse_spec(options_.faults);
-    if (options_.fault_seed != 0) plan.seed = options_.fault_seed;
-    faults_ = std::make_unique<FaultPlan>(plan);
-    install_worker_faults(faults_.get());
-  }
-  if (!options_.overload.empty()) {
-    OverloadConfig ocfg = OverloadConfig::parse_spec(options_.overload);
-    HIA_REQUIRE(ocfg.enabled(),
-                "service overload spec sets no budget and no credits: " +
-                    options_.overload);
-    overload_ = std::make_unique<OverloadControl>(ocfg);
-  }
-  Dart::Options dopts;
-  dopts.faults = faults_.get();
-  dopts.overload = overload_.get();
-  dart_ = std::make_unique<Dart>(network_, dopts);
-  staging_ = std::make_unique<StagingService>(
-      *dart_, StagingService::Options{options_.staging_servers,
-                                      options_.staging_buckets, faults_.get(),
-                                      overload_.get(),
-                                      options_.staging_replicas});
+    : options_(std::move(options)),
+      deployment_(deployment_config(options_)) {
   if (options_.pool_max > 0) {
     ElasticBucketPool::Options popts;
     popts.min_buckets = options_.pool_min >= 1 ? options_.pool_min : 1;
@@ -46,17 +56,9 @@ CampaignService::CampaignService(Options options)
     popts.cooldown_s = options_.pool_cooldown_s;
     HIA_REQUIRE(popts.max_buckets >= options_.staging_buckets,
                 "pool_max below the initial bucket count");
-    pool_ = std::make_unique<ElasticBucketPool>(*staging_, overload_.get(),
-                                                popts);
+    pool_ = std::make_unique<ElasticBucketPool>(
+        staging(), deployment_.overload(), popts);
   }
-}
-
-CampaignService::~CampaignService() {
-  // Buckets may still touch the plan until the service is down; tear down
-  // in reverse dependency order before releasing it.
-  staging_.reset();
-  dart_.reset();
-  if (faults_ != nullptr) install_worker_faults(nullptr);
 }
 
 int CampaignService::add_tenant(TenantSpec spec) {
@@ -65,13 +67,14 @@ int CampaignService::add_tenant(TenantSpec spec) {
               "tenant '" + spec.name +
                   "': faults/overload belong to the service, not the tenant");
   const int id = registry_.add(spec.name, spec.weight);
-  staging_->set_tenant_policy(id, spec.weight, spec.queue_bytes_cap,
+  staging().set_tenant_policy(id, spec.weight, spec.queue_bytes_cap,
                               spec.queue_depth_cap);
   if (spec.credit_cap > 0) {
-    HIA_REQUIRE(overload_ != nullptr,
+    OverloadControl* overload = deployment_.overload();
+    HIA_REQUIRE(overload != nullptr,
                 "tenant '" + spec.name +
                     "': credit_cap needs a service overload spec");
-    overload_->set_tenant_credit_cap(id, spec.credit_cap);
+    overload->set_tenant_credit_cap(id, spec.credit_cap);
   }
   specs_.push_back(std::move(spec));
   return id;
@@ -79,18 +82,18 @@ int CampaignService::add_tenant(TenantSpec spec) {
 
 CampaignService::Status CampaignService::poll_status() {
   Status st;
-  const PressureSignal sig = staging_->pressure();
+  const PressureSignal sig = staging().pressure();
   st.pressure = sig.state;
   st.queue_depth = sig.queue_depth;
   st.queue_bytes = sig.queue_bytes;
   st.store_bytes = sig.store_bytes;
   st.credits_free = sig.credits_free;
-  st.live_buckets = staging_->live_bucket_count();
-  st.virtual_time_s = staging_->now();
+  st.live_buckets = staging().live_bucket_count();
+  st.virtual_time_s = staging().now();
   if (pool_ != nullptr) st.pool = pool_->stats();
 
   const std::vector<StagingService::TenantShare> shares =
-      staging_->tenant_shares();
+      staging().tenant_shares();
   double settled_bucket_s = 0.0;
   for (const StagingService::TenantShare& s : shares) {
     settled_bucket_s += s.bucket_seconds;
@@ -113,8 +116,8 @@ CampaignService::Status CampaignService::poll_status() {
       ts.outstanding = s.outstanding;
       break;
     }
-    if (overload_ != nullptr) {
-      const OverloadControl::TenantStats os = overload_->tenant_stats(id);
+    if (const OverloadControl* overload = deployment_.overload()) {
+      const OverloadControl::TenantStats os = overload->tenant_stats(id);
       ts.credits_outstanding = os.credits_outstanding;
       ts.credit_cap = os.credit_cap;
     }
@@ -157,7 +160,7 @@ CampaignService::ServiceReport CampaignService::run() {
 
   const int n = registry_.count();
   HIA_LOG_INFO("service", "starting %d tenant campaigns on %d buckets", n,
-               staging_->live_bucket_count());
+               staging().live_bucket_count());
 
   std::vector<RunReport> reports(static_cast<size_t>(n));
   std::vector<std::exception_ptr> errors(static_cast<size_t>(n));
@@ -169,10 +172,8 @@ CampaignService::ServiceReport CampaignService::run() {
       const size_t i = static_cast<size_t>(id - 1);
       try {
         const TenantSpec& spec = specs_[i];
-        HybridRunner runner(
-            spec.config,
-            SharedStagingEnv{dart_.get(), staging_.get(), overload_.get(), id,
-                             TenantRegistry::ns_prefix(id)});
+        HybridRunner runner(spec.config, deployment_, id,
+                            TenantRegistry::ns_prefix(id));
         if (spec.setup) spec.setup(runner);
         reports[i] = runner.run();
       } catch (...) {
@@ -193,53 +194,21 @@ CampaignService::ServiceReport CampaignService::run() {
   }
 
   ServiceReport out;
-  const std::vector<TaskRecord> all_records = staging_->records();
+  const std::vector<TaskRecord> all_records = staging().records();
   for (int id = 1; id <= n; ++id) {
     const size_t i = static_cast<size_t>(id - 1);
     out.tenants.push_back(
         TenantReport{id, registry_.name(id), std::move(reports[i])});
     out.rows.push_back(
-        registry_.row(id, *staging_, overload_.get(), all_records));
+        registry_.row(id, staging(), deployment_.overload(), all_records));
   }
   if (pool_ != nullptr) out.pool = pool_->stats();
-  out.final_buckets = staging_->live_bucket_count();
+  out.final_buckets = staging().live_bucket_count();
 
-  // Injection-side ledger (service-global: the plan and the shared gate).
-  if (faults_ != nullptr) {
-    const FaultStats stats = faults_->stats();
-    out.resilience.frames_dropped = stats.frames_dropped;
-    out.resilience.frames_corrupted = stats.frames_corrupted;
-    out.resilience.frames_delayed = stats.frames_delayed;
-    out.resilience.injected_delay_s = stats.injected_delay_s;
-    out.resilience.tasks_failed = stats.tasks_failed;
-    out.resilience.worker_stalls = stats.worker_stalls;
-    out.resilience.buckets_killed = stats.buckets_killed;
-    out.resilience.buckets_crashed = stats.buckets_crashed;
-    out.resilience.servers_crashed = stats.servers_crashed;
-    out.resilience.overload_bytes_injected = stats.overload_bytes_injected;
-    out.resilience.credits_starved = stats.credits_starved;
-    out.resilience.tenant_hog_bytes = stats.tenant_hog_bytes;
+  for (const TenantReport& tr : out.tenants) {
+    add_slice(out.resilience, tr.report.resilience);
   }
-  // Crash-recovery ledger: exactly-once accounting under ungraceful loss.
-  out.resilience.leases_expired = staging_->leases_expired();
-  out.resilience.tasks_reexecuted = staging_->tasks_reexecuted();
-  out.resilience.zombies_fenced = staging_->zombies_fenced();
-  out.resilience.replicas_repaired = staging_->store().replicas_repaired();
-  out.resilience.objects_lost = staging_->store().objects_lost();
-  if (overload_ != nullptr) {
-    const OverloadControl::Stats ostats = overload_->stats();
-    out.resilience.admission_overdrafts = ostats.admission_overdrafts;
-    out.resilience.admission_wait_s = ostats.admission_wait_s;
-    out.resilience.peak_queue_bytes = ostats.peak_queue_bytes;
-    out.resilience.overload_diversions = staging_->overload_diversions();
-  }
-  // Reaction-side totals across every tenant's records.
-  for (const TenantRunRow& row : out.rows) {
-    out.resilience.tasks_completed += row.completed;
-    out.resilience.tasks_degraded += row.degraded;
-    out.resilience.tasks_deferred += row.deferred;
-    out.resilience.tasks_shed += row.shed;
-  }
+  deployment_.add_ledger(out.resilience);
 
   HIA_LOG_INFO("service",
                "campaigns done: %d tenants, %zu records, pool %llu grows / "

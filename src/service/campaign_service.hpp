@@ -1,11 +1,11 @@
 // CampaignService — the multi-tenant campaign driver (the service layer
 // over the paper's staging framework).
 //
-// One shared staging deployment — Dart transport, DataSpaces object store,
-// bucket pool, overload ledger — multiplexes N concurrent analysis
-// campaigns ("tenants"). Each tenant runs a full HybridRunner campaign
+// One StagingDeployment — Dart transport, DataSpaces object store, bucket
+// pool, overload ledger — multiplexes N concurrent analysis campaigns
+// ("tenants"); N may be 1. Each tenant runs a full HybridRunner campaign
 // (simulation + in-situ stages + in-transit submissions) on its own
-// thread, borrowing the shared environment through SharedStagingEnv:
+// thread, borrowing the deployment:
 //
 //   * isolation  — per-tenant namespaces in the object store, per-tenant
 //     credit ledgers at the admission gate, per-tenant queue caps at the
@@ -16,8 +16,9 @@
 //   * elasticity — an ElasticBucketPool grows the bucket census under
 //     sustained saturation and retires idle buckets when pressure clears.
 //
-// The service owns the fault plan (including scripted `tenant-hog` bursts)
-// and the overload control; tenant configs must leave both empty.
+// The service owns the deployment, and with it the fault plan (including
+// scripted `tenant-hog` bursts) and the overload control; tenant configs
+// must leave both empty.
 #pragma once
 
 #include <cstdint>
@@ -78,7 +79,6 @@ class CampaignService {
   };
 
   explicit CampaignService(Options options);
-  ~CampaignService();
 
   CampaignService(const CampaignService&) = delete;
   CampaignService& operator=(const CampaignService&) = delete;
@@ -98,8 +98,9 @@ class CampaignService {
     std::vector<TenantRunRow> rows;      // ready for format_tenant_table
     ElasticBucketPool::Stats pool;
     int final_buckets = 0;               // live buckets at drain
-    /// Service-global injection-side ledger (scripted faults, phantom
-    /// bytes, hog bursts) — the per-tenant reaction side lives in rows.
+    /// The whole service's ledger: the tenants' reaction sides summed,
+    /// plus the deployment's global injection side (scripted faults,
+    /// phantom bytes, hog bursts, crash recovery, retransmits).
     ResilienceSummary resilience;
   };
 
@@ -157,20 +158,13 @@ class CampaignService {
   };
   [[nodiscard]] Status poll_status();
 
-  [[nodiscard]] StagingService& staging() { return *staging_; }
-  [[nodiscard]] Dart& dart() { return *dart_; }
+  [[nodiscard]] StagingService& staging() { return deployment_.staging(); }
+  [[nodiscard]] Dart& dart() { return deployment_.dart(); }
   [[nodiscard]] TenantRegistry& tenants() { return registry_; }
-  [[nodiscard]] const OverloadControl* overload() const {
-    return overload_.get();
-  }
 
  private:
   Options options_;
-  NetworkModel network_;
-  std::unique_ptr<FaultPlan> faults_;          // null = faults off
-  std::unique_ptr<OverloadControl> overload_;  // null = overload off
-  std::unique_ptr<Dart> dart_;
-  std::unique_ptr<StagingService> staging_;
+  StagingDeployment deployment_;
   std::unique_ptr<ElasticBucketPool> pool_;
   TenantRegistry registry_;
   std::vector<TenantSpec> specs_;  // index = tenant id - 1

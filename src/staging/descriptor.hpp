@@ -85,7 +85,8 @@ struct TaskRecord {
   size_t data_movement_bytes = 0;      // wire bytes (encoded when compressed)
   size_t data_movement_raw_bytes = 0;  // logical bytes before encoding
   double decode_seconds = 0.0;         // bucket-side codec decode time
-  double compute_seconds = 0.0;        // handler wall time minus pulls
+  double compute_seconds = 0.0;        // whole handler wall time, pulls
+                                       // and decodes included
 
   // ---- Resilience ledger (all defaults when faults are off) ----
   TaskOutcome outcome = TaskOutcome::kCompleted;

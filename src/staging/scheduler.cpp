@@ -736,7 +736,10 @@ std::vector<StagingService::TenantShare> StagingService::tenant_shares()
 }
 
 void StagingService::drain_tenant(int tenant) {
+  // Per-tenant tallies exist only once fair share is on; before that every
+  // task counts toward the global one alone.
   auto drained = [this, tenant] {
+    if (!fair_share_) return outstanding_ == 0;
     auto it = tenants_.find(tenant);
     return it == tenants_.end() || it->second.outstanding == 0;
   };

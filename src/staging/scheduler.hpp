@@ -223,6 +223,8 @@ class StagingService {
   [[nodiscard]] bool fair_share_enabled() const;
 
   /// Blocks until every task submitted under `tenant` has completed.
+  /// Without a tenant policy (fair share off) tasks are not tallied per
+  /// tenant, so this waits for every outstanding task, like drain().
   void drain_tenant(int tenant);
 
   // ---- Elastic bucket pool ----

@@ -472,6 +472,85 @@ TEST(CampaignServiceTest, ThreeTenantCrashDrillConservesExactly) {
   EXPECT_TRUE(report.resilience.any());
 }
 
+// The owning runner and a one-tenant service run a campaign over the same
+// deployment code, so every staged statistic must come out the same.
+TEST(CampaignServiceTest, OneTenantServiceMatchesOwningRunner) {
+  RunConfig cfg;
+  cfg.sim.grid = GlobalGrid{{16, 12, 8}, {1.0, 1.0, 1.0}};
+  cfg.sim.ranks_per_axis = {2, 1, 1};
+  cfg.staging_servers = 1;
+  cfg.staging_buckets = 2;
+  cfg.steps = 3;
+  auto add_stats = [](HybridRunner& runner) {
+    runner.add_analysis(std::make_shared<HybridStatistics>());
+  };
+  // Per-step stats-hybrid models, decoded from each task's result blob.
+  auto models_by_step = [](const RunReport& report, StagingService& staging) {
+    std::map<long, std::vector<DescriptiveModel>> out;
+    for (const TaskRecord& rec : report.in_transit) {
+      const auto blob = staging.take_result(rec.task_id);
+      if (blob.has_value()) out[rec.step] = deserialize_models(*blob);
+    }
+    return out;
+  };
+  auto conserved = [](const ResilienceSummary& r, uint64_t submitted) {
+    return r.tasks_completed + r.tasks_degraded + r.tasks_deferred +
+               r.tasks_shed ==
+           submitted;
+  };
+
+  HybridRunner runner(cfg);
+  add_stats(runner);
+  const RunReport owned = runner.run();
+  const auto owned_models = models_by_step(owned, runner.staging());
+
+  CampaignService::Options sopts;
+  sopts.staging_servers = cfg.staging_servers;
+  sopts.staging_buckets = cfg.staging_buckets;
+  CampaignService service(sopts);
+  CampaignService::TenantSpec spec;
+  spec.name = "solo";
+  spec.config = cfg;
+  spec.setup = add_stats;
+  service.add_tenant(std::move(spec));
+  const CampaignService::ServiceReport served = service.run();
+  ASSERT_EQ(served.tenants.size(), 1u);
+  const RunReport& tenant = served.tenants[0].report;
+  const auto served_models = models_by_step(tenant, service.staging());
+
+  EXPECT_EQ(tenant.in_transit.size(), owned.in_transit.size());
+  ASSERT_EQ(owned_models.size(), static_cast<size_t>(cfg.steps));
+  ASSERT_EQ(served_models.size(), owned_models.size());
+  for (const auto& [step, models] : owned_models) {
+    const std::vector<DescriptiveModel>& other = served_models.at(step);
+    ASSERT_EQ(other.size(), models.size()) << "step " << step;
+    for (size_t v = 0; v < models.size(); ++v) {
+      const DescriptiveModel& a = models[v];
+      const DescriptiveModel& b = other[v];
+      EXPECT_EQ(a.count, b.count) << "step " << step << " variable " << v;
+      const double pairs[][2] = {{a.mean, b.mean},
+                                 {a.min, b.min},
+                                 {a.max, b.max},
+                                 {a.variance, b.variance},
+                                 {a.skewness, b.skewness},
+                                 {a.kurtosis_excess, b.kurtosis_excess}};
+      for (const auto& [x, y] : pairs) {
+        EXPECT_NEAR(x, y, 1e-12 * std::max(1.0, std::fabs(x)))
+            << "step " << step << " variable " << v;
+      }
+    }
+  }
+
+  // Exact conservation on both paths, against the same offered work.
+  EXPECT_TRUE(conserved(owned.resilience, owned.in_transit.size()));
+  EXPECT_TRUE(conserved(served.resilience, tenant.in_transit.size()));
+  ASSERT_EQ(served.rows.size(), 1u);
+  const TenantRunRow& row = served.rows[0];
+  EXPECT_EQ(row.submitted, owned.in_transit.size());
+  EXPECT_EQ(row.completed + row.degraded + row.deferred + row.shed,
+            row.submitted);
+}
+
 TEST(CampaignServiceTest, RejectsTenantOwnedFaultSpecs) {
   CampaignService::Options sopts;
   sopts.staging_servers = 1;

@@ -194,6 +194,19 @@ TEST_F(StagingTest, HandlerFailureDoesNotWedgeService) {
   EXPECT_EQ(dart_.num_published(), 0u);  // released even on failure
 }
 
+// Without a tenant policy the scheduler keeps no per-tenant tally, so
+// drain_tenant must fall back to the global one rather than return while
+// the task is still in flight.
+TEST_F(StagingTest, DrainTenantWaitsWithoutTenantPolicy) {
+  StagingService service(dart_, {1, 1});
+  service.register_handler("slow", [](TaskContext&) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  });
+  service.submit(InTransitTask{"slow", 0, {}, 0});
+  service.drain_tenant(0);
+  EXPECT_EQ(service.records().size(), 1u);
+}
+
 TEST_F(StagingTest, SubmitForUnknownAnalysisThrows) {
   StagingService service(dart_, {1, 1});
   EXPECT_THROW(service.submit(InTransitTask{"nope", 0, {}, 0}), Error);
