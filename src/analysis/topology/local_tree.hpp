@@ -66,18 +66,17 @@ inline uint64_t grid_vertex_id(const GlobalGrid& grid, int64_t i, int64_t j,
 
 /// Computes the fully augmented local join tree of `values` over `box`
 /// (x-fastest packed, 6-connectivity, descending sweep). Every vertex of
-/// the box appears as a node; ids are global grid ids.
+/// the box appears as a node, in descending (value, id) order; ids are
+/// global grid ids.
 MergeTree build_local_tree(const GlobalGrid& grid, const Box3& box,
                            std::span<const double> values);
 
-/// Extracts the glue subtree: critical vertices plus all vertices on faces
-/// of `box` that are interior to the domain (shared with a neighbor), with
-/// nearest-retained-ancestor edges.
-SubtreeData extract_subtree(const GlobalGrid& grid, const Box3& box,
-                            const MergeTree& local_tree);
-
-/// Convenience: the in-situ computation a rank performs per timestep —
-/// build_local_tree + extract_subtree on its extended block.
+/// The in-situ computation a rank performs per timestep: the join-tree
+/// sweep of its extended block, reduced to the glue subtree. Retained are
+/// the critical vertices (leaves, saddles, the root) plus all vertices on
+/// faces of `extended_box` that are interior to the domain (shared with a
+/// neighbor), with nearest-retained-ancestor edges. Vertices and edges
+/// appear in descending (value, id) order of their (child) vertex.
 SubtreeData compute_rank_subtree(const GlobalGrid& grid, const Box3& block,
                                  std::span<const double> extended_values,
                                  const Box3& extended_box);
