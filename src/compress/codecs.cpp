@@ -94,6 +94,20 @@ struct PayloadReader {
   }
 };
 
+/// Proves from the payload itself that a header-declared `count` of RLE
+/// runs (varint run, then `value_bytes` of value) sums to exactly `count`
+/// before the caller allocates for it: a forged count cannot size an
+/// allocation the bytes present do not encode.
+void check_run_total(PayloadReader in, uint64_t count, size_t value_bytes) {
+  uint64_t total = 0;
+  while (total < count) {
+    const uint64_t run = in.read_varint();
+    HIA_REQUIRE(run >= 1 && run <= count - total, "rle run overflows count");
+    (void)in.read_span(value_bytes);
+    total += run;
+  }
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------- Raw ----
@@ -107,7 +121,8 @@ std::vector<std::byte> RawCodec::encode_payload(
 
 std::vector<double> RawCodec::decode_payload(std::span<const std::byte> payload,
                                              size_t count, double) const {
-  HIA_REQUIRE(payload.size() == count * sizeof(double),
+  HIA_REQUIRE(payload.size() % sizeof(double) == 0 &&
+                  payload.size() / sizeof(double) == count,
               "raw payload size mismatch");
   std::vector<double> out(count);
   if (count > 0) std::memcpy(out.data(), payload.data(), payload.size());
@@ -136,6 +151,7 @@ std::vector<std::byte> RleCodec::encode_payload(
 std::vector<double> RleCodec::decode_payload(std::span<const std::byte> payload,
                                              size_t count, double) const {
   PayloadReader in{payload};
+  check_run_total(in, count, sizeof(uint64_t));
   std::vector<double> out;
   out.reserve(count);
   while (out.size() < count) {
@@ -199,12 +215,16 @@ std::vector<double> DeltaVarintCodec::decode_payload(
   PayloadReader in{payload};
   const uint8_t mode = in.read_u8();
   std::vector<double> out;
-  out.reserve(count);
   if (mode == kDeltaModeRaw) {
+    HIA_REQUIRE(in.remaining() / sizeof(double) >= count,
+                "payload truncated");
     const auto raw = in.read_span(count * sizeof(double));
     out.resize(count);
-    std::memcpy(out.data(), raw.data(), raw.size());
+    if (count > 0) std::memcpy(out.data(), raw.data(), raw.size());
   } else if (mode == kDeltaModeVarint) {
+    // Every value costs at least one varint byte.
+    HIA_REQUIRE(in.remaining() >= count, "payload truncated");
+    out.reserve(count);
     int64_t prev = 0;
     for (size_t i = 0; i < count; ++i) {
       prev += unzigzag(in.read_varint());
@@ -274,16 +294,19 @@ void append_planes(std::vector<std::byte>& out,
 }
 
 std::vector<uint64_t> read_planes(PayloadReader& in, size_t n, size_t width) {
-  std::vector<uint64_t> words(n, 0);
-  std::vector<std::byte> plane(n);
+  // Words are allocated only once a plane has proven it encodes n entries.
+  std::vector<uint64_t> words;
+  std::vector<std::byte> plane;
   for (size_t b = 0; b < width; ++b) {
     const uint8_t flag = in.read_u8();
     if (flag == kPlaneRaw) {
       const auto s = in.read_span(n);
-      std::copy(s.begin(), s.end(), plane.begin());
+      plane.assign(s.begin(), s.end());
     } else if (flag == kPlaneRle) {
       const uint64_t len = in.read_varint();
       PayloadReader runs{in.read_span(static_cast<size_t>(len))};
+      check_run_total(runs, n, 1);
+      plane.resize(n);
       size_t i = 0;
       while (i < n) {
         const uint64_t run = runs.read_varint();
@@ -297,10 +320,12 @@ std::vector<uint64_t> read_planes(PayloadReader& in, size_t n, size_t width) {
     } else {
       throw Error("quantize plane has unknown flag byte");
     }
+    words.resize(n);
     for (size_t i = 0; i < n; ++i) {
       words[i] |= static_cast<uint64_t>(plane[i]) << (8 * b);
     }
   }
+  words.resize(n);  // width 0: every offset is zero
   return words;
 }
 }  // namespace
@@ -401,7 +426,10 @@ std::vector<double> QuantizeShuffleCodec::decode_payload(
   const double step = 2.0 * param;
 
   const uint64_t n_exceptions = in.read_varint();
-  HIA_REQUIRE(n_exceptions <= count, "more exceptions than values");
+  // Each exception costs at least a varint index byte and 8 value bytes.
+  HIA_REQUIRE(n_exceptions <= count &&
+                  n_exceptions <= in.remaining() / (1 + sizeof(uint64_t)),
+              "more exceptions than values");
   std::vector<std::pair<uint64_t, uint64_t>> exceptions;
   exceptions.reserve(static_cast<size_t>(n_exceptions));
   uint64_t prev_index = 0;

@@ -103,29 +103,6 @@ const char* kind_name(int32_t kind) {
   return nullptr;
 }
 
-/// Minimal JSON string escape for spec strings embedded in the header.
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::mutex g_run_config_mutex;
 EventsRunConfig g_run_config;  // guarded by g_run_config_mutex
 
@@ -267,11 +244,14 @@ bool write_events_file(const std::string& path) {
     // fault schedule) instead of trusting hand-supplied flags.
     std::lock_guard lock(g_run_config_mutex);
     if (g_run_config.present) {
+      std::string faults;
+      std::string overload;
+      json::append_escaped(faults, g_run_config.faults);
+      json::append_escaped(overload, g_run_config.overload);
       header << ",\"run_config\":{\"buckets\":" << g_run_config.buckets
              << ",\"servers\":" << g_run_config.servers
              << ",\"replicas\":" << g_run_config.replicas << ",\"faults\":\""
-             << json_escape(g_run_config.faults) << "\",\"overload\":\""
-             << json_escape(g_run_config.overload)
+             << faults << "\",\"overload\":\"" << overload
              << "\",\"tenant_weights\":[";
       for (size_t i = 0; i < g_run_config.tenant_weights.size(); ++i) {
         if (i > 0) header << ',';

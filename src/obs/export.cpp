@@ -20,26 +20,6 @@ namespace hia::obs {
 
 namespace {
 
-void append_escaped(std::string& out, const char* s) {
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
 void append_args(std::string& out, const SpanArgs& args) {
   std::string body;
   char buf[64];
@@ -71,9 +51,9 @@ void append_event_line(std::string& out, const Event& ev, bool trailing_comma) {
   std::snprintf(buf, sizeof(buf), "%.3f", ev.t_us);
   out += buf;
   out += ", \"cat\": \"";
-  append_escaped(out, ev.category);
+  json::append_escaped(out, ev.category);
   out += "\", \"name\": \"";
-  append_escaped(out, ev.name);
+  json::append_escaped(out, ev.name);
   out += "\"";
   if (ev.phase == Phase::kCounter) {
     std::snprintf(buf, sizeof(buf), "%.6f", ev.value);
@@ -155,7 +135,7 @@ std::string chrome_trace_json() {
     out += buf;
     out += ", \"tid\": 0, \"name\": \"process_name\", "
            "\"args\": {\"name\": \"";
-    append_escaped(out, track_name(track).c_str());
+    json::append_escaped(out, track_name(track).c_str());
     out += "\"}},\n";
   }
 

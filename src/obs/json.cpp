@@ -1,6 +1,7 @@
 #include "obs/json.hpp"
 
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 #include <utility>
 
@@ -209,6 +210,25 @@ const Value* find(const Value& obj, const std::string& key) {
   if (obj.type != Value::Type::kObject) return nullptr;
   auto it = obj.object.find(key);
   return it == obj.object.end() ? nullptr : &it->second;
+}
+
+void append_escaped(std::string& out, std::string_view s) {
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
 }
 
 }  // namespace hia::obs::json

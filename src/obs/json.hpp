@@ -1,12 +1,14 @@
 // Minimal JSON DOM + recursive-descent parser, shared by the trace
 // validator (obs/export.cpp), the RunSummary validator/differ
-// (obs/run_summary.cpp), and tools/bench_diff. Full JSON grammar, no
-// external dependencies; strings keep \uXXXX escapes verbatim (the
-// consumers only compare ASCII keys).
+// (obs/run_summary.cpp), and tools/bench_diff; plus the one string
+// escaper every JSON writer (trace, RunSummary, spill header) uses. Full
+// JSON grammar, no external dependencies; strings keep \uXXXX escapes
+// verbatim (the consumers only compare ASCII keys).
 #pragma once
 
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace hia::obs::json {
@@ -33,5 +35,9 @@ bool parse(const std::string& text, Value& out, std::string& error);
 /// Object member lookup; nullptr when `obj` is not an object or the key
 /// is absent.
 const Value* find(const Value& obj, const std::string& key);
+
+/// Appends `s` escaped as the body of a JSON string literal: quotes,
+/// backslashes, \n and \t get short escapes, other control bytes \u00XX.
+void append_escaped(std::string& out, std::string_view s);
 
 }  // namespace hia::obs::json

@@ -17,25 +17,6 @@ namespace {
 
 constexpr const char* kSchemaTag = "hia-run-summary-v1";
 
-void append_escaped(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
 std::string num(double v) {
   // JSON has no Inf/NaN; clamp the overflow bucket bound and any stray
   // non-finite metric to the largest finite double.
@@ -54,7 +35,7 @@ void append_number_map(std::string& out, const char* key,
     if (!first) out += ",";
     first = false;
     out += "\n    \"";
-    append_escaped(out, name);
+    json::append_escaped(out, name);
     out += "\": " + num(value);
   }
   out += first ? "}" : "\n  }";
@@ -68,7 +49,7 @@ std::string run_summary_json(const RunSummary& meta) {
   out += "{\n  \"schema\": \"";
   out += kSchemaTag;
   out += "\",\n  \"bench\": \"";
-  append_escaped(out, meta.bench);
+  json::append_escaped(out, meta.bench);
   out += "\",\n";
 
   append_number_map(out, "metrics", meta.metrics);
@@ -85,7 +66,7 @@ std::string run_summary_json(const RunSummary& meta) {
       if (!first) out += ",";
       first = false;
       out += "\n    \"";
-      append_escaped(out, c.name);
+      json::append_escaped(out, c.name);
       out += "\": {\"value\": " + num(static_cast<double>(c.value)) +
              ", \"max\": " + num(static_cast<double>(c.max)) + "}";
     }
@@ -101,7 +82,7 @@ std::string run_summary_json(const RunSummary& meta) {
       if (!first) out += ",";
       first = false;
       out += "\n    \"";
-      append_escaped(out, h.name);
+      json::append_escaped(out, h.name);
       out += "\": {\"count\": " + num(static_cast<double>(h.count)) +
              ", \"sum\": " + num(h.sum) + ", \"min\": " + num(h.min) +
              ", \"max\": " + num(h.max) +
@@ -131,7 +112,7 @@ std::string run_summary_json(const RunSummary& meta) {
       if (!first) out += ",";
       first = false;
       out += "\n    \"";
-      append_escaped(out, s.name);
+      json::append_escaped(out, s.name);
       out += "\": {\"dropped\": " + num(static_cast<double>(s.dropped)) +
              ", \"samples\": [";
       for (size_t i = 0; i < s.samples.size(); ++i) {
@@ -157,7 +138,7 @@ std::string run_summary_json(const RunSummary& meta) {
     std::string& rows = breakdowns[c.name];
     if (!rows.empty()) rows += ",";
     rows += "\n      \"";
-    append_escaped(rows, c.labels.key());
+    json::append_escaped(rows, c.labels.key());
     rows += "\": {\"value\": " + num(static_cast<double>(c.value)) +
             ", \"max\": " + num(static_cast<double>(c.max)) + "}";
   }
@@ -166,7 +147,7 @@ std::string run_summary_json(const RunSummary& meta) {
     std::string& rows = breakdowns[h.name];
     if (!rows.empty()) rows += ",";
     rows += "\n      \"";
-    append_escaped(rows, h.labels.key());
+    json::append_escaped(rows, h.labels.key());
     rows += "\": {\"count\": " + num(static_cast<double>(h.count)) +
             ", \"sum\": " + num(h.sum) + ", \"min\": " + num(h.min) +
             ", \"max\": " + num(h.max) +
@@ -181,7 +162,7 @@ std::string run_summary_json(const RunSummary& meta) {
       if (!first) out += ",";
       first = false;
       out += "\n    \"";
-      append_escaped(out, name);
+      json::append_escaped(out, name);
       out += "\": {" + rows + "\n    }";
     }
     out += "\n  }";

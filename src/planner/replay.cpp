@@ -4,9 +4,10 @@
 #include <cmath>
 #include <cstdlib>
 #include <deque>
-#include <map>
 #include <queue>
 #include <set>
+
+#include "staging/policy.hpp"
 
 namespace hia::planner {
 
@@ -279,7 +280,8 @@ Prediction replay(const Workload& workload, const Scenario& scenario) {
   struct Sim {
     const ReplayTask* task = nullptr;
     double arrival = 0.0;
-    double admit_at = 0.0;
+    Ticket ticket;      // id = index into sims (= admission order)
+    double busy = 0.0;  // bucket occupancy of the dispatched attempt
   };
   std::vector<Sim> sims(n);
   for (size_t i = 0; i < n; ++i) {
@@ -308,13 +310,23 @@ Prediction replay(const Workload& workload, const Scenario& scenario) {
   }
 
   const NetworkModel net(scenario.net);
-  std::deque<size_t> admit_fifo;       // arrived, waiting for a credit
-  std::deque<size_t> fcfs_queue;       // admitted, waiting for a bucket
-  std::map<int, std::deque<size_t>> tenant_queues;  // fair-share lanes
-  std::map<int, double> tenant_service;  // settled bucket-seconds
-  long ready_count = 0;
+  std::deque<size_t> admit_fifo;  // arrived, waiting for a credit
+  // Admitted, waiting for a bucket: the live scheduler's own policy, with
+  // the scenario's queue-depth cap as its hard wall.
+  TaskQueue queue([cap = scenario.queue_depth](size_t depth, size_t) {
+    return cap > 0 && depth >= static_cast<size_t>(cap);
+  });
+  if (scenario.policy == QueuePolicy::kFair) {
+    // Tenants without a recorded weight (or spills with no run_config)
+    // replay at 1.0.
+    const std::vector<double>& w = scenario.tenant_weights;
+    for (const int tenant : workload.tenants) {
+      const size_t i = static_cast<size_t>(tenant) - 1;
+      queue.set_tenant(tenant,
+                       tenant >= 1 && i < w.size() && w[i] > 0.0 ? w[i] : 1.0);
+    }
+  }
   int free_buckets = buckets;
-  int in_service = 0;  // bucket-resident tasks (the congestion flows)
   int credits_in_use = 0;
 
   double& admit_total = p.phase_totals[static_cast<int>(obs::TaskPhase::kAdmit)];
@@ -343,53 +355,27 @@ Prediction replay(const Workload& workload, const Scenario& scenario) {
     // task (each bucket pulls at attempt start). A coarse but honest
     // stand-in for continuous flow tracking — see docs/PLANNER.md.
     return net.transfer_seconds(static_cast<size_t>(scaled + 0.5),
-                                in_service + 1);
+                                buckets - free_buckets + 1);
   };
 
   auto dispatch = [&](double now) {
-    while (free_buckets > 0 && ready_count > 0) {
-      size_t idx = 0;
-      if (scenario.policy == QueuePolicy::kFcfs) {
-        idx = fcfs_queue.front();
-        fcfs_queue.pop_front();
-      } else {
-        // Least weight-normalized settled bucket-seconds wins (the live
-        // scheduler's fair-share rule); ties go to the lowest tenant id;
-        // within a tenant, strict arrival order. Tenants without a
-        // recorded weight (or pre-PR10 spills) replay at weight 1.0.
-        auto weight_of = [&](int tenant) {
-          const size_t i = static_cast<size_t>(tenant) - 1;
-          return tenant >= 1 && i < scenario.tenant_weights.size() &&
-                         scenario.tenant_weights[i] > 0.0
-                     ? scenario.tenant_weights[i]
-                     : 1.0;
-        };
-        int best_tenant = -1;
-        double best_service = 0.0;
-        for (const auto& [tenant, queue] : tenant_queues) {
-          if (queue.empty()) continue;
-          const double service = tenant_service[tenant] / weight_of(tenant);
-          if (best_tenant < 0 || service < best_service) {
-            best_tenant = tenant;
-            best_service = service;
-          }
-        }
-        idx = tenant_queues[best_tenant].front();
-        tenant_queues[best_tenant].pop_front();
-      }
-      --ready_count;
-      const ReplayTask& t = *sims[idx].task;
-      queue_total += now - sims[idx].admit_at;
+    while (free_buckets > 0) {
+      // Replayed attempts never fail, so no ticket names a bucket to avoid
+      // and any bucket id serves.
+      const std::optional<Ticket> picked = queue.pick(0, buckets, now);
+      if (!picked) break;
+      Sim& sim = sims[picked->id];
+      sim.ticket = *picked;
+      const ReplayTask& t = *sim.task;
+      queue_total += now - sim.ticket.enqueue_time;
       const double xfer = transfer_seconds(t);
-      const double busy = xfer + t.compute_s + t.drain_s;
+      sim.busy = xfer + t.compute_s + t.drain_s;
       xfer_total += xfer;
       compute_total += t.compute_s;
       drain_total += t.drain_s;
-      p.busy_bucket_seconds += busy;
-      tenant_service[t.tenant] += busy;
+      p.busy_bucket_seconds += sim.busy;
       --free_buckets;
-      ++in_service;
-      events.push({now + busy, kBucketDone, seq++, idx});
+      events.push({now + sim.busy, kBucketDone, seq++, picked->id});
     }
   };
 
@@ -400,10 +386,11 @@ Prediction replay(const Workload& workload, const Scenario& scenario) {
       admit_fifo.pop_front();
       ++credits_in_use;
       admit_total += now - sims[idx].arrival;
-      sims[idx].admit_at = now;
       const ReplayTask& t = *sims[idx].task;
-      if (scenario.queue_depth > 0 && ready_count >= scenario.queue_depth) {
-        // The hard queue wall: divert before the queue, like submit().
+      // No byte caps in replay: the ticket carries no bytes.
+      const Ticket ticket{.id = idx, .tenant = t.tenant, .enqueue_time = now};
+      if (queue.would_divert(t.tenant, 0) != TaskQueue::Divert::kNone) {
+        // Diverted before the queue, like submit().
         if (scenario.divert == DivertMode::kShed) {
           ++p.shed;
           terminal(idx, now);
@@ -416,13 +403,9 @@ Prediction replay(const Workload& workload, const Scenario& scenario) {
         }
         continue;
       }
-      ++ready_count;
-      p.peak_queue_depth = std::max(p.peak_queue_depth, ready_count);
-      if (scenario.policy == QueuePolicy::kFcfs) {
-        fcfs_queue.push_back(idx);
-      } else {
-        tenant_queues[t.tenant].push_back(idx);
-      }
+      queue.push(ticket);
+      p.peak_queue_depth =
+          std::max(p.peak_queue_depth, static_cast<long>(queue.size()));
     }
   };
 
@@ -432,8 +415,8 @@ Prediction replay(const Workload& workload, const Scenario& scenario) {
     const double now = e.t;
     switch (e.kind) {
       case kBucketDone:
+        queue.settle(sims[e.idx].ticket, sims[e.idx].busy);
         ++free_buckets;
-        --in_service;
         --credits_in_use;
         ++p.completed;
         terminal(e.idx, now);

@@ -5,7 +5,8 @@
 // remainder, arrival order, tenant and input bytes (obs/attrib.hpp proves
 // the partition is exact before we trust any of it). This module replays
 // that workload through a discrete-event model of the staging layer —
-// credit admission, a bounded task queue, FCFS or fair-share matching,
+// credit admission, a bounded task queue matched by the live scheduler's
+// own policy (staging/policy.hpp, FCFS or fair share, on virtual time),
 // B bucket servers, and the Gemini NetworkModel for transfers — under
 // *hypothetical* configurations: different bucket counts, producer node
 // counts, network parameters, codec reduction ratios, and overload
@@ -162,9 +163,10 @@ struct Calibration {
 };
 
 /// Default calibration tolerance. Replay conserves recorded service
-/// costs, so the residual is matcher-order divergence plus scheduler
-/// bookkeeping the model folds into drain — see docs/PLANNER.md for the
-/// rationale and the measured residuals behind this number.
+/// costs and runs the live matching policy, so the residual is the
+/// recorded credit wait the default scenario does not replay — see
+/// docs/PLANNER.md for the rationale and the measured residuals behind
+/// this number.
 inline constexpr double kDefaultCalibrationTolerance = 0.15;
 
 /// Replays under the recorded configuration (recorded buckets, recorded

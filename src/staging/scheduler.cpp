@@ -64,7 +64,12 @@ StagingService::StagingService(Dart& dart, Options options)
     : dart_(dart),
       store_(options.num_servers, options.overload, options.replicas),
       faults_(options.faults),
-      overload_(options.overload) {
+      overload_(options.overload),
+      queue_(overload_ == nullptr
+                 ? TaskQueue::Wall{}
+                 : [o = overload_](size_t, size_t bytes) {
+                     return o->queue_would_overflow(bytes);
+                   }) {
   HIA_REQUIRE(options.num_buckets > 0, "need at least one staging bucket");
   // Expose the scheduler gauges to the time-series sampler and install the
   // task clock as the sampler's virtual time source, so queue-depth series
@@ -143,16 +148,12 @@ DataDescriptor StagingService::publish(int src_node,
   return desc;
 }
 
-std::vector<StagingService::Assigned> StagingService::apply_scripted_kills(
-    long step) {
+void StagingService::apply_scripted_kills(long step) {
   // Requires mutex_ held. Retires every bucket whose scripted kill step has
   // arrived: it leaves the free list and the matcher's reach; if it is
   // mid-task it finishes that task first (graceful drain, like taking a
   // staging node out of rotation).
-  std::vector<Assigned> orphaned;
-  if (faults_ == nullptr || faults_->config().bucket_kills.empty()) {
-    return orphaned;
-  }
+  if (faults_ == nullptr || faults_->config().bucket_kills.empty()) return;
   for (int b = 0; b < static_cast<int>(buckets_.size()); ++b) {
     Bucket& bucket = buckets_[static_cast<size_t>(b)];
     if (bucket.dead || !faults_->bucket_killed(b, step)) continue;
@@ -168,35 +169,17 @@ std::vector<StagingService::Assigned> StagingService::apply_scripted_kills(
                       b, clock_.seconds());
     HIA_LOG_WARN("staging", "bucket %d killed by fault plan at step %ld", b,
                  step);
-    for (auto it = free_buckets_.begin(); it != free_buckets_.end(); ++it) {
-      if (*it == b) {
-        free_buckets_.erase(it);
-        break;
-      }
-    }
+    std::erase(free_buckets_, b);
   }
-  if (live_buckets_ == 0) {
-    // Staging capacity is gone: hand every queued task to the caller, who
-    // degrades or sheds each one outside the lock.
-    while (!task_queue_.empty()) {
-      orphaned.push_back(std::move(task_queue_.front()));
-      task_queue_.pop_front();
-      queue_depth().add(-1);
-      queue_account_remove(orphaned.back());
-    }
-  }
-  return orphaned;
 }
 
-std::vector<StagingService::Assigned> StagingService::apply_scripted_crashes(
-    long step) {
+void StagingService::apply_scripted_crashes(long step) {
   // Requires mutex_ held. Ungraceful death: the bucket is yanked mid-task
   // with no drain (a staging node OOM-killed or dropped off the fabric).
   // Its in-flight assignment is NOT touched here — the lease machinery
   // reclaims it once the lease stops renewing — but its pending slot and
   // the queue are handled like a kill when capacity hits zero.
-  std::vector<Assigned> orphaned;
-  if (faults_ == nullptr) return orphaned;
+  if (faults_ == nullptr) return;
   const FaultPlanConfig& cfg = faults_->config();
   if (!cfg.bucket_crashes.empty()) {
     for (int b = 0; b < static_cast<int>(buckets_.size()); ++b) {
@@ -217,20 +200,7 @@ std::vector<StagingService::Assigned> StagingService::apply_scripted_crashes(
       HIA_LOG_WARN("staging",
                    "bucket %d crashed ungracefully at step %ld (no drain)", b,
                    step);
-      for (auto it = free_buckets_.begin(); it != free_buckets_.end(); ++it) {
-        if (*it == b) {
-          free_buckets_.erase(it);
-          break;
-        }
-      }
-    }
-    if (live_buckets_ == 0) {
-      while (!task_queue_.empty()) {
-        orphaned.push_back(std::move(task_queue_.front()));
-        task_queue_.pop_front();
-        queue_depth().add(-1);
-        queue_account_remove(orphaned.back());
-      }
+      std::erase(free_buckets_, b);
     }
   }
   for (size_t i = 0; i < cfg.server_crashes.size(); ++i) {
@@ -261,7 +231,6 @@ std::vector<StagingService::Assigned> StagingService::apply_scripted_crashes(
                  crash.server, step, lost, store_.live_servers(),
                  store_.replicas());
   }
-  return orphaned;
 }
 
 bool StagingService::zombie_fenced(const Assigned& assigned,
@@ -327,7 +296,7 @@ void StagingService::heartbeat() {
       // running attempt is a zombie and will be fenced at its next ledger
       // touch. Entries are never erased (see task_epoch_).
       a.epoch = ++task_epoch_[a.task.task_id];
-      settle_service_locked(a, 0.0);  // the crashed attempt's charge is void
+      queue_.settle(a.ticket, 0.0);  // the crashed attempt's charge is void
       leases_expired_.fetch_add(1, std::memory_order_relaxed);
       static obs::Counter& expired = obs::counter("staging_leases_expired");
       expired.add(1);
@@ -347,14 +316,12 @@ void StagingService::heartbeat() {
       if (!buckets_[b].crashed || !slots_[b].has_value()) continue;
       Assigned a = std::move(*slots_[b]);
       slots_[b].reset();
-      settle_service_locked(a, 0.0);  // drop the matcher's provisional charge
+      queue_.settle(a.ticket, 0.0);  // drop the matcher's provisional charge
       if (live_buckets_ == 0) {
         orphaned.push_back(std::move(a));
         continue;
       }
-      queue_account_add(a);
-      queue_insert_sorted(std::move(a));
-      queue_depth().add(1);
+      enqueue_locked(std::move(a));
       requeued = true;
     }
   }
@@ -375,7 +342,7 @@ void StagingService::heartbeat() {
       obs::record_event(obs::EventKind::kBucketVacate, a.task.tenant, b,
                         static_cast<int64_t>(a.task.task_id), a.attempt,
                         clock_.seconds());
-      a.last_bucket = b;
+      a.ticket.last_bucket = b;
       degrade_or_shed(std::move(a));
     }
   }
@@ -383,70 +350,37 @@ void StagingService::heartbeat() {
   if (requeued) work_cv_.notify_all();
 }
 
-size_t StagingService::task_wire_bytes(const InTransitTask& task) {
+namespace {
+/// Sum of a task's input wire bytes (what the queue budget charges).
+size_t task_wire_bytes(const InTransitTask& task) {
   size_t bytes = 0;
   for (const DataDescriptor& d : task.inputs) bytes += d.handle.bytes;
   return bytes;
 }
+}  // namespace
 
-void StagingService::queue_account_add(Assigned& assigned) {
-  // Requires mutex_ held. `bytes` is computed once at first enqueue and
-  // sticks to the task across retries.
-  if (assigned.bytes == 0) assigned.bytes = task_wire_bytes(assigned.task);
-  queue_bytes_ += assigned.bytes;
-  queue_bytes_gauge().add(static_cast<int64_t>(assigned.bytes));
-  if (overload_ != nullptr) overload_->on_queue_add(assigned.bytes);
-  if (fair_share_) {
-    TenantSched& t = tenants_[assigned.task.tenant];
-    t.queue_bytes += assigned.bytes;
-    ++t.queue_depth;
-  }
+void StagingService::enqueue_locked(Assigned assigned) {
+  queue_bytes_gauge().add(static_cast<int64_t>(assigned.ticket.bytes));
+  if (overload_ != nullptr) overload_->on_queue_add(assigned.ticket.bytes);
+  queue_depth().add(1);
+  queue_.push(assigned.ticket);
+  queued_.emplace(assigned.ticket.id, std::move(assigned));
 }
 
-void StagingService::queue_account_remove(const Assigned& assigned) {
-  // Requires mutex_ held.
-  HIA_ASSERT(queue_bytes_ >= assigned.bytes);
-  queue_bytes_ -= assigned.bytes;
-  queue_bytes_gauge().add(-static_cast<int64_t>(assigned.bytes));
-  if (overload_ != nullptr) overload_->on_queue_remove(assigned.bytes);
-  if (fair_share_) {
-    TenantSched& t = tenants_[assigned.task.tenant];
-    t.queue_bytes -= std::min(t.queue_bytes, assigned.bytes);
-    if (t.queue_depth > 0) --t.queue_depth;
-  }
+StagingService::Assigned StagingService::dequeue_locked(const Ticket& ticket) {
+  auto node = queued_.extract(ticket.id);
+  HIA_ASSERT(!node.empty());
+  Assigned assigned = std::move(node.mapped());
+  assigned.ticket = ticket;  // carries the pick's provisional charge
+  queue_bytes_gauge().add(-static_cast<int64_t>(ticket.bytes));
+  if (overload_ != nullptr) overload_->on_queue_remove(ticket.bytes);
+  queue_depth().add(-1);
+  return assigned;
 }
 
-void StagingService::queue_insert_sorted(Assigned assigned) {
-  // Requires mutex_ held. The queue is sorted by task_id (monotonic at
-  // submit), so a backoff-released retry re-enters at its *arrival
-  // position*, never the tail — FCFS order survives backoff. The neighbor
-  // asserts are the invariant's tripwire.
-  auto pos = std::lower_bound(
-      task_queue_.begin(), task_queue_.end(), assigned,
-      [](const Assigned& a, const Assigned& b) {
-        return a.task.task_id < b.task.task_id;
-      });
-  if (pos != task_queue_.begin()) {
-    HIA_ASSERT(std::prev(pos)->task.task_id < assigned.task.task_id);
-  }
-  if (pos != task_queue_.end()) {
-    HIA_ASSERT(pos->task.task_id > assigned.task.task_id);
-  }
-  task_queue_.insert(pos, std::move(assigned));
-}
-
-void StagingService::settle_service_locked(Assigned& assigned, double busy_s) {
-  // Requires mutex_ held. Safe to call with no charge outstanding.
-  if (!fair_share_) return;
-  TenantSched& t = tenants_[assigned.task.tenant];
-  t.inflight_s -= std::min(t.inflight_s, assigned.charge_s);
-  assigned.charge_s = 0.0;
-  if (busy_s > 0.0) {
-    t.service_s += busy_s;
-    t.ewma_task_s = t.ewma_task_s <= 0.0
-                        ? busy_s
-                        : 0.8 * t.ewma_task_s + 0.2 * busy_s;
-  }
+void StagingService::settle(Assigned& assigned, double busy_s) {
+  std::lock_guard lock(mutex_);
+  queue_.settle(assigned.ticket, busy_s);
 }
 
 void StagingService::apply_scripted_overload(long step) {
@@ -495,7 +429,7 @@ void StagingService::apply_scripted_overload(long step) {
     // The burst raises the shared pressure signal like any rogue producer,
     // but the bytes are *attributed*: the hog tenant's ledger carries them.
     overload_->inject_phantom_bytes(hog.bytes);
-    tenants_[hog.tenant].hog_bytes += hog.bytes;
+    tallies_[hog.tenant].hog_bytes += hog.bytes;
     faults_->count_tenant_hog(hog.bytes);
     obs::instant("fault", "tenant_hog",
                  {.step = step,
@@ -511,11 +445,55 @@ void StagingService::apply_scripted_overload(long step) {
   }
 }
 
+StagingService::Assigned StagingService::admit_locked(InTransitTask task) {
+  HIA_REQUIRE(handlers_.count(task.analysis) > 0,
+              "submit for unregistered analysis: " + task.analysis);
+  Assigned assigned;
+  assigned.ticket = {.id = next_task_id_++,
+                     .tenant = task.tenant,
+                     .bytes = task_wire_bytes(task),
+                     .enqueue_time = clock_.seconds()};
+  task.task_id = assigned.ticket.id;
+  assigned.task = std::move(task);
+  ++outstanding_;
+  if (queue_.fair_share()) ++tallies_[assigned.task.tenant].outstanding;
+  return assigned;
+}
+
+void StagingService::finish_locked(Assigned& assigned, TaskRecord& record,
+                                   double busy_s) {
+  record.task_id = assigned.task.task_id;
+  record.analysis = assigned.task.analysis;
+  record.step = assigned.task.step;
+  record.tenant = assigned.task.tenant;
+  record.enqueue_time = assigned.ticket.enqueue_time;
+  record.attempts = assigned.attempt;
+  record.backoff_seconds = assigned.backoff_total;
+  record.last_failed_bucket = assigned.ticket.last_bucket;
+  // The record and the tracer's spans share clock reads, so a lifecycle
+  // that is not monotone means a ledger drifted. All stamps are task-clock
+  // seconds: a wall-epoch enqueue_time (~1.7e9) would poison every
+  // queue-wait histogram downstream.
+  HIA_ASSERT(record.enqueue_time >= 0.0 &&
+             record.enqueue_time <= clock_.seconds());
+  HIA_ASSERT(record.assign_time >= record.enqueue_time);
+  HIA_ASSERT(record.complete_time >= record.assign_time);
+  queue_.settle(assigned.ticket, busy_s);
+  records_.push_back(record);
+  HIA_ASSERT(outstanding_ > 0);
+  --outstanding_;
+  if (queue_.fair_share()) {
+    TenantTally& t = tallies_[record.tenant];
+    HIA_ASSERT(t.outstanding > 0);
+    --t.outstanding;
+  }
+}
+
 uint64_t StagingService::submit(InTransitTask task) {
   uint64_t id = 0;
   long step = task.step;
   const int tenant = task.tenant;
-  const size_t bytes = task_wire_bytes(task);
+  size_t bytes = 0;
   // Admission waits parked by this thread's publishes are charged to this
   // task (the credit-grant causal edge); drained even without a gate so a
   // stale accumulation can never leak into a later service's timeline.
@@ -526,44 +504,31 @@ uint64_t StagingService::submit(InTransitTask task) {
   bool tenant_capped = false;
   {
     std::lock_guard lock(mutex_);
-    HIA_REQUIRE(handlers_.count(task.analysis) > 0,
-                "submit for unregistered analysis: " + task.analysis);
+    Assigned assigned = admit_locked(std::move(task));
     apply_scripted_overload(step);
-    id = next_task_id_++;
-    task.task_id = id;
-    ++outstanding_;
-    if (fair_share_) ++tenants_[tenant].outstanding;
-    Assigned assigned;
-    assigned.task = std::move(task);
-    assigned.enqueue_time = clock_.seconds();
-    assigned.bytes = bytes;
-    enqueue_vt = assigned.enqueue_time;
-    if (fair_share_) {
-      // Per-tenant caps fire *before* the global hard wall: a hog's burst
-      // diverts on its own budget instead of eating the shared one.
-      TenantSched& t = tenants_[tenant];
-      tenant_capped =
-          (t.queue_bytes_cap > 0 && t.queue_bytes + bytes > t.queue_bytes_cap) ||
-          (t.queue_depth_cap > 0 && t.queue_depth >= t.queue_depth_cap);
-      if (tenant_capped) ++t.cap_diversions;
-    }
-    if (tenant_capped) {
-      diverted = std::move(assigned);
-    } else if (overload_ != nullptr && overload_->queue_would_overflow(bytes)) {
-      // The hard wall: queued bytes/depth never exceed budget. The task is
-      // diverted straight to degrade/shed instead of entering the queue.
-      ++overload_diversions_;
+    id = assigned.ticket.id;
+    bytes = assigned.ticket.bytes;
+    enqueue_vt = assigned.ticket.enqueue_time;
+    // A diverted task goes straight to degrade/shed, never the queue:
+    // queued bytes/depth never exceed a tenant cap or the hard wall.
+    const auto divert = queue_.would_divert(tenant, bytes);
+    tenant_capped = divert == TaskQueue::Divert::kTenantCap;
+    if (tenant_capped) ++tallies_[tenant].cap_diversions;
+    if (divert == TaskQueue::Divert::kQueueWall) ++overload_diversions_;
+    if (divert != TaskQueue::Divert::kNone) {
       diverted = std::move(assigned);
     } else {
-      queue_account_add(assigned);
-      // task_id is monotonic under this lock, so the tail IS the arrival
-      // position — the queue stays sorted by task_id.
-      task_queue_.push_back(std::move(assigned));
-      queue_depth().add(1);
-      orphaned = apply_scripted_kills(step);
+      enqueue_locked(std::move(assigned));
+      apply_scripted_kills(step);
     }
-    std::vector<Assigned> crash_orphaned = apply_scripted_crashes(step);
-    for (Assigned& a : crash_orphaned) orphaned.push_back(std::move(a));
+    apply_scripted_crashes(step);
+    // Staging capacity is gone: hand every queued task to degrade_or_shed,
+    // outside the lock.
+    if (live_buckets_ == 0) {
+      for (const Ticket& t : queue_.take_all()) {
+        orphaned.push_back(dequeue_locked(t));
+      }
+    }
   }
   obs::instant("sched", "enqueue", {.step = step, .vtime = clock_.seconds()});
   // vt = the locked enqueue read, never a fresh clock sample: a bucket can
@@ -618,29 +583,21 @@ uint64_t StagingService::submit_for(const std::string& analysis, long step,
   // Steered off the queue: the task never competes for a bucket. It is
   // still a submission for conservation purposes (outstanding_, records).
   const double admit_wait_s = OverloadControl::take_thread_admission_wait();
-  uint64_t id = 0;
   Assigned assigned;
   {
     std::lock_guard lock(mutex_);
-    HIA_REQUIRE(handlers_.count(task.analysis) > 0,
-                "submit for unregistered analysis: " + task.analysis);
-    id = next_task_id_++;
-    task.task_id = id;
-    ++outstanding_;
-    if (fair_share_) ++tenants_[tenant].outstanding;
-    assigned.task = std::move(task);
-    assigned.enqueue_time = clock_.seconds();
-    assigned.bytes = task_wire_bytes(assigned.task);
+    assigned = admit_locked(std::move(task));
   }
+  const uint64_t id = assigned.ticket.id;
   obs::record_event(obs::EventKind::kTaskSubmit, tenant,
                     static_cast<int>(step), static_cast<int64_t>(id),
-                    static_cast<int64_t>(assigned.bytes),
-                    assigned.enqueue_time);
+                    static_cast<int64_t>(assigned.ticket.bytes),
+                    assigned.ticket.enqueue_time);
   if (admit_wait_s > 0.0) {
     obs::record_event(obs::EventKind::kCreditGrant, tenant, -1,
                       static_cast<int64_t>(id),
                       static_cast<int64_t>(admit_wait_s * 1e6),
-                      assigned.enqueue_time);
+                      assigned.ticket.enqueue_time);
   }
   if (route == SubmitRoute::kFallback) {
     run_task(-1, std::move(assigned), clock_.seconds(),
@@ -701,35 +658,36 @@ uint64_t StagingService::overload_diversions() const {
 void StagingService::set_tenant_policy(int tenant, double weight,
                                        size_t queue_bytes_cap,
                                        size_t queue_depth_cap) {
-  HIA_REQUIRE(weight > 0.0, "tenant weight must be > 0");
   std::lock_guard lock(mutex_);
-  fair_share_ = true;
-  TenantSched& t = tenants_[tenant];
-  t.weight = weight;
-  t.queue_bytes_cap = queue_bytes_cap;
-  t.queue_depth_cap = queue_depth_cap;
+  queue_.set_tenant(tenant, weight, queue_bytes_cap, queue_depth_cap);
 }
 
 bool StagingService::fair_share_enabled() const {
   std::lock_guard lock(mutex_);
-  return fair_share_;
+  return queue_.fair_share();
 }
 
 std::vector<StagingService::TenantShare> StagingService::tenant_shares()
     const {
   std::lock_guard lock(mutex_);
-  std::vector<TenantShare> out;
-  out.reserve(tenants_.size());
-  for (const auto& [tenant, t] : tenants_) {
-    TenantShare share;
-    share.tenant = tenant;
+  std::map<int, TenantShare> shares;
+  for (const auto& [tenant, t] : queue_.tenants()) {
+    TenantShare& share = shares[tenant];
     share.weight = t.weight;
     share.bucket_seconds = t.service_s;
-    share.cap_diversions = t.cap_diversions;
-    share.hog_bytes = t.hog_bytes;
     share.queue_depth = t.queue_depth;
     share.queue_bytes = t.queue_bytes;
+  }
+  for (const auto& [tenant, t] : tallies_) {
+    TenantShare& share = shares[tenant];
+    share.cap_diversions = t.cap_diversions;
+    share.hog_bytes = t.hog_bytes;
     share.outstanding = t.outstanding;
+  }
+  std::vector<TenantShare> out;
+  out.reserve(shares.size());
+  for (auto& [tenant, share] : shares) {
+    share.tenant = tenant;
     out.push_back(share);
   }
   return out;
@@ -738,25 +696,11 @@ std::vector<StagingService::TenantShare> StagingService::tenant_shares()
 void StagingService::drain_tenant(int tenant) {
   // Per-tenant tallies exist only once fair share is on; before that every
   // task counts toward the global one alone.
-  auto drained = [this, tenant] {
-    if (!fair_share_) return outstanding_ == 0;
-    auto it = tenants_.find(tenant);
-    return it == tenants_.end() || it->second.outstanding == 0;
-  };
-  if (!lease_tracking_) {
-    std::unique_lock lock(mutex_);
-    drain_cv_.wait(lock, drained);
-    return;
-  }
-  // See drain(): the heartbeat must keep ticking or a task stranded on a
-  // crashed bucket never re-enters the queue.
-  for (;;) {
-    heartbeat();
-    std::unique_lock lock(mutex_);
-    if (drain_cv_.wait_for(lock, std::chrono::milliseconds(10), drained)) {
-      return;
-    }
-  }
+  wait_drained([this, tenant] {
+    if (!queue_.fair_share()) return outstanding_ == 0;
+    auto it = tallies_.find(tenant);
+    return it == tallies_.end() || it->second.outstanding == 0;
+  });
 }
 
 int StagingService::add_bucket() {
@@ -814,12 +758,7 @@ int StagingService::retire_bucket(int min_live) {
     --live_buckets_;
     HIA_ASSERT(live_buckets_ >= floor);
     live_after = live_buckets_;
-    for (auto it = free_buckets_.begin(); it != free_buckets_.end(); ++it) {
-      if (*it == victim) {
-        free_buckets_.erase(it);
-        break;
-      }
-    }
+    std::erase(free_buckets_, victim);
   }
   static obs::Counter& shrinks = obs::counter("staging_pool_shrinks");
   shrinks.add(1);
@@ -833,9 +772,13 @@ int StagingService::retire_bucket(int min_live) {
 }
 
 void StagingService::drain() {
+  wait_drained([this] { return outstanding_ == 0; });
+}
+
+void StagingService::wait_drained(const std::function<bool()>& drained) {
   if (!lease_tracking_) {
     std::unique_lock lock(mutex_);
-    drain_cv_.wait(lock, [this] { return outstanding_ == 0; });
+    drain_cv_.wait(lock, drained);
     return;
   }
   // With crashes in play the drain loop doubles as the heartbeat driver:
@@ -845,8 +788,7 @@ void StagingService::drain() {
   for (;;) {
     heartbeat();
     std::unique_lock lock(mutex_);
-    if (drain_cv_.wait_for(lock, std::chrono::milliseconds(10),
-                           [this] { return outstanding_ == 0; })) {
+    if (drain_cv_.wait_for(lock, std::chrono::milliseconds(10), drained)) {
       return;
     }
   }
@@ -869,7 +811,7 @@ std::optional<std::vector<std::byte>> StagingService::take_result(
 
 size_t StagingService::pending_tasks() const {
   std::lock_guard lock(mutex_);
-  return task_queue_.size();
+  return queue_.size();
 }
 
 int StagingService::free_bucket_count() const {
@@ -882,49 +824,6 @@ int StagingService::num_buckets() const {
   return static_cast<int>(buckets_.size());
 }
 
-std::deque<StagingService::Assigned>::iterator StagingService::pick_task_locked(
-    int free_b, double now) {
-  auto eligible = [&](const Assigned& a) {
-    if (a.not_before > now) return false;  // still backing off
-    if (a.last_bucket == free_b && live_buckets_ > 1) return false;
-    return true;
-  };
-  // The queue is sorted by task_id (= arrival order), so the first
-  // eligible hit is the oldest — both globally and within each tenant.
-  auto oldest = task_queue_.end();
-  if (!fair_share_) {
-    for (auto it = task_queue_.begin(); it != task_queue_.end(); ++it) {
-      if (eligible(*it)) return it;
-    }
-    return oldest;
-  }
-  std::map<int, std::deque<Assigned>::iterator> heads;  // tenant -> oldest
-  for (auto it = task_queue_.begin(); it != task_queue_.end(); ++it) {
-    if (!eligible(*it)) continue;
-    if (oldest == task_queue_.end()) oldest = it;
-    heads.emplace(it->task.tenant, it);  // keeps the first (oldest) hit
-  }
-  if (oldest == task_queue_.end()) return oldest;
-  if (now - oldest->enqueue_time > kStarvationWaitS) {
-    // Starvation guard: weights shape throughput, they never deny service.
-    return oldest;
-  }
-  // Weighted fair share: serve the tenant with the least normalized
-  // service. The provisional in-flight charge keeps a burst of assigns
-  // within one matcher pass from all landing on the same tenant.
-  auto best = task_queue_.end();
-  double best_norm = 0.0;
-  for (const auto& [tenant, it] : heads) {
-    const TenantSched& t = tenants_[tenant];
-    const double norm = (t.service_s + t.inflight_s) / t.weight;
-    if (best == task_queue_.end() || norm < best_norm) {
-      best = it;
-      best_norm = norm;
-    }
-  }
-  return best;
-}
-
 int StagingService::live_bucket_count() const {
   std::lock_guard lock(mutex_);
   return live_buckets_;
@@ -933,48 +832,19 @@ int StagingService::live_bucket_count() const {
 void StagingService::bucket_main(int bucket_index) {
   obs::set_thread_track(obs::bucket_track(bucket_index));
   const size_t b = static_cast<size_t>(bucket_index);
-  // Matcher body: moves queued, backoff-released tasks onto free buckets'
-  // slots — FCFS by default, weighted fair share once tenant policies are
-  // set (pick_task_locked). A retried task avoids the bucket it last
-  // failed on whenever another live bucket exists. Requires mutex_ held.
-  auto match = [this] {
-    const double now = clock_.seconds();
-    bool matched = true;
-    while (matched && !task_queue_.empty() && !free_buckets_.empty()) {
-      matched = false;
-      for (auto fb = free_buckets_.begin(); fb != free_buckets_.end(); ++fb) {
-        const int free_b = *fb;
-        auto it = pick_task_locked(free_b, now);
-        if (it == task_queue_.end()) continue;
-        slots_[static_cast<size_t>(free_b)] = std::move(*it);
-        task_queue_.erase(it);
-        free_buckets_.erase(fb);
-        Assigned& picked = *slots_[static_cast<size_t>(free_b)];
-        queue_depth().add(-1);
-        queue_account_remove(picked);
-        if (fair_share_) {
-          // Provisional charge: hold the tenant's smoothed per-attempt
-          // bucket time against it until the attempt settles.
-          TenantSched& t = tenants_[picked.task.tenant];
-          picked.charge_s = t.ewma_task_s > 0.0 ? t.ewma_task_s : 1e-3;
-          t.inflight_s += picked.charge_s;
-        }
-        matched = true;
-        break;  // iterators invalidated; rescan
+  // Matcher body: hands each free bucket, in bucket-ready order, the task
+  // the policy picks for it (queue_.pick charges it). Requires mutex_ held.
+  auto match = [this](double now) {
+    for (auto fb = free_buckets_.begin();
+         fb != free_buckets_.end() && !queue_.empty();) {
+      const std::optional<Ticket> picked = queue_.pick(*fb, live_buckets_, now);
+      if (!picked) {
+        ++fb;
+        continue;
       }
+      slots_[static_cast<size_t>(*fb)] = dequeue_locked(*picked);
+      fb = free_buckets_.erase(fb);
     }
-  };
-  // Earliest backoff release still in the future (-1 = none pending).
-  // Requires mutex_ held.
-  auto next_release = [this] {
-    const double now = clock_.seconds();
-    double next = -1.0;
-    for (const Assigned& a : task_queue_) {
-      if (a.not_before > now && (next < 0.0 || a.not_before < next)) {
-        next = a.not_before;
-      }
-    }
-    return next;
   };
   for (;;) {
     Assigned assigned;
@@ -983,9 +853,13 @@ void StagingService::bucket_main(int bucket_index) {
       if (!buckets_[b].dead) {
         // Bucket-ready: join the free list, then FCFS-match queued work.
         free_buckets_.push_back(bucket_index);
-        match();
+        // One clock read serves the match and the release that decides
+        // how long to sleep: with two, a backoff expiring between them is
+        // neither matched nor waited for, and the bucket sleeps for good.
+        double now = clock_.seconds();
+        match(now);
         while (!stopping_ && !slots_[b].has_value() && !buckets_[b].dead) {
-          const double release = next_release();
+          const double release = queue_.next_release(now);
           if (release < 0.0) {
             work_cv_.wait(lock);
           } else {
@@ -996,7 +870,8 @@ void StagingService::bucket_main(int bucket_index) {
               work_cv_.wait_for(lock, std::chrono::duration<double>(delta));
             }
           }
-          match();
+          now = clock_.seconds();
+          match(now);
         }
         work_cv_.notify_all();
       }
@@ -1004,13 +879,7 @@ void StagingService::bucket_main(int bucket_index) {
         // Ungraceful death: unlike a graceful kill, a pending assignment is
         // NOT drained — the heartbeat reclaims the slot and the lease
         // machinery re-executes whatever was in flight. Just disappear.
-        for (auto it = free_buckets_.begin(); it != free_buckets_.end();
-             ++it) {
-          if (*it == bucket_index) {
-            free_buckets_.erase(it);
-            break;
-          }
-        }
+        std::erase(free_buckets_, bucket_index);
         return;
       }
       if (slots_[b].has_value()) {
@@ -1025,13 +894,7 @@ void StagingService::bucket_main(int bucket_index) {
       } else if (buckets_[b].dead) {
         // Retired by a scripted kill: leave the free list and exit. Queued
         // work was already drained by the killer if capacity hit zero.
-        for (auto it = free_buckets_.begin(); it != free_buckets_.end();
-             ++it) {
-          if (*it == bucket_index) {
-            free_buckets_.erase(it);
-            break;
-          }
-        }
+        std::erase(free_buckets_, bucket_index);
         return;
       } else {
         HIA_ASSERT(stopping_);
@@ -1073,12 +936,9 @@ void StagingService::execute(int bucket_index, Assigned assigned) {
     // this attempt must leave no further trace (its occupancy was closed by
     // the reclamation's kTaskRetry/kBucketVacate).
     if (zombie_fenced(assigned, bucket_index)) return;
-    {
-      // The stuck time was real bucket occupancy: settle it against the
-      // tenant before the task re-enters the queue (or degrades).
-      std::lock_guard lock(mutex_);
-      settle_service_locked(assigned, retry.task_timeout_s);
-    }
+    // The stuck time was real bucket occupancy: settle it against the
+    // tenant before the task re-enters the queue (or degrades).
+    settle(assigned, retry.task_timeout_s);
     const double stuck_end_vt = clock_.seconds();
     obs::record_event(
         obs::EventKind::kTaskWork, assigned.task.tenant, bucket_index,
@@ -1091,7 +951,7 @@ void StagingService::execute(int bucket_index, Assigned assigned) {
                         bucket_index,
                         static_cast<int64_t>(assigned.task.task_id),
                         assigned.attempt, stuck_end_vt);
-      assigned.last_bucket = bucket_index;
+      assigned.ticket.last_bucket = bucket_index;
       degrade_or_shed(std::move(assigned));
     }
     return;
@@ -1118,37 +978,24 @@ void StagingService::retry_task(int failed_bucket, Assigned assigned) {
   double retry_vt = 0.0;
   {
     std::lock_guard lock(mutex_);
-    assigned.last_bucket = failed_bucket;
+    assigned.ticket.last_bucket = failed_bucket;
     assigned.attempt += 1;
     assigned.backoff_total += backoff;
     // One clock read feeds both not_before and the retry/release events,
     // so backoff_release.vt - task_retry.vt == backoff exactly and the
     // attribution partition telescopes without a gap.
     retry_vt = clock_.seconds();
-    assigned.not_before = retry_vt + backoff;
-    bool tenant_capped = false;
-    if (fair_share_) {
-      TenantSched& t = tenants_[assigned.task.tenant];
-      tenant_capped = (t.queue_bytes_cap > 0 &&
-                       t.queue_bytes + assigned.bytes > t.queue_bytes_cap) ||
-                      (t.queue_depth_cap > 0 &&
-                       t.queue_depth >= t.queue_depth_cap);
-      // Same rule per tenant: a retry may not push its owner over cap.
-      if (tenant_capped) ++t.cap_diversions;
+    assigned.ticket.not_before = retry_vt + backoff;
+    // Same divert rule as submit: a retry may not push its owner over cap,
+    // nor breach the hard budget if the queue filled up while this task
+    // was executing — the retry budget is then forfeit and the task
+    // degrades/sheds like a diverted submission.
+    const auto divert = queue_.would_divert(tenant, assigned.ticket.bytes);
+    if (divert == TaskQueue::Divert::kTenantCap) {
+      ++tallies_[tenant].cap_diversions;
     }
-    if (live_buckets_ == 0 || tenant_capped) {
-      no_capacity = true;
-    } else if (overload_ != nullptr &&
-               overload_->queue_would_overflow(assigned.bytes)) {
-      // The queue filled up while this task was executing; requeueing it
-      // would breach the hard budget, so the retry budget is forfeit and
-      // the task degrades/sheds like a diverted submission.
-      no_capacity = true;
-    } else {
-      queue_account_add(assigned);
-      queue_insert_sorted(std::move(assigned));
-      queue_depth().add(1);
-    }
+    no_capacity = live_buckets_ == 0 || divert != TaskQueue::Divert::kNone;
+    if (!no_capacity) enqueue_locked(std::move(assigned));
   }
   // kTaskRetry ends the failed attempt's occupancy. kBackoffRelease only
   // exists when the task really re-enters the queue race: a no-capacity
@@ -1201,34 +1048,13 @@ void StagingService::shed_task(Assigned assigned) {
     dart_.release(d.handle);
   }
   TaskRecord record;
-  record.task_id = assigned.task.task_id;
-  record.analysis = assigned.task.analysis;
-  record.step = assigned.task.step;
-  record.tenant = assigned.task.tenant;
   record.bucket = -1;
-  record.enqueue_time = assigned.enqueue_time;
   record.assign_time = clock_.seconds();
   record.complete_time = record.assign_time;
   record.outcome = TaskOutcome::kShed;
-  record.attempts = assigned.attempt;
-  record.backoff_seconds = assigned.backoff_total;
-  record.last_failed_bucket = assigned.last_bucket;
-  // Clock-domain guard: enqueue_time must be virtual task-clock seconds
-  // (in [0, now]); a wall-epoch timestamp (~1.7e9) leaking in here would
-  // poison every queue-wait statistic downstream.
-  HIA_ASSERT(record.enqueue_time >= 0.0 &&
-             record.enqueue_time <= clock_.seconds());
   {
     std::lock_guard lock(mutex_);
-    settle_service_locked(assigned, 0.0);  // no bucket time: drop any charge
-    records_.push_back(record);
-    HIA_ASSERT(outstanding_ > 0);
-    --outstanding_;
-    if (fair_share_) {
-      TenantSched& t = tenants_[record.tenant];
-      HIA_ASSERT(t.outstanding > 0);
-      --t.outstanding;
-    }
+    finish_locked(assigned, record, 0.0);  // no bucket time: drop any charge
   }
   drain_cv_.notify_all();
 }
@@ -1296,12 +1122,9 @@ void StagingService::run_task(int bucket_index, Assigned assigned,
     // Stale epoch: a crash already reclaimed and re-queued this task; the
     // zombie's retry would double it.
     if (zombie_fenced(assigned, bucket_index)) return;
-    {
-      // The failed attempt still occupied the bucket: settle that time
-      // against the tenant before requeueing.
-      std::lock_guard lock(mutex_);
-      settle_service_locked(assigned, clock_.seconds() - assign_time);
-    }
+    // The failed attempt still occupied the bucket: settle that time
+    // against the tenant before requeueing.
+    settle(assigned, clock_.seconds() - assign_time);
     // Phase split of the failed attempt's occupancy; kTaskRetry (recorded
     // by retry_task at a later clock read) ends the occupancy window.
     const double fail_vt = clock_.seconds();
@@ -1346,12 +1169,7 @@ void StagingService::run_task(int bucket_index, Assigned assigned,
   }
 
   TaskRecord record;
-  record.task_id = assigned.task.task_id;
-  record.analysis = assigned.task.analysis;
-  record.step = assigned.task.step;
-  record.tenant = assigned.task.tenant;
   record.bucket = bucket_index;
-  record.enqueue_time = assigned.enqueue_time;
   record.assign_time = assign_time;
   record.complete_time = clock_.seconds();
   record.data_movement_seconds = ctx.movement_seconds_;
@@ -1360,38 +1178,15 @@ void StagingService::run_task(int bucket_index, Assigned assigned,
   record.decode_seconds = ctx.decode_seconds_;
   record.compute_seconds = wall;
   record.outcome = outcome;
-  record.attempts = assigned.attempt;
-  record.backoff_seconds = assigned.backoff_total;
-  record.last_failed_bucket = assigned.last_bucket;
-
-  // The TaskRecord ledger and the tracer's scheduler spans are derived
-  // from the same clock reads; the lifecycle must be monotone or one of
-  // the two ledgers drifted. The first assert is the clock-domain guard:
-  // all three stamps are virtual task-clock seconds (in [0, now]); a
-  // wall-epoch timestamp (~1.7e9) leaking into enqueue_time would poison
-  // every queue-wait histogram downstream.
-  HIA_ASSERT(record.enqueue_time >= 0.0 &&
-             record.enqueue_time <= clock_.seconds());
-  HIA_ASSERT(record.assign_time >= record.enqueue_time);
-  HIA_ASSERT(record.complete_time >= record.assign_time);
-
   {
     std::lock_guard lock(mutex_);
-    // Settle the fair-share ledger: real bucket occupancy replaces the
-    // provisional charge (fallback runs cost no bucket time).
-    settle_service_locked(
-        assigned,
+    // Real bucket occupancy replaces the provisional charge (fallback runs
+    // cost no bucket time).
+    finish_locked(
+        assigned, record,
         bucket_index >= 0 ? record.complete_time - record.assign_time : 0.0);
-    records_.push_back(record);
     if (!failed && ctx.result_.has_value()) {
       results_[record.task_id] = std::move(*ctx.result_);
-    }
-    HIA_ASSERT(outstanding_ > 0);
-    --outstanding_;
-    if (fair_share_) {
-      TenantSched& t = tenants_[record.tenant];
-      HIA_ASSERT(t.outstanding > 0);
-      --t.outstanding;
     }
   }
   const bool fair_share = fair_share_enabled();

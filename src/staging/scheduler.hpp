@@ -35,16 +35,9 @@
 // handle releases, and terminal events all belong to the current epoch
 // exactly once, keeping completed+degraded+deferred+shed == submitted.
 //
-// Multi-tenancy (active only once set_tenant_policy is called): the matcher
-// switches from global FCFS to weighted fair share. Each tenant accrues
-// *normalized service* — settled bucket-seconds plus a provisional charge
-// for its in-flight tasks, divided by its weight — and the matcher always
-// serves the eligible tenant with the least normalized service (within a
-// tenant, strict arrival order). A starvation guard overrides the pick for
-// any task that has waited longer than kStarvationWaitS, so a zero-weight
-// mistake still cannot wedge a tenant. Per-tenant queue caps divert a hog's
-// overflow to degrade/shed *before* the global hard wall, so one tenant's
-// burst cannot consume the shared queue budget. The bucket pool is elastic:
+// Multi-tenancy (weighted fair share once set_tenant_policy is called) is
+// part of the matcher's policy, staging/policy.hpp, which the replay
+// planner shares. The bucket pool is elastic:
 // add_bucket()/retire_bucket() grow and shrink capacity at runtime (retire
 // reuses the graceful kill drain — the victim finishes its current task).
 #pragma once
@@ -64,6 +57,7 @@
 #include "runtime/overload.hpp"
 #include "staging/descriptor.hpp"
 #include "staging/object_store.hpp"
+#include "staging/policy.hpp"
 #include "transport/dart.hpp"
 #include "util/stopwatch.hpp"
 
@@ -193,7 +187,7 @@ class StagingService {
 
   /// A task older than this is matched regardless of its tenant's deficit
   /// (starvation guard: weights shape throughput, never deny service).
-  static constexpr double kStarvationWaitS = 0.5;
+  static constexpr double kStarvationWaitS = TaskQueue::kStarvationWaitS;
 
   /// Registers `tenant` with the fair-share matcher. The first call flips
   /// the matcher from global FCFS to weighted fair share for the lifetime
@@ -309,18 +303,12 @@ class StagingService {
 
   struct Assigned {
     InTransitTask task;
-    /// Virtual task-clock seconds (clock_.seconds()), NEVER wall-epoch
-    /// time: queue-wait math is (assign - enqueue) in one clock domain.
-    double enqueue_time = 0.0;
-    size_t bytes = 0;  // task-input wire bytes (queue-budget accounting)
+    /// The policy's view. enqueue_time is task-clock seconds, NEVER
+    /// wall-epoch time: queue-wait math is assign - enqueue in one domain.
+    Ticket ticket;
     // ---- Retry state (defaults when faults are off) ----
     int attempt = 1;             // 1-based execution attempt
     double backoff_total = 0.0;  // backoff accumulated across retries
-    int last_bucket = -1;        // bucket of the last failed attempt
-    double not_before = 0.0;     // earliest assign time (backoff release)
-    /// Provisional fair-share charge held against the tenant while the
-    /// attempt is in flight (0 = no charge outstanding).
-    double charge_s = 0.0;
     /// Attempt epoch for zombie fencing: bumped each time a lease expiry
     /// reclaims the task. An attempt whose epoch is behind the task's
     /// current epoch (task_epoch_) is a zombie and must not settle.
@@ -335,16 +323,8 @@ class StagingService {
     double expires_at = 0.0;  // task-clock deadline
   };
 
-  /// Per-tenant scheduling ledger (guarded by mutex_).
-  struct TenantSched {
-    double weight = 1.0;
-    size_t queue_bytes_cap = 0;  // 0 = uncapped
-    size_t queue_depth_cap = 0;  // 0 = uncapped
-    double service_s = 0.0;      // settled bucket occupancy
-    double inflight_s = 0.0;     // provisional charges outstanding
-    double ewma_task_s = 0.0;    // smoothed per-attempt bucket seconds
-    size_t queue_bytes = 0;
-    size_t queue_depth = 0;
+  /// Per-tenant accounting beside the policy's ledger (guarded by mutex_).
+  struct TenantTally {
     uint64_t cap_diversions = 0;
     uint64_t hog_bytes = 0;
     size_t outstanding = 0;
@@ -363,15 +343,13 @@ class StagingService {
   /// plan's RetryPolicy.
   void degrade_or_shed(Assigned assigned);
   void shed_task(Assigned assigned);
-  /// Scripted kills due at `step` retire their buckets; when the last live
-  /// bucket goes, queued work is drained through degrade_or_shed. Returns
-  /// the drained tasks (run them without holding mutex_). Requires mutex_.
-  std::vector<Assigned> apply_scripted_kills(long step);
+  /// Scripted kills due at `step` retire their buckets (the caller drains
+  /// the queue when the last live bucket goes). Requires mutex_.
+  void apply_scripted_kills(long step);
   /// Scripted crashes due at `step`: buckets die ungracefully (no drain —
   /// recovery happens via lease expiry) and object-store servers are
-  /// seized. Returns queued tasks orphaned when the last live bucket
-  /// crashes (degrade them without holding mutex_). Requires mutex_.
-  std::vector<Assigned> apply_scripted_crashes(long step);
+  /// seized. Requires mutex_.
+  void apply_scripted_crashes(long step);
   /// Fences a finished attempt against the task's current epoch. Returns
   /// true when the attempt is a stale zombie (its lease already expired
   /// and the task was reclaimed): the caller must drop every side effect.
@@ -380,22 +358,20 @@ class StagingService {
   /// Scripted overload/credit-starve events due at `step` fire into the
   /// overload control (once each). Requires mutex_.
   void apply_scripted_overload(long step);
-  /// Queue-accounting helpers; require mutex_.
-  void queue_account_add(Assigned& assigned);
-  void queue_account_remove(const Assigned& assigned);
-  /// Sum of a task's input wire bytes (what the queue budget charges).
-  static size_t task_wire_bytes(const InTransitTask& task);
-  /// Inserts at the task's arrival position (the queue is sorted by
-  /// task_id) and asserts the ordering invariant. Requires mutex_.
-  void queue_insert_sorted(Assigned assigned);
-  /// The task the matcher hands to `free_b` now: first eligible in arrival
-  /// order under FCFS, least-normalized-service tenant's oldest eligible
-  /// under fair share (starvation guard overrides). Requires mutex_.
-  std::deque<Assigned>::iterator pick_task_locked(int free_b, double now);
-  /// Settles a finished attempt against the tenant ledger: drops the
-  /// provisional in-flight charge and adds `busy_s` of real bucket
-  /// occupancy to the settled service and its EWMA. Requires mutex_.
-  void settle_service_locked(Assigned& assigned, double busy_s);
+  // The *_locked helpers require mutex_.
+  /// Registers a submission: id, ticket, outstanding tallies.
+  Assigned admit_locked(InTransitTask task);
+  /// Terminal bookkeeping: fills `record` from `assigned`, settles the
+  /// attempt with `busy_s` of bucket time, stores the record.
+  void finish_locked(Assigned& assigned, TaskRecord& record, double busy_s);
+  /// Queues a task: policy ticket, payload, gauges, overload ledger.
+  void enqueue_locked(Assigned assigned);
+  /// Takes back the payload of a ticket the policy released.
+  Assigned dequeue_locked(const Ticket& ticket);
+  /// Settles an attempt's charge (locks mutex_).
+  void settle(Assigned& assigned, double busy_s);
+  /// Blocks until `drained` holds; ticks the heartbeat if crashes can.
+  void wait_drained(const std::function<bool()>& drained);
 
   Dart& dart_;
   ObjectStore store_;
@@ -409,7 +385,8 @@ class StagingService {
   std::condition_variable work_cv_;   // wakes buckets
   std::condition_variable drain_cv_;  // wakes drain()
   std::map<std::string, Handler> handlers_;
-  std::deque<Assigned> task_queue_;
+  TaskQueue queue_;                       // the policy (mutex_)
+  std::map<uint64_t, Assigned> queued_;  // payloads of queue_'s tickets
   std::deque<int> free_buckets_;  // bucket-ready order (FCFS)
   // Per-bucket assignment slot: matcher moves a task here, bucket picks up.
   std::vector<std::optional<Assigned>> slots_;
@@ -417,7 +394,6 @@ class StagingService {
   std::map<uint64_t, std::vector<std::byte>> results_;
   uint64_t next_task_id_ = 1;
   size_t outstanding_ = 0;
-  size_t queue_bytes_ = 0;            // queued task-input bytes (mutex_)
   uint64_t overload_diversions_ = 0;  // hard-budget diversions (mutex_)
   std::vector<bool> overload_fired_;  // scripted overload events (mutex_)
   std::vector<bool> starve_fired_;    // scripted credit-starves (mutex_)
@@ -435,8 +411,7 @@ class StagingService {
   std::atomic<uint64_t> leases_expired_{0};
   std::atomic<uint64_t> tasks_reexecuted_{0};
   std::atomic<uint64_t> zombies_fenced_{0};
-  bool fair_share_ = false;           // any set_tenant_policy call (mutex_)
-  std::map<int, TenantSched> tenants_;  // guarded by mutex_
+  std::map<int, TenantTally> tallies_;  // guarded by mutex_
   bool stopping_ = false;
 
   std::vector<Bucket> buckets_;

@@ -1,8 +1,10 @@
 // Unit tests for the data-reduction codecs: lossless round-trips, the
 // quantizer's absolute error bound (including non-finite values), frame
-// self-description, and rejection of truncated / corrupt buffers.
+// self-description, rejection of truncated / corrupt buffers, and a seeded
+// mutation sweep over frames of every codec.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -12,6 +14,7 @@
 #include "compress/codec.hpp"
 #include "compress/codecs.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace hia {
 namespace {
@@ -219,6 +222,91 @@ TEST(Frame, DeltaAndRleRejectTruncation) {
                                frame.begin() + static_cast<long>(40));
     EXPECT_THROW((void)decode_frame(cut), Error);
   }
+}
+
+TEST(Frame, MutatedFramesOfEveryCodecFailOnlyAsHiaError) {
+  // Header counts are untrusted: every decoder must bound them by the bytes
+  // actually present before allocating, so a forged count, a flipped bit,
+  // a truncation or trailing junk ends in hia::Error — never length_error,
+  // bad_alloc or a crash.
+  std::vector<double> smooth;
+  std::vector<double> ids;
+  std::vector<double> runs;
+  for (int i = 0; i < 300; ++i) {
+    smooth.push_back(std::sin(0.05 * i) * 100.0 + 0.001 * i);
+    ids.push_back(static_cast<double>(i * 3 - 200));
+    runs.push_back(static_cast<double>(i / 40));
+  }
+  std::vector<double> lossy = smooth;
+  lossy[17] = std::numeric_limits<double>::quiet_NaN();  // an exception
+  const RawCodec raw;
+  const RleCodec rle;
+  const DeltaVarintCodec delta;
+  const QuantizeShuffleCodec lossless(0.0);
+  const QuantizeShuffleCodec quantize(1e-3);
+  const std::vector<std::vector<std::byte>> frames{
+      raw.encode(smooth),      rle.encode(runs),
+      delta.encode(ids),       delta.encode(smooth),  // varint and raw modes
+      lossless.encode(smooth), quantize.encode(lossy)};
+
+  auto store_u64 = [](std::vector<std::byte>& f, size_t at, uint64_t v) {
+    if (f.size() >= at + sizeof(v)) std::memcpy(f.data() + at, &v, sizeof(v));
+  };
+  const std::array<uint64_t, 8> specials{
+      0, 1, 299, 301, uint64_t{1} << 32, uint64_t{1} << 61,
+      std::numeric_limits<uint64_t>::max(), 0x8080808080808080ULL};
+  constexpr size_t kCountAt = 8;         // header: value count
+  constexpr size_t kPayloadSizeAt = 24;  // header: payload bytes
+  constexpr size_t kHeader = 32;
+  SplitMix64 rng(0xc0dec);
+  size_t accepted = 0;
+  for (int iter = 0; iter < 30000; ++iter) {
+    std::vector<std::byte> m =
+        frames[static_cast<size_t>(iter) % frames.size()];
+    const uint64_t draw = rng.next();
+    const size_t at = (draw >> 8) % m.size();
+    const uint64_t special = specials[(draw >> 40) % specials.size()];
+    bool fix_size = false;
+    switch (draw % 6) {
+      case 0:
+        m[at] ^= static_cast<std::byte>(1u << ((draw >> 32) % 8));
+        break;
+      case 1:
+        m[at] = static_cast<std::byte>(draw >> 48);
+        break;
+      case 2:
+        store_u64(m, kCountAt, special);
+        break;
+      case 3:  // an 8-byte window of the payload
+        store_u64(m, kHeader + (draw >> 8) % (m.size() - kHeader), special);
+        break;
+      case 4:
+        m.resize(kHeader + (draw >> 8) % (m.size() - kHeader));
+        fix_size = true;
+        break;
+      default:
+        m.resize(m.size() + 1 + (draw >> 8) % 8,
+                 static_cast<std::byte>(draw >> 48));
+        fix_size = true;
+        break;
+    }
+    // Half the resized frames keep a consistent header, so the decoders
+    // themselves (not just the frame size check) see the bad payload.
+    if (fix_size && ((draw >> 60) & 1) != 0) {
+      store_u64(m, kPayloadSizeAt, m.size() - kHeader);
+    }
+    try {
+      const std::vector<double> out = decode_frame(m);
+      ++accepted;
+      ASSERT_EQ(out.size(), frame_value_count(m));
+    } catch (const Error&) {
+    } catch (const std::exception& e) {
+      FAIL() << "iteration " << iter << " escaped as non-hia::Error: "
+             << e.what();
+    }
+  }
+  // Bit flips inside raw values or quantized planes still decode.
+  EXPECT_GT(accepted, 1000u);
 }
 
 }  // namespace

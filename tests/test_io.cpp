@@ -3,9 +3,12 @@
 // independent of core count once the OST pool saturates).
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <mutex>
+#include <string>
 
 #include "io/bp_lite.hpp"
 #include "io/checkpoint.hpp"
@@ -15,6 +18,13 @@
 
 namespace hia {
 namespace {
+
+/// `base` suffixed with this process's id: concurrent test_io processes
+/// share TempDir(), and a checkpoint or container file of one must never
+/// be read, overwritten or removed by another.
+std::string unique_name(const std::string& base) {
+  return base + "_" + std::to_string(::getpid());
+}
 
 TEST(BpLite, SerializeParseRoundTrip) {
   std::vector<BpEntry> entries;
@@ -56,7 +66,8 @@ TEST(BpLite, RejectsCorruptInput) {
 }
 
 TEST(BpLite, FileRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/hia_bp_test.bp";
+  const std::string path =
+      ::testing::TempDir() + "/" + unique_name("hia_bp_test") + ".bp";
   std::vector<BpEntry> entries;
   Xoshiro256 rng(5);
   BpEntry e{"field", Box3{{0, 0, 0}, {4, 4, 4}}, {}};
@@ -81,7 +92,7 @@ TEST(Checkpoint, WriteReadAllVariables) {
   sim.initialize();
 
   const std::string dir = ::testing::TempDir();
-  const auto result = write_checkpoint(sim, dir, "ckpt_test");
+  const auto result = write_checkpoint(sim, dir, unique_name("ckpt_test"));
   EXPECT_EQ(result.bytes, sim.solution_bytes());
   EXPECT_GT(result.measured_seconds, 0.0);
 
@@ -118,7 +129,8 @@ TEST(Checkpoint, RestartReproducesUninterruptedRun) {
       S3DRank sim(p, comm.rank());
       sim.initialize();
       for (int s = 0; s < 3; ++s) sim.advance(comm);
-      const auto result = write_checkpoint(sim, dir, "restart_test");
+      const auto result =
+          write_checkpoint(sim, dir, unique_name("restart_test"));
       for (int s = 0; s < 2; ++s) sim.advance(comm);
       std::lock_guard lock(m);
       ckpts[static_cast<size_t>(comm.rank())] = result.path;
@@ -153,7 +165,7 @@ TEST(Checkpoint, RestoreRejectsWrongDecomposition) {
   S3DRank sim(p, 0);
   sim.initialize();
   const auto result =
-      write_checkpoint(sim, ::testing::TempDir(), "wrong_decomp");
+      write_checkpoint(sim, ::testing::TempDir(), unique_name("wrong_decomp"));
 
   S3DParams p2 = p;
   p2.ranks_per_axis = {2, 1, 1};

@@ -1,7 +1,8 @@
 // Tests for the replay-driven capacity planner (planner/replay.hpp):
 // hand-built event logs whose replayed makespans are known by
 // construction — single-task identity, bucket serialization, queue-cap
-// shed/degrade diversion, fair-share vs FCFS ordering, modeled
+// shed/degrade diversion, fair-share vs FCFS ordering, the starvation
+// guard the replay shares with the live matcher, modeled
 // transfers against the NetworkModel — plus the sweep grammar and the
 // fail-closed contract on spills with dropped records.
 #include <gtest/gtest.h>
@@ -207,6 +208,34 @@ TEST_F(PlannerTest, FairShareBreaksTiesByTenantAndDivergesFromFcfs) {
   EXPECT_NEAR(pf.makespan_s, 1.2, 1e-9);
   // Order: t2a [0,0.1], t1 [0.1,1.1], t2b [1.1,1.2].
   EXPECT_NEAR(pf.total_turnaround_s, 0.1 + 1.1 + 1.2, 1e-9);
+}
+
+TEST_F(PlannerTest, StarvationGuardServesATinyWeightTenant) {
+  // Tenant 2 (weight 1e-4) ran one 0.125 s task first, so its normalized
+  // service (1250) outruns anything tenant 1 (weight 1) reaches in 16
+  // tasks of 0.125 s: weights alone serve tenant 2's 0.2 s task last, at
+  // 2.125 s. The replay runs the live policy, whose starvation guard picks
+  // that task at the first completion after it has waited longer than
+  // kStarvationWaitS — at 0.625 s, so it ends sixth, at 0.825 s.
+  std::vector<obs::EventRecord> log;
+  add_task(&log, 2, 0, 1, 64, 0.0, 0.0, 0.0, 0.125, 0.125);
+  for (int k = 1; k <= 16; ++k) {
+    add_task(&log, 1, 0, 2 + k, 64, 0.0, 0.125 * k, 0.0, 0.125,
+             0.125 * (k + 1));
+  }
+  add_task(&log, 2, 0, 2, 64, 0.0, 2.125, 0.0, 0.2, 2.325);
+  const Workload w = workload_from(log);
+  ASSERT_TRUE(w.ok) << w.error;
+
+  Scenario fair;
+  fair.policy = QueuePolicy::kFair;
+  fair.tenant_weights = {1.0, 1e-4};
+  const Prediction p = planner::replay(w, fair);
+  ASSERT_TRUE(p.ok) << p.error;
+  ASSERT_EQ(p.terminals_vt.size(), 18u);
+  EXPECT_NEAR(p.terminals_vt[4], 0.625, 1e-9);
+  EXPECT_NEAR(p.terminals_vt[5], 0.625 + 0.2, 1e-9);
+  EXPECT_NEAR(p.makespan_s, 17 * 0.125 + 0.2, 1e-9);
 }
 
 TEST_F(PlannerTest, ModeledTransfersUseTheNetworkModel) {
