@@ -42,7 +42,8 @@ allow_flags=(
   --interval --slo --plain                         # examples/hia_top console
   --top                                            # tools/critical_path
   --stats                                          # tools/events_lint
-  --workload --seed --seconds                      # perfbench/run.py
+  --workload --seed --seconds --self-test          # perfbench/run.py
+  --numstat                                        # git diff
   --help                                           # meta: docs talk about --help itself
 )
 

@@ -1,5 +1,6 @@
 #include "analysis/stats/correlation.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/error.hpp"
@@ -18,6 +19,77 @@ void CovarianceAccumulator::update(double x, double y) {
   m2x_ += dx * (x - mean_x_);
   m2y_ += dy * (y - mean_y_);
   c2_ += dx * (y - mean_y_);
+}
+
+void CovarianceAccumulator::learn(std::span<const double> x,
+                                  std::span<const double> y) {
+  HIA_REQUIRE(x.size() == y.size(), "paired observations required");
+  constexpr size_t kLanes = 4;
+  for (size_t at = 0; at < x.size(); at += kLearnChunk) {
+    const size_t n = std::min(kLearnChunk, x.size() - at);
+    const double* xs = x.data() + at;
+    const double* ys = y.data() + at;
+    const size_t n_lanes = n - n % kLanes;
+
+    // Pass 1: the two sums, in independent lanes (no loop-carried chain).
+    double sx[kLanes] = {}, sy[kLanes] = {};
+    for (size_t i = 0; i < n_lanes; i += kLanes) {
+#pragma GCC unroll 4
+      for (size_t l = 0; l < kLanes; ++l) {
+        sx[l] += xs[i + l];
+        sy[l] += ys[i + l];
+      }
+    }
+    for (size_t i = n_lanes; i < n; ++i) {
+      sx[0] += xs[i];
+      sy[0] += ys[i];
+    }
+    const auto total = [](const double (&s)[kLanes]) {
+      return (s[0] + s[1]) + (s[2] + s[3]);
+    };
+    const double nd = static_cast<double>(n);
+    const double shift_x = total(sx) / nd;
+    const double shift_y = total(sy) / nd;
+
+    // Pass 2: centred sums about the shifts, plus their residuals.
+    double s1x[kLanes] = {}, s1y[kLanes] = {};
+    double s2x[kLanes] = {}, s2y[kLanes] = {}, sxy[kLanes] = {};
+    for (size_t i = 0; i < n_lanes; i += kLanes) {
+#pragma GCC unroll 4
+      for (size_t l = 0; l < kLanes; ++l) {
+        const double dx = xs[i + l] - shift_x;
+        const double dy = ys[i + l] - shift_y;
+        s1x[l] += dx;
+        s1y[l] += dy;
+        s2x[l] += dx * dx;
+        s2y[l] += dy * dy;
+        sxy[l] += dx * dy;
+      }
+    }
+    for (size_t i = n_lanes; i < n; ++i) {
+      const double dx = xs[i] - shift_x;
+      const double dy = ys[i] - shift_y;
+      s1x[0] += dx;
+      s1y[0] += dy;
+      s2x[0] += dx * dx;
+      s2y[0] += dy * dy;
+      sxy[0] += dx * dy;
+    }
+    const double t1x = total(s1x);
+    const double t1y = total(s1y);
+
+    // Shift onto the exact chunk means (corrected two-pass algorithm). On
+    // a constant side every d is the same few-bit multiple of an ulp, so
+    // its sums are exact and its m2 comes out exactly 0.
+    CovarianceAccumulator part;
+    part.n_ = n;
+    part.mean_x_ = shift_x + t1x / nd;
+    part.mean_y_ = shift_y + t1y / nd;
+    part.m2x_ = total(s2x) - t1x * t1x / nd;
+    part.m2y_ = total(s2y) - t1y * t1y / nd;
+    part.c2_ = total(sxy) - t1x * t1y / nd;
+    combine(part);
+  }
 }
 
 void CovarianceAccumulator::combine(const CovarianceAccumulator& other) {
@@ -78,19 +150,16 @@ CorrelationModel derive_correlation(const CovarianceAccumulator& primary) {
 
 CovarianceAccumulator correlation_learn(std::span<const double> x,
                                         std::span<const double> y) {
-  HIA_REQUIRE(x.size() == y.size(), "paired observations required");
   CovarianceAccumulator acc;
-  for (size_t i = 0; i < x.size(); ++i) acc.update(x[i], y[i]);
+  acc.learn(x, y);
   return acc;
 }
 
 CorrelationModel autocorrelation(std::span<const double> series, size_t lag) {
   HIA_REQUIRE(lag < series.size(), "lag must be shorter than the series");
-  CovarianceAccumulator acc;
-  for (size_t i = 0; i + lag < series.size(); ++i) {
-    acc.update(series[i], series[i + lag]);
-  }
-  return derive_correlation(acc);
+  const size_t n = series.size() - lag;
+  return derive_correlation(
+      correlation_learn(series.first(n), series.subspan(lag, n)));
 }
 
 }  // namespace hia

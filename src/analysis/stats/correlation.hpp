@@ -8,6 +8,7 @@
 // pairs (e.g. temperature vs. heat-release rate).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 
@@ -16,7 +17,17 @@ namespace hia {
 /// Primary bivariate model: single-pass, numerically stable.
 class CovarianceAccumulator {
  public:
+  /// Single-pass update with one pair. The per-pair reference that
+  /// learn() is tested against.
   void update(double x, double y);
+
+  /// Learns paired runs (equal lengths) into this accumulator. Each chunk
+  /// of at most kLearnChunk pairs takes two exact passes (the two means;
+  /// then the centred sums dx^2, dy^2 and dx*dy) and is merged with
+  /// combine().
+  void learn(std::span<const double> x, std::span<const double> y);
+  static constexpr size_t kLearnChunk = 1024;
+
   void combine(const CovarianceAccumulator& other);
 
   [[nodiscard]] uint64_t count() const { return n_; }

@@ -6,7 +6,7 @@ namespace hia {
 
 MomentAccumulator stats_learn(std::span<const double> observations) {
   MomentAccumulator acc;
-  for (const double x : observations) acc.update(x);
+  acc.learn(observations);
   return acc;
 }
 

@@ -5,6 +5,17 @@
 
 namespace hia {
 
+namespace {
+// Independent partial sums per pass, so no sum waits on the previous
+// value's add.
+constexpr size_t kLanes = 4;
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+double lane_total(const double (&s)[kLanes]) {
+  return (s[0] + s[1]) + (s[2] + s[3]);
+}
+}  // namespace
+
 void MomentAccumulator::update(double x) {
   const double n1 = static_cast<double>(n_);
   ++n_;
@@ -22,6 +33,79 @@ void MomentAccumulator::update(double x) {
 
   min_ = std::min(min_, x);
   max_ = std::max(max_, x);
+}
+
+void MomentAccumulator::learn(std::span<const double> values) {
+  for (size_t at = 0; at < values.size(); at += kLearnChunk) {
+    const std::span<const double> x =
+        values.subspan(at, std::min(kLearnChunk, values.size() - at));
+    const size_t n = x.size();
+    const size_t n_lanes = n - n % kLanes;
+
+    // Pass 1: sum and extrema.
+    double sum[kLanes] = {};
+    double lo[kLanes] = {kInf, kInf, kInf, kInf};
+    double hi[kLanes] = {-kInf, -kInf, -kInf, -kInf};
+    for (size_t i = 0; i < n_lanes; i += kLanes) {
+#pragma GCC unroll 4
+      for (size_t l = 0; l < kLanes; ++l) {
+        sum[l] += x[i + l];
+        lo[l] = std::min(lo[l], x[i + l]);
+        hi[l] = std::max(hi[l], x[i + l]);
+      }
+    }
+    for (size_t i = n_lanes; i < n; ++i) {
+      sum[0] += x[i];
+      lo[0] = std::min(lo[0], x[i]);
+      hi[0] = std::max(hi[0], x[i]);
+    }
+    const double x_lo = *std::min_element(lo, lo + kLanes);
+    const double x_hi = *std::max_element(hi, hi + kLanes);
+    const double nd = static_cast<double>(n);
+    // A constant chunk centres on its value, so its centred sums are
+    // exactly zero.
+    const double shift = x_lo == x_hi ? x_lo : lane_total(sum) / nd;
+
+    // Pass 2: centred power sums about `shift`, plus their residual s1.
+    double s1[kLanes] = {}, s2[kLanes] = {}, s3[kLanes] = {}, s4[kLanes] = {};
+    for (size_t i = 0; i < n_lanes; i += kLanes) {
+#pragma GCC unroll 4
+      for (size_t l = 0; l < kLanes; ++l) {
+        const double d = x[i + l] - shift;
+        const double d2 = d * d;
+        s1[l] += d;
+        s2[l] += d2;
+        s3[l] += d2 * d;
+        s4[l] += d2 * d2;
+      }
+    }
+    for (size_t i = n_lanes; i < n; ++i) {
+      const double d = x[i] - shift;
+      const double d2 = d * d;
+      s1[0] += d;
+      s2[0] += d2;
+      s3[0] += d2 * d;
+      s4[0] += d2 * d2;
+    }
+    const double t1 = lane_total(s1);
+    const double t2 = lane_total(s2);
+    const double t3 = lane_total(s3);
+    const double t4 = lane_total(s4);
+
+    // Shift the sums onto the chunk's exact mean, shift + c (the corrected
+    // two-pass algorithm of Chan, Golub and LeVeque); c is a rounding-level
+    // residual, so the correction cancels nothing significant.
+    const double c = t1 / nd;
+    MomentAccumulator part;
+    part.n_ = n;
+    part.mean_ = shift + c;
+    part.m2_ = t2 - c * t1;
+    part.m3_ = t3 - 3.0 * c * t2 + 2.0 * c * c * t1;
+    part.m4_ = t4 - 4.0 * c * t3 + 6.0 * c * c * t2 - 3.0 * c * c * c * t1;
+    part.min_ = x_lo;
+    part.max_ = x_hi;
+    combine(part);
+  }
 }
 
 void MomentAccumulator::combine(const MomentAccumulator& other) {

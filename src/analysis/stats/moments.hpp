@@ -8,16 +8,27 @@
 // stage must exchange "to assemble a global model".
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <span>
 
 namespace hia {
 
 /// Primary statistical model of one variable (the output of `learn`).
 class MomentAccumulator {
  public:
-  /// Single-pass update with one observation.
+  /// Single-pass update with one observation. The per-value reference
+  /// that learn() is tested against.
   void update(double x);
+
+  /// Learns a contiguous run of observations into this accumulator. Each
+  /// chunk of at most kLearnChunk values takes two exact passes (sum and
+  /// extrema, giving the chunk mean; then the centred power sums) and is
+  /// merged with combine(), so no value pays a division or waits on the
+  /// previous one.
+  void learn(std::span<const double> values);
+  static constexpr size_t kLearnChunk = 1024;
 
   /// Pairwise combination: merges `other` into this accumulator using the
   /// communication-free parallel formulas (numerically stable, order-

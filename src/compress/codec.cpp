@@ -110,7 +110,8 @@ size_t frame_value_count(std::span<const std::byte> bytes) {
   return static_cast<size_t>(load_le<uint64_t>(bytes.data() + 8));
 }
 
-std::vector<double> decode_frame(std::span<const std::byte> bytes) {
+std::vector<double> decode_frame(std::span<const std::byte> bytes,
+                                 std::optional<size_t> expected_count) {
   HIA_REQUIRE(bytes.size() >= kHeaderBytes,
               "encoded frame truncated before header end");
   HIA_REQUIRE(load_le<uint32_t>(bytes.data()) == kMagic,
@@ -119,6 +120,8 @@ std::vector<double> decode_frame(std::span<const std::byte> bytes) {
               "unsupported frame version");
   const auto kind = static_cast<CodecKind>(bytes[5]);
   const auto count = static_cast<size_t>(load_le<uint64_t>(bytes.data() + 8));
+  HIA_REQUIRE(!expected_count || count == *expected_count,
+              "frame value count disagrees with the expected count");
   const double param = load_le<double>(bytes.data() + 16);
   const auto payload_bytes =
       static_cast<size_t>(load_le<uint64_t>(bytes.data() + 24));

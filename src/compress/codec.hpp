@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -78,8 +79,12 @@ class Codec {
 
 /// Decodes a frame produced by Codec::encode, dispatching on the header's
 /// codec kind. Throws hia::Error on truncated, corrupt, or unknown frames.
+/// A consumer that knows how many values the frame must hold passes
+/// `expected_count`: a header count that disagrees is rejected before any
+/// allocation, so a well-formed run-length frame cannot claim a huge count.
 [[nodiscard]] std::vector<double> decode_frame(
-    std::span<const std::byte> bytes);
+    std::span<const std::byte> bytes,
+    std::optional<size_t> expected_count = std::nullopt);
 
 /// Number of logical (pre-encode) doubles recorded in a frame header.
 [[nodiscard]] size_t frame_value_count(std::span<const std::byte> bytes);

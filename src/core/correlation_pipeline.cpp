@@ -11,11 +11,11 @@ CovarianceAccumulator correlation_learn_fields(const Field& x,
   HIA_REQUIRE(x.owned() == y.owned(), "fields must share the owned box");
   CovarianceAccumulator acc;
   const Box3& box = x.owned();
+  if (box.empty()) return acc;
+  const auto row = static_cast<size_t>(box.extent(0));
   for (int64_t k = box.lo[2]; k < box.hi[2]; ++k) {
     for (int64_t j = box.lo[1]; j < box.hi[1]; ++j) {
-      for (int64_t i = box.lo[0]; i < box.hi[0]; ++i) {
-        acc.update(x.at(i, j, k), y.at(i, j, k));
-      }
+      acc.learn({x.ptr(box.lo[0], j, k), row}, {y.ptr(box.lo[0], j, k), row});
     }
   }
   return acc;

@@ -20,11 +20,11 @@ std::vector<Variable> all_variables() {
 MomentAccumulator learn_field(const Field& field) {
   MomentAccumulator acc;
   const Box3& box = field.owned();
+  if (box.empty()) return acc;
+  const auto row = static_cast<size_t>(box.extent(0));
   for (int64_t k = box.lo[2]; k < box.hi[2]; ++k) {
     for (int64_t j = box.lo[1]; j < box.hi[1]; ++j) {
-      for (int64_t i = box.lo[0]; i < box.hi[0]; ++i) {
-        acc.update(field.at(i, j, k));
-      }
+      acc.learn({field.ptr(box.lo[0], j, k), row});
     }
   }
   return acc;
@@ -209,8 +209,7 @@ void InTransitStatistics::in_situ(InSituContext& ctx) {
 void InTransitStatistics::in_transit(TaskContext& ctx) {
   MomentAccumulator acc;
   for (const DataDescriptor& desc : ctx.task().inputs) {
-    const auto values = ctx.pull_doubles(desc);
-    for (const double x : values) acc.update(x);
+    acc.learn(ctx.pull_doubles(desc));
   }
   const DescriptiveModel model = derive_descriptive(acc);
   ctx.set_result(serialize_models({model}));

@@ -25,7 +25,8 @@ namespace hia {
 /// Default variable set: all 14 solution variables.
 std::vector<Variable> all_variables();
 
-/// `learn` over a field's owned region without copying it.
+/// `learn` over a field's owned region without copying it: one
+/// MomentAccumulator::learn per owned x row.
 MomentAccumulator learn_field(const Field& field);
 
 /// Packs one accumulator per variable into a flat double vector (and back).

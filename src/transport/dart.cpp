@@ -381,7 +381,7 @@ std::vector<double> Dart::get_doubles(int dest_node, const DartHandle& handle,
     {
       HIA_TRACE_SPAN_ARGS("dart", "codec.decode",
                           {.bytes = static_cast<long long>(bytes.size())});
-      out = decode_frame(bytes);
+      out = decode_frame(bytes, local.raw_bytes / sizeof(double));
     }
     local.decode_seconds = watch.seconds();
     static obs::Histogram& decode_h = obs::histogram("dart_codec_decode_s");

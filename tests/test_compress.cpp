@@ -9,6 +9,7 @@
 #include <cstring>
 #include <limits>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "compress/codec.hpp"
@@ -307,6 +308,75 @@ TEST(Frame, MutatedFramesOfEveryCodecFailOnlyAsHiaError) {
   }
   // Bit flips inside raw values or quantized planes still decode.
   EXPECT_GT(accepted, 1000u);
+}
+
+/// A well-formed frame of `count` zeros, built by hand so that `count` can
+/// exceed any real buffer: "rle" is one run, "quantize:0" eight byte planes
+/// of one run each, "quantize:1e-3" a quantized frame of plane width 0.
+std::vector<std::byte> zeros_frame(const std::string& spec, uint64_t count) {
+  std::vector<std::byte> payload;
+  const auto put_u64 = [&](uint64_t v) {
+    const size_t at = payload.size();
+    payload.resize(at + sizeof(v));
+    std::memcpy(payload.data() + at, &v, sizeof(v));
+  };
+  const auto put_varint = [&](uint64_t v) {
+    for (; v >= 0x80; v >>= 7) {
+      payload.push_back(static_cast<std::byte>((v & 0x7f) | 0x80));
+    }
+    payload.push_back(static_cast<std::byte>(v));
+  };
+  const auto codec = make_codec(spec);
+  if (codec->kind() == CodecKind::kRle) {
+    put_varint(count);
+    put_u64(0);
+  } else if (codec->param() == 0.0) {
+    payload.push_back(std::byte{0});  // byte-shuffle mode
+    std::vector<std::byte> runs;
+    std::swap(payload, runs);
+    put_varint(count);
+    payload.push_back(std::byte{0});
+    std::swap(payload, runs);
+    for (int plane = 0; plane < 8; ++plane) {
+      payload.push_back(std::byte{1});  // run-length plane
+      put_varint(runs.size());
+      payload.insert(payload.end(), runs.begin(), runs.end());
+    }
+  } else {
+    payload.push_back(std::byte{1});  // quantized mode
+    put_varint(0);                     // no exceptions
+    put_u64(0);                        // k_min
+    payload.push_back(std::byte{0});  // plane width 0
+  }
+  std::vector<std::byte> frame = codec->encode({});
+  frame.resize(32);  // keep the header only
+  std::memcpy(frame.data() + 8, &count, sizeof(count));
+  const uint64_t payload_bytes = payload.size();
+  std::memcpy(frame.data() + 24, &payload_bytes, sizeof(payload_bytes));
+  frame.insert(frame.end(), payload.begin(), payload.end());
+  return frame;
+}
+
+TEST(Frame, HugeClaimedCountFailsAgainstTheExpectedCount) {
+  constexpr uint64_t kHuge = uint64_t{1} << 40;
+  for (const std::string spec : {"rle", "quantize:0", "quantize:1e-3"}) {
+    SCOPED_TRACE(spec);
+    // The builder makes frames the decoder accepts as they are...
+    EXPECT_EQ(decode_frame(zeros_frame(spec, 5), 5),
+              std::vector<double>(5, 0.0));
+    // ...so only the expected count stands between 2^40 values and the
+    // allocator: the mismatch must surface as hia::Error, not bad_alloc
+    // or length_error.
+    const std::vector<std::byte> huge = zeros_frame(spec, kHuge);
+    EXPECT_EQ(frame_value_count(huge), kHuge);
+    try {
+      (void)decode_frame(huge, 5);
+      ADD_FAILURE() << "a frame claiming 2^40 values decoded";
+    } catch (const Error&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "escaped as non-hia::Error: " << e.what();
+    }
+  }
 }
 
 }  // namespace

@@ -1,16 +1,22 @@
 // Tests for the statistics library: single-pass moment accuracy against
 // brute force, pairwise-combination equivalence (the property the parallel
-// learn stage relies on), the four-stage pattern, correlation, and
-// histograms.
+// learn stage relies on), the row learn kernels against the per-value
+// update reference, the four-stage pattern, correlation, and histograms.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <numeric>
+#include <string>
 
 #include "analysis/stats/correlation.hpp"
 #include "analysis/stats/descriptive.hpp"
 #include "analysis/stats/histogram.hpp"
 #include "analysis/stats/moments.hpp"
+#include "core/correlation_pipeline.hpp"
+#include "core/stats_pipeline.hpp"
+#include "runtime/comm.hpp"
+#include "sim/s3d.hpp"
 #include "util/rng.hpp"
 
 namespace hia {
@@ -116,6 +122,191 @@ TEST(Moments, PackUnpackRoundTrip) {
   EXPECT_EQ(MomentAccumulator::unpack(packed), acc);
 }
 
+// ------------------------------------------------------------ row learn --
+
+/// The per-value reference: update() once per owned cell.
+MomentAccumulator update_field(const Field& f) {
+  MomentAccumulator acc;
+  const Box3& b = f.owned();
+  for (int64_t k = b.lo[2]; k < b.hi[2]; ++k)
+    for (int64_t j = b.lo[1]; j < b.hi[1]; ++j)
+      for (int64_t i = b.lo[0]; i < b.hi[0]; ++i) acc.update(f.at(i, j, k));
+  return acc;
+}
+
+/// Count and extrema exact; M2 and M4 to 1e-12 relative; the mean and M3 to
+/// `scaled_tol` of their natural scales sigma and n*sigma^3 (M3 of a
+/// near-symmetric field sits near 0, so relative error means nothing there).
+void expect_same_moments(const MomentAccumulator& got,
+                         const MomentAccumulator& want,
+                         double scaled_tol = 1e-12) {
+  ASSERT_EQ(got.count(), want.count());
+  EXPECT_EQ(got.min(), want.min());
+  EXPECT_EQ(got.max(), want.max());
+  const double n = static_cast<double>(want.count());
+  const double sigma = std::sqrt(want.m2() / n);
+  EXPECT_NEAR(got.mean(), want.mean(), scaled_tol * sigma);
+  EXPECT_NEAR(got.m2(), want.m2(), 1e-12 * want.m2());
+  EXPECT_NEAR(got.m3(), want.m3(), scaled_tol * n * sigma * sigma * sigma);
+  EXPECT_NEAR(got.m4(), want.m4(), 1e-12 * want.m4());
+}
+
+/// Exact-enough expectation: a long-double two-pass over the values.
+MomentAccumulator two_pass_expectation(const std::vector<double>& xs) {
+  long double mean = 0;
+  for (const double x : xs) mean += x;
+  mean /= static_cast<long double>(xs.size());
+  long double m[5] = {};
+  for (const double x : xs) {
+    const long double d = x - mean;
+    m[2] += d * d;
+    m[3] += d * d * d;
+    m[4] += d * d * d * d;
+  }
+  const double packed[MomentAccumulator::kPackedSize] = {
+      static_cast<double>(xs.size()), static_cast<double>(mean),
+      static_cast<double>(m[2]), static_cast<double>(m[3]),
+      static_cast<double>(m[4]), *std::min_element(xs.begin(), xs.end()),
+      *std::max_element(xs.begin(), xs.end())};
+  return MomentAccumulator::unpack(packed);
+}
+
+/// A field over `box` whose owned cells take `xs` in x-fastest order, with a
+/// ghost layer so its rows are not contiguous in storage.
+Field field_of(const Box3& box, const std::vector<double>& xs) {
+  const Box3 domain{{box.lo[0] - 1, box.lo[1] - 1, box.lo[2] - 1},
+                    {box.hi[0] + 1, box.hi[1] + 1, box.hi[2] + 1}};
+  Field f("x", box, domain, 1);
+  f.fill(std::numeric_limits<double>::quiet_NaN());  // ghosts must not leak
+  f.unpack(box, xs);
+  return f;
+}
+
+TEST(RowLearn, MatchesUpdateOnEveryMiniS3DVariable) {
+  S3DParams p;
+  p.grid = GlobalGrid{{48, 32, 24}, {1.0, 0.75, 0.75}};
+  p.ranks_per_axis = {2, 2, 1};
+  Decomposition d(p.grid, p.ranks_per_axis);
+  World world(d.num_ranks());
+  world.run([&](Comm& comm) {
+    S3DRank sim(p, comm.rank());
+    sim.initialize();
+    for (int steps = 0; steps < 2; ++steps) {
+      for (int v = 0; v < kNumVariables; ++v) {
+        SCOPED_TRACE(std::string(kVariableNames[static_cast<size_t>(v)]) +
+                     " rank " + std::to_string(comm.rank()) + " step " +
+                     std::to_string(sim.step()));
+        const Field& f = sim.field(static_cast<Variable>(v));
+        const MomentAccumulator exact = two_pass_expectation(f.pack_owned());
+        const MomentAccumulator reference = update_field(f);
+        // learn_field goes row by row; stats_learn takes the block as one
+        // run of 9216 values, i.e. several 1024-value chunks.
+        for (const MomentAccumulator& got :
+             {learn_field(f), stats_learn(f.pack_owned())}) {
+          expect_same_moments(got, exact);
+          // update() itself drifts: its running mean of the temperature
+          // (sigma/mean ~ 1e-3) is off by ~2e-12 sigma, over ten times the
+          // kernel's error, so the mean and M3 get 1e-11 against it.
+          expect_same_moments(got, reference, 1e-11);
+        }
+      }
+      for (int s = 0; s < 3; ++s) sim.advance(comm);
+    }
+  });
+}
+
+TEST(RowLearn, ConstantRunsHaveExactlyZeroCentredSums) {
+  for (const double c : {0.1, -1.0 / 3.0, 7.0, 1e70, -1e-300}) {
+    for (const size_t n : {size_t{1}, size_t{3}, size_t{48}, size_t{2500}}) {
+      MomentAccumulator acc;
+      acc.learn(std::vector<double>(n, c));
+      EXPECT_EQ(acc.count(), n);
+      EXPECT_EQ(acc.mean(), c);
+      EXPECT_EQ(acc.m2(), 0.0);
+      EXPECT_EQ(acc.m3(), 0.0);
+      EXPECT_EQ(acc.m4(), 0.0);
+      EXPECT_EQ(acc.min(), c);
+      EXPECT_EQ(acc.max(), c);
+    }
+  }
+  // Rows that are each constant: every row merges with zero centred sums,
+  // so the box's moments are the spread of the row values alone.
+  const Box3 box{{0, 0, 0}, {37, 4, 3}};
+  std::vector<double> xs;
+  for (int row = 0; row < 12; ++row) xs.insert(xs.end(), 37, 0.1 * row);
+  expect_same_moments(learn_field(field_of(box, xs)),
+                       two_pass_expectation(xs));
+  const Field flat = field_of(box, std::vector<double>(xs.size(), 0.3));
+  const MomentAccumulator acc = learn_field(flat);
+  EXPECT_EQ(acc.mean(), 0.3);
+  EXPECT_EQ(acc.m2(), 0.0);
+  EXPECT_EQ(acc.m3(), 0.0);
+  EXPECT_EQ(acc.m4(), 0.0);
+}
+
+TEST(RowLearn, OneCellRowsOneCellBoxAndEmptyBox) {
+  const std::vector<double> xs = random_data(60, 5, 4.0, 1.5);
+  const Field rows = field_of(Box3{{3, 0, 0}, {4, 6, 10}}, xs);
+  expect_same_moments(learn_field(rows), two_pass_expectation(xs));
+  expect_same_moments(learn_field(rows), update_field(rows));
+
+  const MomentAccumulator one =
+      learn_field(field_of(Box3{{2, 2, 2}, {3, 3, 3}}, {-2.75}));
+  EXPECT_EQ(one.count(), 1u);
+  EXPECT_EQ(one.mean(), -2.75);
+  EXPECT_EQ(one.m2(), 0.0);
+  EXPECT_EQ(one.m3(), 0.0);
+  EXPECT_EQ(one.m4(), 0.0);
+  EXPECT_EQ(one.min(), -2.75);
+  EXPECT_EQ(one.max(), -2.75);
+
+  const Field empty("e", Box3{{4, 0, 0}, {4, 5, 5}});
+  EXPECT_EQ(learn_field(empty), MomentAccumulator{});
+  MomentAccumulator nothing;
+  nothing.learn({});
+  EXPECT_EQ(nothing, MomentAccumulator{});
+}
+
+TEST(RowLearn, LargeOffsetSmallNoise) {
+  // 1e8 + 1e-3 noise: a one-pass sum of squares would lose every digit.
+  // With |mean|/sigma = 1e11 every Pebay merge subtracts two means that
+  // are only known to an ulp of 1e8, so M2 carries ~1e-6 relative error
+  // whichever way the values are merged; the per-value update() reference
+  // lands there too, and is held to the same bound below.
+  const Box3 box{{0, 0, 0}, {49, 7, 9}};  // 3087 cells: three chunks+
+  const std::vector<double> xs =
+      random_data(static_cast<size_t>(box.num_cells()), 9, 1e-3, 1e8);
+  const MomentAccumulator want = two_pass_expectation(xs);
+  const double sigma = std::sqrt(want.m2() / static_cast<double>(xs.size()));
+  MomentAccumulator reference;
+  for (const double x : xs) reference.update(x);
+  for (const MomentAccumulator& got :
+       {stats_learn(xs), learn_field(field_of(box, xs)), reference}) {
+    EXPECT_EQ(got.count(), want.count());
+    EXPECT_EQ(got.min(), want.min());
+    EXPECT_EQ(got.max(), want.max());
+    EXPECT_NEAR(got.mean(), want.mean(), 1e-15 * want.mean());
+    EXPECT_NEAR(got.m2(), want.m2(), 1e-5 * want.m2());
+    EXPECT_NEAR(got.m3(), want.m3(),
+                1e-5 * static_cast<double>(xs.size()) * sigma * sigma * sigma);
+    EXPECT_NEAR(got.m4(), want.m4(), 1e-5 * want.m4());
+  }
+}
+
+TEST(RowLearn, MagnitudesFromTinyToHuge) {
+  // |x| from 1e-300 to 1e70 in both signs; fourth powers stay finite.
+  const Box3 box{{0, 0, 0}, {39, 4, 15}};  // 2340 cells: two chunks+
+  Xoshiro256 rng(21);
+  std::vector<double> xs(static_cast<size_t>(box.num_cells()));
+  for (double& x : xs) {
+    x = std::pow(10.0, -300.0 + 370.0 * rng.uniform()) *
+        (rng.uniform() < 0.5 ? -1.0 : 1.0);
+  }
+  const MomentAccumulator want = two_pass_expectation(xs);
+  expect_same_moments(stats_learn(xs), want);
+  expect_same_moments(learn_field(field_of(box, xs)), want);
+}
+
 TEST(Derive, KnownDistributions) {
   // Standard normal: variance 1, skew 0, excess kurtosis 0.
   const auto normal = derive_descriptive(stats_learn(random_data(200000, 5)));
@@ -205,6 +396,56 @@ TEST_P(CovCombine, CombineEqualsSequential) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Partitions, CovCombine, ::testing::Values(2, 5, 30));
+
+TEST(CovarianceRowLearn, MatchesUpdateOnMiniS3DFields) {
+  S3DParams p;
+  p.grid = GlobalGrid{{48, 32, 24}, {1.0, 0.75, 0.75}};
+  p.ranks_per_axis = {1, 1, 1};
+  Decomposition d(p.grid, p.ranks_per_axis);
+  World world(d.num_ranks());
+  world.run([&](Comm& comm) {
+    S3DRank sim(p, comm.rank());
+    sim.initialize();
+    for (int s = 0; s < 3; ++s) sim.advance(comm);
+    const Field& x = sim.field(Variable::kTemperature);
+    const Field& y = sim.field(Variable::kYH2);
+    CovarianceAccumulator want;
+    const Box3& b = x.owned();
+    for (int64_t k = b.lo[2]; k < b.hi[2]; ++k)
+      for (int64_t j = b.lo[1]; j < b.hi[1]; ++j)
+        for (int64_t i = b.lo[0]; i < b.hi[0]; ++i)
+          want.update(x.at(i, j, k), y.at(i, j, k));
+    const double n = static_cast<double>(want.count());
+    for (const CovarianceAccumulator& got :
+         {correlation_learn_fields(x, y),
+          correlation_learn(x.pack_owned(), y.pack_owned())}) {
+      ASSERT_EQ(got.count(), want.count());
+      EXPECT_NEAR(got.mean_x(), want.mean_x(),
+                  1e-12 * std::sqrt(want.m2_x() / n));
+      EXPECT_NEAR(got.mean_y(), want.mean_y(),
+                  1e-12 * std::sqrt(want.m2_y() / n));
+      EXPECT_NEAR(got.m2_x(), want.m2_x(), 1e-12 * want.m2_x());
+      EXPECT_NEAR(got.m2_y(), want.m2_y(), 1e-12 * want.m2_y());
+      EXPECT_NEAR(got.c2(), want.c2(),
+                  1e-12 * std::sqrt(want.m2_x() * want.m2_y()));
+    }
+  });
+}
+
+TEST(CovarianceRowLearn, ConstantSideHasExactlyZeroSpread) {
+  for (const double c : {0.1, -1.0 / 3.0, 7.0e5}) {
+    const std::vector<double> x(1500, c);
+    const std::vector<double> y = random_data(1500, 4);
+    const CovarianceAccumulator acc = correlation_learn(x, y);
+    EXPECT_EQ(acc.mean_x(), c);
+    EXPECT_EQ(acc.m2_x(), 0.0);
+    // c2 is a sum of products with the constant side's rounding residual.
+    EXPECT_NEAR(acc.c2(), 0.0, 1e-12 * std::abs(c) * std::sqrt(acc.m2_y()));
+    const CorrelationModel m = derive_correlation(acc);
+    EXPECT_EQ(m.slope, 0.0);
+    EXPECT_EQ(m.pearson_r, 0.0);
+  }
+}
 
 TEST(Autocorrelation, PeriodicSignal) {
   std::vector<double> series(1000);
