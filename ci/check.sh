@@ -38,10 +38,12 @@
 #      credit starvation, and a multi-tenant hog through the adaptive
 #      steering and fair-share paths; failures print the seed and an
 #      exact replay command
-#   8. benchmark: perfbench/run.py --self-test, then a short sim-stats
-#      run whose last line must report "correct": true — this re-runs
-#      perfbench's hybrid == in-situ statistics check (counts exact,
-#      moments 1e-9) so the gated benchmark cannot rot unseen
+#   8. benchmark: perfbench/run.py --self-test, then short sim-stats and
+#      hybrid-topo-viz runs whose last lines must report "correct": true —
+#      this re-runs perfbench's output checks (hybrid == in-situ
+#      statistics, counts exact and moments 1e-9; the merge-tree and
+#      ray-cast results of hybrid-topo-viz) so the gated benchmark cannot
+#      rot unseen
 #   9. sanitizers: ASan+UBSan over everything, TSan over the concurrent
 #      paths (see ci/sanitize.sh; sanitizer runs skip the perf gate —
 #      their timings are not comparable to baseline)
@@ -164,20 +166,23 @@ echo "==> soak: randomized faults, backpressure, multi-tenant (ci/soak.sh)"
 ci/soak.sh
 
 if [[ "$fast" -eq 0 ]]; then
-  echo "==> benchmark: perfbench self-test + a short sim-stats run"
+  echo "==> benchmark: perfbench self-test + short sim-stats and hybrid-topo-viz runs"
   python3 perfbench/run.py --self-test
-  python3 perfbench/run.py --workload sim-stats --seed 1 --seconds 5 \
-    --trace 0 > "$smoke_dir/perfbench_sim_stats.txt" || true
-  cp "$smoke_dir/perfbench_sim_stats.txt" "$artifact_dir/"
-  tail -n 1 "$smoke_dir/perfbench_sim_stats.txt" | python3 -c '
+  for workload in sim-stats hybrid-topo-viz; do
+    out="$smoke_dir/perfbench_${workload//-/_}.txt"
+    python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 5 \
+      --trace 0 > "$out" || true
+    cp "$out" "$artifact_dir/"
+    tail -n 1 "$out" | python3 -c '
 import json, sys
 sys.exit(0 if json.loads(sys.stdin.read()).get("correct") is True else 1)
 ' || {
-    echo "benchmark: sim-stats did not report \"correct\": true" >&2
-    tail -n 5 "$smoke_dir/perfbench_sim_stats.txt" >&2
-    exit 1
-  }
-  echo "benchmark OK (sim-stats correct)"
+      echo "benchmark: $workload did not report \"correct\": true" >&2
+      tail -n 5 "$out" >&2
+      exit 1
+    }
+  done
+  echo "benchmark OK (sim-stats and hybrid-topo-viz correct)"
 
   echo "==> sanitizers: asan"
   ci/sanitize.sh asan

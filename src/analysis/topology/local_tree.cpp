@@ -89,26 +89,30 @@ uint64_t descending_key(double value) {
   return ~ascending;
 }
 
-/// Box offsets in descending (value, global id) order. Within one box the
-/// offset order is the global-id order (both linearise x fastest), so a
-/// stable LSD radix sort on the key, fed offsets in descending order,
-/// leaves ties in descending id order as above() requires. Digits every
+/// Box offsets sorted into descending (value, global id) order, and a
+/// spare buffer of the same size the sort used to scatter into.
+struct DescendingOrder {
+  std::vector<uint32_t> order;
+  std::vector<uint32_t> spare;
+};
+
+/// Within one box the offset order is the global-id order (both linearise
+/// x fastest), so a stable LSD radix sort of 4-byte offsets on their
+/// values' keys, fed offsets in descending order, leaves ties in
+/// descending id order as above() requires. Each pass recomputes a key
+/// from `values` rather than carrying it beside the offset. Digits every
 /// key shares are skipped.
-std::vector<uint32_t> descending_order(std::span<const double> values) {
-  struct Item {
-    uint64_t key;
-    uint32_t off;
-  };
+DescendingOrder descending_order(std::span<const double> values) {
   constexpr unsigned kDigitBits = 11;
   constexpr unsigned kDigits = (64 + kDigitBits - 1) / kDigitBits;
   constexpr uint64_t kDigitMask = (uint64_t{1} << kDigitBits) - 1;
   const size_t n = values.size();
-  std::vector<Item> items(n), buffer(n);
+  DescendingOrder s{std::vector<uint32_t>(n), std::vector<uint32_t>(n)};
   std::vector<std::array<uint32_t, kDigitMask + 1>> counts(kDigits);
   for (size_t i = 0; i < n; ++i) {
     const auto off = static_cast<uint32_t>(n - 1 - i);
+    s.order[i] = off;
     const uint64_t key = descending_key(values[off]);
-    items[i] = {key, off};
     for (unsigned d = 0; d < kDigits; ++d) {
       ++counts[d][(key >> (kDigitBits * d)) & kDigitMask];
     }
@@ -116,17 +120,16 @@ std::vector<uint32_t> descending_order(std::span<const double> values) {
   for (unsigned d = 0; d < kDigits; ++d) {
     auto& slot = counts[d];
     const unsigned shift = kDigitBits * d;
-    if (slot[(items[0].key >> shift) & kDigitMask] == n) continue;
+    auto digit = [&](uint32_t off) {
+      return (descending_key(values[off]) >> shift) & kDigitMask;
+    };
+    if (slot[digit(s.order[0])] == n) continue;
     uint32_t start = 0;
     for (uint32_t& c : slot) start += std::exchange(c, start);
-    for (const Item& item : items) {
-      buffer[slot[(item.key >> shift) & kDigitMask]++] = item;
-    }
-    items.swap(buffer);
+    for (const uint32_t off : s.order) s.spare[slot[digit(off)]++] = off;
+    s.order.swap(s.spare);
   }
-  std::vector<uint32_t> order(n);
-  for (size_t i = 0; i < n; ++i) order[i] = items[i].off;
-  return order;
+  return s;
 }
 
 // Face bits of a box cell: bit 2a is set on the low face of axis a, bit
@@ -178,7 +181,8 @@ JoinSweep sweep_join_tree(const Box3& box, std::span<const double> values) {
   HIA_REQUIRE(n < kNone, "box too large for 32-bit offsets");
 
   JoinSweep s;
-  s.order = descending_order(values);
+  DescendingOrder sorted = descending_order(values);
+  s.order = std::move(sorted.order);
   s.faces = face_masks(box);
   s.parent.assign(n, kNone);
   s.children.assign(n, 0);
@@ -186,9 +190,12 @@ JoinSweep sweep_join_tree(const Box3& box, std::span<const double> values) {
   const int64_t nx = box.extent(0), nxy = nx * box.extent(1);
   // Neighbour offset across each face bit.
   const std::array<int64_t, 6> stride{-1, 1, -nx, nx, -nxy, nxy};
-  // Union-find links with path halving; kNone marks a vertex not yet swept
-  // (one below the current vertex). lowest is valid at roots.
-  std::vector<uint32_t> link(n, kNone), lowest(n);
+  // Union-find links with path halving, in the sort's spare buffer; kNone
+  // marks a vertex not yet swept (one below the current vertex). lowest is
+  // valid at roots.
+  std::vector<uint32_t> link = std::move(sorted.spare);
+  std::fill(link.begin(), link.end(), kNone);
+  std::vector<uint32_t> lowest(n);
   auto find = [&link](uint32_t x) {
     while (link[x] != x) {
       link[x] = link[link[x]];

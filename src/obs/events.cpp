@@ -2,15 +2,17 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <sstream>
 
 #include "obs/json.hpp"
+#include "obs/rings.hpp"
 #include "obs/trace.hpp"
 
 namespace hia::obs {
@@ -22,35 +24,11 @@ constexpr uint32_t kVersion = 1;
 constexpr size_t kDefaultRingCapacity = 16384;
 constexpr int32_t kMaxKind = 23;  // highest on-disk EventKind value
 
-/// One thread's ring. The owner thread writes under `mutex` uncontended;
-/// snapshot() contends only during a merge.
-struct EventRing {
-  explicit EventRing(size_t capacity) : records(capacity) {}
-  std::mutex mutex;
-  std::vector<EventRecord> records;  // fixed-size ring storage
-  size_t head = 0;                   // next write slot
-  size_t count = 0;
-
-  /// Returns the kind of the overwritten (dropped) oldest record, or -1
-  /// when the write dropped nothing.
-  int32_t push(const EventRecord& r) {
-    std::lock_guard lock(mutex);
-    const bool dropped = count == records.size();
-    const int32_t dropped_kind = dropped ? records[head].kind : -1;
-    if (!dropped) ++count;
-    records[head] = r;
-    head = (head + 1) % records.size();
-    return dropped_kind;
-  }
-};
-
 struct EventsRegistry {
   std::atomic<bool> enabled{true};
   std::atomic<size_t> capacity{kDefaultRingCapacity};
-  std::atomic<uint64_t> dropped{0};
   std::atomic<uint64_t> dropped_by_kind[kMaxKind + 1] = {};
-  std::mutex mutex;  // guards `rings`
-  std::vector<std::shared_ptr<EventRing>> rings;
+  detail::RingSet<EventRecord> rings;
 };
 
 EventsRegistry& registry() {
@@ -58,20 +36,25 @@ EventsRegistry& registry() {
   return *r;
 }
 
-thread_local std::shared_ptr<EventRing> t_event_ring;
+thread_local detail::RingSet<EventRecord>::RingPtr t_event_ring;
 
-EventRing& local_ring() {
+detail::Ring<EventRecord>& local_ring() {
   if (t_event_ring == nullptr) {
     EventsRegistry& reg = registry();
-    auto ring = std::make_shared<EventRing>(
-        std::max<size_t>(reg.capacity.load(std::memory_order_relaxed), 1));
-    {
-      std::lock_guard lock(reg.mutex);
-      reg.rings.push_back(ring);
-    }
-    t_event_ring = std::move(ring);
+    const size_t capacity = reg.capacity.load(std::memory_order_relaxed);
+    reg.rings.take(t_event_ring, std::max<size_t>(capacity, 1));
   }
   return *t_event_ring;
+}
+
+/// A count from a file header: a JSON number that is finite, integral and
+/// in [0, max]. Checked on the double, before any conversion.
+bool header_count(const json::Value* v, double max, uint64_t* out) {
+  if (v == nullptr || !v->is_number()) return false;
+  const double x = v->number;
+  if (!(x >= 0.0 && x <= max) || x != std::floor(x)) return false;
+  *out = static_cast<uint64_t>(x);
+  return true;
 }
 
 const char* kind_name(int32_t kind) {
@@ -122,13 +105,11 @@ void record_event(EventKind kind, int tenant, int bucket, int64_t a,
   r.kind = static_cast<int32_t>(kind);
   r.tenant = tenant;
   r.bucket = bucket;
-  const int32_t dropped_kind = local_ring().push(r);
-  if (dropped_kind >= 0) {
-    reg.dropped.fetch_add(1, std::memory_order_relaxed);
-    if (dropped_kind <= kMaxKind) {
-      reg.dropped_by_kind[dropped_kind].fetch_add(1,
-                                                  std::memory_order_relaxed);
-    }
+  EventRecord overwritten;
+  if (local_ring().push(r, &overwritten) && overwritten.kind >= 0 &&
+      overwritten.kind <= kMaxKind) {
+    reg.dropped_by_kind[overwritten.kind].fetch_add(1,
+                                                    std::memory_order_relaxed);
   }
 }
 
@@ -150,21 +131,7 @@ void set_events_capacity(size_t records) {
 }
 
 std::vector<EventRecord> events_snapshot() {
-  EventsRegistry& reg = registry();
-  std::vector<std::shared_ptr<EventRing>> rings;
-  {
-    std::lock_guard lock(reg.mutex);
-    rings = reg.rings;
-  }
-  std::vector<EventRecord> out;
-  for (const auto& ring : rings) {
-    std::lock_guard lock(ring->mutex);
-    const size_t cap = ring->records.size();
-    const size_t start = ring->count == cap ? ring->head : 0;
-    for (size_t i = 0; i < ring->count; ++i) {
-      out.push_back(ring->records[(start + i) % cap]);
-    }
-  }
+  std::vector<EventRecord> out = registry().rings.collect();
   std::stable_sort(out.begin(), out.end(),
                    [](const EventRecord& x, const EventRecord& y) {
                      return x.t_us < y.t_us;
@@ -172,9 +139,7 @@ std::vector<EventRecord> events_snapshot() {
   return out;
 }
 
-uint64_t dropped_event_records() {
-  return registry().dropped.load(std::memory_order_relaxed);
-}
+uint64_t dropped_event_records() { return registry().rings.dropped(); }
 
 std::map<int32_t, uint64_t> dropped_event_records_by_kind() {
   EventsRegistry& reg = registry();
@@ -186,15 +151,11 @@ std::map<int32_t, uint64_t> dropped_event_records_by_kind() {
   return out;
 }
 
+size_t event_ring_count() { return registry().rings.count(); }
+
 void reset_events() {
   EventsRegistry& reg = registry();
-  std::lock_guard lock(reg.mutex);
-  for (const auto& ring : reg.rings) {
-    std::lock_guard ring_lock(ring->mutex);
-    ring->head = 0;
-    ring->count = 0;
-  }
-  reg.dropped.store(0, std::memory_order_relaxed);
+  reg.rings.reset();
   for (int32_t k = 0; k <= kMaxKind; ++k) {
     reg.dropped_by_kind[k].store(0, std::memory_order_relaxed);
   }
@@ -420,30 +381,35 @@ bool read_events_file(const std::string& path,
   }
   const json::Value* record_bytes = json::find(header, "record_bytes");
   if (record_bytes == nullptr || !record_bytes->is_number() ||
-      static_cast<size_t>(record_bytes->number) != sizeof(EventRecord)) {
+      record_bytes->number != static_cast<double>(sizeof(EventRecord))) {
     v.error = "header record_bytes does not match EventRecord";
     if (error != nullptr) *error = v.error;
     return false;
   }
-  const json::Value* count = json::find(header, "count");
-  const json::Value* dropped = json::find(header, "dropped");
-  if (count == nullptr || !count->is_number() || dropped == nullptr ||
-      !dropped->is_number()) {
-    v.error = "header missing count/dropped";
+  // The record count must fit the bytes that follow the header before
+  // anything is sized by it.
+  const std::streampos body = in.tellg();
+  in.seekg(0, std::ios::end);
+  const auto remaining = static_cast<uint64_t>(in.tellg() - body);
+  in.seekg(body);
+  const auto max_records =
+      static_cast<double>(remaining / sizeof(EventRecord));
+  uint64_t n = 0;
+  uint64_t dropped = 0;
+  if (!header_count(json::find(header, "count"), max_records, &n) ||
+      !header_count(json::find(header, "dropped"), 0x1p63, &dropped)) {
+    v.error = "header count/dropped missing, not a whole number, or more "
+              "records than the file holds";
     if (error != nullptr) *error = v.error;
     return false;
   }
-
-  const auto n = static_cast<uint64_t>(count->number);
   std::vector<EventRecord> records(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    in.read(reinterpret_cast<char*>(&records[i]), sizeof(EventRecord));
-    if (!in) {
-      v.error = "truncated at record " + std::to_string(i) + " of " +
-                std::to_string(n);
-      if (error != nullptr) *error = v.error;
-      return false;
-    }
+  in.read(reinterpret_cast<char*>(records.data()),
+          static_cast<std::streamsize>(n * sizeof(EventRecord)));
+  if (!in) {
+    v.error = "truncated in the " + std::to_string(n) + " records";
+    if (error != nullptr) *error = v.error;
+    return false;
   }
   in.peek();
   if (!in.eof()) {
@@ -451,24 +417,28 @@ bool read_events_file(const std::string& path,
     if (error != nullptr) *error = v.error;
     return false;
   }
-  if (records_out != nullptr) *records_out = std::move(records);
-  if (dropped_out != nullptr) {
-    *dropped_out = static_cast<uint64_t>(dropped->number);
-  }
   // Optional per-kind drop table (absent in spills written before it
   // existed): carried through so events_lint can say *what* was lost.
-  if (dropped_by_kind != nullptr) {
-    dropped_by_kind->clear();
-    const json::Value* by_kind = json::find(header, "dropped_by_kind");
-    if (by_kind != nullptr && by_kind->is_object()) {
-      for (const auto& [key, val] : by_kind->object) {
-        if (val.is_number()) {
-          (*dropped_by_kind)[static_cast<int32_t>(std::stol(key))] =
-              static_cast<uint64_t>(val.number);
-        }
+  std::map<int32_t, uint64_t> by_kind_counts;
+  if (const json::Value* by_kind = json::find(header, "dropped_by_kind");
+      by_kind != nullptr && by_kind->is_object()) {
+    for (const auto& [key, val] : by_kind->object) {
+      int32_t kind = 0;
+      const auto [end, ec] =
+          std::from_chars(key.data(), key.data() + key.size(), kind);
+      uint64_t count = 0;
+      if (ec != std::errc() || end != key.data() + key.size() ||
+          !header_count(&val, 0x1p63, &count)) {
+        v.error = "header dropped_by_kind entry \"" + key + "\" is malformed";
+        if (error != nullptr) *error = v.error;
+        return false;
       }
+      by_kind_counts[kind] = count;
     }
   }
+  if (records_out != nullptr) *records_out = std::move(records);
+  if (dropped_out != nullptr) *dropped_out = dropped;
+  if (dropped_by_kind != nullptr) *dropped_by_kind = std::move(by_kind_counts);
   return true;
 }
 

@@ -8,9 +8,10 @@
 // (`hia-events-v1`, see write_events_file) is the recorded-trace input for
 // the ROADMAP's what-if replay planner.
 //
-// Architecture mirrors obs/trace.cpp: each thread owns a fixed-size ring
-// of POD records guarded by a mutex its owner holds uncontended; overflow
-// drops the oldest record and counts the drop. Recording is on by default
+// Storage is the span tracer's (obs/rings.hpp): each thread owns a bounded
+// ring of POD records guarded by a mutex its owner holds uncontended; the
+// ring's memory is committed as records land, and overflow drops the
+// oldest record and counts the drop. Recording is on by default
 // (one relaxed atomic load plus an uncontended ring write per event —
 // cheap enough for every hot path; the overload bench gates the overhead)
 // and can be disabled for A/B measurement.
@@ -99,9 +100,10 @@ void enable_events();
 void disable_events();
 [[nodiscard]] bool events_enabled();
 
-/// Ring capacity, in records per thread, for rings created after the call
-/// (default 16384). Raise before a long recorded campaign so conservation
-/// survives (a dropped submit breaks the per-tenant partition).
+/// Ring capacity, in records per thread, for rings threads take after the
+/// call (default 16384); spare rings of another size are then freed. Raise
+/// before a long recorded campaign so conservation survives (a dropped
+/// submit breaks the per-tenant partition).
 void set_events_capacity(size_t records);
 
 /// Merged snapshot across every thread's ring, sorted by wall time.
@@ -117,10 +119,17 @@ std::map<int32_t, uint64_t> dropped_event_records_by_kind();
 /// Stable snake_case name for an on-disk kind value; nullptr when unknown.
 const char* event_kind_name(int32_t kind);
 
-/// Drops all recorded events and zeroes the drop counter; registrations
-/// (per-thread rings) and the enabled flag persist. Also clears the
-/// registered run config. Test isolation.
+/// Drops all recorded events and zeroes the drop counter. Rings of live
+/// threads stay registered (capacity unchanged); rings of threads that have
+/// exited leave the registry and are reused by the next threads that
+/// record, so a process that runs campaign after campaign holds no more
+/// rings than it ever had threads at once. The enabled flag persists. Also
+/// clears the registered run config.
 void reset_events();
+
+/// Per-thread rings currently registered: one for each live thread that
+/// has recorded, plus exited threads' rings until the next reset_events().
+[[nodiscard]] size_t event_ring_count();
 
 // ---- Recorded run configuration ----
 //

@@ -44,8 +44,16 @@ class Parser {
   bool parse_value(Value& out) {
     if (pos_ >= text_.size()) return fail("unexpected end of input");
     switch (text_[pos_]) {
-      case '{': return parse_object(out);
-      case '[': return parse_array(out);
+      case '{':
+      case '[': {
+        // Nesting costs stack; input controls it, so it is bounded.
+        if (depth_ == kMaxDepth) return fail("nesting deeper than 64");
+        ++depth_;
+        const bool ok =
+            text_[pos_] == '{' ? parse_object(out) : parse_array(out);
+        --depth_;
+        return ok;
+      }
       case '"':
         out.type = Value::Type::kString;
         return parse_string(out.string);
@@ -195,8 +203,11 @@ class Parser {
     return true;
   }
 
+  static constexpr int kMaxDepth = 64;
+
   const std::string& text_;
   size_t pos_ = 0;
+  int depth_ = 0;
   std::string error_;
 };
 

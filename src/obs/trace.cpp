@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <memory>
-#include <mutex>
+
+#include "obs/rings.hpp"
 
 namespace hia::obs {
 
@@ -19,25 +19,11 @@ constexpr int kBucketTrackBase = 1 << 20;  // far away from any rank count
 
 using Clock = std::chrono::steady_clock;
 
-/// Fixed-capacity ring owned by one writer thread; readers (snapshot,
-/// reset) take the per-ring mutex, so every access is synchronized and the
-/// writer's lock is uncontended in the steady state.
-struct ThreadRing {
-  explicit ThreadRing(size_t capacity, uint32_t tid_)
-      : events(capacity), tid(tid_) {}
-
-  std::mutex mutex;
-  std::vector<Event> events;  // ring storage, capacity fixed at creation
-  size_t head = 0;            // next write slot
-  size_t count = 0;           // live events (<= capacity)
-  uint64_t dropped = 0;       // events overwritten by overflow
-  uint32_t tid = 0;
-};
+using ThreadRings = detail::RingSet<Event>;
 
 struct Registry {
   Clock::time_point epoch = Clock::now();
-  std::mutex mutex;
-  std::vector<std::shared_ptr<ThreadRing>> rings;
+  ThreadRings rings;
   std::atomic<size_t> ring_capacity{size_t{1} << 14};  // 16384 events/thread
   std::atomic<uint64_t> oversized{0};
 };
@@ -47,17 +33,14 @@ Registry& registry() {
   return *r;
 }
 
-thread_local std::shared_ptr<ThreadRing> t_ring;
+thread_local ThreadRings::RingPtr t_ring;
 thread_local int t_track = kTrackControl;
 
-ThreadRing& thread_ring() {
+detail::Ring<Event>& thread_ring() {
   if (!t_ring) {
     Registry& reg = registry();
-    std::lock_guard lock(reg.mutex);
-    t_ring = std::make_shared<ThreadRing>(
-        reg.ring_capacity.load(std::memory_order_relaxed),
-        static_cast<uint32_t>(reg.rings.size()));
-    reg.rings.push_back(t_ring);
+    reg.rings.take(t_ring,
+                   reg.ring_capacity.load(std::memory_order_relaxed));
   }
   return *t_ring;
 }
@@ -79,16 +62,9 @@ void record(Phase phase, const char* category, const char* name,
   ev.args = args;
   ev.value = value;
 
-  ThreadRing& ring = thread_ring();
+  detail::Ring<Event>& ring = thread_ring();
   ev.tid = ring.tid;
-  std::lock_guard lock(ring.mutex);
-  if (ring.count == ring.events.size()) {
-    ++ring.dropped;  // overwriting the oldest event
-  } else {
-    ++ring.count;
-  }
-  ring.events[ring.head] = ev;
-  ring.head = (ring.head + 1) % ring.events.size();
+  ring.push(ev, nullptr);
 }
 
 }  // namespace
@@ -117,13 +93,7 @@ void disable() { detail::g_enabled.store(false, std::memory_order_relaxed); }
 
 void reset() {
   Registry& reg = registry();
-  std::lock_guard lock(reg.mutex);
-  for (auto& ring : reg.rings) {
-    std::lock_guard ring_lock(ring->mutex);
-    ring->head = 0;
-    ring->count = 0;
-    ring->dropped = 0;
-  }
+  reg.rings.reset();
   reg.oversized.store(0, std::memory_order_relaxed);
 }
 
@@ -171,47 +141,18 @@ double now_us() {
       .count();
 }
 
-uint64_t dropped_events() {
-  Registry& reg = registry();
-  std::lock_guard lock(reg.mutex);
-  uint64_t total = 0;
-  for (const auto& ring : reg.rings) {
-    std::lock_guard ring_lock(ring->mutex);
-    total += ring->dropped;
-  }
-  return total;
-}
+uint64_t dropped_events() { return registry().rings.dropped(); }
+
+size_t ring_count() { return registry().rings.count(); }
 
 uint64_t oversized_names() {
   return registry().oversized.load(std::memory_order_relaxed);
 }
 
-size_t recorded_events() {
-  Registry& reg = registry();
-  std::lock_guard lock(reg.mutex);
-  size_t total = 0;
-  for (const auto& ring : reg.rings) {
-    std::lock_guard ring_lock(ring->mutex);
-    total += ring->count;
-  }
-  return total;
-}
+size_t recorded_events() { return registry().rings.held(); }
 
 std::vector<Event> snapshot() {
-  Registry& reg = registry();
-  std::vector<Event> out;
-  {
-    std::lock_guard lock(reg.mutex);
-    for (const auto& ring : reg.rings) {
-      std::lock_guard ring_lock(ring->mutex);
-      const size_t cap = ring->events.size();
-      // Oldest-first: the ring starts at head when full, at 0 otherwise.
-      const size_t start = ring->count == cap ? ring->head : 0;
-      for (size_t i = 0; i < ring->count; ++i) {
-        out.push_back(ring->events[(start + i) % cap]);
-      }
-    }
-  }
+  std::vector<Event> out = registry().rings.collect();
   std::stable_sort(out.begin(), out.end(),
                    [](const Event& a, const Event& b) { return a.t_us < b.t_us; });
   return out;

@@ -17,8 +17,10 @@
 //
 // Cost when disabled: one relaxed atomic load and a branch per macro hit.
 // Cost when enabled: a timestamp, an uncontended per-thread mutex, and a
-// struct copy into a fixed ring; overflow drops the oldest events and
-// increments a drop counter (never blocks, never allocates).
+// struct copy into a bounded ring whose memory was reserved when the thread
+// first recorded and is committed as events land; overflow drops the
+// oldest events and increments a drop counter (never blocks, never
+// allocates).
 #pragma once
 
 #include <atomic>
@@ -87,11 +89,14 @@ void enable();
 void disable();
 
 /// Drops all recorded events and zeroes the drop/oversize accounting.
-/// Thread rings stay registered (capacity unchanged).
+/// Rings of live threads stay registered (capacity unchanged); rings of
+/// threads that have exited leave the registry and are reused by the next
+/// threads that record.
 void reset();
 
 /// Sets the per-thread ring capacity, in events, for threads that have not
-/// yet recorded anything. Existing rings keep their size.
+/// yet recorded anything. Existing rings keep their size; spare rings of
+/// another size are freed when the next thread takes a ring.
 void set_ring_capacity(size_t events);
 size_t ring_capacity();
 
@@ -122,6 +127,9 @@ uint64_t dropped_events();
 uint64_t oversized_names();
 /// Events currently held across all rings.
 size_t recorded_events();
+/// Per-thread rings currently registered: one for each live thread that
+/// has recorded, plus exited threads' rings until the next reset().
+size_t ring_count();
 
 /// Merged copy of every thread ring, sorted by wall time (ties keep
 /// per-thread order). Safe to call while other threads record.

@@ -51,8 +51,11 @@ S3DRank::S3DRank(const S3DParams& params, int rank)
     fields_.emplace_back(std::string(kVariableNames[static_cast<size_t>(v)]),
                          owned_, params.grid.bounds(), kGhost);
   }
-  scratch_.resize(static_cast<size_t>(owned_.num_cells()) *
-                  kTransported.size());
+  // N2 is inert: its row of reaction_ stays zero.
+  const auto nx = static_cast<size_t>(owned_.extent(0));
+  reaction_.assign(kTransported.size() * nx, 0.0);
+  window_.resize(2 * kTransported.size() * nx *
+                 static_cast<size_t>(owned_.extent(1)));
 }
 
 size_t S3DRank::solution_bytes() const {
@@ -168,7 +171,7 @@ void S3DRank::update_velocity_and_diagnostics() {
 }
 
 void S3DRank::compute_rhs(const std::vector<Field*>& transported,
-                          std::vector<double>& rhs) const {
+                          int64_t k0, int64_t k1, double* rhs) {
   const GlobalGrid& g = params_.grid;
   const Box3 domain = g.bounds();
   const double dx = g.spacing(0), dy = g.spacing(1), dz = g.spacing(2);
@@ -198,14 +201,11 @@ void S3DRank::compute_rhs(const std::vector<Field*>& transported,
   const int64_t x0 = lo_face ? 1 : 0;
   const int64_t x1 = std::max(x0, hi_face ? nx - 1 : nx);
 
-  const size_t cells = static_cast<size_t>(owned_.num_cells());
-  // Reaction sources of one row, kTransported-major; N2 is inert, so its
-  // row stays zero.
-  std::vector<double> reaction(kTransported.size() * static_cast<size_t>(nx),
-                               0.0);
-  double* const react = reaction.data();
+  const auto cells = static_cast<size_t>(nx * owned_.extent(1) * (k1 - k0));
+  // Reaction sources of one row, kTransported-major.
+  double* const react = reaction_.data();
   size_t row = 0;
-  for (int64_t k = owned_.lo[2]; k < owned_.hi[2]; ++k) {
+  for (int64_t k = k0; k < k1; ++k) {
     for (int64_t j = owned_.lo[1]; j < owned_.hi[1];
          ++j, row += static_cast<size_t>(nx)) {
       const double* tr = T.ptr(i0, j, k);
@@ -233,7 +233,7 @@ void S3DRank::compute_rhs(const std::vector<Field*>& transported,
       for (size_t f = 0; f < kTransported.size(); ++f) {
         const double* p = transported[f]->ptr(i0, j, k);
         const double* src = react + static_cast<int64_t>(f) * nx;
-        double* out = rhs.data() + f * cells + row;
+        double* out = rhs + f * cells + row;
         // The x neighbours are arguments so domain-face cells can pass the
         // cell itself; interior and face cells share every operation, so a
         // cell's value does not depend on the rank layout.
@@ -264,12 +264,13 @@ void S3DRank::compute_rhs(const std::vector<Field*>& transported,
 }
 
 void S3DRank::apply_update(const std::vector<Field*>& transported,
-                           const std::vector<double>& rhs, double dt) {
-  const size_t cells = static_cast<size_t>(owned_.num_cells());
+                           int64_t k0, int64_t k1, const double* rhs,
+                           double dt) {
   const int64_t i0 = owned_.lo[0];
   const int64_t nx = owned_.extent(0);
+  const auto cells = static_cast<size_t>(nx * owned_.extent(1) * (k1 - k0));
   size_t row = 0;
-  for (int64_t k = owned_.lo[2]; k < owned_.hi[2]; ++k) {
+  for (int64_t k = k0; k < k1; ++k) {
     for (int64_t j = owned_.lo[1]; j < owned_.hi[1];
          ++j, row += static_cast<size_t>(nx)) {
       for (size_t f = 0; f < kTransported.size(); ++f) {
@@ -278,7 +279,7 @@ void S3DRank::apply_update(const std::vector<Field*>& transported,
                               ? std::numeric_limits<double>::infinity()
                               : 1.0;
         double* p = transported[f]->ptr(i0, j, k);
-        const double* r = rhs.data() + f * cells + row;
+        const double* r = rhs + f * cells + row;
         for (int64_t i = 0; i < nx; ++i) {
           p[i] = std::clamp(p[i] + dt * r[i], 0.0, hi);
         }
@@ -298,29 +299,45 @@ void S3DRank::advance(Comm& comm) {
   for (Variable v : kTransported) transported.push_back(&field(v));
 
   const double dt = params_.dt;
-  const size_t cells = static_cast<size_t>(owned_.num_cells());
+  const int64_t k0 = owned_.lo[2];
+  const int64_t k1 = owned_.hi[2];
 
-  // Stage 1: refresh ghosts, evaluate RHS, step forward.
   exchange_halos(comm, decomp_, transported, kGhost);
-  {
-    obs::Span rhs_span("sim", "rhs", {.rank = rank_, .step = step_});
-    compute_rhs(transported, scratch_);
-  }
-
   if (params_.integrator == TimeIntegrator::kEuler) {
-    apply_update(transported, scratch_, dt);
+    // Plane k's slopes go into one half of a two-plane window, and plane
+    // k-1 is stepped at once: rhs(k) was the last reader of its old values.
+    obs::Span rhs_span("sim", "rhs", {.rank = rank_, .step = step_});
+    const size_t plane = window_.size() / 2;
+    for (int64_t k = k0; k <= k1; ++k) {
+      if (k < k1) {
+        compute_rhs(transported, k, k + 1,
+                    window_.data() + static_cast<size_t>(k % 2) * plane);
+      }
+      if (k > k0) {
+        apply_update(transported, k - 1, k,
+                     window_.data() + static_cast<size_t>((k - 1) % 2) * plane,
+                     dt);
+      }
+    }
   } else {
-    // Heun's method: y1 = y + dt f(y); y' = y + dt/2 (f(y) + f(y1)).
+    // Heun's method: y1 = y + dt f(y); y' = y + dt/2 (f(y) + f(y1)). Both
+    // slopes cover every cell, so they are held whole.
+    const size_t cells = static_cast<size_t>(owned_.num_cells());
     if (saved_.size() != cells * kTransported.size()) {
       saved_.resize(cells * kTransported.size());
-      scratch2_.resize(cells * kTransported.size());
+      slope1_.resize(cells * kTransported.size());
+      slope2_.resize(cells * kTransported.size());
+    }
+    {
+      obs::Span rhs_span("sim", "rhs", {.rank = rank_, .step = step_});
+      compute_rhs(transported, k0, k1, slope1_.data());
     }
     for (size_t f = 0; f < kTransported.size(); ++f) {
       const auto owned_values = transported[f]->pack_owned();
       std::copy(owned_values.begin(), owned_values.end(),
                 saved_.begin() + static_cast<std::ptrdiff_t>(f * cells));
     }
-    apply_update(transported, scratch_, dt);  // fields now hold y1
+    apply_update(transported, k0, k1, slope1_.data(), dt);  // fields hold y1
     exchange_halos(comm, decomp_, transported, kGhost);
     // Stage 2 evaluates f(t + dt, y1): advance the prescribed velocity to
     // the end of the step for the second slope, then restore the clock.
@@ -329,7 +346,7 @@ void S3DRank::advance(Comm& comm) {
     time_ -= dt;
     {
       obs::Span rhs_span("sim", "rhs", {.rank = rank_, .step = step_});
-      compute_rhs(transported, scratch2_);
+      compute_rhs(transported, k0, k1, slope2_.data());
     }
 
     // Combine: restore y, then advance with the averaged slope.
@@ -338,10 +355,10 @@ void S3DRank::advance(Comm& comm) {
       transported[f]->unpack(
           box, std::span<const double>(saved_.data() + f * cells, cells));
     }
-    for (size_t c = 0; c < scratch_.size(); ++c) {
-      scratch_[c] = 0.5 * (scratch_[c] + scratch2_[c]);
+    for (size_t c = 0; c < slope1_.size(); ++c) {
+      slope1_[c] = 0.5 * (slope1_[c] + slope2_[c]);
     }
-    apply_update(transported, scratch_, dt);
+    apply_update(transported, k0, k1, slope1_.data(), dt);
   }
 
   // Intermittent ignition kernels, prescribed velocity, diagnostics.

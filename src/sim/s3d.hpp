@@ -98,12 +98,14 @@ class S3DRank {
   void apply_kernels(long step);
   void update_velocity_and_diagnostics();
   /// Evaluates -advection + diffusion + reaction for the transported
-  /// scalars into `rhs` (kTransported-major, owned cells x-fastest).
-  void compute_rhs(const std::vector<Field*>& transported,
-                   std::vector<double>& rhs) const;
-  /// phi += dt * rhs with positivity/bound clamps.
-  void apply_update(const std::vector<Field*>& transported,
-                    const std::vector<double>& rhs, double dt);
+  /// scalars on the owned z planes [k0, k1) into `rhs` (kTransported-major,
+  /// each scalar's cells of those planes x-fastest).
+  void compute_rhs(const std::vector<Field*>& transported, int64_t k0,
+                   int64_t k1, double* rhs);
+  /// phi += dt * rhs on the owned z planes [k0, k1) (compute_rhs's layout)
+  /// with positivity/bound clamps.
+  void apply_update(const std::vector<Field*>& transported, int64_t k0,
+                    int64_t k1, const double* rhs, double dt);
 
   S3DParams params_;
   int rank_;
@@ -115,9 +117,11 @@ class S3DRank {
 
   std::vector<Field> fields_;       // the 14 solution variables, ghost = 1
   Field heat_release_;              // diagnostic, no ghosts
-  std::vector<double> scratch_;     // RHS workspace (stage 1)
-  std::vector<double> scratch2_;    // RHS workspace (Heun stage 2)
-  std::vector<double> saved_;       // state snapshot for Heun combination
+  std::vector<double> reaction_;    // one row's reaction sources
+  std::vector<double> window_;      // Euler: RHS of two z planes
+  std::vector<double> slope1_;      // Heun f(y), allocated on first use
+  std::vector<double> slope2_;      // Heun f(y1)
+  std::vector<double> saved_;       // Heun state snapshot y
 
   long step_ = 0;
   double time_ = 0.0;

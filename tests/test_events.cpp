@@ -7,9 +7,14 @@
 // pairs stay well-nested under tenant-thread interleaving.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <condition_variable>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,6 +25,7 @@
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
 #include "service/campaign_service.hpp"
+#include "util/rng.hpp"
 
 namespace hia {
 namespace {
@@ -90,6 +96,83 @@ TEST_F(EventsTest, RingOverflowDropsOldestAndCounts) {
   // Drop-oldest: the survivors are the 8 most recent records.
   EXPECT_EQ(events.front().a, 12);
   EXPECT_EQ(events.back().a, 19);
+}
+
+TEST_F(EventsTest, RingOrderHoldsBeforeAndAfterWrapping) {
+  // A ring appends until it is full, then overwrites the oldest: the
+  // snapshot is oldest-first either way, and a reset starts it over.
+  obs::set_events_capacity(5);
+  std::thread recorder([] {
+    for (int i = 0; i < 3; ++i) {
+      obs::record_event(obs::EventKind::kPut, 1, -1, i, 64);
+    }
+    std::vector<obs::EventRecord> events = obs::events_snapshot();
+    ASSERT_EQ(events.size(), 3u);
+    for (int i = 0; i < 3; ++i) EXPECT_EQ(events[i].a, i);
+    for (int i = 3; i < 12; ++i) {
+      obs::record_event(obs::EventKind::kPut, 1, -1, i, 64);
+    }
+    events = obs::events_snapshot();
+    ASSERT_EQ(events.size(), 5u);
+    for (int i = 0; i < 5; ++i) EXPECT_EQ(events[i].a, 7 + i);
+    EXPECT_EQ(obs::dropped_event_records(), 7u);
+    obs::reset_events();
+    EXPECT_TRUE(obs::events_snapshot().empty());
+    for (int i = 0; i < 6; ++i) {
+      obs::record_event(obs::EventKind::kGet, 1, -1, 100 + i, 64);
+    }
+    events = obs::events_snapshot();
+    ASSERT_EQ(events.size(), 5u);  // the ring kept its capacity
+    EXPECT_EQ(events.front().a, 101);
+    EXPECT_EQ(obs::dropped_event_records(), 1u);
+  });
+  recorder.join();
+}
+
+TEST_F(EventsTest, ResetDropsRingsOfExitedThreads) {
+  // Threads that recorded and exited keep their records until the next
+  // reset (a spill written after the run still sees them); the reset then
+  // takes their rings back for the next threads. A live thread's ring
+  // stays registered.
+  const size_t base = obs::event_ring_count();
+  std::vector<std::thread> workers;
+  for (int t = 0; t < 4; ++t) {
+    workers.emplace_back([t] {
+      obs::record_event(obs::EventKind::kPut, 1, -1, t, 64);
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  std::mutex m;
+  std::condition_variable cv;
+  int phase = 0;
+  std::thread live([&] {
+    obs::record_event(obs::EventKind::kGet, 1, -1, 40, 64);
+    std::unique_lock lock(m);
+    phase = 1;
+    cv.notify_all();
+    cv.wait(lock, [&] { return phase == 2; });
+    obs::record_event(obs::EventKind::kGet, 1, -1, 41, 64);
+  });
+  {
+    std::unique_lock lock(m);
+    cv.wait(lock, [&] { return phase == 1; });
+  }
+  EXPECT_EQ(obs::event_ring_count(), base + 5);
+  EXPECT_EQ(obs::events_snapshot().size(), 5u);
+
+  obs::reset_events();
+  EXPECT_EQ(obs::event_ring_count(), base + 1);
+  {
+    std::lock_guard lock(m);
+    phase = 2;
+  }
+  cv.notify_all();
+  live.join();
+  const std::vector<obs::EventRecord> events = obs::events_snapshot();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].a, 41);
+  obs::reset_events();
+  EXPECT_EQ(obs::event_ring_count(), base);
 }
 
 TEST_F(EventsTest, VirtualTimestampPassesThrough) {
@@ -245,6 +328,189 @@ TEST_F(EventsTest, CorruptedFilesAreRejected) {
   EXPECT_TRUE(obs::validate_events_file(path).ok);
   std::remove(path.c_str());
   EXPECT_FALSE(obs::validate_events_file(path).ok);
+}
+
+/// An hia-events-v1 file assembled from a header text and record bytes.
+std::string spill_bytes(const std::string& header, const std::string& body) {
+  std::string out("hiaevts1", 8);
+  const uint32_t version = 1;
+  const auto header_bytes = static_cast<uint32_t>(header.size());
+  out.append(reinterpret_cast<const char*>(&version), sizeof(version));
+  out.append(reinterpret_cast<const char*>(&header_bytes),
+             sizeof(header_bytes));
+  return out + header + body;
+}
+
+/// Reads `bytes` as a spill; a rejection must carry an error string, an
+/// acceptance at most the records the bytes hold. Nothing may throw.
+bool read_spill(const std::string& path, const std::string& bytes) {
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  std::vector<obs::EventRecord> records;
+  uint64_t dropped = 0;
+  std::map<int32_t, uint64_t> by_kind;
+  std::string error;
+  bool ok = false;
+  EXPECT_NO_THROW(
+      ok = obs::read_events_file(path, &records, &dropped, &by_kind, &error));
+  if (ok) {
+    EXPECT_LE(records.size() * sizeof(obs::EventRecord), bytes.size());
+    EXPECT_NO_THROW(obs::validate_events(records, dropped));
+  } else {
+    EXPECT_FALSE(error.empty());
+  }
+  EXPECT_NO_THROW(obs::validate_events_file(path));
+  return ok;
+}
+
+/// Replaces the JSON value that follows `"key":` in `header`.
+std::string with_value(const std::string& header, const std::string& key,
+                       const std::string& value) {
+  const std::string tag = "\"" + key + "\":";
+  const size_t at = header.find(tag);
+  if (at == std::string::npos) return header;
+  const size_t from = at + tag.size();
+  const size_t to = header.find_first_of(",}", from);
+  return header.substr(0, from) + value + header.substr(to);
+}
+
+TEST_F(EventsTest, HeaderCountsAreCheckedBeforeAllocating) {
+  // The record count sizes the read: it must be a whole number no larger
+  // than the bytes after the header hold. A header-only file claiming
+  // 3e8 records, or -5, is refused with an error, not an exception.
+  record_task(1, 1, obs::EventKind::kTaskComplete);
+  const std::string path = temp_path("events_counts.bin");
+  ASSERT_TRUE(obs::write_events_file(path));
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  uint32_t header_len = 0;
+  std::memcpy(&header_len, bytes.data() + 12, sizeof(header_len));
+  const std::string header = bytes.substr(16, header_len);
+  const std::string body = bytes.substr(16 + header_len);
+  ASSERT_EQ(body.size(), 3 * sizeof(obs::EventRecord));
+  ASSERT_TRUE(read_spill(path, spill_bytes(header, body)));
+
+  for (const char* count : {"3e8", "-5", "4", "2.5", "1e999", "-1e999",
+                            "18446744073709551616", "-0.5"}) {
+    SCOPED_TRACE(count);
+    EXPECT_FALSE(read_spill(path, spill_bytes(with_value(header, "count",
+                                                         count), "")));
+    EXPECT_FALSE(read_spill(path, spill_bytes(with_value(header, "count",
+                                                         count), body)));
+  }
+  // 2 of 3 records leaves one record of trailing bytes; 3.0 is whole.
+  EXPECT_FALSE(read_spill(path, spill_bytes(with_value(header, "count", "2"),
+                                            body)));
+  EXPECT_TRUE(read_spill(path, spill_bytes(with_value(header, "count", "3.0"),
+                                           body)));
+  for (const char* dropped : {"-1", "0.5", "1e999", "1e30"}) {
+    SCOPED_TRACE(dropped);
+    EXPECT_FALSE(read_spill(path, spill_bytes(with_value(header, "dropped",
+                                                         dropped), body)));
+  }
+  // A drop table keyed by something other than a kind number, and JSON
+  // nested deeper than any header needs.
+  EXPECT_FALSE(read_spill(
+      path, spill_bytes(with_value(header, "dropped_by_kind",
+                                   "{\"x7\":1}"), body)));
+  EXPECT_FALSE(read_spill(
+      path, spill_bytes(with_value(header, "dropped_by_kind",
+                                   "{\"7\":-2}"), body)));
+  EXPECT_FALSE(read_spill(
+      path, spill_bytes(std::string(100000, '[') + std::string(100000, ']'),
+                        "")));
+  std::remove(path.c_str());
+}
+
+TEST_F(EventsTest, MutatedSpillsFailOnlyWithAnError) {
+  // The reader decodes bytes a file controls: whatever the header or the
+  // records hold, it returns false with an error string or accepts at most
+  // the records present, and never throws.
+  obs::set_events_capacity(4);
+  std::thread overflow([] {  // a drop table in the header
+    for (int i = 0; i < 6; ++i) {
+      obs::record_event(obs::EventKind::kPut, 1, -1, i, 64);
+    }
+  });
+  overflow.join();
+  record_task(1, 1, obs::EventKind::kTaskComplete);
+  record_task(2, 2, obs::EventKind::kTaskShed);
+  const std::string path = temp_path("events_mutated.bin");
+  ASSERT_TRUE(obs::write_events_file(path));
+  std::string valid;
+  {
+    std::ifstream in(path, std::ios::binary);
+    valid.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  uint32_t header_len = 0;
+  std::memcpy(&header_len, valid.data() + 12, sizeof(header_len));
+  const std::string header = valid.substr(16, header_len);
+  const std::string body = valid.substr(16 + header_len);
+  ASSERT_NE(header.find("\"dropped_by_kind\":{\"7\":2}"), std::string::npos)
+      << header;
+
+  const std::array<const char*, 16> specials{
+      "3e8", "-5", "0", "1", "2.5", "1e999", "-1e999", "1e-320", "-0",
+      "18446744073709551616", "9007199254740993", "\"7\"", "null", "[]",
+      "{}", "4294967296"};
+  const std::array<const char*, 4> keys{"count", "dropped", "record_bytes",
+                                        "7"};
+  SplitMix64 rng(0xe7e175);
+  size_t accepted = 0;
+  for (int iter = 0; iter < 4000; ++iter) {
+    const uint64_t draw = rng.next();
+    std::string bytes;
+    switch (draw % 5) {
+      case 0: {  // a header field takes a special value
+        const std::string key = keys[(draw >> 8) % keys.size()];
+        bytes = spill_bytes(
+            with_value(header, key, specials[(draw >> 16) % specials.size()]),
+            body);
+        break;
+      }
+      case 1: {  // one header character changes; the length follows
+        std::string h = header;
+        h[(draw >> 8) % h.size()] = static_cast<char>(draw >> 32);
+        bytes = spill_bytes(h, body);
+        break;
+      }
+      case 2: {  // a bit flip anywhere, framing included
+        bytes = valid;
+        bytes[(draw >> 8) % bytes.size()] ^=
+            static_cast<char>(1u << ((draw >> 40) % 8));
+        break;
+      }
+      case 3:  // truncation
+        bytes = valid.substr(0, (draw >> 8) % valid.size());
+        break;
+      default: {  // records added or removed behind an unchanged header
+        const size_t records = (draw >> 8) % 12;
+        bytes = spill_bytes(
+            header, records * sizeof(obs::EventRecord) <= body.size()
+                        ? body.substr(0, records * sizeof(obs::EventRecord))
+                        : body + std::string((records * sizeof(
+                                                  obs::EventRecord)) -
+                                                 body.size(),
+                                             '\x5a'));
+        break;
+      }
+    }
+    if (read_spill(path, bytes)) ++accepted;
+    if (::testing::Test::HasFailure()) {
+      FAIL() << "iteration " << iter << " (mutation " << draw % 5 << ")";
+    }
+  }
+  // Harmless mutations (a flipped bit inside a record, a digit of the
+  // dropped count) are accepted: the sweep is not all rejections.
+  EXPECT_GT(accepted, 100u);
+  std::remove(path.c_str());
 }
 
 // --------------------------------------- end-to-end: campaign partition

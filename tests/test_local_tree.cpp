@@ -374,6 +374,44 @@ TEST(RankSubtree, MatchesReferenceOnDegenerateBoxes) {
   expect_matches_reference(flat, sheet, {2, 2, 1});
 }
 
+TEST(RankSubtree, SortEdgeCasesMatchReference) {
+  // The radix sort's corners: a constant box skips every digit pass, ±inf
+  // sit at the ends of the key range, denormals differ only in low digits,
+  // and ±0.0 must tie (broken on the global id) however their bits differ.
+  GlobalGrid grid{{11, 9, 7}, {1.0, 1.0, 1.0}};
+  const Box3 whole = grid.bounds();
+  const auto n = static_cast<size_t>(whole.num_cells());
+  auto check = [&](const char* what, const std::vector<double>& values) {
+    SCOPED_TRACE(what);
+    Field field("f", whole);
+    field.unpack(whole, values);
+    expect_matches_reference(grid, field, {2, 2, 2});
+    expect_matches_reference(grid, field, {1, 1, 1});
+  };
+  check("constant", std::vector<double>(n, 0.375));
+
+  Field noise("n", whole);
+  fill_noise(noise, 21);
+  const auto u = noise.pack_owned();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  std::vector<double> infinities(n), denormals(n), zeros(n), mixed(n);
+  for (size_t i = 0; i < n; ++i) {
+    const auto pick = static_cast<int>(u[i] * 6.0);
+    infinities[i] = pick == 0 ? -inf : pick == 5 ? inf : u[i] - 0.5;
+    // Denormals of both signs, a handful of distinct mantissas.
+    denormals[i] = (pick % 2 == 0 ? 1.0 : -1.0) * tiny *
+                   static_cast<double>(1 + (i * 7) % 5);
+    zeros[i] = pick % 2 == 0 ? 0.0 : -0.0;
+    const std::array<double, 6> corners{-inf, -tiny, -0.0, 0.0, tiny, inf};
+    mixed[i] = corners[static_cast<size_t>(pick)];
+  }
+  check("infinities", infinities);
+  check("denormals", denormals);
+  check("signed zeros", zeros);
+  check("mixed corners", mixed);
+}
+
 TEST(RankSubtree, MatchesReferenceOnMiniS3DTemperature) {
   S3DParams params;
   params.grid = GlobalGrid{{32, 24, 16}, {1.0, 0.75, 0.5}};

@@ -177,6 +177,35 @@ TEST_F(ObsTest, RingOverflowDropsOldestAndCounts) {
   EXPECT_TRUE(v.ok) << v.error;
 }
 
+TEST_F(ObsTest, ResetDropsRingsOfExitedThreads) {
+  // A thread's ring outlives the thread until the next reset, so a trace
+  // written after a run still holds its spans; the reset takes it back for
+  // the next threads. Live threads keep their rings (and their tids).
+  obs::enable();
+  obs::instant("test", "main");  // the main thread's ring is live
+  const size_t base = obs::ring_count();
+  std::vector<std::thread> workers;
+  for (int t = 0; t < 4; ++t) {
+    workers.emplace_back([] { obs::instant("test", "worker"); });
+  }
+  for (std::thread& w : workers) w.join();
+  EXPECT_EQ(obs::ring_count(), base + 4);
+  EXPECT_EQ(obs::recorded_events(), 5u);
+  obs::reset();
+  EXPECT_EQ(obs::ring_count(), base);
+  EXPECT_EQ(obs::recorded_events(), 0u);
+
+  // A thread registered after the reset gets a tid no earlier thread had.
+  obs::instant("test", "main again");
+  std::thread late([] { obs::instant("test", "late"); });
+  late.join();
+  const std::vector<obs::Event> events = obs::snapshot();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_NE(events[1].tid, events[0].tid);
+  obs::reset();
+  EXPECT_EQ(obs::ring_count(), base);
+}
+
 // ---- Clocks ----
 
 TEST_F(ObsTest, WallClockMonotoneAndVirtualTimePassesThrough) {

@@ -5,10 +5,14 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "runtime/comm.hpp"
 #include "sim/chemistry.hpp"
+#include "sim/halo.hpp"
 #include "sim/s3d.hpp"
 #include "sim/turbulence.hpp"
 
@@ -336,6 +340,148 @@ TEST(S3D, RowLoopStepMatchesClampedStencil) {
           }
         }
   });
+}
+
+/// Today's-scheme Euler step transcribed as two whole-block passes: every
+/// owned cell's RHS from the pre-step fields (ghosts refreshed), then every
+/// update, then the step's ignition kernels. The arithmetic is the row
+/// kernel's, operation for operation, so the result must match bit for bit.
+std::vector<std::vector<double>> two_pass_euler_step(
+    Comm& comm, const S3DRank& sim,
+    const std::array<Variable, 5>& transported) {
+  const S3DParams& p = sim.params();
+  const GlobalGrid& g = p.grid;
+  const Box3 owned = sim.decomp().block(comm.rank());
+  const Box3 dom = g.bounds();
+  std::vector<Field> before;
+  for (const Variable var : transported) before.push_back(sim.field(var));
+  std::vector<Field*> ptrs;
+  for (Field& f : before) ptrs.push_back(&f);
+  exchange_halos(comm, sim.decomp(), ptrs, 1);
+
+  const Chemistry chem(p.chemistry);
+  const double dx = g.spacing(0), dy = g.spacing(1), dz = g.spacing(2);
+  const double idx = 1.0 / dx, idy = 1.0 / dy, idz = 1.0 / dz;
+  const double idx2 = 1.0 / (dx * dx), idy2 = 1.0 / (dy * dy),
+               idz2 = 1.0 / (dz * dz);
+  auto upwind = [](double vel, double back, double fwd) {
+    return std::max(vel, 0.0) * back + std::min(vel, 0.0) * fwd;
+  };
+  const Field& u = sim.field(Variable::kVelU);
+  const Field& v = sim.field(Variable::kVelV);
+  const Field& w = sim.field(Variable::kVelW);
+  const auto cells = static_cast<size_t>(owned.num_cells());
+  std::vector<std::vector<double>> rhs(transported.size(),
+                                       std::vector<double>(cells));
+  for (int64_t k = owned.lo[2]; k < owned.hi[2]; ++k)
+    for (int64_t j = owned.lo[1]; j < owned.hi[1]; ++j)
+      for (int64_t i = owned.lo[0]; i < owned.hi[0]; ++i) {
+        const size_t o = owned.offset(i, j, k);
+        const auto src = chem.sources(before[0].at(i, j, k),
+                                      before[1].at(i, j, k),
+                                      before[2].at(i, j, k));
+        const std::array<double, 5> reaction{src.temperature, src.h2, src.o2,
+                                             src.h2o, 0.0};
+        for (size_t f = 0; f < transported.size(); ++f) {
+          const Field& phi = before[f];
+          const double c = phi.at(i, j, k);
+          auto val = [&](int64_t ii, int64_t jj, int64_t kk) {
+            return dom.contains(ii, jj, kk) ? phi.at(ii, jj, kk) : c;
+          };
+          const double xm = val(i - 1, j, k), xp = val(i + 1, j, k);
+          const double ym = val(i, j - 1, k), yp = val(i, j + 1, k);
+          const double zm = val(i, j, k - 1), zp = val(i, j, k + 1);
+          const double adv =
+              upwind(u.at(i, j, k), (c - xm) * idx, (xp - c) * idx) +
+              upwind(v.at(i, j, k), (c - ym) * idy, (yp - c) * idy) +
+              upwind(w.at(i, j, k), (c - zm) * idz, (zp - c) * idz);
+          const double lap = (xm - 2.0 * c + xp) * idx2 +
+                             (ym - 2.0 * c + yp) * idy2 +
+                             (zm - 2.0 * c + zp) * idz2;
+          rhs[f][o] = -adv + p.diffusivity * lap + reaction[f];
+        }
+      }
+
+  std::vector<std::vector<double>> after(transported.size());
+  for (size_t f = 0; f < transported.size(); ++f) {
+    after[f] = before[f].pack_owned();
+    const double hi = f == 0 ? std::numeric_limits<double>::infinity() : 1.0;
+    for (size_t o = 0; o < cells; ++o) {
+      after[f][o] = std::clamp(after[f][o] + p.dt * rhs[f][o], 0.0, hi);
+    }
+  }
+
+  for (const IgnitionKernel& kern :
+       KernelSeeder(p.chemistry).kernels_for_step(sim.step())) {
+    const double cx = kern.cx * g.physical[0];
+    const double cy = kern.cy * g.physical[1];
+    const double cz = kern.cz * g.physical[2];
+    const std::array<double, 3> centre{cx, cy, cz};
+    const double support = 3.0 * kern.radius;
+    Box3 bb;
+    for (int a = 0; a < 3; ++a) {
+      bb.lo[a] = static_cast<int64_t>((centre[a] - support) / g.spacing(a)) - 1;
+      bb.hi[a] = static_cast<int64_t>((centre[a] + support) / g.spacing(a)) + 2;
+    }
+    const Box3 local = bb.intersect(owned);
+    if (local.empty()) continue;
+    const double inv2r2 = 1.0 / (2.0 * kern.radius * kern.radius);
+    for (int64_t k = local.lo[2]; k < local.hi[2]; ++k)
+      for (int64_t j = local.lo[1]; j < local.hi[1]; ++j)
+        for (int64_t i = local.lo[0]; i < local.hi[0]; ++i) {
+          const double ddx = g.coord(0, i) - cx;
+          const double ddy = g.coord(1, j) - cy;
+          const double ddz = g.coord(2, k) - cz;
+          const double r2 = ddx * ddx + ddy * ddy + ddz * ddz;
+          after[0][owned.offset(i, j, k)] +=
+              kern.amplitude * std::exp(-r2 * inv2r2);
+        }
+  }
+  return after;
+}
+
+TEST(S3D, PlaneWindowMatchesTwoPassStep) {
+  // The windowed Euler step updates plane k-1 as soon as plane k's slopes
+  // exist. Over 5 steps with ignition kernels it must equal the two-pass
+  // step exactly: on one rank, across a z rank face (the window meets the
+  // ghost plane) and on one-plane-thick rank blocks.
+  const std::array<Variable, 5> transported{
+      Variable::kTemperature, Variable::kYH2, Variable::kYO2, Variable::kYH2O,
+      Variable::kYN2};
+  for (const std::array<int, 3> layout :
+       {std::array<int, 3>{1, 1, 1}, std::array<int, 3>{1, 1, 2},
+        std::array<int, 3>{1, 2, 6}}) {
+    S3DParams p;
+    p.grid = GlobalGrid{{20, 12, 6}, {1.0, 0.6, 0.3}};
+    p.ranks_per_axis = layout;
+    p.chemistry.kernel_rate = 3.0;  // three kernels every step
+    const Decomposition d(p.grid, layout);
+    World world(d.num_ranks());
+    std::atomic<int> kernel_cells{0};
+    world.run([&](Comm& comm) {
+      S3DRank sim(p, comm.rank());
+      sim.initialize();
+      for (int s = 0; s < 5; ++s) {
+        const auto want = two_pass_euler_step(comm, sim, transported);
+        sim.advance(comm);
+        for (size_t f = 0; f < transported.size(); ++f) {
+          const auto got = sim.field(transported[f]).pack_owned();
+          ASSERT_EQ(got.size(), want[f].size());
+          ASSERT_EQ(std::memcmp(got.data(), want[f].data(),
+                                got.size() * sizeof(double)),
+                    0)
+              << kVariableNames[static_cast<size_t>(transported[f])]
+              << " differs after step " << s + 1 << " on rank "
+              << comm.rank() << " of layout " << layout[0] << "x"
+              << layout[1] << "x" << layout[2];
+        }
+        for (const double t : want[0]) {
+          if (t > 1.5 * p.chemistry.ambient_temperature) ++kernel_cells;
+        }
+      }
+    });
+    EXPECT_GT(kernel_cells.load(), 0) << "no ignition kernel landed";
+  }
 }
 
 TEST(S3D, HeunIntegratorIsStableAndDistinctFromEuler) {
