@@ -4,7 +4,8 @@
 #   ci/sanitize.sh           # ASan + UBSan over the full test suite
 #   ci/sanitize.sh asan      # same
 #   ci/sanitize.sh tsan      # ThreadSanitizer over the concurrency-heavy
-#                            # tests (tracer, pool, comm, dart, staging)
+#                            # tests (tracer, pool, comm, dart, staging,
+#                            # the runner's rank loop)
 #
 # Any sanitizer report fails the run: -fno-sanitize-recover=all turns
 # UBSan diagnostics into aborts, halt_on_error makes ASan exit on the
@@ -31,11 +32,14 @@ case "$mode" in
     cmake --preset tsan
     cmake --build --preset tsan -j "$(nproc)" --target \
       test_obs test_events test_util test_comm test_dart test_staging \
-      test_network test_fault test_overload test_service
+      test_network test_fault test_overload test_service test_pipeline
     export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
     # Scope to the tests that exercise the tracer's and the runtime's
-    # concurrent paths; TSan slows everything ~10x, so the full pipeline
-    # tests stay on the ASan leg. test_fault rides here for the
+    # concurrent paths; TSan slows everything ~10x, so most end-to-end
+    # tests stay on the ASan leg. test_pipeline rides here for the
+    # runner's rank loop: per-rank report rows written by every rank
+    # thread and folded after the join, rank 0 submitting past each
+    # stage's barrier while buckets pull. test_fault rides here for the
     # concurrent-injection and faulted-scheduler races; test_overload for
     # the admission-gate and pressure-accounting races; test_service for
     # the fair-share matcher, concurrent campaign threads, and the
@@ -43,7 +47,7 @@ case "$mode" in
     # flight recorder's thread-sharded rings under a concurrent
     # multi-tenant campaign.
     ctest --preset tsan -j "$(nproc)" \
-      -R 'test_(obs|events|util|comm|dart|staging|network|fault|overload|service)'
+      -R 'test_(obs|events|util|comm|dart|staging|network|fault|overload|service|pipeline)'
     ;;
   *)
     echo "usage: ci/sanitize.sh [asan|tsan]" >&2

@@ -29,12 +29,11 @@ class InSituContext {
  public:
   /// `tenant`/`ns_prefix` namespace this context inside a shared staging
   /// service (multi-tenant campaigns): every published variable is stored
-  /// under `ns_prefix + variable` and charged to `tenant`'s ledgers. The
-  /// defaults reproduce the single-campaign behavior exactly.
+  /// under `ns_prefix + variable` and charged to `tenant`'s ledgers.
+  /// `codec` is the run's staging codec (null = publish raw).
   InSituContext(S3DRank& sim, Comm& comm, StagingService& staging,
                 SteeringBoard& steering, int dart_node, long step,
-                const Codec* codec = nullptr, int tenant = 0,
-                std::string ns_prefix = {})
+                const Codec* codec, int tenant, std::string ns_prefix)
       : sim_(sim),
         comm_(comm),
         staging_(staging),
@@ -52,26 +51,19 @@ class InSituContext {
   [[nodiscard]] int dart_node() const { return dart_node_; }
   [[nodiscard]] long step() const { return step_; }
 
-  /// Publishes an intermediate data block to the staging area (data-ready
-  /// path) and accounts its size toward this rank's published volume.
-  /// Blocks travel through the run's staging codec (if any): the logical
-  /// size counts toward published_bytes(), what actually crosses the wire
-  /// toward published_wire_bytes().
+  /// Publishes an intermediate data block to the staging area and counts
+  /// its logical (pre-codec) size toward this rank's published volume.
+  /// The block is readable once the call returns; the runner creates the
+  /// in-transit task (data-ready) after every rank has left the stage.
   DataDescriptor publish(const std::string& variable, const Box3& box,
                          const std::vector<double>& data) {
     published_bytes_ += data.size() * sizeof(double);
-    DataDescriptor desc = staging_.publish(dart_node_, ns_prefix_ + variable,
-                                           step_, box, data, codec_, tenant_);
-    published_wire_bytes_ += desc.handle.bytes;
-    return desc;
+    return staging_.publish(dart_node_, ns_prefix_ + variable, step_, box,
+                            data, codec_, tenant_);
   }
 
   /// Bytes published through this context (per rank, per invocation).
   [[nodiscard]] size_t published_bytes() const { return published_bytes_; }
-  /// Post-encoding bytes actually exposed for RDMA pulls.
-  [[nodiscard]] size_t published_wire_bytes() const {
-    return published_wire_bytes_;
-  }
   /// The run's staging codec, or nullptr when publishing raw.
   [[nodiscard]] const Codec* codec() const { return codec_; }
 
@@ -87,10 +79,9 @@ class InSituContext {
   int dart_node_;
   long step_;
   const Codec* codec_;
-  int tenant_ = 0;
+  int tenant_;
   std::string ns_prefix_;
   size_t published_bytes_ = 0;
-  size_t published_wire_bytes_ = 0;
 };
 
 class HybridAnalysis {

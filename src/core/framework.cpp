@@ -1,7 +1,7 @@
 #include "core/framework.hpp"
 
+#include <algorithm>
 #include <cstdio>
-#include <mutex>
 
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
@@ -147,8 +147,6 @@ RunReport HybridRunner::run() {
       static_cast<size_t>(config_.sim.grid.num_points()) * kNumVariables *
       sizeof(double);
 
-  std::mutex report_mutex;  // only rank 0 writes, but keep it safe
-
   // ---- Steering state (touched only by the rank-0 thread inside the
   // world, then read by this thread after the join) ----
   struct Parked {
@@ -214,9 +212,17 @@ RunReport HybridRunner::run() {
     }
   };
 
+  // Each rank's own rows, folded into the report after the join.
+  struct RankRows {
+    std::vector<double> sim_step_seconds;
+    std::vector<InSituMetric> in_situ;
+  };
+  std::vector<RankRows> rows(static_cast<size_t>(nranks));
+
   World world(nranks);
   world.run([&](Comm& comm) {
     const int r = comm.rank();
+    RankRows& mine = rows[static_cast<size_t>(r)];
     obs::set_thread_track(obs::rank_track(r));
     const int dart_node =
         dart.register_node(ns_prefix_ + "sim-" + std::to_string(r));
@@ -225,13 +231,11 @@ RunReport HybridRunner::run() {
     sim.initialize();
 
     for (long step = 0; step < config_.steps; ++step) {
-      // 1. Advance the simulation (collective: halo exchanges inside).
+      // 1. Advance the simulation (halo exchanges inside). The barrier
+      // keeps a late rank's sim step out of the first in-situ timing.
       sim.advance(comm);
-      const double sim_max = comm.allreduce_max(sim.last_step_seconds());
-      if (r == 0) {
-        std::lock_guard lock(report_mutex);
-        report.sim_step_seconds.push_back(sim_max);
-      }
+      mine.sim_step_seconds.push_back(sim.last_step_seconds());
+      comm.barrier();
 
       // Step boundary: deferred tasks from earlier steps get a fresh
       // steering verdict against the current pressure (rank 0 only).
@@ -260,45 +264,50 @@ RunReport HybridRunner::run() {
                                  .vtime = sim.time()});
           sched.analysis->in_situ(ctx);
         }
-        const double seconds = watch.seconds();
-
-        const double max_s = comm.allreduce_max(seconds);
-        const double sum_s = comm.allreduce_sum(seconds);
-        const double bytes = comm.allreduce_sum(
-            static_cast<double>(ctx.published_bytes()));
-        const double wire_bytes = comm.allreduce_sum(
-            static_cast<double>(ctx.published_wire_bytes()));
+        mine.in_situ.push_back(InSituMetric{sched.analysis->name(),
+                                            sim.step(), watch.seconds(),
+                                            ctx.published_bytes()});
+        // Every rank has published once it passes the barrier, and the
+        // slowest rank of this stage stays out of the next stage's timing.
+        comm.barrier();
 
         // 3. Data-ready: rank 0 creates the in-transit task. Names travel
         // prefixed: the blocks were published under ns_prefix_ and the
         // handler was registered under the prefixed analysis name.
+        if (r != 0) continue;
         auto staged = sched.analysis->staged_variables();
+        if (staged.empty()) continue;
         for (std::string& v : staged) v = ns_prefix_ + v;
-        if (r == 0) {
-          if (!staged.empty()) {
-            if (steering_active) {
-              steer_submit(ns_prefix_ + sched.analysis->name(), sim.step(),
-                           staged, 0);
-            } else {
-              // Steering off: byte-identical to the PR-4 submit path.
-              staging.submit_for(ns_prefix_ + sched.analysis->name(),
-                                   sim.step(), staged, SubmitRoute::kQueue,
-                                   tenant_);
-            }
-          }
-          std::lock_guard lock(report_mutex);
-          report.in_situ.push_back(InSituMetric{
-              sched.analysis->name(), sim.step(), max_s,
-              sum_s / static_cast<double>(comm.size()),
-              static_cast<size_t>(bytes), static_cast<size_t>(wire_bytes)});
+        if (steering_active) {
+          steer_submit(ns_prefix_ + sched.analysis->name(), sim.step(),
+                       staged, 0);
+        } else {
+          // Steering off: straight onto the queue.
+          staging.submit_for(ns_prefix_ + sched.analysis->name(), sim.step(),
+                             staged, SubmitRoute::kQueue, tenant_);
         }
-        // Publishing must complete on all ranks before the task pulls; the
-        // allreduce above already provides that synchronization.
       }
     }
     comm.barrier();
     dart.unregister_node(dart_node);
   });
+
+  // Fold the rows: every rank ran the same stages, so rank 0's fix the
+  // order; seconds are the max over ranks and bytes the exact sum.
+  report.sim_step_seconds = std::move(rows[0].sim_step_seconds);
+  report.in_situ = std::move(rows[0].in_situ);
+  for (size_t q = 1; q < rows.size(); ++q) {
+    for (size_t i = 0; i < report.sim_step_seconds.size(); ++i) {
+      report.sim_step_seconds[i] =
+          std::max(report.sim_step_seconds[i], rows[q].sim_step_seconds[i]);
+    }
+    for (size_t i = 0; i < report.in_situ.size(); ++i) {
+      InSituMetric& m = report.in_situ[i];
+      m.max_rank_seconds =
+          std::max(m.max_rank_seconds, rows[q].in_situ[i].max_rank_seconds);
+      m.published_bytes += rows[q].in_situ[i].published_bytes;
+    }
+  }
 
   // The campaign is over: anything still parked is past every deadline and
   // must execute now. Forcing defers to max_defers makes kDefer impossible

@@ -3,14 +3,15 @@
 // secondary resources (Dart + StagingService) schedule and execute the
 // in-transit stages asynchronously while the simulation proceeds.
 //
-// Per timestep:
-//   1. every simulation rank advances the solver (collective);
+// Per timestep, with one barrier closing each stage:
+//   1. every simulation rank advances the solver (halo exchanges inside);
 //   2. each scheduled analysis whose frequency divides the step runs its
 //      in-situ stage on every rank (publishing intermediate blocks);
-//   3. rank 0 submits the corresponding in-transit task (data-ready), and
-//      the staging buckets pull and process it while the simulation moves
-//      on — successive steps land on different buckets (temporal
-//      multiplexing).
+//   3. past the stage's barrier every block is published: rank 0 submits
+//      the in-transit task (data-ready), and the staging buckets pull and
+//      process it while the simulation moves on — successive steps land
+//      on different buckets (temporal multiplexing).
+// Ranks time their own stages; run() folds those rows after the join.
 #pragma once
 
 #include <cstdint>

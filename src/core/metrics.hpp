@@ -102,11 +102,8 @@ struct TenantRunRow {
 struct InSituMetric {
   std::string analysis;
   long step = 0;
-  double max_rank_seconds = 0.0;   // slowest rank (the simulation waits on it)
-  double mean_rank_seconds = 0.0;
-  size_t published_bytes = 0;      // intermediate data shipped to staging
-  size_t published_wire_bytes = 0;  // after the staging codec (== published
-                                    // when publishing raw)
+  double max_rank_seconds = 0.0;  // slowest rank (the simulation waits on it)
+  size_t published_bytes = 0;     // intermediate data shipped to staging
 };
 
 /// Full record of one hybrid run.

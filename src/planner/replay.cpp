@@ -2,43 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <deque>
 #include <queue>
 #include <set>
 
 #include "staging/policy.hpp"
+#include "util/numeric.hpp"
 
 namespace hia::planner {
 
 namespace {
-
-/// Parses a number with an optional k/m/g (1024-based) suffix — the
-/// same shorthand, with the same binary scale, as the overload spec
-/// grammar in runtime/overload.cpp.
-bool parse_scaled(const std::string& text, double* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  double value = std::strtod(text.c_str(), &end);
-  if (end == text.c_str()) return false;
-  switch (*end) {
-    case 'k': case 'K': value *= 1024.0; ++end; break;
-    case 'm': case 'M': value *= 1024.0 * 1024.0; ++end; break;
-    case 'g': case 'G': value *= 1024.0 * 1024.0 * 1024.0; ++end; break;
-    default: break;
-  }
-  if (*end != '\0') return false;
-  *out = value;
-  return true;
-}
-
-bool parse_positive_int(const std::string& text, long* out) {
-  double v = 0.0;
-  if (!parse_scaled(text, &v)) return false;
-  if (v < 0.0 || v != std::floor(v) || v > 1e15) return false;
-  *out = static_cast<long>(v);
-  return true;
-}
 
 std::vector<std::string> split_csv(const std::string& csv) {
   std::vector<std::string> out;
@@ -137,13 +110,11 @@ bool parse_scenario(const std::string& spec, Scenario* io,
     const std::string key = item.substr(0, eq);
     const std::string value = item.substr(eq + 1);
     double num = 0.0;
-    long integer = 0;
     if (key == "buckets") {
-      if (!parse_positive_int(value, &integer) || integer < 1) {
+      if (!parse_count(value, &io->buckets, 1)) {
         return fail("buckets must be a positive integer, got '" + value +
                     "'");
       }
-      io->buckets = static_cast<int>(integer);
     } else if (key == "nodes") {
       if (!parse_scaled(value, &num) || num <= 0.0) {
         return fail("nodes must be > 0, got '" + value + "'");
@@ -160,17 +131,15 @@ bool parse_scenario(const std::string& spec, Scenario* io,
       }
       io->arrival_scale = num;
     } else if (key == "credits") {
-      if (!parse_positive_int(value, &integer)) {
+      if (!parse_count(value, &io->credits)) {
         return fail("credits must be a nonnegative integer, got '" + value +
                     "'");
       }
-      io->credits = static_cast<int>(integer);
     } else if (key == "queue-depth") {
-      if (!parse_positive_int(value, &integer)) {
+      if (!parse_count(value, &io->queue_depth)) {
         return fail("queue-depth must be a nonnegative integer, got '" +
                     value + "'");
       }
-      io->queue_depth = integer;
     } else if (key == "divert") {
       if (value == "shed") {
         io->divert = DivertMode::kShed;
@@ -223,11 +192,10 @@ bool parse_scenario(const std::string& spec, Scenario* io,
       io->net.smsg_bandwidth_Bps = num;
       io->model_network = true;
     } else if (key == "smsg-max") {
-      if (!parse_positive_int(value, &integer)) {
+      if (!parse_count(value, &io->net.smsg_max_bytes)) {
         return fail("smsg-max must be a nonnegative byte count, got '" +
                     value + "'");
       }
-      io->net.smsg_max_bytes = static_cast<size_t>(integer);
       io->model_network = true;
     } else if (key == "bte-lat") {
       if (!parse_scaled(value, &num) || num < 0.0) {

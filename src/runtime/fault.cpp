@@ -5,6 +5,7 @@
 #include <cstdlib>
 
 #include "util/error.hpp"
+#include "util/numeric.hpp"
 #include "util/rng.hpp"
 
 namespace hia {
@@ -49,6 +50,14 @@ double parse_double(const std::string& token, const std::string& text) {
   const double v = std::strtod(text.c_str(), &end);
   HIA_REQUIRE(end != nullptr && *end == '\0' && !text.empty(),
               "--faults " + token + ": bad number '" + text + "'");
+  return v;
+}
+
+template <typename T>
+T parse_count_field(const std::string& token, const std::string& text) {
+  T v{};
+  HIA_REQUIRE(parse_count(text, &v),
+              "--faults " + token + ": bad count '" + text + "'");
   return v;
 }
 
@@ -103,48 +112,39 @@ FaultPlanConfig FaultPlan::parse_spec(const std::string& spec) {
       HIA_REQUIRE(at != std::string::npos,
                   "--faults kill-bucket needs B@N (bucket@step)");
       FaultPlanConfig::BucketKill kill;
-      kill.bucket =
-          static_cast<int>(parse_double(name, value.substr(0, at)));
-      kill.step = static_cast<long>(parse_double(name, value.substr(at + 1)));
-      HIA_REQUIRE(kill.bucket >= 0, "--faults kill-bucket: negative bucket");
+      kill.bucket = parse_count_field<int>(name, value.substr(0, at));
+      kill.step = parse_count_field<long>(name, value.substr(at + 1));
       cfg.bucket_kills.push_back(kill);
     } else if (name == "crash-bucket") {
       const size_t at = value.find('@');
       HIA_REQUIRE(at != std::string::npos,
                   "--faults crash-bucket needs B@N (bucket@step)");
       FaultPlanConfig::BucketCrash crash;
-      crash.bucket =
-          static_cast<int>(parse_double(name, value.substr(0, at)));
-      crash.step = static_cast<long>(parse_double(name, value.substr(at + 1)));
-      HIA_REQUIRE(crash.bucket >= 0, "--faults crash-bucket: negative bucket");
+      crash.bucket = parse_count_field<int>(name, value.substr(0, at));
+      crash.step = parse_count_field<long>(name, value.substr(at + 1));
       cfg.bucket_crashes.push_back(crash);
     } else if (name == "crash-server") {
       const size_t at = value.find('@');
       HIA_REQUIRE(at != std::string::npos,
                   "--faults crash-server needs S@N (server@step)");
       FaultPlanConfig::ServerCrash crash;
-      crash.server =
-          static_cast<int>(parse_double(name, value.substr(0, at)));
-      crash.step = static_cast<long>(parse_double(name, value.substr(at + 1)));
-      HIA_REQUIRE(crash.server >= 0, "--faults crash-server: negative server");
+      crash.server = parse_count_field<int>(name, value.substr(0, at));
+      crash.step = parse_count_field<long>(name, value.substr(at + 1));
       cfg.server_crashes.push_back(crash);
     } else if (name == "slow-bucket") {
       HIA_REQUIRE(!v1.empty(), "--faults slow-bucket needs B:F (bucket:factor)");
       FaultPlanConfig::BucketSlow slow;
-      slow.bucket = static_cast<int>(parse_double(name, v0));
+      slow.bucket = parse_count_field<int>(name, v0);
       slow.factor = parse_double(name, v1);
-      HIA_REQUIRE(slow.bucket >= 0 && slow.factor >= 1.0,
-                  "--faults slow-bucket: need bucket >= 0 and factor >= 1");
+      HIA_REQUIRE(slow.factor >= 1.0, "--faults slow-bucket: need factor >= 1");
       cfg.bucket_slowdowns.push_back(slow);
     } else if (name == "overload") {
       const size_t at = value.find('@');
       HIA_REQUIRE(at != std::string::npos,
                   "--faults overload needs B@N (bytes@step)");
       FaultPlanConfig::OverloadInject inject;
-      inject.bytes =
-          static_cast<size_t>(parse_double(name, value.substr(0, at)));
-      inject.step =
-          static_cast<long>(parse_double(name, value.substr(at + 1)));
+      inject.bytes = parse_count_field<size_t>(name, value.substr(0, at));
+      inject.step = parse_count_field<long>(name, value.substr(at + 1));
       HIA_REQUIRE(inject.bytes > 0, "--faults overload: need bytes > 0");
       cfg.overload_injects.push_back(inject);
     } else if (name == "credit-starve") {
@@ -152,10 +152,8 @@ FaultPlanConfig FaultPlan::parse_spec(const std::string& spec) {
       HIA_REQUIRE(at != std::string::npos,
                   "--faults credit-starve needs C@N (credits@step)");
       FaultPlanConfig::CreditStarve starve;
-      starve.credits =
-          static_cast<int>(parse_double(name, value.substr(0, at)));
-      starve.step =
-          static_cast<long>(parse_double(name, value.substr(at + 1)));
+      starve.credits = parse_count_field<int>(name, value.substr(0, at));
+      starve.step = parse_count_field<long>(name, value.substr(at + 1));
       HIA_REQUIRE(starve.credits > 0,
                   "--faults credit-starve: need credits > 0");
       cfg.credit_starves.push_back(starve);
@@ -165,14 +163,13 @@ FaultPlanConfig FaultPlan::parse_spec(const std::string& spec) {
       HIA_REQUIRE(colon != std::string::npos && at != std::string::npos,
                   "--faults tenant-hog needs T:B@N (tenant:bytes@step)");
       FaultPlanConfig::TenantHog hog;
-      hog.tenant = static_cast<int>(parse_double(name, v0));
-      hog.bytes = static_cast<size_t>(parse_double(name, v1.substr(0, at)));
-      hog.step = static_cast<long>(parse_double(name, v1.substr(at + 1)));
-      HIA_REQUIRE(hog.tenant >= 0, "--faults tenant-hog: negative tenant");
+      hog.tenant = parse_count_field<int>(name, v0);
+      hog.bytes = parse_count_field<size_t>(name, v1.substr(0, at));
+      hog.step = parse_count_field<long>(name, v1.substr(at + 1));
       HIA_REQUIRE(hog.bytes > 0, "--faults tenant-hog: need bytes > 0");
       cfg.tenant_hogs.push_back(hog);
     } else if (name == "attempts") {
-      cfg.retry.max_task_attempts = static_cast<int>(parse_double(name, value));
+      cfg.retry.max_task_attempts = parse_count_field<int>(name, value);
       HIA_REQUIRE(cfg.retry.max_task_attempts >= 1,
                   "--faults attempts: need >= 1");
     } else if (name == "backoff") {
@@ -186,7 +183,7 @@ FaultPlanConfig FaultPlan::parse_spec(const std::string& spec) {
       HIA_REQUIRE(eq == std::string::npos, "--faults shed takes no value");
       cfg.retry.degrade_to_insitu = false;
     } else if (name == "seed") {
-      cfg.seed = static_cast<uint64_t>(parse_double(name, value));
+      cfg.seed = parse_count_field<uint64_t>(name, value);
     } else {
       HIA_REQUIRE(false, "--faults: unknown directive '" + name + "'");
     }

@@ -195,7 +195,10 @@ class FaultPlan {
   ///   backoff=BASE:CAP    retry backoff bounds in seconds
   ///   shed                after K attempts drop the task (counted) instead
   ///                       of degrading it to the in-situ fallback
-  /// Throws hia::Error on a malformed spec.
+  /// Bucket, server, step, byte, credit, tenant and attempt counts and the
+  /// seed are whole numbers, k/m/g suffixes allowed (parse_count).
+  /// Throws hia::Error on a malformed spec or a count that is fractional,
+  /// negative, non-finite or too large for its field.
   static FaultPlanConfig parse_spec(const std::string& spec);
 
   explicit FaultPlan(FaultPlanConfig config);

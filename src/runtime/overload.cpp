@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include "obs/counters.hpp"
 #include "obs/events.hpp"
@@ -11,6 +12,7 @@
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
+#include "util/numeric.hpp"
 #include "util/stopwatch.hpp"
 
 namespace hia {
@@ -63,6 +65,16 @@ PressureSignal decode_pressure(const std::vector<std::byte>& payload) {
               "pressure payload has wrong size");
   int64_t fields[kSignalFields];
   std::memcpy(fields, payload.data(), kSignalBytes);
+  HIA_REQUIRE(fields[0] >= static_cast<int64_t>(PressureState::kNominal) &&
+                  fields[0] <= static_cast<int64_t>(PressureState::kSaturated),
+              "pressure payload has an unknown state");
+  // Three byte/depth counts, then two ints whose -1 means "off"/"unset".
+  for (size_t i = 1; i < kSignalFields; ++i) {
+    const bool is_int = i >= 4;
+    HIA_REQUIRE(fields[i] >= (is_int ? -1 : 0) &&
+                    (!is_int || fields[i] <= std::numeric_limits<int>::max()),
+                "pressure payload has a field out of range");
+  }
   PressureSignal s;
   s.state = static_cast<PressureState>(fields[0]);
   s.queue_bytes = static_cast<size_t>(fields[1]);
@@ -77,21 +89,12 @@ PressureSignal decode_pressure(const std::vector<std::byte>& payload) {
 
 namespace {
 
-size_t parse_bytes(const std::string& token, const std::string& text) {
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  double scale = 1.0;
-  if (end != nullptr && *end != '\0') {
-    switch (*end) {
-      case 'k': case 'K': scale = 1024.0; ++end; break;
-      case 'm': case 'M': scale = 1024.0 * 1024.0; ++end; break;
-      case 'g': case 'G': scale = 1024.0 * 1024.0 * 1024.0; ++end; break;
-      default: break;
-    }
-  }
-  HIA_REQUIRE(end != nullptr && *end == '\0' && !text.empty() && v >= 0.0,
-              "--overload " + token + ": bad size '" + text + "'");
-  return static_cast<size_t>(v * scale);
+template <typename T>
+T parse_count_field(const std::string& token, const std::string& text) {
+  T v{};
+  HIA_REQUIRE(parse_count(text, &v),
+              "--overload " + token + ": bad count '" + text + "'");
+  return v;
 }
 
 double parse_seconds(const std::string& token, const std::string& text) {
@@ -120,21 +123,21 @@ OverloadConfig OverloadConfig::parse_spec(const std::string& spec) {
         eq == std::string::npos ? "" : token.substr(eq + 1);
 
     if (name == "queue-bytes") {
-      cfg.queue_bytes_budget = parse_bytes(name, value);
+      cfg.queue_bytes_budget = parse_count_field<size_t>(name, value);
     } else if (name == "queue-depth") {
-      cfg.queue_depth_budget = parse_bytes(name, value);
+      cfg.queue_depth_budget = parse_count_field<size_t>(name, value);
     } else if (name == "store-bytes") {
-      cfg.store_bytes_budget = parse_bytes(name, value);
+      cfg.store_bytes_budget = parse_count_field<size_t>(name, value);
     } else if (name == "low") {
       cfg.low_watermark = parse_seconds(name, value);
     } else if (name == "high") {
       cfg.high_watermark = parse_seconds(name, value);
     } else if (name == "credits") {
-      cfg.credits = static_cast<int>(parse_bytes(name, value));
+      cfg.credits = parse_count_field<int>(name, value);
     } else if (name == "admit-wait") {
       cfg.admit_max_wait_s = parse_seconds(name, value);
     } else if (name == "defer-max") {
-      cfg.max_defers = static_cast<int>(parse_seconds(name, value));
+      cfg.max_defers = parse_count_field<int>(name, value);
     } else {
       HIA_REQUIRE(false, "--overload: unknown directive '" + name + "'");
     }
@@ -142,7 +145,6 @@ OverloadConfig OverloadConfig::parse_spec(const std::string& spec) {
   HIA_REQUIRE(cfg.low_watermark > 0.0 && cfg.low_watermark < cfg.high_watermark
                   && cfg.high_watermark <= 1.0,
               "--overload: need 0 < low < high <= 1");
-  HIA_REQUIRE(cfg.max_defers >= 0, "--overload defer-max: need >= 0");
   return cfg;
 }
 

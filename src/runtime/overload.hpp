@@ -83,14 +83,16 @@ struct OverloadConfig {
   int max_defers = 1;
 
   /// Parses a `--overload` spec: comma-separated directives
-  ///   queue-bytes=N     task-queue byte budget (suffix k/m/g allowed)
+  ///   queue-bytes=N     task-queue byte budget
   ///   queue-depth=N     task-queue depth budget
   ///   store-bytes=N     object-store byte budget (pressure only)
   ///   low=F high=F      watermark fractions, 0 < low < high <= 1
   ///   credits=N         admission credits (N outstanding puts)
   ///   admit-wait=S      max seconds a put blocks before overdrafting
   ///   defer-max=N       defer-one-step budget per task (default 1)
-  /// Throws hia::Error on a malformed spec. An empty spec parses to a
+  /// Every N is a whole count (k/m/g suffixes allowed, parse_count).
+  /// Throws hia::Error on a malformed spec or a count that is fractional,
+  /// negative, non-finite or too large for its field. An empty spec parses to a
   /// disabled config (enabled() == false).
   static OverloadConfig parse_spec(const std::string& spec);
 

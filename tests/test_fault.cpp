@@ -68,6 +68,13 @@ TEST(FaultSpec, RejectsMalformedSpecs) {
   EXPECT_THROW(FaultPlan::parse_spec("backoff=0.01:0.001"), Error);  // cap<base
   EXPECT_THROW(FaultPlan::parse_spec("attempts=0"), Error);
   EXPECT_THROW(FaultPlan::parse_spec("bogus=1"), Error);
+  // Integer fields: whole, non-negative and within their type.
+  EXPECT_THROW(FaultPlan::parse_spec("kill-bucket=1e300@1"), Error);
+  EXPECT_THROW(FaultPlan::parse_spec("kill-bucket=1.5@1"), Error);
+  EXPECT_THROW(FaultPlan::parse_spec("crash-server=0@-1"), Error);
+  EXPECT_THROW(FaultPlan::parse_spec("overload=-5@1"), Error);
+  EXPECT_THROW(FaultPlan::parse_spec("attempts=4294967297"), Error);
+  EXPECT_THROW(FaultPlan::parse_spec("seed=nan"), Error);
   EXPECT_NO_THROW(FaultPlan::parse_spec(""));  // empty = all defaults
 }
 

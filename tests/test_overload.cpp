@@ -7,6 +7,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -17,6 +19,7 @@
 #include "staging/object_store.hpp"
 #include "staging/scheduler.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace hia {
 namespace {
@@ -53,6 +56,14 @@ TEST(OverloadConfig, RejectsMalformedSpecs) {
                Error);
   EXPECT_THROW(OverloadConfig::parse_spec("queue-bytes=1k,low=0"), Error);
   EXPECT_THROW(OverloadConfig::parse_spec("queue-bytes=1k,high=1.5"), Error);
+  // Counts are whole and fit their field: no wrap (2^32 + 1 -> 1 credit),
+  // no truncation, no out-of-range conversion.
+  EXPECT_THROW(OverloadConfig::parse_spec("credits=4294967297"), Error);
+  EXPECT_THROW(OverloadConfig::parse_spec("credits=1e12"), Error);
+  EXPECT_THROW(OverloadConfig::parse_spec("credits=2.5"), Error);
+  EXPECT_THROW(OverloadConfig::parse_spec("queue-depth=1e30"), Error);
+  EXPECT_THROW(OverloadConfig::parse_spec("queue-bytes=-1"), Error);
+  EXPECT_THROW(OverloadConfig::parse_spec("credits=4,defer-max=1e300"), Error);
 }
 
 // ------------------------------------------------------------- wire codec
@@ -76,6 +87,77 @@ TEST(PressureCodec, EncodeDecodeRoundTrip) {
 
 TEST(PressureCodec, RejectsWrongSizePayload) {
   EXPECT_THROW(decode_pressure(std::vector<std::byte>(5)), Error);
+}
+
+TEST(PressureCodec, RejectsUnknownStatesAndNegativeCounts) {
+  auto with_field = [](size_t field, int64_t value) {
+    std::vector<std::byte> bytes = encode_pressure(PressureSignal{});
+    std::memcpy(bytes.data() + field * sizeof(int64_t), &value,
+                sizeof(value));
+    return bytes;
+  };
+  EXPECT_THROW(decode_pressure(with_field(0, 7)), Error);
+  EXPECT_THROW(decode_pressure(with_field(0, -1)), Error);
+  EXPECT_THROW(decode_pressure(with_field(1, -1)), Error);  // not 1.8e19 B
+  EXPECT_THROW(decode_pressure(with_field(4, -2)), Error);
+  EXPECT_THROW(decode_pressure(with_field(5, int64_t{1} << 32)), Error);
+  // -1 is the "credits off" / "not filled in" value of the two ints.
+  EXPECT_EQ(decode_pressure(with_field(4, -1)).credits_free, -1);
+  EXPECT_EQ(decode_pressure(with_field(5, -1)).live_buckets, -1);
+}
+
+TEST(PressureCodec, MutatedSignalsFailOnlyWithAnError) {
+  // A mutated signal either fails with hia::Error or decodes to a signal
+  // in range that encodes back to the same bytes.
+  PressureSignal base;
+  base.state = PressureState::kElevated;
+  base.queue_bytes = 4096;
+  base.queue_depth = 3;
+  base.store_bytes = 1 << 20;
+  base.credits_free = 5;
+  base.live_buckets = 2;
+  const std::vector<std::byte> valid = encode_pressure(base);
+  const int64_t specials[] = {-1,
+                              -2,
+                              3,
+                              7,
+                              std::numeric_limits<int>::max(),
+                              int64_t{std::numeric_limits<int>::max()} + 1,
+                              std::numeric_limits<int64_t>::max(),
+                              std::numeric_limits<int64_t>::min()};
+  SplitMix64 rng(0x9e55);
+  size_t accepted = 0;
+  for (int iter = 0; iter < 4000; ++iter) {
+    std::vector<std::byte> bytes = valid;
+    const uint64_t draw = rng.next();
+    const size_t field = draw % 6;
+    int64_t value = 0;
+    switch ((draw >> 8) % 3) {
+      case 0: value = specials[(draw >> 16) % std::size(specials)]; break;
+      case 1: value = static_cast<int64_t>(rng.next()); break;
+      default: value = static_cast<int64_t>((draw >> 16) % 5) - 1; break;
+    }
+    std::memcpy(bytes.data() + field * sizeof(int64_t), &value,
+                sizeof(value));
+    try {
+      const PressureSignal s = decode_pressure(bytes);
+      ++accepted;
+      EXPECT_EQ(encode_pressure(s), bytes) << "field " << field << " = "
+                                           << value;
+      EXPECT_TRUE(s.state == PressureState::kNominal ||
+                  s.state == PressureState::kElevated ||
+                  s.state == PressureState::kSaturated);
+      constexpr auto kMaxCount =
+          static_cast<size_t>(std::numeric_limits<int64_t>::max());
+      EXPECT_LE(s.queue_bytes, kMaxCount);
+      EXPECT_LE(s.queue_depth, kMaxCount);
+      EXPECT_LE(s.store_bytes, kMaxCount);
+      EXPECT_GE(s.credits_free, -1);
+      EXPECT_GE(s.live_buckets, -1);
+    } catch (const Error&) {
+    }
+  }
+  EXPECT_GT(accepted, 500u);
 }
 
 // -------------------------------------------------------------- watermarks

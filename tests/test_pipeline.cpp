@@ -4,8 +4,11 @@
 // scheduler bookkeeping matches the run configuration.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <mutex>
+#include <thread>
 
 #include "analysis/topology/local_tree.hpp"
 #include "core/framework.hpp"
@@ -14,6 +17,7 @@
 #include "core/stats_pipeline.hpp"
 #include "core/topology_pipeline.hpp"
 #include "core/viz_pipeline.hpp"
+#include "obs/histogram.hpp"
 
 namespace hia {
 namespace {
@@ -26,6 +30,85 @@ RunConfig small_config(long steps = 3) {
   cfg.staging_buckets = 3;
   cfg.steps = steps;
   return cfg;
+}
+
+// A hybrid analysis that talks to no other rank: rank r sleeps
+// (r + 1) * sleep_ms and publishes (r + 1) * 16 doubles, so the last rank
+// is the slowest and every rank publishes a different amount. The
+// in-transit stage records how many blocks each task received.
+class RankProbe : public HybridAnalysis {
+ public:
+  RankProbe(std::string name, int sleep_ms)
+      : name_(std::move(name)), sleep_ms_(sleep_ms) {}
+
+  [[nodiscard]] std::string name() const override { return name_; }
+  [[nodiscard]] std::vector<std::string> staged_variables() const override {
+    return {name_ + ".block"};
+  }
+  void in_situ(InSituContext& ctx) override {
+    const int weight = ctx.comm().rank() + 1;
+    std::this_thread::sleep_for(std::chrono::milliseconds(weight * sleep_ms_));
+    ctx.publish(name_ + ".block",
+                ctx.sim().field(Variable::kTemperature).owned(),
+                std::vector<double>(static_cast<size_t>(weight) * 16, 1.0));
+  }
+  void in_transit(TaskContext& ctx) override {
+    std::lock_guard lock(mutex_);
+    inputs_per_task_.push_back(ctx.task().inputs.size());
+  }
+  std::vector<size_t> inputs_per_task() {
+    std::lock_guard lock(mutex_);
+    return inputs_per_task_;
+  }
+
+ private:
+  std::string name_;
+  int sleep_ms_;
+  std::mutex mutex_;
+  std::vector<size_t> inputs_per_task_;
+};
+
+TEST(Pipeline, ReportFoldsEveryRanksRows) {
+  const long steps = 3;
+  const int sleep_ms = 4;
+  RunConfig cfg = small_config(steps);
+  const int nranks = 4;  // 2x2x1
+  HybridRunner runner(cfg);
+  auto probe = std::make_shared<RankProbe>("probe", sleep_ms);
+  runner.add_analysis(probe);
+  const RunReport report = runner.run();
+
+  EXPECT_EQ(report.sim_step_seconds.size(), static_cast<size_t>(steps));
+  ASSERT_EQ(report.in_situ.size(), static_cast<size_t>(steps));
+  const size_t bytes_sum = 16 * sizeof(double) * (1 + 2 + 3 + 4);
+  for (size_t i = 0; i < report.in_situ.size(); ++i) {
+    const InSituMetric& m = report.in_situ[i];
+    EXPECT_EQ(m.analysis, "probe");
+    EXPECT_EQ(m.step, static_cast<long>(i) + 1);
+    // The last rank sleeps longest; rank 0's own time is a quarter of it.
+    EXPECT_GE(m.max_rank_seconds, nranks * sleep_ms * 1e-3);
+    EXPECT_EQ(m.published_bytes, bytes_sum);
+  }
+  const std::vector<size_t> inputs = probe->inputs_per_task();
+  EXPECT_EQ(inputs.size(), static_cast<size_t>(steps));
+  for (const size_t n : inputs) EXPECT_EQ(n, static_cast<size_t>(nranks));
+  EXPECT_EQ(report.in_transit.size(), static_cast<size_t>(steps));
+}
+
+TEST(Pipeline, RankLoopRunsOneBarrierPerStage) {
+  // Neither the simulation nor these analyses run a collective, so every
+  // comm_collective_s observation is one of the runner's own: a barrier
+  // after each sim step and after each in-situ stage, plus the final one.
+  const long steps = 3;
+  const int nranks = 4;  // 2x2x1
+  const int analyses = 2;
+  HybridRunner runner(small_config(steps));
+  runner.add_analysis(std::make_shared<RankProbe>("probe-a", 0));
+  runner.add_analysis(std::make_shared<RankProbe>("probe-b", 0));
+  obs::reset_histograms();
+  (void)runner.run();
+  EXPECT_EQ(obs::histogram("comm_collective_s").snapshot().count,
+            static_cast<uint64_t>(nranks * (steps * (1 + analyses) + 1)));
 }
 
 TEST(Pipeline, HybridStatsMatchInSituStats) {

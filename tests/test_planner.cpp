@@ -349,6 +349,10 @@ TEST_F(PlannerTest, ScenarioSpecParsesKeysSuffixesAndDomains) {
 
   Scenario bad;
   EXPECT_FALSE(planner::parse_scenario("buckets=0", &bad, &error));
+  EXPECT_FALSE(planner::parse_scenario("buckets=4294967297", &bad, &error));
+  EXPECT_FALSE(planner::parse_scenario("credits=2.5", &bad, &error));
+  EXPECT_FALSE(planner::parse_scenario("queue-depth=1e300", &bad, &error));
+  EXPECT_FALSE(planner::parse_scenario("nodes=inf", &bad, &error));
   EXPECT_FALSE(planner::parse_scenario("bogus=1", &bad, &error));
   EXPECT_FALSE(planner::parse_scenario("divert=nowhere", &bad, &error));
   EXPECT_FALSE(planner::parse_scenario("buckets", &bad, &error));

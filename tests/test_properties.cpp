@@ -5,6 +5,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <functional>
+#include <optional>
 #include <random>
 
 #include "analysis/stats/descriptive.hpp"
@@ -15,8 +18,12 @@
 #include "core/stats_pipeline.hpp"
 #include "core/timeseries_pipeline.hpp"
 #include "io/bp_lite.hpp"
+#include "planner/replay.hpp"
+#include "runtime/fault.hpp"
 #include "runtime/network_model.hpp"
+#include "runtime/overload.hpp"
 #include "sim/analytic_fields.hpp"
+#include "util/numeric.hpp"
 #include "util/rng.hpp"
 
 namespace hia {
@@ -220,6 +227,127 @@ TEST(Determinism, WholeCampaignIsReproducible) {
     EXPECT_DOUBLE_EQ(a[v].min, b[v].min);
     EXPECT_DOUBLE_EQ(a[v].max, b[v].max);
   }
+}
+
+// A count text drawn from the shapes that break a bare double-to-integer
+// cast: huge, negative, fractional, non-finite, suffixed and malformed.
+std::string random_count_text(SplitMix64& rng) {
+  static const char* const kSpecial[] = {
+      "", "nan", "inf", "-inf", "-0", "0x10", "1e300", "-5", "4294967297",
+      "1e12", "1e30", "2.5", "2147483648", "9223372036854775808",
+      "18446744073709551616", "k", "1kk", "4x", "1e-3k", "0.5k"};
+  static const char* const kSuffix[] = {"", "", "", "k", "m", "g", "G", "x"};
+  const uint64_t draw = rng.next();
+  std::string text;
+  switch (draw % 3) {
+    case 0:
+      return kSpecial[(draw >> 8) % std::size(kSpecial)];
+    case 1:
+      text = std::to_string(rng.next() >> ((draw >> 8) % 64));
+      break;
+    default: {
+      char buf[64];
+      const int exponent = static_cast<int>((draw >> 8) % 40) - 10;
+      std::snprintf(buf, sizeof(buf), "%.*g",
+                    static_cast<int>((draw >> 16) % 8) + 1,
+                    static_cast<double>(rng.next() >> 11) * 0x1.0p-53 *
+                        std::pow(10.0, exponent));
+      text = buf;
+    }
+  }
+  if ((draw >> 24) % 5 == 0) text = "-" + text;
+  return text + kSuffix[(draw >> 32) % std::size(kSuffix)];
+}
+
+// Runs one grammar: the field it set, or nullopt when the spec was refused
+// with hia::Error. Any other exception escapes and fails the test.
+template <typename F>
+std::optional<double> accepted(F&& parse) {
+  try {
+    return parse();
+  } catch (const Error&) {
+    return std::nullopt;
+  }
+}
+
+TEST(SpecGrammars, CountFieldsFailOnlyWithAnErrorAndStayInRange) {
+  using Parse = std::function<std::optional<double>(const std::string&)>;
+  auto overload = [](auto field) -> Parse {
+    return [field](const std::string& spec) {
+      return accepted([&] {
+        return static_cast<double>(field(OverloadConfig::parse_spec(spec)));
+      });
+    };
+  };
+  auto faults = [](auto field) -> Parse {
+    return [field](const std::string& spec) {
+      return accepted([&] {
+        return static_cast<double>(field(FaultPlan::parse_spec(spec)));
+      });
+    };
+  };
+  auto plan = [](auto field) -> Parse {
+    return [field](const std::string& spec) -> std::optional<double> {
+      planner::Scenario sc;
+      std::string error;
+      if (!planner::parse_scenario(spec, &sc, &error)) {
+        EXPECT_FALSE(error.empty()) << spec;
+        return std::nullopt;
+      }
+      return static_cast<double>(field(sc));
+    };
+  };
+  // '#' marks where the drawn text goes.
+  const std::vector<std::pair<std::string, Parse>> fields = {
+      {"queue-bytes=#",
+       overload([](const OverloadConfig& c) { return c.queue_bytes_budget; })},
+      {"queue-depth=#",
+       overload([](const OverloadConfig& c) { return c.queue_depth_budget; })},
+      {"credits=#", overload([](const OverloadConfig& c) { return c.credits; })},
+      {"queue-bytes=1,defer-max=#",
+       overload([](const OverloadConfig& c) { return c.max_defers; })},
+      {"kill-bucket=#@1", faults([](const FaultPlanConfig& c) {
+         return c.bucket_kills.at(0).bucket;
+       })},
+      {"kill-bucket=1@#", faults([](const FaultPlanConfig& c) {
+         return c.bucket_kills.at(0).step;
+       })},
+      {"overload=#@1", faults([](const FaultPlanConfig& c) {
+         return c.overload_injects.at(0).bytes;
+       })},
+      {"credit-starve=#@1", faults([](const FaultPlanConfig& c) {
+         return c.credit_starves.at(0).credits;
+       })},
+      {"tenant-hog=1:#@2", faults([](const FaultPlanConfig& c) {
+         return c.tenant_hogs.at(0).bytes;
+       })},
+      {"attempts=#", faults([](const FaultPlanConfig& c) {
+         return c.retry.max_task_attempts;
+       })},
+      {"seed=#", faults([](const FaultPlanConfig& c) { return c.seed; })},
+      {"buckets=#", plan([](const planner::Scenario& s) { return s.buckets; })},
+      {"credits=#", plan([](const planner::Scenario& s) { return s.credits; })},
+      {"queue-depth=#", plan([](const planner::Scenario& s) { return s.queue_depth; })},
+      {"smsg-max=#", plan([](const planner::Scenario& s) { return s.net.smsg_max_bytes; })},
+  };
+
+  SplitMix64 rng(0xc0ffee);
+  size_t accepted_count = 0;
+  for (int iter = 0; iter < 6000; ++iter) {
+    const auto& [pattern, parse] = fields[static_cast<size_t>(iter) % fields.size()];
+    const std::string text = random_count_text(rng);
+    std::string spec = pattern;
+    spec.replace(spec.find('#'), 1, text);
+    const std::optional<double> got = parse(spec);
+    if (!got.has_value()) continue;
+    ++accepted_count;
+    // Accepted means the field holds exactly the whole number written.
+    double written = 0.0;
+    ASSERT_TRUE(parse_scaled(text, &written)) << spec;
+    EXPECT_EQ(*got, written) << spec;
+    EXPECT_GE(*got, 0.0) << spec;
+  }
+  EXPECT_GT(accepted_count, 100u);  // the sweep reaches the accepting path
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "util/error.hpp"
 #include "util/log.hpp"
 #include "util/morton.hpp"
+#include "util/numeric.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"
@@ -196,6 +197,44 @@ TEST(Format, Bytes) {
 TEST(Format, Percent) {
   EXPECT_EQ(fmt_percent(4.33, 100.0), "4.33%");
   EXPECT_EQ(fmt_percent(1.0, 0.0), "n/a");
+}
+
+TEST(ParseCount, AcceptsWholeScaledCountsInRange) {
+  int i = -7;
+  EXPECT_TRUE(parse_count("16", &i));
+  EXPECT_EQ(i, 16);
+  EXPECT_TRUE(parse_count("4k", &i));
+  EXPECT_EQ(i, 4096);
+  EXPECT_TRUE(parse_count("2147483647", &i));
+  EXPECT_EQ(i, 2147483647);
+  size_t z = 0;
+  EXPECT_TRUE(parse_count("2G", &z));
+  EXPECT_EQ(z, size_t{2} << 30);
+  EXPECT_TRUE(parse_count("4294967297", &z));
+  EXPECT_EQ(z, 4294967297u);
+  long l = 0;
+  EXPECT_TRUE(parse_count("1.5k", &l));  // whole after scaling
+  EXPECT_EQ(l, 1536);
+  uint64_t u = 0;
+  EXPECT_TRUE(parse_count("1e19", &u));
+  EXPECT_EQ(u, 10000000000000000000ULL);
+}
+
+TEST(ParseCount, RejectsWhatACastWouldWrapOrTruncate) {
+  int i = -7;
+  for (const char* bad :
+       {"4294967297", "2147483648", "1e12", "-5", "-1", "2.5", "nan", "inf",
+        "-inf", "1e300", "", "k", "4x", "4kk", "1e400", "0.1k"}) {
+    EXPECT_FALSE(parse_count(bad, &i)) << bad;
+    EXPECT_EQ(i, -7) << bad;  // untouched on failure
+  }
+  size_t z = 3;
+  EXPECT_FALSE(parse_count("1e30", &z));
+  EXPECT_FALSE(parse_count("18446744073709551616", &z));
+  EXPECT_FALSE(parse_count("0", &z, 1));  // below the caller's minimum
+  EXPECT_EQ(z, 3u);
+  long l = 0;
+  EXPECT_FALSE(parse_count("9223372036854775808", &l));
 }
 
 }  // namespace
