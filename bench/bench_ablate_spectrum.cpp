@@ -23,8 +23,8 @@ int main(int argc, char** argv) {
       std::vector<Variable>{Variable::kTemperature});
   auto hybrid = std::make_shared<HybridStatistics>(
       std::vector<Variable>{Variable::kTemperature});
-  auto intransit =
-      std::make_shared<InTransitStatistics>(Variable::kTemperature);
+  auto intransit = std::make_shared<Statistics>(
+      Placement::kInTransit, std::vector<Variable>{Variable::kTemperature});
   runner.add_analysis(insitu);
   runner.add_analysis(hybrid);
   runner.add_analysis(intransit);
@@ -65,11 +65,11 @@ int main(int argc, char** argv) {
       [&] {
         const auto a = insitu->latest_models();
         const auto b = hybrid->latest_models();
-        const auto c = intransit->latest_model();
-        if (a.size() != 1 || b.size() != 1) return false;
-        return a[0].count == b[0].count && b[0].count == c.count &&
-               std::abs(a[0].mean - c.mean) < 1e-9 &&
-               std::abs(b[0].variance - c.variance) < 1e-8;
+        const auto c = intransit->latest_models();
+        if (a.size() != 1 || b.size() != 1 || c.size() != 1) return false;
+        return a[0].count == b[0].count && b[0].count == c[0].count &&
+               std::abs(a[0].mean - c[0].mean) < 1e-9 &&
+               std::abs(b[0].variance - c[0].variance) < 1e-8;
       }());
   obs_cli.finish();
   return 0;

@@ -44,7 +44,11 @@
 #      statistics, counts exact and moments 1e-9; the merge-tree and
 #      ray-cast results of hybrid-topo-viz) so the gated benchmark cannot
 #      rot unseen
-#   9. sanitizers: ASan+UBSan over everything, TSan over the concurrent
+#   9. shape checks: bench_table2 and bench_ablate_spectrum run from a
+#      temp dir and fail the gate on any "[shape FAIL]" line; between them
+#      they run every statistics and visualization placement (bench_fig6
+#      stays out: its known FAIL is ROADMAP item 7)
+#  10. sanitizers: ASan+UBSan over everything, TSan over the concurrent
 #      paths (see ci/sanitize.sh; sanitizer runs skip the perf gate —
 #      their timings are not comparable to baseline)
 #
@@ -52,8 +56,8 @@
 # under ci/artifacts/ for post-mortem reading.
 #
 #   ci/check.sh              # everything
-#   ci/check.sh --fast       # tier-1 + smokes + perf gate (skip benchmark
-#                            # and sanitizers)
+#   ci/check.sh --fast       # tier-1 + smokes + perf gate (skip benchmark,
+#                            # shape checks and sanitizers)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -183,6 +187,17 @@ sys.exit(0 if json.loads(sys.stdin.read()).get("correct") is True else 1)
     }
   done
   echo "benchmark OK (sim-stats and hybrid-topo-viz correct)"
+
+  echo "==> shape checks: bench_table2 + bench_ablate_spectrum"
+  for bench in bench_table2 bench_ablate_spectrum; do
+    (cd "$smoke_dir" && "$OLDPWD/build/bench/$bench" > "${bench}_stdout.txt")
+    cp "$smoke_dir/${bench}_stdout.txt" "$artifact_dir/"
+    if grep -F '[shape FAIL]' "$smoke_dir/${bench}_stdout.txt" >&2; then
+      echo "shape checks: $bench printed a FAIL (above)" >&2
+      exit 1
+    fi
+  done
+  echo "shape checks OK (every stats and viz placement)"
 
   echo "==> sanitizers: asan"
   ci/sanitize.sh asan

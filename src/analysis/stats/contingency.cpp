@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include "util/numeric.hpp"
 
 namespace hia {
@@ -58,15 +59,24 @@ std::vector<double> ContingencyTable::serialize() const {
 
 ContingencyTable ContingencyTable::deserialize(std::span<const double> data) {
   HIA_REQUIRE(data.size() >= 3, "contingency payload too short");
-  ContingencyTable t(round_to<int>(data[0]), round_to<int>(data[1]));
-  const auto n = round_to<size_t>(data[2]);
-  HIA_REQUIRE(data.size() == 3 + n * 3, "contingency payload size mismatch");
+  auto bins = [](double v) {
+    constexpr size_t kEnd = size_t{std::numeric_limits<int>::max()} + 1;
+    return static_cast<int>(
+        rounded_below(v, kEnd, "contingency bin count out of range"));
+  };
+  ContingencyTable t(bins(data[0]), bins(data[1]));
+  const size_t body = data.size() - 3;
+  const size_t n = rounded_below(data[2], body / 3 + 1,
+                                 "contingency cell count exceeds payload");
+  HIA_REQUIRE(body == n * 3, "contingency payload size mismatch");
   for (size_t c = 0; c < n; ++c) {
-    const int x = round_to<int>(data[3 + c * 3]);
-    const int y = round_to<int>(data[3 + c * 3 + 1]);
+    const auto x = static_cast<int>(
+        rounded_below(data[3 + c * 3], static_cast<size_t>(t.x_bins_),
+                      "contingency cell out of range"));
+    const auto y = static_cast<int>(
+        rounded_below(data[3 + c * 3 + 1], static_cast<size_t>(t.y_bins_),
+                      "contingency cell out of range"));
     const auto count = round_to<uint64_t>(data[3 + c * 3 + 2]);
-    HIA_REQUIRE(x >= 0 && x < t.x_bins_ && y >= 0 && y < t.y_bins_,
-                "contingency cell out of range");
     t.cells_[{x, y}] += count;
     t.total_ += count;
   }

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "util/error.hpp"
+#include "util/numeric.hpp"
 
 namespace hia {
 
@@ -73,7 +74,8 @@ class Histogram {
                 "restore: bin count mismatch");
     total_ = underflow + overflow;
     for (size_t b = 0; b < counts_.size(); ++b) {
-      counts_[b] = static_cast<uint64_t>(counts[b]);
+      counts_[b] = rounded_below(counts[b], size_t{1} << 53,
+                                 "histogram bin count out of range");
       total_ += counts_[b];
     }
     underflow_ = underflow;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/numeric.hpp"
+
 namespace hia {
 
 namespace {
@@ -153,7 +155,9 @@ void MomentAccumulator::pack(double out[kPackedSize]) const {
 
 MomentAccumulator MomentAccumulator::unpack(const double in[kPackedSize]) {
   MomentAccumulator acc;
-  acc.n_ = static_cast<uint64_t>(in[0]);
+  // Packed models arrive from peers: the count must round into the range
+  // a double carries exactly.
+  acc.n_ = rounded_below(in[0], size_t{1} << 53, "moment count out of range");
   acc.mean_ = in[1];
   acc.m2_ = in[2];
   acc.m3_ = in[3];

@@ -100,12 +100,17 @@ std::vector<double> LocalFeatureData::serialize() const {
 LocalFeatureData LocalFeatureData::deserialize(std::span<const double> data) {
   HIA_REQUIRE(data.size() >= 3, "feature payload too short");
   LocalFeatureData d;
-  const auto n = round_to<size_t>(data[0]);
-  const auto nb = round_to<size_t>(data[1]);
-  const auto nl = round_to<size_t>(data[2]);
   const size_t per_comp = 6 + MomentAccumulator::kPackedSize;
-  HIA_REQUIRE(data.size() == 3 + n * per_comp + nb * 2 + nl * 2,
-              "feature payload size mismatch");
+  size_t left = data.size() - 3;
+  const size_t n = rounded_below(data[0], left / per_comp + 1,
+                                 "feature component count exceeds payload");
+  left -= n * per_comp;
+  const size_t nb = rounded_below(data[1], left / 2 + 1,
+                                  "feature boundary count exceeds payload");
+  left -= nb * 2;
+  const size_t nl = rounded_below(data[2], left / 2 + 1,
+                                  "feature link count exceeds payload");
+  HIA_REQUIRE(left == nl * 2, "feature payload size mismatch");
   size_t off = 3;
   for (size_t c = 0; c < n; ++c) {
     d.comp_max_id.push_back(round_to<uint64_t>(data[off++]));
@@ -118,10 +123,12 @@ LocalFeatureData LocalFeatureData::deserialize(std::span<const double> data) {
   }
   for (size_t b = 0; b < nb; ++b) {
     d.boundary_gid.push_back(round_to<uint64_t>(data[off++]));
-    d.boundary_comp.push_back(round_to<uint32_t>(data[off++]));
+    d.boundary_comp.push_back(static_cast<uint32_t>(rounded_below(
+        data[off++], n, "feature boundary component out of range")));
   }
   for (size_t l = 0; l < nl; ++l) {
-    d.link_comp.push_back(round_to<uint32_t>(data[off++]));
+    d.link_comp.push_back(static_cast<uint32_t>(rounded_below(
+        data[off++], n, "feature link component out of range")));
     d.link_gid.push_back(round_to<uint64_t>(data[off++]));
   }
   return d;

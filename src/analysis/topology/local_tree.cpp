@@ -29,18 +29,6 @@ std::vector<double> SubtreeData::serialize() const {
   return out;
 }
 
-namespace {
-
-/// Rounds an integral field of a peer's payload, requiring it to round into
-/// [0, end). The range is checked on the double, before any conversion or
-/// arithmetic: the bytes may hold NaN, infinities or values beyond size_t.
-size_t rounded_below(double v, size_t end, const char* what) {
-  HIA_REQUIRE(v > -0.5 && v < static_cast<double>(end) - 0.5, what);
-  return round_to<size_t>(v);
-}
-
-}  // namespace
-
 SubtreeData SubtreeData::deserialize(std::span<const double> data) {
   HIA_REQUIRE(data.size() >= 2, "subtree payload too short");
   const size_t body = data.size() - 2;

@@ -23,12 +23,18 @@ DownsampledBlock DownsampledBlock::deserialize(std::span<const double> data) {
   for (int a = 0; a < 3; ++a) b.bounds.lo[a] = round_to<int64_t>(data[off++]);
   for (int a = 0; a < 3; ++a) b.bounds.hi[a] = round_to<int64_t>(data[off++]);
   b.stride = round_to<int>(data[off++]);
-  for (int a = 0; a < 3; ++a) b.samples[a] = round_to<int64_t>(data[off++]);
-  const size_t expected = static_cast<size_t>(b.samples[0]) *
-                          static_cast<size_t>(b.samples[1]) *
-                          static_cast<size_t>(b.samples[2]);
-  HIA_REQUIRE(data.size() == 10 + expected,
-              "downsampled block payload size mismatch");
+  // Each sample count is at least 1 and bounded by the values left for it,
+  // so the running product never exceeds the payload.
+  const size_t body = data.size() - 10;
+  size_t expected = 1;
+  for (int a = 0; a < 3; ++a) {
+    const size_t s = rounded_below(data[off++], body / expected + 1,
+                                   "downsampled samples exceed payload");
+    HIA_REQUIRE(s >= 1, "downsampled block needs a sample per axis");
+    b.samples[a] = static_cast<int64_t>(s);
+    expected *= s;
+  }
+  HIA_REQUIRE(body == expected, "downsampled block payload size mismatch");
   b.values.assign(data.begin() + 10, data.end());
   return b;
 }

@@ -76,16 +76,18 @@ std::vector<double> serialize_image(const Image& image) {
 
 Image deserialize_image(std::span<const double> data) {
   HIA_REQUIRE(data.size() >= 2, "image payload too short");
-  const int w = round_to<int>(data[0]);
-  const int h = round_to<int>(data[1]);
-  HIA_REQUIRE(w > 0 && h > 0 &&
-                  data.size() == 2 + static_cast<size_t>(w) *
-                                     static_cast<size_t>(h) * 4,
+  const size_t pixels = (data.size() - 2) / 4;
+  const size_t w =
+      rounded_below(data[0], pixels + 1, "image width exceeds payload");
+  HIA_REQUIRE(w > 0, "image width must be positive");
+  const size_t h =
+      rounded_below(data[1], pixels / w + 1, "image height exceeds payload");
+  HIA_REQUIRE(h > 0 && data.size() == 2 + w * h * 4,
               "image payload size mismatch");
-  Image img(w, h);
+  Image img(static_cast<int>(w), static_cast<int>(h));
   size_t off = 2;
-  for (int y = 0; y < h; ++y) {
-    for (int x = 0; x < w; ++x) {
+  for (int y = 0; y < img.height(); ++y) {
+    for (int x = 0; x < img.width(); ++x) {
       Rgba& p = img.at(x, y);
       p.r = static_cast<float>(data[off++]);
       p.g = static_cast<float>(data[off++]);

@@ -51,10 +51,12 @@ std::vector<double> TriangleMesh::serialize() const {
 TriangleMesh TriangleMesh::deserialize(std::span<const double> data) {
   HIA_REQUIRE(data.size() >= 2, "mesh payload too short");
   TriangleMesh m;
-  const auto nv = round_to<size_t>(data[0]);
-  const auto nt = round_to<size_t>(data[1]);
-  HIA_REQUIRE(data.size() == 2 + nv * 3 + nt * 3,
-              "mesh payload size mismatch");
+  const size_t body = data.size() - 2;
+  const size_t nv =
+      rounded_below(data[0], body / 3 + 1, "mesh vertex count exceeds payload");
+  const size_t nt = rounded_below(data[1], (body - nv * 3) / 3 + 1,
+                                  "mesh triangle count exceeds payload");
+  HIA_REQUIRE(body == nv * 3 + nt * 3, "mesh payload size mismatch");
   size_t off = 2;
   m.vertices.reserve(nv);
   for (size_t v = 0; v < nv; ++v) {
@@ -64,12 +66,10 @@ TriangleMesh TriangleMesh::deserialize(std::span<const double> data) {
   }
   m.triangles.reserve(nt);
   for (size_t t = 0; t < nt; ++t) {
-    m.triangles.push_back({round_to<uint32_t>(data[off]),
-                           round_to<uint32_t>(data[off + 1]),
-                           round_to<uint32_t>(data[off + 2])});
-    off += 3;
-    for (const uint32_t idx : m.triangles.back()) {
-      HIA_REQUIRE(idx < nv, "mesh triangle index out of range");
+    auto& tri = m.triangles.emplace_back();
+    for (uint32_t& idx : tri) {
+      idx = static_cast<uint32_t>(
+          rounded_below(data[off++], nv, "mesh triangle index out of range"));
     }
   }
   return m;

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -105,15 +106,35 @@ class HybridAnalysis {
   virtual void in_transit(TaskContext& ctx) { (void)ctx; }
 };
 
-/// Records `step` in `newest` and returns true unless a newer step was
-/// recorded already. Buckets run several steps' in-transit stages at once
-/// and finish them in any order, so an analysis keeps a finished stage's
-/// result as its "latest" only when this returns true (call it under the
-/// lock that guards that result).
-inline bool newest_step(long& newest, long step) {
-  if (step < newest) return false;
-  newest = step;
-  return true;
-}
+/// Where the stages of an analysis that can be split run (paper §III,
+/// Table II): everything on the simulation ranks with a collective reduce,
+/// a reduced partial published for an in-transit combine, or the raw data
+/// published for an in-transit learn.
+enum class Placement { kInSitu, kHybrid, kInTransit };
+
+/// The newest result of an analysis, shared between the stage that
+/// produces it and the callers that read it. Buckets run several steps'
+/// in-transit stages at once and finish them in any order, so an offer
+/// replaces the held value only if its step is not older.
+template <typename T>
+class Latest {
+ public:
+  void offer(long step, T value) {
+    std::lock_guard lock(mutex_);
+    if (step < step_) return;
+    step_ = step;
+    value_ = std::move(value);
+  }
+
+  [[nodiscard]] T get() const {
+    std::lock_guard lock(mutex_);
+    return value_;
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  long step_ = -1;
+  T value_{};
+};
 
 }  // namespace hia

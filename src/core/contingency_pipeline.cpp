@@ -1,8 +1,7 @@
 #include "core/contingency_pipeline.hpp"
 
-#include <cstring>
-
 #include "util/error.hpp"
+#include "util/numeric.hpp"
 
 namespace hia {
 
@@ -32,27 +31,10 @@ void HybridContingency::in_transit(TaskContext& ctx) {
   }
   const ContingencyModel model = derive_contingency(global);
 
-  std::vector<double> flat{static_cast<double>(model.total),
-                           model.chi_squared, model.cramers_v,
-                           model.mutual_information};
-  std::vector<std::byte> bytes(flat.size() * sizeof(double));
-  std::memcpy(bytes.data(), flat.data(), bytes.size());
-  ctx.set_result(std::move(bytes));
-
-  std::lock_guard lock(mutex_);
-  if (!newest_step(latest_step_, ctx.task().step)) return;
-  latest_ = model;
-  latest_table_ = std::move(global);
-}
-
-ContingencyModel HybridContingency::latest_model() const {
-  std::lock_guard lock(mutex_);
-  return latest_;
-}
-
-std::optional<ContingencyTable> HybridContingency::latest_table() const {
-  std::lock_guard lock(mutex_);
-  return latest_table_;
+  ctx.set_result(to_bytes(std::vector{static_cast<double>(model.total),
+                                      model.chi_squared, model.cramers_v,
+                                      model.mutual_information}));
+  latest_.offer(ctx.task().step, {model, std::move(global)});
 }
 
 }  // namespace hia

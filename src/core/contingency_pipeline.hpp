@@ -6,7 +6,7 @@
 // far below it — regardless of grid size.
 #pragma once
 
-#include <mutex>
+#include <optional>
 
 #include "analysis/stats/contingency.hpp"
 #include "core/analysis.hpp"
@@ -33,16 +33,22 @@ class HybridContingency final : public HybridAnalysis {
   void in_situ(InSituContext& ctx) override;
   void in_transit(TaskContext& ctx) override;
 
-  [[nodiscard]] ContingencyModel latest_model() const;
+  [[nodiscard]] ContingencyModel latest_model() const {
+    return latest_.get().model;
+  }
   /// The combined table itself (for marginals / deeper inspection).
-  [[nodiscard]] std::optional<ContingencyTable> latest_table() const;
+  [[nodiscard]] std::optional<ContingencyTable> latest_table() const {
+    return latest_.get().table;
+  }
 
  private:
+  struct Result {
+    ContingencyModel model;
+    std::optional<ContingencyTable> table;
+  };
+
   ContingencyConfig config_;
-  mutable std::mutex mutex_;
-  ContingencyModel latest_{};
-  long latest_step_ = -1;  // step of the result held in latest_
-  std::optional<ContingencyTable> latest_table_;
+  Latest<Result> latest_;
 };
 
 }  // namespace hia

@@ -1,8 +1,7 @@
 #include "core/correlation_pipeline.hpp"
 
-#include <cstring>
-
 #include "util/error.hpp"
+#include "util/numeric.hpp"
 
 namespace hia {
 
@@ -39,21 +38,10 @@ void HybridCorrelation::in_transit(TaskContext& ctx) {
   }
   const CorrelationModel model = derive_correlation(global);
 
-  std::vector<double> flat{static_cast<double>(model.count),
-                           model.covariance, model.pearson_r, model.slope,
-                           model.intercept};
-  std::vector<std::byte> bytes(flat.size() * sizeof(double));
-  std::memcpy(bytes.data(), flat.data(), bytes.size());
-  ctx.set_result(std::move(bytes));
-
-  std::lock_guard lock(mutex_);
-  if (!newest_step(latest_step_, ctx.task().step)) return;
-  latest_ = model;
-}
-
-CorrelationModel HybridCorrelation::latest_model() const {
-  std::lock_guard lock(mutex_);
-  return latest_;
+  ctx.set_result(to_bytes(std::vector{static_cast<double>(model.count),
+                                      model.covariance, model.pearson_r,
+                                      model.slope, model.intercept}));
+  latest_.offer(ctx.task().step, model);
 }
 
 }  // namespace hia

@@ -7,8 +7,6 @@
 // fit.
 #pragma once
 
-#include <mutex>
-
 #include "analysis/stats/correlation.hpp"
 #include "core/analysis.hpp"
 #include "sim/species.hpp"
@@ -26,13 +24,11 @@ class HybridCorrelation final : public HybridAnalysis {
   void in_situ(InSituContext& ctx) override;
   void in_transit(TaskContext& ctx) override;
 
-  [[nodiscard]] CorrelationModel latest_model() const;
+  [[nodiscard]] CorrelationModel latest_model() const { return latest_.get(); }
 
  private:
   Variable x_, y_;
-  mutable std::mutex mutex_;
-  CorrelationModel latest_{};
-  long latest_step_ = -1;  // step of the result held in latest_
+  Latest<CorrelationModel> latest_;
 };
 
 /// `learn` of the bivariate model over the co-located owned regions of two

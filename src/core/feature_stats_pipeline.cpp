@@ -2,6 +2,7 @@
 
 #include "analysis/topology/local_tree.hpp"
 #include "sim/halo.hpp"
+#include "util/numeric.hpp"
 
 namespace hia {
 
@@ -56,18 +57,8 @@ void HybridFeatureStatistics::in_transit(TaskContext& ctx) {
     flat.insert(flat.end(), {feat.centroid[0], feat.centroid[1],
                              feat.centroid[2], model.mean, model.stddev});
   }
-  std::vector<std::byte> bytes(flat.size() * sizeof(double));
-  std::memcpy(bytes.data(), flat.data(), bytes.size());
-  ctx.set_result(std::move(bytes));
-
-  std::lock_guard lock(mutex_);
-  if (!newest_step(latest_step_, ctx.task().step)) return;
-  latest_ = std::move(features);
-}
-
-std::vector<GlobalFeature> HybridFeatureStatistics::latest_features() const {
-  std::lock_guard lock(mutex_);
-  return latest_;
+  ctx.set_result(to_bytes(flat));
+  latest_.offer(ctx.task().step, std::move(features));
 }
 
 }  // namespace hia

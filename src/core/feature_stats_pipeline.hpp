@@ -5,8 +5,6 @@
 // statistics framework (refs [30], [43]).
 #pragma once
 
-#include <mutex>
-
 #include "analysis/topology/feature_stats.hpp"
 #include "core/analysis.hpp"
 #include "sim/species.hpp"
@@ -38,15 +36,15 @@ class HybridFeatureStatistics final : public HybridAnalysis {
 
   /// Global feature table from the most recent invocation, sorted by
   /// descending voxel count.
-  [[nodiscard]] std::vector<GlobalFeature> latest_features() const;
+  [[nodiscard]] std::vector<GlobalFeature> latest_features() const {
+    return latest_.get();
+  }
 
   [[nodiscard]] const FeatureStatsConfig& config() const { return config_; }
 
  private:
   FeatureStatsConfig config_;
-  mutable std::mutex mutex_;
-  std::vector<GlobalFeature> latest_;
-  long latest_step_ = -1;  // step of the result held in latest_
+  Latest<std::vector<GlobalFeature>> latest_;
 };
 
 }  // namespace hia

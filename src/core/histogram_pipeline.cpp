@@ -21,12 +21,12 @@ std::vector<double> serialize_histogram(const Histogram& h) {
 
 Histogram deserialize_histogram(std::span<const double> data) {
   HIA_REQUIRE(data.size() >= 5, "histogram payload too short");
-  const int bins = round_to<int>(data[2]);
-  HIA_REQUIRE(data.size() == 5 + static_cast<size_t>(bins),
-              "histogram payload size mismatch");
-  Histogram h(data[0], data[1], bins);
-  h.restore(std::span(data.data() + 5, static_cast<size_t>(bins)),
-            round_to<uint64_t>(data[3]), round_to<uint64_t>(data[4]));
+  const size_t bins = rounded_below(data[2], data.size() - 5 + 1,
+                                    "histogram bin count exceeds payload");
+  HIA_REQUIRE(data.size() == 5 + bins, "histogram payload size mismatch");
+  Histogram h(data[0], data[1], static_cast<int>(bins));
+  h.restore(data.subspan(5), round_to<uint64_t>(data[3]),
+            round_to<uint64_t>(data[4]));
   return h;
 }
 
@@ -55,10 +55,6 @@ void HybridHistogram::in_situ(InSituContext& ctx) {
     const double pad = 0.1 * (hi - lo) + 1e-12;
     range = {lo - pad, hi + pad};
   }
-  {
-    std::lock_guard lock(mutex_);
-    resolved_range_ = range;
-  }
 
   Histogram partial(range.first, range.second, config_.bins);
   const Box3& box = field.owned();
@@ -82,21 +78,8 @@ void HybridHistogram::in_transit(TaskContext& ctx) {
   }
   HIA_REQUIRE(global.has_value(), "histogram task with no inputs");
 
-  ctx.set_result([&] {
-    const auto flat = serialize_histogram(*global);
-    std::vector<std::byte> bytes(flat.size() * sizeof(double));
-    std::memcpy(bytes.data(), flat.data(), bytes.size());
-    return bytes;
-  }());
-
-  std::lock_guard lock(mutex_);
-  if (!newest_step(latest_step_, ctx.task().step)) return;
-  latest_ = std::move(global);
-}
-
-std::optional<Histogram> HybridHistogram::latest() const {
-  std::lock_guard lock(mutex_);
-  return latest_;
+  ctx.set_result(to_bytes(serialize_histogram(*global)));
+  latest_.offer(ctx.task().step, std::move(global));
 }
 
 }  // namespace hia

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <memory>
-#include <mutex>
 #include <optional>
 
 #include "analysis/stats/histogram.hpp"
@@ -39,14 +38,13 @@ class HybridHistogram final : public HybridAnalysis {
   void in_transit(TaskContext& ctx) override;
 
   /// Combined global histogram from the most recent invocation.
-  [[nodiscard]] std::optional<Histogram> latest() const;
+  [[nodiscard]] std::optional<Histogram> latest() const {
+    return latest_.get();
+  }
 
  private:
   HistogramConfig config_;
-  mutable std::mutex mutex_;
-  std::optional<std::pair<double, double>> resolved_range_;
-  std::optional<Histogram> latest_;
-  long latest_step_ = -1;  // step of the result held in latest_
+  Latest<std::optional<Histogram>> latest_;
 };
 
 /// Flat encoding of a histogram for transport:

@@ -1,10 +1,10 @@
 #include "core/isosurface_pipeline.hpp"
 
 #include <cstdio>
-#include <cstring>
 
 #include "analysis/topology/local_tree.hpp"  // extended_block
 #include "sim/halo.hpp"
+#include "util/numeric.hpp"
 
 namespace hia {
 
@@ -39,20 +39,9 @@ void HybridIsosurface::in_transit(TaskContext& ctx) {
   }
 
   // Result blob: triangle count + total area.
-  const double stats[2] = {static_cast<double>(surface.num_triangles()),
-                           surface.area()};
-  std::vector<std::byte> bytes(sizeof(stats));
-  std::memcpy(bytes.data(), stats, sizeof(stats));
-  ctx.set_result(std::move(bytes));
-
-  std::lock_guard lock(mutex_);
-  if (!newest_step(latest_step_, ctx.task().step)) return;
-  latest_ = std::move(surface);
-}
-
-std::optional<TriangleMesh> HybridIsosurface::latest_mesh() const {
-  std::lock_guard lock(mutex_);
-  return latest_;
+  ctx.set_result(to_bytes(std::vector{
+      static_cast<double>(surface.num_triangles()), surface.area()}));
+  latest_.offer(ctx.task().step, std::move(surface));
 }
 
 }  // namespace hia

@@ -7,7 +7,6 @@
 // post-processing pipelines would otherwise compute from checkpoints.
 #pragma once
 
-#include <mutex>
 #include <optional>
 #include <string>
 
@@ -35,13 +34,13 @@ class HybridIsosurface final : public HybridAnalysis {
   void in_transit(TaskContext& ctx) override;
 
   /// The assembled surface from the most recent invocation.
-  [[nodiscard]] std::optional<TriangleMesh> latest_mesh() const;
+  [[nodiscard]] std::optional<TriangleMesh> latest_mesh() const {
+    return latest_.get();
+  }
 
  private:
   IsosurfaceConfig config_;
-  mutable std::mutex mutex_;
-  std::optional<TriangleMesh> latest_;
-  long latest_step_ = -1;  // step of the result held in latest_
+  Latest<std::optional<TriangleMesh>> latest_;
 };
 
 }  // namespace hia

@@ -1,7 +1,5 @@
 #include "core/stats_pipeline.hpp"
 
-#include <cstring>
-
 #include "obs/trace.hpp"
 #include "util/error.hpp"
 #include "util/numeric.hpp"
@@ -66,17 +64,13 @@ std::vector<std::byte> serialize_models(
     flat.push_back(m.skewness);
     flat.push_back(m.kurtosis_excess);
   }
-  std::vector<std::byte> out(flat.size() * sizeof(double));
-  std::memcpy(out.data(), flat.data(), out.size());
-  return out;
+  return to_bytes(flat);
 }
 
 std::vector<DescriptiveModel> deserialize_models(
     std::span<const std::byte> bytes) {
-  HIA_REQUIRE(bytes.size() % (8 * sizeof(double)) == 0,
-              "model blob size mismatch");
-  std::vector<double> flat(bytes.size() / sizeof(double));
-  std::memcpy(flat.data(), bytes.data(), bytes.size());
+  const std::vector<double> flat = to_doubles(bytes);
+  HIA_REQUIRE(flat.size() % 8 == 0, "model blob size mismatch");
   std::vector<DescriptiveModel> out(flat.size() / 8);
   for (size_t i = 0; i < out.size(); ++i) {
     DescriptiveModel& m = out[i];
@@ -106,11 +100,57 @@ void combine_packed(std::span<double> acc, std::span<const double> in) {
     a.pack(&acc[v * kSize]);
   }
 }
+
+std::vector<DescriptiveModel> derive(
+    const std::vector<MomentAccumulator>& global) {
+  std::vector<DescriptiveModel> models;
+  models.reserve(global.size());
+  for (const MomentAccumulator& acc : global) {
+    models.push_back(derive_descriptive(acc));
+  }
+  return models;
+}
 }  // namespace
 
-// ------------------------------------------------------ InSituStatistics --
+Statistics::Statistics(Placement placement, std::vector<Variable> variables)
+    : placement_(placement), variables_(std::move(variables)) {
+  HIA_REQUIRE(!variables_.empty(), "statistics need at least one variable");
+}
 
-void InSituStatistics::in_situ(InSituContext& ctx) {
+std::string Statistics::name() const {
+  switch (placement_) {
+    case Placement::kInSitu: return "stats-insitu";
+    case Placement::kHybrid: return "stats-hybrid";
+    case Placement::kInTransit: return "stats-intransit";
+  }
+  return {};
+}
+
+std::vector<std::string> Statistics::staged_variables() const {
+  switch (placement_) {
+    case Placement::kInSitu: return {};
+    case Placement::kHybrid: return {"stats.partial"};
+    case Placement::kInTransit: return {"stats.raw"};
+  }
+  return {};
+}
+
+void Statistics::in_situ(InSituContext& ctx) {
+  const S3DRank& sim = ctx.sim();
+  const Box3& box = sim.field(variables_.front()).owned();
+  if (placement_ == Placement::kInTransit) {
+    // No reduction at all: ship every variable's owned values, one slice
+    // per variable.
+    std::vector<double> raw;
+    raw.reserve(variables_.size() * static_cast<size_t>(box.num_cells()));
+    for (const Variable v : variables_) {
+      const std::vector<double> values = sim.field(v).pack_owned();
+      raw.insert(raw.end(), values.begin(), values.end());
+    }
+    ctx.publish("stats.raw", box, raw);
+    return;
+  }
+
   // learn: per-rank primary models for every variable.
   std::vector<MomentAccumulator> locals;
   locals.reserve(variables_.size());
@@ -118,109 +158,55 @@ void InSituStatistics::in_situ(InSituContext& ctx) {
     obs::Span learn_span("insitu", "stats.learn",
                          {.rank = ctx.comm().rank(), .step = ctx.step()});
     for (const Variable v : variables_) {
-      locals.push_back(learn_field(ctx.sim().field(v)));
+      locals.push_back(learn_field(sim.field(v)));
     }
   }
+  if (placement_ == Placement::kHybrid) {
+    // A few hundred bytes per rank, vs. the megabytes of raw data they
+    // summarize; the in-transit stage combines and derives.
+    ctx.publish("stats.partial", box, pack_accumulators(locals));
+    return;
+  }
 
-  // learn epilogue: all-to-all combination so every rank has the global
-  // primary model (the only communicating stage, by design).
-  const auto packed = pack_accumulators(locals);
-  const auto global_packed = ctx.comm().allreduce(packed, combine_packed);
-  const auto global = unpack_accumulators(global_packed);
-
-  // derive: every rank derives the detailed model locally.
+  // kInSitu: all-to-all combination so every rank holds the global primary
+  // model (the only communicating stage, by design), then every rank
+  // derives the detailed model locally.
+  const auto global = unpack_accumulators(
+      ctx.comm().allreduce(pack_accumulators(locals), combine_packed));
   obs::Span derive_span("insitu", "stats.derive",
                         {.rank = ctx.comm().rank(), .step = ctx.step()});
-  std::vector<DescriptiveModel> models;
-  models.reserve(global.size());
-  for (const MomentAccumulator& acc : global) {
-    models.push_back(derive_descriptive(acc));
-  }
-
-  if (ctx.comm().rank() == 0) {
-    std::lock_guard lock(mutex_);
-    latest_ = std::move(models);
-  }
+  auto models = derive(global);
+  if (ctx.comm().rank() == 0) latest_.offer(ctx.step(), std::move(models));
 }
 
-std::vector<DescriptiveModel> InSituStatistics::latest_models() const {
-  std::lock_guard lock(mutex_);
-  return latest_;
-}
-
-// ----------------------------------------------------- HybridStatistics --
-
-void HybridStatistics::in_situ(InSituContext& ctx) {
-  // learn in-situ; publish the packed primary model (a few hundred bytes
-  // per rank, vs. the megabytes of raw data it summarizes).
-  std::vector<MomentAccumulator> locals;
-  locals.reserve(variables_.size());
-  for (const Variable v : variables_) {
-    locals.push_back(learn_field(ctx.sim().field(v)));
-  }
-  ctx.publish("stats.partial", ctx.sim().field(variables_.front()).owned(),
-              pack_accumulators(locals));
-}
-
-void HybridStatistics::in_transit(TaskContext& ctx) {
-  // Aggregate all partial models (serial), then derive.
+void Statistics::in_transit(TaskContext& ctx) {
+  // Serial reduce over every rank's block: combine the partial models
+  // (kHybrid) or learn each variable's raw slice (kInTransit); then derive.
   obs::Span agg_span("intransit", "stats.aggregate",
                      {.bucket = ctx.bucket(), .step = ctx.task().step});
-  std::vector<MomentAccumulator> global;
+  std::vector<MomentAccumulator> global(variables_.size());
   for (const DataDescriptor& desc : ctx.task().inputs) {
-    const auto packed = ctx.pull_doubles(desc);
-    const auto partial = unpack_accumulators(packed);
-    if (global.empty()) {
-      global = partial;
-    } else {
+    const std::vector<double> block = ctx.pull_doubles(desc);
+    if (placement_ == Placement::kHybrid) {
+      const auto partial = unpack_accumulators(block);
       HIA_REQUIRE(partial.size() == global.size(),
-                  "inconsistent variable counts across ranks");
+                  "partial model has the wrong variable count");
       for (size_t v = 0; v < global.size(); ++v) {
         global[v].combine(partial[v]);
+      }
+    } else {
+      HIA_REQUIRE(block.size() % global.size() == 0,
+                  "raw block is not one slice per variable");
+      const size_t n = block.size() / global.size();
+      for (size_t v = 0; v < global.size(); ++v) {
+        global[v].learn(std::span(block).subspan(v * n, n));
       }
     }
   }
 
-  std::vector<DescriptiveModel> models;
-  models.reserve(global.size());
-  for (const MomentAccumulator& acc : global) {
-    models.push_back(derive_descriptive(acc));
-  }
-
+  auto models = derive(global);
   ctx.set_result(serialize_models(models));
-  std::lock_guard lock(mutex_);
-  if (!newest_step(latest_step_, ctx.task().step)) return;
-  latest_ = std::move(models);
-}
-
-std::vector<DescriptiveModel> HybridStatistics::latest_models() const {
-  std::lock_guard lock(mutex_);
-  return latest_;
-}
-
-// --------------------------------------------------- InTransitStatistics --
-
-void InTransitStatistics::in_situ(InSituContext& ctx) {
-  // Pure in-transit: publish the raw owned block (no reduction at all).
-  const Field& f = ctx.sim().field(variable_);
-  ctx.publish("stats.raw", f.owned(), f.pack_owned());
-}
-
-void InTransitStatistics::in_transit(TaskContext& ctx) {
-  MomentAccumulator acc;
-  for (const DataDescriptor& desc : ctx.task().inputs) {
-    acc.learn(ctx.pull_doubles(desc));
-  }
-  const DescriptiveModel model = derive_descriptive(acc);
-  ctx.set_result(serialize_models({model}));
-  std::lock_guard lock(mutex_);
-  if (!newest_step(latest_step_, ctx.task().step)) return;
-  latest_ = model;
-}
-
-DescriptiveModel InTransitStatistics::latest_model() const {
-  std::lock_guard lock(mutex_);
-  return latest_;
+  latest_.offer(ctx.task().step, std::move(models));
 }
 
 }  // namespace hia

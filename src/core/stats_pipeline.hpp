@@ -1,19 +1,23 @@
-// The two descriptive-statistics deployments compared in the paper (§III):
+// Descriptive statistics (paper §III), written once as learn -> reduce ->
+// derive and run under any of the three placements of Table II:
 //
-//   * InSituStatistics — learn and derive both run on the simulation
-//     ranks; learn's partial models are merged with an all-reduce so every
-//     rank holds the consistent global model (the paper's "all-to-all
-//     communication ... to guarantee a consistent model").
-//   * HybridStatistics — learn runs in-situ; each rank publishes its packed
-//     primary model (7 doubles per variable — the cardinality, extrema and
-//     centered aggregates up to order 4) and a single serial in-transit
-//     bucket combines and derives.
-//   * InTransitStatistics — the pure in-transit end of the spectrum: raw
-//     field blocks are shipped and both learn and derive run in-transit
-//     (used by the spectrum ablation bench).
+//   * kInSitu ("stats-insitu") — learn and derive both run on the
+//     simulation ranks; learn's partial models are merged with an
+//     all-reduce so every rank holds the consistent global model (the
+//     paper's "all-to-all communication ... to guarantee a consistent
+//     model").
+//   * kHybrid ("stats-hybrid") — learn runs in-situ; each rank publishes
+//     its packed primary model (7 doubles per variable — the cardinality,
+//     extrema and centered aggregates up to order 4) and a single serial
+//     in-transit bucket combines and derives.
+//   * kInTransit ("stats-intransit") — the pure in-transit end of the
+//     spectrum: each rank ships its raw owned values, and both learn and
+//     derive run in-transit.
+//
+// The placement picks only the reduce step; the learn and derive kernels
+// are the same under all three.
 #pragma once
 
-#include <mutex>
 #include <vector>
 
 #include "analysis/stats/descriptive.hpp"
@@ -42,64 +46,41 @@ std::vector<std::byte> serialize_models(
 std::vector<DescriptiveModel> deserialize_models(
     std::span<const std::byte> bytes);
 
-class InSituStatistics final : public HybridAnalysis {
+/// Descriptive statistics of `variables` (at least one); `placement` picks
+/// where the reduce step runs and so the name and the staged variables.
+class Statistics : public HybridAnalysis {
+ public:
+  explicit Statistics(Placement placement,
+                      std::vector<Variable> variables = all_variables());
+
+  [[nodiscard]] std::string name() const override;
+  [[nodiscard]] std::vector<std::string> staged_variables() const override;
+  void in_situ(InSituContext& ctx) override;
+  void in_transit(TaskContext& ctx) override;
+
+  /// Global models (one per variable, in construction order) from the
+  /// newest finished step.
+  [[nodiscard]] std::vector<DescriptiveModel> latest_models() const {
+    return latest_.get();
+  }
+
+ private:
+  Placement placement_;
+  std::vector<Variable> variables_;
+  Latest<std::vector<DescriptiveModel>> latest_;
+};
+
+/// The two placements Table II and the benchmark construct by name.
+class InSituStatistics final : public Statistics {
  public:
   explicit InSituStatistics(std::vector<Variable> variables = all_variables())
-      : variables_(std::move(variables)) {}
-
-  [[nodiscard]] std::string name() const override { return "stats-insitu"; }
-  void in_situ(InSituContext& ctx) override;
-
-  /// Global models from the most recent invocation (identical on every
-  /// rank; recorded by rank 0).
-  [[nodiscard]] std::vector<DescriptiveModel> latest_models() const;
-
- private:
-  std::vector<Variable> variables_;
-  mutable std::mutex mutex_;
-  std::vector<DescriptiveModel> latest_;
+      : Statistics(Placement::kInSitu, std::move(variables)) {}
 };
 
-class HybridStatistics final : public HybridAnalysis {
+class HybridStatistics final : public Statistics {
  public:
   explicit HybridStatistics(std::vector<Variable> variables = all_variables())
-      : variables_(std::move(variables)) {}
-
-  [[nodiscard]] std::string name() const override { return "stats-hybrid"; }
-  [[nodiscard]] std::vector<std::string> staged_variables() const override {
-    return {"stats.partial"};
-  }
-  void in_situ(InSituContext& ctx) override;
-  void in_transit(TaskContext& ctx) override;
-
-  [[nodiscard]] std::vector<DescriptiveModel> latest_models() const;
-
- private:
-  std::vector<Variable> variables_;
-  mutable std::mutex mutex_;
-  std::vector<DescriptiveModel> latest_;
-  long latest_step_ = -1;  // step of the result held in latest_
-};
-
-class InTransitStatistics final : public HybridAnalysis {
- public:
-  explicit InTransitStatistics(Variable variable = Variable::kTemperature)
-      : variable_(variable) {}
-
-  [[nodiscard]] std::string name() const override { return "stats-intransit"; }
-  [[nodiscard]] std::vector<std::string> staged_variables() const override {
-    return {"stats.raw"};
-  }
-  void in_situ(InSituContext& ctx) override;
-  void in_transit(TaskContext& ctx) override;
-
-  [[nodiscard]] DescriptiveModel latest_model() const;
-
- private:
-  Variable variable_;
-  mutable std::mutex mutex_;
-  DescriptiveModel latest_{};
-  long latest_step_ = -1;  // step of the result held in latest_
+      : Statistics(Placement::kHybrid, std::move(variables)) {}
 };
 
 }  // namespace hia

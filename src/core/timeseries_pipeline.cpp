@@ -1,8 +1,7 @@
 #include "core/timeseries_pipeline.hpp"
 
-#include <cstring>
-
 #include "util/error.hpp"
+#include "util/numeric.hpp"
 
 namespace hia {
 
@@ -43,9 +42,7 @@ void TimeSeriesAutocorrelation::in_transit(TaskContext& ctx) {
       flat.push_back(autocorrelation(s, lag).pearson_r);
     }
   }
-  std::vector<std::byte> bytes(flat.size() * sizeof(double));
-  if (!bytes.empty()) std::memcpy(bytes.data(), flat.data(), bytes.size());
-  ctx.set_result(std::move(bytes));
+  ctx.set_result(to_bytes(flat));
 }
 
 std::vector<double> TimeSeriesAutocorrelation::series() const {

@@ -1,7 +1,6 @@
 #include "core/topology_pipeline.hpp"
 
 #include <cstdio>
-#include <cstring>
 
 #include "io/bp_lite.hpp"
 #include "obs/trace.hpp"
@@ -25,17 +24,12 @@ std::vector<std::byte> TreeSummary::serialize() const {
     flat.push_back(static_cast<double>(p.saddle_id));
     flat.push_back(p.saddle_value);
   }
-  std::vector<std::byte> out(flat.size() * sizeof(double));
-  std::memcpy(out.data(), flat.data(), out.size());
-  return out;
+  return to_bytes(flat);
 }
 
 TreeSummary TreeSummary::deserialize(std::span<const std::byte> bytes) {
-  HIA_REQUIRE(bytes.size() % sizeof(double) == 0 &&
-                  bytes.size() >= 5 * sizeof(double),
-              "tree summary blob malformed");
-  std::vector<double> flat(bytes.size() / sizeof(double));
-  std::memcpy(flat.data(), bytes.data(), bytes.size());
+  const std::vector<double> flat = to_doubles(bytes);
+  HIA_REQUIRE(flat.size() >= 5, "tree summary blob malformed");
   TreeSummary s;
   s.step = round_to<long>(flat[0]);
   s.tree_nodes = round_to<size_t>(flat[1]);
@@ -57,10 +51,7 @@ TreeSummary TreeSummary::deserialize(std::span<const std::byte> bytes) {
 void HybridTopology::in_situ(InSituContext& ctx) {
   S3DRank& sim = ctx.sim();
   const GlobalGrid& grid = sim.params().grid;
-  {
-    std::lock_guard lock(mutex_);
-    if (!grid_.has_value()) grid_ = grid;
-  }
+  std::call_once(grid_once_, [&] { grid_ = grid; });
   Field& field = sim.field(config_.variable);
 
   // Refresh ghosts so the +1 extension sees the neighbors' current values
@@ -83,12 +74,8 @@ void HybridTopology::in_transit(TaskContext& ctx) {
   // finalized (and, if regular, evicted) the moment the last subtree
   // containing it arrives — peak memory tracks the open boundary, not the
   // whole intermediate stream.
-  GlobalGrid grid;
-  {
-    std::lock_guard lock(mutex_);
-    HIA_REQUIRE(grid_.has_value(), "in_transit before any in_situ stage");
-    grid = *grid_;
-  }
+  HIA_REQUIRE(grid_.has_value(), "in_transit before any in_situ stage");
+  const GlobalGrid& grid = *grid_;
   std::vector<Box3> blocks;
   blocks.reserve(ctx.task().inputs.size());
   for (const DataDescriptor& desc : ctx.task().inputs) {
@@ -143,20 +130,7 @@ void HybridTopology::in_transit(TaskContext& ctx) {
   summary.top_pairs = pairs;
 
   ctx.set_result(summary.serialize());
-  std::lock_guard lock(mutex_);
-  if (!newest_step(latest_step_, ctx.task().step)) return;
-  latest_ = summary;
-  latest_tree_ = std::move(tree);
-}
-
-TreeSummary HybridTopology::latest_summary() const {
-  std::lock_guard lock(mutex_);
-  return latest_;
-}
-
-MergeTree HybridTopology::latest_tree() const {
-  std::lock_guard lock(mutex_);
-  return latest_tree_;
+  latest_.offer(ctx.task().step, {std::move(summary), std::move(tree)});
 }
 
 }  // namespace hia

@@ -56,17 +56,22 @@ class HybridTopology final : public HybridAnalysis {
   void in_situ(InSituContext& ctx) override;
   void in_transit(TaskContext& ctx) override;
 
-  [[nodiscard]] TreeSummary latest_summary() const;
+  [[nodiscard]] TreeSummary latest_summary() const {
+    return latest_.get().summary;
+  }
   /// The most recent full reduced merge tree (for tests/examples).
-  [[nodiscard]] MergeTree latest_tree() const;
+  [[nodiscard]] MergeTree latest_tree() const { return latest_.get().tree; }
 
  private:
+  struct Result {
+    TreeSummary summary;
+    MergeTree tree;
+  };
+
   TopologyConfig config_;
-  mutable std::mutex mutex_;
-  TreeSummary latest_{};
-  long latest_step_ = -1;  // step of the result held in latest_
-  MergeTree latest_tree_{};
+  std::once_flag grid_once_;
   std::optional<GlobalGrid> grid_;  // captured in-situ for the stream driver
+  Latest<Result> latest_;
 };
 
 }  // namespace hia

@@ -4,6 +4,7 @@
 
 #include "obs/trace.hpp"
 #include "util/error.hpp"
+#include "util/numeric.hpp"
 
 namespace hia {
 
@@ -52,9 +53,7 @@ void InSituVisualization::in_situ(InSituContext& ctx) {
   // Sort-last composite: gather (image, depth) to rank 0.
   auto payload = serialize_image(partial);
   payload.push_back(brick_depth(grid, box, setup.camera));
-  std::vector<std::byte> bytes(payload.size() * sizeof(double));
-  std::memcpy(bytes.data(), payload.data(), bytes.size());
-  auto gathered = ctx.comm().gather(0, bytes);
+  const auto gathered = ctx.comm().gather(0, to_bytes(payload));
 
   if (ctx.comm().rank() == 0) {
     obs::Span composite_span("insitu", "viz.composite",
@@ -62,33 +61,23 @@ void InSituVisualization::in_situ(InSituContext& ctx) {
     std::vector<BrickImage> bricks;
     bricks.reserve(gathered.size());
     for (const auto& blob : gathered) {
-      HIA_ASSERT(blob.size() % sizeof(double) == 0 && !blob.empty());
-      std::vector<double> flat(blob.size() / sizeof(double));
-      std::memcpy(flat.data(), blob.data(), blob.size());
+      std::vector<double> flat = to_doubles(blob);
+      HIA_ASSERT(!flat.empty());
       const double depth = flat.back();
       flat.pop_back();
       bricks.push_back(BrickImage{deserialize_image(flat), depth});
     }
     Image frame = composite(std::move(bricks));
     maybe_write_ppm(config_.output_dir, name(), ctx.step(), frame);
-    std::lock_guard lock(mutex_);
-    latest_ = std::move(frame);
+    latest_.offer(ctx.step(), std::move(frame));
   }
-}
-
-std::optional<Image> InSituVisualization::latest_image() const {
-  std::lock_guard lock(mutex_);
-  return latest_;
 }
 
 // ------------------------------------------------- HybridVisualization --
 
 void HybridVisualization::in_situ(InSituContext& ctx) {
   const GlobalGrid& grid = ctx.sim().params().grid;
-  {
-    std::lock_guard lock(mutex_);
-    if (!grid_.has_value()) grid_ = grid;
-  }
+  std::call_once(grid_once_, [&] { grid_ = grid; });
 
   const Field& field = ctx.sim().field(config_.variable);
   const Box3& box = field.owned();
@@ -98,12 +87,8 @@ void HybridVisualization::in_situ(InSituContext& ctx) {
 }
 
 void HybridVisualization::in_transit(TaskContext& ctx) {
-  GlobalGrid grid;
-  {
-    std::lock_guard lock(mutex_);
-    HIA_REQUIRE(grid_.has_value(), "in_transit before any in_situ stage");
-    grid = *grid_;
-  }
+  HIA_REQUIRE(grid_.has_value(), "in_transit before any in_situ stage");
+  const GlobalGrid& grid = *grid_;
   const RenderSetup setup = RenderSetup::make(grid, config_);
 
   // Build the block look-up table from all down-sampled blocks.
@@ -122,19 +107,8 @@ void HybridVisualization::in_transit(TaskContext& ctx) {
 
   maybe_write_ppm(config_.output_dir, name(), ctx.task().step, frame);
 
-  const auto flat = serialize_image(frame);
-  std::vector<std::byte> bytes(flat.size() * sizeof(double));
-  std::memcpy(bytes.data(), flat.data(), bytes.size());
-  ctx.set_result(std::move(bytes));
-
-  std::lock_guard lock(mutex_);
-  if (!newest_step(latest_step_, ctx.task().step)) return;
-  latest_ = std::move(frame);
-}
-
-std::optional<Image> HybridVisualization::latest_image() const {
-  std::lock_guard lock(mutex_);
-  return latest_;
+  ctx.set_result(to_bytes(serialize_image(frame)));
+  latest_.offer(ctx.task().step, std::move(frame));
 }
 
 }  // namespace hia

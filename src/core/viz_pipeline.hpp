@@ -48,12 +48,13 @@ class InSituVisualization final : public HybridAnalysis {
   void in_situ(InSituContext& ctx) override;
 
   /// Composited frame from the most recent invocation (recorded by rank 0).
-  [[nodiscard]] std::optional<Image> latest_image() const;
+  [[nodiscard]] std::optional<Image> latest_image() const {
+    return latest_.get();
+  }
 
  private:
   VizConfig config_;
-  mutable std::mutex mutex_;
-  std::optional<Image> latest_;
+  Latest<std::optional<Image>> latest_;
 };
 
 class HybridVisualization final : public HybridAnalysis {
@@ -67,14 +68,15 @@ class HybridVisualization final : public HybridAnalysis {
   void in_situ(InSituContext& ctx) override;
   void in_transit(TaskContext& ctx) override;
 
-  [[nodiscard]] std::optional<Image> latest_image() const;
+  [[nodiscard]] std::optional<Image> latest_image() const {
+    return latest_.get();
+  }
 
  private:
   VizConfig config_;
-  mutable std::mutex mutex_;
-  std::optional<Image> latest_;
-  long latest_step_ = -1;  // step of the result held in latest_
+  std::once_flag grid_once_;
   std::optional<GlobalGrid> grid_;  // captured in-situ for the renderer
+  Latest<std::optional<Image>> latest_;
 };
 
 }  // namespace hia

@@ -1,7 +1,6 @@
 #include "transport/dart.hpp"
 
 #include <chrono>
-#include <cstring>
 #include <thread>
 
 #include "compress/codec.hpp"
@@ -13,6 +12,7 @@
 #include "runtime/fault.hpp"
 #include "runtime/overload.hpp"
 #include "util/crc32.hpp"
+#include "util/numeric.hpp"
 #include "util/stopwatch.hpp"
 
 namespace hia {
@@ -119,9 +119,7 @@ DartHandle Dart::put(int owner_node, std::vector<std::byte> data,
 
 DartHandle Dart::put_doubles(int owner_node, const std::vector<double>& data,
                              int tenant) {
-  std::vector<std::byte> bytes(data.size() * sizeof(double));
-  std::memcpy(bytes.data(), data.data(), bytes.size());
-  return put(owner_node, std::move(bytes), tenant);
+  return put(owner_node, to_bytes(data), tenant);
 }
 
 DartHandle Dart::put_doubles(int owner_node, const std::vector<double>& data,
@@ -389,10 +387,7 @@ std::vector<double> Dart::get_doubles(int dest_node, const DartHandle& handle,
     std::lock_guard lock(mutex_);
     counters_.decode_seconds_total += local.decode_seconds;
   } else {
-    HIA_REQUIRE(bytes.size() % sizeof(double) == 0,
-                "region is not a whole number of doubles");
-    out.resize(bytes.size() / sizeof(double));
-    std::memcpy(out.data(), bytes.data(), bytes.size());
+    out = to_doubles(bytes);
   }
   if (stats != nullptr) *stats = local;
   return out;

@@ -3,10 +3,16 @@
 #pragma once
 
 #include <cmath>
+#include <cstddef>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
+#include <span>
 #include <string>
 #include <type_traits>
+#include <vector>
+
+#include "util/error.hpp"
 
 namespace hia {
 
@@ -20,6 +26,37 @@ namespace hia {
 template <typename T>
 [[nodiscard]] T round_to(double v) {
   return static_cast<T>(std::llround(v));
+}
+
+/// Reads an integral field of a peer's payload (a count, an index, a
+/// flag), requiring it to round into [0, end). The range is checked on
+/// the double, before any conversion or arithmetic: the bytes may hold
+/// NaN, infinities or values beyond size_t. A header count is bounded by
+/// the doubles still present after the header, so that no product of
+/// counts can overflow and no allocation exceeds the payload.
+[[nodiscard]] inline size_t rounded_below(double v, size_t end,
+                                          const char* what) {
+  HIA_REQUIRE(v > -0.5 && v < static_cast<double>(end) - 0.5, what);
+  return round_to<size_t>(v);
+}
+
+/// The bytes of a double array: staged blocks, result blobs and
+/// byte-level collectives.
+[[nodiscard]] inline std::vector<std::byte> to_bytes(
+    std::span<const double> values) {
+  std::vector<std::byte> out(values.size_bytes());
+  if (!out.empty()) std::memcpy(out.data(), values.data(), out.size());
+  return out;
+}
+
+/// The doubles of a blob written by to_bytes.
+[[nodiscard]] inline std::vector<double> to_doubles(
+    std::span<const std::byte> bytes) {
+  HIA_REQUIRE(bytes.size() % sizeof(double) == 0,
+              "payload is not a whole number of doubles");
+  std::vector<double> out(bytes.size() / sizeof(double));
+  if (!out.empty()) std::memcpy(out.data(), bytes.data(), bytes.size());
+  return out;
 }
 
 /// Parses a finite number with an optional k/m/g (1024-based) suffix, the

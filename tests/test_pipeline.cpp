@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <map>
 #include <mutex>
 #include <thread>
 
@@ -111,55 +112,22 @@ TEST(Pipeline, RankLoopRunsOneBarrierPerStage) {
             static_cast<uint64_t>(nranks * (steps * (1 + analyses) + 1)));
 }
 
-TEST(Pipeline, HybridStatsMatchInSituStats) {
-  RunConfig cfg = small_config(3);
-  HybridRunner runner(cfg);
-  auto insitu = std::make_shared<InSituStatistics>();
-  auto hybrid = std::make_shared<HybridStatistics>();
-  runner.add_analysis(insitu);
-  runner.add_analysis(hybrid);
-  const RunReport report = runner.run();
-
-  const auto a = insitu->latest_models();
-  const auto b = hybrid->latest_models();
-  ASSERT_EQ(a.size(), static_cast<size_t>(kNumVariables));
-  ASSERT_EQ(b.size(), a.size());
-  for (size_t v = 0; v < a.size(); ++v) {
-    EXPECT_EQ(a[v].count, b[v].count) << kVariableNames[v];
-    EXPECT_NEAR(a[v].mean, b[v].mean, 1e-9 * (1.0 + std::abs(a[v].mean)));
-    EXPECT_NEAR(a[v].variance, b[v].variance,
-                1e-8 * (1.0 + std::abs(a[v].variance)));
-    EXPECT_DOUBLE_EQ(a[v].min, b[v].min);
-    EXPECT_DOUBLE_EQ(a[v].max, b[v].max);
-  }
-
-  // Bookkeeping: 3 steps x 1 hybrid task; in-situ variant stages nothing.
-  size_t hybrid_tasks = 0;
-  for (const auto& r : report.in_transit) {
-    EXPECT_EQ(r.analysis, "stats-hybrid");
-    ++hybrid_tasks;
-  }
-  EXPECT_EQ(hybrid_tasks, 3u);
-  EXPECT_EQ(report.sim_step_seconds.size(), 3u);
-  EXPECT_GT(report.mean_in_situ_seconds("stats-insitu"), 0.0);
-  // Hybrid stats ship a few hundred bytes per rank, not the raw data.
-  EXPECT_LT(report.mean_movement_bytes("stats-hybrid"),
-            static_cast<double>(report.solution_bytes_per_step) / 100.0);
-}
-
 TEST(Pipeline, PureInTransitStatsMatchHybrid) {
   RunConfig cfg = small_config(2);
   HybridRunner runner(cfg);
   auto hybrid = std::make_shared<HybridStatistics>(
       std::vector<Variable>{Variable::kTemperature});
-  auto raw = std::make_shared<InTransitStatistics>(Variable::kTemperature);
+  auto raw = std::make_shared<Statistics>(
+      Placement::kInTransit, std::vector<Variable>{Variable::kTemperature});
   runner.add_analysis(hybrid);
   runner.add_analysis(raw);
   const RunReport report = runner.run();
 
   const auto h = hybrid->latest_models();
   ASSERT_EQ(h.size(), 1u);
-  const auto r = raw->latest_model();
+  const auto raw_models = raw->latest_models();
+  ASSERT_EQ(raw_models.size(), 1u);
+  const DescriptiveModel& r = raw_models[0];
   EXPECT_EQ(h[0].count, r.count);
   EXPECT_NEAR(h[0].mean, r.mean, 1e-9);
   EXPECT_NEAR(h[0].variance, r.variance, 1e-8);
@@ -168,6 +136,75 @@ TEST(Pipeline, PureInTransitStatsMatchHybrid) {
   const double raw_bytes = report.mean_movement_bytes("stats-intransit");
   const double hybrid_bytes = report.mean_movement_bytes("stats-hybrid");
   EXPECT_GT(raw_bytes, 100.0 * hybrid_bytes);
+}
+
+TEST(Pipeline, OneStatisticsAgreesUnderEveryPlacement) {
+  // One Statistics over all 14 variables, run under each placement in the
+  // same campaign: only the reduce step differs, so counts and extrema
+  // are exact and the moments agree to rounding.
+  const Placement placements[] = {Placement::kInSitu, Placement::kHybrid,
+                                  Placement::kInTransit};
+  const char* const names[] = {"stats-insitu", "stats-hybrid",
+                               "stats-intransit"};
+  const RunConfig cfg = small_config(3);
+  HybridRunner runner(cfg);
+  std::vector<std::shared_ptr<Statistics>> stats;
+  for (const Placement placement : placements) {
+    stats.push_back(std::make_shared<Statistics>(placement));
+    runner.add_analysis(stats.back());
+  }
+  const RunReport report = runner.run();
+
+  auto near = [](double a, double b) {
+    return std::abs(a - b) <= 1e-9 * std::max(std::abs(a), std::abs(b));
+  };
+  const auto reference = stats[0]->latest_models();
+  ASSERT_EQ(reference.size(), static_cast<size_t>(kNumVariables));
+  for (size_t p = 0; p < stats.size(); ++p) {
+    EXPECT_EQ(stats[p]->name(), names[p]);
+    const auto models = stats[p]->latest_models();
+    ASSERT_EQ(models.size(), reference.size()) << names[p];
+    for (size_t v = 0; v < models.size(); ++v) {
+      const DescriptiveModel& a = reference[v];
+      const DescriptiveModel& b = models[v];
+      EXPECT_EQ(b.count, static_cast<uint64_t>(cfg.sim.grid.num_points()))
+          << names[p];
+      EXPECT_EQ(b.count, a.count) << names[p] << " " << kVariableNames[v];
+      EXPECT_EQ(b.min, a.min) << names[p] << " " << kVariableNames[v];
+      EXPECT_EQ(b.max, a.max) << names[p] << " " << kVariableNames[v];
+      EXPECT_TRUE(near(b.mean, a.mean))
+          << names[p] << " " << kVariableNames[v] << ": " << b.mean
+          << " vs " << a.mean;
+      EXPECT_TRUE(near(b.variance, a.variance))
+          << names[p] << " " << kVariableNames[v] << ": " << b.variance
+          << " vs " << a.variance;
+    }
+  }
+
+  // Bookkeeping: one task per step for each staged placement; the in-situ
+  // placement stages nothing.
+  std::map<std::string, size_t> tasks;
+  for (const auto& r : report.in_transit) ++tasks[r.analysis];
+  EXPECT_EQ(tasks, (std::map<std::string, size_t>{{"stats-hybrid", 3},
+                                                 {"stats-intransit", 3}}));
+  EXPECT_EQ(report.sim_step_seconds.size(), 3u);
+  EXPECT_GT(report.mean_in_situ_seconds("stats-insitu"), 0.0);
+  // Hybrid stats ship a few hundred bytes per rank, not the raw data.
+  EXPECT_LT(report.mean_movement_bytes("stats-hybrid"),
+            static_cast<double>(report.solution_bytes_per_step) / 100.0);
+}
+
+TEST(Latest, KeepsTheNewestStepWhateverTheOfferOrder) {
+  Latest<int> latest;
+  EXPECT_EQ(latest.get(), 0);  // nothing offered yet
+  latest.offer(2, 20);
+  latest.offer(1, 10);  // an older step finishing later is dropped
+  EXPECT_EQ(latest.get(), 20);
+  latest.offer(4, 40);
+  latest.offer(3, 30);
+  EXPECT_EQ(latest.get(), 40);
+  latest.offer(4, 41);  // the same step replaces
+  EXPECT_EQ(latest.get(), 41);
 }
 
 TEST(Pipeline, VisualizationVariantsProduceSimilarImages) {

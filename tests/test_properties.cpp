@@ -4,19 +4,26 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <functional>
 #include <optional>
 #include <random>
 
+#include "analysis/stats/contingency.hpp"
 #include "analysis/stats/descriptive.hpp"
+#include "analysis/topology/feature_stats.hpp"
 #include "analysis/topology/local_tree.hpp"
 #include "analysis/topology/segmentation.hpp"
+#include "analysis/viz/downsample.hpp"
 #include "analysis/viz/image.hpp"
+#include "analysis/viz/isosurface.hpp"
 #include "core/framework.hpp"
+#include "core/histogram_pipeline.hpp"
 #include "core/stats_pipeline.hpp"
 #include "core/timeseries_pipeline.hpp"
+#include "core/topology_pipeline.hpp"
 #include "io/bp_lite.hpp"
 #include "planner/replay.hpp"
 #include "runtime/fault.hpp"
@@ -348,6 +355,199 @@ TEST(SpecGrammars, CountFieldsFailOnlyWithAnErrorAndStayInRange) {
     EXPECT_GE(*got, 0.0) << spec;
   }
   EXPECT_GT(accepted_count, 100u);  // the sweep reaches the accepting path
+}
+
+// One decoder that an in-transit stage runs on pulled (peer-controlled)
+// doubles: a valid payload, and a decode that checks what it accepted.
+struct PulledDecoder {
+  const char* name;
+  std::vector<double> valid;
+  std::function<void(std::span<const double>)> decode;
+};
+
+// Two local features, the second linked to the first's boundary voxel.
+LocalFeatureData two_features() {
+  LocalFeatureData f;
+  MomentAccumulator acc;
+  acc.learn(std::vector<double>{0.5, 1.5, 2.0, 4.0});
+  std::vector<double> packed(MomentAccumulator::kPackedSize);
+  acc.pack(packed.data());
+  for (uint64_t c = 0; c < 2; ++c) {
+    f.comp_max_id.push_back(10 + c);
+    f.comp_max_value.push_back(3.0 + static_cast<double>(c));
+    f.comp_voxels.push_back(4);
+    f.comp_centroid_sum.insert(f.comp_centroid_sum.end(), {4.0, 8.0, 12.0});
+    f.comp_moments.insert(f.comp_moments.end(), packed.begin(), packed.end());
+  }
+  f.boundary_gid = {10, 11};
+  f.boundary_comp = {0, 1};
+  f.link_comp = {1};
+  f.link_gid = {10};
+  return f;
+}
+
+std::vector<PulledDecoder> pulled_decoders() {
+  std::vector<MomentAccumulator> accs(3);
+  for (size_t v = 0; v < accs.size(); ++v) {
+    accs[v].learn(std::vector<double>{1.0 + static_cast<double>(v), 2.5, -4.0});
+  }
+  std::vector<DescriptiveModel> models;
+  for (const MomentAccumulator& a : accs) {
+    models.push_back(derive_descriptive(a));
+  }
+
+  Histogram hist(0.0, 1.0, 6);
+  for (const double x : {-0.5, 0.1, 0.15, 0.6, 0.99, 3.0}) hist.update(x);
+
+  ContingencyTable table(4, 3);
+  table.update(0, 0);
+  table.update(3, 2);
+  table.update(3, 2);
+
+  TriangleMesh mesh;
+  mesh.vertices = {{0, 0, 0}, {1, 0, 0}, {0, 1, 0}, {0, 0, 1}};
+  mesh.triangles = {{0, 1, 2}, {0, 2, 3}};
+
+  const Box3 box{{0, 0, 0}, {4, 4, 2}};
+  const DownsampledBlock block = downsample_block(
+      box, std::vector<double>(static_cast<size_t>(box.num_cells()), 1.5), 2);
+
+  Image image(3, 2);
+  image.at(1, 1) = Rgba{0.25f, 0.5f, 0.75f, 1.0f};
+
+  TreeSummary summary;
+  summary.step = 4;
+  summary.tree_nodes = 9;
+  summary.tree_leaves = 3;
+  summary.top_pairs = {{7, 2.0, 3, 1.0}, {8, 1.5, 3, 1.0}};
+
+  return {
+      {"unpack_accumulators", pack_accumulators(accs),
+       [](std::span<const double> d) { (void)unpack_accumulators(d); }},
+      {"deserialize_models", to_doubles(serialize_models(models)),
+       [](std::span<const double> d) {
+         (void)deserialize_models(to_bytes(d));
+       }},
+      {"deserialize_histogram", serialize_histogram(hist),
+       [](std::span<const double> d) {
+         const Histogram h = deserialize_histogram(d);
+         EXPECT_EQ(d.size(), 5 + static_cast<size_t>(h.bins()));
+       }},
+      {"ContingencyTable::deserialize", table.serialize(),
+       [](std::span<const double> d) {
+         (void)derive_contingency(ContingencyTable::deserialize(d));
+       }},
+      {"TriangleMesh::deserialize", mesh.serialize(),
+       [](std::span<const double> d) {
+         const TriangleMesh m = TriangleMesh::deserialize(d);
+         for (const auto& tri : m.triangles) {
+           for (const uint32_t idx : tri) EXPECT_LT(idx, m.num_vertices());
+         }
+       }},
+      {"LocalFeatureData::deserialize", two_features().serialize(),
+       [](std::span<const double> d) {
+         const LocalFeatureData f = LocalFeatureData::deserialize(d);
+         for (const uint32_t c : f.boundary_comp) {
+           EXPECT_LT(c, f.num_components());
+         }
+         for (const uint32_t c : f.link_comp) EXPECT_LT(c, f.num_components());
+         try {
+           (void)combine_features({f});
+         } catch (const Error&) {
+           // e.g. a mutated link target no longer names a boundary voxel
+         }
+       }},
+      {"DownsampledBlock::deserialize", block.serialize(),
+       [](std::span<const double> d) {
+         const DownsampledBlock b = DownsampledBlock::deserialize(d);
+         for (const int64_t n : b.samples) EXPECT_GE(n, 1);
+         EXPECT_EQ(b.values.size(),
+                   static_cast<size_t>(b.samples[0] * b.samples[1] *
+                                       b.samples[2]));
+       }},
+      {"deserialize_image", serialize_image(image),
+       [](std::span<const double> d) {
+         const Image img = deserialize_image(d);
+         EXPECT_EQ(d.size(), 2 + img.pixels().size() * 4);
+       }},
+      {"TreeSummary::deserialize", to_doubles(summary.serialize()),
+       [](std::span<const double> d) {
+         (void)TreeSummary::deserialize(to_bytes(d));
+       }},
+  };
+}
+
+TEST(PulledDecoders, PeerPayloadsThatOnceEscapedNowFailWithAnError) {
+  // A wrapped count (-1 rounds to SIZE_MAX) once passed the size check of
+  // each decoder below, by overflowing a product of counts.
+  EXPECT_THROW(TriangleMesh::deserialize(std::vector<double>{-1, 2, 0, 0, 0}),
+               Error);
+  EXPECT_THROW(LocalFeatureData::deserialize(std::vector<double>{-1, 7, 0, 0}),
+               Error);
+  EXPECT_THROW(DownsampledBlock::deserialize(std::vector<double>{
+                   0, 0, 0, 1, 1, 1, 1, -1, -1, 1, 5.0}),
+               Error);
+  // A component index past the component count once reached an assertion
+  // (abort) inside combine_features.
+  LocalFeatureData bad_boundary = two_features();
+  bad_boundary.boundary_comp[1] = 2;
+  EXPECT_THROW(LocalFeatureData::deserialize(bad_boundary.serialize()), Error);
+  LocalFeatureData bad_link = two_features();
+  bad_link.link_comp[0] = 2;
+  EXPECT_THROW(LocalFeatureData::deserialize(bad_link.serialize()), Error);
+}
+
+TEST(PulledDecoders, MutatedPayloadsFailOnlyWithAnError) {
+  const std::vector<double> specials = {
+      -1.0, -0.5, 0.49, 0.5, std::nan(""), INFINITY, -INFINITY, 1e300,
+      0x1p53, 0x1p64, 4294967297.0, -0x1p63, 4294967295.0, 2147483648.0};
+  SplitMix64 rng(0xdec0de);
+  for (const PulledDecoder& dec : pulled_decoders()) {
+    ASSERT_NO_THROW(dec.decode(dec.valid)) << dec.name;
+    size_t accepted = 0;
+    for (int iter = 0; iter < 3000; ++iter) {
+      std::vector<double> m = dec.valid;
+      const uint64_t draw = rng.next();
+      const size_t slot = (draw >> 8) % m.size();
+      switch (draw % 6) {
+        case 0:  // a header field: counts, dimensions, bounds
+          m[(draw >> 8) % std::min<size_t>(m.size(), 10)] =
+              (draw >> 16) % 2 == 0
+                  ? specials[(draw >> 20) % specials.size()]
+                  : static_cast<double>((draw >> 20) % 4096);
+          break;
+        case 1:
+          m[slot] = specials[(draw >> 40) % specials.size()];
+          break;
+        case 2: {  // a bit flip
+          auto bits = std::bit_cast<uint64_t>(m[slot]);
+          bits ^= uint64_t{1} << ((draw >> 40) % 64);
+          m[slot] = std::bit_cast<double>(bits);
+          break;
+        }
+        case 3:
+          m.resize(slot);
+          break;
+        case 4:
+          m.resize(m.size() + 1 + (draw >> 40) % 5,
+                   static_cast<double>(draw % 7));
+          break;
+        default:  // a small integer anywhere: counts, indices and flags
+          m[slot] = static_cast<double>((draw >> 40) % 64) - 1.0;
+          break;
+      }
+      try {
+        dec.decode(m);
+        ++accepted;
+      } catch (const Error&) {
+      } catch (const std::exception& e) {
+        FAIL() << dec.name << " iteration " << iter
+               << " escaped as non-hia::Error: " << e.what();
+      }
+    }
+    // Some mutations (a value bit flip) leave a valid payload.
+    EXPECT_GT(accepted, 0u) << dec.name;
+  }
 }
 
 }  // namespace
