@@ -13,6 +13,7 @@
 #include "bench_common.hpp"
 #include "core/report.hpp"
 #include "obs/counters.hpp"
+#include "obs/events.hpp"
 #include "core/stats_pipeline.hpp"
 #include "util/table.hpp"
 
@@ -68,7 +69,7 @@ int main(int argc, char** argv) {
   for (const int freq : {1, 2, 5, 10}) {
     // Fresh trace/counter state per sweep point so the tracer-derived
     // stats describe this frequency only.
-    obs::reset();
+    obs::reset_events();
     obs::reset_counters();
     obs::enable();
 

@@ -15,6 +15,11 @@
 #      (admit+queue+backoff+transfer+compute+drain == turnaround per
 #      task), and enforces critical-path <= makespan; its RunSummary and
 #      Chrome-trace waterfall are archived under ci/artifacts/
+#   3b. one-recorder leg: one campaign traced (--trace) and recorded
+#      (--events --attrib) at once, so spans and lifecycle records share
+#      every thread's ring; trace_lint must pass, events_lint must report
+#      0 dropped (exit 3 otherwise), --attrib must report "all partitions
+#      exact", and the trace must report 0 dropped span records
 #   4. replay gate: tools/hia_plan replays the same spill under its own
 #      recorded configuration (--calibrate) and must reproduce the
 #      measured makespan within tolerance, then sweeps buckets=1..8;
@@ -112,6 +117,27 @@ cp "$smoke_dir/events.bin" "$smoke_dir/events_stdout.txt" \
   "$smoke_dir/critical_path_stdout.txt" "$artifact_dir/"
 echo "events gate OK (partition cross-checked, attribution exact," \
   "critical path within makespan)"
+
+echo "==> one-recorder leg: --trace and --events --attrib in one campaign"
+./build/examples/hia_campaign --tenants 2 --steps 3 --analyses stats,topo \
+  --overload "queue-depth=16,credits=8" \
+  --trace "$smoke_dir/both_trace.json" --events "$smoke_dir/both_events.bin" \
+  --attrib > "$smoke_dir/both_stdout.txt"
+./build/examples/trace_lint "$smoke_dir/both_trace.json"
+./build/tools/events_lint "$smoke_dir/both_events.bin" |
+  grep -q ', 0 dropped,' || {
+  echo "one-recorder leg: the recorded stream dropped records" >&2
+  exit 1
+}
+grep -q 'all partitions exact' "$smoke_dir/both_stdout.txt" || {
+  echo "one-recorder leg: --attrib did not report an exact partition" >&2
+  exit 1
+}
+grep -q '"dropped_events": 0,' "$smoke_dir/both_trace.json" || {
+  echo "one-recorder leg: the trace dropped span records" >&2
+  exit 1
+}
+echo "one-recorder leg OK (trace paired, 0 dropped, attribution exact)"
 
 echo "==> replay gate: hia_plan calibration + bucket sweep vs bench/baselines"
 ./build/tools/events_lint --stats "$smoke_dir/events.bin" \

@@ -16,33 +16,14 @@ constexpr double kNegEps = 1e-9;
 // so this only absorbs floating-point association error.
 constexpr double kSumEps = 1e-6;
 
-bool is_terminal(int32_t kind) {
-  const auto k = static_cast<EventKind>(kind);
-  return k == EventKind::kTaskComplete || k == EventKind::kTaskDegrade ||
-         k == EventKind::kTaskShed || k == EventKind::kTaskDefer;
-}
+// EventKind values are stable on-disk identifiers, so the task-keyed kinds
+// are two fixed ranges: the lifecycle kinds 1..6 (terminals 3..6) and the
+// attribution kinds 13..19.
+bool is_terminal(int32_t kind) { return kind >= 3 && kind <= 6; }
 
 /// True for kinds whose `a` operand is a task id.
 bool is_task_keyed(int32_t kind) {
-  const auto k = static_cast<EventKind>(kind);
-  switch (k) {
-    case EventKind::kTaskSubmit:
-    case EventKind::kTaskAssign:
-    case EventKind::kTaskComplete:
-    case EventKind::kTaskDegrade:
-    case EventKind::kTaskShed:
-    case EventKind::kTaskDefer:
-    case EventKind::kCreditGrant:
-    case EventKind::kTaskRetry:
-    case EventKind::kBackoffRelease:
-    case EventKind::kBucketOccupy:
-    case EventKind::kBucketVacate:
-    case EventKind::kTaskXfer:
-    case EventKind::kTaskWork:
-      return true;
-    default:
-      return false;
-  }
+  return (kind >= 1 && kind <= 6) || (kind >= 13 && kind <= 19);
 }
 
 /// Processing order for same-timestamp records of one task: submit opens,

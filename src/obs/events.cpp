@@ -6,10 +6,12 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <deque>
 #include <fstream>
 #include <map>
 #include <mutex>
 #include <sstream>
+#include <string_view>
 
 #include "obs/json.hpp"
 #include "obs/rings.hpp"
@@ -21,30 +23,58 @@ namespace {
 
 constexpr char kMagic[8] = {'h', 'i', 'a', 'e', 'v', 't', 's', '1'};
 constexpr uint32_t kVersion = 1;
-constexpr size_t kDefaultRingCapacity = 16384;
-constexpr int32_t kMaxKind = 23;  // highest on-disk EventKind value
+constexpr int32_t kLastLifecycleKind = 23;  // kinds above are span-view
+constexpr int32_t kMaxKind = 26;            // highest EventKind value
 
-struct EventsRegistry {
+bool is_lifecycle(int32_t kind) {
+  return kind >= 1 && kind <= kLastLifecycleKind;
+}
+
+struct Recorder {
   std::atomic<bool> enabled{true};
-  std::atomic<size_t> capacity{kDefaultRingCapacity};
+  std::atomic<size_t> capacity{kDefaultEventsCapacity};
   std::atomic<uint64_t> dropped_by_kind[kMaxKind + 1] = {};
-  detail::RingSet<EventRecord> rings;
+  std::atomic<uint64_t> oversized{0};
+  detail::RingSet rings;
 };
 
-EventsRegistry& registry() {
-  static EventsRegistry* r = new EventsRegistry();  // leaked, see trace.cpp
+Recorder& recorder() {
+  static Recorder* r = new Recorder();  // leaked: usable during shutdown
   return *r;
 }
 
-thread_local detail::RingSet<EventRecord>::RingPtr t_event_ring;
+thread_local detail::RingSet::RingPtr t_ring;
 
-detail::Ring<EventRecord>& local_ring() {
-  if (t_event_ring == nullptr) {
-    EventsRegistry& reg = registry();
-    const size_t capacity = reg.capacity.load(std::memory_order_relaxed);
-    reg.rings.take(t_event_ring, std::max<size_t>(capacity, 1));
+detail::Ring& local_ring() {
+  if (t_ring == nullptr) {
+    Recorder& rec = recorder();
+    rec.rings.take(t_ring, rec.capacity.load(std::memory_order_relaxed));
   }
-  return *t_event_ring;
+  return *t_ring;
+}
+
+/// The (category, name) table behind span-view name ids: a few dozen
+/// entries, never removed, so an id and its strings stay valid across
+/// resets.
+struct NameTable {
+  std::mutex mutex;
+  std::deque<std::pair<std::string, std::string>> names;  // by id
+};
+
+NameTable& name_table() {
+  static NameTable* t = new NameTable();  // leaked, like the recorder
+  return *t;
+}
+
+uint64_t sum_drops(bool lifecycle) {
+  Recorder& rec = recorder();
+  uint64_t n = 0;
+  for (int32_t k = 0; k <= kMaxKind; ++k) {
+    if (is_lifecycle(k) == lifecycle) {
+      n += rec.dropped_by_kind[k].load(std::memory_order_relaxed);
+    }
+  }
+  return n;
 }
 
 /// A count from a file header: a JSON number that is finite, integral and
@@ -57,7 +87,12 @@ bool header_count(const json::Value* v, double max, uint64_t* out) {
   return true;
 }
 
-const char* kind_name(int32_t kind) {
+std::mutex g_run_config_mutex;
+EventsRunConfig g_run_config;  // guarded by g_run_config_mutex
+
+}  // namespace
+
+const char* event_kind_name(int32_t kind) {
   switch (static_cast<EventKind>(kind)) {
     case EventKind::kTaskSubmit: return "task_submit";
     case EventKind::kTaskAssign: return "task_assign";
@@ -82,56 +117,104 @@ const char* kind_name(int32_t kind) {
     case EventKind::kTaskReexec: return "task_reexec";
     case EventKind::kReplicaRepair: return "replica_repair";
     case EventKind::kZombieFence: return "zombie_fence";
+    case EventKind::kSpanBegin: return "span_begin";
+    case EventKind::kSpanEnd: return "span_end";
+    case EventKind::kMark: return "mark";
   }
   return nullptr;
 }
 
-std::mutex g_run_config_mutex;
-EventsRunConfig g_run_config;  // guarded by g_run_config_mutex
+namespace detail {
 
-}  // namespace
+void push_record(EventRecord r) {
+  r.t_us = now_us();
+  r.pad = thread_track();
+  EventRecord overwritten;
+  if (local_ring().push(r, &overwritten) && overwritten.kind >= 0 &&
+      overwritten.kind <= kMaxKind) {
+    recorder().dropped_by_kind[overwritten.kind].fetch_add(
+        1, std::memory_order_relaxed);
+  }
+}
 
-const char* event_kind_name(int32_t kind) { return kind_name(kind); }
+uint32_t intern_name(const char* category, const char* name) {
+  size_t len = strnlen(name, Event::kNameCapacity);
+  if (len == Event::kNameCapacity) {
+    recorder().oversized.fetch_add(1, std::memory_order_relaxed);
+    --len;
+  }
+  using Key = std::pair<std::string_view, std::string_view>;
+  const Key key(category, std::string_view(name, len));
+  // This thread's names, keyed by views of the table's copies.
+  thread_local std::map<Key, uint32_t> cache;
+  if (const auto it = cache.find(key); it != cache.end()) return it->second;
+  NameTable& table = name_table();
+  std::lock_guard lock(table.mutex);
+  uint32_t id = 0;
+  while (id < table.names.size() && Key(table.names[id]) != key) ++id;
+  if (id == table.names.size()) table.names.emplace_back(key);
+  cache.emplace(Key(table.names[id]), id);
+  return id;
+}
+
+void interned_name(uint32_t id, const char** category, const char** name) {
+  NameTable& table = name_table();
+  std::lock_guard lock(table.mutex);
+  const auto& [cat, nm] = table.names.at(id);
+  *category = cat.c_str();
+  *name = nm.c_str();
+}
+
+void visit_records(
+    const std::function<void(const EventRecord&, uint32_t)>& f) {
+  recorder().rings.visit(f);
+}
+
+}  // namespace detail
+
+uint64_t dropped_trace_records() { return sum_drops(false); }
+
+uint64_t oversized_names() {
+  return recorder().oversized.load(std::memory_order_relaxed);
+}
 
 void record_event(EventKind kind, int tenant, int bucket, int64_t a,
                   int64_t b, double vt_s) {
-  EventsRegistry& reg = registry();
-  if (!reg.enabled.load(std::memory_order_relaxed)) return;
+  if (!events_enabled()) return;
   EventRecord r;
-  r.t_us = now_us();
   r.vt_s = vt_s;
   r.a = a;
   r.b = b;
   r.kind = static_cast<int32_t>(kind);
   r.tenant = tenant;
   r.bucket = bucket;
-  EventRecord overwritten;
-  if (local_ring().push(r, &overwritten) && overwritten.kind >= 0 &&
-      overwritten.kind <= kMaxKind) {
-    reg.dropped_by_kind[overwritten.kind].fetch_add(1,
-                                                    std::memory_order_relaxed);
-  }
+  detail::push_record(r);
 }
 
 void enable_events() {
-  registry().enabled.store(true, std::memory_order_relaxed);
+  recorder().enabled.store(true, std::memory_order_relaxed);
 }
 
 void disable_events() {
-  registry().enabled.store(false, std::memory_order_relaxed);
+  recorder().enabled.store(false, std::memory_order_relaxed);
 }
 
 bool events_enabled() {
-  return registry().enabled.load(std::memory_order_relaxed);
+  return recorder().enabled.load(std::memory_order_relaxed);
 }
 
 void set_events_capacity(size_t records) {
-  registry().capacity.store(std::max<size_t>(records, 1),
+  recorder().capacity.store(std::max<size_t>(records, 1),
                             std::memory_order_relaxed);
 }
 
 std::vector<EventRecord> events_snapshot() {
-  std::vector<EventRecord> out = registry().rings.collect();
+  std::vector<EventRecord> out;
+  recorder().rings.visit([&out](const EventRecord& r, uint32_t) {
+    if (!is_lifecycle(r.kind)) return;
+    out.push_back(r);
+    out.back().pad = 0;
+  });
   std::stable_sort(out.begin(), out.end(),
                    [](const EventRecord& x, const EventRecord& y) {
                      return x.t_us < y.t_us;
@@ -139,26 +222,27 @@ std::vector<EventRecord> events_snapshot() {
   return out;
 }
 
-uint64_t dropped_event_records() { return registry().rings.dropped(); }
+uint64_t dropped_event_records() { return sum_drops(true); }
 
 std::map<int32_t, uint64_t> dropped_event_records_by_kind() {
-  EventsRegistry& reg = registry();
+  Recorder& rec = recorder();
   std::map<int32_t, uint64_t> out;
-  for (int32_t k = 0; k <= kMaxKind; ++k) {
-    const uint64_t n = reg.dropped_by_kind[k].load(std::memory_order_relaxed);
+  for (int32_t k = 1; k <= kLastLifecycleKind; ++k) {
+    const uint64_t n = rec.dropped_by_kind[k].load(std::memory_order_relaxed);
     if (n > 0) out[k] = n;
   }
   return out;
 }
 
-size_t event_ring_count() { return registry().rings.count(); }
+size_t event_ring_count() { return recorder().rings.count(); }
 
 void reset_events() {
-  EventsRegistry& reg = registry();
-  reg.rings.reset();
-  for (int32_t k = 0; k <= kMaxKind; ++k) {
-    reg.dropped_by_kind[k].store(0, std::memory_order_relaxed);
+  Recorder& rec = recorder();
+  rec.rings.reset();
+  for (std::atomic<uint64_t>& n : rec.dropped_by_kind) {
+    n.store(0, std::memory_order_relaxed);
   }
+  rec.oversized.store(0, std::memory_order_relaxed);
   std::lock_guard cfg_lock(g_run_config_mutex);
   g_run_config = EventsRunConfig{};
 }
@@ -181,22 +265,18 @@ bool write_events_file(const std::string& path) {
   header << "{\"schema\":\"hia-events-v1\",\"record_bytes\":"
          << sizeof(EventRecord) << ",\"count\":" << records.size()
          << ",\"dropped\":" << dropped << ",\"dropped_by_kind\":{";
-  {
-    bool first = true;
-    for (const auto& [kind, n] : dropped_by_kind) {
-      if (!first) header << ',';
-      first = false;
-      header << '"' << kind << "\":" << n;
-    }
+  const char* sep = "";
+  for (const auto& [kind, n] : dropped_by_kind) {
+    header << sep << '"' << kind << "\":" << n;
+    sep = ",";
   }
   header << "},\"fields\":[\"t_us:f64\",\"vt_s:f64\",\"a:i64\",\"b:i64\","
             "\"kind:i32\",\"tenant:i32\",\"bucket:i32\",\"pad:i32\"],"
             "\"kinds\":{";
-  bool first = true;
-  for (int32_t k = 1; kind_name(k) != nullptr; ++k) {
-    if (!first) header << ',';
-    first = false;
-    header << '"' << k << "\":\"" << kind_name(k) << '"';
+  sep = "";
+  for (int32_t k = 1; is_lifecycle(k); ++k) {
+    header << sep << '"' << k << "\":\"" << event_kind_name(k) << '"';
+    sep = ",";
   }
   header << "}";
   {
@@ -214,9 +294,10 @@ bool write_events_file(const std::string& path) {
              << ",\"replicas\":" << g_run_config.replicas << ",\"faults\":\""
              << faults << "\",\"overload\":\"" << overload
              << "\",\"tenant_weights\":[";
-      for (size_t i = 0; i < g_run_config.tenant_weights.size(); ++i) {
-        if (i > 0) header << ',';
-        header << g_run_config.tenant_weights[i];
+      sep = "";
+      for (const double w : g_run_config.tenant_weights) {
+        header << sep << w;
+        sep = ",";
       }
       header << "]}";
     }
@@ -234,9 +315,8 @@ bool write_events_file(const std::string& path) {
             sizeof(header_bytes));
   out.write(header_json.data(),
             static_cast<std::streamsize>(header_json.size()));
-  for (const EventRecord& r : records) {
-    out.write(reinterpret_cast<const char*>(&r), sizeof(r));
-  }
+  out.write(reinterpret_cast<const char*>(records.data()),
+            static_cast<std::streamsize>(records.size() * sizeof(EventRecord)));
   return static_cast<bool>(out);
 }
 
@@ -252,7 +332,7 @@ EventsValidation validate_events(const std::vector<EventRecord>& records,
   double prev_t = -1.0;
   for (size_t i = 0; i < records.size(); ++i) {
     const EventRecord& r = records[i];
-    if (kind_name(r.kind) == nullptr) {
+    if (!is_lifecycle(r.kind)) {
       v.error = "record " + std::to_string(i) + ": unknown event kind " +
                 std::to_string(r.kind);
       return v;
@@ -266,29 +346,18 @@ EventsValidation validate_events(const std::vector<EventRecord>& records,
     prev_t = r.t_us;
 
     const EventKind kind = static_cast<EventKind>(r.kind);
-    const bool task_event = kind == EventKind::kTaskSubmit ||
-                            kind == EventKind::kTaskAssign ||
-                            kind == EventKind::kTaskComplete ||
-                            kind == EventKind::kTaskDegrade ||
-                            kind == EventKind::kTaskShed ||
-                            kind == EventKind::kTaskDefer;
-    // Attribution kinds are task-keyed too, but only the six lifecycle
-    // kinds above enter the conservation partition.
-    const bool attrib_event = kind == EventKind::kCreditGrant ||
-                              kind == EventKind::kTaskRetry ||
-                              kind == EventKind::kBackoffRelease ||
-                              kind == EventKind::kBucketOccupy ||
-                              kind == EventKind::kBucketVacate ||
-                              kind == EventKind::kTaskXfer ||
-                              kind == EventKind::kTaskWork;
-    // Crash-recovery markers are task-keyed and tenant-attributed too
-    // (kReplicaRepair is handle-keyed, like kPut, and exempt).
+    // The six lifecycle kinds (1..6) enter the conservation partition; the
+    // attribution kinds (13..19) and the crash-recovery markers are
+    // task-keyed and tenant-attributed too (kReplicaRepair is handle-keyed,
+    // like kPut, and exempt).
+    const bool task_event = r.kind <= 6;
+    const bool attrib_event = r.kind >= 13 && r.kind <= 19;
     const bool recovery_event = kind == EventKind::kLeaseExpire ||
                                 kind == EventKind::kTaskReexec ||
                                 kind == EventKind::kZombieFence;
     if ((task_event || attrib_event || recovery_event) && r.tenant < 0) {
       v.error = "record " + std::to_string(i) + " (" +
-                kind_name(r.kind) + "): task event without a tenant";
+                event_kind_name(r.kind) + "): task event without a tenant";
       return v;
     }
     if (!task_event) continue;
@@ -325,18 +394,13 @@ EventsValidation validate_events(const std::vector<EventRecord>& records,
   return v;
 }
 
-bool read_events_file(const std::string& path,
-                      std::vector<EventRecord>* records_out,
-                      uint64_t* dropped_out,
-                      std::map<int32_t, uint64_t>* dropped_by_kind,
-                      std::string* error) {
-  EventsValidation v;  // reuses the framing-error strings below
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    v.error = "cannot open " + path;
-    if (error != nullptr) *error = v.error;
-    return false;
-  }
+namespace {
+
+/// Reads the framing and the JSON header of an hia-events-v1 file, leaving
+/// `in` at the first record. Returns an error message, empty on success.
+std::string read_header(std::ifstream& in, const std::string& path,
+                        json::Value* header) {
+  if (!in) return "cannot open " + path;
   char magic[8] = {};
   uint32_t version = 0;
   uint32_t header_bytes = 0;
@@ -344,47 +408,38 @@ bool read_events_file(const std::string& path,
   in.read(reinterpret_cast<char*>(&version), sizeof(version));
   in.read(reinterpret_cast<char*>(&header_bytes), sizeof(header_bytes));
   if (!in || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    v.error = "bad magic: not an hia-events-v1 file";
-    if (error != nullptr) *error = v.error;
-    return false;
+    return "bad magic: not an hia-events-v1 file";
   }
   if (version != kVersion) {
-    v.error = "unsupported version " + std::to_string(version);
-    if (error != nullptr) *error = v.error;
-    return false;
+    return "unsupported version " + std::to_string(version);
   }
   if (header_bytes == 0 || header_bytes > (1u << 20)) {
-    v.error = "implausible header length " + std::to_string(header_bytes);
-    if (error != nullptr) *error = v.error;
-    return false;
+    return "implausible header length " + std::to_string(header_bytes);
   }
   std::string header_json(header_bytes, '\0');
   in.read(header_json.data(), header_bytes);
-  if (!in) {
-    v.error = "truncated header";
-    if (error != nullptr) *error = v.error;
-    return false;
-  }
-  json::Value header;
+  if (!in) return "truncated header";
   std::string parse_error;
-  if (!json::parse(header_json, header, parse_error)) {
-    v.error = "header is not valid JSON: " + parse_error;
-    if (error != nullptr) *error = v.error;
-    return false;
+  if (!json::parse(header_json, *header, parse_error)) {
+    return "header is not valid JSON: " + parse_error;
   }
-  const json::Value* schema = json::find(header, "schema");
+  const json::Value* schema = json::find(*header, "schema");
   if (schema == nullptr || !schema->is_string() ||
       schema->string != "hia-events-v1") {
-    v.error = "header schema tag is not hia-events-v1";
-    if (error != nullptr) *error = v.error;
-    return false;
+    return "header schema tag is not hia-events-v1";
   }
+  return "";
+}
+
+/// The records, drop count and per-kind drop table of a spill whose header
+/// `read_header` has just read from `in`.
+std::string read_body(std::ifstream& in, const json::Value& header,
+                      std::vector<EventRecord>* records, uint64_t* dropped,
+                      std::map<int32_t, uint64_t>* by_kind) {
   const json::Value* record_bytes = json::find(header, "record_bytes");
   if (record_bytes == nullptr || !record_bytes->is_number() ||
       record_bytes->number != static_cast<double>(sizeof(EventRecord))) {
-    v.error = "header record_bytes does not match EventRecord";
-    if (error != nullptr) *error = v.error;
-    return false;
+    return "header record_bytes does not match EventRecord";
   }
   // The record count must fit the bytes that follow the header before
   // anything is sized by it.
@@ -395,50 +450,60 @@ bool read_events_file(const std::string& path,
   const auto max_records =
       static_cast<double>(remaining / sizeof(EventRecord));
   uint64_t n = 0;
-  uint64_t dropped = 0;
   if (!header_count(json::find(header, "count"), max_records, &n) ||
-      !header_count(json::find(header, "dropped"), 0x1p63, &dropped)) {
-    v.error = "header count/dropped missing, not a whole number, or more "
-              "records than the file holds";
-    if (error != nullptr) *error = v.error;
-    return false;
+      !header_count(json::find(header, "dropped"), 0x1p63, dropped)) {
+    return "header count/dropped missing, not a whole number, or more "
+           "records than the file holds";
   }
-  std::vector<EventRecord> records(n);
-  in.read(reinterpret_cast<char*>(records.data()),
+  records->resize(n);
+  in.read(reinterpret_cast<char*>(records->data()),
           static_cast<std::streamsize>(n * sizeof(EventRecord)));
-  if (!in) {
-    v.error = "truncated in the " + std::to_string(n) + " records";
-    if (error != nullptr) *error = v.error;
-    return false;
-  }
+  if (!in) return "truncated in the " + std::to_string(n) + " records";
   in.peek();
   if (!in.eof()) {
-    v.error = "trailing bytes after " + std::to_string(n) + " records";
-    if (error != nullptr) *error = v.error;
-    return false;
+    return "trailing bytes after " + std::to_string(n) + " records";
   }
   // Optional per-kind drop table (absent in spills written before it
   // existed): carried through so events_lint can say *what* was lost.
-  std::map<int32_t, uint64_t> by_kind_counts;
-  if (const json::Value* by_kind = json::find(header, "dropped_by_kind");
-      by_kind != nullptr && by_kind->is_object()) {
-    for (const auto& [key, val] : by_kind->object) {
-      int32_t kind = 0;
-      const auto [end, ec] =
-          std::from_chars(key.data(), key.data() + key.size(), kind);
-      uint64_t count = 0;
-      if (ec != std::errc() || end != key.data() + key.size() ||
-          !header_count(&val, 0x1p63, &count)) {
-        v.error = "header dropped_by_kind entry \"" + key + "\" is malformed";
-        if (error != nullptr) *error = v.error;
-        return false;
-      }
-      by_kind_counts[kind] = count;
+  const json::Value* table = json::find(header, "dropped_by_kind");
+  if (table == nullptr || !table->is_object()) return "";
+  for (const auto& [key, val] : table->object) {
+    int32_t kind = 0;
+    const auto [end, ec] =
+        std::from_chars(key.data(), key.data() + key.size(), kind);
+    uint64_t count = 0;
+    if (ec != std::errc() || end != key.data() + key.size() ||
+        !header_count(&val, 0x1p63, &count)) {
+      return "header dropped_by_kind entry \"" + key + "\" is malformed";
     }
+    (*by_kind)[kind] = count;
+  }
+  return "";
+}
+
+}  // namespace
+
+bool read_events_file(const std::string& path,
+                      std::vector<EventRecord>* records_out,
+                      uint64_t* dropped_out,
+                      std::map<int32_t, uint64_t>* dropped_by_kind,
+                      std::string* error) {
+  std::ifstream in(path, std::ios::binary);
+  json::Value header;
+  std::vector<EventRecord> records;
+  uint64_t dropped = 0;
+  std::map<int32_t, uint64_t> by_kind;
+  std::string failure = read_header(in, path, &header);
+  if (failure.empty()) {
+    failure = read_body(in, header, &records, &dropped, &by_kind);
+  }
+  if (!failure.empty()) {
+    if (error != nullptr) *error = failure;
+    return false;
   }
   if (records_out != nullptr) *records_out = std::move(records);
   if (dropped_out != nullptr) *dropped_out = dropped;
-  if (dropped_by_kind != nullptr) *dropped_by_kind = std::move(by_kind_counts);
+  if (dropped_by_kind != nullptr) *dropped_by_kind = std::move(by_kind);
   return true;
 }
 
@@ -446,57 +511,31 @@ bool read_events_run_config(const std::string& path, EventsRunConfig* cfg,
                             std::string* error) {
   if (cfg != nullptr) *cfg = EventsRunConfig{};
   std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    if (error != nullptr) *error = "cannot open " + path;
-    return false;
-  }
-  char magic[8] = {};
-  uint32_t version = 0;
-  uint32_t header_bytes = 0;
-  in.read(magic, sizeof(magic));
-  in.read(reinterpret_cast<char*>(&version), sizeof(version));
-  in.read(reinterpret_cast<char*>(&header_bytes), sizeof(header_bytes));
-  if (!in || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0 ||
-      version != kVersion || header_bytes == 0 || header_bytes > (1u << 20)) {
-    if (error != nullptr) *error = "not a readable hia-events-v1 file";
-    return false;
-  }
-  std::string header_json(header_bytes, '\0');
-  in.read(header_json.data(), header_bytes);
-  if (!in) {
-    if (error != nullptr) *error = "truncated header";
-    return false;
-  }
   json::Value header;
-  std::string parse_error;
-  if (!json::parse(header_json, header, parse_error)) {
-    if (error != nullptr) *error = "header is not valid JSON: " + parse_error;
+  if (const std::string failure = read_header(in, path, &header);
+      !failure.empty()) {
+    if (error != nullptr) *error = failure;
     return false;
   }
   const json::Value* rc = json::find(header, "run_config");
   if (rc == nullptr || !rc->is_object()) return true;  // pre-PR10 spill
   if (cfg == nullptr) return true;
   cfg->present = true;
-  if (const json::Value* v = json::find(*rc, "buckets");
-      v != nullptr && v->is_number()) {
-    cfg->buckets = static_cast<int>(v->number);
-  }
-  if (const json::Value* v = json::find(*rc, "servers");
-      v != nullptr && v->is_number()) {
-    cfg->servers = static_cast<int>(v->number);
-  }
-  if (const json::Value* v = json::find(*rc, "replicas");
-      v != nullptr && v->is_number()) {
-    cfg->replicas = static_cast<int>(v->number);
-  }
-  if (const json::Value* v = json::find(*rc, "faults");
-      v != nullptr && v->is_string()) {
-    cfg->faults = v->string;
-  }
-  if (const json::Value* v = json::find(*rc, "overload");
-      v != nullptr && v->is_string()) {
-    cfg->overload = v->string;
-  }
+  auto number = [rc](const char* key, int* out) {
+    const json::Value* v = json::find(*rc, key);
+    if (v != nullptr && v->is_number() && std::fabs(v->number) < 1e9) {
+      *out = static_cast<int>(v->number);
+    }
+  };
+  auto text = [rc](const char* key, std::string* out) {
+    const json::Value* v = json::find(*rc, key);
+    if (v != nullptr && v->is_string()) *out = v->string;
+  };
+  number("buckets", &cfg->buckets);
+  number("servers", &cfg->servers);
+  number("replicas", &cfg->replicas);
+  text("faults", &cfg->faults);
+  text("overload", &cfg->overload);
   if (const json::Value* v = json::find(*rc, "tenant_weights");
       v != nullptr && v->is_array()) {
     for (const json::Value& w : v->array) {

@@ -1,23 +1,22 @@
-// Flight recorder: an always-on, bounded, thread-sharded binary ring of
-// structured lifecycle events — the "what happened" companion to the span
-// tracer's "when" and the registries' "how much". Where Chrome spans are a
-// rendering format, these records are a *replayable* trace: every task
-// submit/assign/terminal transition, put/get with byte counts, pressure
-// transition, pool resize, and fault verdict, each stamped with the tenant
-// that owns it and a dual wall/virtual timestamp. The spill format
-// (`hia-events-v1`, see write_events_file) is the recorded-trace input for
-// the ROADMAP's what-if replay planner.
-//
-// Storage is the span tracer's (obs/rings.hpp): each thread owns a bounded
-// ring of POD records guarded by a mutex its owner holds uncontended; the
-// ring's memory is committed as records land, and overflow drops the
-// oldest record and counts the drop. Recording is on by default
-// (one relaxed atomic load plus an uncontended ring write per event —
-// cheap enough for every hot path; the overload bench gates the overhead)
-// and can be disabled for A/B measurement.
+// Flight recorder: the one recorder of the run. Each thread writes 48-byte
+// POD records to its own bounded ring (obs/rings.hpp), guarded by a mutex
+// its owner holds uncontended; memory is committed as records land, and
+// overflow drops the oldest record. Two views read the one stream:
+//   * lifecycle (events_snapshot, the hia-events-v1 spill, attribution):
+//     task submit/assign/terminal transitions, put/get byte counts,
+//     pressure transitions, pool resizes and fault verdicts, each with its
+//     tenant and a dual wall/virtual timestamp — the replayable trace the
+//     what-if planner reads;
+//   * spans (obs::snapshot, the Chrome trace): span and mark records, plus
+//     the lifecycle records that have a timeline name, as instants.
+// One capacity, one reset and one ring count serve both; each view counts
+// drops of its own kinds only. Lifecycle recording is on by default (one
+// relaxed load plus an uncontended ring write; the overload bench gates
+// the overhead) and follows events_enabled(); spans follow obs::enabled().
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -64,6 +63,13 @@ enum class EventKind : int32_t {
                         //   bucket = server that received the repaired copy
   kZombieFence = 23,    // a=task_id, b=fenced stale attempt; bucket = the
                         //   presumed-dead bucket whose completion was dropped
+  // Span-view records (obs/trace.hpp), never spilled. a = interned
+  // (category, name) id << 32 | SpanArgs::rank as uint32, b = bytes,
+  // vt = vtime, tenant = step, bucket = SpanArgs::bucket; unset args are
+  // -1 as in SpanArgs.
+  kSpanBegin = 24,
+  kSpanEnd = 25,
+  kMark = 26,  // a point in time with no lifecycle meaning (obs::instant)
 };
 
 /// Fault-verdict site codes carried in EventRecord::a for kFaultVerdict.
@@ -86,7 +92,7 @@ struct EventRecord {
   int32_t kind = 0;    // EventKind
   int32_t tenant = -1; // owning tenant; -1 = not tenant-attributed
   int32_t bucket = -1; // bucket/node; -1 = not bucket-attributed
-  int32_t pad = 0;     // keeps the record at 48 bytes, zero on disk
+  int32_t pad = 0;     // the emitting thread's track in memory; zero on disk
 };
 static_assert(sizeof(EventRecord) == 48, "hia-events-v1 record size");
 
@@ -101,30 +107,34 @@ void disable_events();
 [[nodiscard]] bool events_enabled();
 
 /// Ring capacity, in records per thread, for rings threads take after the
-/// call (default 16384); spare rings of another size are then freed. Raise
-/// before a long recorded campaign so conservation survives (a dropped
-/// submit breaks the per-tenant partition).
+/// call; spare rings of another size are then freed. Lifecycle and span
+/// records share it. Raise before a long recorded campaign so conservation
+/// survives (a dropped submit breaks the per-tenant partition).
+inline constexpr size_t kDefaultEventsCapacity = 32768;
 void set_events_capacity(size_t records);
 
-/// Merged snapshot across every thread's ring, sorted by wall time.
+/// Merged snapshot of the lifecycle records (kinds 1..23) across every
+/// thread's ring, sorted by wall time, `pad` zeroed.
 std::vector<EventRecord> events_snapshot();
 
-/// Total records dropped to ring overflow since the last reset.
+/// Lifecycle records dropped to ring overflow since the last reset.
+/// Overwritten span-view records do not count.
 uint64_t dropped_event_records();
 
-/// Drop counts keyed by the *overwritten* record's kind — tells you which
-/// part of the stream is unverifiable, not just that some of it is.
+/// Lifecycle drop counts keyed by the *overwritten* record's kind — tells
+/// you which part of the stream is unverifiable, not just that some of it
+/// is.
 std::map<int32_t, uint64_t> dropped_event_records_by_kind();
 
 /// Stable snake_case name for an on-disk kind value; nullptr when unknown.
 const char* event_kind_name(int32_t kind);
 
-/// Drops all recorded events and zeroes the drop counter. Rings of live
-/// threads stay registered (capacity unchanged); rings of threads that have
-/// exited leave the registry and are reused by the next threads that
-/// record, so a process that runs campaign after campaign holds no more
-/// rings than it ever had threads at once. The enabled flag persists. Also
-/// clears the registered run config.
+/// Drops the records of both views and zeroes the drop and oversized-name
+/// counters. Rings of live threads stay registered (capacity unchanged);
+/// rings of threads that have exited leave the registry and are reused by
+/// the next threads that record, so a process that runs campaign after
+/// campaign holds no more rings than it ever had threads at once. The
+/// enabled flag persists. Also clears the registered run config.
 void reset_events();
 
 /// Per-thread rings currently registered: one for each live thread that
@@ -171,8 +181,8 @@ bool read_events_run_config(const std::string& path, EventsRunConfig* cfg,
 //              "count":N,"dropped":D,"fields":[...],"kinds":{...}}
 //   then N EventRecord structs, sorted by t_us.
 
-/// Writes the current snapshot as an hia-events-v1 file. Returns false on
-/// I/O failure.
+/// Writes the current lifecycle snapshot as an hia-events-v1 file. Returns
+/// false on I/O failure.
 bool write_events_file(const std::string& path);
 
 /// Validation result for an hia-events-v1 file (see validate_events_file).
@@ -214,5 +224,19 @@ EventsValidation validate_events_file(const std::string& path);
 /// validate_events_file after deserializing).
 EventsValidation validate_events(const std::vector<EventRecord>& records,
                                  uint64_t dropped);
+
+namespace detail {  // the recorder's side of the span view (obs/trace.cpp)
+/// Stamps `r` with the wall clock and the thread's track (`pad`) and writes
+/// it to the thread's ring; the caller checks the kind's on/off switch.
+void push_record(EventRecord r);
+/// Process-wide id of (category, name), the name cut to 47 characters
+/// (counted in oversized_names()); a thread-local cache skips the lock.
+uint32_t intern_name(const char* category, const char* name);
+/// The strings behind an id; they live as long as the process.
+void interned_name(uint32_t id, const char** category, const char** name);
+/// Calls f(record, ring tid) on every held record of both views, ring by
+/// ring, each oldest-first, under the rings' locks (f must not record).
+void visit_records(const std::function<void(const EventRecord&, uint32_t)>& f);
+}  // namespace detail
 
 }  // namespace hia::obs

@@ -38,33 +38,19 @@ void append_args(std::string& out, const SpanArgs& args) {
 }
 
 void append_event_line(std::string& out, const Event& ev, bool trailing_comma) {
-  char buf[96];
-  out += "    {\"ph\": \"";
-  out += static_cast<char>(ev.phase);
-  out += "\", \"pid\": ";
-  std::snprintf(buf, sizeof(buf), "%d", ev.track);
+  char buf[128];
+  std::snprintf(buf, sizeof(buf),
+                "    {\"ph\": \"%c\", \"pid\": %d, \"tid\": %u, \"ts\": %.3f, "
+                "\"cat\": \"",
+                static_cast<char>(ev.phase), ev.track, ev.tid, ev.t_us);
   out += buf;
-  out += ", \"tid\": ";
-  std::snprintf(buf, sizeof(buf), "%u", ev.tid);
-  out += buf;
-  out += ", \"ts\": ";
-  std::snprintf(buf, sizeof(buf), "%.3f", ev.t_us);
-  out += buf;
-  out += ", \"cat\": \"";
   json::append_escaped(out, ev.category);
   out += "\", \"name\": \"";
   json::append_escaped(out, ev.name);
   out += "\"";
-  if (ev.phase == Phase::kCounter) {
-    std::snprintf(buf, sizeof(buf), "%.6f", ev.value);
-    out += std::string(", \"args\": {\"value\": ") + buf + "}";
-  } else if (ev.phase != Phase::kEnd) {
-    append_args(out, ev.args);
-  }
+  if (ev.phase != Phase::kEnd) append_args(out, ev.args);
   if (ev.phase == Phase::kInstant) out += ", \"s\": \"t\"";
-  out += "}";
-  if (trailing_comma) out += ",";
-  out += "\n";
+  out += trailing_comma ? "},\n" : "}\n";
 }
 
 std::string track_name(int track) {
@@ -76,36 +62,27 @@ std::string track_name(int track) {
 
 /// Drops orphan 'E' events (their 'B' fell out of a ring) and closes spans
 /// still open at the snapshot horizon, so the export always pairs B/E.
-std::vector<Event> paired_events(std::vector<Event> events) {
+std::vector<Event> paired_events(const std::vector<Event>& events) {
   double horizon = 0.0;
-  for (const Event& ev : events) horizon = std::max(horizon, ev.t_us);
-
-  // Per (pid, tid): stack of indices of open 'B' events.
-  std::map<std::pair<int, uint32_t>, std::vector<size_t>> open;
-  std::vector<bool> keep(events.size(), true);
-  for (size_t i = 0; i < events.size(); ++i) {
-    const Event& ev = events[i];
-    if (ev.phase == Phase::kBegin) {
-      open[{ev.track, ev.tid}].push_back(i);
-    } else if (ev.phase == Phase::kEnd) {
-      auto& stack = open[{ev.track, ev.tid}];
-      if (stack.empty()) {
-        keep[i] = false;  // orphan from ring overflow
-      } else {
-        stack.pop_back();
-      }
-    }
-  }
-
+  // Per (pid, tid): stack of the open 'B' events.
+  std::map<std::pair<int, uint32_t>, std::vector<const Event*>> open;
   std::vector<Event> out;
   out.reserve(events.size());
-  for (size_t i = 0; i < events.size(); ++i) {
-    if (keep[i]) out.push_back(events[i]);
+  for (const Event& ev : events) {
+    horizon = std::max(horizon, ev.t_us);
+    auto& stack = open[{ev.track, ev.tid}];
+    if (ev.phase == Phase::kBegin) {
+      stack.push_back(&ev);
+    } else if (ev.phase == Phase::kEnd) {
+      if (stack.empty()) continue;  // orphan from ring overflow
+      stack.pop_back();
+    }
+    out.push_back(ev);
   }
   // Close remaining open spans, innermost first per thread.
   for (auto& [key, stack] : open) {
     for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
-      Event close = events[*it];
+      Event close = **it;
       close.phase = Phase::kEnd;
       close.t_us = horizon;
       close.args = SpanArgs{};
@@ -129,13 +106,10 @@ std::string chrome_trace_json() {
 
   // Metadata: name every track ("process").
   for (const int track : tracks) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%d", track);
-    out += "    {\"ph\": \"M\", \"pid\": ";
-    out += buf;
-    out += ", \"tid\": 0, \"name\": \"process_name\", "
+    out += "    {\"ph\": \"M\", \"pid\": " + std::to_string(track) +
+           ", \"tid\": 0, \"name\": \"process_name\", "
            "\"args\": {\"name\": \"";
-    json::append_escaped(out, track_name(track).c_str());
+    json::append_escaped(out, track_name(track));
     out += "\"}},\n";
   }
 
@@ -143,14 +117,10 @@ std::string chrome_trace_json() {
     append_event_line(out, events[i], i + 1 < events.size());
   }
 
-  char buf[64];
-  out += "  ],\n  \"otherData\": {\n";
-  std::snprintf(buf, sizeof(buf), "%llu",
-                static_cast<unsigned long long>(dropped_events()));
-  out += std::string("    \"dropped_events\": ") + buf + ",\n";
-  std::snprintf(buf, sizeof(buf), "%llu",
-                static_cast<unsigned long long>(oversized_names()));
-  out += std::string("    \"oversized_names\": ") + buf + "\n  }\n}\n";
+  out += "  ],\n  \"otherData\": {\n    \"dropped_events\": " +
+         std::to_string(dropped_trace_records()) +
+         ",\n    \"oversized_names\": " + std::to_string(oversized_names()) +
+         "\n  }\n}\n";
   return out;
 }
 
@@ -167,15 +137,14 @@ bool write_chrome_trace(const std::string& path) {
     HIA_LOG_ERROR("obs", "short write to trace output %s", path.c_str());
     return false;
   }
-  const uint64_t dropped = dropped_events();
+  const uint64_t dropped = dropped_trace_records();
   if (dropped > 0) {
     HIA_LOG_WARN("obs",
-                 "trace ring overflow: %llu events dropped (raise "
-                 "obs::set_ring_capacity)",
+                 "recorder ring overflow: %llu span records dropped (raise "
+                 "obs::set_events_capacity)",
                  static_cast<unsigned long long>(dropped));
   }
-  HIA_LOG_INFO("obs", "wrote %zu trace events to %s",
-               recorded_events(), path.c_str());
+  HIA_LOG_INFO("obs", "wrote trace to %s", path.c_str());
   return true;
 }
 
@@ -301,14 +270,12 @@ std::string metrics_text() {
   }
 
   header("trace_dropped_events", "counter",
-         "Span events lost to tracer ring overflow.");
-  line("trace_dropped_events", "", static_cast<int64_t>(dropped_events()));
+         "Span records lost to recorder ring overflow.");
+  line("trace_dropped_events", "",
+       static_cast<int64_t>(dropped_trace_records()));
   header("trace_oversized_names", "counter",
-         "Span names truncated to the tracer's fixed record size.");
+         "Span names truncated to the recorder's name length.");
   line("trace_oversized_names", "", static_cast<int64_t>(oversized_names()));
-  header("trace_recorded_events", "gauge",
-         "Span events currently held in the tracer rings.");
-  line("trace_recorded_events", "", static_cast<int64_t>(recorded_events()));
   return out;
 }
 

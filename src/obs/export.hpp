@@ -1,9 +1,9 @@
-// Exporters for the tracer and the counter registry:
+// Exporters for the recorder's span view and the counter registry:
 //   * Chrome trace-event JSON — loadable in Perfetto / chrome://tracing;
 //     one "process" per virtual simulation rank and one per staging bucket,
 //     named via process_name metadata events;
-//   * a flat Prometheus-style text dump of every counter (plus the
-//     tracer's own drop/oversize accounting).
+//   * a flat Prometheus-style text dump of every counter (plus the span
+//     view's own drop/oversize accounting).
 //
 // Also hosts the validator the tests and ci/check.sh use to gate exported
 // traces (parses the JSON and proves every 'B' has a matching 'E'), and a
@@ -18,7 +18,8 @@
 
 namespace hia::obs {
 
-/// Renders the current trace snapshot as a Chrome trace-event JSON object.
+/// Renders the recorder's span view (obs::snapshot) as a Chrome trace-event
+/// JSON object.
 /// Unclosed spans are closed at the snapshot horizon so the output always
 /// pairs every 'B' with an 'E'; orphan 'E's from ring overflow are elided.
 std::string chrome_trace_json();

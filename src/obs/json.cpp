@@ -1,8 +1,10 @@
 #include "obs/json.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <utility>
 
 namespace hia::obs::json {
@@ -49,80 +51,53 @@ class Parser {
         // Nesting costs stack; input controls it, so it is bounded.
         if (depth_ == kMaxDepth) return fail("nesting deeper than 64");
         ++depth_;
-        const bool ok =
-            text_[pos_] == '{' ? parse_object(out) : parse_array(out);
+        const bool ok = parse_container(out);
         --depth_;
         return ok;
       }
       case '"':
         out.type = Value::Type::kString;
         return parse_string(out.string);
-      case 't':
-      case 'f': return parse_bool(out);
-      case 'n': return parse_null(out);
+      case 't': return literal("true", Value::Type::kBool, true, out);
+      case 'f': return literal("false", Value::Type::kBool, false, out);
+      case 'n': return literal("null", Value::Type::kNull, false, out);
       default: return parse_number(out);
     }
   }
 
-  bool parse_object(Value& out) {
-    out.type = Value::Type::kObject;
-    ++pos_;  // '{'
+  /// An object or array: comma-separated members up to the closing
+  /// bracket; an object member is a string key, ':', then the value.
+  bool parse_container(Value& out) {
+    const bool object = text_[pos_++] == '{';
+    const char close = object ? '}' : ']';
+    out.type = object ? Value::Type::kObject : Value::Type::kArray;
     skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-      return true;
-    }
+    if (next_is(close)) return true;
     for (;;) {
       skip_ws();
       std::string key;
-      if (pos_ >= text_.size() || text_[pos_] != '"' || !parse_string(key)) {
-        return fail("expected object key");
+      if (object) {
+        if (pos_ >= text_.size() || text_[pos_] != '"' || !parse_string(key)) {
+          return fail("expected object key");
+        }
+        skip_ws();
+        if (!next_is(':')) return fail("expected ':'");
+        skip_ws();
       }
-      skip_ws();
-      if (pos_ >= text_.size() || text_[pos_] != ':') return fail("expected ':'");
-      ++pos_;
-      skip_ws();
       Value value;
       if (!parse_value(value)) return false;
-      out.object[key] = std::move(value);
+      if (object) {
+        out.object[key] = std::move(value);
+      } else {
+        out.array.push_back(std::move(value));
+      }
       skip_ws();
-      if (pos_ >= text_.size()) return fail("unterminated object");
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
+      if (pos_ >= text_.size()) {
+        return fail(object ? "unterminated object" : "unterminated array");
       }
-      if (text_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      return fail("expected ',' or '}'");
-    }
-  }
-
-  bool parse_array(Value& out) {
-    out.type = Value::Type::kArray;
-    ++pos_;  // '['
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
-      return true;
-    }
-    for (;;) {
-      skip_ws();
-      Value value;
-      if (!parse_value(value)) return false;
-      out.array.push_back(std::move(value));
-      skip_ws();
-      if (pos_ >= text_.size()) return fail("unterminated array");
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      return fail("expected ',' or ']'");
+      if (next_is(',')) continue;
+      if (next_is(close)) return true;
+      return fail(std::string("expected ',' or '") + close + "'");
     }
   }
 
@@ -145,14 +120,20 @@ class Parser {
           case 'r': out += '\r'; break;
           case 't': out += '\t'; break;
           case 'u': {
-            if (pos_ + 4 > text_.size()) return fail("bad \\u escape");
             // Validation only: keep the raw escape, no UTF-8 decoding.
+            if (pos_ + 4 > text_.size()) return fail("bad \\u escape");
+            for (size_t i = 0; i < 4; ++i) {
+              const auto h = static_cast<unsigned char>(text_[pos_ + i]);
+              if (std::isxdigit(h) == 0) return fail("bad \\u escape");
+            }
             out += "\\u" + text_.substr(pos_, 4);
             pos_ += 4;
             break;
           }
           default: return fail("unknown escape");
         }
+      } else if (static_cast<unsigned char>(c) < 0x20) {
+        return fail("unescaped control character in string");
       } else {
         out += c;
       }
@@ -160,46 +141,46 @@ class Parser {
     return fail("unterminated string");
   }
 
-  bool parse_bool(Value& out) {
-    out.type = Value::Type::kBool;
-    if (text_.compare(pos_, 4, "true") == 0) {
-      out.boolean = true;
-      pos_ += 4;
-      return true;
-    }
-    if (text_.compare(pos_, 5, "false") == 0) {
-      out.boolean = false;
-      pos_ += 5;
-      return true;
-    }
-    return fail("bad literal");
+  bool literal(const char* word, Value::Type type, bool boolean,
+               Value& out) {
+    const size_t n = std::strlen(word);
+    if (text_.compare(pos_, n, word) != 0) return fail("bad literal");
+    out.type = type;
+    out.boolean = boolean;
+    pos_ += n;
+    return true;
   }
 
-  bool parse_null(Value& out) {
-    out.type = Value::Type::kNull;
-    if (text_.compare(pos_, 4, "null") == 0) {
-      pos_ += 4;
-      return true;
+  bool digits() {
+    const size_t start = pos_;
+    while (pos_ < text_.size() &&
+           std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0) {
+      ++pos_;
     }
-    return fail("bad literal");
+    return pos_ > start;
   }
 
+  bool next_is(char c) {
+    if (pos_ >= text_.size() || text_[pos_] != c) return false;
+    ++pos_;
+    return true;
+  }
+
+  /// RFC 8259: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, finite.
   bool parse_number(Value& out) {
     out.type = Value::Type::kNumber;
     const size_t start = pos_;
-    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) {
-      ++pos_;
+    next_is('-');
+    // A leading zero stands alone; any other integer part is digits.
+    if (!next_is('0') && !digits()) return fail("expected number");
+    if (next_is('.') && !digits()) return fail("expected fraction digits");
+    if (next_is('e') || next_is('E')) {
+      if (!next_is('+')) next_is('-');
+      if (!digits()) return fail("expected exponent digits");
     }
-    bool digits = false;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '-' || text_[pos_] == '+')) {
-      digits = true;
-      ++pos_;
-    }
-    if (!digits) return fail("expected number");
-    out.number = std::strtod(text_.c_str() + start, nullptr);
+    const std::string token = text_.substr(start, pos_ - start);
+    out.number = std::strtod(token.c_str(), nullptr);
+    if (!std::isfinite(out.number)) return fail("number out of range");
     return true;
   }
 

@@ -1,13 +1,14 @@
-// Per-thread bounded record rings: the storage under both the span tracer
-// (obs/trace.cpp) and the flight recorder (obs/events.cpp). Internal to
-// hia_obs.
+// Per-thread bounded record rings: the storage under the one recorder
+// (obs/events.cpp), which holds lifecycle records and span/mark records
+// alike. Internal to hia_obs.
 //
 // Each writer thread holds one ring through a thread_local shared_ptr and
 // writes to it under the ring's own mutex, uncontended in the steady state;
-// readers (snapshot, reset, accounting) take the registry mutex and then
-// each ring's. A ring reserves its capacity when a thread takes it and
-// commits memory as records land: it appends until full, then overwrites
-// the oldest record and counts the drop.
+// readers (visit, reset, count) take the registry mutex and then each
+// ring's. A ring reserves its capacity when a thread takes it and commits
+// memory as records land: it appends until full, then overwrites the
+// oldest record and hands it back, so the recorder can count the drop
+// against the overwritten record's kind.
 //
 // A ring outlives its thread, so a trace or spill written after a run still
 // holds the thread's records, until the next reset(). The reset empties
@@ -25,41 +26,39 @@
 #include <mutex>
 #include <vector>
 
+#include "obs/events.hpp"
+
 namespace hia::obs::detail {
 
-template <typename Record>
 struct Ring {
   explicit Ring(size_t capacity_) : capacity(capacity_) {
     records.reserve(capacity);
   }
 
   /// Appends `r`; once the ring is full, overwrites the oldest record
-  /// instead, copies it to *overwritten when non-null and returns true.
-  bool push(const Record& r, Record* overwritten) {
+  /// instead, copies it to *overwritten and returns true.
+  bool push(const EventRecord& r, EventRecord* overwritten) {
     std::lock_guard lock(mutex);
     if (records.size() < capacity) {
       records.push_back(r);
       return false;
     }
-    if (overwritten != nullptr) *overwritten = records[head];
+    *overwritten = records[head];
     records[head] = r;
     head = (head + 1) % capacity;
-    ++dropped;
     return true;
   }
 
   std::mutex mutex;
   const size_t capacity;
-  std::vector<Record> records;  // oldest at `head` once full
-  size_t head = 0;              // next overwrite slot once full
-  uint64_t dropped = 0;         // records overwritten since the last reset
-  uint32_t tid = 0;             // registration order of its current thread
+  std::vector<EventRecord> records;  // oldest at `head` once full
+  size_t head = 0;                   // next overwrite slot once full
+  uint32_t tid = 0;  // registration order of its current thread
 };
 
-template <typename Record>
 class RingSet {
  public:
-  using RingPtr = std::shared_ptr<Ring<Record>>;
+  using RingPtr = std::shared_ptr<Ring>;
 
   /// Gives `slot`, the calling thread's thread_local, a ring of `capacity`
   /// records: a spare one when there is one, else a new one. Spares of
@@ -70,7 +69,7 @@ class RingSet {
       spare_.clear();
     }
     if (spare_.empty()) {
-      slot = std::make_shared<Ring<Record>>(capacity);
+      slot = std::make_shared<Ring>(capacity);
     } else {
       slot = std::move(spare_.back());
       spare_.pop_back();
@@ -79,23 +78,23 @@ class RingSet {
     rings_.push_back(slot);
   }
 
-  /// Every registered ring's records, each ring oldest-first, rings in
-  /// registration order.
-  std::vector<Record> collect() {
-    std::vector<Record> out;
+  /// Calls f(record, tid) on every registered ring's records, each ring
+  /// oldest-first, rings in registration order, under the rings' locks
+  /// (so f must not record: its thread's ring lock is held).
+  template <typename F>
+  void visit(F&& f) {
     std::lock_guard lock(mutex_);
     for (const RingPtr& ring : rings_) {
       std::lock_guard ring_lock(ring->mutex);
-      const auto head = ring->records.begin() +
-                        static_cast<std::ptrdiff_t>(ring->head);
-      out.insert(out.end(), head, ring->records.end());
-      out.insert(out.end(), ring->records.begin(), head);
+      const size_t n = ring->records.size();
+      for (size_t i = 0; i < n; ++i) {
+        f(ring->records[(ring->head + i) % n], ring->tid);
+      }
     }
-    return out;
   }
 
-  /// Empties every ring and zeroes its drop count; rings of exited threads
-  /// leave the registry for the spare list.
+  /// Empties every ring; rings of exited threads leave the registry for
+  /// the spare list.
   void reset() {
     std::lock_guard lock(mutex_);
     std::vector<RingPtr> live;
@@ -104,22 +103,12 @@ class RingSet {
         std::lock_guard ring_lock(ring->mutex);
         ring->records.clear();
         ring->head = 0;
-        ring->dropped = 0;
       }
       // Only the registry holds the ring: its thread has exited. Copies are
       // made only under mutex_, so the count cannot grow meanwhile.
       (ring.use_count() == 1 ? spare_ : live).push_back(std::move(ring));
     }
     rings_ = std::move(live);
-  }
-
-  /// Records currently held, and records dropped since the last reset,
-  /// across the registered rings.
-  size_t held() {
-    return sum([](const Ring<Record>& r) { return r.records.size(); });
-  }
-  uint64_t dropped() {
-    return sum([](const Ring<Record>& r) { return r.dropped; });
   }
 
   /// Registered rings: one per live thread that has recorded, plus rings of
@@ -130,17 +119,6 @@ class RingSet {
   }
 
  private:
-  template <typename F>
-  uint64_t sum(F f) {
-    std::lock_guard lock(mutex_);
-    uint64_t total = 0;
-    for (const RingPtr& ring : rings_) {
-      std::lock_guard ring_lock(ring->mutex);
-      total += f(*ring);
-    }
-    return total;
-  }
-
   std::mutex mutex_;  // guards rings_, spare_ and next_tid_
   std::vector<RingPtr> rings_;
   std::vector<RingPtr> spare_;

@@ -1,26 +1,29 @@
 // Run-wide span tracer (paper Figs. 5-6 are timeline arguments; this layer
 // records the timelines that justify them).
 //
-// Events land in per-thread ring buffers and carry both the wall clock
-// (microseconds since the trace epoch) and, when the emitter knows it, the
-// model's virtual clock (simulated seconds: S3D time, modeled Gemini
-// transfer seconds, staging-service seconds). Each event is attributed to a
-// *track* — one per virtual simulation rank and one per staging bucket —
-// so the Chrome-trace export shows the hybrid pipeline the way the paper
-// draws it: sim ranks on top, buckets below, transfers in between.
+// Spans and marks are kSpanBegin / kSpanEnd / kMark records of the one
+// flight recorder (obs/events.hpp), in the same per-thread ring as the
+// lifecycle records, under its capacity, reset and ring count. Each carries
+// the wall clock (microseconds since the trace epoch) and, when the emitter
+// knows it, the model's virtual clock (S3D time, modeled Gemini transfer
+// seconds, staging-service seconds), and belongs to a *track* — one per
+// virtual simulation rank and one per staging bucket — so the Chrome trace
+// shows the pipeline the way the paper draws it: sim ranks on top, buckets
+// below. snapshot() is the recorder's span view: spans and marks, plus the
+// lifecycle records that have a timeline name (fault verdicts, pressure
+// transitions, enqueue/complete, ...) rendered as instants.
 //
 // Usage:
 //   hia::obs::enable();
 //   { HIA_TRACE_SPAN("sim", "step"); ... }               // RAII scope
-//   hia::obs::instant("sched", "enqueue", {.step = 12});
+//   hia::obs::instant("sim", "checkpoint", {.step = 12});
 //   hia::obs::write_chrome_trace("trace.json");          // see export.hpp
 //
 // Cost when disabled: one relaxed atomic load and a branch per macro hit.
-// Cost when enabled: a timestamp, an uncontended per-thread mutex, and a
-// struct copy into a bounded ring whose memory was reserved when the thread
-// first recorded and is committed as events land; overflow drops the
-// oldest events and increments a drop counter (never blocks, never
-// allocates).
+// Cost when enabled: a timestamp, a thread-local name-id lookup and a
+// 48-byte copy into the thread's ring under its uncontended mutex; overflow
+// drops the oldest record (never blocks; allocates only when a thread first
+// sees a name).
 #pragma once
 
 #include <atomic>
@@ -42,6 +45,7 @@ bool is_bucket_track(int track, int* bucket = nullptr);
 
 /// Optional structured arguments attached to an event. Negative /
 /// default-initialized fields mean "unset" and are omitted from the export.
+/// The record keeps `step` as 32 bits.
 struct SpanArgs {
   int rank = -1;
   int bucket = -1;
@@ -54,23 +58,21 @@ enum class Phase : char {
   kBegin = 'B',
   kEnd = 'E',
   kInstant = 'i',
-  kCounter = 'C',
 };
 
-/// One recorded trace event. `name` is copied (truncated to fit, see
-/// oversized_names()); `category` must be a string literal or otherwise
-/// outlive the tracer.
+/// One event of the span view, decoded from a recorder record. Names are
+/// cut to kNameCapacity - 1 characters (see oversized_names()); both
+/// strings live as long as the process.
 struct Event {
   static constexpr size_t kNameCapacity = 48;
 
   double t_us = 0.0;  // wall microseconds since the trace epoch
   Phase phase = Phase::kInstant;
   int track = kTrackControl;
-  uint32_t tid = 0;  // stable per-thread id (registration order)
+  uint32_t tid = 0;  // stable per-thread id (ring registration order)
   const char* category = "";
-  char name[kNameCapacity] = {};
+  const char* name = "";
   SpanArgs args;
-  double value = 0.0;  // kCounter payload
 };
 
 // ---- Global switch ----
@@ -88,18 +90,6 @@ inline bool enabled() {
 void enable();
 void disable();
 
-/// Drops all recorded events and zeroes the drop/oversize accounting.
-/// Rings of live threads stay registered (capacity unchanged); rings of
-/// threads that have exited leave the registry and are reused by the next
-/// threads that record.
-void reset();
-
-/// Sets the per-thread ring capacity, in events, for threads that have not
-/// yet recorded anything. Existing rings keep their size; spare rings of
-/// another size are freed when the next thread takes a ring.
-void set_ring_capacity(size_t events);
-size_t ring_capacity();
-
 // ---- Track binding ----
 
 /// Binds the calling thread's events to `track` (see rank_track /
@@ -109,29 +99,28 @@ int thread_track();
 
 // ---- Recording ----
 
+/// `category` must be a string literal or otherwise outlive the process;
+/// `name` is copied into the recorder's name table.
 void begin(const char* category, const char* name, const SpanArgs& args = {});
 void end(const char* category, const char* name);
+/// A kMark record: a point on the timeline with no lifecycle meaning.
+/// Occurrences the flight recorder already records (obs/events.hpp) are
+/// rendered as instants from those records instead.
 void instant(const char* category, const char* name,
              const SpanArgs& args = {});
-/// Timeline counter sample (Chrome 'C' event) on the calling thread's track.
-void counter_sample(const char* name, double value);
 
 /// Wall microseconds since the trace epoch (the clock events use).
 double now_us();
 
-// ---- Accounting ----
+// ---- Accounting (reset by obs::reset_events) ----
 
-/// Events overwritten by ring overflow since the last reset().
-uint64_t dropped_events();
 /// Names that did not fit Event::kNameCapacity and were truncated.
 uint64_t oversized_names();
-/// Events currently held across all rings.
-size_t recorded_events();
-/// Per-thread rings currently registered: one for each live thread that
-/// has recorded, plus exited threads' rings until the next reset().
-size_t ring_count();
+/// Span and mark records overwritten by ring overflow. Overwritten
+/// lifecycle records count in obs::dropped_event_records() instead.
+uint64_t dropped_trace_records();
 
-/// Merged copy of every thread ring, sorted by wall time (ties keep
+/// The span view of every thread ring, sorted by wall time (ties keep
 /// per-thread order). Safe to call while other threads record.
 std::vector<Event> snapshot();
 

@@ -216,12 +216,6 @@ void OverloadControl::update_state_locked() {
     const PressureState prev = state_;
     state_ = next;
     pressure_gauge().set(static_cast<int64_t>(next));
-    const char* name = next == PressureState::kSaturated ? "pressure:saturated"
-                       : next == PressureState::kElevated
-                           ? "pressure:elevated"
-                           : "pressure:nominal";
-    obs::instant("overload", name,
-                 {.bytes = static_cast<long long>(queue_total)});
     obs::record_event(obs::EventKind::kPressure, -1, -1,
                       static_cast<int64_t>(next),
                       static_cast<int64_t>(prev));

@@ -162,8 +162,6 @@ void StagingService::apply_scripted_kills(long step) {
     faults_->count_bucket_kill();
     static obs::Counter& killed = obs::counter("staging_buckets_killed");
     killed.add(1);
-    obs::instant("fault", "bucket_killed",
-                 {.bucket = b, .step = step, .vtime = clock_.seconds()});
     obs::record_event(obs::EventKind::kFaultVerdict, -1, b,
                       static_cast<int64_t>(obs::EventFaultSite::kBucketKill),
                       b, clock_.seconds());
@@ -191,8 +189,6 @@ void StagingService::apply_scripted_crashes(long step) {
       faults_->count_bucket_crash();
       static obs::Counter& crashed = obs::counter("staging_buckets_crashed");
       crashed.add(1);
-      obs::instant("fault", "bucket_crashed",
-                   {.bucket = b, .step = step, .vtime = clock_.seconds()});
       obs::record_event(
           obs::EventKind::kFaultVerdict, -1, b,
           static_cast<int64_t>(obs::EventFaultSite::kBucketCrash), b,
@@ -217,10 +213,6 @@ void StagingService::apply_scripted_crashes(long step) {
     faults_->count_server_crash();
     static obs::Counter& crashed = obs::counter("staging_servers_crashed");
     crashed.add(1);
-    obs::instant("fault", "server_crashed",
-                 {.bucket = crash.server, .step = step,
-                  .bytes = static_cast<long long>(lost),
-                  .vtime = clock_.seconds()});
     obs::record_event(
         obs::EventKind::kFaultVerdict, -1, crash.server,
         static_cast<int64_t>(obs::EventFaultSite::kServerCrash),
@@ -394,10 +386,6 @@ void StagingService::apply_scripted_overload(long step) {
     overload_fired_[i] = true;
     overload_->inject_phantom_bytes(inject.bytes);
     faults_->count_overload_inject(inject.bytes);
-    obs::instant("fault", "overload_inject",
-                 {.step = step,
-                  .bytes = static_cast<long long>(inject.bytes),
-                  .vtime = clock_.seconds()});
     obs::record_event(
         obs::EventKind::kFaultVerdict, -1, -1,
         static_cast<int64_t>(obs::EventFaultSite::kPhantomBytes),
@@ -412,8 +400,6 @@ void StagingService::apply_scripted_overload(long step) {
     starve_fired_[i] = true;
     overload_->starve_credits(starve.credits);
     faults_->count_credit_starve(starve.credits);
-    obs::instant("fault", "credit_starve",
-                 {.step = step, .vtime = clock_.seconds()});
     obs::record_event(
         obs::EventKind::kFaultVerdict, -1, -1,
         static_cast<int64_t>(obs::EventFaultSite::kCreditStarve),
@@ -431,10 +417,6 @@ void StagingService::apply_scripted_overload(long step) {
     overload_->inject_phantom_bytes(hog.bytes);
     tallies_[hog.tenant].hog_bytes += hog.bytes;
     faults_->count_tenant_hog(hog.bytes);
-    obs::instant("fault", "tenant_hog",
-                 {.step = step,
-                  .bytes = static_cast<long long>(hog.bytes),
-                  .vtime = clock_.seconds()});
     obs::record_event(
         obs::EventKind::kFaultVerdict, hog.tenant, -1,
         static_cast<int64_t>(obs::EventFaultSite::kPhantomBytes),
@@ -530,7 +512,6 @@ uint64_t StagingService::submit(InTransitTask task) {
       }
     }
   }
-  obs::instant("sched", "enqueue", {.step = step, .vtime = clock_.seconds()});
   // vt = the locked enqueue read, never a fresh clock sample: a bucket can
   // match the task before this line runs, and assign must not precede
   // submit on the virtual timeline.
@@ -629,8 +610,6 @@ uint64_t StagingService::record_deferred(const std::string& analysis,
   if (fair_share_enabled()) {
     obs::counter("staging_tasks_deferred", {.tenant = tenant}).add(1);
   }
-  obs::instant("overload", "task_deferred",
-               {.step = step, .vtime = clock_.seconds()});
   // A deferral is a submission that terminates immediately: both events
   // are recorded so the per-tenant partition stays conserved.
   obs::record_event(obs::EventKind::kTaskSubmit, tenant,
@@ -720,8 +699,6 @@ int StagingService::add_bucket() {
   }
   static obs::Counter& grows = obs::counter("staging_pool_grows");
   grows.add(1);
-  obs::instant("pool", "bucket_added",
-               {.bucket = index, .vtime = clock_.seconds()});
   obs::record_event(obs::EventKind::kPoolGrow, -1, index, index, live_after,
                     clock_.seconds());
   HIA_LOG_INFO("staging", "elastic pool grew: bucket %d joined", index);
@@ -762,8 +739,6 @@ int StagingService::retire_bucket(int min_live) {
   }
   static obs::Counter& shrinks = obs::counter("staging_pool_shrinks");
   shrinks.add(1);
-  obs::instant("pool", "bucket_retired",
-               {.bucket = victim, .vtime = clock_.seconds()});
   obs::record_event(obs::EventKind::kPoolShrink, -1, victim, victim,
                     live_after, clock_.seconds());
   HIA_LOG_INFO("staging", "elastic pool shrank: bucket %d retired", victim);
@@ -970,10 +945,6 @@ void StagingService::retry_task(int failed_bucket, Assigned assigned) {
   static obs::Histogram& backoff_h = obs::histogram("staging_backoff_s");
   retries.add(1);
   backoff_h.record(backoff);
-  obs::instant("fault", "task_retry",
-               {.bucket = failed_bucket,
-                .step = assigned.task.step,
-                .vtime = clock_.seconds()});
   bool no_capacity = false;
   double retry_vt = 0.0;
   {
@@ -1035,8 +1006,6 @@ void StagingService::shed_task(Assigned assigned) {
     obs::counter("staging_tasks_dropped", {.tenant = assigned.task.tenant})
         .add(1);
   }
-  obs::instant("fault", "task_shed",
-               {.step = assigned.task.step, .vtime = clock_.seconds()});
   obs::record_event(obs::EventKind::kTaskShed, assigned.task.tenant, -1,
                     static_cast<int64_t>(assigned.task.task_id),
                     assigned.attempt, clock_.seconds());
@@ -1243,11 +1212,6 @@ void StagingService::run_task(int bucket_index, Assigned assigned,
         .record(record.complete_time - record.enqueue_time);
   }
   if (bucket_index >= 0) busy_buckets().add(-1);
-  obs::instant("sched", "complete",
-               {.bucket = bucket_index,
-                .step = record.step,
-                .bytes = static_cast<long long>(record.data_movement_bytes),
-                .vtime = record.complete_time});
   drain_cv_.notify_all();
 }
 

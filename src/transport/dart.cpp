@@ -267,8 +267,6 @@ std::vector<std::byte> Dart::get(int dest_node, const DartHandle& handle,
     if (faults != nullptr) {
       bool damaged = false;
       if (fault.drop) {
-        obs::instant("fault", "frame_drop",
-                     {.bytes = static_cast<long long>(data.size())});
         obs::record_event(
             obs::EventKind::kFaultVerdict, tenant, -1,
             static_cast<int64_t>(obs::EventFaultSite::kFrameDrop),
@@ -292,8 +290,6 @@ std::vector<std::byte> Dart::get(int dest_node, const DartHandle& handle,
         if (stamped && crc32(data.data(), data.size()) != expected) {
           static obs::Counter& crc_failures = obs::counter("dart_crc_failures");
           crc_failures.add(1);
-          obs::instant("fault", "frame_crc_fail",
-                       {.bytes = static_cast<long long>(data.size())});
           obs::record_event(
               obs::EventKind::kFaultVerdict, tenant, -1,
               static_cast<int64_t>(obs::EventFaultSite::kFrameCrc),

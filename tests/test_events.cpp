@@ -21,9 +21,12 @@
 
 #include "core/framework.hpp"
 #include "core/stats_pipeline.hpp"
+#include "obs/attrib.hpp"
 #include "obs/events.hpp"
 #include "obs/export.hpp"
+#include "obs/json.hpp"
 #include "obs/trace.hpp"
+#include "runtime/fault.hpp"
 #include "service/campaign_service.hpp"
 #include "util/rng.hpp"
 
@@ -35,12 +38,12 @@ class EventsTest : public ::testing::Test {
   void SetUp() override {
     obs::reset_events();
     obs::enable_events();
-    obs::set_events_capacity(16384);
+    obs::set_events_capacity(obs::kDefaultEventsCapacity);
   }
   void TearDown() override {
     obs::reset_events();
     obs::enable_events();
-    obs::set_events_capacity(16384);
+    obs::set_events_capacity(obs::kDefaultEventsCapacity);
   }
 
   static std::string temp_path(const char* name) {
@@ -518,7 +521,6 @@ TEST_F(EventsTest, MutatedSpillsFailOnlyWithAnError) {
 TEST_F(EventsTest, CampaignEventsMatchServiceReportPartition) {
   // Trace alongside the recorder so the same interleaving exercises span
   // pairing (the tsan leg runs this test for the data-race surface).
-  obs::reset();
   obs::enable();
 
   CampaignService::Options sopts;
@@ -587,6 +589,168 @@ TEST_F(EventsTest, CampaignEventsMatchServiceReportPartition) {
     EXPECT_EQ(ts.outstanding, 0u);
     EXPECT_EQ(ts.queue_depth, 0u);
   }
+}
+
+// ------------------------------------- one recorder: both views, one ring
+
+/// Lifecycle records per (kind, tenant).
+std::map<std::pair<int32_t, int32_t>, int> lifecycle_counts() {
+  std::map<std::pair<int32_t, int32_t>, int> out;
+  for (const obs::EventRecord& r : obs::events_snapshot()) {
+    ++out[{r.kind, r.tenant}];
+  }
+  return out;
+}
+
+/// Records a two-tenant campaign on a 2x2x1-rank grid (no overload, no
+/// faults: every lifecycle count is a function of the configuration).
+void run_small_campaign() {
+  CampaignService::Options sopts;
+  sopts.staging_servers = 2;
+  sopts.staging_buckets = 3;
+  CampaignService service(sopts);
+  RunConfig cfg;
+  cfg.sim.grid = GlobalGrid{{24, 16, 16}, {1.0, 0.75, 0.75}};
+  cfg.sim.ranks_per_axis = {2, 2, 1};
+  cfg.staging_servers = 2;
+  cfg.staging_buckets = 3;
+  cfg.steps = 3;
+  for (int t = 0; t < 2; ++t) {
+    CampaignService::TenantSpec spec;
+    spec.name = "tenant-" + std::to_string(t + 1);
+    spec.config = cfg;
+    spec.setup = [](HybridRunner& runner) {
+      runner.add_analysis(std::make_shared<HybridStatistics>());
+    };
+    service.add_tenant(std::move(spec));
+  }
+  service.run();
+}
+
+TEST_F(EventsTest, TracingLeavesTheLifecycleViewAsItIs) {
+  // The same campaign with spans off and on: span records share the ring
+  // but not the lifecycle view, its drops, or its attribution.
+  std::map<std::pair<int32_t, int32_t>, int> counts[2];
+  for (const bool traced : {false, true}) {
+    obs::reset_events();
+    if (traced) obs::enable();
+    run_small_campaign();
+    obs::disable();
+    ASSERT_EQ(obs::dropped_event_records(), 0u);
+    const obs::Attribution a =
+        obs::attribute_events(obs::events_snapshot(), 0);
+    EXPECT_TRUE(a.conserved) << (traced ? "traced: " : "") << a.error;
+    EXPECT_FALSE(a.tasks.empty());
+    counts[traced] = lifecycle_counts();
+    size_t begins = 0;
+    for (const obs::Event& e : obs::snapshot()) {
+      begins += e.phase == obs::Phase::kBegin ? 1 : 0;
+    }
+    EXPECT_EQ(begins > 0, traced);
+  }
+  EXPECT_EQ(counts[0], counts[1]);
+}
+
+/// A conserved one-task timeline the attribution can rebuild.
+void record_timeline(int64_t id) {
+  using K = obs::EventKind;
+  obs::record_event(K::kTaskSubmit, 1, 0, id, 64, 0.0);
+  obs::record_event(K::kTaskAssign, 1, 0, id, 1, 0.25);
+  obs::record_event(K::kTaskWork, 1, 0, id, 500000, 1.0);
+  obs::record_event(K::kTaskComplete, 1, 0, id, 1, 1.0);
+}
+
+TEST_F(EventsTest, OverwrittenSpansAreNotLifecycleDrops) {
+  obs::set_events_capacity(64);
+  obs::enable();
+  std::thread recorder([] {
+    for (int i = 0; i < 200; ++i) HIA_TRACE_SPAN("test", "filler");
+    record_timeline(1);
+  });
+  recorder.join();
+  // 400 span records and 4 lifecycle records through a 64-record ring:
+  // only span records were overwritten.
+  EXPECT_EQ(obs::dropped_trace_records(), 400u + 4u - 64u);
+  EXPECT_EQ(obs::dropped_event_records(), 0u);
+  EXPECT_TRUE(obs::dropped_event_records_by_kind().empty());
+  const obs::Attribution exact =
+      obs::attribute_events(obs::events_snapshot(), 0);
+  EXPECT_TRUE(exact.conserved) << exact.error;
+  ASSERT_EQ(exact.tasks.size(), 1u);
+
+  // Spans that push the lifecycle records out count as lifecycle drops,
+  // by kind, and attribution fails closed.
+  std::thread late([] {
+    record_timeline(2);
+    for (int i = 0; i < 40; ++i) HIA_TRACE_SPAN("test", "filler");
+  });
+  late.join();
+  obs::disable();
+  obs::set_events_capacity(obs::kDefaultEventsCapacity);
+  EXPECT_EQ(obs::dropped_event_records(), 4u);
+  EXPECT_EQ(obs::dropped_event_records_by_kind().at(
+                static_cast<int32_t>(obs::EventKind::kTaskSubmit)),
+            1u);
+  const obs::Attribution closed = obs::attribute_events(
+      obs::events_snapshot(), obs::dropped_event_records());
+  EXPECT_FALSE(closed.ok);
+  EXPECT_NE(closed.error.find("dropped"), std::string::npos) << closed.error;
+}
+
+TEST_F(EventsTest, FaultedTraceShowsEachLifecycleInstantOnce) {
+  // Timeouts, retries, degrades, a scripted kill and an elastic grow and
+  // shrink: each occurrence is one lifecycle record, and the Chrome trace
+  // renders it once, under the name the timeline has always used.
+  obs::enable();
+  {
+    FaultPlan plan(FaultPlan::parse_spec(
+        "task-fail=0.5,attempts=2,backoff=0.0001:0.001,kill-bucket=1@2,"
+        "seed=5"));
+    NetworkModel net;
+    Dart dart(net);
+    StagingService service(dart, StagingService::Options{1, 3, &plan});
+    service.register_handler("work", [](TaskContext&) {});
+    for (long step = 0; step < 8; ++step) {
+      service.submit(InTransitTask{"work", step, {}, 1});
+    }
+    service.drain();
+    service.add_bucket();
+    service.retire_bucket();
+  }
+  obs::disable();
+
+  std::map<std::string, int> instants;
+  obs::json::Value trace;
+  std::string error;
+  ASSERT_TRUE(obs::json::parse(obs::chrome_trace_json(), trace, error))
+      << error;
+  using obs::json::find;
+  for (const obs::json::Value& e : find(trace, "traceEvents")->array) {
+    if (find(e, "ph")->string == "i") {
+      ++instants[find(e, "cat")->string + "/" + find(e, "name")->string];
+    }
+  }
+  std::map<obs::EventKind, int> kinds;
+  int kills = 0;
+  for (const obs::EventRecord& r : obs::events_snapshot()) {
+    ++kinds[static_cast<obs::EventKind>(r.kind)];
+    if (r.kind == static_cast<int32_t>(obs::EventKind::kFaultVerdict) &&
+        r.a == static_cast<int64_t>(obs::EventFaultSite::kBucketKill)) {
+      ++kills;
+    }
+  }
+  using K = obs::EventKind;
+  EXPECT_EQ(instants["sched/enqueue"], 8);
+  EXPECT_EQ(instants["sched/enqueue"], kinds[K::kTaskSubmit]);
+  EXPECT_EQ(instants["sched/complete"],
+            kinds[K::kTaskComplete] + kinds[K::kTaskDegrade]);
+  EXPECT_GT(kinds[K::kTaskRetry], 0);
+  EXPECT_EQ(instants["fault/task_retry"], kinds[K::kTaskRetry]);
+  EXPECT_EQ(instants["fault/task_timeout"], kinds[K::kBucketOccupy]);
+  EXPECT_EQ(kills, 1);
+  EXPECT_EQ(instants["fault/bucket_killed"], 1);
+  EXPECT_EQ(instants["pool/bucket_added"], 1);
+  EXPECT_EQ(instants["pool/bucket_retired"], 1);
 }
 
 }  // namespace

@@ -4,7 +4,10 @@
 
 #include <chrono>
 #include <cmath>
+#include <cstring>
+#include <fstream>
 #include <mutex>
+#include <regex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -13,6 +16,7 @@
 #include "obs/events.hpp"
 #include "obs/export.hpp"
 #include "obs/histogram.hpp"
+#include "obs/json.hpp"
 #include "obs/labels.hpp"
 #include "obs/run_summary.hpp"
 #include "obs/timeseries.hpp"
@@ -20,17 +24,17 @@
 #include "runtime/thread_pool.hpp"
 #include "staging/scheduler.hpp"
 #include "util/log.hpp"
+#include "util/rng.hpp"
 
 namespace hia {
 namespace {
 
-/// Fresh tracer state for each test (rings stay registered; events and
+/// Fresh recorder state for each test (rings stay registered; records and
 /// accounting are cleared).
 class ObsTest : public ::testing::Test {
  protected:
   void SetUp() override {
     obs::disable();
-    obs::reset();
     obs::reset_counters();
     obs::reset_histograms();
     obs::reset_timeseries();
@@ -38,7 +42,6 @@ class ObsTest : public ::testing::Test {
   }
   void TearDown() override {
     obs::disable();
-    obs::reset();
     obs::reset_counters();
     obs::reset_histograms();
     obs::reset_timeseries();
@@ -74,7 +77,7 @@ TEST_F(ObsTest, TrackMappingRoundTrips) {
 TEST_F(ObsTest, DisabledRecordsNothing) {
   { HIA_TRACE_SPAN("test", "quiet"); }
   obs::instant("test", "quiet-instant");
-  EXPECT_EQ(obs::recorded_events(), 0u);
+  EXPECT_TRUE(obs::snapshot().empty());
 }
 
 TEST_F(ObsTest, SpanArmedAtConstructionStaysPaired) {
@@ -84,7 +87,7 @@ TEST_F(ObsTest, SpanArmedAtConstructionStaysPaired) {
     HIA_TRACE_SPAN("test", "unarmed");
     obs::enable();
   }
-  EXPECT_EQ(obs::recorded_events(), 0u);
+  EXPECT_TRUE(obs::snapshot().empty());
 
   // And the converse: armed at construction, disabled mid-scope, the 'E'
   // still lands so the pair is complete.
@@ -153,7 +156,7 @@ TEST_F(ObsTest, SnapshotIsSortedByWallTime) {
 // ---- Ring overflow ----
 
 TEST_F(ObsTest, RingOverflowDropsOldestAndCounts) {
-  obs::set_ring_capacity(32);
+  obs::set_events_capacity(32);
   obs::enable();
 
   // A fresh thread gets the small ring; overflow it 10x over.
@@ -164,11 +167,12 @@ TEST_F(ObsTest, RingOverflowDropsOldestAndCounts) {
     }
   });
   recorder.join();
-  obs::set_ring_capacity(1 << 14);  // restore default for later tests
+  obs::set_events_capacity(obs::kDefaultEventsCapacity);  // for later tests
 
-  EXPECT_GT(obs::dropped_events(), 0u);
-  EXPECT_EQ(obs::dropped_events() + obs::recorded_events(), 640u);
-  EXPECT_LE(obs::recorded_events(), 32u);
+  const size_t held = obs::snapshot().size();
+  EXPECT_GT(obs::dropped_trace_records(), 0u);
+  EXPECT_EQ(obs::dropped_trace_records() + held, 640u);
+  EXPECT_LE(held, 32u);
 
   // Overflow leaves orphan 'E's (their 'B' was overwritten); the export
   // must repair pairing so the trace still validates.
@@ -183,17 +187,17 @@ TEST_F(ObsTest, ResetDropsRingsOfExitedThreads) {
   // the next threads. Live threads keep their rings (and their tids).
   obs::enable();
   obs::instant("test", "main");  // the main thread's ring is live
-  const size_t base = obs::ring_count();
+  const size_t base = obs::event_ring_count();
   std::vector<std::thread> workers;
   for (int t = 0; t < 4; ++t) {
     workers.emplace_back([] { obs::instant("test", "worker"); });
   }
   for (std::thread& w : workers) w.join();
-  EXPECT_EQ(obs::ring_count(), base + 4);
-  EXPECT_EQ(obs::recorded_events(), 5u);
-  obs::reset();
-  EXPECT_EQ(obs::ring_count(), base);
-  EXPECT_EQ(obs::recorded_events(), 0u);
+  EXPECT_EQ(obs::event_ring_count(), base + 4);
+  EXPECT_EQ(obs::snapshot().size(), 5u);
+  obs::reset_events();
+  EXPECT_EQ(obs::event_ring_count(), base);
+  EXPECT_TRUE(obs::snapshot().empty());
 
   // A thread registered after the reset gets a tid no earlier thread had.
   obs::instant("test", "main again");
@@ -202,8 +206,8 @@ TEST_F(ObsTest, ResetDropsRingsOfExitedThreads) {
   const std::vector<obs::Event> events = obs::snapshot();
   ASSERT_EQ(events.size(), 2u);
   EXPECT_NE(events[1].tid, events[0].tid);
-  obs::reset();
-  EXPECT_EQ(obs::ring_count(), base);
+  obs::reset_events();
+  EXPECT_EQ(obs::event_ring_count(), base);
 }
 
 // ---- Clocks ----
@@ -238,7 +242,6 @@ TEST_F(ObsTest, ExportedJsonParsesAndPairsEveryBeginWithEnd) {
   }
   obs::begin("sched", "task:never-closed");  // repaired at export
   obs::instant("sched", "enqueue", {.step = 3});
-  obs::counter_sample("queue_depth", 2.0);
   obs::set_thread_track(obs::kTrackControl);
 
   const std::string json = obs::chrome_trace_json();
@@ -840,6 +843,173 @@ TEST_F(ObsTest, MetricsValidationCatchesMalformedHistograms) {
       "hia_h_sum 0.5\n"
       "hia_h_count 6\n";                // +Inf != _count: invalid
   EXPECT_FALSE(obs::validate_metrics_text(inf_mismatch).ok);
+}
+
+// ---- JSON parser (trace_lint, RunSummary, bench_diff, spill headers) ----
+
+bool parses(const std::string& text) {
+  obs::json::Value v;
+  std::string error;
+  const bool ok = obs::json::parse(text, v, error);
+  EXPECT_TRUE(ok || !error.empty()) << text;
+  return ok;
+}
+
+TEST(JsonParse, RejectsTextThatIsNotJson) {
+  for (const char* bad :
+       {"1-2", "+1", ".", "--", "1.2.3", "01", "-", "1.", ".5", "1e", "1e+",
+        "{\"count\": 1e5e5}", "1e999", "-1e999", "[1e400]", "\"\\uZZZZ\"",
+        "\"\\u12\"", "\"tab\there\""}) {
+    EXPECT_FALSE(parses(bad)) << bad;
+  }
+}
+
+TEST(JsonParse, AcceptsEveryRfcNumberForm) {
+  const std::pair<const char*, double> good[] = {
+      {"-0", 0.0},      {"0", 0.0},         {"1e+05", 1e5},
+      {"2.5E-3", 2.5e-3}, {"-12.75", -12.75}, {"10", 10.0},
+      {"1e-400", 0.0},  {"9007199254740993", 9007199254740992.0}};
+  for (const auto& [text, value] : good) {
+    obs::json::Value v;
+    std::string error;
+    ASSERT_TRUE(obs::json::parse(text, v, error)) << text << ": " << error;
+    EXPECT_TRUE(v.is_number());
+    EXPECT_EQ(v.number, value) << text;
+  }
+  obs::json::Value v;
+  std::string error;
+  ASSERT_TRUE(obs::json::parse("{\"a\": [1, -2.5e1, \"\\u00e9\"]}", v, error))
+      << error;
+  EXPECT_EQ(obs::json::find(v, "a")->array[1].number, -25.0);
+}
+
+/// True when every number in `v` is finite.
+bool all_finite(const obs::json::Value& v) {
+  if (v.is_number()) return std::isfinite(v.number);
+  for (const obs::json::Value& e : v.array) {
+    if (!all_finite(e)) return false;
+  }
+  for (const auto& [key, e] : v.object) {
+    if (!all_finite(e)) return false;
+  }
+  return true;
+}
+
+/// True when every bare token of `text` (outside strings) is a literal or
+/// an RFC 8259 number.
+bool tokens_follow_grammar(const std::string& text) {
+  static const std::regex number(
+      "-?(0|[1-9][0-9]*)(\\.[0-9]+)?([eE][+-]?[0-9]+)?");
+  std::string token;
+  bool in_string = false;
+  for (size_t i = 0; i <= text.size(); ++i) {
+    const char c = i < text.size() ? text[i] : ' ';
+    if (in_string) {
+      if (c == '\\') ++i;
+      if (c == '"') in_string = false;
+      continue;
+    }
+    if (std::isalnum(static_cast<unsigned char>(c)) != 0 ||
+        std::strchr("+-.", c) != nullptr) {
+      token += c;
+      continue;
+    }
+    if (!token.empty() && token != "true" && token != "false" &&
+        token != "null" && !std::regex_match(token, number)) {
+      return false;
+    }
+    token.clear();
+    in_string = c == '"';
+  }
+  return true;
+}
+
+TEST(JsonParse, MutatedDocumentsFailOnlyWithAnError) {
+  // Two documents the parser reads from files: a RunSummary and the header
+  // of an hia-events-v1 spill, each from a real (small) run.
+  obs::reset_histograms();
+  obs::reset_counters();
+  obs::reset_timeseries();
+  obs::histogram("json_sweep_s").record(0.25);
+  obs::counter("json_sweep_total").add(7);
+  obs::register_gauge("json_sweep_depth", [] { return 1.5; });
+  obs::sample_now();
+  obs::RunSummary meta;
+  meta.bench = "json_sweep";
+  meta.metrics["ratio"] = 0.125;
+  meta.metrics["big"] = 1e12;
+  const std::string summary = obs::run_summary_json(meta);
+  ASSERT_TRUE(obs::validate_run_summary_json(summary).ok);
+
+  obs::reset_events();
+  obs::record_event(obs::EventKind::kTaskSubmit, 1, -1, 1, 64, 0.5);
+  obs::record_event(obs::EventKind::kTaskComplete, 1, 0, 1, 1, 0.75);
+  obs::set_events_run_config({.present = true, .buckets = 2, .servers = 1,
+                              .replicas = 1, .faults = "drop=0.1",
+                              .overload = "", .tenant_weights = {2.0, 1.0}});
+  const std::string path = ::testing::TempDir() + "json_sweep.bin";
+  ASSERT_TRUE(obs::write_events_file(path));
+  std::string spill;
+  {
+    std::ifstream in(path, std::ios::binary);
+    spill.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  std::remove(path.c_str());
+  obs::reset_events();
+  uint32_t header_len = 0;
+  std::memcpy(&header_len, spill.data() + 12, sizeof(header_len));
+  const std::string header = spill.substr(16, header_len);
+  ASSERT_TRUE(parses(header));
+
+  const char* const splices[] = {"1e999", "01", "1.2.3", "+1", "-", "1e5e5",
+                                 ".5",    "1.",  "-0",   "2.5E-3", "\\uZZ",
+                                 "\\u00e9", "1e-400", "[", "}", "\""};
+  SplitMix64 rng(0x150c);
+  for (const std::string* doc : {&summary, &header}) {
+    size_t accepted = 0;
+    for (int iter = 0; iter < 4000; ++iter) {
+      std::string m = *doc;
+      const uint64_t draw = rng.next();
+      const size_t at = (draw >> 8) % m.size();
+      switch (draw % 5) {
+        case 0:  // one byte changes to a number-ish or any byte
+          m[at] = (draw >> 32) % 2 == 0 ? "-+.eE019"[(draw >> 40) % 8]
+                                        : static_cast<char>(draw >> 48);
+          break;
+        case 1:  // a splice over the bytes at `at`
+          m.replace(at, (draw >> 32) % 4,
+                    splices[(draw >> 40) % std::size(splices)]);
+          break;
+        case 2:  // a byte goes
+          m.erase(at, 1);
+          break;
+        case 3:  // truncation
+          m.resize(at);
+          break;
+        default:  // a digit run doubles: 12 -> 1212, 0.5 -> 0.50.5
+          m.insert(at, m.substr(at, (draw >> 32) % 6));
+          break;
+      }
+      obs::json::Value v;
+      std::string error;
+      bool ok = false;
+      ASSERT_NO_THROW(ok = obs::json::parse(m, v, error)) << m;
+      if (!ok) {
+        EXPECT_FALSE(error.empty()) << m;
+        continue;
+      }
+      ++accepted;
+      EXPECT_TRUE(all_finite(v)) << m;
+      EXPECT_TRUE(tokens_follow_grammar(m)) << m;
+      EXPECT_NO_THROW(obs::validate_run_summary_json(m));
+      if (::testing::Test::HasFailure()) {
+        FAIL() << "iteration " << iter << " (mutation " << draw % 5 << ")";
+      }
+    }
+    // Harmless mutations (a digit inside a number) leave valid JSON.
+    EXPECT_GT(accepted, 100u);
+  }
 }
 
 }  // namespace
