@@ -20,6 +20,13 @@
 #      every thread's ring; trace_lint must pass, events_lint must report
 #      0 dropped (exit 3 otherwise), --attrib must report "all partitions
 #      exact", and the trace must report 0 dropped span records
+#   3c. scripted-fault leg: one recorded two-tenant campaign fires every
+#      step-triggered --faults directive (kill-bucket, crash-bucket,
+#      crash-server, overload, credit-starve, tenant-hog); events_lint
+#      must report 0 dropped, --attrib "all partitions exact", the report
+#      "per-tenant conservation OK", the RunSummary one killed bucket, one
+#      crashed bucket and one crashed server, and the resilience block
+#      all three injected pressure rows
 #   4. replay gate: tools/hia_plan replays the same spill under its own
 #      recorded configuration (--calibrate) and must reproduce the
 #      measured makespan within tolerance, then sweeps buckets=1..8;
@@ -52,7 +59,7 @@
 #   9. shape checks: bench_table2 and bench_ablate_spectrum run from a
 #      temp dir and fail the gate on any "[shape FAIL]" line; between them
 #      they run every statistics and visualization placement (bench_fig6
-#      stays out: its known FAIL is ROADMAP item 7)
+#      stays out: its known FAIL is ROADMAP item 8)
 #  10. sanitizers: ASan+UBSan over everything, TSan over the concurrent
 #      paths (see ci/sanitize.sh; sanitizer runs skip the perf gate —
 #      their timings are not comparable to baseline)
@@ -138,6 +145,36 @@ grep -q '"dropped_events": 0,' "$smoke_dir/both_trace.json" || {
   exit 1
 }
 echo "one-recorder leg OK (trace paired, 0 dropped, attribution exact)"
+
+echo "==> scripted-fault leg: every step-triggered --faults directive fires"
+./build/examples/hia_campaign --tenants 2 --steps 4 --analyses stats,topo \
+  --replicas 2 --overload "queue-depth=16,credits=8" \
+  --faults "kill-bucket=1@1,crash-bucket=2@2,crash-server=1@2,overload=64k@1,credit-starve=2@2,tenant-hog=1:64k@3" \
+  --events "$smoke_dir/fault_events.bin" --attrib \
+  --summary "$smoke_dir/fault_summary.json" > "$smoke_dir/fault_stdout.txt"
+./build/tools/events_lint "$smoke_dir/fault_events.bin" |
+  grep -q ', 0 dropped,' || {
+  echo "scripted-fault leg: the recorded stream dropped records" >&2
+  exit 1
+}
+for want in 'all partitions exact' 'per-tenant conservation OK' \
+  '| injected phantom bytes  *| 64.00 KB' \
+  '| credits starved (injected)  *| 2 ' \
+  '| tenant-hog bytes (injected)  *| 64.00 KB'; do
+  grep -q -- "$want" "$smoke_dir/fault_stdout.txt" || {
+    echo "scripted-fault leg: the report lacks '$want'" >&2
+    exit 1
+  }
+done
+python3 - "$smoke_dir/fault_summary.json" <<'PY' || exit 1
+import json, sys
+metrics = json.load(open(sys.argv[1]))["metrics"]
+for key in ("buckets_killed", "buckets_crashed", "servers_crashed"):
+    if metrics.get(key) != 1:
+        sys.exit(f"scripted-fault leg: {key} = {metrics.get(key)}, want 1")
+PY
+cp "$smoke_dir/fault_summary.json" "$smoke_dir/fault_stdout.txt" "$artifact_dir/"
+echo "scripted-fault leg OK (one of each verdict, conserved, attribution exact)"
 
 echo "==> replay gate: hia_plan calibration + bucket sweep vs bench/baselines"
 ./build/tools/events_lint --stats "$smoke_dir/events.bin" \

@@ -115,7 +115,8 @@ bool parse_triple(const char* arg, int64_t out[3]) {
       "                      drop=0.05,task-fail=0.1,crash-server=1@3\n"
       "                      (directives: drop/corrupt/delay/task-fail/\n"
       "                      stall/kill-bucket/slow-bucket/crash-bucket/\n"
-      "                      crash-server/attempts/backoff/shed/seed;\n"
+      "                      crash-server/overload/credit-starve/\n"
+      "                      tenant-hog/attempts/backoff/shed/seed;\n"
       "                      crash-bucket=B@N and crash-server=S@N are\n"
       "                      ungraceful: no drain, in-flight work seized;\n"
       "                      see docs/FAILURE_MODEL.md)\n"

@@ -1,32 +1,14 @@
 #include "runtime/fault.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
+#include <iterator>
+#include <utility>
 
 #include "util/error.hpp"
 #include "util/numeric.hpp"
 #include "util/rng.hpp"
 
 namespace hia {
-
-const char* to_string(FaultSite site) {
-  switch (site) {
-    case FaultSite::kFrameDrop: return "frame-drop";
-    case FaultSite::kFrameDelay: return "frame-delay";
-    case FaultSite::kFrameCorrupt: return "frame-corrupt";
-    case FaultSite::kFrameCorruptByte: return "frame-corrupt-byte";
-    case FaultSite::kTaskFail: return "task-fail";
-    case FaultSite::kWorkerStall: return "worker-stall";
-    case FaultSite::kBackoff: return "backoff";
-    case FaultSite::kOverload: return "overload";
-    case FaultSite::kCreditStarve: return "credit-starve";
-    case FaultSite::kTenantHog: return "tenant-hog";
-    case FaultSite::kBucketCrash: return "crash-bucket";
-    case FaultSite::kServerCrash: return "crash-server";
-  }
-  return "?";
-}
 
 namespace {
 
@@ -45,11 +27,11 @@ uint64_t pair_key(uint64_t major, uint64_t minor) {
   return major * 0x100000001b3ULL + minor;
 }
 
-double parse_double(const std::string& token, const std::string& text) {
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  HIA_REQUIRE(end != nullptr && *end == '\0' && !text.empty(),
-              "--faults " + token + ": bad number '" + text + "'");
+double seconds_field(const std::string& token, const std::string& text) {
+  double v = 0.0;
+  HIA_REQUIRE(parse_seconds(text, &v),
+              "--faults " + token + ": bad value '" + text +
+                  "' (need a finite number in [0, 1e6])");
   return v;
 }
 
@@ -62,10 +44,56 @@ T parse_count_field(const std::string& token, const std::string& text) {
 }
 
 double parse_prob(const std::string& token, const std::string& text) {
-  const double p = parse_double(token, text);
-  HIA_REQUIRE(p >= 0.0 && p <= 1.0,
-              "--faults " + token + ": probability out of [0,1]");
+  double p = 0.0;  // [0, 1] lies inside parse_seconds' range
+  HIA_REQUIRE(parse_seconds(text, &p) && p <= 1.0,
+              "--faults " + token + ": bad probability '" + text +
+                  "' (need [0, 1])");
   return p;
+}
+
+/// The step-triggered directives and the event kind each one scripts.
+constexpr std::pair<const char*, ScriptedEvent::Kind> kScriptedDirectives[] = {
+    {"kill-bucket", ScriptedEvent::Kind::kKillBucket},
+    {"crash-bucket", ScriptedEvent::Kind::kCrashBucket},
+    {"crash-server", ScriptedEvent::Kind::kCrashServer},
+    {"overload", ScriptedEvent::Kind::kOverload},
+    {"credit-starve", ScriptedEvent::Kind::kCreditStarve},
+    {"tenant-hog", ScriptedEvent::Kind::kTenantHog},
+};
+
+/// Parses one step-triggered directive: B@N, S@N, C@N or T:B@N.
+ScriptedEvent parse_scripted(ScriptedEvent::Kind kind, const std::string& name,
+                             const std::string& value) {
+  using Kind = ScriptedEvent::Kind;
+  const size_t at = value.find('@');
+  HIA_REQUIRE(at != std::string::npos,
+              "--faults " + name + " needs VALUE@STEP");
+  ScriptedEvent event{
+      .kind = kind, .step = parse_count_field<long>(name, value.substr(at + 1))};
+  std::string what = value.substr(0, at);
+  if (kind == Kind::kTenantHog) {
+    const size_t colon = what.find(':');
+    HIA_REQUIRE(colon != std::string::npos,
+                "--faults tenant-hog needs T:B@N (tenant:bytes@step)");
+    event.target = parse_count_field<int>(name, what.substr(0, colon));
+    what = what.substr(colon + 1);
+  }
+  switch (kind) {
+    case Kind::kKillBucket:
+    case Kind::kCrashBucket:
+    case Kind::kCrashServer:
+      event.target = parse_count_field<int>(name, what);
+      return event;
+    case Kind::kCreditStarve:  // the credit ledger counts in int
+      event.amount = static_cast<uint64_t>(parse_count_field<int>(name, what));
+      break;
+    case Kind::kOverload:
+    case Kind::kTenantHog:
+      event.amount = parse_count_field<size_t>(name, what);
+      break;
+  }
+  HIA_REQUIRE(event.amount > 0, "--faults " + name + ": need an amount > 0");
+  return event;
 }
 
 }  // namespace
@@ -90,92 +118,40 @@ FaultPlanConfig FaultPlan::parse_spec(const std::string& spec) {
     const std::string v1 =
         colon == std::string::npos ? "" : value.substr(colon + 1);
 
-    if (name == "drop") {
+    const auto* scripted = std::find_if(
+        std::begin(kScriptedDirectives), std::end(kScriptedDirectives),
+        [&](const auto& d) { return name == d.first; });
+    if (scripted != std::end(kScriptedDirectives)) {
+      cfg.scripted.push_back(parse_scripted(scripted->second, name, value));
+    } else if (name == "drop") {
       cfg.frame_drop_prob = parse_prob(name, value);
     } else if (name == "corrupt") {
       cfg.frame_corrupt_prob = parse_prob(name, value);
     } else if (name == "delay") {
       cfg.frame_delay_prob = parse_prob(name, v0);
-      if (!v1.empty()) cfg.frame_delay_s = parse_double(name, v1);
-      HIA_REQUIRE(cfg.frame_delay_s >= 0.0, "--faults delay: negative delay");
+      if (!v1.empty()) cfg.frame_delay_s = seconds_field(name, v1);
     } else if (name == "task-fail") {
       cfg.task_fail_prob = parse_prob(name, v0);
-      if (!v1.empty()) cfg.retry.task_timeout_s = parse_double(name, v1);
-      HIA_REQUIRE(cfg.retry.task_timeout_s >= 0.0,
-                  "--faults task-fail: negative timeout");
+      if (!v1.empty()) cfg.retry.task_timeout_s = seconds_field(name, v1);
     } else if (name == "stall") {
       cfg.worker_stall_prob = parse_prob(name, v0);
-      if (!v1.empty()) cfg.worker_stall_s = parse_double(name, v1);
-      HIA_REQUIRE(cfg.worker_stall_s >= 0.0, "--faults stall: negative stall");
-    } else if (name == "kill-bucket") {
-      const size_t at = value.find('@');
-      HIA_REQUIRE(at != std::string::npos,
-                  "--faults kill-bucket needs B@N (bucket@step)");
-      FaultPlanConfig::BucketKill kill;
-      kill.bucket = parse_count_field<int>(name, value.substr(0, at));
-      kill.step = parse_count_field<long>(name, value.substr(at + 1));
-      cfg.bucket_kills.push_back(kill);
-    } else if (name == "crash-bucket") {
-      const size_t at = value.find('@');
-      HIA_REQUIRE(at != std::string::npos,
-                  "--faults crash-bucket needs B@N (bucket@step)");
-      FaultPlanConfig::BucketCrash crash;
-      crash.bucket = parse_count_field<int>(name, value.substr(0, at));
-      crash.step = parse_count_field<long>(name, value.substr(at + 1));
-      cfg.bucket_crashes.push_back(crash);
-    } else if (name == "crash-server") {
-      const size_t at = value.find('@');
-      HIA_REQUIRE(at != std::string::npos,
-                  "--faults crash-server needs S@N (server@step)");
-      FaultPlanConfig::ServerCrash crash;
-      crash.server = parse_count_field<int>(name, value.substr(0, at));
-      crash.step = parse_count_field<long>(name, value.substr(at + 1));
-      cfg.server_crashes.push_back(crash);
+      if (!v1.empty()) cfg.worker_stall_s = seconds_field(name, v1);
     } else if (name == "slow-bucket") {
       HIA_REQUIRE(!v1.empty(), "--faults slow-bucket needs B:F (bucket:factor)");
       FaultPlanConfig::BucketSlow slow;
       slow.bucket = parse_count_field<int>(name, v0);
-      slow.factor = parse_double(name, v1);
+      // The factor scales a sleep, so it takes the seconds bound.
+      slow.factor = seconds_field(name, v1);
       HIA_REQUIRE(slow.factor >= 1.0, "--faults slow-bucket: need factor >= 1");
       cfg.bucket_slowdowns.push_back(slow);
-    } else if (name == "overload") {
-      const size_t at = value.find('@');
-      HIA_REQUIRE(at != std::string::npos,
-                  "--faults overload needs B@N (bytes@step)");
-      FaultPlanConfig::OverloadInject inject;
-      inject.bytes = parse_count_field<size_t>(name, value.substr(0, at));
-      inject.step = parse_count_field<long>(name, value.substr(at + 1));
-      HIA_REQUIRE(inject.bytes > 0, "--faults overload: need bytes > 0");
-      cfg.overload_injects.push_back(inject);
-    } else if (name == "credit-starve") {
-      const size_t at = value.find('@');
-      HIA_REQUIRE(at != std::string::npos,
-                  "--faults credit-starve needs C@N (credits@step)");
-      FaultPlanConfig::CreditStarve starve;
-      starve.credits = parse_count_field<int>(name, value.substr(0, at));
-      starve.step = parse_count_field<long>(name, value.substr(at + 1));
-      HIA_REQUIRE(starve.credits > 0,
-                  "--faults credit-starve: need credits > 0");
-      cfg.credit_starves.push_back(starve);
-    } else if (name == "tenant-hog") {
-      // tenant-hog=T:B@N — v0 is the tenant, v1 is "bytes@step".
-      const size_t at = v1.find('@');
-      HIA_REQUIRE(colon != std::string::npos && at != std::string::npos,
-                  "--faults tenant-hog needs T:B@N (tenant:bytes@step)");
-      FaultPlanConfig::TenantHog hog;
-      hog.tenant = parse_count_field<int>(name, v0);
-      hog.bytes = parse_count_field<size_t>(name, v1.substr(0, at));
-      hog.step = parse_count_field<long>(name, v1.substr(at + 1));
-      HIA_REQUIRE(hog.bytes > 0, "--faults tenant-hog: need bytes > 0");
-      cfg.tenant_hogs.push_back(hog);
     } else if (name == "attempts") {
       cfg.retry.max_task_attempts = parse_count_field<int>(name, value);
       HIA_REQUIRE(cfg.retry.max_task_attempts >= 1,
                   "--faults attempts: need >= 1");
     } else if (name == "backoff") {
       HIA_REQUIRE(!v1.empty(), "--faults backoff needs BASE:CAP seconds");
-      cfg.retry.backoff_base_s = parse_double(name, v0);
-      cfg.retry.backoff_cap_s = parse_double(name, v1);
+      cfg.retry.backoff_base_s = seconds_field(name, v0);
+      cfg.retry.backoff_cap_s = seconds_field(name, v1);
       HIA_REQUIRE(cfg.retry.backoff_base_s > 0.0 &&
                       cfg.retry.backoff_cap_s >= cfg.retry.backoff_base_s,
                   "--faults backoff: need 0 < BASE <= CAP");
@@ -191,7 +167,12 @@ FaultPlanConfig FaultPlan::parse_spec(const std::string& spec) {
   return cfg;
 }
 
-FaultPlan::FaultPlan(FaultPlanConfig config) : config_(std::move(config)) {}
+FaultPlan::FaultPlan(FaultPlanConfig config) : config_(std::move(config)) {
+  std::stable_sort(config_.scripted.begin(), config_.scripted.end(),
+                   [](const ScriptedEvent& a, const ScriptedEvent& b) {
+                     return a.step < b.step;
+                   });
+}
 
 double FaultPlan::roll(FaultSite site, uint64_t key) const {
   return keyed_uniform(config_.seed, site, key);
@@ -248,50 +229,24 @@ double FaultPlan::backoff_seconds(uint64_t task_id, int attempt) const {
   return std::clamp(sleep, r.backoff_base_s, r.backoff_cap_s);
 }
 
-bool FaultPlan::bucket_killed(int bucket, long step) const {
-  for (const auto& kill : config_.bucket_kills) {
-    if (kill.bucket == bucket && step >= kill.step) return true;
+bool FaultPlan::scripts(ScriptedEvent::Kind kind) const {
+  return std::any_of(config_.scripted.begin(), config_.scripted.end(),
+                     [kind](const ScriptedEvent& e) { return e.kind == kind; });
+}
+
+void FaultPlan::count_scripted(const ScriptedEvent& event) const {
+  using Kind = ScriptedEvent::Kind;
+  std::atomic<uint64_t>* tally = nullptr;
+  uint64_t by = event.amount;
+  switch (event.kind) {
+    case Kind::kKillBucket: tally = &buckets_killed_; by = 1; break;
+    case Kind::kCrashBucket: tally = &buckets_crashed_; by = 1; break;
+    case Kind::kCrashServer: tally = &servers_crashed_; by = 1; break;
+    case Kind::kOverload: tally = &overload_bytes_injected_; break;
+    case Kind::kCreditStarve: tally = &credits_starved_; break;
+    case Kind::kTenantHog: tally = &tenant_hog_bytes_; break;
   }
-  return false;
-}
-
-void FaultPlan::count_bucket_kill() const {
-  buckets_killed_.fetch_add(1, std::memory_order_relaxed);
-}
-
-bool FaultPlan::bucket_crashed(int bucket, long step) const {
-  for (const auto& crash : config_.bucket_crashes) {
-    if (crash.bucket == bucket && step >= crash.step) return true;
-  }
-  return false;
-}
-
-void FaultPlan::count_bucket_crash() const {
-  buckets_crashed_.fetch_add(1, std::memory_order_relaxed);
-}
-
-bool FaultPlan::server_crashed(int server, long step) const {
-  for (const auto& crash : config_.server_crashes) {
-    if (crash.server == server && step >= crash.step) return true;
-  }
-  return false;
-}
-
-void FaultPlan::count_server_crash() const {
-  servers_crashed_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void FaultPlan::count_overload_inject(size_t bytes) const {
-  overload_bytes_injected_.fetch_add(bytes, std::memory_order_relaxed);
-}
-
-void FaultPlan::count_credit_starve(int credits) const {
-  credits_starved_.fetch_add(static_cast<uint64_t>(credits),
-                             std::memory_order_relaxed);
-}
-
-void FaultPlan::count_tenant_hog(size_t bytes) const {
-  tenant_hog_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+  tally->fetch_add(by, std::memory_order_relaxed);
 }
 
 double FaultPlan::bucket_slow_factor(int bucket) const {

@@ -6,7 +6,7 @@
 //   * frame faults on the DART wire (drop, extra delay, corruption — the
 //     Gemini uGNI transient-error analogues),
 //   * staging-task failures (bucket timeout / staging-node OOM analogue),
-//   * scripted bucket kills ("bucket B dies at step N") and slowdowns,
+//   * a scripted timeline ("bucket B dies at step N") and slowdowns,
 //   * thread-pool worker stalls (OS jitter / noisy-neighbor analogue).
 //
 // Determinism: every probabilistic decision is a *pure function* of
@@ -16,10 +16,10 @@
 // thread interleaving. See docs/FAILURE_MODEL.md for the exact guarantee.
 //
 // The plan is immutable after construction except for its injection
-// counters (atomics) and scripted-event fired flags; all methods are
-// thread-safe. A null plan pointer everywhere means "faults off" and costs
-// one branch on the hot paths (the zero-overhead-when-off contract gated
-// by tools/bench_diff against bench/baselines/).
+// counters (atomics); all methods are thread-safe. A null plan pointer
+// everywhere means "faults off" and costs one branch on the hot paths (the
+// zero-overhead-when-off contract gated by tools/bench_diff against
+// bench/baselines/).
 #pragma once
 
 #include <atomic>
@@ -37,15 +37,41 @@ enum class FaultSite : uint32_t {
   kFrameCorruptByte = 4,  // which byte of the frame gets flipped
   kTaskFail = 5,
   kWorkerStall = 6,
-  kBackoff = 7,       // jitter draws of the retry backoff schedule
-  kOverload = 8,      // scripted phantom-byte injection (rogue producer)
-  kCreditStarve = 9,  // scripted admission-credit confiscation
-  kTenantHog = 10,    // scripted tenant-attributed phantom-byte burst
-  kBucketCrash = 11,  // scripted ungraceful bucket death (no drain)
-  kServerCrash = 12,  // scripted ungraceful object-store server death
+  kBackoff = 7,  // jitter draws of the retry backoff schedule
 };
 
-const char* to_string(FaultSite site);
+/// One step-triggered directive. The staging service fires it once, at the
+/// first submission whose step is >= `step` (diverted or not).
+struct ScriptedEvent {
+  enum class Kind {
+    /// Bucket `target` retires gracefully: it finishes its current task.
+    kKillBucket,
+    /// Bucket `target` dies ungracefully, mid-compute with no drain. Its
+    /// in-flight task is stranded until the scheduler's lease expires,
+    /// then re-queued under a bumped attempt epoch; a late completion from
+    /// the dead bucket is fenced (see docs/FAILURE_MODEL.md).
+    kCrashBucket,
+    /// Object-store server `target` dies ungracefully, with every
+    /// descriptor it holds. Committed objects survive only via replication
+    /// (`--replicas R`): lookups skip the dead shard, fall back to live
+    /// replicas, and read-repair missing copies.
+    kCrashServer,
+    /// `amount` phantom bytes enter the staging queue accounting: a rogue
+    /// producer whose pressure has no real work to drain.
+    kOverload,
+    /// `amount` admission credits are confiscated: a crashed producer that
+    /// never released its regions.
+    kCreditStarve,
+    /// Tenant `target` floods the queue with `amount` phantom bytes. The
+    /// burst is charged to its own ledger, so its queue caps absorb the
+    /// damage first while the global pressure signal still rises.
+    kTenantHog,
+  };
+  Kind kind = Kind::kKillBucket;
+  long step = 0;
+  int target = -1;      // bucket, server or tenant; unused otherwise
+  uint64_t amount = 0;  // bytes, or credits for kCreditStarve
+};
 
 /// How the staging layer reacts to injected task failures.
 struct RetryPolicy {
@@ -79,36 +105,6 @@ struct FaultPlanConfig {
   double worker_stall_prob = 0.0;
   double worker_stall_s = 1e-3;  // wall seconds the worker sleeps
 
-  /// Scripted: bucket `bucket` dies once a task with step >= `step` is
-  /// submitted (graceful: it finishes what it is running first).
-  struct BucketKill {
-    int bucket = -1;
-    long step = 0;
-  };
-  std::vector<BucketKill> bucket_kills;
-
-  /// Scripted: bucket `bucket` crashes *ungracefully* once a task with
-  /// step >= `step` is submitted — no drain, mid-compute. Its in-flight
-  /// task is stranded until the scheduler's lease expires, then re-queued
-  /// under a bumped attempt epoch; any late completion from the presumed-
-  /// dead bucket is fenced (see docs/FAILURE_MODEL.md).
-  struct BucketCrash {
-    int bucket = -1;
-    long step = 0;
-  };
-  std::vector<BucketCrash> bucket_crashes;
-
-  /// Scripted: object-store server `server` crashes ungracefully once a
-  /// task with step >= `step` is submitted — every descriptor it holds
-  /// becomes unreachable. Committed objects survive only via replication
-  /// (`--replicas R`); lookups skip the dead shard, fall back to live
-  /// replicas, and read-repair missing copies.
-  struct ServerCrash {
-    int server = -1;
-    long step = 0;
-  };
-  std::vector<ServerCrash> server_crashes;
-
   /// Scripted: bucket `bucket` computes `factor`x slower for the whole run.
   struct BucketSlow {
     int bucket = -1;
@@ -116,37 +112,9 @@ struct FaultPlanConfig {
   };
   std::vector<BucketSlow> bucket_slowdowns;
 
-  /// Scripted: inject `bytes` phantom bytes into the staging queue
-  /// accounting once a task with step >= `step` is submitted (a rogue
-  /// producer / accounting-leak analogue: pressure rises with no real work
-  /// to drain it). Requires overload control to be active.
-  struct OverloadInject {
-    size_t bytes = 0;
-    long step = 0;
-  };
-  std::vector<OverloadInject> overload_injects;
-
-  /// Scripted: confiscate `credits` admission credits once a task with
-  /// step >= `step` is submitted (a crashed producer that never released
-  /// its regions — the credit-leak analogue). Requires overload control.
-  struct CreditStarve {
-    int credits = 0;
-    long step = 0;
-  };
-  std::vector<CreditStarve> credit_starves;
-
-  /// Scripted: tenant `tenant` goes rogue and floods the staging queue
-  /// with `bytes` phantom bytes once a task with step >= `step` is
-  /// submitted. Unlike the anonymous `overload` site, the burst is
-  /// *attributed*: the pressure is charged to the hog tenant's ledger, so
-  /// its own queue caps absorb the damage first while the global pressure
-  /// signal still rises. Requires overload control to be active.
-  struct TenantHog {
-    int tenant = 0;
-    size_t bytes = 0;
-    long step = 0;
-  };
-  std::vector<TenantHog> tenant_hogs;
+  /// The step-triggered directives, in spec order until the FaultPlan
+  /// constructor sorts them stably by step (see ScriptedEvent).
+  std::vector<ScriptedEvent> scripted;
 
   RetryPolicy retry;
 };
@@ -196,11 +164,12 @@ class FaultPlan {
   ///   shed                after K attempts drop the task (counted) instead
   ///                       of degrading it to the in-situ fallback
   /// Bucket, server, step, byte, credit, tenant and attempt counts and the
-  /// seed are whole numbers, k/m/g suffixes allowed (parse_count).
-  /// Throws hia::Error on a malformed spec or a count that is fractional,
-  /// negative, non-finite or too large for its field.
+  /// seed are whole numbers, k/m/g suffixes allowed (parse_count). Seconds
+  /// and the slowdown factor are finite numbers up to 1e6 (parse_seconds).
+  /// Throws hia::Error on a malformed spec or a value outside its field.
   static FaultPlanConfig parse_spec(const std::string& spec);
 
+  /// Sorts the scripted timeline stably by step.
   explicit FaultPlan(FaultPlanConfig config);
 
   /// Uniform [0, 1) draw that is a pure function of (seed, site, key).
@@ -235,39 +204,16 @@ class FaultPlan {
   /// deterministic per (task_id, attempt). Always in [base, cap].
   [[nodiscard]] double backoff_seconds(uint64_t task_id, int attempt) const;
 
-  // ---- Scripted bucket events ----
+  // ---- Scripted events ----
 
-  /// True once any step >= the scripted kill step for `bucket` has been
-  /// observed by the staging service (which reports steps via observe_step).
-  [[nodiscard]] bool bucket_killed(int bucket, long step) const;
-  /// Counts a kill exactly once per scripted event (service calls this when
-  /// it retires the bucket).
-  void count_bucket_kill() const;
+  /// True when the timeline holds an event of `kind`.
+  [[nodiscard]] bool scripts(ScriptedEvent::Kind kind) const;
 
-  /// True once any step >= the scripted crash step for `bucket` has been
-  /// submitted (ungraceful variant of bucket_killed).
-  [[nodiscard]] bool bucket_crashed(int bucket, long step) const;
-  void count_bucket_crash() const;
-
-  /// True once any step >= the scripted crash step for object-store server
-  /// `server` has been submitted.
-  [[nodiscard]] bool server_crashed(int server, long step) const;
-  void count_server_crash() const;
-
-  /// True when any crash-server directive exists (the store only polls the
-  /// plan on its hot path when this is set).
-  [[nodiscard]] bool has_server_crashes() const {
-    return !config_.server_crashes.empty();
-  }
+  /// Tallies a scripted event the staging service fired (once per event).
+  void count_scripted(const ScriptedEvent& event) const;
 
   /// Compute-slowdown factor for `bucket` (1.0 = full speed).
   [[nodiscard]] double bucket_slow_factor(int bucket) const;
-
-  /// Tallies a scripted overload injection / credit starve (the staging
-  /// service calls these when it fires the event, once per scripted entry).
-  void count_overload_inject(size_t bytes) const;
-  void count_credit_starve(int credits) const;
-  void count_tenant_hog(size_t bytes) const;
 
   // ---- Thread-pool worker stalls ----
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 
@@ -97,10 +96,9 @@ T parse_count_field(const std::string& token, const std::string& text) {
   return v;
 }
 
-double parse_seconds(const std::string& token, const std::string& text) {
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  HIA_REQUIRE(end != nullptr && *end == '\0' && !text.empty() && v >= 0.0,
+double seconds_field(const std::string& token, const std::string& text) {
+  double v = 0.0;
+  HIA_REQUIRE(parse_seconds(text, &v),
               "--overload " + token + ": bad value '" + text + "'");
   return v;
 }
@@ -129,13 +127,13 @@ OverloadConfig OverloadConfig::parse_spec(const std::string& spec) {
     } else if (name == "store-bytes") {
       cfg.store_bytes_budget = parse_count_field<size_t>(name, value);
     } else if (name == "low") {
-      cfg.low_watermark = parse_seconds(name, value);
+      cfg.low_watermark = seconds_field(name, value);
     } else if (name == "high") {
-      cfg.high_watermark = parse_seconds(name, value);
+      cfg.high_watermark = seconds_field(name, value);
     } else if (name == "credits") {
       cfg.credits = parse_count_field<int>(name, value);
     } else if (name == "admit-wait") {
-      cfg.admit_max_wait_s = parse_seconds(name, value);
+      cfg.admit_max_wait_s = seconds_field(name, value);
     } else if (name == "defer-max") {
       cfg.max_defers = parse_count_field<int>(name, value);
     } else {

@@ -90,10 +90,10 @@ struct OverloadConfig {
   ///   credits=N         admission credits (N outstanding puts)
   ///   admit-wait=S      max seconds a put blocks before overdrafting
   ///   defer-max=N       defer-one-step budget per task (default 1)
-  /// Every N is a whole count (k/m/g suffixes allowed, parse_count).
-  /// Throws hia::Error on a malformed spec or a count that is fractional,
-  /// negative, non-finite or too large for its field. An empty spec parses to a
-  /// disabled config (enabled() == false).
+  /// Every N is a whole count (k/m/g suffixes allowed, parse_count); F and
+  /// S are finite numbers in [0, 1e6] (parse_seconds).
+  /// Throws hia::Error on a malformed spec or a value outside its field.
+  /// An empty spec parses to a disabled config (enabled() == false).
   static OverloadConfig parse_spec(const std::string& spec);
 
   /// True when any budget or the credit gate is set.

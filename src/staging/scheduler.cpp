@@ -78,23 +78,19 @@ StagingService::StagingService(Dart& dart, Options options)
   obs::register_counter_gauge("staging_busy_buckets");
   obs::register_counter_gauge("staging_queue_bytes");
   obs::set_virtual_clock([this] { return clock_.seconds(); }, this);
-  if (faults_ != nullptr && overload_ == nullptr &&
-      (!faults_->config().overload_injects.empty() ||
-       !faults_->config().credit_starves.empty() ||
-       !faults_->config().tenant_hogs.empty())) {
-    HIA_LOG_WARN("staging",
-                 "fault plan scripts overload events but overload control is "
-                 "off; they will not fire");
-  }
   if (faults_ != nullptr) {
-    overload_fired_.resize(faults_->config().overload_injects.size(), false);
-    starve_fired_.resize(faults_->config().credit_starves.size(), false);
-    hog_fired_.resize(faults_->config().tenant_hogs.size(), false);
-    server_crash_fired_.resize(faults_->config().server_crashes.size(), false);
+    using Kind = ScriptedEvent::Kind;
+    if (overload_ == nullptr && (faults_->scripts(Kind::kOverload) ||
+                                 faults_->scripts(Kind::kCreditStarve) ||
+                                 faults_->scripts(Kind::kTenantHog))) {
+      HIA_LOG_WARN("staging",
+                   "fault plan scripts overload events but overload control "
+                   "is off; they will not fire");
+    }
     // Lease bookkeeping costs one map insert per assignment; pay it only
     // when the plan can actually crash a bucket.
-    lease_tracking_ = !faults_->config().bucket_crashes.empty();
-    if (faults_->has_server_crashes() && store_.replicas() < 2) {
+    lease_tracking_ = faults_->scripts(Kind::kCrashBucket);
+    if (faults_->scripts(Kind::kCrashServer) && store_.replicas() < 2) {
       HIA_LOG_WARN("staging",
                    "fault plan scripts server crashes but replicas=%d; "
                    "committed objects on the crashed shard will be lost",
@@ -146,83 +142,6 @@ DataDescriptor StagingService::publish(int src_node,
           : dart_.put_doubles(src_node, data, *codec, nullptr, tenant);
   store_.put(desc);
   return desc;
-}
-
-void StagingService::apply_scripted_kills(long step) {
-  // Requires mutex_ held. Retires every bucket whose scripted kill step has
-  // arrived: it leaves the free list and the matcher's reach; if it is
-  // mid-task it finishes that task first (graceful drain, like taking a
-  // staging node out of rotation).
-  if (faults_ == nullptr || faults_->config().bucket_kills.empty()) return;
-  for (int b = 0; b < static_cast<int>(buckets_.size()); ++b) {
-    Bucket& bucket = buckets_[static_cast<size_t>(b)];
-    if (bucket.dead || !faults_->bucket_killed(b, step)) continue;
-    bucket.dead = true;
-    --live_buckets_;
-    faults_->count_bucket_kill();
-    static obs::Counter& killed = obs::counter("staging_buckets_killed");
-    killed.add(1);
-    obs::record_event(obs::EventKind::kFaultVerdict, -1, b,
-                      static_cast<int64_t>(obs::EventFaultSite::kBucketKill),
-                      b, clock_.seconds());
-    HIA_LOG_WARN("staging", "bucket %d killed by fault plan at step %ld", b,
-                 step);
-    std::erase(free_buckets_, b);
-  }
-}
-
-void StagingService::apply_scripted_crashes(long step) {
-  // Requires mutex_ held. Ungraceful death: the bucket is yanked mid-task
-  // with no drain (a staging node OOM-killed or dropped off the fabric).
-  // Its in-flight assignment is NOT touched here — the lease machinery
-  // reclaims it once the lease stops renewing — but its pending slot and
-  // the queue are handled like a kill when capacity hits zero.
-  if (faults_ == nullptr) return;
-  const FaultPlanConfig& cfg = faults_->config();
-  if (!cfg.bucket_crashes.empty()) {
-    for (int b = 0; b < static_cast<int>(buckets_.size()); ++b) {
-      Bucket& bucket = buckets_[static_cast<size_t>(b)];
-      if (bucket.dead || !faults_->bucket_crashed(b, step)) continue;
-      bucket.dead = true;
-      bucket.crashed = true;
-      --live_buckets_;
-      faults_->count_bucket_crash();
-      static obs::Counter& crashed = obs::counter("staging_buckets_crashed");
-      crashed.add(1);
-      obs::record_event(
-          obs::EventKind::kFaultVerdict, -1, b,
-          static_cast<int64_t>(obs::EventFaultSite::kBucketCrash), b,
-          clock_.seconds());
-      HIA_LOG_WARN("staging",
-                   "bucket %d crashed ungracefully at step %ld (no drain)", b,
-                   step);
-      std::erase(free_buckets_, b);
-    }
-  }
-  for (size_t i = 0; i < cfg.server_crashes.size(); ++i) {
-    const auto& crash = cfg.server_crashes[i];
-    if (server_crash_fired_[i] || step < crash.step) continue;
-    server_crash_fired_[i] = true;
-    if (crash.server >= store_.num_servers()) {
-      HIA_LOG_WARN("staging",
-                   "fault plan crashes server %d but only %d exist; ignored",
-                   crash.server, store_.num_servers());
-      continue;
-    }
-    const size_t lost = store_.crash_server(crash.server);
-    faults_->count_server_crash();
-    static obs::Counter& crashed = obs::counter("staging_servers_crashed");
-    crashed.add(1);
-    obs::record_event(
-        obs::EventKind::kFaultVerdict, -1, crash.server,
-        static_cast<int64_t>(obs::EventFaultSite::kServerCrash),
-        static_cast<int64_t>(lost), clock_.seconds());
-    HIA_LOG_WARN("staging",
-                 "object-store server %d crashed at step %ld: %zu objects "
-                 "lost their last copy (%d servers live, replicas=%d)",
-                 crash.server, step, lost, store_.live_servers(),
-                 store_.replicas());
-  }
 }
 
 bool StagingService::zombie_fenced(const Assigned& assigned,
@@ -349,6 +268,21 @@ size_t task_wire_bytes(const InTransitTask& task) {
   for (const DataDescriptor& d : task.inputs) bytes += d.handle.bytes;
   return bytes;
 }
+
+/// The transfer/compute split of one attempt's bucket occupancy, stamped
+/// at `vt`. Both are wall durations measured inside the attempt's window,
+/// so transfer + compute <= occupancy and the remainder is the drain phase
+/// by construction.
+void record_phase_split(const InTransitTask& task, int bucket,
+                        double pull_wall_s, double wall_s, double vt) {
+  const auto id = static_cast<int64_t>(task.task_id);
+  obs::record_event(obs::EventKind::kTaskXfer, task.tenant, bucket, id,
+                    static_cast<int64_t>(pull_wall_s * 1e6), vt);
+  obs::record_event(obs::EventKind::kTaskWork, task.tenant, bucket, id,
+                    static_cast<int64_t>(std::max(0.0, wall_s - pull_wall_s) *
+                                         1e6),
+                    vt);
+}
 }  // namespace
 
 void StagingService::enqueue_locked(Assigned assigned) {
@@ -375,55 +309,111 @@ void StagingService::settle(Assigned& assigned, double busy_s) {
   queue_.settle(assigned.ticket, busy_s);
 }
 
-void StagingService::apply_scripted_overload(long step) {
-  // Requires mutex_ held. Fires each scripted overload/credit-starve event
-  // exactly once, the first time a task with step >= its step is submitted.
-  if (faults_ == nullptr || overload_ == nullptr) return;
-  const FaultPlanConfig& cfg = faults_->config();
-  for (size_t i = 0; i < cfg.overload_injects.size(); ++i) {
-    const auto& inject = cfg.overload_injects[i];
-    if (overload_fired_[i] || step < inject.step) continue;
-    overload_fired_[i] = true;
-    overload_->inject_phantom_bytes(inject.bytes);
-    faults_->count_overload_inject(inject.bytes);
-    obs::record_event(
-        obs::EventKind::kFaultVerdict, -1, -1,
-        static_cast<int64_t>(obs::EventFaultSite::kPhantomBytes),
-        static_cast<int64_t>(inject.bytes), clock_.seconds());
-    HIA_LOG_WARN("staging",
-                 "fault plan injected %zu phantom queue bytes at step %ld",
-                 inject.bytes, step);
-  }
-  for (size_t i = 0; i < cfg.credit_starves.size(); ++i) {
-    const auto& starve = cfg.credit_starves[i];
-    if (starve_fired_[i] || step < starve.step) continue;
-    starve_fired_[i] = true;
-    overload_->starve_credits(starve.credits);
-    faults_->count_credit_starve(starve.credits);
-    obs::record_event(
-        obs::EventKind::kFaultVerdict, -1, -1,
-        static_cast<int64_t>(obs::EventFaultSite::kCreditStarve),
-        starve.credits, clock_.seconds());
-    HIA_LOG_WARN("staging",
-                 "fault plan confiscated %d admission credits at step %ld",
-                 starve.credits, step);
-  }
-  for (size_t i = 0; i < cfg.tenant_hogs.size(); ++i) {
-    const auto& hog = cfg.tenant_hogs[i];
-    if (hog_fired_[i] || step < hog.step) continue;
-    hog_fired_[i] = true;
-    // The burst raises the shared pressure signal like any rogue producer,
-    // but the bytes are *attributed*: the hog tenant's ledger carries them.
-    overload_->inject_phantom_bytes(hog.bytes);
-    tallies_[hog.tenant].hog_bytes += hog.bytes;
-    faults_->count_tenant_hog(hog.bytes);
-    obs::record_event(
-        obs::EventKind::kFaultVerdict, hog.tenant, -1,
-        static_cast<int64_t>(obs::EventFaultSite::kPhantomBytes),
-        static_cast<int64_t>(hog.bytes), clock_.seconds());
-    HIA_LOG_WARN("staging",
-                 "tenant %d hogged %zu phantom queue bytes at step %ld",
-                 hog.tenant, hog.bytes, step);
+void StagingService::fire_scripted_locked(long step) {
+  if (faults_ == nullptr) return;
+  using Kind = ScriptedEvent::Kind;
+  const std::vector<ScriptedEvent>& timeline = faults_->config().scripted;
+  // A `continue` below consumes an event without effect: it is not counted.
+  for (; scripted_next_ < timeline.size() &&
+         timeline[scripted_next_].step <= step;
+       ++scripted_next_) {
+    const ScriptedEvent& e = timeline[scripted_next_];
+    const double now = clock_.seconds();
+    switch (e.kind) {
+      case Kind::kKillBucket:
+      case Kind::kCrashBucket: {
+        // A kill retires the bucket gracefully: it finishes its current
+        // task first. A crash yanks it mid-task with no drain; its
+        // in-flight assignment is left to the lease machinery.
+        const bool crash = e.kind == Kind::kCrashBucket;
+        if (e.target >= static_cast<int>(buckets_.size())) {
+          HIA_LOG_WARN("staging",
+                       "fault plan stops bucket %d but only %zu exist; "
+                       "ignored",
+                       e.target, buckets_.size());
+          continue;
+        }
+        Bucket& bucket = buckets_[static_cast<size_t>(e.target)];
+        if (bucket.dead) continue;  // already killed, crashed or retired
+        bucket.dead = true;
+        bucket.crashed = crash;
+        --live_buckets_;
+        std::erase(free_buckets_, e.target);
+        obs::counter(crash ? "staging_buckets_crashed"
+                           : "staging_buckets_killed")
+            .add(1);
+        obs::record_event(
+            obs::EventKind::kFaultVerdict, -1, e.target,
+            static_cast<int64_t>(crash ? obs::EventFaultSite::kBucketCrash
+                                       : obs::EventFaultSite::kBucketKill),
+            e.target, now);
+        HIA_LOG_WARN("staging", "bucket %d %s at step %ld", e.target,
+                     crash ? "crashed ungracefully (no drain)"
+                           : "killed by fault plan",
+                     step);
+        break;
+      }
+      case Kind::kCrashServer: {
+        if (e.target >= store_.num_servers()) {
+          HIA_LOG_WARN("staging",
+                       "fault plan crashes server %d but only %d exist; "
+                       "ignored",
+                       e.target, store_.num_servers());
+          continue;
+        }
+        const size_t lost = store_.crash_server(e.target);
+        obs::counter("staging_servers_crashed").add(1);
+        obs::record_event(
+            obs::EventKind::kFaultVerdict, -1, e.target,
+            static_cast<int64_t>(obs::EventFaultSite::kServerCrash),
+            static_cast<int64_t>(lost), now);
+        HIA_LOG_WARN("staging",
+                     "object-store server %d crashed at step %ld: %zu "
+                     "objects lost their last copy (%d servers live, "
+                     "replicas=%d)",
+                     e.target, step, lost, store_.live_servers(),
+                     store_.replicas());
+        break;
+      }
+      case Kind::kOverload:
+      case Kind::kTenantHog: {
+        if (overload_ == nullptr) continue;
+        // A hog's burst raises the shared pressure signal like any rogue
+        // producer, but its bytes are *attributed* to the hog's ledger.
+        const bool hog = e.kind == Kind::kTenantHog;
+        overload_->inject_phantom_bytes(e.amount);
+        if (hog) tallies_[e.target].hog_bytes += e.amount;
+        obs::record_event(
+            obs::EventKind::kFaultVerdict, hog ? e.target : -1, -1,
+            static_cast<int64_t>(obs::EventFaultSite::kPhantomBytes),
+            static_cast<int64_t>(e.amount), now);
+        if (hog) {
+          HIA_LOG_WARN("staging",
+                       "tenant %d hogged %llu phantom queue bytes at step %ld",
+                       e.target, static_cast<unsigned long long>(e.amount),
+                       step);
+        } else {
+          HIA_LOG_WARN("staging",
+                       "fault plan injected %llu phantom queue bytes at step "
+                       "%ld",
+                       static_cast<unsigned long long>(e.amount), step);
+        }
+        break;
+      }
+      case Kind::kCreditStarve:
+        if (overload_ == nullptr) continue;
+        overload_->starve_credits(static_cast<int>(e.amount));
+        obs::record_event(
+            obs::EventKind::kFaultVerdict, -1, -1,
+            static_cast<int64_t>(obs::EventFaultSite::kCreditStarve),
+            static_cast<int64_t>(e.amount), now);
+        HIA_LOG_WARN("staging",
+                     "fault plan confiscated %llu admission credits at step "
+                     "%ld",
+                     static_cast<unsigned long long>(e.amount), step);
+        break;
+    }
+    faults_->count_scripted(e);
   }
 }
 
@@ -438,7 +428,7 @@ StagingService::Assigned StagingService::admit_locked(InTransitTask task) {
   task.task_id = assigned.ticket.id;
   assigned.task = std::move(task);
   ++outstanding_;
-  if (queue_.fair_share()) ++tallies_[assigned.task.tenant].outstanding;
+  ++tallies_[assigned.task.tenant].outstanding;
   return assigned;
 }
 
@@ -464,46 +454,43 @@ void StagingService::finish_locked(Assigned& assigned, TaskRecord& record,
   records_.push_back(record);
   HIA_ASSERT(outstanding_ > 0);
   --outstanding_;
-  if (queue_.fair_share()) {
-    TenantTally& t = tallies_[record.tenant];
-    HIA_ASSERT(t.outstanding > 0);
-    --t.outstanding;
-  }
+  TenantTally& t = tallies_[record.tenant];
+  HIA_ASSERT(t.outstanding > 0);
+  --t.outstanding;
 }
 
-uint64_t StagingService::submit(InTransitTask task) {
-  uint64_t id = 0;
-  long step = task.step;
+uint64_t StagingService::submit(InTransitTask task, SubmitRoute route) {
+  const long step = task.step;
   const int tenant = task.tenant;
-  size_t bytes = 0;
   // Admission waits parked by this thread's publishes are charged to this
   // task (the credit-grant causal edge); drained even without a gate so a
   // stale accumulation can never leak into a later service's timeline.
   const double admit_wait_s = OverloadControl::take_thread_admission_wait();
-  double enqueue_vt = 0.0;
+  Ticket ticket;
   std::vector<Assigned> orphaned;
-  std::optional<Assigned> diverted;
-  bool tenant_capped = false;
+  // Steered or diverted: the task never competes for a bucket. It is
+  // still a submission for conservation purposes (outstanding_, records).
+  std::optional<Assigned> off_queue;
+  auto divert = TaskQueue::Divert::kNone;
   {
     std::lock_guard lock(mutex_);
     Assigned assigned = admit_locked(std::move(task));
-    apply_scripted_overload(step);
-    id = assigned.ticket.id;
-    bytes = assigned.ticket.bytes;
-    enqueue_vt = assigned.ticket.enqueue_time;
+    fire_scripted_locked(step);
+    ticket = assigned.ticket;
     // A diverted task goes straight to degrade/shed, never the queue:
     // queued bytes/depth never exceed a tenant cap or the hard wall.
-    const auto divert = queue_.would_divert(tenant, bytes);
-    tenant_capped = divert == TaskQueue::Divert::kTenantCap;
-    if (tenant_capped) ++tallies_[tenant].cap_diversions;
+    if (route == SubmitRoute::kQueue) {
+      divert = queue_.would_divert(tenant, ticket.bytes);
+    }
+    if (divert == TaskQueue::Divert::kTenantCap) {
+      ++tallies_[tenant].cap_diversions;
+    }
     if (divert == TaskQueue::Divert::kQueueWall) ++overload_diversions_;
-    if (divert != TaskQueue::Divert::kNone) {
-      diverted = std::move(assigned);
+    if (route != SubmitRoute::kQueue || divert != TaskQueue::Divert::kNone) {
+      off_queue = std::move(assigned);
     } else {
       enqueue_locked(std::move(assigned));
-      apply_scripted_kills(step);
     }
-    apply_scripted_crashes(step);
     // Staging capacity is gone: hand every queued task to degrade_or_shed,
     // outside the lock.
     if (live_buckets_ == 0) {
@@ -516,15 +503,17 @@ uint64_t StagingService::submit(InTransitTask task) {
   // match the task before this line runs, and assign must not precede
   // submit on the virtual timeline.
   obs::record_event(obs::EventKind::kTaskSubmit, tenant,
-                    static_cast<int>(step), static_cast<int64_t>(id),
-                    static_cast<int64_t>(bytes), enqueue_vt);
+                    static_cast<int>(step), static_cast<int64_t>(ticket.id),
+                    static_cast<int64_t>(ticket.bytes), ticket.enqueue_time);
   if (admit_wait_s > 0.0) {
     obs::record_event(obs::EventKind::kCreditGrant, tenant, -1,
-                      static_cast<int64_t>(id),
-                      static_cast<int64_t>(admit_wait_s * 1e6), enqueue_vt);
+                      static_cast<int64_t>(ticket.id),
+                      static_cast<int64_t>(admit_wait_s * 1e6),
+                      ticket.enqueue_time);
   }
   work_cv_.notify_all();
-  if (diverted.has_value()) {
+  if (divert != TaskQueue::Divert::kNone) {
+    const bool tenant_capped = divert == TaskQueue::Divert::kTenantCap;
     static obs::Counter& diversions = obs::counter("staging_overload_diversions");
     static obs::Counter& cap_diversions =
         obs::counter("staging_tenant_cap_diversions");
@@ -532,20 +521,29 @@ uint64_t StagingService::submit(InTransitTask task) {
     obs::instant("overload",
                  tenant_capped ? "tenant_cap_diverted" : "queue_diverted",
                  {.step = step,
-                  .bytes = static_cast<long long>(bytes),
+                  .bytes = static_cast<long long>(ticket.bytes),
                   .vtime = clock_.seconds()});
     HIA_LOG_WARN("staging",
                  "task %llu (%s, step %ld, tenant %d) diverted: %s exhausted",
-                 static_cast<unsigned long long>(id),
-                 diverted->task.analysis.c_str(), step, tenant,
+                 static_cast<unsigned long long>(ticket.id),
+                 off_queue->task.analysis.c_str(), step, tenant,
                  tenant_capped ? "tenant queue cap" : "queue budget");
-    degrade_or_shed(std::move(*diverted));
+  }
+  if (off_queue.has_value()) {
+    if (route == SubmitRoute::kFallback) {
+      run_task(-1, std::move(*off_queue), clock_.seconds(),
+               TaskOutcome::kDegraded);
+    } else if (route == SubmitRoute::kShed) {
+      shed_task(std::move(*off_queue));
+    } else {
+      degrade_or_shed(std::move(*off_queue));
+    }
   }
   for (Assigned& a : orphaned) degrade_or_shed(std::move(a));
   // Submits are one of the heartbeat's tick sources: renew live leases and
   // reclaim any whose owner just crashed (no-op unless crashes are scripted).
   heartbeat();
-  return id;
+  return ticket.id;
 }
 
 uint64_t StagingService::submit_for(const std::string& analysis, long step,
@@ -559,34 +557,7 @@ uint64_t StagingService::submit_for(const std::string& analysis, long step,
     auto descs = store_.take(var, step);
     task.inputs.insert(task.inputs.end(), descs.begin(), descs.end());
   }
-  if (route == SubmitRoute::kQueue) return submit(std::move(task));
-
-  // Steered off the queue: the task never competes for a bucket. It is
-  // still a submission for conservation purposes (outstanding_, records).
-  const double admit_wait_s = OverloadControl::take_thread_admission_wait();
-  Assigned assigned;
-  {
-    std::lock_guard lock(mutex_);
-    assigned = admit_locked(std::move(task));
-  }
-  const uint64_t id = assigned.ticket.id;
-  obs::record_event(obs::EventKind::kTaskSubmit, tenant,
-                    static_cast<int>(step), static_cast<int64_t>(id),
-                    static_cast<int64_t>(assigned.ticket.bytes),
-                    assigned.ticket.enqueue_time);
-  if (admit_wait_s > 0.0) {
-    obs::record_event(obs::EventKind::kCreditGrant, tenant, -1,
-                      static_cast<int64_t>(id),
-                      static_cast<int64_t>(admit_wait_s * 1e6),
-                      assigned.ticket.enqueue_time);
-  }
-  if (route == SubmitRoute::kFallback) {
-    run_task(-1, std::move(assigned), clock_.seconds(),
-             TaskOutcome::kDegraded);
-  } else {
-    shed_task(std::move(assigned));
-  }
-  return id;
+  return submit(std::move(task), route);
 }
 
 uint64_t StagingService::record_deferred(const std::string& analysis,
@@ -607,7 +578,7 @@ uint64_t StagingService::record_deferred(const std::string& analysis,
   }
   static obs::Counter& deferred = obs::counter("staging_tasks_deferred");
   deferred.add(1);
-  if (fair_share_enabled()) {
+  if (tenant > 0) {
     obs::counter("staging_tasks_deferred", {.tenant = tenant}).add(1);
   }
   // A deferral is a submission that terminates immediately: both events
@@ -673,10 +644,7 @@ std::vector<StagingService::TenantShare> StagingService::tenant_shares()
 }
 
 void StagingService::drain_tenant(int tenant) {
-  // Per-tenant tallies exist only once fair share is on; before that every
-  // task counts toward the global one alone.
   wait_drained([this, tenant] {
-    if (!queue_.fair_share()) return outstanding_ == 0;
     auto it = tallies_.find(tenant);
     return it == tallies_.end() || it->second.outstanding == 0;
   });
@@ -1002,7 +970,7 @@ void StagingService::shed_task(Assigned assigned) {
   // record and bumps an explicit counter — nothing disappears silently.
   static obs::Counter& dropped = obs::counter("staging_tasks_dropped");
   dropped.add(1);
-  if (fair_share_enabled()) {
+  if (assigned.task.tenant > 0) {
     obs::counter("staging_tasks_dropped", {.tenant = assigned.task.tenant})
         .add(1);
   }
@@ -1096,18 +1064,8 @@ void StagingService::run_task(int bucket_index, Assigned assigned,
     settle(assigned, clock_.seconds() - assign_time);
     // Phase split of the failed attempt's occupancy; kTaskRetry (recorded
     // by retry_task at a later clock read) ends the occupancy window.
-    const double fail_vt = clock_.seconds();
-    const double pull_wall = ctx.transfer_wall_seconds_;
-    obs::record_event(obs::EventKind::kTaskXfer, assigned.task.tenant,
-                      bucket_index,
-                      static_cast<int64_t>(assigned.task.task_id),
-                      static_cast<int64_t>(pull_wall * 1e6), fail_vt);
-    obs::record_event(obs::EventKind::kTaskWork, assigned.task.tenant,
-                      bucket_index,
-                      static_cast<int64_t>(assigned.task.task_id),
-                      static_cast<int64_t>(std::max(0.0, wall - pull_wall) *
-                                           1e6),
-                      fail_vt);
+    record_phase_split(assigned.task, bucket_index,
+                       ctx.transfer_wall_seconds_, wall, clock_.seconds());
     retry_task(bucket_index, std::move(assigned));
     return;
   }
@@ -1158,38 +1116,27 @@ void StagingService::run_task(int bucket_index, Assigned assigned,
       results_[record.task_id] = std::move(*ctx.result_);
     }
   }
-  const bool fair_share = fair_share_enabled();
+  // Labeled per-tenant series exist for stamped tenants only (ids from 1).
+  const bool labeled = record.tenant > 0;
   if (outcome == TaskOutcome::kDegraded) {
     static obs::Counter& degraded = obs::counter("staging_tasks_degraded");
     degraded.add(1);
-    if (fair_share) {
+    if (labeled) {
       obs::counter("staging_tasks_degraded", {.tenant = record.tenant})
           .add(1);
     }
   } else {
     static obs::Counter& completed = obs::counter("staging_tasks_completed");
     completed.add(1);
-    if (fair_share) {
+    if (labeled) {
       obs::counter("staging_tasks_completed", {.tenant = record.tenant})
           .add(1);
     }
   }
   // Transfer/compute split of this final attempt's occupancy, stamped at
-  // the terminal instant. Both are wall durations measured *inside* the
-  // [assign, complete] window, so transfer + compute <= occupancy and the
-  // remainder is the drain phase by construction.
-  {
-    const double pull_wall = ctx.transfer_wall_seconds_;
-    obs::record_event(obs::EventKind::kTaskXfer, record.tenant, record.bucket,
-                      static_cast<int64_t>(record.task_id),
-                      static_cast<int64_t>(pull_wall * 1e6),
-                      record.complete_time);
-    obs::record_event(obs::EventKind::kTaskWork, record.tenant, record.bucket,
-                      static_cast<int64_t>(record.task_id),
-                      static_cast<int64_t>(std::max(0.0, wall - pull_wall) *
-                                           1e6),
-                      record.complete_time);
-  }
+  // the terminal instant.
+  record_phase_split(assigned.task, bucket_index, ctx.transfer_wall_seconds_,
+                     wall, record.complete_time);
   obs::record_event(outcome == TaskOutcome::kDegraded
                         ? obs::EventKind::kTaskDegrade
                         : obs::EventKind::kTaskComplete,
@@ -1203,7 +1150,7 @@ void StagingService::run_task(int bucket_index, Assigned assigned,
   wait_h.record(record.assign_time - record.enqueue_time);
   compute_h.record(record.compute_seconds);
   turnaround_h.record(record.complete_time - record.enqueue_time);
-  if (fair_share) {
+  if (labeled) {
     // Per-tenant turnaround: the isolation metric the service drill and
     // the tenants ablation gate on (p99 per tenant under contention). A
     // labeled series per tenant, not a mangled name: the exporter renders

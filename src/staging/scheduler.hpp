@@ -66,7 +66,7 @@ namespace hia {
 class FaultPlan;
 class StagingService;
 
-/// How submit_for routes a task (what the steering policy decided).
+/// How submit routes a task (what the steering policy decided).
 enum class SubmitRoute {
   kQueue,     // normal in-transit path through the bucket queue
   kFallback,  // run immediately on the in-situ fallback executor (degraded)
@@ -162,16 +162,18 @@ class StagingService {
                          const Box3& box, const std::vector<double>& data,
                          const Codec* codec = nullptr, int tenant = 0);
 
-  /// Data-ready: queue an in-transit task. Returns the task id.
-  uint64_t submit(InTransitTask task);
+  /// Data-ready: queue an in-transit task. Returns the task id. `route`
+  /// is the steering policy's verdict: the default queues in-transit;
+  /// kFallback runs the task now on the in-situ fallback executor
+  /// (recorded kDegraded); kShed drops it loudly (inputs released,
+  /// recorded kShed). Every route counts as a submission and fires the
+  /// scripted fault events due at the task's step.
+  uint64_t submit(InTransitTask task, SubmitRoute route = SubmitRoute::kQueue);
 
   /// Convenience: build a task from every block of `variables` at `step`
   /// currently in the store (descriptors are *taken*: removed from the
-  /// store and owned by the task), then submit it. `route` is the steering
-  /// policy's verdict: the default queues in-transit (PR-4 behavior);
-  /// kFallback runs the task immediately on the in-situ fallback executor
-  /// (recorded kDegraded); kShed drops it loudly (inputs released,
-  /// recorded kShed). `tenant` stamps the task for fair-share accounting.
+  /// store and owned by the task), then submit it along `route`. `tenant`
+  /// stamps the task for fair-share accounting.
   uint64_t submit_for(const std::string& analysis, long step,
                       const std::vector<std::string>& variables,
                       SubmitRoute route = SubmitRoute::kQueue, int tenant = 0);
@@ -217,8 +219,6 @@ class StagingService {
   [[nodiscard]] bool fair_share_enabled() const;
 
   /// Blocks until every task submitted under `tenant` has completed.
-  /// Without a tenant policy (fair share off) tasks are not tallied per
-  /// tenant, so this waits for every outstanding task, like drain().
   void drain_tenant(int tenant);
 
   // ---- Elastic bucket pool ----
@@ -323,7 +323,8 @@ class StagingService {
     double expires_at = 0.0;  // task-clock deadline
   };
 
-  /// Per-tenant accounting beside the policy's ledger (guarded by mutex_).
+  /// Per-tenant accounting beside the policy's ledger, kept for every
+  /// tenant whether or not fair share is on (guarded by mutex_).
   struct TenantTally {
     uint64_t cap_diversions = 0;
     uint64_t hog_bytes = 0;
@@ -343,24 +344,18 @@ class StagingService {
   /// plan's RetryPolicy.
   void degrade_or_shed(Assigned assigned);
   void shed_task(Assigned assigned);
-  /// Scripted kills due at `step` retire their buckets (the caller drains
-  /// the queue when the last live bucket goes). Requires mutex_.
-  void apply_scripted_kills(long step);
-  /// Scripted crashes due at `step`: buckets die ungracefully (no drain —
-  /// recovery happens via lease expiry) and object-store servers are
-  /// seized. Requires mutex_.
-  void apply_scripted_crashes(long step);
   /// Fences a finished attempt against the task's current epoch. Returns
   /// true when the attempt is a stale zombie (its lease already expired
   /// and the task was reclaimed): the caller must drop every side effect.
   /// On false the attempt is current and its lease is released.
   bool zombie_fenced(const Assigned& assigned, int bucket_index);
-  /// Scripted overload/credit-starve events due at `step` fire into the
-  /// overload control (once each). Requires mutex_.
-  void apply_scripted_overload(long step);
   // The *_locked helpers require mutex_.
   /// Registers a submission: id, ticket, outstanding tallies.
   Assigned admit_locked(InTransitTask task);
+  /// Fires, in timeline order, every scripted event due at `step` that
+  /// has not fired yet (the caller drains the queue when the last live
+  /// bucket goes).
+  void fire_scripted_locked(long step);
   /// Terminal bookkeeping: fills `record` from `assigned`, settles the
   /// attempt with `busy_s` of bucket time, stores the record.
   void finish_locked(Assigned& assigned, TaskRecord& record, double busy_s);
@@ -395,10 +390,7 @@ class StagingService {
   uint64_t next_task_id_ = 1;
   size_t outstanding_ = 0;
   uint64_t overload_diversions_ = 0;  // hard-budget diversions (mutex_)
-  std::vector<bool> overload_fired_;  // scripted overload events (mutex_)
-  std::vector<bool> starve_fired_;    // scripted credit-starves (mutex_)
-  std::vector<bool> hog_fired_;       // scripted tenant-hogs (mutex_)
-  std::vector<bool> server_crash_fired_;  // scripted server crashes (mutex_)
+  size_t scripted_next_ = 0;  // first unfired scripted event (mutex_)
   // ---- Crash recovery (guarded by mutex_ unless atomic) ----
   /// Lease bookkeeping is active only when the plan scripts bucket crashes
   /// (set once in the ctor), keeping the crash-free hot path unchanged.

@@ -79,6 +79,21 @@ template <typename T>
   return true;
 }
 
+/// Parses a duration in seconds: one plain number, finite and inside
+/// [0, 1e6]. Returns false, leaving `*out` alone, otherwise. The bound
+/// keeps every accepted value convertible to a std::chrono duration's
+/// integer ticks (sleep_for, wait_for), where an infinite or huge double
+/// is undefined behaviour.
+[[nodiscard]] inline bool parse_seconds(const std::string& text,
+                                        double* out) {
+  if (text.empty()) return false;
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (*end != '\0' || !(value >= 0.0 && value <= 1e6)) return false;
+  *out = value;
+  return true;
+}
+
 /// Parses a count (a parse_scaled number) into an integer field. Returns
 /// false, leaving `*out` alone, unless the value is whole and inside
 /// [min, max of T]: the checks a bare static_cast from double skips (an

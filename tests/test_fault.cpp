@@ -20,11 +20,22 @@
 #include "staging/scheduler.hpp"
 #include "transport/dart.hpp"
 #include "util/crc32.hpp"
+#include "util/log.hpp"
 
 namespace hia {
 namespace {
 
 // ---- Spec parsing ----
+
+// The scripted events of one kind, in timeline order.
+std::vector<ScriptedEvent> events_of(const FaultPlanConfig& cfg,
+                                     ScriptedEvent::Kind kind) {
+  std::vector<ScriptedEvent> out;
+  for (const ScriptedEvent& e : cfg.scripted) {
+    if (e.kind == kind) out.push_back(e);
+  }
+  return out;
+}
 
 TEST(FaultSpec, ParsesEveryDirective) {
   const FaultPlanConfig cfg = FaultPlan::parse_spec(
@@ -39,18 +50,21 @@ TEST(FaultSpec, ParsesEveryDirective) {
   EXPECT_DOUBLE_EQ(cfg.retry.task_timeout_s, 0.006);
   EXPECT_DOUBLE_EQ(cfg.worker_stall_prob, 0.7);
   EXPECT_DOUBLE_EQ(cfg.worker_stall_s, 0.008);
-  ASSERT_EQ(cfg.bucket_kills.size(), 1u);
-  EXPECT_EQ(cfg.bucket_kills[0].bucket, 2);
-  EXPECT_EQ(cfg.bucket_kills[0].step, 9);
+  const auto kills = events_of(cfg, ScriptedEvent::Kind::kKillBucket);
+  ASSERT_EQ(kills.size(), 1u);
+  EXPECT_EQ(kills[0].target, 2);
+  EXPECT_EQ(kills[0].step, 9);
   ASSERT_EQ(cfg.bucket_slowdowns.size(), 1u);
   EXPECT_EQ(cfg.bucket_slowdowns[0].bucket, 1);
   EXPECT_DOUBLE_EQ(cfg.bucket_slowdowns[0].factor, 3.5);
-  ASSERT_EQ(cfg.bucket_crashes.size(), 1u);
-  EXPECT_EQ(cfg.bucket_crashes[0].bucket, 3);
-  EXPECT_EQ(cfg.bucket_crashes[0].step, 7);
-  ASSERT_EQ(cfg.server_crashes.size(), 1u);
-  EXPECT_EQ(cfg.server_crashes[0].server, 1);
-  EXPECT_EQ(cfg.server_crashes[0].step, 4);
+  const auto crashes = events_of(cfg, ScriptedEvent::Kind::kCrashBucket);
+  ASSERT_EQ(crashes.size(), 1u);
+  EXPECT_EQ(crashes[0].target, 3);
+  EXPECT_EQ(crashes[0].step, 7);
+  const auto servers = events_of(cfg, ScriptedEvent::Kind::kCrashServer);
+  ASSERT_EQ(servers.size(), 1u);
+  EXPECT_EQ(servers[0].target, 1);
+  EXPECT_EQ(servers[0].step, 4);
   EXPECT_EQ(cfg.retry.max_task_attempts, 6);
   EXPECT_DOUBLE_EQ(cfg.retry.backoff_base_s, 0.001);
   EXPECT_DOUBLE_EQ(cfg.retry.backoff_cap_s, 0.05);
@@ -370,6 +384,104 @@ TEST(FaultStaging, TotalWipeoutDegradesEverything) {
     EXPECT_EQ(r.outcome, TaskOutcome::kDegraded);
     EXPECT_EQ(r.bucket, -1);
   }
+}
+
+// ---- The scripted timeline ----
+
+TEST(FaultStaging, KillDueOnDivertedSubmissionFires) {
+  // A queue budget smaller than one task's inputs diverts the task; the
+  // kill due at its step fires all the same.
+  FaultPlan plan(FaultPlan::parse_spec("kill-bucket=1@3"));
+  OverloadControl ctrl(OverloadConfig::parse_spec("queue-bytes=8"));
+  NetworkModel net;
+  Dart dart(net);
+  StagingService::Options opts{1, 2, &plan};
+  opts.overload = &ctrl;
+  StagingService service(dart, opts);
+  service.register_handler("work", [](TaskContext&) {});
+  const int sim = dart.register_node("sim");
+  service.publish(sim, "x", 3, Box3{{0, 0, 0}, {2, 1, 1}}, {1.0, 2.0});
+  service.submit_for("work", 3, {"x"});
+  service.drain();
+
+  EXPECT_EQ(service.overload_diversions(), 1u);
+  EXPECT_EQ(plan.stats().buckets_killed, 1u);
+  EXPECT_EQ(service.live_bucket_count(), 1);
+  const auto records = service.records();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].outcome, TaskOutcome::kDegraded);
+}
+
+TEST(FaultStaging, RepeatedKillOfOneBucketFiresOnce) {
+  FaultedService f("kill-bucket=1@2,kill-bucket=1@4", 2);
+  f.service->register_handler("work", [](TaskContext&) {});
+  for (int t = 0; t < 6; ++t) {
+    f.service->submit(InTransitTask{"work", t, {}, 0});
+  }
+  f.service->drain();
+
+  EXPECT_EQ(f.plan.stats().buckets_killed, 1u);
+  EXPECT_EQ(f.service->live_bucket_count(), 1);
+  EXPECT_EQ(f.service->records().size(), 6u);
+}
+
+TEST(FaultStaging, MissingTargetsWarnAndCountZero) {
+  std::mutex mu;
+  std::vector<std::string> lines;
+  log::set_sink([&](const std::string& line) {
+    std::lock_guard lock(mu);
+    lines.push_back(line);
+  });
+  {
+    FaultedService f("kill-bucket=5@0,crash-bucket=7@1,crash-server=9@1", 2);
+    f.service->register_handler("work", [](TaskContext&) {});
+    for (int t = 0; t < 3; ++t) {
+      f.service->submit(InTransitTask{"work", t, {}, 0});
+    }
+    f.service->drain();
+
+    const FaultStats stats = f.plan.stats();
+    EXPECT_EQ(stats.buckets_killed, 0u);
+    EXPECT_EQ(stats.buckets_crashed, 0u);
+    EXPECT_EQ(stats.servers_crashed, 0u);
+    EXPECT_EQ(f.service->live_bucket_count(), 2);
+    for (const TaskRecord& r : f.service->records()) {
+      EXPECT_EQ(r.outcome, TaskOutcome::kCompleted);
+    }
+  }
+  log::set_sink(nullptr);
+  int ignored = 0;
+  for (const std::string& line : lines) {
+    if (line.find("ignored") != std::string::npos) ++ignored;
+  }
+  EXPECT_EQ(ignored, 3);
+}
+
+TEST(FaultStaging, EventsDueAtOneStepFireInSpecOrder) {
+  // Kill and crash name one bucket at one step: the first in the spec
+  // takes the bucket, the second finds it dead and does nothing.
+  for (const bool crash_first : {true, false}) {
+    FaultedService f(crash_first ? "crash-bucket=0@2,kill-bucket=0@2"
+                                 : "kill-bucket=0@2,crash-bucket=0@2",
+                     2);
+    f.service->register_handler("work", [](TaskContext&) {});
+    for (int t = 0; t < 4; ++t) {
+      f.service->submit(InTransitTask{"work", t, {}, 0});
+    }
+    f.service->drain();
+    EXPECT_EQ(f.plan.stats().buckets_crashed, crash_first ? 1u : 0u);
+    EXPECT_EQ(f.plan.stats().buckets_killed, crash_first ? 0u : 1u);
+    EXPECT_EQ(f.service->records().size(), 4u);
+  }
+  // The timeline is sorted by step, stably: spec order breaks ties.
+  const FaultPlan plan(FaultPlan::parse_spec(
+      "kill-bucket=1@5,overload=1k@2,crash-server=0@5,credit-starve=1@2"));
+  const auto& timeline = plan.config().scripted;
+  ASSERT_EQ(timeline.size(), 4u);
+  EXPECT_EQ(timeline[0].kind, ScriptedEvent::Kind::kOverload);
+  EXPECT_EQ(timeline[1].kind, ScriptedEvent::Kind::kCreditStarve);
+  EXPECT_EQ(timeline[2].kind, ScriptedEvent::Kind::kKillBucket);
+  EXPECT_EQ(timeline[3].kind, ScriptedEvent::Kind::kCrashServer);
 }
 
 // ---- Ungraceful crashes: leases, epoch fencing, replication ----

@@ -277,22 +277,28 @@ std::optional<double> accepted(F&& parse) {
   }
 }
 
+// One field of a grammar: parses a spec and returns what the field holds.
+using Parse = std::function<std::optional<double>(const std::string&)>;
+
+template <typename F>
+Parse overload(F field) {
+  return [field](const std::string& spec) {
+    return accepted([&] {
+      return static_cast<double>(field(OverloadConfig::parse_spec(spec)));
+    });
+  };
+}
+
+template <typename F>
+Parse faults(F field) {
+  return [field](const std::string& spec) {
+    return accepted([&] {
+      return static_cast<double>(field(FaultPlan::parse_spec(spec)));
+    });
+  };
+}
+
 TEST(SpecGrammars, CountFieldsFailOnlyWithAnErrorAndStayInRange) {
-  using Parse = std::function<std::optional<double>(const std::string&)>;
-  auto overload = [](auto field) -> Parse {
-    return [field](const std::string& spec) {
-      return accepted([&] {
-        return static_cast<double>(field(OverloadConfig::parse_spec(spec)));
-      });
-    };
-  };
-  auto faults = [](auto field) -> Parse {
-    return [field](const std::string& spec) {
-      return accepted([&] {
-        return static_cast<double>(field(FaultPlan::parse_spec(spec)));
-      });
-    };
-  };
   auto plan = [](auto field) -> Parse {
     return [field](const std::string& spec) -> std::optional<double> {
       planner::Scenario sc;
@@ -314,19 +320,19 @@ TEST(SpecGrammars, CountFieldsFailOnlyWithAnErrorAndStayInRange) {
       {"queue-bytes=1,defer-max=#",
        overload([](const OverloadConfig& c) { return c.max_defers; })},
       {"kill-bucket=#@1", faults([](const FaultPlanConfig& c) {
-         return c.bucket_kills.at(0).bucket;
+         return c.scripted.at(0).target;
        })},
       {"kill-bucket=1@#", faults([](const FaultPlanConfig& c) {
-         return c.bucket_kills.at(0).step;
+         return c.scripted.at(0).step;
        })},
       {"overload=#@1", faults([](const FaultPlanConfig& c) {
-         return c.overload_injects.at(0).bytes;
+         return c.scripted.at(0).amount;
        })},
       {"credit-starve=#@1", faults([](const FaultPlanConfig& c) {
-         return c.credit_starves.at(0).credits;
+         return c.scripted.at(0).amount;
        })},
       {"tenant-hog=1:#@2", faults([](const FaultPlanConfig& c) {
-         return c.tenant_hogs.at(0).bytes;
+         return c.scripted.at(0).amount;
        })},
       {"attempts=#", faults([](const FaultPlanConfig& c) {
          return c.retry.max_task_attempts;
@@ -355,6 +361,82 @@ TEST(SpecGrammars, CountFieldsFailOnlyWithAnErrorAndStayInRange) {
     EXPECT_GE(*got, 0.0) << spec;
   }
   EXPECT_GT(accepted_count, 100u);  // the sweep reaches the accepting path
+}
+
+// Text for a seconds, probability or factor field: the count drafts plus
+// values past a chrono duration's range and odd float spellings.
+std::string random_real_text(SplitMix64& rng) {
+  static const char* const kSpecial[] = {
+      "inf", "-inf", "nan", "-nan", "1e999", "1e300", "0x1p2000", "1e6",
+      "1000000.5", "999999.99", "1e-320", "0x1p-3", "0.5", "1", ".25", "1.",
+      "1e", "0.5s", " 1", "1 ", "+0.25", "-0"};
+  const uint64_t draw = rng.next();
+  if (draw % 4 == 0) return kSpecial[(draw >> 8) % std::size(kSpecial)];
+  return random_count_text(rng);
+}
+
+TEST(SpecGrammars, RealFieldsFailOnlyWithAnErrorAndStayInRange) {
+  struct Field {
+    const char* pattern;  // '#' marks where the drawn text goes
+    Parse parse;
+    double lo, hi;  // the accepted range, inclusive
+  };
+  const std::vector<Field> fields = {
+      {"drop=#", faults([](const FaultPlanConfig& c) { return c.frame_drop_prob; }), 0, 1},
+      {"corrupt=#", faults([](const FaultPlanConfig& c) { return c.frame_corrupt_prob; }), 0, 1},
+      {"delay=#", faults([](const FaultPlanConfig& c) { return c.frame_delay_prob; }), 0, 1},
+      {"delay=0.5:#", faults([](const FaultPlanConfig& c) { return c.frame_delay_s; }), 0, 1e6},
+      {"task-fail=#", faults([](const FaultPlanConfig& c) { return c.task_fail_prob; }), 0, 1},
+      {"task-fail=0.1:#", faults([](const FaultPlanConfig& c) { return c.retry.task_timeout_s; }), 0, 1e6},
+      {"stall=#", faults([](const FaultPlanConfig& c) { return c.worker_stall_prob; }), 0, 1},
+      {"stall=0.5:#", faults([](const FaultPlanConfig& c) { return c.worker_stall_s; }), 0, 1e6},
+      {"slow-bucket=0:#", faults([](const FaultPlanConfig& c) { return c.bucket_slowdowns.at(0).factor; }), 1, 1e6},
+      {"backoff=#:1e6", faults([](const FaultPlanConfig& c) { return c.retry.backoff_base_s; }), 0, 1e6},
+      {"backoff=1e-3:#", faults([](const FaultPlanConfig& c) { return c.retry.backoff_cap_s; }), 1e-3, 1e6},
+      {"low=#", overload([](const OverloadConfig& c) { return c.low_watermark; }), 0, 0.9},
+      {"high=#", overload([](const OverloadConfig& c) { return c.high_watermark; }), 0.5, 1},
+      {"admit-wait=#", overload([](const OverloadConfig& c) { return c.admit_max_wait_s; }), 0, 1e6},
+  };
+
+  SplitMix64 rng(0x5ec0dd5);
+  size_t accepted_count = 0;
+  for (int iter = 0; iter < 6000; ++iter) {
+    const Field& field = fields[static_cast<size_t>(iter) % fields.size()];
+    const std::string text = random_real_text(rng);
+    std::string spec = field.pattern;
+    spec.replace(spec.find('#'), 1, text);
+    const std::optional<double> got = field.parse(spec);
+    if (!got.has_value()) continue;
+    ++accepted_count;
+    // Accepted means the field holds the finite, in-range number written.
+    EXPECT_TRUE(std::isfinite(*got)) << spec;
+    EXPECT_GE(*got, field.lo) << spec;
+    EXPECT_LE(*got, field.hi) << spec;
+    // An empty optional field (delay=P:) keeps its default.
+    if (!text.empty()) {
+      EXPECT_EQ(*got, std::strtod(text.c_str(), nullptr)) << spec;
+    }
+  }
+  EXPECT_GT(accepted_count, 100u);  // the sweep reaches the accepting path
+
+  // Durations a chrono conversion cannot hold, and non-numbers.
+  for (const char* spec :
+       {"task-fail=0.1:inf", "task-fail=0.1:0x1p2000", "slow-bucket=0:inf",
+        "delay=0.5:1e999", "stall=0.5:1e300", "task-fail=0.1:nan",
+        "slow-bucket=0:nan", "backoff=0.001:inf", "drop=nan"}) {
+    EXPECT_THROW(FaultPlan::parse_spec(spec), Error) << spec;
+  }
+  for (const char* spec : {"admit-wait=inf", "admit-wait=1e300",
+                           "admit-wait=nan", "low=nan", "high=inf"}) {
+    EXPECT_THROW(OverloadConfig::parse_spec(spec), Error) << spec;
+  }
+  // A NaN timeout is a bad number, not a negative one.
+  try {
+    (void)FaultPlan::parse_spec("task-fail=0.1:nan");
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()).find("negative"), std::string::npos)
+        << e.what();
+  }
 }
 
 // One decoder that an in-transit stage runs on pulled (peer-controlled)

@@ -291,10 +291,11 @@ TEST_F(ServiceTest, ScriptedTenantHogChargesTheNamedTenant) {
 
 TEST(FaultSpec, TenantHogParseAndReject) {
   const FaultPlanConfig cfg = FaultPlan::parse_spec("tenant-hog=3:65536@5");
-  ASSERT_EQ(cfg.tenant_hogs.size(), 1u);
-  EXPECT_EQ(cfg.tenant_hogs[0].tenant, 3);
-  EXPECT_EQ(cfg.tenant_hogs[0].bytes, 65536u);
-  EXPECT_EQ(cfg.tenant_hogs[0].step, 5);
+  ASSERT_EQ(cfg.scripted.size(), 1u);
+  EXPECT_EQ(cfg.scripted[0].kind, ScriptedEvent::Kind::kTenantHog);
+  EXPECT_EQ(cfg.scripted[0].target, 3);
+  EXPECT_EQ(cfg.scripted[0].amount, 65536u);
+  EXPECT_EQ(cfg.scripted[0].step, 5);
   EXPECT_THROW(FaultPlan::parse_spec("tenant-hog=3"), Error);
   EXPECT_THROW(FaultPlan::parse_spec("tenant-hog=-1:65536@5"), Error);
   EXPECT_THROW(FaultPlan::parse_spec("tenant-hog=3:0@5"), Error);

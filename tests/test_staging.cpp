@@ -194,9 +194,8 @@ TEST_F(StagingTest, HandlerFailureDoesNotWedgeService) {
   EXPECT_EQ(dart_.num_published(), 0u);  // released even on failure
 }
 
-// Without a tenant policy the scheduler keeps no per-tenant tally, so
-// drain_tenant must fall back to the global one rather than return while
-// the task is still in flight.
+// The scheduler tallies every tenant, policy or not, so drain_tenant waits
+// for an in-flight task even when no tenant policy was ever set.
 TEST_F(StagingTest, DrainTenantWaitsWithoutTenantPolicy) {
   StagingService service(dart_, {1, 1});
   service.register_handler("slow", [](TaskContext&) {
