@@ -37,7 +37,9 @@
 #   5. doc hygiene: ci/check_docs.sh — markdown relative links resolve,
 #      every --flag the docs mention exists in hia_campaign or hia_plan
 #      --help (or is allowlisted as another tool's flag), every hia_plan
-#      flag is documented, and every tool in tools/ has a docs section
+#      flag is documented, the --faults and --overload directives in
+#      docs/FAILURE_MODEL.md's tables match the ones --help lists, and
+#      every tool in tools/ has a docs section
 #   6. perf baselines: bench_fig5_scheduler's, bench_ablate_overload's,
 #      and bench_ablate_tenants's RunSummaries diffed against
 #      bench/baselines/ by tools/bench_diff — nonzero exit on drift past

@@ -17,7 +17,11 @@
 #      lists must appear in the docs, and every documented hia_plan flag
 #      must exist in --help (the planner handbook is the operator's only
 #      interface to the replay engine).
-#   5. Every tool in tools/ must have a docs section: a markdown heading
+#   5. The `--faults` and `--overload` directives listed in
+#      docs/FAILURE_MODEL.md's two directive tables and in the
+#      "(directives: ...)" notes of `hia_campaign --help` must be the same
+#      two sets, so a directive the parser drops cannot linger in the docs.
+#   6. Every tool in tools/ must have a docs section: a markdown heading
 #      naming the tool somewhere in README.md or docs/.
 #
 #   ci/check_docs.sh [path/to/hia_campaign] [path/to/hia_plan]
@@ -125,6 +129,52 @@ while IFS= read -r flag; do
     fail=1
   fi
 done <<<"$plan_flags"
+
+echo "--- --faults / --overload directives: FAILURE_MODEL.md vs --help"
+# The directives in the "(directives: a/b/...;" note of option $1's help
+# entry; the note may wrap across help lines.
+help_directives() {
+  awk -v opt="$1" '
+    $1 == opt { on = 1 }
+    on && $1 ~ /^--/ && $1 != opt { exit }
+    on { text = text $0 }
+    END {
+      gsub(/[ \t]/, "", text)
+      if (!sub(/.*\(directives:/, "", text)) exit
+      sub(/[;)].*/, "", text)
+      n = split(text, names, "/")
+      for (i = 1; i <= n; i++) print names[i]
+    }' <<<"$help_text" | sort -u
+}
+# The directive names in the first column of the FAILURE_MODEL.md table
+# whose header ends in column $1 (a cell may name several: `low=F`,
+# `high=F`).
+doc_directives() {
+  awk -F'|' -v last=" $1 " '
+    /^\| Directive \|/ { on = ($4 == last); next }
+    !/^\|/ { on = 0 }
+    on {
+      cell = $2
+      while (match(cell, /`[a-z][a-z-]*/)) {
+        print substr(cell, RSTART + 1, RLENGTH - 1)
+        cell = substr(cell, RSTART + RLENGTH)
+      }
+    }' docs/FAILURE_MODEL.md | sort -u
+}
+for pair in "--faults:Default knobs" "--overload:Default"; do
+  opt="${pair%%:*}"
+  in_help="$(help_directives "$opt")"
+  in_docs="$(doc_directives "${pair#*:}")"
+  if [[ -z "$in_help" || -z "$in_docs" ]]; then
+    echo "DIRECTIVES: could not read the $opt directives from --help or" \
+      "docs/FAILURE_MODEL.md" >&2
+    fail=1
+  elif [[ "$in_help" != "$in_docs" ]]; then
+    echo "DIRECTIVES: $opt lists differ (< --help only, > docs only):" >&2
+    diff <(echo "$in_help") <(echo "$in_docs") | grep '^[<>]' >&2 || true
+    fail=1
+  fi
+done
 
 echo "--- every tool has a docs section"
 # Each tools/*.cpp must be introduced by a markdown heading somewhere in

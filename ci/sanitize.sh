@@ -4,7 +4,7 @@
 #   ci/sanitize.sh           # ASan + UBSan over the full test suite
 #   ci/sanitize.sh asan      # same
 #   ci/sanitize.sh tsan      # ThreadSanitizer over the concurrency-heavy
-#                            # tests (tracer, pool, comm, dart, staging,
+#                            # tests (tracer, comm, dart, staging,
 #                            # the runner's rank loop)
 #
 # Any sanitizer report fails the run: -fno-sanitize-recover=all turns

@@ -114,7 +114,7 @@ bool parse_triple(const char* arg, int64_t out[3]) {
       "  --faults SPEC       fault-injection plan, comma-separated, e.g.\n"
       "                      drop=0.05,task-fail=0.1,crash-server=1@3\n"
       "                      (directives: drop/corrupt/delay/task-fail/\n"
-      "                      stall/kill-bucket/slow-bucket/crash-bucket/\n"
+      "                      kill-bucket/slow-bucket/crash-bucket/\n"
       "                      crash-server/overload/credit-starve/\n"
       "                      tenant-hog/attempts/backoff/shed/seed;\n"
       "                      crash-bucket=B@N and crash-server=S@N are\n"

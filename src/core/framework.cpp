@@ -29,9 +29,6 @@ StagingDeployment::StagingDeployment(const RunConfig& config)
     if (config.fault_seed != 0) plan.seed = config.fault_seed;
     faults_ = std::make_unique<FaultPlan>(plan);
     dart.faults = faults_.get();
-    // The thread pools inside analysis kernels are created ad hoc, so the
-    // plan reaches them through the process-wide hook.
-    install_worker_faults(faults_.get());
   }
   if (!config.overload.empty()) {
     OverloadConfig ocfg = OverloadConfig::parse_spec(config.overload);
@@ -54,7 +51,6 @@ StagingDeployment::~StagingDeployment() {
   // reverse dependency order before releasing it.
   staging_.reset();
   dart_.reset();
-  if (faults_ != nullptr) install_worker_faults(nullptr);
 }
 
 void StagingDeployment::add_ledger(ResilienceSummary& res) const {
@@ -74,7 +70,6 @@ void StagingDeployment::add_ledger(ResilienceSummary& res) const {
     res.frames_delayed = stats.frames_delayed;
     res.injected_delay_s = stats.injected_delay_s;
     res.tasks_failed = stats.tasks_failed;
-    res.worker_stalls = stats.worker_stalls;
     res.buckets_killed = stats.buckets_killed;
     res.buckets_crashed = stats.buckets_crashed;
     res.servers_crashed = stats.servers_crashed;

@@ -32,14 +32,13 @@ struct ResilienceSummary {
   uint64_t frames_delayed = 0;
   double injected_delay_s = 0.0;  // modeled seconds of injected frame delay
   uint64_t tasks_failed = 0;      // injected task-attempt timeouts
-  uint64_t worker_stalls = 0;
   uint64_t buckets_killed = 0;
-  // Crash recovery (ungraceful loss: leases, epochs, replication).
+  // Crash recovery (ungraceful loss: leases, fencing, replication).
   uint64_t buckets_crashed = 0;    // scripted ungraceful bucket deaths
   uint64_t servers_crashed = 0;    // scripted object-store server deaths
   uint64_t leases_expired = 0;     // reclaimed in-flight assignments
   uint64_t tasks_reexecuted = 0;   // reclaimed tasks requeued
-  uint64_t zombies_fenced = 0;     // stale-epoch completions dropped
+  uint64_t zombies_fenced = 0;     // completions of reclaimed attempts dropped
   uint64_t replicas_repaired = 0;  // copies re-inserted by read-repair
   uint64_t objects_lost = 0;       // objects whose last live copy died
 
@@ -61,7 +60,7 @@ struct ResilienceSummary {
     return tasks_degraded || tasks_shed || tasks_deferred || task_retries ||
            frame_retransmits || crc_failures || frames_dropped ||
            frames_corrupted || frames_delayed || tasks_failed ||
-           worker_stalls || buckets_killed || buckets_crashed ||
+           buckets_killed || buckets_crashed ||
            servers_crashed || leases_expired || tasks_reexecuted ||
            zombies_fenced || replicas_repaired || objects_lost ||
            steer_in_situ || steer_deferred || steer_shed ||

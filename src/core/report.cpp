@@ -99,7 +99,6 @@ std::string format_resilience(const ResilienceSummary& r) {
   count_row("frames delayed (injected)", r.frames_delayed);
   table.add_row({"injected frame delay (s)", fmt_fixed(r.injected_delay_s,
                                                        4)});
-  count_row("pool worker stalls", r.worker_stalls);
   if (r.steer_in_transit || r.steer_in_situ || r.steer_deferred ||
       r.steer_shed || r.overload_diversions || r.admission_overdrafts ||
       r.overload_bytes_injected || r.credits_starved) {

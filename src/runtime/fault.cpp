@@ -133,9 +133,6 @@ FaultPlanConfig FaultPlan::parse_spec(const std::string& spec) {
     } else if (name == "task-fail") {
       cfg.task_fail_prob = parse_prob(name, v0);
       if (!v1.empty()) cfg.retry.task_timeout_s = seconds_field(name, v1);
-    } else if (name == "stall") {
-      cfg.worker_stall_prob = parse_prob(name, v0);
-      if (!v1.empty()) cfg.worker_stall_s = seconds_field(name, v1);
     } else if (name == "slow-bucket") {
       HIA_REQUIRE(!v1.empty(), "--faults slow-bucket needs B:F (bucket:factor)");
       FaultPlanConfig::BucketSlow slow;
@@ -257,15 +254,6 @@ double FaultPlan::bucket_slow_factor(int bucket) const {
   return factor;
 }
 
-double FaultPlan::worker_stall_seconds(uint64_t seq) const {
-  if (config_.worker_stall_prob <= 0.0) return 0.0;
-  if (roll(FaultSite::kWorkerStall, seq) >= config_.worker_stall_prob) {
-    return 0.0;
-  }
-  worker_stalls_.fetch_add(1, std::memory_order_relaxed);
-  return config_.worker_stall_s;
-}
-
 FaultStats FaultPlan::stats() const {
   FaultStats s;
   s.frames_dropped = frames_dropped_.load(std::memory_order_relaxed);
@@ -275,7 +263,6 @@ FaultStats FaultPlan::stats() const {
       static_cast<double>(injected_delay_ns_.load(std::memory_order_relaxed)) *
       1e-9;
   s.tasks_failed = tasks_failed_.load(std::memory_order_relaxed);
-  s.worker_stalls = worker_stalls_.load(std::memory_order_relaxed);
   s.buckets_killed = buckets_killed_.load(std::memory_order_relaxed);
   s.buckets_crashed = buckets_crashed_.load(std::memory_order_relaxed);
   s.servers_crashed = servers_crashed_.load(std::memory_order_relaxed);
@@ -284,18 +271,6 @@ FaultStats FaultPlan::stats() const {
   s.credits_starved = credits_starved_.load(std::memory_order_relaxed);
   s.tenant_hog_bytes = tenant_hog_bytes_.load(std::memory_order_relaxed);
   return s;
-}
-
-namespace {
-std::atomic<const FaultPlan*> g_worker_faults{nullptr};
-}  // namespace
-
-void install_worker_faults(const FaultPlan* plan) {
-  g_worker_faults.store(plan, std::memory_order_release);
-}
-
-const FaultPlan* worker_faults() {
-  return g_worker_faults.load(std::memory_order_acquire);
 }
 
 }  // namespace hia

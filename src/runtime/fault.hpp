@@ -6,8 +6,7 @@
 //   * frame faults on the DART wire (drop, extra delay, corruption — the
 //     Gemini uGNI transient-error analogues),
 //   * staging-task failures (bucket timeout / staging-node OOM analogue),
-//   * a scripted timeline ("bucket B dies at step N") and slowdowns,
-//   * thread-pool worker stalls (OS jitter / noisy-neighbor analogue).
+//   * a scripted timeline ("bucket B dies at step N") and slowdowns.
 //
 // Determinism: every probabilistic decision is a *pure function* of
 // (seed, site, logical key) — a counter-based draw, not a shared-stream
@@ -36,7 +35,7 @@ enum class FaultSite : uint32_t {
   kFrameCorrupt = 3,
   kFrameCorruptByte = 4,  // which byte of the frame gets flipped
   kTaskFail = 5,
-  kWorkerStall = 6,
+  // Tag 6 is retired: the tags keep their values, so seeded draws hold.
   kBackoff = 7,  // jitter draws of the retry backoff schedule
 };
 
@@ -48,8 +47,8 @@ struct ScriptedEvent {
     kKillBucket,
     /// Bucket `target` dies ungracefully, mid-compute with no drain. Its
     /// in-flight task is stranded until the scheduler's lease expires,
-    /// then re-queued under a bumped attempt epoch; a late completion from
-    /// the dead bucket is fenced (see docs/FAILURE_MODEL.md).
+    /// then re-queued; the dead bucket no longer holds the attempt, so its
+    /// late completion is fenced (see docs/FAILURE_MODEL.md).
     kCrashBucket,
     /// Object-store server `target` dies ungracefully, with every
     /// descriptor it holds. Committed objects survive only via replication
@@ -101,10 +100,6 @@ struct FaultPlanConfig {
   // Staging-task failures (keyed by task id + attempt).
   double task_fail_prob = 0.0;
 
-  // Thread-pool worker stalls (keyed by global dequeue sequence).
-  double worker_stall_prob = 0.0;
-  double worker_stall_s = 1e-3;  // wall seconds the worker sleeps
-
   /// Scripted: bucket `bucket` computes `factor`x slower for the whole run.
   struct BucketSlow {
     int bucket = -1;
@@ -127,7 +122,6 @@ struct FaultStats {
   uint64_t frames_delayed = 0;
   double injected_delay_s = 0.0;  // sum of frame delays injected
   uint64_t tasks_failed = 0;      // injected task-attempt failures
-  uint64_t worker_stalls = 0;
   uint64_t buckets_killed = 0;
   uint64_t overload_bytes_injected = 0;  // scripted phantom queue bytes
   uint64_t credits_starved = 0;          // scripted confiscated credits
@@ -144,11 +138,10 @@ class FaultPlan {
   ///   delay=P[:S]         add S modeled seconds with probability P
   ///   task-fail=P[:T]     staging task attempt times out with probability P,
   ///                       occupying its bucket for T seconds (default 0)
-  ///   stall=P[:S]         thread-pool worker sleeps S s with probability P
   ///   kill-bucket=B@N     bucket B dies once step N is submitted
   ///   crash-bucket=B@N    bucket B dies *ungracefully* at step N: no drain,
   ///                       its in-flight task is reclaimed by lease expiry
-  ///                       and re-executed under a fenced attempt epoch
+  ///                       and re-executed; the late original is fenced
   ///   crash-server=S@N    object-store server S dies ungracefully at step
   ///                       N, taking its descriptor shard with it; survives
   ///                       only via --replicas (see object_store)
@@ -215,13 +208,6 @@ class FaultPlan {
   /// Compute-slowdown factor for `bucket` (1.0 = full speed).
   [[nodiscard]] double bucket_slow_factor(int bucket) const;
 
-  // ---- Thread-pool worker stalls ----
-
-  /// Seconds the caller should stall before running its next pool task
-  /// (0 = no stall). `seq` is any unique-ish sequence number; stalls are
-  /// i.i.d. so their distribution, not their placement, is what matters.
-  double worker_stall_seconds(uint64_t seq) const;
-
   [[nodiscard]] const RetryPolicy& retry() const { return config_.retry; }
   [[nodiscard]] const FaultPlanConfig& config() const { return config_; }
   [[nodiscard]] FaultStats stats() const;
@@ -234,7 +220,6 @@ class FaultPlan {
   mutable std::atomic<uint64_t> frames_delayed_{0};
   mutable std::atomic<uint64_t> injected_delay_ns_{0};
   mutable std::atomic<uint64_t> tasks_failed_{0};
-  mutable std::atomic<uint64_t> worker_stalls_{0};
   mutable std::atomic<uint64_t> buckets_killed_{0};
   mutable std::atomic<uint64_t> buckets_crashed_{0};
   mutable std::atomic<uint64_t> servers_crashed_{0};
@@ -242,17 +227,5 @@ class FaultPlan {
   mutable std::atomic<uint64_t> credits_starved_{0};
   mutable std::atomic<uint64_t> tenant_hog_bytes_{0};
 };
-
-// ---- Thread-pool hook ----
-//
-// The pool lives below the analysis kernels and is created ad hoc by them,
-// so the plan reaches it through a process-wide installation point instead
-// of plumbing (HybridRunner installs on construction, clears on
-// destruction).
-
-/// Installs `plan` as the pool-worker fault source (nullptr = off).
-void install_worker_faults(const FaultPlan* plan);
-/// Currently installed worker fault source (nullptr = off).
-const FaultPlan* worker_faults();
 
 }  // namespace hia

@@ -87,8 +87,8 @@ StagingService::StagingService(Dart& dart, Options options)
                    "fault plan scripts overload events but overload control "
                    "is off; they will not fire");
     }
-    // Lease bookkeeping costs one map insert per assignment; pay it only
-    // when the plan can actually crash a bucket.
+    // Lease bookkeeping copies every assignment; pay it only when the plan
+    // can actually crash a bucket.
     lease_tracking_ = faults_->scripts(Kind::kCrashBucket);
     if (faults_->scripts(Kind::kCrashServer) && store_.replicas() < 2) {
       HIA_LOG_WARN("staging",
@@ -97,7 +97,6 @@ StagingService::StagingService(Dart& dart, Options options)
                    store_.replicas());
     }
   }
-  slots_.resize(static_cast<size_t>(options.num_buckets));
   buckets_.resize(static_cast<size_t>(options.num_buckets));
   live_buckets_ = options.num_buckets;
   for (int b = 0; b < options.num_buckets; ++b) {
@@ -146,21 +145,23 @@ DataDescriptor StagingService::publish(int src_node,
 
 bool StagingService::zombie_fenced(const Assigned& assigned,
                                    int bucket_index) {
-  if (!lease_tracking_) return false;
+  if (!lease_tracking_ || bucket_index < 0) return false;
   {
     std::lock_guard lock(mutex_);
-    auto it = task_epoch_.find(assigned.task.task_id);
-    const int current = it == task_epoch_.end() ? 0 : it->second;
-    if (assigned.epoch == current) {
-      // The attempt is current: it finished under its lease; release it.
-      if (bucket_index >= 0) leases_.erase(bucket_index);
+    std::optional<Assigned>& running =
+        buckets_[static_cast<size_t>(bucket_index)].running;
+    if (running.has_value()) {
+      // The bucket still holds the attempt: it finished under its lease.
+      HIA_ASSERT(running->task.task_id == assigned.task.task_id);
+      running.reset();
       return false;
     }
   }
   // A presumed-dead bucket's thread came back with a finished attempt
-  // after the lease expired and the task was re-queued. Fence it: no
-  // settle, no record, no outstanding_ decrement, no handle release, no
-  // terminal event — the current epoch owns all of those, exactly once.
+  // after the heartbeat took it back and re-queued the task. A crashed
+  // bucket never gets new work, so it stays empty and the zombie stays
+  // fenced: no settle, no record, no outstanding_ decrement, no handle
+  // release, no terminal event — the re-execution owns all of those.
   zombies_fenced_.fetch_add(1, std::memory_order_relaxed);
   static obs::Counter& fenced = obs::counter("staging_zombies_fenced");
   fenced.add(1);
@@ -178,84 +179,69 @@ bool StagingService::zombie_fenced(const Assigned& assigned,
 
 void StagingService::heartbeat() {
   if (!lease_tracking_) return;
-  // (bucket, reclaimed assignment) pairs whose lease expired: the owner
+  // (bucket, reclaimed attempt) pairs whose lease expired: the owner
   // crashed mid-attempt, so these count as failed attempts and go through
   // the ordinary retry machinery (backoff + bucket avoidance).
-  std::vector<std::pair<int, Assigned>> reexec;
+  std::vector<std::pair<int, Assigned>> reclaimed;
   std::vector<Assigned> orphaned;
   bool requeued = false;
   {
     std::lock_guard lock(mutex_);
     const double now = clock_.seconds();
-    // The heartbeat tick: every live owner renews; only a crashed owner
-    // stops renewing, so only its lease can expire below.
-    for (auto& [b, lease] : leases_) {
-      if (!buckets_[static_cast<size_t>(b)].crashed) {
-        lease.expires_at = now + kLeaseS;
-      }
-    }
-    for (auto it = leases_.begin(); it != leases_.end();) {
-      const int b = it->first;
-      if (!buckets_[static_cast<size_t>(b)].crashed ||
-          now < it->second.expires_at) {
-        ++it;
+    for (size_t i = 0; i < buckets_.size(); ++i) {
+      Bucket& bucket = buckets_[i];
+      // The heartbeat tick: every live owner renews; only a crashed owner
+      // stops renewing, so only its lease can expire.
+      if (!bucket.crashed) {
+        bucket.lease_expires = now + kLeaseS;
         continue;
       }
-      Assigned a = std::move(it->second.assigned);
-      it = leases_.erase(it);
-      // Bump the task's epoch: from here on the crashed bucket's still-
-      // running attempt is a zombie and will be fenced at its next ledger
-      // touch. Entries are never erased (see task_epoch_).
-      a.epoch = ++task_epoch_[a.task.task_id];
-      queue_.settle(a.ticket, 0.0);  // the crashed attempt's charge is void
-      leases_expired_.fetch_add(1, std::memory_order_relaxed);
-      static obs::Counter& expired = obs::counter("staging_leases_expired");
-      expired.add(1);
-      obs::record_event(obs::EventKind::kLeaseExpire, a.task.tenant, b,
-                        static_cast<int64_t>(a.task.task_id), a.attempt, now);
-      HIA_LOG_WARN("staging",
-                   "lease on task %llu attempt %d expired: owner bucket %d "
-                   "crashed; reclaiming for re-execution",
-                   static_cast<unsigned long long>(a.task.task_id), a.attempt,
-                   b);
-      reexec.emplace_back(b, std::move(a));
-    }
-    // An assignment parked in a crashed bucket's slot was matched but never
-    // picked up: no attempt ran (no lease, no zombie), so it simply
-    // re-enters the queue as if the matcher had never chosen that bucket.
-    for (size_t b = 0; b < buckets_.size(); ++b) {
-      if (!buckets_[b].crashed || !slots_[b].has_value()) continue;
-      Assigned a = std::move(*slots_[b]);
-      slots_[b].reset();
-      queue_.settle(a.ticket, 0.0);  // drop the matcher's provisional charge
-      if (live_buckets_ == 0) {
-        orphaned.push_back(std::move(a));
-        continue;
+      const int b = static_cast<int>(i);
+      if (bucket.running.has_value() && now >= bucket.lease_expires) {
+        // Taking the attempt back fences the crashed bucket's still-
+        // running thread at its next ledger touch.
+        Assigned a = std::move(*bucket.running);
+        bucket.running.reset();
+        leases_expired_.fetch_add(1, std::memory_order_relaxed);
+        static obs::Counter& expired = obs::counter("staging_leases_expired");
+        expired.add(1);
+        obs::record_event(obs::EventKind::kLeaseExpire, a.task.tenant, b,
+                          static_cast<int64_t>(a.task.task_id), a.attempt,
+                          now);
+        HIA_LOG_WARN("staging",
+                     "lease on task %llu attempt %d expired: owner bucket %d "
+                     "crashed; reclaiming for re-execution",
+                     static_cast<unsigned long long>(a.task.task_id),
+                     a.attempt, b);
+        reclaimed.emplace_back(b, std::move(a));
       }
-      enqueue_locked(std::move(a));
-      requeued = true;
+      // A task parked in a crashed bucket's slot was matched but never
+      // picked up: no attempt ran (no lease, no zombie), so it simply
+      // re-enters the queue as if the matcher had never chosen that bucket.
+      if (bucket.slot.has_value()) {
+        Assigned a = std::move(*bucket.slot);
+        bucket.slot.reset();
+        queue_.settle(a.ticket, 0.0);  // drop the matcher's provisional charge
+        if (live_buckets_ == 0) {
+          orphaned.push_back(std::move(a));
+          continue;
+        }
+        enqueue_locked(std::move(a));
+        requeued = true;
+      }
     }
   }
-  for (auto& [b, a] : reexec) {
-    const RetryPolicy& retry = faults_->retry();
-    if (a.attempt < retry.max_task_attempts) {
+  for (auto& [b, a] : reclaimed) {
+    if (a.attempt < faults_->retry().max_task_attempts) {
       tasks_reexecuted_.fetch_add(1, std::memory_order_relaxed);
       static obs::Counter& reexecs = obs::counter("staging_task_reexecs");
       reexecs.add(1);
       obs::record_event(obs::EventKind::kTaskReexec, a.task.tenant, b,
                         static_cast<int64_t>(a.task.task_id), a.attempt + 1,
                         clock_.seconds());
-      retry_task(b, std::move(a));
-    } else {
-      // Attempt budget exhausted on the crashed attempt: close its
-      // occupancy window and fall back, exactly like an injected-fault
-      // attempt that ran out of retries.
-      obs::record_event(obs::EventKind::kBucketVacate, a.task.tenant, b,
-                        static_cast<int64_t>(a.task.task_id), a.attempt,
-                        clock_.seconds());
-      a.ticket.last_bucket = b;
-      degrade_or_shed(std::move(a));
     }
+    // The crashed attempt's charge is void: it settles no bucket time.
+    fail_attempt(b, std::move(a), 0.0);
   }
   for (Assigned& a : orphaned) degrade_or_shed(std::move(a));
   if (requeued) work_cv_.notify_all();
@@ -283,6 +269,13 @@ void record_phase_split(const InTransitTask& task, int bucket,
                                          1e6),
                     vt);
 }
+
+/// Counts one terminal outcome, plus its labeled per-tenant series for a
+/// stamped tenant (ids from 1).
+void count_terminal(const char* name, int tenant) {
+  obs::counter(name).add(1);
+  if (tenant > 0) obs::counter(name, {.tenant = tenant}).add(1);
+}
 }  // namespace
 
 void StagingService::enqueue_locked(Assigned assigned) {
@@ -302,11 +295,6 @@ StagingService::Assigned StagingService::dequeue_locked(const Ticket& ticket) {
   if (overload_ != nullptr) overload_->on_queue_remove(ticket.bytes);
   queue_depth().add(-1);
   return assigned;
-}
-
-void StagingService::settle(Assigned& assigned, double busy_s) {
-  std::lock_guard lock(mutex_);
-  queue_.settle(assigned.ticket, busy_s);
 }
 
 void StagingService::fire_scripted_locked(long step) {
@@ -576,11 +564,7 @@ uint64_t StagingService::record_deferred(const std::string& analysis,
     record.task_id = next_task_id_++;
     records_.push_back(record);
   }
-  static obs::Counter& deferred = obs::counter("staging_tasks_deferred");
-  deferred.add(1);
-  if (tenant > 0) {
-    obs::counter("staging_tasks_deferred", {.tenant = tenant}).add(1);
-  }
+  count_terminal("staging_tasks_deferred", tenant);
   // A deferral is a submission that terminates immediately: both events
   // are recorded so the per-tenant partition stays conserved.
   obs::record_event(obs::EventKind::kTaskSubmit, tenant,
@@ -656,7 +640,6 @@ int StagingService::add_bucket() {
   {
     std::lock_guard lock(mutex_);
     index = static_cast<int>(buckets_.size());
-    slots_.emplace_back();
     buckets_.emplace_back();
     buckets_.back().dart_node =
         dart_.register_node("bucket-" + std::to_string(index));
@@ -785,7 +768,7 @@ void StagingService::bucket_main(int bucket_index) {
         ++fb;
         continue;
       }
-      slots_[static_cast<size_t>(*fb)] = dequeue_locked(*picked);
+      buckets_[static_cast<size_t>(*fb)].slot = dequeue_locked(*picked);
       fb = free_buckets_.erase(fb);
     }
   };
@@ -801,7 +784,8 @@ void StagingService::bucket_main(int bucket_index) {
         // neither matched nor waited for, and the bucket sleeps for good.
         double now = clock_.seconds();
         match(now);
-        while (!stopping_ && !slots_[b].has_value() && !buckets_[b].dead) {
+        while (!stopping_ && !buckets_[b].slot.has_value() &&
+               !buckets_[b].dead) {
           const double release = queue_.next_release(now);
           if (release < 0.0) {
             work_cv_.wait(lock);
@@ -818,30 +802,24 @@ void StagingService::bucket_main(int bucket_index) {
         }
         work_cv_.notify_all();
       }
-      if (buckets_[b].crashed) {
-        // Ungraceful death: unlike a graceful kill, a pending assignment is
-        // NOT drained — the heartbeat reclaims the slot and the lease
-        // machinery re-executes whatever was in flight. Just disappear.
+      // The wait above released the lock: index buckets_ afresh.
+      Bucket& bucket = buckets_[b];
+      if (!bucket.slot.has_value() || bucket.crashed) {
+        // Stopping, or retired with nothing left to finish (the killer
+        // drained queued work if capacity hit zero), or crashed: a crash
+        // does NOT drain its slot — the heartbeat requeues it and reclaims
+        // whatever was in flight. Leave the free list and exit.
+        HIA_ASSERT(bucket.dead || stopping_);
         std::erase(free_buckets_, bucket_index);
         return;
       }
-      if (slots_[b].has_value()) {
-        assigned = std::move(*slots_[b]);
-        slots_[b].reset();
-        if (lease_tracking_) {
-          // Take ownership: the lease covers the whole attempt and renews
-          // on every heartbeat while this bucket stays alive.
-          leases_[bucket_index] =
-              Lease{assigned, clock_.seconds() + kLeaseS};
-        }
-      } else if (buckets_[b].dead) {
-        // Retired by a scripted kill: leave the free list and exit. Queued
-        // work was already drained by the killer if capacity hit zero.
-        std::erase(free_buckets_, bucket_index);
-        return;
-      } else {
-        HIA_ASSERT(stopping_);
-        return;
+      assigned = std::move(*bucket.slot);
+      bucket.slot.reset();
+      if (lease_tracking_) {
+        // Take ownership: the lease covers the whole attempt and renews on
+        // every heartbeat while this bucket stays alive.
+        bucket.running = assigned;
+        bucket.lease_expires = clock_.seconds() + kLeaseS;
       }
     }
     execute(bucket_index, std::move(assigned));
@@ -874,33 +852,39 @@ void StagingService::execute(int bucket_index, Assigned assigned) {
           std::chrono::duration<double>(retry.task_timeout_s));
       busy_buckets().add(-1);
     }
-    // A crash may have reclaimed this attempt while it was stuck: a stale
-    // epoch means the retry below already happened under the new epoch, so
-    // this attempt must leave no further trace (its occupancy was closed by
-    // the reclamation's kTaskRetry/kBucketVacate).
+    // A crash may have reclaimed this attempt while it was stuck: the
+    // reclamation already retried it, so this attempt must leave no
+    // further trace (its occupancy was closed by kTaskRetry/kBucketVacate).
     if (zombie_fenced(assigned, bucket_index)) return;
-    // The stuck time was real bucket occupancy: settle it against the
-    // tenant before the task re-enters the queue (or degrades).
-    settle(assigned, retry.task_timeout_s);
     const double stuck_end_vt = clock_.seconds();
     obs::record_event(
         obs::EventKind::kTaskWork, assigned.task.tenant, bucket_index,
         static_cast<int64_t>(assigned.task.task_id),
         static_cast<int64_t>((stuck_end_vt - occupy_vt) * 1e6), stuck_end_vt);
-    if (assigned.attempt < retry.max_task_attempts) {
-      retry_task(bucket_index, std::move(assigned));
-    } else {
-      obs::record_event(obs::EventKind::kBucketVacate, assigned.task.tenant,
-                        bucket_index,
-                        static_cast<int64_t>(assigned.task.task_id),
-                        assigned.attempt, stuck_end_vt);
-      assigned.ticket.last_bucket = bucket_index;
-      degrade_or_shed(std::move(assigned));
-    }
+    // The stuck time was real bucket occupancy: settle it against the
+    // tenant before the task re-enters the queue (or degrades).
+    fail_attempt(bucket_index, std::move(assigned), retry.task_timeout_s);
     return;
   }
   run_task(bucket_index, std::move(assigned), clock_.seconds(),
            TaskOutcome::kCompleted);
+}
+
+void StagingService::fail_attempt(int bucket_index, Assigned assigned,
+                                  double busy_s) {
+  {
+    std::lock_guard lock(mutex_);
+    queue_.settle(assigned.ticket, busy_s);
+  }
+  if (assigned.attempt < faults_->retry().max_task_attempts) {
+    retry_task(bucket_index, std::move(assigned));
+    return;
+  }
+  obs::record_event(obs::EventKind::kBucketVacate, assigned.task.tenant,
+                    bucket_index, static_cast<int64_t>(assigned.task.task_id),
+                    assigned.attempt, clock_.seconds());
+  assigned.ticket.last_bucket = bucket_index;
+  degrade_or_shed(std::move(assigned));
 }
 
 void StagingService::retry_task(int failed_bucket, Assigned assigned) {
@@ -968,12 +952,7 @@ void StagingService::degrade_or_shed(Assigned assigned) {
 void StagingService::shed_task(Assigned assigned) {
   // Load shedding, made loud: the task is dropped, but it still produces a
   // record and bumps an explicit counter — nothing disappears silently.
-  static obs::Counter& dropped = obs::counter("staging_tasks_dropped");
-  dropped.add(1);
-  if (assigned.task.tenant > 0) {
-    obs::counter("staging_tasks_dropped", {.tenant = assigned.task.tenant})
-        .add(1);
-  }
+  count_terminal("staging_tasks_dropped", assigned.task.tenant);
   obs::record_event(obs::EventKind::kTaskShed, assigned.task.tenant, -1,
                     static_cast<int64_t>(assigned.task.task_id),
                     assigned.attempt, clock_.seconds());
@@ -1056,17 +1035,16 @@ void StagingService::run_task(int bucket_index, Assigned assigned,
     // A thrown handler (e.g. a pull whose frames never survived the wire)
     // is a failed attempt: back off and retry like an injected timeout.
     busy_buckets().add(-1);
-    // Stale epoch: a crash already reclaimed and re-queued this task; the
-    // zombie's retry would double it.
+    // A crash already reclaimed and re-queued this task; the zombie's
+    // retry would double it.
     if (zombie_fenced(assigned, bucket_index)) return;
-    // The failed attempt still occupied the bucket: settle that time
-    // against the tenant before requeueing.
-    settle(assigned, clock_.seconds() - assign_time);
     // Phase split of the failed attempt's occupancy; kTaskRetry (recorded
-    // by retry_task at a later clock read) ends the occupancy window.
+    // by retry_task at a later clock read) ends the occupancy window. The
+    // occupancy is settled against the tenant before requeueing.
+    const double end_vt = clock_.seconds();
     record_phase_split(assigned.task, bucket_index,
-                       ctx.transfer_wall_seconds_, wall, clock_.seconds());
-    retry_task(bucket_index, std::move(assigned));
+                       ctx.transfer_wall_seconds_, wall, end_vt);
+    fail_attempt(bucket_index, std::move(assigned), end_vt - assign_time);
     return;
   }
 
@@ -1082,11 +1060,11 @@ void StagingService::run_task(int bucket_index, Assigned assigned,
   }
 
   // Exactly-once gate: if a crash reclaimed this task while the attempt
-  // ran, the re-execution (current epoch) owns the terminal record, the
-  // outstanding_ decrement, and the input-handle releases. The zombie
+  // ran, the re-execution owns the terminal record, the outstanding_
+  // decrement, and the input-handle releases. The zombie
   // stops here, before any of those side effects.
   if (zombie_fenced(assigned, bucket_index)) {
-    if (bucket_index >= 0) busy_buckets().add(-1);
+    busy_buckets().add(-1);  // only a bucket attempt is ever fenced
     return;
   }
 
@@ -1116,23 +1094,9 @@ void StagingService::run_task(int bucket_index, Assigned assigned,
       results_[record.task_id] = std::move(*ctx.result_);
     }
   }
-  // Labeled per-tenant series exist for stamped tenants only (ids from 1).
-  const bool labeled = record.tenant > 0;
-  if (outcome == TaskOutcome::kDegraded) {
-    static obs::Counter& degraded = obs::counter("staging_tasks_degraded");
-    degraded.add(1);
-    if (labeled) {
-      obs::counter("staging_tasks_degraded", {.tenant = record.tenant})
-          .add(1);
-    }
-  } else {
-    static obs::Counter& completed = obs::counter("staging_tasks_completed");
-    completed.add(1);
-    if (labeled) {
-      obs::counter("staging_tasks_completed", {.tenant = record.tenant})
-          .add(1);
-    }
-  }
+  count_terminal(outcome == TaskOutcome::kDegraded ? "staging_tasks_degraded"
+                                                   : "staging_tasks_completed",
+                 record.tenant);
   // Transfer/compute split of this final attempt's occupancy, stamped at
   // the terminal instant.
   record_phase_split(assigned.task, bucket_index, ctx.transfer_wall_seconds_,
@@ -1150,7 +1114,7 @@ void StagingService::run_task(int bucket_index, Assigned assigned,
   wait_h.record(record.assign_time - record.enqueue_time);
   compute_h.record(record.compute_seconds);
   turnaround_h.record(record.complete_time - record.enqueue_time);
-  if (labeled) {
+  if (record.tenant > 0) {
     // Per-tenant turnaround: the isolation metric the service drill and
     // the tenants ablation gate on (p99 per tenant under contention). A
     // labeled series per tenant, not a mangled name: the exporter renders

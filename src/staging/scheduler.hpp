@@ -22,17 +22,16 @@
 // submitted task ends in exactly one TaskRecord — see docs/FAILURE_MODEL.md
 // for the full state machine.
 //
-// Crash tolerance (active when the plan scripts crash-bucket/crash-server):
-// an ungraceful crash kills a bucket mid-compute with no drain. Ownership
-// is lease-based: every assigned task carries a lease renewed on the
-// heartbeat tick of the staging task clock; a crashed owner stops renewing,
-// so its lease expires and the task is reclaimed — its attempt epoch is
-// bumped and it re-enters the queue through the ordinary backoff + bucket-
-// avoidance retry machinery (idempotent re-execution). The crashed bucket's
-// thread cannot be killed, so when its zombie attempt eventually returns it
-// is *fenced*: the stale epoch is detected under the scheduler lock and the
-// completion touches no ledger — records, outstanding_, fair-share service,
-// handle releases, and terminal events all belong to the current epoch
+// Crash tolerance (active when the plan scripts crash-bucket): an
+// ungraceful crash kills a bucket mid-compute with no drain. Each bucket
+// holds its in-flight attempt under a lease renewed on the heartbeat tick
+// of the staging task clock; a crashed owner stops renewing, so its lease
+// expires and the heartbeat takes the attempt back into the ordinary
+// backoff + bucket-avoidance retry machinery (idempotent re-execution).
+// The lease is the fencing token: when the crashed bucket's unkillable
+// thread returns, its bucket no longer holds the attempt, so the zombie is
+// *fenced* and touches no ledger — records, outstanding_, fair-share
+// service, handle releases and terminal events belong to the re-execution
 // exactly once, keeping completed+degraded+deferred+shed == submitted.
 //
 // Multi-tenancy (weighted fair share once set_tenant_policy is called) is
@@ -236,16 +235,16 @@ class StagingService {
   /// floor. Returns the retired index, or -1 when refused.
   int retire_bucket(int min_live = 1);
 
-  // ---- Crash recovery (leases, epochs, fencing) ----
+  // ---- Crash recovery (leases, fencing) ----
 
   /// Lease duration on the staging task clock: a crashed owner's task is
   /// reclaimed within one lease of its last heartbeat renewal.
   static constexpr double kLeaseS = 0.05;
 
   /// Heartbeat tick: renews every live owner's lease, expires the leases
-  /// of crashed owners, and requeues (or degrades) the reclaimed tasks
-  /// under a bumped epoch. Called from submit() and the drain loops; safe
-  /// to call from any thread, no-op unless the plan scripts crashes.
+  /// of crashed owners, and requeues (or degrades) the reclaimed tasks.
+  /// Called from submit() and the drain loops; safe to call from any
+  /// thread, no-op unless the plan scripts crashes.
   void heartbeat();
 
   /// Leases that expired because their owner crashed.
@@ -291,16 +290,6 @@ class StagingService {
  private:
   friend class TaskContext;
 
-  struct Bucket {
-    std::thread thread;
-    int dart_node = -1;
-    bool dead = false;  // retired by a scripted kill (guarded by mutex_)
-    /// Ungracefully crashed (implies dead, guarded by mutex_): the bucket
-    /// must NOT drain a pending assignment, its lease stops renewing, and
-    /// any late completion from its thread is fenced.
-    bool crashed = false;
-  };
-
   struct Assigned {
     InTransitTask task;
     /// The policy's view. enqueue_time is task-clock seconds, NEVER
@@ -309,18 +298,25 @@ class StagingService {
     // ---- Retry state (defaults when faults are off) ----
     int attempt = 1;             // 1-based execution attempt
     double backoff_total = 0.0;  // backoff accumulated across retries
-    /// Attempt epoch for zombie fencing: bumped each time a lease expiry
-    /// reclaims the task. An attempt whose epoch is behind the task's
-    /// current epoch (task_epoch_) is a zombie and must not settle.
-    int epoch = 0;
   };
 
-  /// Ownership lease a bucket holds on its in-flight assignment (guarded
-  /// by mutex_). Renewed on every heartbeat while the owner is live; a
-  /// crashed owner's lease expires and the assignment is reclaimed.
-  struct Lease {
-    Assigned assigned;
-    double expires_at = 0.0;  // task-clock deadline
+  /// One staging bucket and what it holds. Everything but the thread is
+  /// guarded by mutex_; index buckets_ under it, since add_bucket may
+  /// reallocate.
+  struct Bucket {
+    std::thread thread;
+    int dart_node = -1;
+    bool dead = false;  // retired by a scripted kill
+    /// Ungracefully crashed (implies dead): the bucket must NOT drain its
+    /// slot, its lease stops renewing, and any late completion from its
+    /// thread is fenced.
+    bool crashed = false;
+    /// Matched by the matcher, not yet picked up by the bucket's thread.
+    std::optional<Assigned> slot;
+    /// The in-flight attempt, held under lease tracking only. It is the
+    /// fencing token: the attempt is current while the bucket holds it.
+    std::optional<Assigned> running;
+    double lease_expires = 0.0;  // task-clock deadline of `running`
   };
 
   /// Per-tenant accounting beside the policy's ledger, kept for every
@@ -344,10 +340,14 @@ class StagingService {
   /// plan's RetryPolicy.
   void degrade_or_shed(Assigned assigned);
   void shed_task(Assigned assigned);
-  /// Fences a finished attempt against the task's current epoch. Returns
-  /// true when the attempt is a stale zombie (its lease already expired
-  /// and the task was reclaimed): the caller must drop every side effect.
-  /// On false the attempt is current and its lease is released.
+  /// Ends a failed bucket attempt: settles its `busy_s` of bucket time,
+  /// then retries the task or, with the attempt budget spent, vacates the
+  /// bucket and degrades or sheds it.
+  void fail_attempt(int bucket_index, Assigned assigned, double busy_s);
+  /// Fences a finished attempt. Returns true when its bucket no longer
+  /// holds it (the lease expired and the heartbeat took it back): the
+  /// caller must drop every side effect. On false the attempt is current
+  /// and the bucket releases it.
   bool zombie_fenced(const Assigned& assigned, int bucket_index);
   // The *_locked helpers require mutex_.
   /// Registers a submission: id, ticket, outstanding tallies.
@@ -363,8 +363,6 @@ class StagingService {
   void enqueue_locked(Assigned assigned);
   /// Takes back the payload of a ticket the policy released.
   Assigned dequeue_locked(const Ticket& ticket);
-  /// Settles an attempt's charge (locks mutex_).
-  void settle(Assigned& assigned, double busy_s);
   /// Blocks until `drained` holds; ticks the heartbeat if crashes can.
   void wait_drained(const std::function<bool()>& drained);
 
@@ -383,8 +381,6 @@ class StagingService {
   TaskQueue queue_;                       // the policy (mutex_)
   std::map<uint64_t, Assigned> queued_;  // payloads of queue_'s tickets
   std::deque<int> free_buckets_;  // bucket-ready order (FCFS)
-  // Per-bucket assignment slot: matcher moves a task here, bucket picks up.
-  std::vector<std::optional<Assigned>> slots_;
   std::vector<TaskRecord> records_;
   std::map<uint64_t, std::vector<std::byte>> results_;
   uint64_t next_task_id_ = 1;
@@ -392,14 +388,10 @@ class StagingService {
   uint64_t overload_diversions_ = 0;  // hard-budget diversions (mutex_)
   size_t scripted_next_ = 0;  // first unfired scripted event (mutex_)
   // ---- Crash recovery (guarded by mutex_ unless atomic) ----
-  /// Lease bookkeeping is active only when the plan scripts bucket crashes
-  /// (set once in the ctor), keeping the crash-free hot path unchanged.
+  /// Lease bookkeeping (Bucket::running) is active only when the plan
+  /// scripts bucket crashes (set once in the ctor), keeping the crash-free
+  /// hot path unchanged.
   bool lease_tracking_ = false;
-  std::map<int, Lease> leases_;  // bucket -> in-flight ownership lease
-  /// Current epoch per task id; only tasks that were ever reclaimed have
-  /// an entry. Entries are never erased: a zombie carrying the default
-  /// epoch 0 must keep failing the fence after its task was re-executed.
-  std::map<uint64_t, int> task_epoch_;
   std::atomic<uint64_t> leases_expired_{0};
   std::atomic<uint64_t> tasks_reexecuted_{0};
   std::atomic<uint64_t> zombies_fenced_{0};

@@ -68,23 +68,59 @@ DartHandle Dart::put(int owner_node, std::vector<std::byte> data,
                      int tenant) {
   HIA_TRACE_SPAN_ARGS("dart", "put",
                       {.bytes = static_cast<long long>(data.size())});
+  const size_t bytes = data.size();
+  return publish(owner_node, std::move(data), bytes, false, 0.0, tenant);
+}
+
+DartHandle Dart::put_doubles(int owner_node, const std::vector<double>& data,
+                             int tenant) {
+  return put(owner_node, to_bytes(data), tenant);
+}
+
+DartHandle Dart::put_doubles(int owner_node, const std::vector<double>& data,
+                             const Codec& codec, double* encode_seconds,
+                             int tenant) {
+  static obs::Counter& saved = obs::counter("compress_bytes_saved");
+  const size_t raw = data.size() * sizeof(double);
+  HIA_TRACE_SPAN_ARGS("dart", "put",
+                      {.bytes = static_cast<long long>(raw)});
+  Stopwatch watch;
+  std::vector<std::byte> frame;
+  {
+    HIA_TRACE_SPAN("dart", "codec.encode");
+    frame = codec.encode(data);
+  }
+  const double seconds = watch.seconds();
+  if (encode_seconds != nullptr) *encode_seconds = seconds;
+  static obs::Histogram& encode_h = obs::histogram("dart_codec_encode_s");
+  encode_h.record(seconds);
+  if (frame.size() < raw) {
+    saved.add(static_cast<int64_t>(raw - frame.size()));
+  }
+  return publish(owner_node, std::move(frame), raw, true, seconds, tenant);
+}
+
+DartHandle Dart::publish(int owner_node, std::vector<std::byte> wire,
+                         size_t raw_bytes, bool encoded,
+                         double encode_seconds, int tenant) {
   static obs::Histogram& put_bytes = obs::histogram("dart_put_bytes");
-  put_bytes.record(static_cast<double>(data.size()));
-  // Admission happens before the transport lock: the gate may block (up to
+  put_bytes.record(static_cast<double>(raw_bytes));
+  // Admission charges the *wire* bytes (what the staging area must hold)
+  // and happens before the transport lock: the gate may block (up to
   // admit_max_wait_s) and must never do so while holding mutex_.
   PressureSignal pressure;
   const bool admitted = options_.overload != nullptr;
-  if (admitted) pressure = options_.overload->admit(data.size(), tenant);
+  if (admitted) pressure = options_.overload->admit(wire.size(), tenant);
+  const size_t wire_bytes = wire.size();
   uint64_t id = 0;
-  size_t bytes = 0;
   {
     std::lock_guard lock(mutex_);
     auto it = nodes_.find(owner_node);
     HIA_REQUIRE(it != nodes_.end() && it->second.registered,
                 "put from unregistered node");
+    counters_.encode_seconds_total += encode_seconds;
     id = next_handle_++;
-    bytes = data.size();
-    Region region{owner_node, std::move(data), bytes, false};
+    Region region{owner_node, std::move(wire), raw_bytes, encoded};
     region.admitted = admitted;
     region.tenant = tenant;
     if (frame_faults_on(options_)) {
@@ -108,85 +144,13 @@ DartHandle Dart::put(int owner_node, std::vector<std::byte> data,
   // clock) so put/get records land on the same timeline the attribution
   // layer rebuilds; -1 when no service clock is installed.
   obs::record_event(obs::EventKind::kPut, tenant, -1,
-                    static_cast<int64_t>(id), static_cast<int64_t>(bytes),
-                    obs::virtual_now());
+                    static_cast<int64_t>(id),
+                    static_cast<int64_t>(wire_bytes), obs::virtual_now());
   if (tenant > 0) {
     obs::histogram("dart_put_bytes", {.tenant = tenant})
-        .record(static_cast<double>(bytes));
+        .record(static_cast<double>(raw_bytes));
   }
-  return DartHandle{id, bytes, owner_node};
-}
-
-DartHandle Dart::put_doubles(int owner_node, const std::vector<double>& data,
-                             int tenant) {
-  return put(owner_node, to_bytes(data), tenant);
-}
-
-DartHandle Dart::put_doubles(int owner_node, const std::vector<double>& data,
-                             const Codec& codec, double* encode_seconds,
-                             int tenant) {
-  static obs::Counter& saved = obs::counter("compress_bytes_saved");
-  const size_t raw = data.size() * sizeof(double);
-  HIA_TRACE_SPAN_ARGS("dart", "put",
-                      {.bytes = static_cast<long long>(raw)});
-  Stopwatch watch;
-  std::vector<std::byte> frame;
-  {
-    HIA_TRACE_SPAN("dart", "codec.encode");
-    frame = codec.encode(data);
-  }
-  const double seconds = watch.seconds();
-  if (encode_seconds != nullptr) *encode_seconds = seconds;
-  static obs::Histogram& put_bytes = obs::histogram("dart_put_bytes");
-  static obs::Histogram& encode_h = obs::histogram("dart_codec_encode_s");
-  put_bytes.record(static_cast<double>(raw));
-  encode_h.record(seconds);
-  if (frame.size() < raw) {
-    saved.add(static_cast<int64_t>(raw - frame.size()));
-  }
-
-  // Admission charges the *wire* bytes (the encoded frame is what the
-  // staging area must hold); see put() for the lock-ordering rationale.
-  PressureSignal pressure;
-  const bool admitted = options_.overload != nullptr;
-  if (admitted) pressure = options_.overload->admit(frame.size(), tenant);
-  uint64_t id = 0;
-  size_t wire = 0;
-  {
-    std::lock_guard lock(mutex_);
-    auto it = nodes_.find(owner_node);
-    HIA_REQUIRE(it != nodes_.end() && it->second.registered,
-                "put from unregistered node");
-    counters_.encode_seconds_total += seconds;
-    id = next_handle_++;
-    wire = frame.size();
-    Region region{owner_node, std::move(frame), data.size() * sizeof(double),
-                  true};
-    region.admitted = admitted;
-    region.tenant = tenant;
-    if (frame_faults_on(options_)) {
-      region.crc = crc32(region.data.data(), region.data.size());
-      region.crc_stamped = true;
-    }
-    regions_.emplace(id, std::move(region));
-    if (admitted) {
-      DartEvent ev;
-      ev.type = DartEvent::Type::kPutCompleted;
-      ev.src_node = owner_node;
-      ev.handle_id = id;
-      ev.payload = encode_pressure(pressure);
-      push_event(owner_node, std::move(ev));
-    }
-  }
-  if (admitted) event_cv_.notify_all();
-  obs::record_event(obs::EventKind::kPut, tenant, -1,
-                    static_cast<int64_t>(id), static_cast<int64_t>(wire),
-                    obs::virtual_now());
-  if (tenant > 0) {
-    obs::histogram("dart_put_bytes", {.tenant = tenant})
-        .record(static_cast<double>(raw));
-  }
-  return DartHandle{id, wire, owner_node};
+  return DartHandle{id, wire_bytes, owner_node};
 }
 
 std::vector<std::byte> Dart::get(int dest_node, const DartHandle& handle,

@@ -198,6 +198,13 @@ class Dart {
     std::deque<DartEvent> events;
   };
 
+  /// The publish body of every put: admission on the wire bytes, the
+  /// region (CRC-stamped under frame faults), the kPutCompleted ack, the
+  /// kPut record and the put-size histograms. `raw_bytes` is the logical
+  /// size before encoding; `encode_seconds` joins the transport counters.
+  DartHandle publish(int owner_node, std::vector<std::byte> wire,
+                     size_t raw_bytes, bool encoded, double encode_seconds,
+                     int tenant);
   void push_event(int node, DartEvent event);  // requires mutex_ held
 
   NetworkModel& network_;

@@ -1,7 +1,7 @@
 // Tests for the fault-injection/resilience subsystem: spec parsing,
 // deterministic keyed draws, backoff bounds, CRC-guarded frame
 // retransmission, the retry -> degrade/shed state machine, scripted bucket
-// kills, worker stalls, and concurrent injection (TSan-clean).
+// kills and crashes, and concurrent injection (TSan-clean).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,7 +16,6 @@
 
 #include "obs/counters.hpp"
 #include "runtime/fault.hpp"
-#include "runtime/thread_pool.hpp"
 #include "staging/scheduler.hpp"
 #include "transport/dart.hpp"
 #include "util/crc32.hpp"
@@ -40,7 +39,7 @@ std::vector<ScriptedEvent> events_of(const FaultPlanConfig& cfg,
 TEST(FaultSpec, ParsesEveryDirective) {
   const FaultPlanConfig cfg = FaultPlan::parse_spec(
       "drop=0.1,corrupt=0.2,delay=0.3:0.004,task-fail=0.5:0.006,"
-      "stall=0.7:0.008,kill-bucket=2@9,slow-bucket=1:3.5,crash-bucket=3@7,"
+      "kill-bucket=2@9,slow-bucket=1:3.5,crash-bucket=3@7,"
       "crash-server=1@4,attempts=6,backoff=0.001:0.05,shed,seed=42");
   EXPECT_DOUBLE_EQ(cfg.frame_drop_prob, 0.1);
   EXPECT_DOUBLE_EQ(cfg.frame_corrupt_prob, 0.2);
@@ -48,8 +47,6 @@ TEST(FaultSpec, ParsesEveryDirective) {
   EXPECT_DOUBLE_EQ(cfg.frame_delay_s, 0.004);
   EXPECT_DOUBLE_EQ(cfg.task_fail_prob, 0.5);
   EXPECT_DOUBLE_EQ(cfg.retry.task_timeout_s, 0.006);
-  EXPECT_DOUBLE_EQ(cfg.worker_stall_prob, 0.7);
-  EXPECT_DOUBLE_EQ(cfg.worker_stall_s, 0.008);
   const auto kills = events_of(cfg, ScriptedEvent::Kind::kKillBucket);
   ASSERT_EQ(kills.size(), 1u);
   EXPECT_EQ(kills[0].target, 2);
@@ -484,7 +481,7 @@ TEST(FaultStaging, EventsDueAtOneStepFireInSpecOrder) {
   EXPECT_EQ(timeline[3].kind, ScriptedEvent::Kind::kCrashServer);
 }
 
-// ---- Ungraceful crashes: leases, epoch fencing, replication ----
+// ---- Ungraceful crashes: leases, fencing, replication ----
 
 // Poll-with-deadline helper (the repo rule for timing-dependent asserts:
 // never a bare sleep). Returns false if `pred` stayed false for 10 s.
@@ -607,6 +604,105 @@ TEST(FaultStaging, CrashWipeoutDegradesStrandedTask) {
   }
 }
 
+TEST(FaultStaging, CrashOnLastAttemptVacatesAndDegrades) {
+  // With one attempt allowed, the attempt a crash strands is also the
+  // task's last: the reclaim must vacate the crashed bucket and degrade
+  // the task to the in-situ fallback instead of re-executing it, and the
+  // crashed bucket's late completion must still be fenced.
+  FaultedService f("crash-bucket=0@1,attempts=1", 2);
+  std::atomic<int> started{0};
+  std::atomic<bool> release{false};
+  f.service->register_handler("block", [&](TaskContext& ctx) {
+    // Only bucket attempts block: the degraded run executes on the thread
+    // that ticks the heartbeat, which must not wait on itself.
+    if (ctx.bucket() < 0) return;
+    started.fetch_add(1);
+    ASSERT_TRUE(eventually([&] { return release.load(); }));
+  });
+
+  const uint64_t a = f.service->submit(InTransitTask{"block", 0, {}, 0});
+  const uint64_t b = f.service->submit(InTransitTask{"block", 0, {}, 0});
+  ASSERT_TRUE(eventually([&] { return started.load() == 2; }));
+  const uint64_t c = f.service->submit(InTransitTask{"block", 1, {}, 0});
+  EXPECT_EQ(f.service->live_bucket_count(), 1);
+
+  ASSERT_TRUE(eventually([&] {
+    f.service->heartbeat();
+    return f.service->leases_expired() >= 1;
+  }));
+  release.store(true);
+  f.service->drain();
+
+  EXPECT_EQ(f.service->leases_expired(), 1u);
+  EXPECT_EQ(f.service->tasks_reexecuted(), 0u);
+  EXPECT_TRUE(eventually([&] { return f.service->zombies_fenced() == 1; }));
+
+  const auto records = f.service->records();
+  ASSERT_EQ(records.size(), 3u);
+  std::map<uint64_t, int> terminals;
+  int degraded = 0;
+  for (const TaskRecord& r : records) {
+    terminals[r.task_id] += 1;
+    EXPECT_EQ(r.attempts, 1);
+    if (r.outcome == TaskOutcome::kDegraded) {
+      ++degraded;
+      EXPECT_EQ(r.bucket, -1);
+      EXPECT_EQ(r.last_failed_bucket, 0);  // the crashed bucket
+    } else {
+      EXPECT_EQ(r.outcome, TaskOutcome::kCompleted);
+      EXPECT_EQ(r.bucket, 1);
+    }
+  }
+  EXPECT_EQ(degraded, 1);
+  for (const uint64_t id : {a, b, c}) {
+    EXPECT_EQ(terminals[id], 1) << "task " << id;
+  }
+}
+
+TEST(FaultStaging, CrashDuringStuckAttemptFencesItOnWake) {
+  // Every attempt times out and occupies its bucket for 0.2 s. Bucket 0
+  // crashes while its attempt sleeps; the lease (0.05 s) expires first, so
+  // the heartbeat reclaims the attempt mid-sleep and the woken attempt
+  // must be fenced rather than retried a second time.
+  FaultedService f("task-fail=1:0.2,crash-bucket=0@1,attempts=2", 2);
+  f.service->register_handler("work", [](TaskContext&) {});
+
+  const uint64_t a = f.service->submit(InTransitTask{"work", 0, {}, 0});
+  const uint64_t b = f.service->submit(InTransitTask{"work", 0, {}, 0});
+  // Both buckets are now stuck in a failed first attempt.
+  ASSERT_TRUE(eventually([&] { return f.plan.stats().tasks_failed == 2; }));
+  // The step-1 submission fires the crash; it runs on the fallback so no
+  // further attempt lengthens the drill.
+  const uint64_t c = f.service->submit(InTransitTask{"work", 1, {}, 0},
+                                       SubmitRoute::kFallback);
+  EXPECT_EQ(f.plan.stats().buckets_crashed, 1u);
+
+  ASSERT_TRUE(eventually([&] {
+    f.service->heartbeat();
+    return f.service->leases_expired() >= 1;
+  }));
+  f.service->drain();
+
+  EXPECT_EQ(f.service->leases_expired(), 1u);
+  EXPECT_EQ(f.service->tasks_reexecuted(), 1u);
+  EXPECT_TRUE(eventually([&] { return f.service->zombies_fenced() == 1; }));
+  // Two first attempts, then both second attempts on the surviving bucket.
+  EXPECT_EQ(f.plan.stats().tasks_failed, 4u);
+
+  const auto records = f.service->records();
+  ASSERT_EQ(records.size(), 3u);
+  std::map<uint64_t, int> terminals;
+  for (const TaskRecord& r : records) {
+    terminals[r.task_id] += 1;
+    EXPECT_EQ(r.outcome, TaskOutcome::kDegraded);
+    EXPECT_EQ(r.bucket, -1);
+    EXPECT_EQ(r.attempts, r.task_id == c ? 1 : 2);
+  }
+  for (const uint64_t id : {a, b, c}) {
+    EXPECT_EQ(terminals[id], 1) << "task " << id;
+  }
+}
+
 TEST(FaultStaging, CrashServerDuringTransfersKeepsReplicatedObjects) {
   // Objects staged before an ungraceful server loss must stay readable
   // through every later transfer: with replicas=2 the lookups fall back
@@ -664,31 +760,11 @@ TEST(FaultStaging, CrashServerDuringTransfersKeepsReplicatedObjects) {
   EXPECT_EQ(service.store().query_all("late", 99).size(), 1u);
 }
 
-// ---- Worker stalls ----
-
-TEST(FaultPool, InstalledPlanStallsWorkers) {
-  const FaultPlan plan(FaultPlan::parse_spec("stall=1:0.0005"));
-  const int64_t stalls_before = obs::counter("pool_worker_stalls").value();
-  install_worker_faults(&plan);
-  {
-    ThreadPool pool(2);
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 8; ++i) {
-      pool.enqueue([&] { ran.fetch_add(1); });
-    }
-    pool.wait_idle();
-    EXPECT_EQ(ran.load(), 8);
-  }
-  install_worker_faults(nullptr);
-  EXPECT_GE(obs::counter("pool_worker_stalls").value() - stalls_before, 8);
-  EXPECT_GE(plan.stats().worker_stalls, 8u);
-}
-
 // ---- Concurrent injection (exercised under TSan via ci/sanitize.sh) ----
 
 TEST(FaultPlanDraws, ConcurrentInjectionIsRaceFree) {
   const FaultPlan plan(FaultPlan::parse_spec(
-      "drop=0.2,corrupt=0.2,delay=0.2,task-fail=0.2,stall=0.2"));
+      "drop=0.2,corrupt=0.2,delay=0.2,task-fail=0.2"));
   constexpr int kThreads = 4;
   constexpr uint64_t kIters = 2000;
   std::vector<std::thread> threads;
@@ -701,7 +777,6 @@ TEST(FaultPlanDraws, ConcurrentInjectionIsRaceFree) {
         if (plan.frame_fault(key, 1).drop) ++drops;
         (void)plan.task_fails(key, 1);
         (void)plan.backoff_seconds(key, 2);
-        (void)plan.worker_stall_seconds(key);
       }
       observed_drops.fetch_add(drops);
     });
@@ -712,7 +787,7 @@ TEST(FaultPlanDraws, ConcurrentInjectionIsRaceFree) {
   // Decisions are keyed, so a replay on one thread matches what the
   // concurrent run decided.
   const FaultPlan replay(FaultPlan::parse_spec(
-      "drop=0.2,corrupt=0.2,delay=0.2,task-fail=0.2,stall=0.2"));
+      "drop=0.2,corrupt=0.2,delay=0.2,task-fail=0.2"));
   uint64_t replay_drops = 0;
   for (int t = 0; t < kThreads; ++t) {
     for (uint64_t i = 1; i <= kIters; ++i) {

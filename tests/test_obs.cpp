@@ -2,6 +2,7 @@
 // Chrome-trace export, and the staging-scheduler integration.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -21,7 +22,6 @@
 #include "obs/run_summary.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
-#include "runtime/thread_pool.hpp"
 #include "staging/scheduler.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
@@ -111,27 +111,30 @@ TEST_F(ObsTest, NameTruncationIsAccountedNotUB) {
   EXPECT_LT(std::string(events[0].name).size(), obs::Event::kNameCapacity);
 }
 
-// ---- Nesting and ordering under the thread pool ----
+// ---- Nesting and ordering across worker threads ----
 
 TEST_F(ObsTest, SpanNestingUnderThreadPool) {
   obs::enable();
   constexpr int kTasks = 64;
-  {
-    ThreadPool pool(4);
-    for (int i = 0; i < kTasks; ++i) {
-      pool.enqueue([] {
+  constexpr int kWorkers = 4;
+  std::atomic<int> next{0};
+  std::vector<std::thread> workers;
+  for (int w = 0; w < kWorkers; ++w) {
+    workers.emplace_back([&next] {
+      while (next.fetch_add(1) < kTasks) {
+        HIA_TRACE_SPAN("pool", "task");
         HIA_TRACE_SPAN("test", "outer");
         {
           HIA_TRACE_SPAN("test", "inner");
           std::this_thread::yield();
         }
-      });
-    }
-    pool.wait_idle();
+      }
+    });
   }
+  for (auto& t : workers) t.join();
 
-  // The pool itself wraps each task in a "pool"/"task" span, so each task
-  // contributes three nested pairs.
+  // Each worker wraps every task it takes in a "pool"/"task" span, so each
+  // task contributes three nested pairs.
   const auto events = obs::snapshot();
   EXPECT_EQ(count_phase(events, obs::Phase::kBegin), 3 * kTasks);
   EXPECT_EQ(count_phase(events, obs::Phase::kEnd), 3 * kTasks);

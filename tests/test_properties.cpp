@@ -388,8 +388,6 @@ TEST(SpecGrammars, RealFieldsFailOnlyWithAnErrorAndStayInRange) {
       {"delay=0.5:#", faults([](const FaultPlanConfig& c) { return c.frame_delay_s; }), 0, 1e6},
       {"task-fail=#", faults([](const FaultPlanConfig& c) { return c.task_fail_prob; }), 0, 1},
       {"task-fail=0.1:#", faults([](const FaultPlanConfig& c) { return c.retry.task_timeout_s; }), 0, 1e6},
-      {"stall=#", faults([](const FaultPlanConfig& c) { return c.worker_stall_prob; }), 0, 1},
-      {"stall=0.5:#", faults([](const FaultPlanConfig& c) { return c.worker_stall_s; }), 0, 1e6},
       {"slow-bucket=0:#", faults([](const FaultPlanConfig& c) { return c.bucket_slowdowns.at(0).factor; }), 1, 1e6},
       {"backoff=#:1e6", faults([](const FaultPlanConfig& c) { return c.retry.backoff_base_s; }), 0, 1e6},
       {"backoff=1e-3:#", faults([](const FaultPlanConfig& c) { return c.retry.backoff_cap_s; }), 1e-3, 1e6},
