@@ -27,6 +27,11 @@
 #      "per-tenant conservation OK", the RunSummary one killed bucket, one
 #      crashed bucket and one crashed server, and the resilience block
 #      all three injected pressure rows
+#   3d. crash-drill leg: EXPERIMENTS.md's ungraceful-crash drill (bucket
+#      0 slowed 50x, crashed at step 2; server 0 crashed at step 4 under
+#      --replicas 2) on fault seeds 1-8; each run's RunSummary must read
+#      exactly one expired lease, one re-executed task and one fenced
+#      zombie, events_lint 0 dropped, and --attrib "all partitions exact"
 #   4. replay gate: tools/hia_plan replays the same spill under its own
 #      recorded configuration (--calibrate) and must reproduce the
 #      measured makespan within tolerance, then sweeps buckets=1..8;
@@ -34,7 +39,9 @@
 #      bench/baselines/BENCH_replay.json, which gates
 #      replay_calibrated_ok and replay_sweep_ok as booleans
 #      (tolerance 0.0 — gate booleans, not near-zero values)
-#   5. doc hygiene: ci/check_docs.sh — markdown relative links resolve,
+#   5. doc hygiene: ci/check_headers.sh — every header under src/ has an
+#      includer outside tests/ other than its own .cpp — then
+#      ci/check_docs.sh — markdown relative links resolve,
 #      every --flag the docs mention exists in hia_campaign or hia_plan
 #      --help (or is allowlisted as another tool's flag), every hia_plan
 #      flag is documented, the --faults and --overload directives in
@@ -178,6 +185,36 @@ PY
 cp "$smoke_dir/fault_summary.json" "$smoke_dir/fault_stdout.txt" "$artifact_dir/"
 echo "scripted-fault leg OK (one of each verdict, conserved, attribution exact)"
 
+echo "==> crash-drill leg: lease reclaim and zombie fencing, fault seeds 1-8"
+for seed in 1 2 3 4 5 6 7 8; do
+  ./build/examples/hia_campaign --steps 8 --analyses all \
+    --buckets 2 --servers 4 --replicas 2 \
+    --faults "slow-bucket=0:50,crash-bucket=0@2,crash-server=0@4" \
+    --fault-seed "$seed" --events "$smoke_dir/crash_events.bin" --attrib \
+    --summary "$smoke_dir/crash_summary.json" > "$smoke_dir/crash_stdout.txt"
+  ./build/tools/events_lint "$smoke_dir/crash_events.bin" |
+    grep -q ', 0 dropped,' || {
+    echo "crash-drill leg (seed $seed): the recorded stream dropped records" >&2
+    exit 1
+  }
+  grep -q 'all partitions exact' "$smoke_dir/crash_stdout.txt" || {
+    echo "crash-drill leg (seed $seed): --attrib did not report an exact" \
+      "partition" >&2
+    exit 1
+  }
+  python3 - "$smoke_dir/crash_summary.json" "$seed" <<'PY' || exit 1
+import json, sys
+metrics = json.load(open(sys.argv[1]))["metrics"]
+for key in ("leases_expired", "tasks_reexecuted", "zombies_fenced"):
+    if metrics.get(key) != 1:
+        sys.exit(f"crash-drill leg (seed {sys.argv[2]}): {key} = "
+                 f"{metrics.get(key)}, want 1")
+PY
+done
+cp "$smoke_dir/crash_summary.json" "$smoke_dir/crash_stdout.txt" "$artifact_dir/"
+echo "crash-drill leg OK (one reclaim, one re-execution, one fenced zombie" \
+  "per seed)"
+
 echo "==> replay gate: hia_plan calibration + bucket sweep vs bench/baselines"
 ./build/tools/events_lint --stats "$smoke_dir/events.bin" \
   > "$smoke_dir/events_stats.txt"
@@ -190,6 +227,9 @@ cp "$smoke_dir/BENCH_replay.json" "$smoke_dir/hia_plan_stdout.txt" \
 ./build/tools/bench_diff "$smoke_dir/BENCH_replay.json" \
   bench/baselines/BENCH_replay.json
 echo "replay gate OK (calibrated within tolerance, sweep grid complete)"
+
+echo "==> header includers: no header only tests include (check_headers.sh)"
+ci/check_headers.sh
 
 echo "==> doc hygiene: links + documented flags (check_docs.sh)"
 ci/check_docs.sh ./build/examples/hia_campaign ./build/tools/hia_plan

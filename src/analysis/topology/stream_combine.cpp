@@ -177,12 +177,6 @@ MergeTree StreamingCombiner::finish() {
   return tree;
 }
 
-MergeTree StreamingCombiner::finish_without_eviction() {
-  MergeTree tree = build_tree();
-  nodes_.clear();
-  return tree;
-}
-
 MergeTree combine_subtrees(const std::vector<SubtreeData>& subtrees) {
   StreamingCombiner combiner;
   for (const SubtreeData& s : subtrees) combiner.insert_subtree(s);

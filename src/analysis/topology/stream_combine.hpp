@@ -78,10 +78,6 @@ class StreamingCombiner {
   /// The combiner is left empty.
   MergeTree finish();
 
-  /// Like finish() but keeps evictable regulars in the result (used by
-  /// tests that compare the full augmented tree).
-  MergeTree finish_without_eviction();
-
  private:
   static constexpr uint64_t kNone = ~uint64_t{0};
 

@@ -101,16 +101,6 @@ std::vector<std::byte> Comm::recv(int src, int tag, int* out_src) {
   }
 }
 
-bool Comm::iprobe(int src, int tag) {
-  World::Mailbox& box = *world_->mailboxes_[static_cast<size_t>(rank_)];
-  std::lock_guard lock(box.mutex);
-  return std::any_of(box.messages.begin(), box.messages.end(),
-                     [&](const auto& m) {
-                       return m.tag == tag &&
-                              (src == kAnySource || m.src == src);
-                     });
-}
-
 namespace {
 // Collectives tag scheme: base + epoch slice + round. Epochs advance per
 // collective call on every rank, so tags never collide between overlapping
@@ -255,31 +245,6 @@ std::vector<std::vector<std::byte>> Comm::gather(
   }
   std::vector<std::vector<std::byte>> out(static_cast<size_t>(size()));
   out[static_cast<size_t>(rank_)].assign(data.begin(), data.end());
-  for (int i = 0; i < size() - 1; ++i) {
-    int src = 0;
-    auto payload = recv(kAnySource, tag, &src);
-    out[static_cast<size_t>(src)] = std::move(payload);
-  }
-  return out;
-}
-
-std::vector<std::vector<std::byte>> Comm::alltoall(
-    const std::vector<std::vector<std::byte>>& sends) {
-  HIA_REQUIRE(static_cast<int>(sends.size()) == size(),
-              "alltoall: need one payload per destination rank");
-  HIA_TRACE_SPAN_ARGS("comm", "alltoall", {.rank = rank_});
-  CollectiveTimer timer;
-  const int epoch = collective_epoch_++;
-  const int tag = collective_tag(epoch, 0);
-
-  std::vector<std::vector<std::byte>> out(static_cast<size_t>(size()));
-  for (int d = 0; d < size(); ++d) {
-    if (d == rank_) {
-      out[static_cast<size_t>(d)] = sends[static_cast<size_t>(d)];
-    } else {
-      send(d, tag, sends[static_cast<size_t>(d)]);
-    }
-  }
   for (int i = 0; i < size() - 1; ++i) {
     int src = 0;
     auto payload = recv(kAnySource, tag, &src);

@@ -49,9 +49,6 @@ class Comm {
   /// actual sender when non-null.
   std::vector<std::byte> recv(int src, int tag, int* out_src = nullptr);
 
-  /// True if a matching message is queued (non-blocking probe).
-  bool iprobe(int src, int tag);
-
   /// Typed convenience wrappers for trivially copyable payloads.
   template <typename T>
   void send_value(int dest, int tag, const T& value) {
@@ -137,11 +134,6 @@ class Comm {
     std::memcpy(&out, bytes.data(), sizeof(T));
     return out;
   }
-
-  /// Personalized all-to-all: sends[d] goes to rank d; returns payloads
-  /// received, indexed by source rank.
-  std::vector<std::vector<std::byte>> alltoall(
-      const std::vector<std::vector<std::byte>>& sends);
 
   /// Total bytes this rank has pushed through send() (collective traffic
   /// included) — used by the communication-volume benches.

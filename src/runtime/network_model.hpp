@@ -56,12 +56,7 @@ class NetworkModel {
   class FlowGuard {
    public:
     explicit FlowGuard(NetworkModel& model) : model_(&model) {
-      const int now =
-          model_->active_flows_.fetch_add(1, std::memory_order_relaxed) + 1;
-      int seen = model_->peak_flows_.load(std::memory_order_relaxed);
-      while (now > seen && !model_->peak_flows_.compare_exchange_weak(
-                               seen, now, std::memory_order_relaxed)) {
-      }
+      model_->active_flows_.fetch_add(1, std::memory_order_relaxed);
     }
     ~FlowGuard() {
       model_->active_flows_.fetch_sub(1, std::memory_order_relaxed);
@@ -77,18 +72,11 @@ class NetworkModel {
     return active_flows_.load(std::memory_order_relaxed);
   }
 
-  /// High-water mark of concurrent flows since construction — the
-  /// congestion the staging link actually saw (observability reporting).
-  [[nodiscard]] int peak_flows() const {
-    return peak_flows_.load(std::memory_order_relaxed);
-  }
-
   [[nodiscard]] const NetworkParams& params() const { return params_; }
 
  private:
   NetworkParams params_;
   std::atomic<int> active_flows_{0};
-  std::atomic<int> peak_flows_{0};
 };
 
 }  // namespace hia

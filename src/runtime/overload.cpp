@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
-#include <limits>
 
 #include "obs/counters.hpp"
 #include "obs/events.hpp"
@@ -25,12 +23,7 @@ const char* to_string(PressureState state) {
   return "?";
 }
 
-// --------------------------------------------------------- wire encoding --
-
 namespace {
-constexpr size_t kSignalFields = 6;
-constexpr size_t kSignalBytes = kSignalFields * sizeof(int64_t);
-
 // Admission waits accumulated on the calling (producer) thread since the
 // last take_thread_admission_wait(). Publish blocks in admit() before the
 // consuming task exists, so the wait is parked here and the scheduler
@@ -42,45 +35,6 @@ thread_local double t_admission_wait_s = 0.0;
 double OverloadControl::take_thread_admission_wait() {
   const double s = t_admission_wait_s;
   t_admission_wait_s = 0.0;
-  return s;
-}
-
-std::vector<std::byte> encode_pressure(const PressureSignal& signal) {
-  const int64_t fields[kSignalFields] = {
-      static_cast<int64_t>(signal.state),
-      static_cast<int64_t>(signal.queue_bytes),
-      static_cast<int64_t>(signal.queue_depth),
-      static_cast<int64_t>(signal.store_bytes),
-      static_cast<int64_t>(signal.credits_free),
-      static_cast<int64_t>(signal.live_buckets),
-  };
-  std::vector<std::byte> out(kSignalBytes);
-  std::memcpy(out.data(), fields, kSignalBytes);
-  return out;
-}
-
-PressureSignal decode_pressure(const std::vector<std::byte>& payload) {
-  HIA_REQUIRE(payload.size() == kSignalBytes,
-              "pressure payload has wrong size");
-  int64_t fields[kSignalFields];
-  std::memcpy(fields, payload.data(), kSignalBytes);
-  HIA_REQUIRE(fields[0] >= static_cast<int64_t>(PressureState::kNominal) &&
-                  fields[0] <= static_cast<int64_t>(PressureState::kSaturated),
-              "pressure payload has an unknown state");
-  // Three byte/depth counts, then two ints whose -1 means "off"/"unset".
-  for (size_t i = 1; i < kSignalFields; ++i) {
-    const bool is_int = i >= 4;
-    HIA_REQUIRE(fields[i] >= (is_int ? -1 : 0) &&
-                    (!is_int || fields[i] <= std::numeric_limits<int>::max()),
-                "pressure payload has a field out of range");
-  }
-  PressureSignal s;
-  s.state = static_cast<PressureState>(fields[0]);
-  s.queue_bytes = static_cast<size_t>(fields[1]);
-  s.queue_depth = static_cast<size_t>(fields[2]);
-  s.store_bytes = static_cast<size_t>(fields[3]);
-  s.credits_free = static_cast<int>(fields[4]);
-  s.live_buckets = static_cast<int>(fields[5]);
   return s;
 }
 
@@ -234,8 +188,8 @@ PressureSignal OverloadControl::signal_locked() const {
   return s;
 }
 
-PressureSignal OverloadControl::admit(size_t bytes, int tenant) {
-  (void)bytes;  // budgeting is per-region count; bytes inform the snapshot
+void OverloadControl::admit(size_t bytes, int tenant) {
+  // Budgeting is per-region count; bytes only label an overdraft.
   std::unique_lock lock(mutex_);
   if (config_.credits > 0) {
     TenantLedger& ledger = tenants_[tenant];
@@ -285,7 +239,6 @@ PressureSignal OverloadControl::admit(size_t bytes, int tenant) {
     }
     update_state_locked();
   }
-  return signal_locked();
 }
 
 void OverloadControl::release_credit(int tenant) {

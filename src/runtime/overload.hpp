@@ -16,8 +16,7 @@
 //     simulation *feels* staging pressure at the publish call instead of
 //     blind-firing RDMA. An overdraft escape hatch (admit_max_wait_s)
 //     guarantees liveness: producers are slowed, never deadlocked.
-//   * A PressureSignal snapshot travels back to producers — returned from
-//     admit() and piggybacked on the kPutCompleted Dart ack — and feeds
+//   * A PressureSignal snapshot (StagingService::pressure()) feeds
 //     steer_decide(), the per-task policy choosing in-transit, in-situ
 //     fallback, defer-one-step, or loud shed.
 //
@@ -32,7 +31,6 @@
 #include <map>
 #include <mutex>
 #include <string>
-#include <vector>
 
 namespace hia {
 
@@ -48,10 +46,10 @@ enum class PressureState {
 
 const char* to_string(PressureState state);
 
-/// Snapshot of staging pressure, piggybacked on Dart put acks and consumed
-/// by the steering policy. All byte figures include fault-injected phantom
-/// bytes (the `overload` fault site), so injected overload is
-/// indistinguishable from real overload downstream — exactly the point.
+/// Snapshot of staging pressure, consumed by the steering policy. All byte
+/// figures include fault-injected phantom bytes (the `overload` fault
+/// site), so injected overload is indistinguishable from real overload
+/// downstream — exactly the point.
 struct PressureSignal {
   PressureState state = PressureState::kNominal;
   size_t queue_bytes = 0;  // staged task-input bytes waiting in the queue
@@ -60,10 +58,6 @@ struct PressureSignal {
   int credits_free = -1;   // admission credits available (-1 = credits off)
   int live_buckets = -1;   // filled in by StagingService::pressure()
 };
-
-/// Fixed-width little-endian encoding for DartEvent payloads.
-std::vector<std::byte> encode_pressure(const PressureSignal& signal);
-PressureSignal decode_pressure(const std::vector<std::byte>& payload);
 
 /// Parsed `--overload` spec. A budget of 0 means that dimension is
 /// unbounded; credits == 0 means the admission gate is off.
@@ -116,9 +110,7 @@ class OverloadControl {
 
   /// Acquires one admission credit, blocking up to admit_max_wait_s when
   /// all credits are out; past the deadline the put is admitted anyway and
-  /// counted as an overdraft. Returns the post-admission pressure snapshot
-  /// (the signal Dart piggybacks on the put ack). When credits are off
-  /// this only refreshes and returns the snapshot.
+  /// counted as an overdraft. When credits are off this does nothing.
   ///
   /// `tenant` charges the admission (and any overdraft or gate wait) to
   /// that tenant's ledger. A tenant with a credit cap (set_tenant_credit_cap)
@@ -126,7 +118,7 @@ class OverloadControl {
   /// pool has slack — a hog producer cannot hoard the whole pool. The
   /// overdraft escape hatch still applies per wait, so a capped tenant is
   /// slowed, never wedged.
-  PressureSignal admit(size_t bytes, int tenant = 0);
+  void admit(size_t bytes, int tenant = 0);
 
   /// Returns the credit held by a released region to the global pool and
   /// the owning tenant's ledger.

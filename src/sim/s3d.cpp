@@ -303,7 +303,7 @@ void S3DRank::advance(Comm& comm) {
   const int64_t k1 = owned_.hi[2];
 
   exchange_halos(comm, decomp_, transported, kGhost);
-  if (params_.integrator == TimeIntegrator::kEuler) {
+  {
     // Plane k's slopes go into one half of a two-plane window, and plane
     // k-1 is stepped at once: rhs(k) was the last reader of its old values.
     obs::Span rhs_span("sim", "rhs", {.rank = rank_, .step = step_});
@@ -319,46 +319,6 @@ void S3DRank::advance(Comm& comm) {
                      dt);
       }
     }
-  } else {
-    // Heun's method: y1 = y + dt f(y); y' = y + dt/2 (f(y) + f(y1)). Both
-    // slopes cover every cell, so they are held whole.
-    const size_t cells = static_cast<size_t>(owned_.num_cells());
-    if (saved_.size() != cells * kTransported.size()) {
-      saved_.resize(cells * kTransported.size());
-      slope1_.resize(cells * kTransported.size());
-      slope2_.resize(cells * kTransported.size());
-    }
-    {
-      obs::Span rhs_span("sim", "rhs", {.rank = rank_, .step = step_});
-      compute_rhs(transported, k0, k1, slope1_.data());
-    }
-    for (size_t f = 0; f < kTransported.size(); ++f) {
-      const auto owned_values = transported[f]->pack_owned();
-      std::copy(owned_values.begin(), owned_values.end(),
-                saved_.begin() + static_cast<std::ptrdiff_t>(f * cells));
-    }
-    apply_update(transported, k0, k1, slope1_.data(), dt);  // fields hold y1
-    exchange_halos(comm, decomp_, transported, kGhost);
-    // Stage 2 evaluates f(t + dt, y1): advance the prescribed velocity to
-    // the end of the step for the second slope, then restore the clock.
-    time_ += dt;
-    update_velocity_and_diagnostics();
-    time_ -= dt;
-    {
-      obs::Span rhs_span("sim", "rhs", {.rank = rank_, .step = step_});
-      compute_rhs(transported, k0, k1, slope2_.data());
-    }
-
-    // Combine: restore y, then advance with the averaged slope.
-    for (size_t f = 0; f < kTransported.size(); ++f) {
-      Box3 box = owned_;
-      transported[f]->unpack(
-          box, std::span<const double>(saved_.data() + f * cells, cells));
-    }
-    for (size_t c = 0; c < slope1_.size(); ++c) {
-      slope1_[c] = 0.5 * (slope1_[c] + slope2_[c]);
-    }
-    apply_update(transported, k0, k1, slope1_.data(), dt);
   }
 
   // Intermittent ignition kernels, prescribed velocity, diagnostics.

@@ -28,12 +28,9 @@
 
 namespace hia {
 
-/// Explicit time integrators. S3D proper uses a six-stage RK; here the
-/// first-order upwind spatial scheme pairs with forward Euler by default,
-/// with Heun's method (two-stage RK2) available for temporal-accuracy
-/// studies. The prescribed velocity is frozen within a step.
-enum class TimeIntegrator { kEuler, kHeun };
-
+/// Time integration: S3D proper uses a six-stage RK; here the first-order
+/// upwind spatial scheme pairs with forward Euler. The prescribed velocity
+/// is frozen within a step.
 struct S3DParams {
   GlobalGrid grid{{64, 48, 48}, {1.0, 0.75, 0.75}};
   std::array<int, 3> ranks_per_axis{2, 2, 2};
@@ -41,7 +38,6 @@ struct S3DParams {
   double diffusivity = 3.0e-4;
   double jet_velocity = 0.8;    // mean axial velocity of the fuel jet
   double jet_radius = 0.12;     // radius of the fuel core (physical units)
-  TimeIntegrator integrator = TimeIntegrator::kEuler;
   TurbulenceParams turbulence{};
   ChemistryParams chemistry{};
 };
@@ -118,10 +114,7 @@ class S3DRank {
   std::vector<Field> fields_;       // the 14 solution variables, ghost = 1
   Field heat_release_;              // diagnostic, no ghosts
   std::vector<double> reaction_;    // one row's reaction sources
-  std::vector<double> window_;      // Euler: RHS of two z planes
-  std::vector<double> slope1_;      // Heun f(y), allocated on first use
-  std::vector<double> slope2_;      // Heun f(y1)
-  std::vector<double> saved_;       // Heun state snapshot y
+  std::vector<double> window_;      // RHS of two z planes
 
   long step_ = 0;
   double time_ = 0.0;

@@ -137,18 +137,6 @@ std::vector<DataDescriptor> ObjectStore::fetch_and_repair(
   return merged;
 }
 
-std::vector<DataDescriptor> ObjectStore::query(const std::string& variable,
-                                               long step,
-                                               const Box3& region) const {
-  std::vector<DataDescriptor> merged =
-      fetch_and_repair(key(variable, step));
-  std::vector<DataDescriptor> out;
-  for (DataDescriptor& d : merged) {
-    if (d.box.overlaps(region)) out.push_back(std::move(d));
-  }
-  return out;
-}
-
 std::vector<DataDescriptor> ObjectStore::query_all(const std::string& variable,
                                                    long step) const {
   return fetch_and_repair(key(variable, step));

@@ -1,7 +1,7 @@
 // Versioned shared-space object store, modeled on DataSpaces [12].
 //
-// Objects live in a (variable, version, bounding-box) index; clients put
-// descriptors of RDMA-published blocks and query by name/version/region.
+// Objects live in a (variable, version) index; clients put
+// descriptors of RDMA-published blocks and query by name/version.
 // Metadata is sharded over `num_servers` virtual servers by hashing, the
 // mechanism the paper credits for scheduler scalability ("the hashing used
 // to balance the RPC messages over multiple DataSpaces servers"); per-server
@@ -20,6 +20,7 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -41,13 +42,6 @@ class ObjectStore {
 
   /// Inserts a descriptor (one RPC per replica server).
   void put(const DataDescriptor& desc);
-
-  /// All descriptors of `variable` at `step` whose boxes intersect `region`
-  /// (one RPC per replica consulted; copies are merged by handle id and
-  /// missing copies on live replicas are read-repaired).
-  [[nodiscard]] std::vector<DataDescriptor> query(const std::string& variable,
-                                                  long step,
-                                                  const Box3& region) const;
 
   /// All descriptors of `variable` at `step`.
   [[nodiscard]] std::vector<DataDescriptor> query_all(

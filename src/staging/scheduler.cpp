@@ -115,7 +115,9 @@ StagingService::~StagingService() {
     stopping_ = true;
   }
   work_cv_.notify_all();
-  for (auto& b : buckets_) b.thread.join();
+  for (auto& b : buckets_) {
+    if (b.thread.joinable()) b.thread.join();  // drain() joined crashed ones
+  }
 }
 
 void StagingService::register_handler(const std::string& analysis,
@@ -711,13 +713,23 @@ void StagingService::wait_drained(const std::function<bool()>& drained) {
   // a task stranded on a crashed bucket only re-enters the queue once its
   // lease expires, and nothing else may tick the clock after the last
   // submit. Poll with a deadline instead of blocking forever.
+  std::vector<std::thread> crashed;
   for (;;) {
     heartbeat();
     std::unique_lock lock(mutex_);
     if (drain_cv_.wait_for(lock, std::chrono::milliseconds(10), drained)) {
-      return;
+      // A crashed bucket gets no new work, so its thread exits after its
+      // last attempt; joining it here lets a fenced zombie land in the
+      // ledger before the caller reads it.
+      for (Bucket& bucket : buckets_) {
+        if (bucket.crashed && bucket.thread.joinable()) {
+          crashed.push_back(std::move(bucket.thread));
+        }
+      }
+      break;
     }
   }
+  for (std::thread& t : crashed) t.join();
 }
 
 std::vector<TaskRecord> StagingService::records() const {
@@ -876,7 +888,10 @@ void StagingService::fail_attempt(int bucket_index, Assigned assigned,
     std::lock_guard lock(mutex_);
     queue_.settle(assigned.ticket, busy_s);
   }
-  if (assigned.attempt < faults_->retry().max_task_attempts) {
+  // Faults off allows one attempt: a thrown handler goes straight on.
+  const int max_attempts =
+      faults_ != nullptr ? faults_->retry().max_task_attempts : 1;
+  if (assigned.attempt < max_attempts) {
     retry_task(bucket_index, std::move(assigned));
     return;
   }
@@ -1030,21 +1045,27 @@ void StagingService::run_task(int bucket_index, Assigned assigned,
   }
   double wall = watch.seconds();
 
-  if (failed && faults_ != nullptr && bucket_index >= 0 &&
-      assigned.attempt < faults_->retry().max_task_attempts) {
+  if (failed) {
     // A thrown handler (e.g. a pull whose frames never survived the wire)
-    // is a failed attempt: back off and retry like an injected timeout.
-    busy_buckets().add(-1);
+    // is a failed attempt, never a completion.
+    if (bucket_index >= 0) busy_buckets().add(-1);
     // A crash already reclaimed and re-queued this task; the zombie's
     // retry would double it.
     if (zombie_fenced(assigned, bucket_index)) return;
-    // Phase split of the failed attempt's occupancy; kTaskRetry (recorded
-    // by retry_task at a later clock read) ends the occupancy window. The
-    // occupancy is settled against the tenant before requeueing.
+    // Phase split of the failed attempt's occupancy; the record that ends
+    // it (kTaskRetry, kBucketVacate or kTaskShed) comes at a later clock
+    // read.
     const double end_vt = clock_.seconds();
     record_phase_split(assigned.task, bucket_index,
                        ctx.transfer_wall_seconds_, wall, end_vt);
-    fail_attempt(bucket_index, std::move(assigned), end_vt - assign_time);
+    if (bucket_index >= 0) {
+      // Settled against the tenant, then retried or degraded/shed like an
+      // injected timeout.
+      fail_attempt(bucket_index, std::move(assigned), end_vt - assign_time);
+    } else {
+      // The fallback executor is the last resort: nothing runs after it.
+      shed_task(std::move(assigned));
+    }
     return;
   }
 
@@ -1090,7 +1111,7 @@ void StagingService::run_task(int bucket_index, Assigned assigned,
     finish_locked(
         assigned, record,
         bucket_index >= 0 ? record.complete_time - record.assign_time : 0.0);
-    if (!failed && ctx.result_.has_value()) {
+    if (ctx.result_.has_value()) {
       results_[record.task_id] = std::move(*ctx.result_);
     }
   }

@@ -217,7 +217,8 @@ class StagingService {
   /// True once any set_tenant_policy call flipped the matcher.
   [[nodiscard]] bool fair_share_enabled() const;
 
-  /// Blocks until every task submitted under `tenant` has completed.
+  /// Blocks until every task submitted under `tenant` has completed and
+  /// every crashed bucket's thread has returned.
   void drain_tenant(int tenant);
 
   // ---- Elastic bucket pool ----
@@ -267,7 +268,8 @@ class StagingService {
   /// Tasks diverted at submit() by the hard queue budget.
   [[nodiscard]] uint64_t overload_diversions() const;
 
-  /// Blocks until every submitted task has completed.
+  /// Blocks until every submitted task has completed and every crashed
+  /// bucket's thread has returned (so zombies_fenced() is final).
   void drain();
 
   /// Timing records of completed tasks, in completion order.
@@ -300,9 +302,9 @@ class StagingService {
     double backoff_total = 0.0;  // backoff accumulated across retries
   };
 
-  /// One staging bucket and what it holds. Everything but the thread is
-  /// guarded by mutex_; index buckets_ under it, since add_bucket may
-  /// reallocate.
+  /// One staging bucket and what it holds, guarded by mutex_ (the
+  /// destructor alone joins threads without it); index buckets_ under it,
+  /// since add_bucket may reallocate.
   struct Bucket {
     std::thread thread;
     int dart_node = -1;
@@ -330,7 +332,8 @@ class StagingService {
   void bucket_main(int bucket_index);
   void execute(int bucket_index, Assigned assigned);
   /// Runs the handler and writes the final record. `bucket_index` == -1
-  /// means the in-situ fallback executor (degraded work).
+  /// means the in-situ fallback executor (degraded work). A thrown handler
+  /// fails the bucket attempt, or sheds the task on the fallback.
   void run_task(int bucket_index, Assigned assigned, double assign_time,
                 TaskOutcome outcome);
   /// Backs the task off and requeues it (prefers a different bucket); falls
@@ -363,7 +366,8 @@ class StagingService {
   void enqueue_locked(Assigned assigned);
   /// Takes back the payload of a ticket the policy released.
   Assigned dequeue_locked(const Ticket& ticket);
-  /// Blocks until `drained` holds; ticks the heartbeat if crashes can.
+  /// Blocks until `drained` holds; ticks the heartbeat if crashes can,
+  /// then joins the crashed buckets' threads outside mutex_.
   void wait_drained(const std::function<bool()>& drained);
 
   Dart& dart_;

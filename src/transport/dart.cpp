@@ -36,7 +36,7 @@ Dart::Dart(NetworkModel& network, Options options)
 int Dart::register_node(const std::string& name) {
   std::lock_guard lock(mutex_);
   const int id = next_node_++;
-  nodes_[id] = NodeState{name, true, {}};
+  nodes_[id] = NodeState{name, true};
   return id;
 }
 
@@ -108,9 +108,8 @@ DartHandle Dart::publish(int owner_node, std::vector<std::byte> wire,
   // Admission charges the *wire* bytes (what the staging area must hold)
   // and happens before the transport lock: the gate may block (up to
   // admit_max_wait_s) and must never do so while holding mutex_.
-  PressureSignal pressure;
   const bool admitted = options_.overload != nullptr;
-  if (admitted) pressure = options_.overload->admit(wire.size(), tenant);
+  if (admitted) options_.overload->admit(wire.size(), tenant);
   const size_t wire_bytes = wire.size();
   uint64_t id = 0;
   {
@@ -128,18 +127,7 @@ DartHandle Dart::publish(int owner_node, std::vector<std::byte> wire,
       region.crc_stamped = true;
     }
     regions_.emplace(id, std::move(region));
-    if (admitted) {
-      // The put ack (uGNI local completion analogue) carries the pressure
-      // snapshot back to the producer, closing the flow-control loop.
-      DartEvent ev;
-      ev.type = DartEvent::Type::kPutCompleted;
-      ev.src_node = owner_node;
-      ev.handle_id = id;
-      ev.payload = encode_pressure(pressure);
-      push_event(owner_node, std::move(ev));
-    }
   }
-  if (admitted) event_cv_.notify_all();
   // Stamped on the campaign's task clock (via the installed obs virtual
   // clock) so put/get records land on the same timeline the attribution
   // layer rebuilds; -1 when no service clock is installed.
@@ -169,7 +157,6 @@ std::vector<std::byte> Dart::get(int dest_node, const DartHandle& handle,
       faults != nullptr ? faults->retry().max_frame_attempts : 1;
 
   std::vector<std::byte> data;
-  int owner = -1;
   int tenant = -1;
   size_t raw_bytes = 0;
   bool encoded = false;
@@ -189,7 +176,6 @@ std::vector<std::byte> Dart::get(int dest_node, const DartHandle& handle,
       auto rit = regions_.find(handle.id);
       HIA_REQUIRE(rit != regions_.end(), "get of unknown/released region");
       data = rit->second.data;  // RDMA read: copy out, region stays published
-      owner = rit->second.owner_node;
       tenant = rit->second.tenant;
       raw_bytes = rit->second.raw_bytes;
       encoded = rit->second.encoded;
@@ -307,17 +293,7 @@ std::vector<std::byte> Dart::get(int dest_node, const DartHandle& handle,
       recovered.add(static_cast<int64_t>(data.size()));
       counters_.recovered_bytes += data.size();
     }
-
-    // Completion events at both ends (uGNI semantics). The destination's
-    // event is implicit in the synchronous return; the owner learns its
-    // buffer was consumed.
-    DartEvent ev;
-    ev.type = DartEvent::Type::kGetCompleted;
-    ev.src_node = dest_node;
-    ev.handle_id = handle.id;
-    push_event(owner, std::move(ev));
   }
-  event_cv_.notify_all();
   obs::record_event(obs::EventKind::kGet, tenant, -1,
                     static_cast<int64_t>(handle.id),
                     static_cast<int64_t>(data.size()), obs::virtual_now());
@@ -380,43 +356,6 @@ size_t Dart::published_bytes() const {
   size_t total = 0;
   for (const auto& [id, region] : regions_) total += region.data.size();
   return total;
-}
-
-void Dart::push_event(int node, DartEvent event) {
-  auto it = nodes_.find(node);
-  if (it == nodes_.end() || !it->second.registered) return;  // best effort
-  it->second.events.push_back(std::move(event));
-}
-
-void Dart::notify(int dest_node, DartEvent event) {
-  {
-    std::lock_guard lock(mutex_);
-    auto it = nodes_.find(dest_node);
-    HIA_REQUIRE(it != nodes_.end() && it->second.registered,
-                "notify of unregistered node");
-    it->second.events.push_back(std::move(event));
-  }
-  event_cv_.notify_all();
-}
-
-std::optional<DartEvent> Dart::poll(int node) {
-  std::lock_guard lock(mutex_);
-  auto it = nodes_.find(node);
-  HIA_REQUIRE(it != nodes_.end(), "poll of unknown node");
-  if (it->second.events.empty()) return std::nullopt;
-  DartEvent ev = std::move(it->second.events.front());
-  it->second.events.pop_front();
-  return ev;
-}
-
-DartEvent Dart::wait_event(int node) {
-  std::unique_lock lock(mutex_);
-  auto it = nodes_.find(node);
-  HIA_REQUIRE(it != nodes_.end(), "wait_event of unknown node");
-  event_cv_.wait(lock, [&] { return !it->second.events.empty(); });
-  DartEvent ev = std::move(it->second.events.front());
-  it->second.events.pop_front();
-  return ev;
 }
 
 DartCounters Dart::counters() const {

@@ -2,11 +2,9 @@
 // RDMA one-sided communication layer the paper's staging framework builds
 // on (ported to Gemini/uGNI in the paper, §IV).
 //
-// Services provided, mirroring the paper's list: node registration and
-// unregistration, one-sided data transfer (put to expose, get to pull),
-// small-message passing, and event notification/processing. Transfers pick
-// the SMSG (FMA) path for small payloads and the BTE RDMA path for bulk
-// data; completion raises an event at both the source and the destination.
+// Services provided: node registration and unregistration, and one-sided
+// data transfer (put to expose, get to pull). Transfers pick the SMSG (FMA)
+// path for small payloads and the BTE RDMA path for bulk data.
 //
 // In the virtual cluster, "RDMA memory" is a registry of published buffers;
 // a get() copies out of the registry and charges the modeled Gemini
@@ -14,13 +12,10 @@
 // congestion behaviour are observable in real time).
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -58,19 +53,6 @@ struct TransferStats {
   double injected_delay_s = 0.0;  // fault-injected share of modeled_seconds
 };
 
-/// Small control-plane notification delivered to a node's event queue.
-struct DartEvent {
-  enum class Type {
-    kUser,             // application-defined notification
-    kGetCompleted,     // raised at the buffer owner when a get() finishes
-    kPutCompleted,     // raised at the destination after publishing
-  };
-  Type type = Type::kUser;
-  int src_node = -1;
-  uint64_t handle_id = 0;
-  std::vector<std::byte> payload;  // small control messages only
-};
-
 /// Aggregate transport counters (thread-safe snapshot).
 struct DartCounters {
   size_t smsg_transfers = 0;
@@ -99,10 +81,8 @@ class Dart {
     /// the wire path then skips CRC stamping/checking entirely.
     const FaultPlan* faults = nullptr;
     /// Overload control (unowned, must outlive the Dart instance). When
-    /// set, every put acquires an admission credit (returned on release)
-    /// and a kPutCompleted ack carrying the encoded PressureSignal is
-    /// raised at the publishing node, so producers observe staging
-    /// pressure at the publish call. Null = admission off (one branch).
+    /// set, every put acquires an admission credit (returned on release).
+    /// Null = admission off (one branch).
     OverloadControl* overload = nullptr;
   };
 
@@ -140,8 +120,8 @@ class Dart {
                          double* encode_seconds = nullptr, int tenant = 0);
 
   /// One-sided pull of a published region into `dest_node`'s memory.
-  /// Charges the modeled network cost and raises kGetCompleted at the
-  /// owner. The region stays published until release(). Returns the wire
+  /// Charges the modeled network cost. The region stays published until
+  /// release(). Returns the wire
   /// bytes verbatim (still encoded for codec-published regions).
   ///
   /// Under fault injection, dropped or CRC-corrupted frames are
@@ -164,17 +144,6 @@ class Dart {
   /// Total bytes currently held in published regions.
   [[nodiscard]] size_t published_bytes() const;
 
-  // ---- Messaging / events ----
-
-  /// Queues a user event on `dest_node`'s event queue.
-  void notify(int dest_node, DartEvent event);
-
-  /// Non-blocking poll of a node's event queue.
-  std::optional<DartEvent> poll(int node);
-
-  /// Blocking wait for the next event on a node's queue.
-  DartEvent wait_event(int node);
-
   [[nodiscard]] DartCounters counters() const;
   void reset_counters();
 
@@ -195,23 +164,19 @@ class Dart {
   struct NodeState {
     std::string name;
     bool registered = false;
-    std::deque<DartEvent> events;
   };
 
   /// The publish body of every put: admission on the wire bytes, the
-  /// region (CRC-stamped under frame faults), the kPutCompleted ack, the
-  /// kPut record and the put-size histograms. `raw_bytes` is the logical
+  /// region (CRC-stamped under frame faults), the kPut record and the put-size histograms. `raw_bytes` is the logical
   /// size before encoding; `encode_seconds` joins the transport counters.
   DartHandle publish(int owner_node, std::vector<std::byte> wire,
                      size_t raw_bytes, bool encoded, double encode_seconds,
                      int tenant);
-  void push_event(int node, DartEvent event);  // requires mutex_ held
 
   NetworkModel& network_;
   Options options_;
 
   mutable std::mutex mutex_;
-  std::condition_variable event_cv_;
   std::map<int, NodeState> nodes_;
   std::map<uint64_t, Region> regions_;
   int next_node_ = 0;

@@ -61,22 +61,6 @@ TEST(Comm, AnySourceReportsSender) {
   });
 }
 
-TEST(Comm, IprobeSeesPendingMessage) {
-  World world(2);
-  world.run([](Comm& comm) {
-    if (comm.rank() == 0) {
-      comm.send_value(1, 9, 1);
-      comm.barrier();
-    } else {
-      comm.barrier();
-      EXPECT_TRUE(comm.iprobe(0, 9));
-      EXPECT_FALSE(comm.iprobe(0, 8));
-      (void)comm.recv_value<int>(0, 9);
-      EXPECT_FALSE(comm.iprobe(0, 9));
-    }
-  });
-}
-
 TEST(Comm, VectorPayloads) {
   World world(2);
   world.run([](Comm& comm) {
@@ -209,25 +193,6 @@ TEST_P(CommSizes, GatherCollectsByRank) {
       }
     } else {
       EXPECT_TRUE(all.empty());
-    }
-  });
-}
-
-TEST_P(CommSizes, AlltoallPersonalizedExchange) {
-  const int n = GetParam();
-  World world(n);
-  world.run([&](Comm& comm) {
-    std::vector<std::vector<std::byte>> sends(static_cast<size_t>(n));
-    for (int d = 0; d < n; ++d) {
-      sends[static_cast<size_t>(d)] = {
-          std::byte{static_cast<unsigned char>(comm.rank() * 16 + d)}};
-    }
-    const auto recvd = comm.alltoall(sends);
-    ASSERT_EQ(recvd.size(), static_cast<size_t>(n));
-    for (int s = 0; s < n; ++s) {
-      ASSERT_EQ(recvd[static_cast<size_t>(s)].size(), 1u);
-      EXPECT_EQ(recvd[static_cast<size_t>(s)][0],
-                std::byte{static_cast<unsigned char>(s * 16 + comm.rank())});
     }
   });
 }

@@ -78,55 +78,6 @@ TEST_F(DartTest, PathSelectionByPayloadSize) {
   EXPECT_GT(counters.modeled_seconds_total, 0.0);
 }
 
-TEST_F(DartTest, GetRaisesCompletionEventAtOwner) {
-  const int src = dart_.register_node("src");
-  const int dst = dart_.register_node("dst");
-  const DartHandle h = dart_.put_doubles(src, {42.0});
-  EXPECT_FALSE(dart_.poll(src).has_value());
-  (void)dart_.get_doubles(dst, h);
-  const auto ev = dart_.poll(src);
-  ASSERT_TRUE(ev.has_value());
-  EXPECT_EQ(ev->type, DartEvent::Type::kGetCompleted);
-  EXPECT_EQ(ev->src_node, dst);
-  EXPECT_EQ(ev->handle_id, h.id);
-}
-
-TEST_F(DartTest, NotifyAndWaitEvent) {
-  const int a = dart_.register_node("a");
-  const int b = dart_.register_node("b");
-
-  std::thread waiter([&] {
-    const DartEvent ev = dart_.wait_event(b);
-    EXPECT_EQ(ev.type, DartEvent::Type::kUser);
-    EXPECT_EQ(ev.src_node, a);
-    ASSERT_EQ(ev.payload.size(), 1u);
-    EXPECT_EQ(ev.payload[0], std::byte{9});
-  });
-
-  DartEvent ev;
-  ev.type = DartEvent::Type::kUser;
-  ev.src_node = a;
-  ev.payload = {std::byte{9}};
-  dart_.notify(b, ev);
-  waiter.join();
-}
-
-TEST_F(DartTest, EventsDrainInFifoOrder) {
-  const int a = dart_.register_node("a");
-  for (int i = 0; i < 5; ++i) {
-    DartEvent ev;
-    ev.type = DartEvent::Type::kUser;
-    ev.handle_id = static_cast<uint64_t>(i);
-    dart_.notify(a, ev);
-  }
-  for (uint64_t i = 0; i < 5; ++i) {
-    const auto ev = dart_.poll(a);
-    ASSERT_TRUE(ev.has_value());
-    EXPECT_EQ(ev->handle_id, i);
-  }
-  EXPECT_FALSE(dart_.poll(a).has_value());
-}
-
 TEST_F(DartTest, PublishedBytesAccounting) {
   const int src = dart_.register_node("src");
   const auto h1 = dart_.put_doubles(src, std::vector<double>(100));
@@ -142,7 +93,6 @@ TEST_F(DartTest, RejectsUnregisteredParticipants) {
   const DartHandle h = dart_.put_doubles(src, {1.0});
   EXPECT_THROW(dart_.put_doubles(99, {1.0}), Error);
   EXPECT_THROW(dart_.get_doubles(99, h), Error);
-  EXPECT_THROW(dart_.notify(99, DartEvent{}), Error);
 }
 
 TEST_F(DartTest, ConcurrentGetsAreSafe) {

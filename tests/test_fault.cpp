@@ -534,9 +534,8 @@ TEST(FaultStaging, CrashDuringComputeReexecutesExactlyOnce) {
 
   EXPECT_EQ(f.service->leases_expired(), 1u);
   EXPECT_EQ(f.service->tasks_reexecuted(), 1u);
-  // drain() returns once every task is terminal; the fenced zombie is a
-  // side path that may still be mid-return — poll, don't assert.
-  EXPECT_TRUE(eventually([&] { return f.service->zombies_fenced() == 1; }));
+  // drain() joins the crashed bucket's thread: the zombie is fenced.
+  EXPECT_EQ(f.service->zombies_fenced(), 1u);
 
   const auto records = f.service->records();
   ASSERT_EQ(records.size(), 3u);
@@ -566,6 +565,30 @@ TEST(FaultStaging, CrashDuringComputeReexecutesExactlyOnce) {
   EXPECT_EQ((*result)[0], std::byte{1});
 }
 
+TEST(FaultStaging, DrainReturnsAfterTheSlowedZombieIsFenced) {
+  // A crashed bucket slowed 30x is still sleeping out its attempt when the
+  // re-execution finishes; drain() must not return before that zombie is
+  // fenced, so the crash ledger is final when the caller reads it.
+  FaultedService f("slow-bucket=0:30,crash-bucket=0@1,attempts=2", 2);
+  std::atomic<int> started{0};
+  f.service->register_handler("work", [&](TaskContext&) {
+    started.fetch_add(1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  });
+  f.service->submit(InTransitTask{"work", 0, {}, 0});
+  f.service->submit(InTransitTask{"work", 0, {}, 0});
+  // Both buckets hold an attempt; bucket 0's lasts ~0.3 s.
+  ASSERT_TRUE(eventually([&] { return started.load() == 2; }));
+  f.service->submit(InTransitTask{"work", 1, {}, 0});
+  EXPECT_EQ(f.plan.stats().buckets_crashed, 1u);
+  f.service->drain();
+
+  EXPECT_EQ(f.service->leases_expired(), 1u);
+  EXPECT_EQ(f.service->tasks_reexecuted(), 1u);
+  EXPECT_EQ(f.service->zombies_fenced(), 1u);
+  EXPECT_EQ(f.service->records().size(), 3u);
+}
+
 TEST(FaultStaging, CrashWipeoutDegradesStrandedTask) {
   // The crashed bucket was the last one: the reclaimed task cannot
   // re-execute in-transit, so it must degrade to the in-situ fallback —
@@ -591,7 +614,7 @@ TEST(FaultStaging, CrashWipeoutDegradesStrandedTask) {
 
   const auto records = f.service->records();
   ASSERT_EQ(records.size(), 2u);
-  EXPECT_TRUE(eventually([&] { return f.service->zombies_fenced() == 1; }));
+  EXPECT_EQ(f.service->zombies_fenced(), 1u);
   for (const TaskRecord& r : records) {
     if (r.task_id == a) {
       // Reclaimed with no live bucket left: degraded, not re-executed.
@@ -635,7 +658,7 @@ TEST(FaultStaging, CrashOnLastAttemptVacatesAndDegrades) {
 
   EXPECT_EQ(f.service->leases_expired(), 1u);
   EXPECT_EQ(f.service->tasks_reexecuted(), 0u);
-  EXPECT_TRUE(eventually([&] { return f.service->zombies_fenced() == 1; }));
+  EXPECT_EQ(f.service->zombies_fenced(), 1u);
 
   const auto records = f.service->records();
   ASSERT_EQ(records.size(), 3u);
@@ -685,7 +708,7 @@ TEST(FaultStaging, CrashDuringStuckAttemptFencesItOnWake) {
 
   EXPECT_EQ(f.service->leases_expired(), 1u);
   EXPECT_EQ(f.service->tasks_reexecuted(), 1u);
-  EXPECT_TRUE(eventually([&] { return f.service->zombies_fenced() == 1; }));
+  EXPECT_EQ(f.service->zombies_fenced(), 1u);
   // Two first attempts, then both second attempts on the surviving bucket.
   EXPECT_EQ(f.plan.stats().tasks_failed, 4u);
 

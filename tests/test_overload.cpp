@@ -1,14 +1,12 @@
-// Tests for the overload-control subsystem: spec parsing, the pressure
-// wire codec, watermark hysteresis, credit-based admission (including
-// overdraft liveness and scripted starvation), the staging hard wall,
-// steering routes, and the steering decision table. The concurrency
-// tests at the bottom run under TSan (ci/sanitize.sh tsan).
+// Tests for the overload-control subsystem: spec parsing, watermark
+// hysteresis, credit-based admission (including overdraft liveness and
+// scripted starvation), the staging hard wall, steering routes, and the
+// steering decision table. The concurrency tests at the bottom run under
+// TSan (ci/sanitize.sh tsan).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <cstring>
-#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -19,7 +17,6 @@
 #include "staging/object_store.hpp"
 #include "staging/scheduler.hpp"
 #include "util/error.hpp"
-#include "util/rng.hpp"
 
 namespace hia {
 namespace {
@@ -64,100 +61,6 @@ TEST(OverloadConfig, RejectsMalformedSpecs) {
   EXPECT_THROW(OverloadConfig::parse_spec("queue-depth=1e30"), Error);
   EXPECT_THROW(OverloadConfig::parse_spec("queue-bytes=-1"), Error);
   EXPECT_THROW(OverloadConfig::parse_spec("credits=4,defer-max=1e300"), Error);
-}
-
-// ------------------------------------------------------------- wire codec
-
-TEST(PressureCodec, EncodeDecodeRoundTrip) {
-  PressureSignal s;
-  s.state = PressureState::kSaturated;
-  s.queue_bytes = 123456;
-  s.queue_depth = 7;
-  s.store_bytes = 987654321;
-  s.credits_free = 3;
-  s.live_buckets = 2;
-  const PressureSignal d = decode_pressure(encode_pressure(s));
-  EXPECT_EQ(d.state, PressureState::kSaturated);
-  EXPECT_EQ(d.queue_bytes, 123456u);
-  EXPECT_EQ(d.queue_depth, 7u);
-  EXPECT_EQ(d.store_bytes, 987654321u);
-  EXPECT_EQ(d.credits_free, 3);
-  EXPECT_EQ(d.live_buckets, 2);
-}
-
-TEST(PressureCodec, RejectsWrongSizePayload) {
-  EXPECT_THROW(decode_pressure(std::vector<std::byte>(5)), Error);
-}
-
-TEST(PressureCodec, RejectsUnknownStatesAndNegativeCounts) {
-  auto with_field = [](size_t field, int64_t value) {
-    std::vector<std::byte> bytes = encode_pressure(PressureSignal{});
-    std::memcpy(bytes.data() + field * sizeof(int64_t), &value,
-                sizeof(value));
-    return bytes;
-  };
-  EXPECT_THROW(decode_pressure(with_field(0, 7)), Error);
-  EXPECT_THROW(decode_pressure(with_field(0, -1)), Error);
-  EXPECT_THROW(decode_pressure(with_field(1, -1)), Error);  // not 1.8e19 B
-  EXPECT_THROW(decode_pressure(with_field(4, -2)), Error);
-  EXPECT_THROW(decode_pressure(with_field(5, int64_t{1} << 32)), Error);
-  // -1 is the "credits off" / "not filled in" value of the two ints.
-  EXPECT_EQ(decode_pressure(with_field(4, -1)).credits_free, -1);
-  EXPECT_EQ(decode_pressure(with_field(5, -1)).live_buckets, -1);
-}
-
-TEST(PressureCodec, MutatedSignalsFailOnlyWithAnError) {
-  // A mutated signal either fails with hia::Error or decodes to a signal
-  // in range that encodes back to the same bytes.
-  PressureSignal base;
-  base.state = PressureState::kElevated;
-  base.queue_bytes = 4096;
-  base.queue_depth = 3;
-  base.store_bytes = 1 << 20;
-  base.credits_free = 5;
-  base.live_buckets = 2;
-  const std::vector<std::byte> valid = encode_pressure(base);
-  const int64_t specials[] = {-1,
-                              -2,
-                              3,
-                              7,
-                              std::numeric_limits<int>::max(),
-                              int64_t{std::numeric_limits<int>::max()} + 1,
-                              std::numeric_limits<int64_t>::max(),
-                              std::numeric_limits<int64_t>::min()};
-  SplitMix64 rng(0x9e55);
-  size_t accepted = 0;
-  for (int iter = 0; iter < 4000; ++iter) {
-    std::vector<std::byte> bytes = valid;
-    const uint64_t draw = rng.next();
-    const size_t field = draw % 6;
-    int64_t value = 0;
-    switch ((draw >> 8) % 3) {
-      case 0: value = specials[(draw >> 16) % std::size(specials)]; break;
-      case 1: value = static_cast<int64_t>(rng.next()); break;
-      default: value = static_cast<int64_t>((draw >> 16) % 5) - 1; break;
-    }
-    std::memcpy(bytes.data() + field * sizeof(int64_t), &value,
-                sizeof(value));
-    try {
-      const PressureSignal s = decode_pressure(bytes);
-      ++accepted;
-      EXPECT_EQ(encode_pressure(s), bytes) << "field " << field << " = "
-                                           << value;
-      EXPECT_TRUE(s.state == PressureState::kNominal ||
-                  s.state == PressureState::kElevated ||
-                  s.state == PressureState::kSaturated);
-      constexpr auto kMaxCount =
-          static_cast<size_t>(std::numeric_limits<int64_t>::max());
-      EXPECT_LE(s.queue_bytes, kMaxCount);
-      EXPECT_LE(s.queue_depth, kMaxCount);
-      EXPECT_LE(s.store_bytes, kMaxCount);
-      EXPECT_GE(s.credits_free, -1);
-      EXPECT_GE(s.live_buckets, -1);
-    } catch (const Error&) {
-    }
-  }
-  EXPECT_GT(accepted, 500u);
 }
 
 // -------------------------------------------------------------- watermarks
@@ -212,14 +115,14 @@ TEST(OverloadControl, PhantomBytesRaisePressureAndCountAgainstBudget) {
 TEST(OverloadControl, CreditAdmitReleaseAndOverdraft) {
   OverloadControl ctrl(
       OverloadConfig::parse_spec("credits=2,admit-wait=0.01"));
-  const PressureSignal s1 = ctrl.admit(64);
-  EXPECT_EQ(s1.credits_free, 1);
+  ctrl.admit(64);
+  EXPECT_EQ(ctrl.pressure().credits_free, 1);
   ctrl.admit(64);
   EXPECT_EQ(ctrl.stats().credits_outstanding, 2);
 
   // All credits out: the third put waits admit-wait, then overdrafts.
-  const PressureSignal s3 = ctrl.admit(64);
-  EXPECT_EQ(s3.credits_free, 0);
+  ctrl.admit(64);
+  EXPECT_EQ(ctrl.pressure().credits_free, 0);
   const OverloadControl::Stats stats = ctrl.stats();
   EXPECT_EQ(stats.admissions, 3u);
   EXPECT_EQ(stats.admission_overdrafts, 1u);
@@ -300,7 +203,7 @@ TEST(ObjectStore, ByteAccountingFeedsPressure) {
 
 // --------------------------------------------------------- Dart admission
 
-TEST(DartOverload, PutAdmissionPiggybacksPressureAck) {
+TEST(DartOverload, PutAdmissionHoldsOneCredit) {
   OverloadControl ctrl(
       OverloadConfig::parse_spec("credits=4,admit-wait=0.002"));
   NetworkModel net;
@@ -311,15 +214,8 @@ TEST(DartOverload, PutAdmissionPiggybacksPressureAck) {
 
   const DartHandle h = dart.put_doubles(owner, {1.0, 2.0, 3.0});
   EXPECT_EQ(ctrl.stats().credits_outstanding, 1);
-
-  // The put ack arrives at the owner carrying the pressure snapshot.
-  const auto ev = dart.poll(owner);
-  ASSERT_TRUE(ev.has_value());
-  EXPECT_EQ(ev->type, DartEvent::Type::kPutCompleted);
-  EXPECT_EQ(ev->handle_id, h.id);
-  const PressureSignal sig = decode_pressure(ev->payload);
-  EXPECT_EQ(sig.state, PressureState::kNominal);
-  EXPECT_EQ(sig.credits_free, 3);
+  EXPECT_EQ(ctrl.stats().admissions, 1u);
+  EXPECT_EQ(ctrl.pressure().credits_free, 3);
 
   // release() returns the region's credit.
   dart.release(h);

@@ -16,6 +16,7 @@
 #include "io/bp_lite.hpp"
 #include "core/report.hpp"
 #include "core/stats_pipeline.hpp"
+#include "core/steering.hpp"
 #include "core/topology_pipeline.hpp"
 #include "core/viz_pipeline.hpp"
 #include "obs/histogram.hpp"
@@ -361,6 +362,43 @@ TEST(Pipeline, SimulationNotBlockedBySlowInTransit) {
   std::set<int> buckets;
   for (const auto& r : report.in_transit) buckets.insert(r.bucket);
   EXPECT_GE(buckets.size(), 2u);
+}
+
+// ------------------------------------------------------------- Steering --
+
+TEST(Steering, PostReadAndVersion) {
+  SteeringBoard board;
+  EXPECT_FALSE(board.read("threshold").has_value());
+  EXPECT_DOUBLE_EQ(board.read_or("threshold", 2.5), 2.5);
+  EXPECT_EQ(board.version(), 0u);
+
+  board.post("threshold", 3.0);
+  EXPECT_DOUBLE_EQ(board.read("threshold").value(), 3.0);
+  EXPECT_EQ(board.version(), 1u);
+
+  board.post("threshold", 3.5);
+  board.post("cadence", 10.0);
+  EXPECT_EQ(board.version(), 3u);
+  EXPECT_DOUBLE_EQ(board.read_or("threshold", 0.0), 3.5);
+  EXPECT_EQ(board.snapshot().size(), 2u);
+}
+
+TEST(Steering, ConcurrentPostersAndReaders) {
+  SteeringBoard board;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&board, t] {
+      for (int i = 0; i < 500; ++i) {
+        board.post("k" + std::to_string(t), static_cast<double>(i));
+        (void)board.read_or("k0", 0.0);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(board.version(), 2000u);
+  for (int t = 0; t < 4; ++t) {
+    EXPECT_DOUBLE_EQ(board.read_or("k" + std::to_string(t), -1.0), 499.0);
+  }
 }
 
 }  // namespace

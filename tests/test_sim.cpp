@@ -484,112 +484,6 @@ TEST(S3D, PlaneWindowMatchesTwoPassStep) {
   }
 }
 
-TEST(S3D, HeunIntegratorIsStableAndDistinctFromEuler) {
-  S3DParams euler = small_params();
-  S3DParams heun = small_params();
-  heun.integrator = TimeIntegrator::kHeun;
-
-  auto run = [](const S3DParams& p) {
-    std::vector<double> out;
-    World world(1);
-    S3DParams solo = p;
-    solo.ranks_per_axis = {1, 1, 1};
-    world.run([&](Comm& comm) {
-      S3DRank sim(solo, 0);
-      sim.initialize();
-      for (int s = 0; s < 8; ++s) sim.advance(comm);
-      out = sim.field(Variable::kTemperature).pack_owned();
-    });
-    return out;
-  };
-  const auto a = run(euler);
-  const auto b = run(heun);
-  ASSERT_EQ(a.size(), b.size());
-  double max_diff = 0.0, max_val = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    ASSERT_TRUE(std::isfinite(b[i]));
-    max_diff = std::max(max_diff, std::abs(a[i] - b[i]));
-    max_val = std::max(max_val, std::abs(a[i]));
-  }
-  EXPECT_GT(max_diff, 0.0);             // genuinely different scheme
-  EXPECT_LT(max_diff, 0.2 * max_val);   // but the same physics
-}
-
-TEST(S3D, HeunSelfConvergesFasterThanEuler) {
-  // Self-convergence in dt on a smooth (kernel-free) problem: the gap
-  // between dt and dt/2 solutions shrinks ~4x per halving for Heun vs
-  // ~2x for Euler.
-  auto solve = [](TimeIntegrator integ, double dt, int steps) {
-    S3DParams p;
-    p.grid = GlobalGrid{{16, 12, 12}, {1.0, 0.75, 0.75}};
-    p.ranks_per_axis = {1, 1, 1};
-    p.integrator = integ;
-    p.dt = dt;
-    p.chemistry.kernel_rate = 0.0;  // smooth dynamics only
-    std::vector<double> out;
-    World world(1);
-    world.run([&](Comm& comm) {
-      S3DRank sim(p, 0);
-      sim.initialize();
-      for (int s = 0; s < steps; ++s) sim.advance(comm);
-      out = sim.field(Variable::kYH2O).pack_owned();
-    });
-    return out;
-  };
-  auto max_gap = [&](TimeIntegrator integ, double dt, int steps) {
-    const auto coarse = solve(integ, dt, steps);
-    const auto fine = solve(integ, dt / 2, steps * 2);
-    double gap = 0.0;
-    for (size_t i = 0; i < coarse.size(); ++i) {
-      gap = std::max(gap, std::abs(coarse[i] - fine[i]));
-    }
-    return gap;
-  };
-  const double base_dt = 4.0e-3;
-  const int steps = 8;
-  const double euler1 = max_gap(TimeIntegrator::kEuler, base_dt, steps);
-  const double euler2 = max_gap(TimeIntegrator::kEuler, base_dt / 2, steps * 2);
-  const double heun1 = max_gap(TimeIntegrator::kHeun, base_dt, steps);
-  const double heun2 = max_gap(TimeIntegrator::kHeun, base_dt / 2, steps * 2);
-
-  const double euler_order = std::log2(euler1 / euler2);
-  const double heun_order = std::log2(heun1 / heun2);
-  EXPECT_NEAR(euler_order, 1.0, 0.5);
-  EXPECT_GT(heun_order, 1.5);  // second-order in time
-}
-
-TEST(S3D, HeunDecompositionInvariance) {
-  S3DParams p = small_params();
-  p.integrator = TimeIntegrator::kHeun;
-  S3DParams solo = p;
-  solo.ranks_per_axis = {1, 1, 1};
-
-  std::vector<double> reference;
-  {
-    World world(1);
-    world.run([&](Comm& comm) {
-      S3DRank sim(solo, 0);
-      sim.initialize();
-      for (int s = 0; s < 4; ++s) sim.advance(comm);
-      reference = sim.field(Variable::kTemperature).pack_owned();
-    });
-  }
-  Decomposition d(p.grid, p.ranks_per_axis);
-  World world(d.num_ranks());
-  world.run([&](Comm& comm) {
-    S3DRank sim(p, comm.rank());
-    sim.initialize();
-    for (int s = 0; s < 4; ++s) sim.advance(comm);
-    const Box3 owned = d.block(comm.rank());
-    const Box3 whole = p.grid.bounds();
-    for (int64_t k = owned.lo[2]; k < owned.hi[2]; ++k)
-      for (int64_t j = owned.lo[1]; j < owned.hi[1]; ++j)
-        for (int64_t i = owned.lo[0]; i < owned.hi[0]; ++i)
-          ASSERT_NEAR(sim.field(Variable::kTemperature).at(i, j, k),
-                      reference[whole.offset(i, j, k)], 1e-11);
-  });
-}
-
 TEST(S3D, SolutionBytesMatchTableOneAccounting) {
   const S3DParams p = small_params();
   S3DRank sim(p, 0);

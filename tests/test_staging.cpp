@@ -5,9 +5,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <set>
 #include <thread>
+#include <vector>
 
+#include "obs/attrib.hpp"
+#include "obs/counters.hpp"
+#include "obs/events.hpp"
 #include "staging/object_store.hpp"
 #include "staging/scheduler.hpp"
 
@@ -23,26 +28,14 @@ DataDescriptor make_desc(const std::string& var, long step, int64_t x0) {
   return d;
 }
 
-TEST(ObjectStore, PutQueryByRegion) {
-  ObjectStore store(4);
-  store.put(make_desc("T", 1, 0));
-  store.put(make_desc("T", 1, 4));
-  store.put(make_desc("T", 2, 0));   // other step
-  store.put(make_desc("P", 1, 0));   // other variable
-
-  const auto hits = store.query("T", 1, Box3{{0, 0, 0}, {2, 2, 2}});
-  ASSERT_EQ(hits.size(), 1u);
-  EXPECT_EQ(hits[0].box.lo[0], 0);
-
-  const auto all = store.query_all("T", 1);
-  EXPECT_EQ(all.size(), 2u);
-  EXPECT_EQ(store.size(), 4u);
-}
-
 TEST(ObjectStore, TakeRemoves) {
   ObjectStore store(2);
   store.put(make_desc("T", 1, 0));
   store.put(make_desc("T", 1, 4));
+  store.put(make_desc("T", 2, 0));  // other step
+  store.put(make_desc("P", 1, 0));  // other variable
+  EXPECT_EQ(store.query_all("T", 1).size(), 2u);
+  EXPECT_EQ(store.size(), 4u);
   const auto taken = store.take("T", 1);
   EXPECT_EQ(taken.size(), 2u);
   EXPECT_TRUE(store.query_all("T", 1).empty());
@@ -192,6 +185,82 @@ TEST_F(StagingTest, HandlerFailureDoesNotWedgeService) {
   EXPECT_EQ(succeeded.load(), 3);
   EXPECT_EQ(service.records().size(), 6u);
   EXPECT_EQ(dart_.num_published(), 0u);  // released even on failure
+}
+
+/// Runs one tenant-1 task of `analysis` (one published input) through a
+/// faults-off, one-bucket service and returns its record, checking that
+/// the recorded lifecycle conserves the task and attributes it exactly.
+TaskRecord run_one_recorded(Dart& dart, const StagingService::Handler& handler,
+                            std::optional<std::vector<std::byte>>* result) {
+  obs::reset_events();
+  obs::enable_events();
+  StagingService service(dart, {1, 1});
+  service.register_handler("work", handler);
+  const int sim = dart.register_node("sim-0");
+  const DataDescriptor in = service.publish(
+      sim, "x", 0, Box3{{0, 0, 0}, {1, 1, 1}}, {1.0}, nullptr, 1);
+  InTransitTask task;
+  task.analysis = "work";
+  task.inputs = {in};
+  task.tenant = 1;
+  const uint64_t id = service.submit(task);
+  service.drain();
+  *result = service.take_result(id);
+  EXPECT_EQ(dart.num_published(), 0u);  // the input was released once
+
+  const obs::EventsValidation v =
+      obs::validate_events(obs::events_snapshot(), 0);
+  EXPECT_TRUE(v.ok) << v.error;
+  if (v.tenants.size() == 1) {
+    const auto& t = v.tenants[0];
+    EXPECT_EQ(t.submitted, 1u);
+    EXPECT_EQ(t.completed + t.degraded + t.deferred + t.shed, t.submitted);
+  } else {
+    ADD_FAILURE() << "expected one tenant, got " << v.tenants.size();
+  }
+  const obs::Attribution a = obs::attribute_events(obs::events_snapshot(), 0);
+  EXPECT_TRUE(a.conserved) << a.error;
+  EXPECT_EQ(a.tasks.size(), 1u);
+  obs::reset_events();
+
+  const auto records = service.records();
+  EXPECT_EQ(records.size(), 1u);
+  return records.empty() ? TaskRecord{} : records[0];
+}
+
+TEST_F(StagingTest, HandlerThatAlwaysThrowsIsShedWithFaultsOff) {
+  // The bucket attempt throws (one attempt: faults are off), the task
+  // degrades to the fallback executor, which throws too: nothing is left
+  // to run it, so it is shed, never counted a completion.
+  const int64_t dropped_before = obs::counter("staging_tasks_dropped").value();
+  std::optional<std::vector<std::byte>> result;
+  const TaskRecord r = run_one_recorded(
+      dart_,
+      [](TaskContext& ctx) {
+        (void)ctx.pull(ctx.task().inputs.at(0));
+        throw Error("analysis failed");
+      },
+      &result);
+  EXPECT_EQ(r.outcome, TaskOutcome::kShed);
+  EXPECT_FALSE(result.has_value());
+  EXPECT_EQ(obs::counter("staging_tasks_dropped").value() - dropped_before, 1);
+}
+
+TEST_F(StagingTest, HandlerThatThrowsOnlyOnABucketDegrades) {
+  std::optional<std::vector<std::byte>> result;
+  const TaskRecord r = run_one_recorded(
+      dart_,
+      [](TaskContext& ctx) {
+        (void)ctx.pull(ctx.task().inputs.at(0));
+        if (ctx.bucket() >= 0) throw Error("bucket-side failure");
+        ctx.set_result({std::byte{7}});
+      },
+      &result);
+  EXPECT_EQ(r.outcome, TaskOutcome::kDegraded);
+  EXPECT_EQ(r.bucket, -1);
+  EXPECT_EQ(r.last_failed_bucket, 0);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(*result, std::vector<std::byte>{std::byte{7}});
 }
 
 // The scheduler tallies every tenant, policy or not, so drain_tenant waits

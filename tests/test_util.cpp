@@ -1,4 +1,4 @@
-// Unit tests for the util library: logging, timing, RNG, morton, vec3,
+// Unit tests for the util library: logging, timing, RNG, vec3,
 // and table formatting.
 #include <gtest/gtest.h>
 
@@ -8,7 +8,6 @@
 
 #include "util/error.hpp"
 #include "util/log.hpp"
-#include "util/morton.hpp"
 #include "util/numeric.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
@@ -131,28 +130,6 @@ TEST(SplitMix, DistinctOutputs) {
   std::set<uint64_t> seen;
   for (int i = 0; i < 1000; ++i) seen.insert(sm.next());
   EXPECT_EQ(seen.size(), 1000u);
-}
-
-TEST(Morton, RoundTrip) {
-  for (uint32_t x : {0u, 1u, 31u, 1000u, (1u << 21) - 1}) {
-    for (uint32_t y : {0u, 2u, 77u, 65535u}) {
-      for (uint32_t z : {0u, 3u, 511u}) {
-        const auto code = morton_encode(x, y, z);
-        const auto p = morton_decode(code);
-        EXPECT_EQ(p.x, x);
-        EXPECT_EQ(p.y, y);
-        EXPECT_EQ(p.z, z);
-      }
-    }
-  }
-}
-
-TEST(Morton, OrderPreservesLocality) {
-  // Adjacent cells differ in few high bits: codes of (0,0,0) and (1,0,0)
-  // must differ less than codes of (0,0,0) and (1<<20,0,0).
-  const auto near = morton_encode(1, 0, 0) ^ morton_encode(0, 0, 0);
-  const auto far = morton_encode(1u << 20, 0, 0) ^ morton_encode(0, 0, 0);
-  EXPECT_LT(near, far);
 }
 
 TEST(Vec3, Arithmetic) {

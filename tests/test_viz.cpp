@@ -10,7 +10,6 @@
 #include "analysis/viz/block_lut.hpp"
 #include "analysis/viz/compositor.hpp"
 #include "analysis/viz/raycast.hpp"
-#include "analysis/viz/slice.hpp"
 #include "sim/analytic_fields.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -234,78 +233,6 @@ TEST(BlockLut, AgreesWithBrickSamplerAtCoarsePoints) {
       }
     }
   }
-}
-
-TEST(Slice, ExtractFromBrick) {
-  const Box3 box{{2, 0, 4}, {6, 3, 8}};
-  std::vector<double> values(static_cast<size_t>(box.num_cells()));
-  for (int64_t k = box.lo[2]; k < box.hi[2]; ++k)
-    for (int64_t j = box.lo[1]; j < box.hi[1]; ++j)
-      for (int64_t i = box.lo[0]; i < box.hi[0]; ++i)
-        values[box.offset(i, j, k)] =
-            100.0 * static_cast<double>(i) + 10.0 * static_cast<double>(j) +
-            static_cast<double>(k);
-
-  // z-slice at k = 5: in-plane axes (x, y).
-  const Slice sz = extract_slice(box, values, 2, 5);
-  EXPECT_EQ(sz.nu, 4);
-  EXPECT_EQ(sz.nv, 3);
-  EXPECT_DOUBLE_EQ(sz.at(0, 0), 100.0 * 2 + 10.0 * 0 + 5.0);
-  EXPECT_DOUBLE_EQ(sz.at(3, 2), 100.0 * 5 + 10.0 * 2 + 5.0);
-
-  // x-slice at i = 4: in-plane axes (y, z).
-  const Slice sx = extract_slice(box, values, 0, 4);
-  EXPECT_EQ(sx.nu, 3);
-  EXPECT_EQ(sx.nv, 4);
-  EXPECT_DOUBLE_EQ(sx.at(1, 2), 100.0 * 4 + 10.0 * 1 + 6.0);
-
-  EXPECT_THROW(extract_slice(box, values, 2, 3), Error);   // outside box
-  EXPECT_THROW(extract_slice(box, values, 5, 5), Error);   // bad axis
-}
-
-TEST(Slice, RenderAndScale) {
-  Slice s;
-  s.axis = 2;
-  s.index = 0;
-  s.nu = 2;
-  s.nv = 2;
-  s.values = {0.0, 1.0, 1.0, 0.0};
-  const TransferFunction tf = TransferFunction::grayscale(0.0, 1.0);
-  const Image img = render_slice(s, tf, 3);
-  EXPECT_EQ(img.width(), 6);
-  EXPECT_EQ(img.height(), 6);
-  EXPECT_EQ(img.at(0, 0).a, 1.0f);               // opaque
-  EXPECT_LT(img.at(0, 0).r, img.at(5, 0).r);     // dark -> bright
-  EXPECT_EQ(img.at(4, 0).r, img.at(5, 1).r);     // nearest scaling blocks
-}
-
-TEST(Slice, AssembleAcrossRanks) {
-  GlobalGrid grid{{8, 6, 4}, {1, 1, 1}};
-  Decomposition decomp(grid, {2, 2, 1});
-  Field field("f", grid.bounds());
-  fill_noise(field, 12);
-
-  const int64_t plane = 2;
-  std::vector<Slice> parts;
-  std::vector<Box3> boxes;
-  for (int r = 0; r < decomp.num_ranks(); ++r) {
-    const Box3 b = decomp.block(r);
-    parts.push_back(extract_slice(b, field.pack(b), 2, plane));
-    boxes.push_back(b);
-  }
-  const Slice whole = assemble_slices(grid, parts, boxes);
-  EXPECT_EQ(whole.nu, 8);
-  EXPECT_EQ(whole.nv, 6);
-  for (int64_t v = 0; v < whole.nv; ++v) {
-    for (int64_t u = 0; u < whole.nu; ++u) {
-      EXPECT_DOUBLE_EQ(whole.at(u, v), field.at(u, v, plane));
-    }
-  }
-
-  // Missing a part: the plane is not tiled.
-  parts.pop_back();
-  boxes.pop_back();
-  EXPECT_THROW(assemble_slices(grid, parts, boxes), Error);
 }
 
 TEST(Image, PsnrAndMse) {
