@@ -108,7 +108,8 @@ Result measure(const Payload& payload, const std::string& spec,
   r.wire_bytes = frame.size();
 
   Stopwatch decode_watch;
-  const std::vector<double> decoded = decode_frame(frame);
+  const std::vector<double> decoded =
+      decode_frame(frame, payload.values.size());
   const double decode_s = decode_watch.seconds();
 
   const double mb = static_cast<double>(r.raw_bytes) / 1.0e6;

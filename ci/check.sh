@@ -65,13 +65,15 @@
 #      statistics, counts exact and moments 1e-9; the merge-tree and
 #      ray-cast results of hybrid-topo-viz) so the gated benchmark cannot
 #      rot unseen
-#   9. shape checks: bench_table2 and bench_ablate_spectrum run from a
-#      temp dir and fail the gate on any "[shape FAIL]" line; between them
-#      they run every statistics and visualization placement (bench_fig6
-#      stays out: its known FAIL is ROADMAP item 8)
-#  10. sanitizers: ASan+UBSan over everything, TSan over the concurrent
-#      paths (see ci/sanitize.sh; sanitizer runs skip the perf gate —
-#      their timings are not comparable to baseline)
+#   9. shape checks: bench_table2, bench_ablate_spectrum and
+#      bench_fig2_viz run from a temp dir and fail the gate on any
+#      "[shape FAIL]" line; between them they run every statistics and
+#      visualization placement, and bench_fig2_viz renders both placements
+#      on the Fig. 2 frames (bench_fig6 stays out: its known FAIL is
+#      ROADMAP item 8)
+#  10. sanitizers: ASan+UBSan (with float-cast-overflow) over everything,
+#      TSan over the concurrent paths (see ci/sanitize.sh; sanitizer runs
+#      skip the perf gate — their timings are not comparable to baseline)
 #
 # Artifacts (RunSummary JSONs, Chrome trace, metrics dump) are archived
 # under ci/artifacts/ for post-mortem reading.
@@ -293,8 +295,8 @@ sys.exit(0 if json.loads(sys.stdin.read()).get("correct") is True else 1)
   done
   echo "benchmark OK (sim-stats and hybrid-topo-viz correct)"
 
-  echo "==> shape checks: bench_table2 + bench_ablate_spectrum"
-  for bench in bench_table2 bench_ablate_spectrum; do
+  echo "==> shape checks: bench_table2 + bench_ablate_spectrum + bench_fig2_viz"
+  for bench in bench_table2 bench_ablate_spectrum bench_fig2_viz; do
     (cd "$smoke_dir" && "$OLDPWD/build/bench/$bench" > "${bench}_stdout.txt")
     cp "$smoke_dir/${bench}_stdout.txt" "$artifact_dir/"
     if grep -F '[shape FAIL]' "$smoke_dir/${bench}_stdout.txt" >&2; then

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Sanitized build + test.
 #
-#   ci/sanitize.sh           # ASan + UBSan over the full test suite
+#   ci/sanitize.sh           # ASan + UBSan over the full test suite (the
+#                            # preset adds float-cast-overflow, which GCC
+#                            # leaves out of -fsanitize=undefined)
 #   ci/sanitize.sh asan      # same
 #   ci/sanitize.sh tsan      # ThreadSanitizer over the concurrency-heavy
 #                            # tests (tracer, comm, dart, staging,

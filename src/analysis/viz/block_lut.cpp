@@ -1,8 +1,5 @@
 #include "analysis/viz/block_lut.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "util/error.hpp"
 
 namespace hia {
@@ -10,70 +7,14 @@ namespace hia {
 void BlockLut::add_block(DownsampledBlock block) {
   HIA_REQUIRE(block.stride >= 1 && !block.bounds.empty(),
               "malformed downsampled block");
+  size_t count = 1;
+  for (const int64_t n : block.samples) {
+    HIA_REQUIRE(n >= 1, "downsampled block needs a sample per axis");
+    count *= static_cast<size_t>(n);
+  }
+  HIA_REQUIRE(block.values.size() == count,
+              "downsampled block values do not match its sample counts");
   blocks_.push_back(std::move(block));
-  cache_ = nullptr;  // vector may have reallocated
-}
-
-size_t BlockLut::total_samples() const {
-  size_t total = 0;
-  for (const auto& b : blocks_) total += b.values.size();
-  return total;
-}
-
-const DownsampledBlock* BlockLut::locate(const double idx[3]) const {
-  auto inside = [&](const DownsampledBlock& b) {
-    for (int a = 0; a < 3; ++a) {
-      if (idx[a] < static_cast<double>(b.bounds.lo[a]) ||
-          idx[a] > static_cast<double>(b.bounds.hi[a] - 1)) {
-        return false;
-      }
-    }
-    return true;
-  };
-  if (cache_ != nullptr && inside(*cache_)) return cache_;
-  for (const auto& b : blocks_) {
-    if (inside(b)) {
-      cache_ = &b;
-      return cache_;
-    }
-  }
-  return nullptr;
-}
-
-bool BlockLut::sample(const Vec3& pos, double& value) const {
-  const double idx[3] = {pos.x / grid_.spacing(0) - 0.5,
-                         pos.y / grid_.spacing(1) - 0.5,
-                         pos.z / grid_.spacing(2) - 0.5};
-  const DownsampledBlock* b = locate(idx);
-  if (b == nullptr) return false;
-
-  // Coarse-lattice coordinates within the block.
-  int64_t m0[3];
-  double f[3];
-  for (int a = 0; a < 3; ++a) {
-    const double m =
-        (idx[a] - static_cast<double>(b->bounds.lo[a])) / b->stride;
-    const double clamped =
-        std::clamp(m, 0.0, static_cast<double>(b->samples[a] - 1));
-    m0[a] = std::min(static_cast<int64_t>(clamped), b->samples[a] - 2);
-    m0[a] = std::max<int64_t>(m0[a], 0);
-    f[a] = b->samples[a] == 1 ? 0.0 : clamped - static_cast<double>(m0[a]);
-  }
-  auto v = [&](int64_t di, int64_t dj, int64_t dk) {
-    const int64_t i = std::min(m0[0] + di, b->samples[0] - 1);
-    const int64_t j = std::min(m0[1] + dj, b->samples[1] - 1);
-    const int64_t k = std::min(m0[2] + dk, b->samples[2] - 1);
-    return b->values[static_cast<size_t>(
-        (k * b->samples[1] + j) * b->samples[0] + i)];
-  };
-  const double c00 = v(0, 0, 0) * (1 - f[0]) + v(1, 0, 0) * f[0];
-  const double c10 = v(0, 1, 0) * (1 - f[0]) + v(1, 1, 0) * f[0];
-  const double c01 = v(0, 0, 1) * (1 - f[0]) + v(1, 0, 1) * f[0];
-  const double c11 = v(0, 1, 1) * (1 - f[0]) + v(1, 1, 1) * f[0];
-  const double c0 = c00 * (1 - f[1]) + c10 * f[1];
-  const double c1 = c01 * (1 - f[1]) + c11 * f[1];
-  value = c0 * (1 - f[2]) + c1 * f[2];
-  return true;
 }
 
 }  // namespace hia

@@ -7,44 +7,34 @@
 // process, avoiding expensive visibility sorting or volume reconstruction
 // steps." (paper §III, Visualization)
 //
-// BlockLut implements VolumeSampler: each sample locates the containing
-// block through the bounds table (with a last-block cache, since ray
-// marching has strong spatial coherence) and interpolates trilinearly on
-// that block's coarse lattice.
+// BlockLut holds the blocks; render_volume (raycast.hpp) walks it. Each
+// ray keeps the block its last sample fell in and consults the bounds
+// table only when a sample leaves that block; within a block it
+// interpolates trilinearly on the block's coarse lattice.
 #pragma once
 
 #include <vector>
 
 #include "analysis/viz/downsample.hpp"
-#include "analysis/viz/raycast.hpp"
 #include "sim/grid.hpp"
 
 namespace hia {
 
-class BlockLut final : public VolumeSampler {
+class BlockLut {
  public:
   explicit BlockLut(const GlobalGrid& grid) : grid_(grid) {}
 
   /// Registers a down-sampled block (takes ownership).
   void add_block(DownsampledBlock block);
 
-  [[nodiscard]] size_t num_blocks() const { return blocks_.size(); }
-  [[nodiscard]] size_t total_samples() const;
-
-  /// The look-up-table entry count x bounds pairs — the "small look-up
-  /// table" of the paper; exposed for size accounting in the benches.
-  [[nodiscard]] size_t lut_bytes() const {
-    return blocks_.size() * sizeof(Box3);
+  [[nodiscard]] const GlobalGrid& grid() const { return grid_; }
+  [[nodiscard]] const std::vector<DownsampledBlock>& blocks() const {
+    return blocks_;
   }
 
-  bool sample(const Vec3& pos, double& value) const override;
-
  private:
-  [[nodiscard]] const DownsampledBlock* locate(const double idx[3]) const;
-
   const GlobalGrid& grid_;
   std::vector<DownsampledBlock> blocks_;
-  mutable const DownsampledBlock* cache_ = nullptr;
 };
 
 }  // namespace hia

@@ -1,5 +1,7 @@
 #include "analysis/viz/downsample.hpp"
 
+#include <cmath>
+
 #include "util/error.hpp"
 #include "util/numeric.hpp"
 
@@ -20,8 +22,18 @@ DownsampledBlock DownsampledBlock::deserialize(std::span<const double> data) {
   HIA_REQUIRE(data.size() >= 10, "downsampled block payload too short");
   DownsampledBlock b;
   size_t off = 0;
-  for (int a = 0; a < 3; ++a) b.bounds.lo[a] = round_to<int64_t>(data[off++]);
-  for (int a = 0; a < 3; ++a) b.bounds.hi[a] = round_to<int64_t>(data[off++]);
+  // Bounds stay well inside int64 (and exact as doubles), so extents and
+  // the renderer's index arithmetic cannot overflow.
+  auto bound = [](double v) {
+    HIA_REQUIRE(v > -0x1p52 && v < 0x1p52,
+                "downsampled block bounds out of range");
+    return round_to<int64_t>(v);
+  };
+  for (int a = 0; a < 3; ++a) b.bounds.lo[a] = bound(data[off++]);
+  for (int a = 0; a < 3; ++a) b.bounds.hi[a] = bound(data[off++]);
+  HIA_REQUIRE(!b.bounds.empty(), "downsampled block bounds are empty");
+  HIA_REQUIRE(data[off] > 0.5 && data[off] < 2147483647.5,
+              "downsampled block stride out of range");
   b.stride = round_to<int>(data[off++]);
   // Each sample count is at least 1 and bounded by the values left for it,
   // so the running product never exceeds the payload.
@@ -32,10 +44,15 @@ DownsampledBlock DownsampledBlock::deserialize(std::span<const double> data) {
                                    "downsampled samples exceed payload");
     HIA_REQUIRE(s >= 1, "downsampled block needs a sample per axis");
     b.samples[a] = static_cast<int64_t>(s);
+    HIA_REQUIRE(b.samples[a] == (b.bounds.extent(a) - 1) / b.stride + 1,
+                "downsampled sample count disagrees with bounds and stride");
     expected *= s;
   }
   HIA_REQUIRE(body == expected, "downsampled block payload size mismatch");
   b.values.assign(data.begin() + 10, data.end());
+  for (const double v : b.values) {
+    HIA_REQUIRE(std::isfinite(v), "downsampled block value is not finite");
+  }
   return b;
 }
 

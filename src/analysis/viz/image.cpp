@@ -27,9 +27,11 @@ void write_ppm(const Image& image, const std::string& path,
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   HIA_REQUIRE(out.good(), "cannot open PPM for write: " + path);
   out << "P6\n" << image.width() << " " << image.height() << "\n255\n";
+  // A NaN channel (a NaN sample composites to NaN) writes as 0; std::clamp
+  // would pass it through to an undefined float-to-int conversion.
   auto to_byte = [](float v) {
     return static_cast<unsigned char>(
-        std::clamp(v, 0.0f, 1.0f) * 255.0f + 0.5f);
+        (v > 0.0f ? std::min(v, 1.0f) : 0.0f) * 255.0f + 0.5f);
   };
   for (int y = 0; y < image.height(); ++y) {
     for (int x = 0; x < image.width(); ++x) {

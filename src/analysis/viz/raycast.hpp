@@ -1,8 +1,23 @@
-// Volume ray casting: the compute kernel shared by both visualization
-// variants. The in-situ variant renders each rank's full-resolution brick
+// Volume ray casting: the one marcher both visualization placements use.
+// The in-situ variant renders each rank's full-resolution brick
 // (BrickSampler) and composites; the hybrid variant renders the
-// down-sampled blocks through the block look-up table (BlockLut, which also
-// implements VolumeSampler) on a single in-transit core.
+// down-sampled blocks through the block look-up table (BlockLut) on a
+// single in-transit core.
+//
+// Both samplers reduce to the same thing: trilinear lattices in global
+// index space. Per frame the marcher builds
+//   * a TransferTable: the transfer function with its opacity corrected
+//     for the ray step, so no sample pays for a std::pow or a search of the
+//     control points;
+//   * per lattice: origin, stride, clamp limits and the value offsets of a
+//     cell's far corners (0 on a one-point axis, so no neighbour clamp
+//     remains).
+// Per ray it keeps the lattice the last sample fell in, samples a chunk of
+// 16 steps, then runs the transfer function, front-to-back compositing and
+// early exit over the chunk: the lattice lookups of a chunk do not wait on
+// the compositing chain. Every sample uses the arithmetic of the old
+// per-sample renderer (the reference in tests/test_viz.cpp), so images are
+// unchanged.
 #pragma once
 
 #include <span>
@@ -15,6 +30,8 @@
 #include "util/vec3.hpp"
 
 namespace hia {
+
+class BlockLut;
 
 /// Physical-space axis-aligned bounds.
 struct Aabb {
@@ -29,21 +46,16 @@ struct Aabb {
 /// samples: the box of point positions, padded half a cell outward).
 Aabb physical_bounds(const GlobalGrid& grid, const Box3& box);
 
-/// Scalar field sampled at arbitrary physical positions.
-class VolumeSampler {
- public:
-  virtual ~VolumeSampler() = default;
-  /// Value at `pos`; false when pos is outside the sampler's support.
-  virtual bool sample(const Vec3& pos, double& value) const = 0;
-};
-
-/// Trilinear sampler over one full-resolution brick.
-class BrickSampler final : public VolumeSampler {
+/// One full-resolution brick for trilinear sampling. Positions beyond its
+/// outermost points clamp to them, so brick edges extrapolate flat.
+class BrickSampler {
  public:
   BrickSampler(const GlobalGrid& grid, const Box3& box,
                std::span<const double> values);
 
-  bool sample(const Vec3& pos, double& value) const override;
+  [[nodiscard]] const GlobalGrid& grid() const { return grid_; }
+  [[nodiscard]] const Box3& box() const { return box_; }
+  [[nodiscard]] std::span<const double> values() const { return values_; }
 
  private:
   const GlobalGrid& grid_;
@@ -57,11 +69,15 @@ struct RenderParams {
   float early_exit_alpha = 0.99f;
 };
 
-/// Marches all camera rays through `bounds`, sampling `sampler` and
+/// Marches all camera rays through `bounds`, sampling the volume and
 /// compositing front-to-back into `image` (premultiplied). Pixels whose
 /// rays miss `bounds` are left untouched, so per-brick images can be
-/// composited afterwards.
-void render_volume(const OrthoCamera& camera, const VolumeSampler& sampler,
+/// composited afterwards. Samples in the gaps between down-sampled blocks
+/// (no block's points surround them) are skipped.
+void render_volume(const OrthoCamera& camera, const BrickSampler& brick,
+                   const Aabb& bounds, const TransferFunction& tf,
+                   const RenderParams& params, Image& image);
+void render_volume(const OrthoCamera& camera, const BlockLut& lut,
                    const Aabb& bounds, const TransferFunction& tf,
                    const RenderParams& params, Image& image);
 

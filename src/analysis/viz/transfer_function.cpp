@@ -9,34 +9,16 @@ namespace hia {
 TransferFunction::TransferFunction(std::vector<ControlPoint> points)
     : points_(std::move(points)) {
   HIA_REQUIRE(points_.size() >= 2, "need at least two control points");
-  for (size_t i = 1; i < points_.size(); ++i) {
-    HIA_REQUIRE(points_[i].value > points_[i - 1].value,
-                "control points must be strictly ascending");
+  for (size_t i = 0; i < points_.size(); ++i) {
+    HIA_REQUIRE(points_[i].color.a >= 0.0f && points_[i].color.a <= 1.0f,
+                "control-point opacity must lie in [0, 1]");
+    HIA_REQUIRE(std::isfinite(points_[i].value),
+                "control-point values must be finite");
+    if (i > 0) {
+      HIA_REQUIRE(points_[i].value > points_[i - 1].value,
+                  "control points must be strictly ascending");
+    }
   }
-}
-
-Rgba TransferFunction::sample(double v) const {
-  if (v <= points_.front().value) return points_.front().color;
-  if (v >= points_.back().value) return points_.back().color;
-  size_t hi = 1;
-  while (points_[hi].value < v) ++hi;
-  const ControlPoint& a = points_[hi - 1];
-  const ControlPoint& b = points_[hi];
-  const float t =
-      static_cast<float>((v - a.value) / (b.value - a.value));
-  return Rgba{a.color.r + t * (b.color.r - a.color.r),
-              a.color.g + t * (b.color.g - a.color.g),
-              a.color.b + t * (b.color.b - a.color.b),
-              a.color.a + t * (b.color.a - a.color.a)};
-}
-
-float TransferFunction::corrected_alpha(float alpha, double dt,
-                                        double reference_dt) {
-  // alpha' = 1 - (1 - alpha)^(dt / ref): keeps opacity density invariant
-  // under step-size changes.
-  return 1.0f - static_cast<float>(
-                    std::pow(1.0 - static_cast<double>(alpha),
-                             dt / reference_dt));
 }
 
 TransferFunction TransferFunction::flame(double lo, double hi) {
@@ -55,6 +37,55 @@ TransferFunction TransferFunction::grayscale(double lo, double hi) {
       {lo, {0.0f, 0.0f, 0.0f, 0.0f}},
       {hi, {1.0f, 1.0f, 1.0f, 0.4f}},
   });
+}
+
+TransferTable::TransferTable(const TransferFunction& tf, double step,
+                             double reference_step) {
+  HIA_REQUIRE(step > 0.0 && reference_step > 0.0 &&
+                  std::isfinite(step / reference_step),
+              "ray steps must be positive");
+  const double exponent = step / reference_step;
+  if (exponent != 1.0) {
+    power_.resize(kKnots);
+    slope_.resize(kKnots);
+    for (size_t j = 0; j < kKnots; ++j) {
+      const double x0 = static_cast<double>(j) / double{kKnots};
+      const double x1 = static_cast<double>(j + 1) / double{kKnots};
+      power_[j] = std::pow(x0, exponent);
+      slope_[j] = (std::pow(x1, exponent) - power_[j]) * double{kKnots};
+    }
+  }
+
+  const auto& points = tf.points();
+  lo_ = points.front().value;
+  hi_ = points.back().value;
+  bin_scale_ = double{kBins} / (hi_ - lo_);
+  front_ = points.front().color;
+  front_.a = corrected_alpha(front_.a);
+  back_ = points.back().color;
+  back_.a = corrected_alpha(back_.a);
+
+  for (size_t i = 0; i < points.size(); ++i) {
+    const TransferFunction::ControlPoint& a = points[i];
+    Segment s{a.value, 0.0, a.color, {}};
+    if (i + 1 < points.size()) {
+      const TransferFunction::ControlPoint& b = points[i + 1];
+      s.width = b.value - a.value;
+      s.delta = {b.color.r - a.color.r, b.color.g - a.color.g,
+                 b.color.b - a.color.b, b.color.a - a.color.a};
+    }
+    segments_.push_back(s);
+  }
+  // A value that lands in bin b lies above the lower edge of bin b - 1
+  // whatever the rounding of its bin index, so the segment holding that
+  // edge is a safe start for lookup's forward scan.
+  const double bin_width = (hi_ - lo_) / double{kBins};
+  for (size_t b = 0; b < kBins; ++b) {
+    const double edge = lo_ + (static_cast<double>(b) - 1.0) * bin_width;
+    size_t s = 0;
+    while (s + 2 < segments_.size() && segments_[s + 1].value < edge) ++s;
+    first_segment_[b] = s;
+  }
 }
 
 }  // namespace hia

@@ -25,7 +25,7 @@ std::vector<double> roundtrip(const Codec& codec,
   const std::vector<std::byte> frame = codec.encode(values);
   EXPECT_TRUE(is_encoded_frame(frame));
   EXPECT_EQ(frame_value_count(frame), values.size());
-  return decode_frame(frame);
+  return decode_frame(frame, values.size());
 }
 
 /// Bit-exact comparison: distinguishes -0.0 from 0.0 and treats any NaN

@@ -16,9 +16,11 @@
 #include "analysis/topology/feature_stats.hpp"
 #include "analysis/topology/local_tree.hpp"
 #include "analysis/topology/segmentation.hpp"
+#include "analysis/viz/block_lut.hpp"
 #include "analysis/viz/downsample.hpp"
 #include "analysis/viz/image.hpp"
 #include "analysis/viz/isosurface.hpp"
+#include "analysis/viz/raycast.hpp"
 #include "core/framework.hpp"
 #include "core/histogram_pipeline.hpp"
 #include "core/stats_pipeline.hpp"
@@ -539,11 +541,24 @@ std::vector<PulledDecoder> pulled_decoders() {
        }},
       {"DownsampledBlock::deserialize", block.serialize(),
        [](std::span<const double> d) {
-         const DownsampledBlock b = DownsampledBlock::deserialize(d);
+         DownsampledBlock b = DownsampledBlock::deserialize(d);
          for (const int64_t n : b.samples) EXPECT_GE(n, 1);
          EXPECT_EQ(b.values.size(),
                    static_cast<size_t>(b.samples[0] * b.samples[1] *
                                        b.samples[2]));
+         // Whatever decodes also renders: the in-transit ray cast walks
+         // the block's lattice wherever its bounds put it.
+         static const GlobalGrid grid{{4, 4, 2}, {1.0, 1.0, 0.5}};
+         BlockLut lut(grid);
+         ASSERT_NO_THROW(lut.add_block(std::move(b)));
+         const OrthoCamera cam =
+             OrthoCamera::default_view({1.0, 1.0, 0.5}, 8, 8);
+         RenderParams params;
+         params.step = params.reference_step = 0.25;
+         Image frame(8, 8);
+         EXPECT_NO_THROW(render_volume(
+             cam, lut, physical_bounds(grid, grid.bounds()),
+             TransferFunction::flame(1.0, 2.0), params, frame));
        }},
       {"deserialize_image", serialize_image(image),
        [](std::span<const double> d) {
@@ -567,6 +582,21 @@ TEST(PulledDecoders, PeerPayloadsThatOnceEscapedNowFailWithAnError) {
   EXPECT_THROW(DownsampledBlock::deserialize(std::vector<double>{
                    0, 0, 0, 1, 1, 1, 1, -1, -1, 1, 5.0}),
                Error);
+  // A non-finite value, and sample counts no down-sampling of the bounds
+  // produces, once reached the ray caster.
+  const Box3 box{{0, 0, 0}, {4, 4, 2}};
+  const std::vector<double> valid =
+      downsample_block(box, std::vector<double>(32, 1.5), 2).serialize();
+  std::vector<double> nan_value = valid;
+  nan_value.back() = std::nan("");
+  EXPECT_THROW(DownsampledBlock::deserialize(nan_value), Error);
+  std::vector<double> reshaped = valid;  // samples (2, 2, 1) read as (4, 1, 1)
+  reshaped[7] = 4;
+  reshaped[8] = 1;
+  EXPECT_THROW(DownsampledBlock::deserialize(reshaped), Error);
+  std::vector<double> no_stride = valid;
+  no_stride[6] = 0;
+  EXPECT_THROW(DownsampledBlock::deserialize(no_stride), Error);
   // A component index past the component count once reached an assertion
   // (abort) inside combine_features.
   LocalFeatureData bad_boundary = two_features();
