@@ -36,26 +36,19 @@ int main(int argc, char** argv) {
     sim.advance(comm);
     comm.reset_byte_counter();
 
-    // learn (with the all-to-all model combination).
-    std::vector<MomentAccumulator> locals;
+    // learn (with the all-to-all model combination the in-situ
+    // statistics run).
+    MomentSet local;
     for (const Variable v : all_variables()) {
-      locals.push_back(learn_field(sim.field(v)));
+      local.vars.push_back(learn_field(sim.field(v)));
     }
-    const auto packed = pack_accumulators(locals);
-    const auto global_packed = comm.allreduce(
-        packed, [](std::span<double> acc, std::span<const double> in) {
-          for (size_t i = 0; i < acc.size(); i += 7) {
-            auto a = MomentAccumulator::unpack(&acc[i]);
-            a.combine(MomentAccumulator::unpack(&in[i]));
-            a.pack(&acc[i]);
-          }
-        });
+    const MomentSet global = all_reduce(comm, local);
     const size_t learn_bytes = comm.bytes_sent();
     comm.reset_byte_counter();
 
     // derive.
     std::vector<DescriptiveModel> models;
-    for (const auto& acc : unpack_accumulators(global_packed)) {
+    for (const auto& acc : global.vars) {
       models.push_back(derive_descriptive(acc));
     }
     const size_t derive_bytes = comm.bytes_sent();

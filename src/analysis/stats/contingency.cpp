@@ -76,7 +76,8 @@ ContingencyTable ContingencyTable::deserialize(std::span<const double> data) {
     const auto y = static_cast<int>(
         rounded_below(data[3 + c * 3 + 1], static_cast<size_t>(t.y_bins_),
                       "contingency cell out of range"));
-    const auto count = round_to<uint64_t>(data[3 + c * 3 + 2]);
+    const size_t count = rounded_below(data[3 + c * 3 + 2], size_t{1} << 53,
+                                       "contingency count out of range");
     t.cells_[{x, y}] += count;
     t.total_ += count;
   }

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "util/error.hpp"
+#include "util/numeric.hpp"
 
 namespace hia {
 
@@ -112,19 +113,18 @@ void CovarianceAccumulator::combine(const CovarianceAccumulator& other) {
   n_ += other.n_;
 }
 
-void CovarianceAccumulator::pack(double out[kPackedSize]) const {
-  out[0] = static_cast<double>(n_);
-  out[1] = mean_x_;
-  out[2] = mean_y_;
-  out[3] = m2x_;
-  out[4] = m2y_;
-  out[5] = c2_;
+std::vector<double> CovarianceAccumulator::serialize() const {
+  return {static_cast<double>(n_), mean_x_, mean_y_, m2x_, m2y_, c2_};
 }
 
-CovarianceAccumulator CovarianceAccumulator::unpack(
-    const double in[kPackedSize]) {
+CovarianceAccumulator CovarianceAccumulator::deserialize(
+    std::span<const double> in) {
+  HIA_REQUIRE(in.size() == 6, "malformed bivariate model payload");
   CovarianceAccumulator acc;
-  acc.n_ = static_cast<uint64_t>(in[0]);
+  // The count arrives from a peer: it must round into the range a double
+  // carries exactly.
+  acc.n_ = rounded_below(in[0], size_t{1} << 53,
+                         "bivariate count out of range");
   acc.mean_x_ = in[1];
   acc.mean_y_ = in[2];
   acc.m2x_ = in[3];

@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 namespace hia {
 
@@ -37,9 +38,10 @@ class CovarianceAccumulator {
   [[nodiscard]] double m2_y() const { return m2y_; }
   [[nodiscard]] double c2() const { return c2_; }  // sum (x-mx)(y-my)
 
-  static constexpr int kPackedSize = 6;
-  void pack(double out[kPackedSize]) const;
-  static CovarianceAccumulator unpack(const double in[kPackedSize]);
+  /// Wire format: [count, mean_x, mean_y, m2_x, m2_y, c2].
+  [[nodiscard]] std::vector<double> serialize() const;
+  /// Decodes a peer's payload; fails only with hia::Error.
+  static CovarianceAccumulator deserialize(std::span<const double> in);
 
  private:
   uint64_t n_ = 0;

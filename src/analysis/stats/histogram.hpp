@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "util/error.hpp"
-#include "util/numeric.hpp"
 
 namespace hia {
 
@@ -66,21 +65,11 @@ class Histogram {
   /// quantile estimate). q in [0, 1].
   [[nodiscard]] double quantile(double q) const;
 
-  /// Exact state restoration from serialized counts (deserialization path;
-  /// counts.size() must equal bins()).
-  void restore(std::span<const double> counts, uint64_t underflow,
-               uint64_t overflow) {
-    HIA_REQUIRE(counts.size() == counts_.size(),
-                "restore: bin count mismatch");
-    total_ = underflow + overflow;
-    for (size_t b = 0; b < counts_.size(); ++b) {
-      counts_[b] = rounded_below(counts[b], size_t{1} << 53,
-                                 "histogram bin count out of range");
-      total_ += counts_[b];
-    }
-    underflow_ = underflow;
-    overflow_ = overflow;
-  }
+  /// Flat encoding for transport:
+  /// [lo, hi, bins, underflow, overflow, counts...].
+  [[nodiscard]] std::vector<double> serialize() const;
+  /// Decodes a peer's payload; fails only with hia::Error.
+  static Histogram deserialize(std::span<const double> data);
 
  private:
   double lo_, hi_;

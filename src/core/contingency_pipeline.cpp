@@ -5,7 +5,7 @@
 
 namespace hia {
 
-void HybridContingency::in_situ(InSituContext& ctx) {
+ContingencyTable HybridContingency::learn(InSituContext& ctx) {
   const Field& fx = ctx.sim().field(config_.x);
   const Field& fy = ctx.sim().field(config_.y);
   const Categorizer cx(config_.x_lo, config_.x_hi, config_.x_bins);
@@ -21,20 +21,24 @@ void HybridContingency::in_situ(InSituContext& ctx) {
       }
     }
   }
-  ctx.publish("cont.partial", box, table.serialize());
+  return table;
 }
 
-void HybridContingency::in_transit(TaskContext& ctx) {
-  ContingencyTable global(config_.x_bins, config_.y_bins);
-  for (const DataDescriptor& desc : ctx.task().inputs) {
-    global.combine(ContingencyTable::deserialize(ctx.pull_doubles(desc)));
-  }
-  const ContingencyModel model = derive_contingency(global);
+ContingencyResult HybridContingency::derive(
+    const ContingencyTable& global) const {
+  // The fold takes its dimensions from the first pulled table; marginals
+  // are sized from them, so they must be the configured ones.
+  HIA_REQUIRE(global.x_bins() == config_.x_bins &&
+                  global.y_bins() == config_.y_bins,
+              "contingency table dimensions differ from the configuration");
+  return {derive_contingency(global), global};
+}
 
-  ctx.set_result(to_bytes(std::vector{static_cast<double>(model.total),
-                                      model.chi_squared, model.cramers_v,
-                                      model.mutual_information}));
-  latest_.offer(ctx.task().step, {model, std::move(global)});
+std::vector<std::byte> HybridContingency::row(
+    const ContingencyResult& result) const {
+  const ContingencyModel& m = result.model;
+  return to_bytes(std::vector{static_cast<double>(m.total), m.chi_squared,
+                              m.cramers_v, m.mutual_information});
 }
 
 }  // namespace hia

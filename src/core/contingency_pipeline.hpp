@@ -22,33 +22,32 @@ struct ContingencyConfig {
   int x_bins = 16, y_bins = 16;
 };
 
-class HybridContingency final : public HybridAnalysis {
- public:
-  explicit HybridContingency(ContingencyConfig config) : config_(config) {}
+/// The derived statistics and the combined table itself (for marginals /
+/// deeper inspection).
+struct ContingencyResult {
+  ContingencyModel model;
+  std::optional<ContingencyTable> table;
+};
 
-  [[nodiscard]] std::string name() const override { return "cont-hybrid"; }
-  [[nodiscard]] std::vector<std::string> staged_variables() const override {
-    return {"cont.partial"};
-  }
-  void in_situ(InSituContext& ctx) override;
-  void in_transit(TaskContext& ctx) override;
+class HybridContingency final
+    : public Mergeable<ContingencyTable, ContingencyResult> {
+ public:
+  explicit HybridContingency(ContingencyConfig config)
+      : Mergeable("cont", Placement::kHybrid), config_(config) {}
 
   [[nodiscard]] ContingencyModel latest_model() const {
-    return latest_.get().model;
+    return latest().model;
   }
-  /// The combined table itself (for marginals / deeper inspection).
   [[nodiscard]] std::optional<ContingencyTable> latest_table() const {
-    return latest_.get().table;
+    return latest().table;
   }
 
  private:
-  struct Result {
-    ContingencyModel model;
-    std::optional<ContingencyTable> table;
-  };
+  ContingencyTable learn(InSituContext& ctx) override;
+  ContingencyResult derive(const ContingencyTable& global) const override;
+  std::vector<std::byte> row(const ContingencyResult& result) const override;
 
   ContingencyConfig config_;
-  Latest<Result> latest_;
 };
 
 }  // namespace hia

@@ -20,28 +20,15 @@ CovarianceAccumulator correlation_learn_fields(const Field& x,
   return acc;
 }
 
-void HybridCorrelation::in_situ(InSituContext& ctx) {
-  const CovarianceAccumulator acc = correlation_learn_fields(
-      ctx.sim().field(x_), ctx.sim().field(y_));
-  std::vector<double> packed(CovarianceAccumulator::kPackedSize);
-  acc.pack(packed.data());
-  ctx.publish("corr.partial", ctx.sim().field(x_).owned(), packed);
+CovarianceAccumulator HybridCorrelation::learn(InSituContext& ctx) {
+  return correlation_learn_fields(ctx.sim().field(x_), ctx.sim().field(y_));
 }
 
-void HybridCorrelation::in_transit(TaskContext& ctx) {
-  CovarianceAccumulator global;
-  for (const DataDescriptor& desc : ctx.task().inputs) {
-    const auto packed = ctx.pull_doubles(desc);
-    HIA_REQUIRE(packed.size() == CovarianceAccumulator::kPackedSize,
-                "malformed bivariate model payload");
-    global.combine(CovarianceAccumulator::unpack(packed.data()));
-  }
-  const CorrelationModel model = derive_correlation(global);
-
-  ctx.set_result(to_bytes(std::vector{static_cast<double>(model.count),
-                                      model.covariance, model.pearson_r,
-                                      model.slope, model.intercept}));
-  latest_.offer(ctx.task().step, model);
+std::vector<std::byte> HybridCorrelation::row(
+    const CorrelationModel& model) const {
+  return to_bytes(std::vector{static_cast<double>(model.count),
+                              model.covariance, model.pearson_r, model.slope,
+                              model.intercept});
 }
 
 }  // namespace hia

@@ -13,22 +13,22 @@
 
 namespace hia {
 
-class HybridCorrelation final : public HybridAnalysis {
+class HybridCorrelation final
+    : public Mergeable<CovarianceAccumulator, CorrelationModel> {
  public:
-  HybridCorrelation(Variable x, Variable y) : x_(x), y_(y) {}
+  HybridCorrelation(Variable x, Variable y)
+      : Mergeable("corr", Placement::kHybrid), x_(x), y_(y) {}
 
-  [[nodiscard]] std::string name() const override { return "corr-hybrid"; }
-  [[nodiscard]] std::vector<std::string> staged_variables() const override {
-    return {"corr.partial"};
-  }
-  void in_situ(InSituContext& ctx) override;
-  void in_transit(TaskContext& ctx) override;
-
-  [[nodiscard]] CorrelationModel latest_model() const { return latest_.get(); }
+  [[nodiscard]] CorrelationModel latest_model() const { return latest(); }
 
  private:
+  CovarianceAccumulator learn(InSituContext& ctx) override;
+  CorrelationModel derive(const CovarianceAccumulator& global) const override {
+    return derive_correlation(global);
+  }
+  std::vector<std::byte> row(const CorrelationModel& model) const override;
+
   Variable x_, y_;
-  Latest<CorrelationModel> latest_;
 };
 
 /// `learn` of the bivariate model over the co-located owned regions of two

@@ -25,12 +25,8 @@ struct FeatureStatsConfig {
 class HybridFeatureStatistics final : public HybridAnalysis {
  public:
   explicit HybridFeatureStatistics(FeatureStatsConfig config)
-      : config_(config) {}
+      : HybridAnalysis("fstats-hybrid", {"fstats.partial"}), config_(config) {}
 
-  [[nodiscard]] std::string name() const override { return "fstats-hybrid"; }
-  [[nodiscard]] std::vector<std::string> staged_variables() const override {
-    return {"fstats.partial"};
-  }
   void in_situ(InSituContext& ctx) override;
   void in_transit(TaskContext& ctx) override;
 

@@ -9,7 +9,6 @@
 // "learn is the only communicating stage" structure as Fig. 4.
 #pragma once
 
-#include <memory>
 #include <optional>
 
 #include "analysis/stats/histogram.hpp"
@@ -26,30 +25,24 @@ struct HistogramConfig {
   std::optional<std::pair<double, double>> range;
 };
 
-class HybridHistogram final : public HybridAnalysis {
+/// latest() is the combined global histogram of the newest step.
+class HybridHistogram final
+    : public Mergeable<Histogram, std::optional<Histogram>> {
  public:
-  explicit HybridHistogram(HistogramConfig config) : config_(config) {}
-
-  [[nodiscard]] std::string name() const override { return "hist-hybrid"; }
-  [[nodiscard]] std::vector<std::string> staged_variables() const override {
-    return {"hist.partial"};
-  }
-  void in_situ(InSituContext& ctx) override;
-  void in_transit(TaskContext& ctx) override;
-
-  /// Combined global histogram from the most recent invocation.
-  [[nodiscard]] std::optional<Histogram> latest() const {
-    return latest_.get();
-  }
+  explicit HybridHistogram(HistogramConfig config)
+      : Mergeable("hist", Placement::kHybrid), config_(config) {}
 
  private:
-  HistogramConfig config_;
-  Latest<std::optional<Histogram>> latest_;
-};
+  Histogram learn(InSituContext& ctx) override;
+  std::optional<Histogram> derive(const Histogram& global) const override {
+    return global;
+  }
+  std::vector<std::byte> row(
+      const std::optional<Histogram>& global) const override {
+    return to_bytes(global->serialize());
+  }
 
-/// Flat encoding of a histogram for transport:
-/// [lo, hi, bins, underflow, overflow, counts...].
-std::vector<double> serialize_histogram(const Histogram& h);
-Histogram deserialize_histogram(std::span<const double> data);
+  HistogramConfig config_;
+};
 
 }  // namespace hia

@@ -24,12 +24,9 @@ struct IsosurfaceConfig {
 
 class HybridIsosurface final : public HybridAnalysis {
  public:
-  explicit HybridIsosurface(IsosurfaceConfig config) : config_(config) {}
+  explicit HybridIsosurface(IsosurfaceConfig config)
+      : HybridAnalysis("iso-hybrid", {"iso.mesh"}), config_(config) {}
 
-  [[nodiscard]] std::string name() const override { return "iso-hybrid"; }
-  [[nodiscard]] std::vector<std::string> staged_variables() const override {
-    return {"iso.mesh"};
-  }
   void in_situ(InSituContext& ctx) override;
   void in_transit(TaskContext& ctx) override;
 

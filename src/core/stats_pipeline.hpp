@@ -1,21 +1,10 @@
-// Descriptive statistics (paper §III), written once as learn -> reduce ->
-// derive and run under any of the three placements of Table II:
-//
-//   * kInSitu ("stats-insitu") — learn and derive both run on the
-//     simulation ranks; learn's partial models are merged with an
-//     all-reduce so every rank holds the consistent global model (the
-//     paper's "all-to-all communication ... to guarantee a consistent
-//     model").
-//   * kHybrid ("stats-hybrid") — learn runs in-situ; each rank publishes
-//     its packed primary model (7 doubles per variable — the cardinality,
-//     extrema and centered aggregates up to order 4) and a single serial
-//     in-transit bucket combines and derives.
-//   * kInTransit ("stats-intransit") — the pure in-transit end of the
-//     spectrum: each rank ships its raw owned values, and both learn and
-//     derive run in-transit.
-//
-// The placement picks only the reduce step; the learn and derive kernels
-// are the same under all three.
+// Descriptive statistics (paper §III) as one Mergeable analysis under the
+// three placements of Table II: "stats-insitu" (all-reduce of the primary
+// models, the paper's "all-to-all communication ... to guarantee a
+// consistent model"), "stats-hybrid" (each rank publishes 7 doubles per
+// variable: cardinality, extrema and centered aggregates up to order 4)
+// and "stats-intransit" (each rank ships its raw owned values; learn runs
+// in transit). The learn and derive kernels are the same under all three.
 #pragma once
 
 #include <vector>
@@ -33,11 +22,16 @@ std::vector<Variable> all_variables();
 /// MomentAccumulator::learn per owned x row.
 MomentAccumulator learn_field(const Field& field);
 
-/// Packs one accumulator per variable into a flat double vector (and back).
-std::vector<double> pack_accumulators(
-    const std::vector<MomentAccumulator>& accs);
-std::vector<MomentAccumulator> unpack_accumulators(
-    std::span<const double> packed);
+/// The statistics partial: one primary model per variable, combined
+/// variable by variable. Wire format: MomentAccumulator::kPackedSize
+/// doubles per variable.
+struct MomentSet {
+  std::vector<MomentAccumulator> vars;
+
+  void combine(const MomentSet& other);
+  [[nodiscard]] std::vector<double> serialize() const;
+  static MomentSet deserialize(std::span<const double> packed);
+};
 
 /// Serializes derived models for result blobs ([count, mean, min, max,
 /// variance, stddev, skewness, kurtosis] per variable).
@@ -46,28 +40,32 @@ std::vector<std::byte> serialize_models(
 std::vector<DescriptiveModel> deserialize_models(
     std::span<const std::byte> bytes);
 
-/// Descriptive statistics of `variables` (at least one); `placement` picks
-/// where the reduce step runs and so the name and the staged variables.
-class Statistics : public HybridAnalysis {
+/// Descriptive statistics of `variables` (at least one) under any
+/// placement: names "stats-insitu", "stats-hybrid", "stats-intransit".
+class Statistics : public Mergeable<MomentSet, std::vector<DescriptiveModel>> {
  public:
   explicit Statistics(Placement placement,
                       std::vector<Variable> variables = all_variables());
 
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] std::vector<std::string> staged_variables() const override;
-  void in_situ(InSituContext& ctx) override;
-  void in_transit(TaskContext& ctx) override;
-
   /// Global models (one per variable, in construction order) from the
   /// newest finished step.
   [[nodiscard]] std::vector<DescriptiveModel> latest_models() const {
-    return latest_.get();
+    return latest();
   }
 
  private:
-  Placement placement_;
+  MomentSet learn(InSituContext& ctx) override;
+  std::vector<DescriptiveModel> derive(const MomentSet& global) const override;
+  std::vector<std::byte> row(
+      const std::vector<DescriptiveModel>& models) const override {
+    return serialize_models(models);
+  }
+  /// Every variable's owned values, one slice per variable.
+  std::vector<double> raw(InSituContext& ctx) override;
+  void learn_raw(std::span<const double> block,
+                 std::optional<MomentSet>& global) const override;
+
   std::vector<Variable> variables_;
-  Latest<std::vector<DescriptiveModel>> latest_;
 };
 
 /// The two placements Table II and the benchmark construct by name.

@@ -26,12 +26,8 @@ struct TimeSeriesConfig {
 class TimeSeriesAutocorrelation final : public HybridAnalysis {
  public:
   explicit TimeSeriesAutocorrelation(TimeSeriesConfig config)
-      : config_(config) {}
+      : HybridAnalysis("tseries", {"tseries.probe"}), config_(config) {}
 
-  [[nodiscard]] std::string name() const override { return "tseries"; }
-  [[nodiscard]] std::vector<std::string> staged_variables() const override {
-    return {"tseries.probe"};
-  }
   void in_situ(InSituContext& ctx) override;
   void in_transit(TaskContext& ctx) override;
 

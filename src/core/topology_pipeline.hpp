@@ -47,12 +47,9 @@ struct TreeSummary {
 
 class HybridTopology final : public HybridAnalysis {
  public:
-  explicit HybridTopology(TopologyConfig config) : config_(config) {}
+  explicit HybridTopology(TopologyConfig config)
+      : HybridAnalysis("topo-hybrid", {"topo.subtree"}), config_(config) {}
 
-  [[nodiscard]] std::string name() const override { return "topo-hybrid"; }
-  [[nodiscard]] std::vector<std::string> staged_variables() const override {
-    return {"topo.subtree"};
-  }
   void in_situ(InSituContext& ctx) override;
   void in_transit(TaskContext& ctx) override;
 

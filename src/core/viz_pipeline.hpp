@@ -42,9 +42,9 @@ struct RenderSetup {
 
 class InSituVisualization final : public HybridAnalysis {
  public:
-  explicit InSituVisualization(VizConfig config) : config_(config) {}
+  explicit InSituVisualization(VizConfig config)
+      : HybridAnalysis("viz-insitu", {}), config_(config) {}
 
-  [[nodiscard]] std::string name() const override { return "viz-insitu"; }
   void in_situ(InSituContext& ctx) override;
 
   /// Composited frame from the most recent invocation (recorded by rank 0).
@@ -59,12 +59,9 @@ class InSituVisualization final : public HybridAnalysis {
 
 class HybridVisualization final : public HybridAnalysis {
  public:
-  explicit HybridVisualization(VizConfig config) : config_(config) {}
+  explicit HybridVisualization(VizConfig config)
+      : HybridAnalysis("viz-hybrid", {"viz.block"}), config_(config) {}
 
-  [[nodiscard]] std::string name() const override { return "viz-hybrid"; }
-  [[nodiscard]] std::vector<std::string> staged_variables() const override {
-    return {"viz.block"};
-  }
   void in_situ(InSituContext& ctx) override;
   void in_transit(TaskContext& ctx) override;
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 
 #include "analysis/topology/feature_stats.hpp"
@@ -329,7 +330,7 @@ TEST(HistogramPipeline, SerializeRoundTrip) {
   Histogram h(-1.0, 3.0, 8);
   Xoshiro256 rng(2);
   for (int i = 0; i < 500; ++i) h.update(rng.uniform(-2.0, 4.0));
-  const Histogram r = deserialize_histogram(serialize_histogram(h));
+  const Histogram r = Histogram::deserialize(h.serialize());
   EXPECT_EQ(r.bins(), h.bins());
   EXPECT_EQ(r.lo(), h.lo());
   EXPECT_EQ(r.hi(), h.hi());
@@ -408,6 +409,67 @@ TEST(ContingencyPipeline, MatchesSerialTable) {
   EXPECT_LT(report.mean_movement_bytes("cont-hybrid"),
             0.05 * 2.0 * sizeof(double) *
                 static_cast<double>(cfg.sim.grid.num_points()));
+}
+
+// Publishes a table whose dimensions differ from the configuration on the
+// forging ranks, the real partial elsewhere; counts the in-transit stages
+// that reject the task with hia::Error.
+class ForgedContingency final : public HybridAnalysis {
+ public:
+  ForgedContingency(ContingencyConfig config, std::vector<int> forgers)
+      : config_(config),
+        inner_(std::make_shared<HybridContingency>(config)),
+        forgers_(std::move(forgers)) {}
+
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+  [[nodiscard]] std::vector<std::string> staged_variables() const override {
+    return inner_->staged_variables();
+  }
+  void in_situ(InSituContext& ctx) override {
+    const int rank = ctx.comm().rank();
+    if (std::find(forgers_.begin(), forgers_.end(), rank) == forgers_.end()) {
+      inner_->in_situ(ctx);
+      return;
+    }
+    ContingencyTable forged(config_.x_bins + 1, config_.y_bins);
+    forged.update(config_.x_bins, 0);
+    ctx.publish("cont.partial", ctx.sim().decomp().block(rank),
+                forged.serialize());
+  }
+  void in_transit(TaskContext& ctx) override {
+    try {
+      inner_->in_transit(ctx);
+    } catch (const Error&) {
+      ++rejected_;
+      throw;
+    }
+  }
+
+  ContingencyConfig config_;
+  std::shared_ptr<HybridContingency> inner_;
+  std::vector<int> forgers_;
+  std::atomic<int> rejected_{0};
+};
+
+TEST(ContingencyPipeline, PulledTableOfOtherDimensionsFails) {
+  // Rank 0's or rank 1's table alone arrives first in the fold in one of
+  // the two runs and later in the other; when both forge, the fold agrees
+  // with itself and only the configured dimensions can reject it.
+  for (const std::vector<int>& forgers :
+       {std::vector<int>{0}, std::vector<int>{1}, std::vector<int>{0, 1}}) {
+    RunConfig cfg = small_config(1);
+    cfg.sim.ranks_per_axis = {2, 1, 1};
+    HybridRunner runner(cfg);
+    auto analysis =
+        std::make_shared<ForgedContingency>(ContingencyConfig{}, forgers);
+    runner.add_analysis(analysis);
+    const RunReport report = runner.run();
+    EXPECT_GT(analysis->rejected_.load(), 0) << forgers.size();
+    for (const TaskRecord& rec : report.in_transit) {
+      EXPECT_NE(rec.outcome, TaskOutcome::kCompleted);
+    }
+    EXPECT_FALSE(analysis->inner_->latest_table().has_value());
+  }
 }
 
 TEST(AllAnalysesTogether, FullCampaignRunsClean) {

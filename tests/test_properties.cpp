@@ -12,6 +12,7 @@
 #include <random>
 
 #include "analysis/stats/contingency.hpp"
+#include "analysis/stats/correlation.hpp"
 #include "analysis/stats/descriptive.hpp"
 #include "analysis/topology/feature_stats.hpp"
 #include "analysis/topology/local_tree.hpp"
@@ -478,6 +479,10 @@ std::vector<PulledDecoder> pulled_decoders() {
     models.push_back(derive_descriptive(a));
   }
 
+  CovarianceAccumulator cov;
+  cov.learn(std::vector<double>{1.0, 2.0, 4.0},
+            std::vector<double>{3.0, 1.0, 0.5});
+
   Histogram hist(0.0, 1.0, 6);
   for (const double x : {-0.5, 0.1, 0.15, 0.6, 0.99, 3.0}) hist.update(x);
 
@@ -504,15 +509,19 @@ std::vector<PulledDecoder> pulled_decoders() {
   summary.top_pairs = {{7, 2.0, 3, 1.0}, {8, 1.5, 3, 1.0}};
 
   return {
-      {"unpack_accumulators", pack_accumulators(accs),
-       [](std::span<const double> d) { (void)unpack_accumulators(d); }},
+      {"MomentSet::deserialize", MomentSet{accs}.serialize(),
+       [](std::span<const double> d) { (void)MomentSet::deserialize(d); }},
+      {"CovarianceAccumulator::deserialize", cov.serialize(),
+       [](std::span<const double> d) {
+         (void)derive_correlation(CovarianceAccumulator::deserialize(d));
+       }},
       {"deserialize_models", to_doubles(serialize_models(models)),
        [](std::span<const double> d) {
          (void)deserialize_models(to_bytes(d));
        }},
-      {"deserialize_histogram", serialize_histogram(hist),
+      {"Histogram::deserialize", hist.serialize(),
        [](std::span<const double> d) {
-         const Histogram h = deserialize_histogram(d);
+         const Histogram h = Histogram::deserialize(d);
          EXPECT_EQ(d.size(), 5 + static_cast<size_t>(h.bins()));
        }},
       {"ContingencyTable::deserialize", table.serialize(),
@@ -605,6 +614,23 @@ TEST(PulledDecoders, PeerPayloadsThatOnceEscapedNowFailWithAnError) {
   LocalFeatureData bad_link = two_features();
   bad_link.link_comp[0] = 2;
   EXPECT_THROW(LocalFeatureData::deserialize(bad_link.serialize()), Error);
+  // A negative or huge count once converted straight to uint64_t: -1 in a
+  // bivariate model (a float-cast overflow), -5 and 1e300 as histogram
+  // under/overflow (total wrapped), -3 as a model or contingency count.
+  EXPECT_THROW(CovarianceAccumulator::deserialize(
+                   std::vector<double>{-1, 0, 0, 0, 0, 0}),
+               Error);
+  EXPECT_THROW(Histogram::deserialize(std::vector<double>{0, 1, 1, -5, 0, 2}),
+               Error);
+  EXPECT_THROW(
+      Histogram::deserialize(std::vector<double>{0, 1, 1, 0, 1e300, 2}),
+      Error);
+  std::vector<double> model(8, 0.0);
+  model[0] = -3;
+  EXPECT_THROW(deserialize_models(to_bytes(model)), Error);
+  EXPECT_THROW(
+      ContingencyTable::deserialize(std::vector<double>{2, 2, 1, 0, 1, -3}),
+      Error);
 }
 
 TEST(PulledDecoders, MutatedPayloadsFailOnlyWithAnError) {
