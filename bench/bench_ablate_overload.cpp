@@ -94,7 +94,7 @@ Point run_point(double gap_s, bool overload_on,
                          {1, kBuckets, plan.get(), control.get()});
   service.register_handler("work", [&](TaskContext& ctx) {
     // Pull the input so the region is consumed and its credit returns.
-    for (const DataDescriptor& d : ctx.task().inputs) ctx.pull(d);
+    for (const DataDescriptor& d : ctx.task().inputs) ctx.pull_doubles(d);
     std::this_thread::sleep_for(kTaskDuration);
   });
 

@@ -22,7 +22,8 @@
 #      exact", and the trace must report 0 dropped span records
 #   3c. scripted-fault leg: one recorded two-tenant campaign fires every
 #      step-triggered --faults directive (kill-bucket, crash-bucket,
-#      crash-server, overload, credit-starve, tenant-hog); events_lint
+#      crash-server, overload, credit-starve, tenant-hog) and injects
+#      task-attempt timeouts (task-fail) on top; events_lint
 #      must report 0 dropped, --attrib "all partitions exact", the report
 #      "per-tenant conservation OK", the RunSummary one killed bucket, one
 #      crashed bucket and one crashed server, and the resilience block
@@ -70,7 +71,7 @@
 #      "[shape FAIL]" line; between them they run every statistics and
 #      visualization placement, and bench_fig2_viz renders both placements
 #      on the Fig. 2 frames (bench_fig6 stays out: its known FAIL is
-#      ROADMAP item 8)
+#      ROADMAP item 6)
 #  10. sanitizers: ASan+UBSan (with float-cast-overflow) over everything,
 #      TSan over the concurrent paths (see ci/sanitize.sh; sanitizer runs
 #      skip the perf gate — their timings are not comparable to baseline)
@@ -160,7 +161,7 @@ echo "one-recorder leg OK (trace paired, 0 dropped, attribution exact)"
 echo "==> scripted-fault leg: every step-triggered --faults directive fires"
 ./build/examples/hia_campaign --tenants 2 --steps 4 --analyses stats,topo \
   --replicas 2 --overload "queue-depth=16,credits=8" \
-  --faults "kill-bucket=1@1,crash-bucket=2@2,crash-server=1@2,overload=64k@1,credit-starve=2@2,tenant-hog=1:64k@3" \
+  --faults "task-fail=0.3:0.002,kill-bucket=1@1,crash-bucket=2@2,crash-server=1@2,overload=64k@1,credit-starve=2@2,tenant-hog=1:64k@3" \
   --events "$smoke_dir/fault_events.bin" --attrib \
   --summary "$smoke_dir/fault_summary.json" > "$smoke_dir/fault_stdout.txt"
 ./build/tools/events_lint "$smoke_dir/fault_events.bin" |

@@ -2,7 +2,6 @@
 
 #include <cstdlib>
 #include <cstring>
-#include <mutex>
 
 #include "compress/codecs.hpp"
 #include "util/error.hpp"
@@ -35,37 +34,21 @@ T load_le(const std::byte* src) {
   return value;
 }
 
-struct Registration {
-  std::string name;
-  CodecKind kind;
-  CodecFactory make;
-};
-
-std::mutex& registry_mutex() {
-  static std::mutex m;
-  return m;
-}
-
-std::vector<Registration>& registry() {
-  static std::vector<Registration> r = {
-      {"raw", CodecKind::kRaw,
-       [](double) { return std::make_shared<const RawCodec>(); }},
-      {"rle", CodecKind::kRle,
-       [](double) { return std::make_shared<const RleCodec>(); }},
-      {"delta", CodecKind::kDeltaVarint,
-       [](double) { return std::make_shared<const DeltaVarintCodec>(); }},
-      {"quantize", CodecKind::kQuantizeShuffle,
-       [](double bound) {
-         return std::make_shared<const QuantizeShuffleCodec>(bound);
-       }},
-  };
-  return r;
-}
-
-std::shared_ptr<const Codec> make_by_kind(CodecKind kind, double param) {
-  std::lock_guard lock(registry_mutex());
-  for (const Registration& r : registry()) {
-    if (r.kind == kind) return r.make(param);
+/// Decodes a payload with the built-in codec `kind`. A stack codec, no
+/// lock or allocation: every pulled block passes through here.
+std::vector<double> decode_with(CodecKind kind,
+                                std::span<const std::byte> payload,
+                                size_t count, double param) {
+  switch (kind) {
+    case CodecKind::kRaw:
+      return RawCodec().decode_payload(payload, count, param);
+    case CodecKind::kRle:
+      return RleCodec().decode_payload(payload, count, param);
+    case CodecKind::kDeltaVarint:
+      return DeltaVarintCodec().decode_payload(payload, count, param);
+    case CodecKind::kQuantizeShuffle:
+      return QuantizeShuffleCodec(param).decode_payload(payload, count,
+                                                        param);
   }
   throw Error("unknown codec kind in frame: " +
               std::to_string(static_cast<int>(kind)));
@@ -128,20 +111,10 @@ std::vector<double> decode_frame(std::span<const std::byte> bytes,
   HIA_REQUIRE(bytes.size() - kHeaderBytes == payload_bytes,
               "frame payload size mismatch");
 
-  const auto codec = make_by_kind(kind, param);
   std::vector<double> out =
-      codec->decode_payload(bytes.subspan(kHeaderBytes), count, param);
+      decode_with(kind, bytes.subspan(kHeaderBytes), count, param);
   HIA_REQUIRE(out.size() == count, "decoded value count mismatch");
   return out;
-}
-
-void register_codec(const std::string& name, CodecKind kind,
-                    CodecFactory factory) {
-  std::lock_guard lock(registry_mutex());
-  for (const Registration& r : registry()) {
-    HIA_REQUIRE(r.name != name, "codec already registered: " + name);
-  }
-  registry().push_back(Registration{name, kind, std::move(factory)});
 }
 
 std::shared_ptr<const Codec> make_codec(const std::string& spec) {
@@ -155,20 +128,14 @@ std::shared_ptr<const Codec> make_codec(const std::string& spec) {
     HIA_REQUIRE(end != nullptr && *end == '\0' && !arg.empty(),
                 "bad codec parameter in spec: " + spec);
   }
-  std::lock_guard lock(registry_mutex());
-  for (const Registration& r : registry()) {
-    if (r.name == name) return r.make(param);
+  if (name == "raw") return std::make_shared<const RawCodec>();
+  if (name == "rle") return std::make_shared<const RleCodec>();
+  if (name == "delta") return std::make_shared<const DeltaVarintCodec>();
+  if (name == "quantize") {
+    return std::make_shared<const QuantizeShuffleCodec>(param);
   }
   throw Error("unknown codec spec: " + spec +
               " (try raw, rle, delta, quantize:<bound>)");
-}
-
-std::vector<std::string> codec_names() {
-  std::lock_guard lock(registry_mutex());
-  std::vector<std::string> out;
-  out.reserve(registry().size());
-  for (const Registration& r : registry()) out.push_back(r.name);
-  return out;
 }
 
 }  // namespace hia

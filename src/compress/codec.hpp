@@ -25,7 +25,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -89,22 +88,9 @@ class Codec {
 /// Number of logical (pre-encode) doubles recorded in a frame header.
 [[nodiscard]] size_t frame_value_count(std::span<const std::byte> bytes);
 
-/// Factory signature used by the codec registry; `param` is the codec
-/// parameter parsed from a spec string or read back from a frame header.
-using CodecFactory =
-    std::function<std::shared_ptr<const Codec>(double param)>;
-
-/// Registers an additional codec under `name`/`kind`. The four built-ins
-/// are pre-registered; registering a duplicate name throws.
-void register_codec(const std::string& name, CodecKind kind,
-                    CodecFactory factory);
-
 /// Builds a codec from a spec string: "raw", "rle", "delta", or
 /// "quantize:<abs error bound>" (e.g. "quantize:1e-6"; "quantize" alone
 /// means bound 0 = lossless shuffle). Throws hia::Error on unknown specs.
 [[nodiscard]] std::shared_ptr<const Codec> make_codec(const std::string& spec);
-
-/// Spec names of every registered codec, for --help style listings.
-[[nodiscard]] std::vector<std::string> codec_names();
 
 }  // namespace hia

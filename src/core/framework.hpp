@@ -47,8 +47,8 @@ struct RunConfig {
   std::string staging_codec;
   /// Fault-injection spec (FaultPlan::parse_spec grammar, e.g.
   /// "drop=0.05,task-fail=0.1,kill-bucket=2@3"). Empty = faults off: the
-  /// deployment passes null plans everywhere and the hot paths only pay
-  /// null-pointer branches.
+  /// deployment passes null plans everywhere; Dart then pays one branch
+  /// per transfer, and the staging service runs under its own empty plan.
   std::string faults;
   /// Overrides the plan's seed when nonzero (same seed + same config =>
   /// same fault decisions, same RunSummary resilience block).

@@ -46,8 +46,9 @@ enum class EventKind : int32_t {
                         //   vt = end of the failed attempt's occupancy
   kBackoffRelease = 15, // a=task_id, b=next attempt; vt = when the backoff
                         //   expires and the task re-enters the queue race
-  kBucketOccupy = 16,   // a=task_id, b=attempt; vt = occupancy start, for
-                        //   fault-stuck attempts that never reach run_task
+  kBucketOccupy = 16,   // a=task_id, b=attempt; vt = occupancy start. No
+                        //   longer emitted (kTaskAssign opens every bucket
+                        //   attempt); read so that older spills parse
   kBucketVacate = 17,   // a=task_id, b=attempt; vt = occupancy end when no
                         //   retry/terminal event marks it
   kTaskXfer = 18,       // a=task_id, b=wall µs the attempt spent in pulls

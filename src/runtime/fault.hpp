@@ -16,9 +16,10 @@
 //
 // The plan is immutable after construction except for its injection
 // counters (atomics); all methods are thread-safe. A null plan pointer
-// everywhere means "faults off" and costs one branch on the hot paths (the
+// means "faults off": Dart pays one branch per transfer (the
 // zero-overhead-when-off contract gated by tools/bench_diff against
-// bench/baselines/).
+// bench/baselines/), and the staging service runs under its own empty
+// plan, whose RetryPolicy allows one attempt before degrading.
 #pragma once
 
 #include <atomic>
@@ -45,10 +46,11 @@ struct ScriptedEvent {
   enum class Kind {
     /// Bucket `target` retires gracefully: it finishes its current task.
     kKillBucket,
-    /// Bucket `target` dies ungracefully, mid-compute with no drain. Its
-    /// in-flight task is stranded until the scheduler's lease expires,
-    /// then re-queued; the dead bucket no longer holds the attempt, so its
-    /// late completion is fenced (see docs/FAILURE_MODEL.md).
+    /// Bucket `target` dies ungracefully, mid-compute with no drain (an
+    /// idle target dies as it starts its next attempt). Its in-flight task
+    /// is stranded until the scheduler's lease expires, then re-queued;
+    /// the crashed bucket's late completion is fenced (see
+    /// docs/FAILURE_MODEL.md).
     kCrashBucket,
     /// Object-store server `target` dies ungracefully, with every
     /// descriptor it holds. Committed objects survive only via replication
@@ -141,7 +143,8 @@ class FaultPlan {
   ///   kill-bucket=B@N     bucket B dies once step N is submitted
   ///   crash-bucket=B@N    bucket B dies *ungracefully* at step N: no drain,
   ///                       its in-flight task is reclaimed by lease expiry
-  ///                       and re-executed; the late original is fenced
+  ///                       and re-executed; the late original is fenced.
+  ///                       An idle B crashes as it starts its next attempt
   ///   crash-server=S@N    object-store server S dies ungracefully at step
   ///                       N, taking its descriptor shard with it; survives
   ///                       only via --replicas (see object_store)

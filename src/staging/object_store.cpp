@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <tuple>
 
 #include "obs/counters.hpp"
 #include "obs/events.hpp"
@@ -161,6 +162,14 @@ std::vector<DataDescriptor> ObjectStore::take(const std::string& variable,
     }
     srv.objects.erase(it);
   }
+  // One total order, whatever order the ranks published in: every fold
+  // over a task's inputs sees the same sequence, so in-transit results are
+  // reproducible bit for bit.
+  std::sort(out.begin(), out.end(),
+            [](const DataDescriptor& a, const DataDescriptor& b) {
+              return std::tie(a.box.lo, a.src_node, a.handle.id) <
+                     std::tie(b.box.lo, b.src_node, b.handle.id);
+            });
   size_t removed = 0;
   for (const DataDescriptor& d : out) removed += d.handle.bytes;
   bytes_.fetch_sub(removed, std::memory_order_relaxed);

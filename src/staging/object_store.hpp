@@ -48,8 +48,9 @@ class ObjectStore {
       const std::string& variable, long step) const;
 
   /// Removes all descriptors of `variable` at `step` from every live
-  /// replica; returns the deduplicated logical set so the caller can
-  /// release the underlying Dart regions.
+  /// replica; returns the deduplicated logical set, ordered by (box.lo,
+  /// src_node) whatever the publish order, so the caller can release the
+  /// underlying Dart regions and every fold over them is reproducible.
   std::vector<DataDescriptor> take(const std::string& variable, long step);
 
   // ---- Crash injection (ungraceful server loss) ----

@@ -35,17 +35,6 @@ namespace hia {
 
 // ----------------------------------------------------------- TaskContext --
 
-std::vector<std::byte> TaskContext::pull(const DataDescriptor& desc) {
-  TransferStats stats;
-  Stopwatch wall;
-  auto data = dart_.get(dart_node_, desc.handle, &stats);
-  transfer_wall_seconds_ += wall.seconds();
-  movement_seconds_ += stats.modeled_seconds;
-  movement_bytes_ += stats.bytes;
-  movement_raw_bytes_ += stats.raw_bytes;
-  return data;
-}
-
 std::vector<double> TaskContext::pull_doubles(const DataDescriptor& desc) {
   TransferStats stats;
   Stopwatch wall;
@@ -60,10 +49,21 @@ std::vector<double> TaskContext::pull_doubles(const DataDescriptor& desc) {
 
 // -------------------------------------------------------- StagingService --
 
+namespace {
+/// Faults off: nothing is injected or scripted, and a failed attempt (a
+/// thrown handler) is the task's only bucket attempt before it degrades.
+FaultPlanConfig no_faults() {
+  FaultPlanConfig config;
+  config.retry.max_task_attempts = 1;
+  return config;
+}
+}  // namespace
+
 StagingService::StagingService(Dart& dart, Options options)
     : dart_(dart),
       store_(options.num_servers, options.overload, options.replicas),
-      faults_(options.faults),
+      no_faults_(no_faults()),
+      faults_(options.faults != nullptr ? options.faults : &no_faults_),
       overload_(options.overload),
       queue_(overload_ == nullptr
                  ? TaskQueue::Wall{}
@@ -78,24 +78,19 @@ StagingService::StagingService(Dart& dart, Options options)
   obs::register_counter_gauge("staging_busy_buckets");
   obs::register_counter_gauge("staging_queue_bytes");
   obs::set_virtual_clock([this] { return clock_.seconds(); }, this);
-  if (faults_ != nullptr) {
-    using Kind = ScriptedEvent::Kind;
-    if (overload_ == nullptr && (faults_->scripts(Kind::kOverload) ||
-                                 faults_->scripts(Kind::kCreditStarve) ||
-                                 faults_->scripts(Kind::kTenantHog))) {
-      HIA_LOG_WARN("staging",
-                   "fault plan scripts overload events but overload control "
-                   "is off; they will not fire");
-    }
-    // Lease bookkeeping copies every assignment; pay it only when the plan
-    // can actually crash a bucket.
-    lease_tracking_ = faults_->scripts(Kind::kCrashBucket);
-    if (faults_->scripts(Kind::kCrashServer) && store_.replicas() < 2) {
-      HIA_LOG_WARN("staging",
-                   "fault plan scripts server crashes but replicas=%d; "
-                   "committed objects on the crashed shard will be lost",
-                   store_.replicas());
-    }
+  using Kind = ScriptedEvent::Kind;
+  if (overload_ == nullptr && (faults_->scripts(Kind::kOverload) ||
+                               faults_->scripts(Kind::kCreditStarve) ||
+                               faults_->scripts(Kind::kTenantHog))) {
+    HIA_LOG_WARN("staging",
+                 "fault plan scripts overload events but overload control "
+                 "is off; they will not fire");
+  }
+  if (faults_->scripts(Kind::kCrashServer) && store_.replicas() < 2) {
+    HIA_LOG_WARN("staging",
+                 "fault plan scripts server crashes but replicas=%d; "
+                 "committed objects on the crashed shard will be lost",
+                 store_.replicas());
   }
   buckets_.resize(static_cast<size_t>(options.num_buckets));
   live_buckets_ = options.num_buckets;
@@ -147,23 +142,24 @@ DataDescriptor StagingService::publish(int src_node,
 
 bool StagingService::zombie_fenced(const Assigned& assigned,
                                    int bucket_index) {
-  if (!lease_tracking_ || bucket_index < 0) return false;
+  if (bucket_index < 0) return false;
   {
     std::lock_guard lock(mutex_);
-    std::optional<Assigned>& running =
-        buckets_[static_cast<size_t>(bucket_index)].running;
-    if (running.has_value()) {
-      // The bucket still holds the attempt: it finished under its lease.
-      HIA_ASSERT(running->task.task_id == assigned.task.task_id);
-      running.reset();
+    Bucket& bucket = buckets_[static_cast<size_t>(bucket_index)];
+    if (!bucket.crashed) {
+      // The bucket is live (or retired gracefully): the attempt is current.
+      HIA_ASSERT(bucket.running.has_value() &&
+                 bucket.running->task.task_id == assigned.task.task_id);
+      bucket.running.reset();
       return false;
     }
   }
-  // A presumed-dead bucket's thread came back with a finished attempt
-  // after the heartbeat took it back and re-queued the task. A crashed
-  // bucket never gets new work, so it stays empty and the zombie stays
-  // fenced: no settle, no record, no outstanding_ decrement, no handle
-  // release, no terminal event — the re-execution owns all of those.
+  // A crashed bucket never delivers; its thread ran on only because a
+  // thread cannot be killed. The heartbeat takes the attempt back when its
+  // lease expires (or already has) and re-queues the task. A crashed
+  // bucket never gets new work, so the zombie stays fenced: no settle, no
+  // record, no outstanding_ decrement, no handle release, no terminal
+  // event — the re-execution owns all of those.
   zombies_fenced_.fetch_add(1, std::memory_order_relaxed);
   static obs::Counter& fenced = obs::counter("staging_zombies_fenced");
   fenced.add(1);
@@ -180,16 +176,21 @@ bool StagingService::zombie_fenced(const Assigned& assigned,
 }
 
 void StagingService::heartbeat() {
-  if (!lease_tracking_) return;
   // (bucket, reclaimed attempt) pairs whose lease expired: the owner
   // crashed mid-attempt, so these count as failed attempts and go through
   // the ordinary retry machinery (backoff + bucket avoidance).
   std::vector<std::pair<int, Assigned>> reclaimed;
   std::vector<Assigned> orphaned;
-  bool requeued = false;
   {
     std::lock_guard lock(mutex_);
     const double now = clock_.seconds();
+    // Staging capacity is gone: every queued task goes to degrade_or_shed,
+    // outside the lock.
+    if (live_buckets_ == 0) {
+      for (const Ticket& t : queue_.take_all()) {
+        orphaned.push_back(dequeue_locked(t));
+      }
+    }
     for (size_t i = 0; i < buckets_.size(); ++i) {
       Bucket& bucket = buckets_[i];
       // The heartbeat tick: every live owner renews; only a crashed owner
@@ -200,8 +201,6 @@ void StagingService::heartbeat() {
       }
       const int b = static_cast<int>(i);
       if (bucket.running.has_value() && now >= bucket.lease_expires) {
-        // Taking the attempt back fences the crashed bucket's still-
-        // running thread at its next ledger touch.
         Assigned a = std::move(*bucket.running);
         bucket.running.reset();
         leases_expired_.fetch_add(1, std::memory_order_relaxed);
@@ -216,20 +215,6 @@ void StagingService::heartbeat() {
                      static_cast<unsigned long long>(a.task.task_id),
                      a.attempt, b);
         reclaimed.emplace_back(b, std::move(a));
-      }
-      // A task parked in a crashed bucket's slot was matched but never
-      // picked up: no attempt ran (no lease, no zombie), so it simply
-      // re-enters the queue as if the matcher had never chosen that bucket.
-      if (bucket.slot.has_value()) {
-        Assigned a = std::move(*bucket.slot);
-        bucket.slot.reset();
-        queue_.settle(a.ticket, 0.0);  // drop the matcher's provisional charge
-        if (live_buckets_ == 0) {
-          orphaned.push_back(std::move(a));
-          continue;
-        }
-        enqueue_locked(std::move(a));
-        requeued = true;
       }
     }
   }
@@ -246,7 +231,6 @@ void StagingService::heartbeat() {
     fail_attempt(b, std::move(a), 0.0);
   }
   for (Assigned& a : orphaned) degrade_or_shed(std::move(a));
-  if (requeued) work_cv_.notify_all();
 }
 
 namespace {
@@ -299,8 +283,26 @@ StagingService::Assigned StagingService::dequeue_locked(const Ticket& ticket) {
   return assigned;
 }
 
+void StagingService::stop_bucket_locked(int b, bool crash, long step) {
+  Bucket& bucket = buckets_[static_cast<size_t>(b)];
+  bucket.dead = true;
+  bucket.crashed = crash;
+  --live_buckets_;
+  std::erase(free_buckets_, b);
+  obs::counter(crash ? "staging_buckets_crashed" : "staging_buckets_killed")
+      .add(1);
+  obs::record_event(
+      obs::EventKind::kFaultVerdict, -1, b,
+      static_cast<int64_t>(crash ? obs::EventFaultSite::kBucketCrash
+                                 : obs::EventFaultSite::kBucketKill),
+      b, clock_.seconds());
+  HIA_LOG_WARN("staging", "bucket %d %s at step %ld", b,
+               crash ? "crashed ungracefully (no drain)"
+                     : "killed by fault plan",
+               step);
+}
+
 void StagingService::fire_scripted_locked(long step) {
-  if (faults_ == nullptr) return;
   using Kind = ScriptedEvent::Kind;
   const std::vector<ScriptedEvent>& timeline = faults_->config().scripted;
   // A `continue` below consumes an event without effect: it is not counted.
@@ -313,8 +315,9 @@ void StagingService::fire_scripted_locked(long step) {
       case Kind::kKillBucket:
       case Kind::kCrashBucket: {
         // A kill retires the bucket gracefully: it finishes its current
-        // task first. A crash yanks it mid-task with no drain; its
-        // in-flight assignment is left to the lease machinery.
+        // task first. A crash yanks it mid-attempt with no drain; the
+        // attempt is left to the lease machinery. A bucket holding no
+        // attempt is doomed instead: it crashes as it starts its next one.
         const bool crash = e.kind == Kind::kCrashBucket;
         if (e.target >= static_cast<int>(buckets_.size())) {
           HIA_LOG_WARN("staging",
@@ -324,23 +327,13 @@ void StagingService::fire_scripted_locked(long step) {
           continue;
         }
         Bucket& bucket = buckets_[static_cast<size_t>(e.target)];
-        if (bucket.dead) continue;  // already killed, crashed or retired
-        bucket.dead = true;
-        bucket.crashed = crash;
-        --live_buckets_;
-        std::erase(free_buckets_, e.target);
-        obs::counter(crash ? "staging_buckets_crashed"
-                           : "staging_buckets_killed")
-            .add(1);
-        obs::record_event(
-            obs::EventKind::kFaultVerdict, -1, e.target,
-            static_cast<int64_t>(crash ? obs::EventFaultSite::kBucketCrash
-                                       : obs::EventFaultSite::kBucketKill),
-            e.target, now);
-        HIA_LOG_WARN("staging", "bucket %d %s at step %ld", e.target,
-                     crash ? "crashed ungracefully (no drain)"
-                           : "killed by fault plan",
-                     step);
+        // Already killed, crashed, retired or doomed.
+        if (bucket.dead || bucket.doomed) continue;
+        if (crash && !bucket.running.has_value()) {
+          bucket.doomed = true;
+        } else {
+          stop_bucket_locked(e.target, crash, step);
+        }
         break;
       }
       case Kind::kCrashServer: {
@@ -457,7 +450,6 @@ uint64_t StagingService::submit(InTransitTask task, SubmitRoute route) {
   // stale accumulation can never leak into a later service's timeline.
   const double admit_wait_s = OverloadControl::take_thread_admission_wait();
   Ticket ticket;
-  std::vector<Assigned> orphaned;
   // Steered or diverted: the task never competes for a bucket. It is
   // still a submission for conservation purposes (outstanding_, records).
   std::optional<Assigned> off_queue;
@@ -480,13 +472,6 @@ uint64_t StagingService::submit(InTransitTask task, SubmitRoute route) {
       off_queue = std::move(assigned);
     } else {
       enqueue_locked(std::move(assigned));
-    }
-    // Staging capacity is gone: hand every queued task to degrade_or_shed,
-    // outside the lock.
-    if (live_buckets_ == 0) {
-      for (const Ticket& t : queue_.take_all()) {
-        orphaned.push_back(dequeue_locked(t));
-      }
     }
   }
   // vt = the locked enqueue read, never a fresh clock sample: a bucket can
@@ -529,9 +514,9 @@ uint64_t StagingService::submit(InTransitTask task, SubmitRoute route) {
       degrade_or_shed(std::move(*off_queue));
     }
   }
-  for (Assigned& a : orphaned) degrade_or_shed(std::move(a));
-  // Submits are one of the heartbeat's tick sources: renew live leases and
-  // reclaim any whose owner just crashed (no-op unless crashes are scripted).
+  // Submits are one of the heartbeat's tick sources: renew live leases,
+  // reclaim any whose owner just crashed, and degrade queued work if the
+  // last live bucket just went.
   heartbeat();
   return ticket.id;
 }
@@ -704,15 +689,10 @@ void StagingService::drain() {
 }
 
 void StagingService::wait_drained(const std::function<bool()>& drained) {
-  if (!lease_tracking_) {
-    std::unique_lock lock(mutex_);
-    drain_cv_.wait(lock, drained);
-    return;
-  }
-  // With crashes in play the drain loop doubles as the heartbeat driver:
-  // a task stranded on a crashed bucket only re-enters the queue once its
-  // lease expires, and nothing else may tick the clock after the last
-  // submit. Poll with a deadline instead of blocking forever.
+  // The drain loop doubles as the heartbeat driver: a task stranded on a
+  // crashed bucket only re-enters the queue once its lease expires, and
+  // nothing else may tick the clock after the last submit. Poll with a
+  // deadline instead of blocking forever.
   std::vector<std::thread> crashed;
   for (;;) {
     heartbeat();
@@ -816,70 +796,28 @@ void StagingService::bucket_main(int bucket_index) {
       }
       // The wait above released the lock: index buckets_ afresh.
       Bucket& bucket = buckets_[b];
-      if (!bucket.slot.has_value() || bucket.crashed) {
-        // Stopping, or retired with nothing left to finish (the killer
-        // drained queued work if capacity hit zero), or crashed: a crash
-        // does NOT drain its slot — the heartbeat requeues it and reclaims
-        // whatever was in flight. Leave the free list and exit.
+      if (!bucket.slot.has_value()) {
+        // Stopping, or retired with nothing left to finish (the heartbeat
+        // drains queued work if capacity hit zero), or crashed (a crash
+        // lands only on a bucket that holds no slot). Leave the free list
+        // and exit.
         HIA_ASSERT(bucket.dead || stopping_);
         std::erase(free_buckets_, bucket_index);
         return;
       }
       assigned = std::move(*bucket.slot);
       bucket.slot.reset();
-      if (lease_tracking_) {
-        // Take ownership: the lease covers the whole attempt and renews on
-        // every heartbeat while this bucket stays alive.
-        bucket.running = assigned;
-        bucket.lease_expires = clock_.seconds() + kLeaseS;
+      // Take ownership: the lease covers the whole attempt and renews on
+      // every heartbeat while this bucket stays alive.
+      bucket.running = assigned;
+      bucket.lease_expires = clock_.seconds() + kLeaseS;
+      if (bucket.doomed && !bucket.dead) {
+        stop_bucket_locked(bucket_index, true, assigned.task.step);
       }
     }
-    execute(bucket_index, std::move(assigned));
+    run_task(bucket_index, std::move(assigned), clock_.seconds(),
+             TaskOutcome::kCompleted);
   }
-}
-
-void StagingService::execute(int bucket_index, Assigned assigned) {
-  // Fault check first: does this attempt time out? (Deterministic per
-  // (task, attempt); the timeout occupies the bucket like the real thing.)
-  if (faults_ != nullptr &&
-      faults_->task_fails(assigned.task.task_id, assigned.attempt)) {
-    const RetryPolicy& retry = faults_->retry();
-    // Fault-stuck attempts never reach run_task, so they get explicit
-    // occupancy records: occupy at entry, the stuck time as kTaskWork, and
-    // either kTaskRetry (retry_task) or kBucketVacate as the end.
-    const double occupy_vt = clock_.seconds();
-    obs::record_event(obs::EventKind::kBucketOccupy, assigned.task.tenant,
-                      bucket_index,
-                      static_cast<int64_t>(assigned.task.task_id),
-                      assigned.attempt, occupy_vt);
-    obs::instant("fault", "task_timeout",
-                 {.bucket = bucket_index,
-                  .step = assigned.task.step,
-                  .vtime = clock_.seconds()});
-    if (retry.task_timeout_s > 0.0) {
-      busy_buckets().add(1);
-      obs::Span stuck("fault", "task_stuck",
-                      {.bucket = bucket_index, .step = assigned.task.step});
-      std::this_thread::sleep_for(
-          std::chrono::duration<double>(retry.task_timeout_s));
-      busy_buckets().add(-1);
-    }
-    // A crash may have reclaimed this attempt while it was stuck: the
-    // reclamation already retried it, so this attempt must leave no
-    // further trace (its occupancy was closed by kTaskRetry/kBucketVacate).
-    if (zombie_fenced(assigned, bucket_index)) return;
-    const double stuck_end_vt = clock_.seconds();
-    obs::record_event(
-        obs::EventKind::kTaskWork, assigned.task.tenant, bucket_index,
-        static_cast<int64_t>(assigned.task.task_id),
-        static_cast<int64_t>((stuck_end_vt - occupy_vt) * 1e6), stuck_end_vt);
-    // The stuck time was real bucket occupancy: settle it against the
-    // tenant before the task re-enters the queue (or degrades).
-    fail_attempt(bucket_index, std::move(assigned), retry.task_timeout_s);
-    return;
-  }
-  run_task(bucket_index, std::move(assigned), clock_.seconds(),
-           TaskOutcome::kCompleted);
 }
 
 void StagingService::fail_attempt(int bucket_index, Assigned assigned,
@@ -888,10 +826,7 @@ void StagingService::fail_attempt(int bucket_index, Assigned assigned,
     std::lock_guard lock(mutex_);
     queue_.settle(assigned.ticket, busy_s);
   }
-  // Faults off allows one attempt: a thrown handler goes straight on.
-  const int max_attempts =
-      faults_ != nullptr ? faults_->retry().max_task_attempts : 1;
-  if (assigned.attempt < max_attempts) {
+  if (assigned.attempt < faults_->retry().max_task_attempts) {
     retry_task(bucket_index, std::move(assigned));
     return;
   }
@@ -950,9 +885,7 @@ void StagingService::retry_task(int failed_bucket, Assigned assigned) {
 }
 
 void StagingService::degrade_or_shed(Assigned assigned) {
-  const bool degrade =
-      faults_ == nullptr || faults_->retry().degrade_to_insitu;
-  if (degrade) {
+  if (faults_->retry().degrade_to_insitu) {
     // ElasticBroker-style degradation: the analysis still runs, but on the
     // in-situ fallback executor — work is conserved, latency is charged to
     // the primary side. In the virtual cluster the calling thread plays
@@ -1031,26 +964,40 @@ void StagingService::run_task(int bucket_index, Assigned assigned,
 
   Stopwatch watch;
   bool failed = false;
-  try {
-    obs::Span compute_span("sched", "compute",
-                           {.bucket = bucket_index,
-                            .step = assigned.task.step});
-    handler(ctx);
-  } catch (const std::exception& e) {
+  if (bucket_index >= 0 &&
+      faults_->task_fails(assigned.task.task_id, assigned.attempt)) {
+    // An injected timeout (deterministic per (task, attempt)): the handler
+    // never runs, and the attempt holds its bucket like a real hang.
     failed = true;
-    HIA_LOG_ERROR("staging", "task %llu (%s, step %ld) attempt %d failed: %s",
-                  static_cast<unsigned long long>(assigned.task.task_id),
-                  assigned.task.analysis.c_str(), assigned.task.step,
-                  assigned.attempt, e.what());
+    obs::instant("fault", "task_timeout",
+                 {.bucket = bucket_index,
+                  .step = assigned.task.step,
+                  .vtime = clock_.seconds()});
+    std::this_thread::sleep_for(
+        std::chrono::duration<double>(faults_->retry().task_timeout_s));
+  } else {
+    try {
+      obs::Span compute_span("sched", "compute",
+                             {.bucket = bucket_index,
+                              .step = assigned.task.step});
+      handler(ctx);
+    } catch (const std::exception& e) {
+      failed = true;
+      HIA_LOG_ERROR("staging",
+                    "task %llu (%s, step %ld) attempt %d failed: %s",
+                    static_cast<unsigned long long>(assigned.task.task_id),
+                    assigned.task.analysis.c_str(), assigned.task.step,
+                    assigned.attempt, e.what());
+    }
   }
   double wall = watch.seconds();
 
   if (failed) {
-    // A thrown handler (e.g. a pull whose frames never survived the wire)
-    // is a failed attempt, never a completion.
+    // An injected timeout or a thrown handler (e.g. a pull whose frames
+    // never survived the wire) is a failed attempt, never a completion.
     if (bucket_index >= 0) busy_buckets().add(-1);
-    // A crash already reclaimed and re-queued this task; the zombie's
-    // retry would double it.
+    // The bucket crashed: the heartbeat re-queues the task, so the
+    // zombie's retry would double it.
     if (zombie_fenced(assigned, bucket_index)) return;
     // Phase split of the failed attempt's occupancy; the record that ends
     // it (kTaskRetry, kBucketVacate or kTaskShed) comes at a later clock
@@ -1059,8 +1006,7 @@ void StagingService::run_task(int bucket_index, Assigned assigned,
     record_phase_split(assigned.task, bucket_index,
                        ctx.transfer_wall_seconds_, wall, end_vt);
     if (bucket_index >= 0) {
-      // Settled against the tenant, then retried or degraded/shed like an
-      // injected timeout.
+      // Settled against the tenant, then retried or degraded/shed.
       fail_attempt(bucket_index, std::move(assigned), end_vt - assign_time);
     } else {
       // The fallback executor is the last resort: nothing runs after it.
@@ -1069,7 +1015,7 @@ void StagingService::run_task(int bucket_index, Assigned assigned,
     return;
   }
 
-  if (faults_ != nullptr && bucket_index >= 0) {
+  if (bucket_index >= 0) {
     // Scripted slowdown: this bucket's core is oversubscribed; stretch the
     // compute phase by the configured factor.
     const double factor = faults_->bucket_slow_factor(bucket_index);
@@ -1080,10 +1026,10 @@ void StagingService::run_task(int bucket_index, Assigned assigned,
     }
   }
 
-  // Exactly-once gate: if a crash reclaimed this task while the attempt
-  // ran, the re-execution owns the terminal record, the outstanding_
-  // decrement, and the input-handle releases. The zombie
-  // stops here, before any of those side effects.
+  // Exactly-once gate: if the bucket crashed while the attempt ran, the
+  // re-execution owns the terminal record, the outstanding_ decrement, and
+  // the input-handle releases. The zombie stops here, before any of those
+  // side effects.
   if (zombie_fenced(assigned, bucket_index)) {
     busy_buckets().add(-1);  // only a bucket attempt is ever fenced
     return;

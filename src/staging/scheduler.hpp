@@ -13,26 +13,26 @@
 // decoupling analysis latency from the simulation rate (temporal
 // multiplexing).
 //
-// Resilience (active only when Options::faults is set): a task attempt that
-// times out backs off with decorrelated jitter and is requeued, preferring
-// a different bucket; after K attempts the task either degrades to the
-// in-situ fallback executor or is shed with an explicit counter. Scripted
+// Resilience: a failed attempt (an injected timeout or a thrown handler)
+// backs off with decorrelated jitter and is requeued, preferring a
+// different bucket; after K attempts the task either degrades to the
+// in-situ fallback executor or is shed with an explicit counter. Faults
+// off is the same machinery under an empty plan whose K is 1. Scripted
 // bucket kills retire buckets gracefully (they finish their current task);
 // when no live bucket remains, new work degrades immediately. Every
 // submitted task ends in exactly one TaskRecord — see docs/FAILURE_MODEL.md
 // for the full state machine.
 //
-// Crash tolerance (active when the plan scripts crash-bucket): an
-// ungraceful crash kills a bucket mid-compute with no drain. Each bucket
-// holds its in-flight attempt under a lease renewed on the heartbeat tick
-// of the staging task clock; a crashed owner stops renewing, so its lease
-// expires and the heartbeat takes the attempt back into the ordinary
-// backoff + bucket-avoidance retry machinery (idempotent re-execution).
-// The lease is the fencing token: when the crashed bucket's unkillable
-// thread returns, its bucket no longer holds the attempt, so the zombie is
-// *fenced* and touches no ledger — records, outstanding_, fair-share
-// service, handle releases and terminal events belong to the re-execution
-// exactly once, keeping completed+degraded+deferred+shed == submitted.
+// Crash tolerance: an ungraceful crash kills a bucket mid-attempt with no
+// drain. Each bucket holds its in-flight attempt under a lease renewed on
+// the heartbeat tick of the staging task clock; a crashed owner stops
+// renewing, so its lease expires and the heartbeat takes the attempt back
+// into the ordinary backoff + bucket-avoidance retry machinery (idempotent
+// re-execution). A crashed bucket never delivers: when its unkillable
+// thread returns, the attempt is *fenced* and touches no ledger — records,
+// outstanding_, fair-share service, handle releases and terminal events
+// belong to the re-execution exactly once, keeping
+// completed+degraded+deferred+shed == submitted.
 //
 // Multi-tenancy (weighted fair share once set_tenant_policy is called) is
 // part of the matcher's policy, staging/policy.hpp, which the replay
@@ -53,6 +53,7 @@
 #include <thread>
 #include <vector>
 
+#include "runtime/fault.hpp"
 #include "runtime/overload.hpp"
 #include "staging/descriptor.hpp"
 #include "staging/object_store.hpp"
@@ -62,7 +63,6 @@
 
 namespace hia {
 
-class FaultPlan;
 class StagingService;
 
 /// How submit routes a task (what the steering policy decided).
@@ -79,11 +79,9 @@ class TaskContext {
   [[nodiscard]] int bucket() const { return bucket_; }
   [[nodiscard]] Dart& dart() { return dart_; }
 
-  /// Pulls one input block from in-situ memory (one-sided RDMA get);
-  /// movement time/bytes are accumulated into this task's record. pull()
-  /// returns the wire bytes verbatim; pull_doubles() transparently decodes
-  /// codec-published blocks, charging decode seconds to the task record.
-  std::vector<std::byte> pull(const DataDescriptor& desc);
+  /// Pulls one input block from in-situ memory (one-sided RDMA get) and
+  /// transparently decodes codec-published blocks; movement time/bytes and
+  /// decode seconds are accumulated into this task's record.
   std::vector<double> pull_doubles(const DataDescriptor& desc);
 
   /// Stores an opaque result blob retrievable via
@@ -125,8 +123,8 @@ class StagingService {
     int num_servers = 2;   // DataSpaces metadata servers
     int num_buckets = 4;   // in-transit cores
     /// Fault-injection plan (task failures, bucket kills/slowdowns) and its
-    /// RetryPolicy. Null = faults off; the scheduler hot path then only
-    /// pays null-pointer branches.
+    /// RetryPolicy. Null = faults off: the service runs under its own empty
+    /// plan, which injects nothing and allows one attempt before degrading.
     const FaultPlan* faults = nullptr;
     /// Overload control (unowned, must outlive the service). When set the
     /// queue keeps byte/depth accounting in the control's ledger and
@@ -243,9 +241,9 @@ class StagingService {
   static constexpr double kLeaseS = 0.05;
 
   /// Heartbeat tick: renews every live owner's lease, expires the leases
-  /// of crashed owners, and requeues (or degrades) the reclaimed tasks.
-  /// Called from submit() and the drain loops; safe to call from any
-  /// thread, no-op unless the plan scripts crashes.
+  /// of crashed owners, requeues (or degrades) the reclaimed tasks, and
+  /// degrades queued work once no live bucket remains. Called from
+  /// submit() and the drain loops; safe to call from any thread.
   void heartbeat();
 
   /// Leases that expired because their owner crashed.
@@ -297,7 +295,7 @@ class StagingService {
     /// The policy's view. enqueue_time is task-clock seconds, NEVER
     /// wall-epoch time: queue-wait math is assign - enqueue in one domain.
     Ticket ticket;
-    // ---- Retry state (defaults when faults are off) ----
+    // ---- Retry state ----
     int attempt = 1;             // 1-based execution attempt
     double backoff_total = 0.0;  // backoff accumulated across retries
   };
@@ -309,14 +307,16 @@ class StagingService {
     std::thread thread;
     int dart_node = -1;
     bool dead = false;  // retired by a scripted kill
-    /// Ungracefully crashed (implies dead): the bucket must NOT drain its
-    /// slot, its lease stops renewing, and any late completion from its
-    /// thread is fenced.
+    /// Ungracefully crashed (implies dead): its lease stops renewing, and
+    /// any late completion from its thread is fenced.
     bool crashed = false;
+    /// A crash fired while the bucket held no attempt: it crashes as it
+    /// starts its next one, so a crash always strands an attempt.
+    bool doomed = false;
     /// Matched by the matcher, not yet picked up by the bucket's thread.
     std::optional<Assigned> slot;
-    /// The in-flight attempt, held under lease tracking only. It is the
-    /// fencing token: the attempt is current while the bucket holds it.
+    /// The in-flight attempt, held under its lease until it ends or the
+    /// heartbeat takes it back from a crashed owner.
     std::optional<Assigned> running;
     double lease_expires = 0.0;  // task-clock deadline of `running`
   };
@@ -330,10 +330,10 @@ class StagingService {
   };
 
   void bucket_main(int bucket_index);
-  void execute(int bucket_index, Assigned assigned);
-  /// Runs the handler and writes the final record. `bucket_index` == -1
-  /// means the in-situ fallback executor (degraded work). A thrown handler
-  /// fails the bucket attempt, or sheds the task on the fallback.
+  /// Runs one attempt and writes the final record. `bucket_index` == -1
+  /// means the in-situ fallback executor (degraded work). An injected
+  /// timeout (bucket attempts only) or a thrown handler fails the bucket
+  /// attempt, or sheds the task on the fallback.
   void run_task(int bucket_index, Assigned assigned, double assign_time,
                 TaskOutcome outcome);
   /// Backs the task off and requeues it (prefers a different bucket); falls
@@ -347,18 +347,21 @@ class StagingService {
   /// then retries the task or, with the attempt budget spent, vacates the
   /// bucket and degrades or sheds it.
   void fail_attempt(int bucket_index, Assigned assigned, double busy_s);
-  /// Fences a finished attempt. Returns true when its bucket no longer
-  /// holds it (the lease expired and the heartbeat took it back): the
-  /// caller must drop every side effect. On false the attempt is current
-  /// and the bucket releases it.
+  /// Fences a finished attempt. Returns true when its bucket crashed: the
+  /// caller must drop every side effect, and the heartbeat takes the
+  /// attempt back once its lease expires (if it has not already). On false
+  /// the attempt is current and the bucket releases it.
   bool zombie_fenced(const Assigned& assigned, int bucket_index);
   // The *_locked helpers require mutex_.
   /// Registers a submission: id, ticket, outstanding tallies.
   Assigned admit_locked(InTransitTask task);
   /// Fires, in timeline order, every scripted event due at `step` that
-  /// has not fired yet (the caller drains the queue when the last live
+  /// has not fired yet (the heartbeat drains the queue when the last live
   /// bucket goes).
   void fire_scripted_locked(long step);
+  /// Takes bucket `b` out of the pool: a graceful kill, or an ungraceful
+  /// crash of the attempt it holds.
+  void stop_bucket_locked(int b, bool crash, long step);
   /// Terminal bookkeeping: fills `record` from `assigned`, settles the
   /// attempt with `busy_s` of bucket time, stores the record.
   void finish_locked(Assigned& assigned, TaskRecord& record, double busy_s);
@@ -366,14 +369,15 @@ class StagingService {
   void enqueue_locked(Assigned assigned);
   /// Takes back the payload of a ticket the policy released.
   Assigned dequeue_locked(const Ticket& ticket);
-  /// Blocks until `drained` holds; ticks the heartbeat if crashes can,
-  /// then joins the crashed buckets' threads outside mutex_.
+  /// Blocks until `drained` holds, ticking the heartbeat, then joins the
+  /// crashed buckets' threads outside mutex_.
   void wait_drained(const std::function<bool()>& drained);
 
   Dart& dart_;
   ObjectStore store_;
   Stopwatch clock_;
-  const FaultPlan* faults_ = nullptr;
+  const FaultPlan no_faults_;  // the plan when Options::faults is null
+  const FaultPlan* faults_;    // never null
   OverloadControl* overload_ = nullptr;
   int fallback_node_ = -1;  // Dart registration of the fallback executor
   int live_buckets_ = 0;    // guarded by mutex_
@@ -391,11 +395,7 @@ class StagingService {
   size_t outstanding_ = 0;
   uint64_t overload_diversions_ = 0;  // hard-budget diversions (mutex_)
   size_t scripted_next_ = 0;  // first unfired scripted event (mutex_)
-  // ---- Crash recovery (guarded by mutex_ unless atomic) ----
-  /// Lease bookkeeping (Bucket::running) is active only when the plan
-  /// scripts bucket crashes (set once in the ctor), keeping the crash-free
-  /// hot path unchanged.
-  bool lease_tracking_ = false;
+  // ---- Crash recovery ----
   std::atomic<uint64_t> leases_expired_{0};
   std::atomic<uint64_t> tasks_reexecuted_{0};
   std::atomic<uint64_t> zombies_fenced_{0};

@@ -28,6 +28,7 @@
 #include "obs/trace.hpp"
 #include "runtime/fault.hpp"
 #include "service/campaign_service.hpp"
+#include "util/log.hpp"
 #include "util/rng.hpp"
 
 namespace hia {
@@ -702,6 +703,7 @@ TEST_F(EventsTest, FaultedTraceShowsEachLifecycleInstantOnce) {
   // shrink: each occurrence is one lifecycle record, and the Chrome trace
   // renders it once, under the name the timeline has always used.
   obs::enable();
+  uint64_t tasks_failed = 0;
   {
     FaultPlan plan(FaultPlan::parse_spec(
         "task-fail=0.5,attempts=2,backoff=0.0001:0.001,kill-bucket=1@2,"
@@ -716,6 +718,7 @@ TEST_F(EventsTest, FaultedTraceShowsEachLifecycleInstantOnce) {
     service.drain();
     service.add_bucket();
     service.retire_bucket();
+    tasks_failed = plan.stats().tasks_failed;
   }
   obs::disable();
 
@@ -746,11 +749,88 @@ TEST_F(EventsTest, FaultedTraceShowsEachLifecycleInstantOnce) {
             kinds[K::kTaskComplete] + kinds[K::kTaskDegrade]);
   EXPECT_GT(kinds[K::kTaskRetry], 0);
   EXPECT_EQ(instants["fault/task_retry"], kinds[K::kTaskRetry]);
-  EXPECT_EQ(instants["fault/task_timeout"], kinds[K::kBucketOccupy]);
+  EXPECT_GT(tasks_failed, 0u);
+  EXPECT_EQ(instants["fault/task_timeout"], static_cast<int>(tasks_failed));
   EXPECT_EQ(kills, 1);
   EXPECT_EQ(instants["fault/bucket_killed"], 1);
   EXPECT_EQ(instants["pool/bucket_added"], 1);
   EXPECT_EQ(instants["pool/bucket_retired"], 1);
+}
+
+TEST_F(EventsTest, InjectedTimeoutIsAnOrdinaryFailedAttempt) {
+  // Every bucket attempt times out. Each one is recorded like a thrown
+  // handler's attempt: assign, the transfer/work split, then the retry or
+  // the vacate that ends its occupancy; the task then degrades. No handler
+  // threw, so nothing is logged as an error.
+  std::mutex mu;
+  int error_lines = 0;
+  log::set_sink([&](const std::string& line) {
+    std::lock_guard lock(mu);
+    if (line.find("ERROR") != std::string::npos) ++error_lines;
+  });
+  obs::enable();
+  uint64_t tasks_failed = 0;
+  constexpr int kTasks = 3;
+  {
+    FaultPlan plan(
+        FaultPlan::parse_spec("task-fail=1:0.01,attempts=2,"
+                              "backoff=0.0001:0.001"));
+    NetworkModel net;
+    Dart dart(net);
+    StagingService service(dart, StagingService::Options{1, 1, &plan});
+    service.register_handler("work", [](TaskContext&) {});
+    for (int i = 0; i < kTasks; ++i) {
+      service.submit(InTransitTask{"work", i, {}, 1});
+    }
+    service.drain();
+    tasks_failed = plan.stats().tasks_failed;
+    for (const TaskRecord& r : service.records()) {
+      EXPECT_EQ(r.outcome, TaskOutcome::kDegraded);
+      EXPECT_EQ(r.attempts, 2);
+    }
+  }
+  obs::disable();
+  log::set_sink(nullptr);
+  EXPECT_EQ(error_lines, 0);
+  EXPECT_EQ(tasks_failed, 2u * kTasks);
+
+  // The bucket-side records of each task, in the order they happened.
+  using K = obs::EventKind;
+  const std::vector<obs::EventRecord> records = obs::events_snapshot();
+  std::map<int64_t, std::vector<K>> bucket_side;
+  for (const obs::EventRecord& r : records) {
+    const auto kind = static_cast<K>(r.kind);
+    const bool attempt_kind =
+        kind == K::kTaskAssign || kind == K::kTaskXfer ||
+        kind == K::kTaskWork || kind == K::kTaskRetry ||
+        kind == K::kBucketVacate || kind == K::kBucketOccupy;
+    if (attempt_kind && r.bucket >= 0) bucket_side[r.a].push_back(kind);
+  }
+  const std::vector<K> want = {K::kTaskAssign, K::kTaskXfer,  K::kTaskWork,
+                               K::kTaskRetry,  K::kTaskAssign, K::kTaskXfer,
+                               K::kTaskWork,   K::kBucketVacate};
+  ASSERT_EQ(bucket_side.size(), static_cast<size_t>(kTasks));
+  for (const auto& [task, kinds] : bucket_side) {
+    EXPECT_EQ(kinds, want) << "task " << task;
+  }
+
+  const obs::Attribution a = obs::attribute_events(records, 0);
+  EXPECT_TRUE(a.conserved) << a.error;
+  EXPECT_EQ(a.tasks.size(), static_cast<size_t>(kTasks));
+
+  int timeouts = 0;
+  obs::json::Value trace;
+  std::string error;
+  ASSERT_TRUE(obs::json::parse(obs::chrome_trace_json(), trace, error))
+      << error;
+  using obs::json::find;
+  for (const obs::json::Value& e : find(trace, "traceEvents")->array) {
+    if (find(e, "ph")->string == "i" && find(e, "cat")->string == "fault" &&
+        find(e, "name")->string == "task_timeout") {
+      ++timeouts;
+    }
+  }
+  EXPECT_EQ(timeouts, static_cast<int>(tasks_failed));
 }
 
 }  // namespace

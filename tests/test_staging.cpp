@@ -5,6 +5,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <thread>
@@ -187,6 +189,48 @@ TEST_F(StagingTest, HandlerFailureDoesNotWedgeService) {
   EXPECT_EQ(dart_.num_published(), 0u);  // released even on failure
 }
 
+// Inputs reach a task in one order, (box.lo, src_node), whatever order
+// the ranks published in, so every in-transit fold over them is
+// reproducible bit for bit.
+TEST_F(StagingTest, SubmitForOrdersInputsWhateverThePublishOrder) {
+  StagingService service(dart_, {2, 1});
+  std::vector<int> nodes;
+  for (int r = 0; r < 4; ++r) {
+    nodes.push_back(dart_.register_node("sim-" + std::to_string(r)));
+  }
+  // Ranks 0 and 1 publish at x = 4, ranks 2 and 3 at x = 0: neither
+  // publish order below matches the box order, and the pairs tie on box.
+  auto publish_step = [&](long step, bool reversed) {
+    for (int i = 0; i < 4; ++i) {
+      const int r = reversed ? 3 - i : i;
+      const int64_t x0 = r < 2 ? 4 : 0;
+      service.publish(nodes[static_cast<size_t>(r)], "T", step,
+                      Box3{{x0, 0, 0}, {x0 + 4, 4, 4}},
+                      {static_cast<double>(r)});
+    }
+  };
+  std::map<long, std::vector<std::pair<int64_t, int>>> seen;
+  std::mutex m;
+  service.register_handler("order", [&](TaskContext& ctx) {
+    std::vector<std::pair<int64_t, int>> order;
+    for (const DataDescriptor& d : ctx.task().inputs) {
+      order.emplace_back(d.box.lo[0], d.src_node);
+    }
+    std::lock_guard lock(m);
+    seen[ctx.task().step] = order;
+  });
+  publish_step(0, false);
+  service.submit_for("order", 0, {"T"});
+  publish_step(1, true);
+  service.submit_for("order", 1, {"T"});
+  service.drain();
+
+  const std::vector<std::pair<int64_t, int>> want = {
+      {0, nodes[2]}, {0, nodes[3]}, {4, nodes[0]}, {4, nodes[1]}};
+  EXPECT_EQ(seen[0], want);
+  EXPECT_EQ(seen[1], want);
+}
+
 /// Runs one tenant-1 task of `analysis` (one published input) through a
 /// faults-off, one-bucket service and returns its record, checking that
 /// the recorded lifecycle conserves the task and attributes it exactly.
@@ -237,7 +281,7 @@ TEST_F(StagingTest, HandlerThatAlwaysThrowsIsShedWithFaultsOff) {
   const TaskRecord r = run_one_recorded(
       dart_,
       [](TaskContext& ctx) {
-        (void)ctx.pull(ctx.task().inputs.at(0));
+        (void)ctx.pull_doubles(ctx.task().inputs.at(0));
         throw Error("analysis failed");
       },
       &result);
@@ -251,7 +295,7 @@ TEST_F(StagingTest, HandlerThatThrowsOnlyOnABucketDegrades) {
   const TaskRecord r = run_one_recorded(
       dart_,
       [](TaskContext& ctx) {
-        (void)ctx.pull(ctx.task().inputs.at(0));
+        (void)ctx.pull_doubles(ctx.task().inputs.at(0));
         if (ctx.bucket() >= 0) throw Error("bucket-side failure");
         ctx.set_result({std::byte{7}});
       },
