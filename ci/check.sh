@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # The full CI gate:
-#   1. tier-1: default build + full ctest suite
+#   1. tier-1: default build + full ctest suite, its output logged to
+#      ci/artifacts/ctest.log
 #   2. traced smoke: hia_campaign with --trace/--metrics/--summary, gated
 #      by trace_lint (trace pairing, Prometheus exposition, RunSummary
 #      schema with >=1 histogram and >=1 gauge series)
@@ -88,14 +89,16 @@ cd "$(dirname "$0")/.."
 fast=0
 [[ "${1:-}" == "--fast" ]] && fast=1
 
-echo "==> tier-1: build + ctest"
-cmake --preset default
-cmake --build --preset default -j "$(nproc)"
-ctest --preset default -j "$(nproc)"
-
 artifact_dir="ci/artifacts"
 rm -rf "$artifact_dir"
 mkdir -p "$artifact_dir"
+
+echo "==> tier-1: build + ctest"
+cmake --preset default
+cmake --build --preset default -j "$(nproc)"
+# The log keeps every test's output, so a one-off failure can be read
+# after the run.
+ctest --preset default -j "$(nproc)" --output-log "$artifact_dir/ctest.log"
 
 echo "==> traced smoke: hia_campaign --trace/--metrics/--summary + trace_lint"
 smoke_dir="$(mktemp -d)"

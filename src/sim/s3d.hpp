@@ -84,7 +84,8 @@ class S3DRank {
   void restore_clock(long step, double time) {
     step_ = step;
     time_ = time;
-    update_velocity_and_diagnostics();
+    sample_velocity();
+    update_diagnostics();
   }
 
   /// Bytes of solution data owned by this rank (14 variables x 8 bytes).
@@ -92,7 +93,10 @@ class S3DRank {
 
  private:
   void apply_kernels(long step);
-  void update_velocity_and_diagnostics();
+  /// Synthetic turbulence at time_ into the velocity fields.
+  void sample_velocity();
+  /// Adds the mean jet to u; recomputes heat release and the minor species.
+  void update_diagnostics();
   /// Evaluates -advection + diffusion + reaction for the transported
   /// scalars on the owned z planes [k0, k1) into `rhs` (kTransported-major,
   /// each scalar's cells of those planes x-fastest).

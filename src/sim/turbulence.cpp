@@ -24,6 +24,52 @@ void axis_phasors(const GlobalGrid& grid, int axis, int64_t lo, size_t count,
   }
 }
 
+// The row kernel is compiled twice, for AVX2 and for the baseline ISA,
+// and the loader picks one per CPU. AVX2 alone: the "avx512f" and
+// "arch=x86-64-v3" targets also enable FMA, into which GCC contracts
+// ca * cb - sa * sb, and that changes the velocities' bits. Not under
+// ThreadSanitizer: GCC instruments the clones' ifunc resolver with
+// __tsan_func_entry, and the loader runs the resolver before the TSan
+// runtime starts, so the program would crash at load.
+#if defined(__x86_64__) && !defined(__SANITIZE_THREAD__)
+#define HIA_CLONE_AVX2 __attribute__((target_clones("avx2", "default")))
+#else
+#define HIA_CLONE_AVX2
+#endif
+
+/// One x row of sample(): cell n < nx gets the sum over modes m of
+/// amp[m] * (xc[m][n] cb[m] - xs[m][n] sb[m]), where xc and xs are
+/// mode-major tables of row stride nxp (a whole number of blocks).
+HIA_CLONE_AVX2
+void sum_row(size_t nx, size_t nxp, size_t nm, const double* xc,
+             const double* xs, const double* cb, const double* sb,
+             const Vec3* amp, double* ur, double* vr, double* wr) {
+  for (size_t i0 = 0; i0 < nx; i0 += kBlock) {
+    // Modes are summed in the order velocity() sums them.
+    double bu[kBlock] = {}, bv[kBlock] = {}, bw[kBlock] = {};
+    for (size_t m = 0; m < nm; ++m) {
+      const double* ca = &xc[m * nxp + i0];
+      const double* sa = &xs[m * nxp + i0];
+      const Vec3 a = amp[m];
+      // Unrolled, the block's sums live in registers across the mode loop
+      // rather than in memory, and GCC vectorizes the unrolled lanes.
+#pragma GCC unroll 8
+      for (size_t l = 0; l < kBlock; ++l) {
+        const double c = ca[l] * cb[m] - sa[l] * sb[m];
+        bu[l] += a.x * c;
+        bv[l] += a.y * c;
+        bw[l] += a.z * c;
+      }
+    }
+    const size_t n = std::min(kBlock, nx - i0);
+    for (size_t l = 0; l < n; ++l) {
+      ur[i0 + l] = bu[l];
+      vr[i0 + l] = bv[l];
+      wr[i0 + l] = bw[l];
+    }
+  }
+}
+
 }  // namespace
 
 SyntheticTurbulence::SyntheticTurbulence(const TurbulenceParams& params)
@@ -127,6 +173,8 @@ void SyntheticTurbulence::sample(const GlobalGrid& grid, const Box3& box,
   // cos(a + b) = cos a cos b - sin a sin b, with a = k_x x and b the rest
   // of the phase, which is constant along an x row.
   std::vector<double> cb(nm), sb(nm);
+  std::vector<Vec3> amp(nm);
+  for (size_t m = 0; m < nm; ++m) amp[m] = modes_[m].amplitude;
   for (size_t k = 0; k < nz; ++k) {
     for (size_t j = 0; j < ny; ++j) {
       for (size_t m = 0; m < nm; ++m) {
@@ -137,30 +185,9 @@ void SyntheticTurbulence::sample(const GlobalGrid& grid, const Box3& box,
       }
       const int64_t gj = box.lo[1] + static_cast<int64_t>(j);
       const int64_t gk = box.lo[2] + static_cast<int64_t>(k);
-      double* ur = u.ptr(box.lo[0], gj, gk);
-      double* vr = v.ptr(box.lo[0], gj, gk);
-      double* wr = w.ptr(box.lo[0], gj, gk);
-      for (size_t i0 = 0; i0 < nx; i0 += kBlock) {
-        // Modes are summed in the order velocity() sums them.
-        double bu[kBlock] = {}, bv[kBlock] = {}, bw[kBlock] = {};
-        for (size_t m = 0; m < nm; ++m) {
-          const double* ca = &xc[m * nxp + i0];
-          const double* sa = &xs[m * nxp + i0];
-          const Vec3 amp = modes_[m].amplitude;
-          for (size_t l = 0; l < kBlock; ++l) {
-            const double c = ca[l] * cb[m] - sa[l] * sb[m];
-            bu[l] += amp.x * c;
-            bv[l] += amp.y * c;
-            bw[l] += amp.z * c;
-          }
-        }
-        const size_t n = std::min(kBlock, nx - i0);
-        for (size_t l = 0; l < n; ++l) {
-          ur[i0 + l] = bu[l];
-          vr[i0 + l] = bv[l];
-          wr[i0 + l] = bw[l];
-        }
-      }
+      sum_row(nx, nxp, nm, xc.data(), xs.data(), cb.data(), sb.data(),
+              amp.data(), u.ptr(box.lo[0], gj, gk), v.ptr(box.lo[0], gj, gk),
+              w.ptr(box.lo[0], gj, gk));
     }
   }
 }

@@ -7,6 +7,7 @@
 #include <array>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 
@@ -444,13 +445,16 @@ TEST(S3D, PlaneWindowMatchesTwoPassStep) {
   // The windowed Euler step updates plane k-1 as soon as plane k's slopes
   // exist. Over 5 steps with ignition kernels it must equal the two-pass
   // step exactly: on one rank, across a z rank face (the window meets the
-  // ghost plane) and on one-plane-thick rank blocks.
+  // ghost plane), on one-plane-thick rank blocks, and on x-split blocks
+  // whose rows (10, then 6-7 cells) are shorter than two 8-cell blocks and
+  // own one x domain face or none.
   const std::array<Variable, 5> transported{
       Variable::kTemperature, Variable::kYH2, Variable::kYO2, Variable::kYH2O,
       Variable::kYN2};
   for (const std::array<int, 3> layout :
        {std::array<int, 3>{1, 1, 1}, std::array<int, 3>{1, 1, 2},
-        std::array<int, 3>{1, 2, 6}}) {
+        std::array<int, 3>{1, 2, 6}, std::array<int, 3>{2, 1, 1},
+        std::array<int, 3>{3, 1, 1}}) {
     S3DParams p;
     p.grid = GlobalGrid{{20, 12, 6}, {1.0, 0.6, 0.3}};
     p.ranks_per_axis = layout;
@@ -481,6 +485,64 @@ TEST(S3D, PlaneWindowMatchesTwoPassStep) {
       }
     });
     EXPECT_GT(kernel_cells.load(), 0) << "no ignition kernel landed";
+  }
+}
+
+/// FNV-1a over the bit patterns of `values`, continuing from `hash`.
+uint64_t fnv1a(uint64_t hash, const std::vector<double>& values) {
+  for (const double x : values) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &x, sizeof(bits));
+    for (int b = 0; b < 8; ++b) {
+      hash = (hash ^ ((bits >> (8 * b)) & 0xffU)) * 0x100000001b3ULL;
+    }
+  }
+  return hash;
+}
+
+TEST(S3D, FieldsMatchRecordedFingerprint) {
+  // Every field's bits after 12 steps, against a constant recorded from the
+  // scalar row loops. Vectorized row loops must reproduce the scalar
+  // arithmetic exactly; a fused multiply-add in any kernel moves the bits
+  // and this constant with them, which the tolerance tests above miss. The
+  // x extents (30 and 15 per rank) give rows of whole 8-cell blocks plus a
+  // remainder, with one and with two domain faces. Both layouts assemble
+  // the same global fields, so they share the constant. It also pins the
+  // results of glibc's libm (sin, cos, exp, tanh) on x86-64.
+  constexpr uint64_t kRecorded = 0x3aab1211ffbe591aULL;
+  for (const std::array<int, 3> layout :
+       {std::array<int, 3>{1, 1, 1}, std::array<int, 3>{2, 2, 1}}) {
+    S3DParams p;
+    p.grid = GlobalGrid{{30, 12, 8}, {1.0, 0.4, 0.3}};
+    p.ranks_per_axis = layout;
+    p.chemistry.kernel_rate = 3.0;  // three kernels every step
+    const Box3 dom = p.grid.bounds();
+    // The 14 variables then heat release, each over the whole domain.
+    std::vector<std::vector<double>> global(
+        kNumVariables + 1,
+        std::vector<double>(static_cast<size_t>(dom.num_cells())));
+    const Decomposition d(p.grid, layout);
+    World world(d.num_ranks());
+    world.run([&](Comm& comm) {
+      S3DRank sim(p, comm.rank());
+      sim.initialize();
+      for (int s = 0; s < 12; ++s) sim.advance(comm);
+      const Box3 owned = d.block(comm.rank());
+      for (size_t v = 0; v < global.size(); ++v) {
+        const Field& f = v < static_cast<size_t>(kNumVariables)
+                             ? sim.field(static_cast<Variable>(v))
+                             : sim.heat_release();
+        for (int64_t k = owned.lo[2]; k < owned.hi[2]; ++k)
+          for (int64_t j = owned.lo[1]; j < owned.hi[1]; ++j)
+            for (int64_t i = owned.lo[0]; i < owned.hi[0]; ++i)
+              global[v][dom.offset(i, j, k)] = f.at(i, j, k);
+      }
+    });
+    uint64_t hash = 0xcbf29ce484222325ULL;
+    for (const auto& values : global) hash = fnv1a(hash, values);
+    EXPECT_EQ(hash, kRecorded)
+        << std::hex << "fingerprint 0x" << hash << " on layout " << layout[0]
+        << "x" << layout[1] << "x" << layout[2];
   }
 }
 
