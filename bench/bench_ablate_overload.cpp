@@ -14,10 +14,11 @@
 //      of the no-fault baseline — backpressure converts the capacity
 //      shortfall into inline degraded work instead of unbounded queueing.
 //   3. Zero overhead when off: the same workload with overload control
-//      disabled (null pointers on every hot path) is gated against
+//      disabled (no control passed: Dart and the service run under their
+//      own idle ledgers) is gated against
 //      bench/baselines/BENCH_ablate_overload.json by tools/bench_diff,
-//      alongside the existing BENCH_fig5_scheduler baseline which never
-//      sees an OverloadControl at all.
+//      alongside the existing BENCH_fig5_scheduler baseline, whose
+//      service likewise keeps an idle ledger of its own.
 //   4. Cheap flight recorder: an A/B leg over obs::enable_events() shows
 //      the always-on event ring stays within a blessed makespan bound of
 //      the recorder-off run (gated as the boolean recorder_overhead_ok).

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The full CI gate:
-#   1. tier-1: default build + full ctest suite, its output logged to
-#      ci/artifacts/ctest.log
+#   1. tier-1: default build with warnings as errors (-DHIA_WERROR=ON) +
+#      full ctest suite, its output logged to ci/artifacts/ctest.log
 #   2. traced smoke: hia_campaign with --trace/--metrics/--summary, gated
 #      by trace_lint (trace pairing, Prometheus exposition, RunSummary
 #      schema with >=1 histogram and >=1 gauge series)
@@ -54,7 +54,8 @@
 #      bench/baselines/ by tools/bench_diff — nonzero exit on drift past
 #      the baseline's per-metric tolerances (the overload bench also
 #      proves zero-overhead-when-off: its makespan_off_s point runs with
-#      every overload pointer null; the tenants bench gates fair-share
+#      no control passed, so Dart and the service keep idle ledgers; the
+#      tenants bench gates fair-share
 #      conservation and hog isolation; the overload bench also A/Bs the
 #      flight recorder and gates recorder_overhead_ok as a boolean)
 #   7. soak: ci/soak.sh drives randomized bucket kills, phantom bytes,
@@ -94,7 +95,7 @@ rm -rf "$artifact_dir"
 mkdir -p "$artifact_dir"
 
 echo "==> tier-1: build + ctest"
-cmake --preset default
+cmake --preset default -DHIA_WERROR=ON
 cmake --build --preset default -j "$(nproc)"
 # The log keeps every test's output, so a one-off failure can be read
 # after the run.

@@ -16,7 +16,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
+#include <functional>
+#include <optional>
 #include <thread>
 #include <sys/stat.h>
 
@@ -71,20 +72,6 @@ struct Options {
   double status_interval_s = 0.0;
   double sample_hz = 0.0;
   bool list_only = false;
-};
-
-const std::map<std::string, std::string> kAnalysisHelp{
-    {"stats", "hybrid descriptive statistics (all 14 variables)"},
-    {"stats-insitu", "fully in-situ descriptive statistics"},
-    {"viz", "hybrid down-sampled volume rendering"},
-    {"viz-insitu", "fully in-situ volume rendering"},
-    {"topo", "hybrid merge-tree topology"},
-    {"corr", "hybrid T/Y_H2O correlation"},
-    {"hist", "hybrid temperature histogram"},
-    {"features", "hybrid feature-based statistics"},
-    {"cont", "hybrid T/Y_H2O contingency table"},
-    {"iso", "hybrid isosurface extraction"},
-    {"tseries", "temporal autocorrelation of the global T mean"},
 };
 
 bool parse_triple(const char* arg, int64_t out[3]) {
@@ -257,42 +244,76 @@ std::vector<std::string> split(const std::string& csv) {
   return out;
 }
 
-/// Builds one analysis instance by CLI name (null for an unknown name).
-/// Each tenant gets fresh instances — analyses carry per-run state.
-std::shared_ptr<HybridAnalysis> make_analysis(const std::string& name,
-                                              const Options& opt) {
-  if (name == "stats") return std::make_shared<HybridStatistics>();
-  if (name == "stats-insitu") return std::make_shared<InSituStatistics>();
-  if (name == "viz" || name == "viz-insitu") {
-    VizConfig viz;
-    viz.image_size = 128;
-    viz.downsample_stride = 4;
-    viz.output_dir = opt.output_dir;
-    if (name == "viz") return std::make_shared<HybridVisualization>(viz);
-    return std::make_shared<InSituVisualization>(viz);
-  }
-  if (name == "topo") return std::make_shared<HybridTopology>(TopologyConfig{});
-  if (name == "corr") {
-    return std::make_shared<HybridCorrelation>(Variable::kTemperature,
-                                               Variable::kYH2O);
-  }
-  if (name == "hist") return std::make_shared<HybridHistogram>(HistogramConfig{});
-  if (name == "features") {
-    FeatureStatsConfig fcfg;
-    fcfg.threshold = 1.5;
-    return std::make_shared<HybridFeatureStatistics>(fcfg);
-  }
-  if (name == "cont") {
-    return std::make_shared<HybridContingency>(ContingencyConfig{});
-  }
-  if (name == "tseries") {
-    return std::make_shared<TimeSeriesAutocorrelation>(TimeSeriesConfig{});
-  }
-  if (name == "iso") {
-    IsosurfaceConfig icfg;
-    icfg.iso = 1.5;
-    icfg.output_dir = opt.output_dir;
-    return std::make_shared<HybridIsosurface>(icfg);
+VizConfig viz_config(const Options& opt) {
+  VizConfig viz;
+  viz.image_size = 128;
+  viz.downsample_stride = 4;
+  viz.output_dir = opt.output_dir;
+  return viz;
+}
+
+/// Every analysis the CLI knows, in `--analyses all` order: its name, its
+/// `--list` help, and its factory. Each tenant gets fresh instances —
+/// analyses carry per-run state.
+struct AnalysisEntry {
+  const char* name;
+  const char* help;
+  std::function<std::shared_ptr<HybridAnalysis>(const Options&)> make;
+};
+
+const AnalysisEntry kAnalyses[] = {
+    {"stats", "hybrid descriptive statistics (all 14 variables)",
+     [](const Options&) { return std::make_shared<HybridStatistics>(); }},
+    {"stats-insitu", "fully in-situ descriptive statistics",
+     [](const Options&) { return std::make_shared<InSituStatistics>(); }},
+    {"viz", "hybrid down-sampled volume rendering",
+     [](const Options& opt) {
+       return std::make_shared<HybridVisualization>(viz_config(opt));
+     }},
+    {"viz-insitu", "fully in-situ volume rendering",
+     [](const Options& opt) {
+       return std::make_shared<InSituVisualization>(viz_config(opt));
+     }},
+    {"topo", "hybrid merge-tree topology",
+     [](const Options&) {
+       return std::make_shared<HybridTopology>(TopologyConfig{});
+     }},
+    {"corr", "hybrid T/Y_H2O correlation",
+     [](const Options&) {
+       return std::make_shared<HybridCorrelation>(Variable::kTemperature,
+                                                  Variable::kYH2O);
+     }},
+    {"hist", "hybrid temperature histogram",
+     [](const Options&) {
+       return std::make_shared<HybridHistogram>(HistogramConfig{});
+     }},
+    {"features", "hybrid feature-based statistics",
+     [](const Options&) {
+       FeatureStatsConfig fcfg;
+       fcfg.threshold = 1.5;
+       return std::make_shared<HybridFeatureStatistics>(fcfg);
+     }},
+    {"cont", "hybrid T/Y_H2O contingency table",
+     [](const Options&) {
+       return std::make_shared<HybridContingency>(ContingencyConfig{});
+     }},
+    {"iso", "hybrid isosurface extraction",
+     [](const Options& opt) {
+       IsosurfaceConfig icfg;
+       icfg.iso = 1.5;
+       icfg.output_dir = opt.output_dir;
+       return std::make_shared<HybridIsosurface>(icfg);
+     }},
+    {"tseries", "temporal autocorrelation of the global T mean",
+     [](const Options&) {
+       return std::make_shared<TimeSeriesAutocorrelation>(TimeSeriesConfig{});
+     }},
+};
+
+/// The table entry named `name`, or null for an unknown name.
+const AnalysisEntry* find_analysis(const std::string& name) {
+  for (const AnalysisEntry& entry : kAnalyses) {
+    if (name == entry.name) return &entry;
   }
   return nullptr;
 }
@@ -379,8 +400,8 @@ int main(int argc, char** argv) {
 
   if (opt.list_only) {
     std::printf("available analyses:\n");
-    for (const auto& [name, help] : kAnalysisHelp) {
-      std::printf("  %-12s %s\n", name.c_str(), help.c_str());
+    for (const AnalysisEntry& entry : kAnalyses) {
+      std::printf("  %-12s %s\n", entry.name, entry.help);
     }
     return 0;
   }
@@ -434,18 +455,23 @@ int main(int argc, char** argv) {
   const std::vector<double> weights = parse_weights(opt);
   if (weights.empty()) return 2;
 
-  auto wanted = split(opt.analyses == "all"
-                          ? "stats,stats-insitu,viz,viz-insitu,topo,corr,"
-                            "hist,features,cont,iso,tseries"
-                          : opt.analyses);
-  std::vector<std::string> report_names;
-  for (const std::string& name : wanted) {
-    if (kAnalysisHelp.find(name) == kAnalysisHelp.end()) {
-      std::fprintf(stderr, "unknown analysis: %s (try --list)\n",
-                   name.c_str());
-      return 2;
+  std::vector<const AnalysisEntry*> wanted;
+  if (opt.analyses == "all") {
+    for (const AnalysisEntry& entry : kAnalyses) wanted.push_back(&entry);
+  } else {
+    for (const std::string& name : split(opt.analyses)) {
+      const AnalysisEntry* entry = find_analysis(name);
+      if (entry == nullptr) {
+        std::fprintf(stderr, "unknown analysis: %s (try --list)\n",
+                     name.c_str());
+        return 2;
+      }
+      wanted.push_back(entry);
     }
-    report_names.push_back(make_analysis(name, opt)->name());
+  }
+  std::vector<std::string> report_names;
+  for (const AnalysisEntry* entry : wanted) {
+    report_names.push_back(entry->make(opt)->name());
   }
 
   if (!opt.trace_path.empty() || !opt.metrics_path.empty()) {
@@ -475,7 +501,14 @@ int main(int argc, char** argv) {
   sopts.overload = opt.overload;
   sopts.pool_min = opt.pool_min;
   sopts.pool_max = opt.pool_max;
-  CampaignService service(sopts);
+  std::optional<CampaignService> built;
+  try {
+    built.emplace(sopts);
+  } catch (const Error& e) {
+    std::fprintf(stderr, "hia_campaign: %s\n", e.what());
+    return 2;
+  }
+  CampaignService& service = *built;
 
   RunConfig config;
   config.sim.grid = GlobalGrid{opt.grid,
@@ -494,8 +527,8 @@ int main(int argc, char** argv) {
     spec.weight = weights[static_cast<size_t>(t)];
     spec.config = config;
     spec.setup = [&opt, &wanted](HybridRunner& runner) {
-      for (const std::string& name : wanted) {
-        runner.add_analysis(make_analysis(name, opt), opt.frequency);
+      for (const AnalysisEntry* entry : wanted) {
+        runner.add_analysis(entry->make(opt), opt.frequency);
       }
     };
     service.add_tenant(std::move(spec));

@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -55,7 +56,8 @@ struct Options {
       "  --weights a,b,...  per-tenant fair-share weights (length N)\n"
       "  --overload SPEC    service overload spec (OverloadConfig grammar)\n"
       "  --faults SPEC      service fault plan (FaultPlan grammar)\n"
-      "  --pool-max N       elastic bucket pool ceiling (default: fixed)\n"
+      "  --pool-max N       elastic bucket pool ceiling (default: fixed;\n"
+      "                     needs --overload for the pressure signal)\n"
       "  --pool-min N       elastic pool floor (default 1)\n"
       "  --interval S       refresh interval in seconds (default 0.5)\n"
       "  --slo S            per-tenant turnaround SLO target in seconds\n"
@@ -195,7 +197,14 @@ int main(int argc, char** argv) {
   sopts.faults = opt.faults;
   sopts.pool_min = opt.pool_min;
   sopts.pool_max = opt.pool_max;
-  CampaignService service(sopts);
+  std::optional<CampaignService> built;
+  try {
+    built.emplace(sopts);
+  } catch (const Error& e) {
+    std::fprintf(stderr, "hia_top: %s\n", e.what());
+    return 2;
+  }
+  CampaignService& service = *built;
 
   RunConfig config;
   config.sim.grid = GlobalGrid{{48, 32, 24}, {1.0, 32.0 / 48.0, 24.0 / 48.0}};

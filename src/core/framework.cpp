@@ -19,10 +19,19 @@ std::shared_ptr<const Codec> staging_codec(const std::string& spec) {
   return spec.empty() ? nullptr : make_codec(spec);
 }
 
+/// An empty spec is overload off (an idle ledger); a spec given must set
+/// a budget or credits.
+OverloadConfig overload_config(const std::string& spec) {
+  const OverloadConfig config = OverloadConfig::parse_spec(spec);
+  HIA_REQUIRE(spec.empty() || config.enabled(),
+              "--overload spec sets no budget and no credits: " + spec);
+  return config;
+}
+
 }  // namespace
 
 StagingDeployment::StagingDeployment(const RunConfig& config)
-    : network_(config.network) {
+    : network_(config.network), overload_(overload_config(config.overload)) {
   Dart::Options dart = config.dart;
   if (!config.faults.empty()) {
     FaultPlanConfig plan = FaultPlan::parse_spec(config.faults);
@@ -30,20 +39,12 @@ StagingDeployment::StagingDeployment(const RunConfig& config)
     faults_ = std::make_unique<FaultPlan>(plan);
     dart.faults = faults_.get();
   }
-  if (!config.overload.empty()) {
-    OverloadConfig ocfg = OverloadConfig::parse_spec(config.overload);
-    HIA_REQUIRE(ocfg.enabled(),
-                "--overload spec sets no budget and no credits: " +
-                    config.overload);
-    overload_ = std::make_unique<OverloadControl>(ocfg);
-    dart.overload = overload_.get();
-  }
+  dart.overload = &overload_;
   dart_ = std::make_unique<Dart>(network_, dart);
   staging_ = std::make_unique<StagingService>(
       *dart_, StagingService::Options{config.staging_servers,
                                       config.staging_buckets, faults_.get(),
-                                      overload_.get(),
-                                      config.staging_replicas});
+                                      &overload_, config.staging_replicas});
 }
 
 StagingDeployment::~StagingDeployment() {
@@ -77,13 +78,11 @@ void StagingDeployment::add_ledger(ResilienceSummary& res) const {
     res.credits_starved = stats.credits_starved;
     res.tenant_hog_bytes = stats.tenant_hog_bytes;
   }
-  if (overload_ != nullptr) {
-    const OverloadControl::Stats ostats = overload_->stats();
-    res.admission_overdrafts = ostats.admission_overdrafts;
-    res.admission_wait_s = ostats.admission_wait_s;
-    res.peak_queue_bytes = ostats.peak_queue_bytes;
-    res.overload_diversions = staging_->overload_diversions();
-  }
+  const OverloadControl::Stats ostats = overload_.stats();
+  res.admission_overdrafts = ostats.admission_overdrafts;
+  res.admission_wait_s = ostats.admission_wait_s;
+  res.peak_queue_bytes = ostats.peak_queue_bytes;
+  res.overload_diversions = staging_->overload_diversions();
 }
 
 HybridRunner::HybridRunner(RunConfig config)
@@ -128,7 +127,7 @@ RunReport HybridRunner::run() {
   ran_ = true;
   StagingService& staging = deployment_.staging();
   Dart& dart = deployment_.dart();
-  const OverloadControl* overload = deployment_.overload();
+  const OverloadControl& overload = deployment_.overload();
 
   const int nranks = config_.sim.ranks_per_axis[0] *
                      config_.sim.ranks_per_axis[1] *
@@ -154,9 +153,8 @@ RunReport HybridRunner::run() {
   uint64_t steer_in_transit = 0, steer_in_situ = 0, steer_deferred = 0,
            steer_shed = 0;
   const bool steering_active =
-      steer_ != SteerPolicy::kInTransit || overload != nullptr;
-  const int max_defers =
-      overload != nullptr ? overload->config().max_defers : 1;
+      steer_ != SteerPolicy::kInTransit || overload.config().enabled();
+  const int max_defers = overload.config().max_defers;
 
   // Routes one in-transit submission through the steering table. Deferring
   // writes a terminal kDeferred record and parks the payload (the staged
@@ -345,12 +343,9 @@ RunReport HybridRunner::run() {
   res.steer_in_situ = steer_in_situ;
   res.steer_deferred = steer_deferred;
   res.steer_shed = steer_shed;
-  if (overload != nullptr) {
-    const OverloadControl::TenantStats tstats =
-        overload->tenant_stats(tenant_);
-    res.admission_overdrafts = tstats.overdrafts;
-    res.admission_wait_s = tstats.wait_s;
-  }
+  const OverloadControl::TenantStats tstats = overload.tenant_stats(tenant_);
+  res.admission_overdrafts = tstats.overdrafts;
+  res.admission_wait_s = tstats.wait_s;
   // The deployment's owner adds its global ledger: this runner when it
   // built the deployment, the campaign service otherwise.
   if (own_deployment_ != nullptr) own_deployment_->add_ledger(res);

@@ -55,7 +55,8 @@ struct RunConfig {
   uint64_t fault_seed = 0;
   /// Overload-control spec (OverloadConfig::parse_spec grammar, e.g.
   /// "queue-bytes=4m,credits=16,low=0.5,high=0.9"). Empty = overload
-  /// control off: null pointers everywhere, one branch per hot path.
+  /// control off: the deployment's ledger is idle (no budgets, no
+  /// credits) and only counts the queue and the store.
   std::string overload;
   /// Steering policy for in-transit submissions ("in-transit", "adaptive",
   /// "in-situ", "shed"; empty = in-transit, the PR-4 behavior).
@@ -79,8 +80,8 @@ class StagingDeployment {
 
   [[nodiscard]] Dart& dart() { return *dart_; }
   [[nodiscard]] StagingService& staging() { return *staging_; }
-  /// The overload ledger (null when overload control is off).
-  [[nodiscard]] OverloadControl* overload() { return overload_.get(); }
+  /// The overload ledger (idle when overload control is off).
+  [[nodiscard]] OverloadControl& overload() { return overload_; }
 
   /// Writes the deployment-global ledger into `res`: the fault plan's
   /// injection tally, crash recovery, transport retransmits, and the
@@ -92,8 +93,8 @@ class StagingDeployment {
   NetworkModel network_;
   // Declared in dependency order: Dart and staging hold unowned pointers
   // into the plan and the overload ledger, so they are destroyed first.
-  std::unique_ptr<FaultPlan> faults_;          // null = faults off
-  std::unique_ptr<OverloadControl> overload_;  // null = overload off
+  std::unique_ptr<FaultPlan> faults_;  // null = faults off
+  OverloadControl overload_;           // idle = overload off
   std::unique_ptr<Dart> dart_;
   std::unique_ptr<StagingService> staging_;
 };

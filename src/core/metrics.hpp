@@ -42,7 +42,9 @@ struct ResilienceSummary {
   uint64_t replicas_repaired = 0;  // copies re-inserted by read-repair
   uint64_t objects_lost = 0;       // objects whose last live copy died
 
-  // ---- Overload control (nonzero only when --overload / --steer is on) ----
+  // ---- Overload control: steering, diversions and admission are nonzero
+  // only when --steer / --overload is on; peak_queue_bytes is measured by
+  // the ledger on every run ----
   uint64_t steer_in_transit = 0;      // steering verdicts, per submit point
   uint64_t steer_in_situ = 0;
   uint64_t steer_deferred = 0;

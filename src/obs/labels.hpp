@@ -18,7 +18,7 @@ namespace hia::obs {
 struct Labels {
   int tenant = -1;   // -1 = unset
   int bucket = -1;   // -1 = unset
-  std::string site;  // "" = unset
+  std::string site{};  // "" = unset
 
   [[nodiscard]] bool empty() const {
     return tenant < 0 && bucket < 0 && site.empty();

@@ -111,14 +111,33 @@ hia::obs::Counter& pressure_gauge() {
   static hia::obs::Counter& c = hia::obs::counter("staging_pressure_state");
   return c;
 }
+// The Fig. 5 timeline gauges: how deep the data-ready queue ran, how many
+// bytes it held (phantom bytes excluded), and what the store kept resident.
+hia::obs::Counter& queue_depth_gauge() {
+  static hia::obs::Counter& c = hia::obs::counter("staging_queue_depth");
+  return c;
+}
+hia::obs::Counter& queue_bytes_gauge() {
+  static hia::obs::Counter& c = hia::obs::counter("staging_queue_bytes");
+  return c;
+}
+hia::obs::Counter& store_bytes_gauge() {
+  static hia::obs::Counter& c = hia::obs::counter("staging_store_bytes");
+  return c;
+}
 }  // namespace
 
 OverloadControl::OverloadControl(OverloadConfig config)
     : config_(config) {
-  // Expose the admission gauges to the time-series sampler (same pattern
-  // as the scheduler's queue-depth gauge).
-  obs::register_counter_gauge("dart_credits_outstanding");
-  obs::register_counter_gauge("staging_pressure_state");
+  // Expose the ledger's gauges to the time-series sampler; the admission
+  // and pressure gauges only move when overload control is on.
+  obs::register_counter_gauge("staging_queue_depth");
+  obs::register_counter_gauge("staging_queue_bytes");
+  obs::register_counter_gauge("staging_store_bytes");
+  if (config_.enabled()) {
+    obs::register_counter_gauge("dart_credits_outstanding");
+    obs::register_counter_gauge("staging_pressure_state");
+  }
 }
 
 int OverloadControl::effective_credits_locked() const {
@@ -189,62 +208,62 @@ PressureSignal OverloadControl::signal_locked() const {
 }
 
 void OverloadControl::admit(size_t bytes, int tenant) {
-  // Budgeting is per-region count; bytes only label an overdraft.
+  // Budgeting is per-region count; bytes only label an overdraft. The
+  // config is immutable, so an open gate returns without the lock.
+  if (config_.credits <= 0) return;
   std::unique_lock lock(mutex_);
-  if (config_.credits > 0) {
-    TenantLedger& ledger = tenants_[tenant];
-    // The gate: global pool has slack AND the tenant is under its own cap.
-    auto can_admit = [this, &ledger] {
-      if (credits_in_use_ >= effective_credits_locked()) return false;
-      return ledger.credit_cap <= 0 ||
-             ledger.credits_in_use < ledger.credit_cap;
-    };
-    const bool capped_at_entry =
-        ledger.credit_cap > 0 && ledger.credits_in_use >= ledger.credit_cap &&
-        credits_in_use_ < effective_credits_locked();
-    Stopwatch waited;
-    const bool got = credit_cv_.wait_for(
-        lock, std::chrono::duration<double>(config_.admit_max_wait_s),
-        can_admit);
-    const double wait_s = waited.seconds();
-    if (capped_at_entry) ++ledger.cap_waits;
-    if (!got) {
-      // Overdraft: the deadline passed with every credit out. Admit anyway
-      // (liveness beats the bound) but count it loudly — overdrafts mean
-      // the credit pool is undersized for the producer rate.
-      ++overdrafts_;
-      ++ledger.overdrafts;
-      static obs::Counter& overdraft_c =
-          obs::counter("dart_admission_overdrafts");
-      overdraft_c.add(1);
-      if (tenant > 0) {
-        obs::counter("dart_admission_overdrafts", {.tenant = tenant}).add(1);
-      }
-      obs::instant("overload", "admission_overdraft",
-                   {.bytes = static_cast<long long>(bytes)});
-    }
-    ++credits_in_use_;
-    ++ledger.credits_in_use;
-    ++admissions_;
-    ++ledger.admissions;
-    wait_s_total_ += wait_s;
-    ledger.wait_s += wait_s;
-    t_admission_wait_s += wait_s;
-    credits_gauge().add(1);
-    static obs::Histogram& wait_h = obs::histogram("dart_admission_wait_s");
-    wait_h.record(wait_s);
+  TenantLedger& ledger = tenants_[tenant];
+  // The gate: global pool has slack AND the tenant is under its own cap.
+  auto can_admit = [this, &ledger] {
+    if (credits_in_use_ >= effective_credits_locked()) return false;
+    return ledger.credit_cap <= 0 ||
+           ledger.credits_in_use < ledger.credit_cap;
+  };
+  const bool capped_at_entry =
+      ledger.credit_cap > 0 && ledger.credits_in_use >= ledger.credit_cap &&
+      credits_in_use_ < effective_credits_locked();
+  Stopwatch waited;
+  const bool got = credit_cv_.wait_for(
+      lock, std::chrono::duration<double>(config_.admit_max_wait_s),
+      can_admit);
+  const double wait_s = waited.seconds();
+  if (capped_at_entry) ++ledger.cap_waits;
+  if (!got) {
+    // Overdraft: the deadline passed with every credit out. Admit anyway
+    // (liveness beats the bound) but count it loudly — overdrafts mean
+    // the credit pool is undersized for the producer rate.
+    ++overdrafts_;
+    ++ledger.overdrafts;
+    static obs::Counter& overdraft_c =
+        obs::counter("dart_admission_overdrafts");
+    overdraft_c.add(1);
     if (tenant > 0) {
-      obs::histogram("dart_admission_wait_s", {.tenant = tenant})
-          .record(wait_s);
+      obs::counter("dart_admission_overdrafts", {.tenant = tenant}).add(1);
     }
-    update_state_locked();
+    obs::instant("overload", "admission_overdraft",
+                 {.bytes = static_cast<long long>(bytes)});
   }
+  ++credits_in_use_;
+  ++ledger.credits_in_use;
+  ++admissions_;
+  ++ledger.admissions;
+  wait_s_total_ += wait_s;
+  ledger.wait_s += wait_s;
+  t_admission_wait_s += wait_s;
+  credits_gauge().add(1);
+  static obs::Histogram& wait_h = obs::histogram("dart_admission_wait_s");
+  wait_h.record(wait_s);
+  if (tenant > 0) {
+    obs::histogram("dart_admission_wait_s", {.tenant = tenant})
+        .record(wait_s);
+  }
+  update_state_locked();
 }
 
 void OverloadControl::release_credit(int tenant) {
+  if (config_.credits <= 0) return;
   {
     std::lock_guard lock(mutex_);
-    if (config_.credits <= 0) return;
     if (credits_in_use_ > 0) --credits_in_use_;
     TenantLedger& ledger = tenants_[tenant];
     if (ledger.credits_in_use > 0) --ledger.credits_in_use;
@@ -281,12 +300,15 @@ OverloadControl::TenantStats OverloadControl::tenant_stats(int tenant) const {
 void OverloadControl::on_store_put(size_t bytes) {
   std::lock_guard lock(mutex_);
   store_bytes_ += bytes;
+  store_bytes_gauge().add(static_cast<int64_t>(bytes));
   update_state_locked();
 }
 
 void OverloadControl::on_store_take(size_t bytes) {
   std::lock_guard lock(mutex_);
-  store_bytes_ -= std::min(store_bytes_, bytes);
+  const size_t taken = std::min(store_bytes_, bytes);
+  store_bytes_ -= taken;
+  store_bytes_gauge().add(-static_cast<int64_t>(taken));
   update_state_locked();
 }
 
@@ -294,13 +316,20 @@ void OverloadControl::on_queue_add(size_t bytes) {
   std::lock_guard lock(mutex_);
   queue_bytes_ += bytes;
   ++queue_depth_;
+  queue_bytes_gauge().add(static_cast<int64_t>(bytes));
+  queue_depth_gauge().add(1);
   update_state_locked();
 }
 
 void OverloadControl::on_queue_remove(size_t bytes) {
   std::lock_guard lock(mutex_);
-  queue_bytes_ -= std::min(queue_bytes_, bytes);
-  if (queue_depth_ > 0) --queue_depth_;
+  const size_t removed = std::min(queue_bytes_, bytes);
+  queue_bytes_ -= removed;
+  queue_bytes_gauge().add(-static_cast<int64_t>(removed));
+  if (queue_depth_ > 0) {
+    --queue_depth_;
+    queue_depth_gauge().add(-1);
+  }
   update_state_locked();
 }
 

@@ -20,9 +20,12 @@
 //     steer_decide(), the per-task policy choosing in-transit, in-situ
 //     fallback, defer-one-step, or loud shed.
 //
-// Everything here is optional: a null OverloadControl pointer (the default
-// throughout) costs exactly one branch on each hot path, preserving the
-// zero-overhead-when-off contract gated by tools/bench_diff.
+// Every staging component always holds a ledger. Overload off is an idle
+// ledger (OverloadConfig::enabled() == false): no budgets, no credits, so
+// the gate admits at once and the wall never diverts, while the queue and
+// store counts it keeps still feed the pressure signal's figures and the
+// staging gauges. Its cost stays inside the zero-overhead-when-off bound
+// gated by tools/bench_diff.
 #pragma once
 
 #include <condition_variable>
@@ -99,9 +102,11 @@ struct OverloadConfig {
 
 /// The shared overload ledger: one instance per pipeline, consulted by
 /// Dart (admission), ObjectStore (store bytes), StagingService (queue
-/// accounting + hard wall), and HybridRunner (steering). Thread-safe; its
-/// internal mutex is always innermost — holders of the staging or Dart
-/// locks may call in, never the reverse.
+/// accounting + hard wall), and HybridRunner (steering). It is the one
+/// count of queue bytes, queue depth and store bytes, and writes the
+/// `staging_queue_bytes`, `staging_queue_depth` and `staging_store_bytes`
+/// gauges. Thread-safe; its internal mutex is always innermost — holders
+/// of the staging or Dart locks may call in, never the reverse.
 class OverloadControl {
  public:
   explicit OverloadControl(OverloadConfig config);
@@ -121,7 +126,7 @@ class OverloadControl {
   void admit(size_t bytes, int tenant = 0);
 
   /// Returns the credit held by a released region to the global pool and
-  /// the owning tenant's ledger.
+  /// the owning tenant's ledger. When credits are off this does nothing.
   void release_credit(int tenant = 0);
 
   /// Drains the admission wait accumulated by admit() calls on the calling

@@ -1,14 +1,11 @@
 #include "service/bucket_pool.hpp"
 
-#include "runtime/overload.hpp"
 #include "util/error.hpp"
 
 namespace hia {
 
-ElasticBucketPool::ElasticBucketPool(StagingService& staging,
-                                     const OverloadControl* overload,
-                                     Options options)
-    : staging_(staging), overload_(overload), options_(options) {
+ElasticBucketPool::ElasticBucketPool(StagingService& staging, Options options)
+    : staging_(staging), options_(options) {
   HIA_REQUIRE(options_.min_buckets >= 1, "elastic pool: min_buckets >= 1");
   HIA_REQUIRE(options_.max_buckets >= options_.min_buckets,
               "elastic pool: max_buckets >= min_buckets");
@@ -16,7 +13,6 @@ ElasticBucketPool::ElasticBucketPool(StagingService& staging,
 }
 
 void ElasticBucketPool::step() {
-  if (overload_ == nullptr) return;  // no pressure signal, no policy
   const double now = staging_.now();
   if (last_action_ >= 0.0 && now - last_action_ < options_.cooldown_s) return;
 

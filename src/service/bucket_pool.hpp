@@ -17,9 +17,10 @@
 // A cooldown between actions keeps the pool from flapping on a pressure
 // signal that oscillates around a watermark.
 //
-// The policy is deliberately passive without overload control: pressure
-// never leaves Nominal, so the pool would only ever shrink — step() is a
-// no-op when constructed with a null ledger.
+// The pressure signal is the service's (StagingService::pressure()). An
+// idle ledger never leaves Nominal, so without overload control the pool
+// could only ever shrink; CampaignService therefore refuses an elastic
+// pool unless its overload spec is enabled.
 #pragma once
 
 #include <cstdint>
@@ -27,8 +28,6 @@
 #include "staging/scheduler.hpp"
 
 namespace hia {
-
-class OverloadControl;
 
 class ElasticBucketPool {
  public:
@@ -38,9 +37,7 @@ class ElasticBucketPool {
     double cooldown_s = 0.25;  // min seconds between resize actions
   };
 
-  /// `overload` is the pressure source (unowned; null disables the policy).
-  ElasticBucketPool(StagingService& staging, const OverloadControl* overload,
-                    Options options);
+  ElasticBucketPool(StagingService& staging, Options options);
 
   /// Polls pressure and performs at most one resize. Call from the
   /// service's supervision loop; cheap when nothing needs to change.
@@ -55,7 +52,6 @@ class ElasticBucketPool {
 
  private:
   StagingService& staging_;
-  const OverloadControl* overload_;
   Options options_;
   Stats stats_;
   double last_action_ = -1.0;  // staging clock seconds of the last resize

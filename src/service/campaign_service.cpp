@@ -50,14 +50,16 @@ CampaignService::CampaignService(Options options)
     : options_(std::move(options)),
       deployment_(deployment_config(options_)) {
   if (options_.pool_max > 0) {
+    HIA_REQUIRE(deployment_.overload().config().enabled(),
+                "pool_max needs a service overload spec (the elastic pool "
+                "acts on its pressure signal)");
     ElasticBucketPool::Options popts;
     popts.min_buckets = options_.pool_min >= 1 ? options_.pool_min : 1;
     popts.max_buckets = options_.pool_max;
     popts.cooldown_s = options_.pool_cooldown_s;
     HIA_REQUIRE(popts.max_buckets >= options_.staging_buckets,
                 "pool_max below the initial bucket count");
-    pool_ = std::make_unique<ElasticBucketPool>(
-        staging(), deployment_.overload(), popts);
+    pool_ = std::make_unique<ElasticBucketPool>(staging(), popts);
   }
 }
 
@@ -70,11 +72,11 @@ int CampaignService::add_tenant(TenantSpec spec) {
   staging().set_tenant_policy(id, spec.weight, spec.queue_bytes_cap,
                               spec.queue_depth_cap);
   if (spec.credit_cap > 0) {
-    OverloadControl* overload = deployment_.overload();
-    HIA_REQUIRE(overload != nullptr,
+    OverloadControl& overload = deployment_.overload();
+    HIA_REQUIRE(overload.config().enabled(),
                 "tenant '" + spec.name +
                     "': credit_cap needs a service overload spec");
-    overload->set_tenant_credit_cap(id, spec.credit_cap);
+    overload.set_tenant_credit_cap(id, spec.credit_cap);
   }
   specs_.push_back(std::move(spec));
   return id;
@@ -88,7 +90,7 @@ CampaignService::Status CampaignService::poll_status() {
   st.queue_bytes = sig.queue_bytes;
   st.store_bytes = sig.store_bytes;
   st.credits_free = sig.credits_free;
-  st.live_buckets = staging().live_bucket_count();
+  st.live_buckets = sig.live_buckets;
   st.virtual_time_s = staging().now();
   if (pool_ != nullptr) st.pool = pool_->stats();
 
@@ -116,11 +118,10 @@ CampaignService::Status CampaignService::poll_status() {
       ts.outstanding = s.outstanding;
       break;
     }
-    if (const OverloadControl* overload = deployment_.overload()) {
-      const OverloadControl::TenantStats os = overload->tenant_stats(id);
-      ts.credits_outstanding = os.credits_outstanding;
-      ts.credit_cap = os.credit_cap;
-    }
+    const OverloadControl::TenantStats os =
+        deployment_.overload().tenant_stats(id);
+    ts.credits_outstanding = os.credits_outstanding;
+    ts.credit_cap = os.credit_cap;
     obs::Labels labels;
     labels.tenant = id;
     ts.completed = obs::counter("staging_tasks_completed", labels).value();

@@ -50,9 +50,11 @@ class CampaignService {
     std::string faults;
     uint64_t fault_seed = 0;
     /// Service-wide overload spec (OverloadConfig::parse_spec grammar).
-    /// Empty = overload off (admission, pressure, and elasticity disabled).
+    /// Empty = overload off: an idle ledger, so no admission gate and a
+    /// pressure state that stays Nominal (queue and store still counted).
     std::string overload;
     /// Elastic pool bounds; both 0 = fixed pool of staging_buckets.
+    /// pool_max > 0 needs an overload spec: the pool acts on its pressure.
     int pool_min = 0;
     int pool_max = 0;
     double pool_cooldown_s = 0.25;

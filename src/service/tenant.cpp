@@ -50,7 +50,7 @@ std::string TenantRegistry::namespaced(int tenant, const std::string& key) {
 }
 
 TenantRunRow TenantRegistry::row(
-    int tenant, StagingService& staging, const OverloadControl* overload,
+    int tenant, StagingService& staging, const OverloadControl& overload,
     const std::vector<TaskRecord>& records) const {
   TenantRunRow r;
   r.tenant = tenant;
@@ -92,11 +92,9 @@ TenantRunRow TenantRegistry::row(
   const double total_w = total_weight();
   if (tenant >= 1 && total_w > 0.0) r.share_target = r.weight / total_w;
 
-  if (overload != nullptr) {
-    const OverloadControl::TenantStats stats = overload->tenant_stats(tenant);
-    r.admission_overdrafts = stats.overdrafts;
-    r.admission_wait_s = stats.wait_s;
-  }
+  const OverloadControl::TenantStats stats = overload.tenant_stats(tenant);
+  r.admission_overdrafts = stats.overdrafts;
+  r.admission_wait_s = stats.wait_s;
   r.store_peak_bytes = staging.store().tenant_peak_bytes(tenant);
   return r;
 }

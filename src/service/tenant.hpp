@@ -44,10 +44,10 @@ class TenantRegistry {
   /// Assembles one tenant's report row from the shared ledgers and its own
   /// (prefix-stripped) task records: conservation counts and p99 from the
   /// records, share/caps/hog from the staging scheduler, gate stats from
-  /// the overload control (null = admission off), store residency from the
-  /// object store.
+  /// the overload ledger (zeros while it is idle), store residency from
+  /// the object store.
   [[nodiscard]] TenantRunRow row(int tenant, StagingService& staging,
-                                 const OverloadControl* overload,
+                                 const OverloadControl& overload,
                                  const std::vector<TaskRecord>& records) const;
 
  private:

@@ -7,18 +7,11 @@
 
 #include "obs/counters.hpp"
 #include "obs/events.hpp"
-#include "obs/timeseries.hpp"
-#include "runtime/overload.hpp"
 #include "util/error.hpp"
 
 namespace hia {
 
 namespace {
-obs::Counter& store_bytes_gauge() {
-  static obs::Counter& c = obs::counter("staging_store_bytes");
-  return c;
-}
-
 // Replica identity: copies of one logical object share their Dart handle
 // id. Descriptors without a live handle (id 0 = invalid, used by direct
 // store tests) fall back to structural identity so two distinct blocks of
@@ -32,10 +25,9 @@ bool same_object(const hia::DataDescriptor& a, const hia::DataDescriptor& b) {
 
 ObjectStore::ObjectStore(int num_servers, OverloadControl* overload,
                          int replicas)
-    : overload_(overload) {
+    : overload_(overload != nullptr ? *overload : idle_overload_) {
   HIA_REQUIRE(num_servers > 0, "need at least one DataSpaces server");
   replicas_ = std::clamp(replicas, 1, num_servers);
-  obs::register_counter_gauge("staging_store_bytes");
   servers_.reserve(static_cast<size_t>(num_servers));
   for (int i = 0; i < num_servers; ++i) {
     servers_.push_back(std::make_unique<Server>());
@@ -86,9 +78,7 @@ void ObjectStore::put(const DataDescriptor& desc) {
   }
   // Ledgers count the logical object once, not per copy, so put/take stay
   // balanced at every replication factor.
-  bytes_.fetch_add(desc.handle.bytes, std::memory_order_relaxed);
-  store_bytes_gauge().add(static_cast<int64_t>(desc.handle.bytes));
-  if (overload_) overload_->on_store_put(desc.handle.bytes);
+  overload_.on_store_put(desc.handle.bytes);
   {
     std::lock_guard lock(tenant_mutex_);
     TenantBytes& tb = tenant_bytes_[desc.tenant];
@@ -172,10 +162,8 @@ std::vector<DataDescriptor> ObjectStore::take(const std::string& variable,
             });
   size_t removed = 0;
   for (const DataDescriptor& d : out) removed += d.handle.bytes;
-  bytes_.fetch_sub(removed, std::memory_order_relaxed);
-  store_bytes_gauge().add(-static_cast<int64_t>(removed));
-  if (overload_ && removed > 0) overload_->on_store_take(removed);
   if (removed > 0) {
+    overload_.on_store_take(removed);
     std::lock_guard lock(tenant_mutex_);
     for (const DataDescriptor& d : out) {
       TenantBytes& tb = tenant_bytes_[d.tenant];
@@ -223,9 +211,7 @@ size_t ObjectStore::crash_server(int server) {
       }
       if (survives) continue;
       ++lost;
-      bytes_.fetch_sub(d.handle.bytes, std::memory_order_relaxed);
-      store_bytes_gauge().add(-static_cast<int64_t>(d.handle.bytes));
-      if (overload_) overload_->on_store_take(d.handle.bytes);
+      overload_.on_store_take(d.handle.bytes);
       std::lock_guard lock(tenant_mutex_);
       TenantBytes& tb = tenant_bytes_[d.tenant];
       tb.bytes -= std::min(tb.bytes, d.handle.bytes);

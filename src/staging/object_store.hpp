@@ -14,7 +14,8 @@
 // target that lost its copy to a crash gets it re-inserted (restoring the
 // replication factor), emitting a kReplicaRepair event per copy. Byte and
 // tenant ledgers count each logical object exactly once, not per copy, so
-// put/take stay balanced at every R.
+// put/take stay balanced at every R. Resident bytes are counted in one
+// place, the overload ledger, which every store holds.
 #pragma once
 
 #include <atomic>
@@ -26,17 +27,17 @@
 #include <string>
 #include <vector>
 
+#include "runtime/overload.hpp"
 #include "staging/descriptor.hpp"
 
 namespace hia {
 
-class OverloadControl;
-
 class ObjectStore {
  public:
-  /// `overload` (optional, unowned, must outlive the store) receives
-  /// store-byte accounting so resident bytes feed the pressure signal.
-  /// `replicas` is clamped to [1, num_servers].
+  /// `overload` (unowned, must outlive the store) receives the store-byte
+  /// accounting, so resident bytes feed the pressure signal; null gives
+  /// the store its own idle ledger. `replicas` is clamped to
+  /// [1, num_servers].
   explicit ObjectStore(int num_servers, OverloadControl* overload = nullptr,
                        int replicas = 1);
 
@@ -90,9 +91,10 @@ class ObjectStore {
   [[nodiscard]] size_t size() const;
 
   /// Total raw payload bytes behind the stored descriptors (each logical
-  /// object counted once, independent of its copy count).
+  /// object counted once, independent of its copy count), as the ledger
+  /// counts them.
   [[nodiscard]] size_t bytes() const {
-    return bytes_.load(std::memory_order_relaxed);
+    return overload_.pressure().store_bytes;
   }
 
   /// Bytes currently resident for one tenant (descriptors carry their
@@ -128,10 +130,10 @@ class ObjectStore {
 
   std::vector<std::unique_ptr<Server>> servers_;
   int replicas_ = 1;
-  std::atomic<size_t> bytes_{0};
   mutable std::atomic<uint64_t> replicas_repaired_{0};
   std::atomic<uint64_t> objects_lost_{0};
-  OverloadControl* overload_ = nullptr;
+  OverloadControl idle_overload_{OverloadConfig{}};  // when none is given
+  OverloadControl& overload_;
 
   struct TenantBytes {
     size_t bytes = 0;

@@ -15,18 +15,10 @@
 #include "util/log.hpp"
 
 namespace {
-// Gauges backing the Fig. 5 timeline arguments: how deep the data-ready
-// queue ran and how many buckets were busy at once.
-hia::obs::Counter& queue_depth() {
-  static hia::obs::Counter& c = hia::obs::counter("staging_queue_depth");
-  return c;
-}
+// Gauge backing the Fig. 5 timeline arguments: how many buckets were busy
+// at once (the overload ledger keeps the queue gauges).
 hia::obs::Counter& busy_buckets() {
   static hia::obs::Counter& c = hia::obs::counter("staging_busy_buckets");
-  return c;
-}
-hia::obs::Counter& queue_bytes_gauge() {
-  static hia::obs::Counter& c = hia::obs::counter("staging_queue_bytes");
   return c;
 }
 }  // namespace
@@ -61,27 +53,25 @@ FaultPlanConfig no_faults() {
 
 StagingService::StagingService(Dart& dart, Options options)
     : dart_(dart),
-      store_(options.num_servers, options.overload, options.replicas),
+      overload_(options.overload != nullptr ? *options.overload
+                                            : idle_overload_),
+      store_(options.num_servers, &overload_, options.replicas),
       no_faults_(no_faults()),
       faults_(options.faults != nullptr ? options.faults : &no_faults_),
-      overload_(options.overload),
-      queue_(overload_ == nullptr
-                 ? TaskQueue::Wall{}
-                 : [o = overload_](size_t, size_t bytes) {
-                     return o->queue_would_overflow(bytes);
-                   }) {
+      queue_([o = &overload_](size_t, size_t bytes) {
+        return o->queue_would_overflow(bytes);
+      }) {
   HIA_REQUIRE(options.num_buckets > 0, "need at least one staging bucket");
-  // Expose the scheduler gauges to the time-series sampler and install the
+  // Expose the busy-bucket gauge to the time-series sampler and install the
   // task clock as the sampler's virtual time source, so queue-depth series
   // line up with the Fig. 5 timeline's vtime axis.
-  obs::register_counter_gauge("staging_queue_depth");
   obs::register_counter_gauge("staging_busy_buckets");
-  obs::register_counter_gauge("staging_queue_bytes");
   obs::set_virtual_clock([this] { return clock_.seconds(); }, this);
   using Kind = ScriptedEvent::Kind;
-  if (overload_ == nullptr && (faults_->scripts(Kind::kOverload) ||
-                               faults_->scripts(Kind::kCreditStarve) ||
-                               faults_->scripts(Kind::kTenantHog))) {
+  if (!overload_.config().enabled() &&
+      (faults_->scripts(Kind::kOverload) ||
+       faults_->scripts(Kind::kCreditStarve) ||
+       faults_->scripts(Kind::kTenantHog))) {
     HIA_LOG_WARN("staging",
                  "fault plan scripts overload events but overload control "
                  "is off; they will not fire");
@@ -265,9 +255,7 @@ void count_terminal(const char* name, int tenant) {
 }  // namespace
 
 void StagingService::enqueue_locked(Assigned assigned) {
-  queue_bytes_gauge().add(static_cast<int64_t>(assigned.ticket.bytes));
-  if (overload_ != nullptr) overload_->on_queue_add(assigned.ticket.bytes);
-  queue_depth().add(1);
+  overload_.on_queue_add(assigned.ticket.bytes);
   queue_.push(assigned.ticket);
   queued_.emplace(assigned.ticket.id, std::move(assigned));
 }
@@ -277,9 +265,7 @@ StagingService::Assigned StagingService::dequeue_locked(const Ticket& ticket) {
   HIA_ASSERT(!node.empty());
   Assigned assigned = std::move(node.mapped());
   assigned.ticket = ticket;  // carries the pick's provisional charge
-  queue_bytes_gauge().add(-static_cast<int64_t>(ticket.bytes));
-  if (overload_ != nullptr) overload_->on_queue_remove(ticket.bytes);
-  queue_depth().add(-1);
+  overload_.on_queue_remove(ticket.bytes);
   return assigned;
 }
 
@@ -360,11 +346,11 @@ void StagingService::fire_scripted_locked(long step) {
       }
       case Kind::kOverload:
       case Kind::kTenantHog: {
-        if (overload_ == nullptr) continue;
+        if (!overload_.config().enabled()) continue;
         // A hog's burst raises the shared pressure signal like any rogue
         // producer, but its bytes are *attributed* to the hog's ledger.
         const bool hog = e.kind == Kind::kTenantHog;
-        overload_->inject_phantom_bytes(e.amount);
+        overload_.inject_phantom_bytes(e.amount);
         if (hog) tallies_[e.target].hog_bytes += e.amount;
         obs::record_event(
             obs::EventKind::kFaultVerdict, hog ? e.target : -1, -1,
@@ -384,8 +370,8 @@ void StagingService::fire_scripted_locked(long step) {
         break;
       }
       case Kind::kCreditStarve:
-        if (overload_ == nullptr) continue;
-        overload_->starve_credits(static_cast<int>(e.amount));
+        if (!overload_.config().enabled()) continue;
+        overload_.starve_credits(static_cast<int>(e.amount));
         obs::record_event(
             obs::EventKind::kFaultVerdict, -1, -1,
             static_cast<int64_t>(obs::EventFaultSite::kCreditStarve),
@@ -565,8 +551,7 @@ uint64_t StagingService::record_deferred(const std::string& analysis,
 }
 
 PressureSignal StagingService::pressure() const {
-  PressureSignal signal;
-  if (overload_ != nullptr) signal = overload_->pressure();
+  PressureSignal signal = overload_.pressure();
   signal.live_buckets = live_bucket_count();
   return signal;
 }

@@ -126,10 +126,11 @@ class StagingService {
     /// RetryPolicy. Null = faults off: the service runs under its own empty
     /// plan, which injects nothing and allows one attempt before degrading.
     const FaultPlan* faults = nullptr;
-    /// Overload control (unowned, must outlive the service). When set the
-    /// queue keeps byte/depth accounting in the control's ledger and
-    /// submit() enforces the hard queue budget by diverting overflow work
-    /// to degrade_or_shed. Null = overload off (one branch per submit).
+    /// Overload control (unowned, must outlive the service). The queue and
+    /// the store keep their byte/depth accounting in its ledger, and
+    /// submit() enforces its hard queue budget by diverting overflow work
+    /// to degrade_or_shed. Null = overload off: the service runs under its
+    /// own idle ledger, which counts but sets no budget.
     OverloadControl* overload = nullptr;
     /// Object-store replication factor (clamped to [1, num_servers]).
     /// With R > 1 committed objects survive R-1 crash-server losses.
@@ -260,7 +261,7 @@ class StagingService {
   }
 
   /// Pressure snapshot for steering: the overload ledger's signal with
-  /// live_buckets filled in (all-defaults signal when overload is off).
+  /// live_buckets filled in (always kNominal when overload is off).
   [[nodiscard]] PressureSignal pressure() const;
 
   /// Tasks diverted at submit() by the hard queue budget.
@@ -365,7 +366,7 @@ class StagingService {
   /// Terminal bookkeeping: fills `record` from `assigned`, settles the
   /// attempt with `busy_s` of bucket time, stores the record.
   void finish_locked(Assigned& assigned, TaskRecord& record, double busy_s);
-  /// Queues a task: policy ticket, payload, gauges, overload ledger.
+  /// Queues a task: policy ticket, payload, overload ledger.
   void enqueue_locked(Assigned assigned);
   /// Takes back the payload of a ticket the policy released.
   Assigned dequeue_locked(const Ticket& ticket);
@@ -374,11 +375,12 @@ class StagingService {
   void wait_drained(const std::function<bool()>& drained);
 
   Dart& dart_;
+  OverloadControl idle_overload_{OverloadConfig{}};  // when none is given
+  OverloadControl& overload_;  // the ledger the queue and store feed
   ObjectStore store_;
   Stopwatch clock_;
   const FaultPlan no_faults_;  // the plan when Options::faults is null
   const FaultPlan* faults_;    // never null
-  OverloadControl* overload_ = nullptr;
   int fallback_node_ = -1;  // Dart registration of the fallback executor
   int live_buckets_ = 0;    // guarded by mutex_
 

@@ -10,7 +10,6 @@
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
 #include "runtime/fault.hpp"
-#include "runtime/overload.hpp"
 #include "util/crc32.hpp"
 #include "util/numeric.hpp"
 #include "util/stopwatch.hpp"
@@ -26,7 +25,10 @@ bool frame_faults_on(const Dart::Options& options) {
 }  // namespace
 
 Dart::Dart(NetworkModel& network, Options options)
-    : network_(network), options_(options) {
+    : network_(network),
+      options_(options),
+      overload_(options.overload != nullptr ? *options.overload
+                                            : idle_overload_) {
   // In-flight wire bytes and concurrent flows are the two transport gauges
   // the sampler tracks (Table II: contention is what degrades BTE).
   obs::register_counter_gauge("dart_inflight_wire_bytes");
@@ -108,8 +110,7 @@ DartHandle Dart::publish(int owner_node, std::vector<std::byte> wire,
   // Admission charges the *wire* bytes (what the staging area must hold)
   // and happens before the transport lock: the gate may block (up to
   // admit_max_wait_s) and must never do so while holding mutex_.
-  const bool admitted = options_.overload != nullptr;
-  if (admitted) options_.overload->admit(wire.size(), tenant);
+  overload_.admit(wire.size(), tenant);
   const size_t wire_bytes = wire.size();
   uint64_t id = 0;
   {
@@ -120,7 +121,6 @@ DartHandle Dart::publish(int owner_node, std::vector<std::byte> wire,
     counters_.encode_seconds_total += encode_seconds;
     id = next_handle_++;
     Region region{owner_node, std::move(wire), raw_bytes, encoded};
-    region.admitted = admitted;
     region.tenant = tenant;
     if (frame_faults_on(options_)) {
       region.crc = crc32(region.data.data(), region.data.size());
@@ -330,20 +330,16 @@ std::vector<double> Dart::get_doubles(int dest_node, const DartHandle& handle,
 }
 
 void Dart::release(const DartHandle& handle) {
-  bool admitted = false;
   int tenant = 0;
   {
     std::lock_guard lock(mutex_);
     auto it = regions_.find(handle.id);
     HIA_REQUIRE(it != regions_.end(), "release of unknown region");
-    admitted = it->second.admitted;
     tenant = it->second.tenant;
     regions_.erase(it);
   }
   // Credit return outside the transport lock (innermost-mutex ordering).
-  if (admitted && options_.overload != nullptr) {
-    options_.overload->release_credit(tenant);
-  }
+  overload_.release_credit(tenant);
 }
 
 size_t Dart::num_published() const {

@@ -20,13 +20,13 @@
 #include <vector>
 
 #include "runtime/network_model.hpp"
+#include "runtime/overload.hpp"
 #include "util/error.hpp"
 
 namespace hia {
 
 class Codec;
 class FaultPlan;
-class OverloadControl;
 
 /// Handle to a published (RDMA-registered) buffer.
 struct DartHandle {
@@ -80,9 +80,9 @@ class Dart {
     /// Fault-injection plan (drop/delay/corrupt frames). Null = faults off;
     /// the wire path then skips CRC stamping/checking entirely.
     const FaultPlan* faults = nullptr;
-    /// Overload control (unowned, must outlive the Dart instance). When
-    /// set, every put acquires an admission credit (returned on release).
-    /// Null = admission off (one branch).
+    /// Overload control (unowned, must outlive the Dart instance). Every
+    /// put acquires an admission credit, returned on release; a ledger
+    /// without credits admits at once. Null = Dart's own idle ledger.
     OverloadControl* overload = nullptr;
   };
 
@@ -157,7 +157,6 @@ class Dart {
     bool encoded = false;
     uint32_t crc = 0;         // frame checksum (stamped only when
     bool crc_stamped = false;  // frame faults are enabled)
-    bool admitted = false;     // holds an admission credit until release()
     int tenant = 0;            // whose ledger the credit charge sits on
   };
 
@@ -175,6 +174,8 @@ class Dart {
 
   NetworkModel& network_;
   Options options_;
+  OverloadControl idle_overload_{OverloadConfig{}};  // when none is given
+  OverloadControl& overload_;  // the admission gate
 
   mutable std::mutex mutex_;
   std::map<int, NodeState> nodes_;

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <future>
 #include <map>
 #include <thread>
 #include <vector>
@@ -111,8 +112,9 @@ TEST_F(ServiceTest, SharesTrackWeightsUnderBacklog) {
   reg.add("b", 1.0);
   reg.add("c", 1.0);
   const auto records = service.records();
+  const OverloadControl idle(OverloadConfig{});  // admission off
   for (int t = 1; t <= 3; ++t) {
-    const TenantRunRow row = reg.row(t, service, nullptr, records);
+    const TenantRunRow row = reg.row(t, service, idle, records);
     EXPECT_EQ(row.completed + row.degraded + row.deferred + row.shed,
               row.submitted)
         << "tenant " << t;
@@ -186,8 +188,9 @@ TEST_F(ServiceTest, HogCannotBlowUpSmallTenantTailLatency) {
       reg.add("t" + std::to_string(t), 1.0);
     }
     double small_p99 = 0.0;
+    const OverloadControl idle(OverloadConfig{});  // admission off
     for (int t = 1; t <= kSmalls; ++t) {
-      const TenantRunRow row = reg.row(t, service, nullptr, records);
+      const TenantRunRow row = reg.row(t, service, idle, records);
       EXPECT_EQ(row.completed + row.degraded + row.deferred + row.shed,
                 row.submitted)
           << "tenant " << t;
@@ -195,7 +198,7 @@ TEST_F(ServiceTest, HogCannotBlowUpSmallTenantTailLatency) {
       small_p99 = std::max(small_p99, row.p99_turnaround_s);
     }
     if (with_hog) {
-      const TenantRunRow row = reg.row(hog, service, nullptr, records);
+      const TenantRunRow row = reg.row(hog, service, idle, records);
       EXPECT_EQ(row.completed + row.degraded + row.deferred + row.shed,
                 row.submitted)
           << "hog";
@@ -311,7 +314,7 @@ TEST_F(ServiceTest, ElasticPoolGrowsUnderSaturationAndShrinksWhenIdle) {
   StagingService service(dart_, opts);
   service.set_tenant_policy(1, 1.0);
   register_sleeper(service, "work", 2);
-  ElasticBucketPool pool(service, &ctrl, {1, 3, 0.0});
+  ElasticBucketPool pool(service, {1, 3, 0.0});
 
   submit_n(service, 1, 40, "work");  // depth 40 >> budget 8: saturated
   while (service.pending_tasks() > 0) {
@@ -565,6 +568,80 @@ TEST(CampaignServiceTest, RejectsTenantOwnedFaultSpecs) {
   cap.name = "needs-overload";
   cap.credit_cap = 4;  // no service overload spec to hang the cap on
   EXPECT_THROW(service.add_tenant(std::move(cap)), Error);
+}
+
+// An elastic pool acts on the pressure signal, which an idle ledger never
+// raises: without an overload spec the pool could only shrink.
+TEST(CampaignServiceTest, RejectsElasticPoolWithoutOverload) {
+  CampaignService::Options sopts;
+  sopts.staging_servers = 1;
+  sopts.staging_buckets = 1;
+  sopts.pool_max = 4;
+  EXPECT_THROW(CampaignService{sopts}, Error);
+  sopts.overload = "queue-depth=8";
+  CampaignService service(sopts);
+  EXPECT_EQ(service.staging().live_bucket_count(), 1);
+}
+
+// The operator console reads the shared queue and the store from the
+// overload ledger, which counts them whether or not overload control is
+// on: with no overload spec the shared figures still equal the tenants'.
+TEST(CampaignServiceTest, StatusCountsTheSharedQueueWithoutOverload) {
+  CampaignService::Options sopts;
+  sopts.staging_servers = 1;
+  sopts.staging_buckets = 1;
+  CampaignService service(sopts);
+  for (int t = 0; t < 2; ++t) {
+    CampaignService::TenantSpec spec;
+    spec.name = "tenant-" + std::to_string(t + 1);
+    service.add_tenant(std::move(spec));
+  }
+  StagingService& staging = service.staging();
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  staging.register_handler("hold", [released](TaskContext&) {
+    released.wait();
+  });
+  const int producer = service.dart().register_node("producer");
+  const std::vector<double> block(64, 1.0);
+  auto publish = [&](int tenant, const std::string& var, long step) {
+    staging.publish(producer, TenantRegistry::namespaced(tenant, var), step,
+                    Box3{{0, 0, 0}, {64, 1, 1}}, block, nullptr, tenant);
+  };
+  auto submit = [&](int tenant, long step) {
+    publish(tenant, "x", step);
+    staging.submit_for("hold", step, {TenantRegistry::namespaced(tenant, "x")},
+                       SubmitRoute::kQueue, tenant);
+  };
+
+  // Tenant 1's first task holds the only bucket; three more wait behind it.
+  submit(1, 0);
+  for (int i = 0; i < 2000 && staging.pending_tasks() > 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(staging.free_bucket_count(), 0);
+  submit(1, 1);
+  submit(1, 2);
+  submit(2, 0);
+  publish(2, "resident", 0);  // stays in the store
+
+  const CampaignService::Status st = service.poll_status();
+  size_t depth = 0, bytes = 0;
+  for (const CampaignService::TenantStatus& t : st.tenants) {
+    depth += t.queue_depth;
+    bytes += t.queue_bytes;
+  }
+  EXPECT_EQ(st.pressure, PressureState::kNominal);
+  EXPECT_EQ(depth, 3u);
+  EXPECT_EQ(st.queue_depth, depth);
+  EXPECT_EQ(st.queue_bytes, bytes);
+  EXPECT_GT(st.queue_bytes, 0u);
+  EXPECT_GT(st.store_bytes, 0u);
+  EXPECT_EQ(st.credits_free, -1);
+
+  release.set_value();
+  staging.drain();
+  EXPECT_EQ(service.poll_status().queue_depth, 0u);
 }
 
 }  // namespace
