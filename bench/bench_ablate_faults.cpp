@@ -47,15 +47,16 @@ SweepPoint run_sweep_point(const std::string& fault_spec, double fail_prob) {
   SweepPoint point;
   point.fail_prob = fail_prob;
 
-  // The plan must outlive the service (buckets consult it until joined).
+  // The plan must outlive Dart and the service (the buckets read it
+  // through Dart until joined). Null = Dart's own off plan.
   std::unique_ptr<FaultPlan> plan;
   if (!fault_spec.empty()) {
     plan = std::make_unique<FaultPlan>(FaultPlan::parse_spec(fault_spec));
   }
 
   NetworkModel net;
-  Dart dart(net);
-  StagingService service(dart, {1, kBuckets, plan.get()});
+  Dart dart(net, {.faults = plan.get()});
+  StagingService service(dart, {1, kBuckets});
   service.register_handler("work", [&](TaskContext&) {
     std::this_thread::sleep_for(kTaskDuration);
   });
@@ -184,10 +185,9 @@ int main(int argc, char** argv) {
       ",crash-server=0@" + std::to_string(kTasks / 2) +
       ",attempts=4,backoff=0.001:0.01"));
   NetworkModel crash_net;
-  Dart crash_dart(crash_net);
+  Dart crash_dart(crash_net, {.faults = &crash_plan});
   StagingService crash_service(
-      crash_dart, StagingService::Options{2, kBuckets, &crash_plan,
-                                          nullptr, 2});
+      crash_dart, {.num_servers = 2, .num_buckets = kBuckets, .replicas = 2});
   // Commit objects before the server loss so replication has something to
   // protect (descriptors only: the gate is about copies, not bytes).
   for (int s = 0; s < kTasks; ++s) {

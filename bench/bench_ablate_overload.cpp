@@ -14,11 +14,11 @@
 //      of the no-fault baseline — backpressure converts the capacity
 //      shortfall into inline degraded work instead of unbounded queueing.
 //   3. Zero overhead when off: the same workload with overload control
-//      disabled (no control passed: Dart and the service run under their
-//      own idle ledgers) is gated against
+//      disabled (no control passed: Dart keeps its own idle ledger, which
+//      the service reads through it) is gated against
 //      bench/baselines/BENCH_ablate_overload.json by tools/bench_diff,
-//      alongside the existing BENCH_fig5_scheduler baseline, whose
-//      service likewise keeps an idle ledger of its own.
+//      alongside the existing BENCH_fig5_scheduler baseline, whose Dart
+//      likewise keeps an idle ledger of its own.
 //   4. Cheap flight recorder: an A/B leg over obs::enable_events() shows
 //      the always-on event ring stays within a blessed makespan bound of
 //      the recorder-off run (gated as the boolean recorder_overhead_ok).
@@ -74,8 +74,9 @@ Point run_point(double gap_s, bool overload_on,
   Point point;
   point.gap_s = gap_s;
 
-  // Plan and control must outlive the service (buckets consult the plan
-  // until joined; the service holds an unowned control pointer).
+  // Plan and control must outlive Dart and the service (Dart holds
+  // unowned pointers to both; the buckets read them through it until
+  // joined).
   std::unique_ptr<FaultPlan> plan;
   if (!fault_spec.empty()) {
     plan = std::make_unique<FaultPlan>(FaultPlan::parse_spec(fault_spec));
@@ -91,8 +92,7 @@ Point run_point(double gap_s, bool overload_on,
   dopts.faults = plan.get();
   dopts.overload = control.get();
   Dart dart(net, dopts);
-  StagingService service(dart,
-                         {1, kBuckets, plan.get(), control.get()});
+  StagingService service(dart, {1, kBuckets});
   service.register_handler("work", [&](TaskContext& ctx) {
     // Pull the input so the region is consumed and its credit returns.
     for (const DataDescriptor& d : ctx.task().inputs) ctx.pull_doubles(d);

@@ -54,7 +54,7 @@
 #      bench/baselines/ by tools/bench_diff — nonzero exit on drift past
 #      the baseline's per-metric tolerances (the overload bench also
 #      proves zero-overhead-when-off: its makespan_off_s point runs with
-#      no control passed, so Dart and the service keep idle ledgers; the
+#      no control passed, so Dart keeps an idle ledger the service reads; the
 #      tenants bench gates fair-share
 #      conservation and hog isolation; the overload bench also A/Bs the
 #      flight recorder and gates recorder_overhead_ok as a boolean)

@@ -56,10 +56,6 @@ class Histogram {
   [[nodiscard]] uint64_t total() const { return total_; }
   [[nodiscard]] double lo() const { return lo_; }
   [[nodiscard]] double hi() const { return hi_; }
-  [[nodiscard]] double bin_center(int bin) const {
-    const double w = (hi_ - lo_) / static_cast<double>(counts_.size());
-    return lo_ + w * (static_cast<double>(bin) + 0.5);
-  }
 
   /// Value below which `q` of the in-range mass lies (piecewise-constant
   /// quantile estimate). q in [0, 1].

@@ -19,6 +19,15 @@ std::shared_ptr<const Codec> staging_codec(const std::string& spec) {
   return spec.empty() ? nullptr : make_codec(spec);
 }
 
+/// An empty spec is faults off (no_faults()); `seed` overrides the plan's
+/// seed when nonzero.
+FaultPlanConfig fault_config(const std::string& spec, uint64_t seed) {
+  FaultPlanConfig config =
+      spec.empty() ? no_faults() : FaultPlan::parse_spec(spec);
+  if (seed != 0) config.seed = seed;
+  return config;
+}
+
 /// An empty spec is overload off (an idle ledger); a spec given must set
 /// a budget or credits.
 OverloadConfig overload_config(const std::string& spec) {
@@ -31,27 +40,17 @@ OverloadConfig overload_config(const std::string& spec) {
 }  // namespace
 
 StagingDeployment::StagingDeployment(const RunConfig& config)
-    : network_(config.network), overload_(overload_config(config.overload)) {
+    : network_(config.network),
+      faults_(fault_config(config.faults, config.fault_seed)),
+      overload_(overload_config(config.overload)) {
   Dart::Options dart = config.dart;
-  if (!config.faults.empty()) {
-    FaultPlanConfig plan = FaultPlan::parse_spec(config.faults);
-    if (config.fault_seed != 0) plan.seed = config.fault_seed;
-    faults_ = std::make_unique<FaultPlan>(plan);
-    dart.faults = faults_.get();
-  }
+  dart.faults = &faults_;
   dart.overload = &overload_;
   dart_ = std::make_unique<Dart>(network_, dart);
   staging_ = std::make_unique<StagingService>(
       *dart_, StagingService::Options{config.staging_servers,
-                                      config.staging_buckets, faults_.get(),
-                                      &overload_, config.staging_replicas});
-}
-
-StagingDeployment::~StagingDeployment() {
-  // Staging buckets may still touch the plan until destroyed; tear down in
-  // reverse dependency order before releasing it.
-  staging_.reset();
-  dart_.reset();
+                                      config.staging_buckets,
+                                      config.staging_replicas});
 }
 
 void StagingDeployment::add_ledger(ResilienceSummary& res) const {
@@ -64,20 +63,18 @@ void StagingDeployment::add_ledger(ResilienceSummary& res) const {
   res.zombies_fenced = staging_->zombies_fenced();
   res.replicas_repaired = staging_->store().replicas_repaired();
   res.objects_lost = staging_->store().objects_lost();
-  if (faults_ != nullptr) {
-    const FaultStats stats = faults_->stats();
-    res.frames_dropped = stats.frames_dropped;
-    res.frames_corrupted = stats.frames_corrupted;
-    res.frames_delayed = stats.frames_delayed;
-    res.injected_delay_s = stats.injected_delay_s;
-    res.tasks_failed = stats.tasks_failed;
-    res.buckets_killed = stats.buckets_killed;
-    res.buckets_crashed = stats.buckets_crashed;
-    res.servers_crashed = stats.servers_crashed;
-    res.overload_bytes_injected = stats.overload_bytes_injected;
-    res.credits_starved = stats.credits_starved;
-    res.tenant_hog_bytes = stats.tenant_hog_bytes;
-  }
+  const FaultStats stats = faults_.stats();
+  res.frames_dropped = stats.frames_dropped;
+  res.frames_corrupted = stats.frames_corrupted;
+  res.frames_delayed = stats.frames_delayed;
+  res.injected_delay_s = stats.injected_delay_s;
+  res.tasks_failed = stats.tasks_failed;
+  res.buckets_killed = stats.buckets_killed;
+  res.buckets_crashed = stats.buckets_crashed;
+  res.servers_crashed = stats.servers_crashed;
+  res.overload_bytes_injected = stats.overload_bytes_injected;
+  res.credits_starved = stats.credits_starved;
+  res.tenant_hog_bytes = stats.tenant_hog_bytes;
   const OverloadControl::Stats ostats = overload_.stats();
   res.admission_overdrafts = ostats.admission_overdrafts;
   res.admission_wait_s = ostats.admission_wait_s;
@@ -152,53 +149,47 @@ RunReport HybridRunner::run() {
   std::vector<Parked> parked;
   uint64_t steer_in_transit = 0, steer_in_situ = 0, steer_deferred = 0,
            steer_shed = 0;
-  const bool steering_active =
-      steer_ != SteerPolicy::kInTransit || overload.config().enabled();
   const int max_defers = overload.config().max_defers;
 
-  // Routes one in-transit submission through the steering table. Deferring
+  // Routes one in-transit submission through the steering table (steering
+  // off is its in-transit row, which queues at every pressure). Deferring
   // writes a terminal kDeferred record and parks the payload (the staged
   // inputs stay in the store) for re-decision at the next step boundary.
   auto steer_submit = [&](const std::string& analysis, long step,
                           const std::vector<std::string>& staged,
                           int defers) {
-    static obs::Counter& c_transit = obs::counter("steer_in_transit");
-    static obs::Counter& c_insitu = obs::counter("steer_in_situ");
-    static obs::Counter& c_defer = obs::counter("steer_deferred");
-    static obs::Counter& c_shed = obs::counter("steer_shed");
-    // Labeled variant: per-tenant steering mix for the campaign console.
-    auto labeled = [this](const char* name) -> obs::Counter* {
-      return tenant_ > 0 ? &obs::counter(name, {.tenant = tenant_}) : nullptr;
+    // Bumps a verdict's counter and its tenant-labeled variant (the
+    // campaign console's per-tenant steering mix); each counter appears
+    // with its first verdict.
+    auto count = [this](const char* name) {
+      obs::counter(name).add(1);
+      if (tenant_ > 0) obs::counter(name, {.tenant = tenant_}).add(1);
     };
     const PressureSignal pressure = staging.pressure();
     switch (steer_decide(steer_, pressure, defers, max_defers)) {
       case SteerDecision::kInTransit:
         ++steer_in_transit;
-        c_transit.add(1);
-        if (auto* c = labeled("steer_in_transit")) c->add(1);
+        count("steer_in_transit");
         staging.submit_for(analysis, step, staged, SubmitRoute::kQueue,
                              tenant_);
         break;
       case SteerDecision::kInSitu:
         ++steer_in_situ;
-        c_insitu.add(1);
-        if (auto* c = labeled("steer_in_situ")) c->add(1);
+        count("steer_in_situ");
         obs::instant("overload", "steer_in_situ", {.step = step});
         staging.submit_for(analysis, step, staged, SubmitRoute::kFallback,
                              tenant_);
         break;
       case SteerDecision::kShed:
         ++steer_shed;
-        c_shed.add(1);
-        if (auto* c = labeled("steer_shed")) c->add(1);
+        count("steer_shed");
         obs::instant("overload", "steer_shed", {.step = step});
         staging.submit_for(analysis, step, staged, SubmitRoute::kShed,
                              tenant_);
         break;
       case SteerDecision::kDefer:
         ++steer_deferred;
-        c_defer.add(1);
-        if (auto* c = labeled("steer_deferred")) c->add(1);
+        count("steer_deferred");
         staging.record_deferred(analysis, step, tenant_);
         parked.push_back(Parked{analysis, step, staged, defers + 1});
         break;
@@ -271,14 +262,8 @@ RunReport HybridRunner::run() {
         auto staged = sched.analysis->staged_variables();
         if (staged.empty()) continue;
         for (std::string& v : staged) v = ns_prefix_ + v;
-        if (steering_active) {
-          steer_submit(ns_prefix_ + sched.analysis->name(), sim.step(),
-                       staged, 0);
-        } else {
-          // Steering off: straight onto the queue.
-          staging.submit_for(ns_prefix_ + sched.analysis->name(), sim.step(),
-                             staged, SubmitRoute::kQueue, tenant_);
-        }
+        steer_submit(ns_prefix_ + sched.analysis->name(), sim.step(), staged,
+                     0);
       }
     }
     comm.barrier();

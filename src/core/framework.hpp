@@ -22,14 +22,13 @@
 #include "compress/codec.hpp"
 #include "core/analysis.hpp"
 #include "core/metrics.hpp"
+#include "runtime/fault.hpp"
 #include "runtime/network_model.hpp"
 #include "sim/s3d.hpp"
 #include "staging/scheduler.hpp"
 #include "transport/dart.hpp"
 
 namespace hia {
-
-class FaultPlan;
 
 struct RunConfig {
   S3DParams sim{};
@@ -47,8 +46,8 @@ struct RunConfig {
   std::string staging_codec;
   /// Fault-injection spec (FaultPlan::parse_spec grammar, e.g.
   /// "drop=0.05,task-fail=0.1,kill-bucket=2@3"). Empty = faults off: the
-  /// deployment passes null plans everywhere; Dart then pays one branch
-  /// per transfer, and the staging service runs under its own empty plan.
+  /// deployment's plan is no_faults(), which injects nothing (Dart stamps
+  /// no CRCs) and degrades a failed task after its one attempt.
   std::string faults;
   /// Overrides the plan's seed when nonzero (same seed + same config =>
   /// same fault decisions, same RunSummary resilience block).
@@ -66,14 +65,15 @@ struct RunConfig {
 /// The secondary resources of Fig. 5 as one unit: the fault plan, the
 /// overload ledger, the Dart transport and the staging service (object
 /// store + bucket scheduler), built together and torn down in reverse
-/// order. A single campaign owns one through HybridRunner(RunConfig); the
-/// campaign service owns one and lends it to every tenant's runner.
+/// order. The deployment lends its plan and ledger to its Dart, and the
+/// staging service reads both through that Dart. A single campaign owns
+/// one through HybridRunner(RunConfig); the campaign service owns one and
+/// lends it to every tenant's runner.
 class StagingDeployment {
  public:
   /// Built from the staging fields of `config`: servers, buckets,
   /// replicas, network, dart, faults, fault_seed and overload.
   explicit StagingDeployment(const RunConfig& config);
-  ~StagingDeployment();
 
   StagingDeployment(const StagingDeployment&) = delete;
   StagingDeployment& operator=(const StagingDeployment&) = delete;
@@ -91,10 +91,11 @@ class StagingDeployment {
 
  private:
   NetworkModel network_;
-  // Declared in dependency order: Dart and staging hold unowned pointers
-  // into the plan and the overload ledger, so they are destroyed first.
-  std::unique_ptr<FaultPlan> faults_;  // null = faults off
-  OverloadControl overload_;           // idle = overload off
+  // Declared in dependency order: Dart holds unowned pointers to the plan
+  // and the overload ledger, and the staging service reads them through
+  // Dart, so both are destroyed first.
+  FaultPlan faults_;          // no_faults() = faults off
+  OverloadControl overload_;  // idle = overload off
   std::unique_ptr<Dart> dart_;
   std::unique_ptr<StagingService> staging_;
 };

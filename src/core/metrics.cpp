@@ -22,12 +22,6 @@ double RunReport::mean_in_situ_seconds(const std::string& analysis) const {
       [](const InSituMetric& m) { return m.max_rank_seconds; });
 }
 
-double RunReport::mean_published_bytes(const std::string& analysis) const {
-  return mean_over(
-      in_situ, [&](const InSituMetric& m) { return m.analysis == analysis; },
-      [](const InSituMetric& m) { return static_cast<double>(m.published_bytes); });
-}
-
 double RunReport::mean_in_transit_seconds(const std::string& analysis) const {
   return mean_over(
       in_transit, [&](const TaskRecord& r) { return r.analysis == analysis; },

@@ -42,9 +42,11 @@ struct ResilienceSummary {
   uint64_t replicas_repaired = 0;  // copies re-inserted by read-repair
   uint64_t objects_lost = 0;       // objects whose last live copy died
 
-  // ---- Overload control: steering, diversions and admission are nonzero
-  // only when --steer / --overload is on; peak_queue_bytes is measured by
-  // the ledger on every run ----
+  // ---- Overload control: steer_in_transit counts every in-transit
+  // verdict (steering off is the table's in-transit row) and
+  // peak_queue_bytes is measured by the ledger on every run; the other
+  // verdicts, diversions and admission are nonzero only when --steer /
+  // --overload is on ----
   uint64_t steer_in_transit = 0;      // steering verdicts, per submit point
   uint64_t steer_in_situ = 0;
   uint64_t steer_deferred = 0;
@@ -135,9 +137,6 @@ struct RunReport {
   /// Mean per-invocation in-situ seconds for one analysis (max-over-ranks,
   /// averaged over steps).
   [[nodiscard]] double mean_in_situ_seconds(const std::string& analysis) const;
-
-  /// Mean published intermediate-data bytes per invocation.
-  [[nodiscard]] double mean_published_bytes(const std::string& analysis) const;
 
   /// Mean in-transit compute / data-movement seconds per task.
   [[nodiscard]] double mean_in_transit_seconds(

@@ -99,8 +99,10 @@ std::string format_resilience(const ResilienceSummary& r) {
   count_row("frames delayed (injected)", r.frames_delayed);
   table.add_row({"injected frame delay (s)", fmt_fixed(r.injected_delay_s,
                                                        4)});
-  if (r.steer_in_transit || r.steer_in_situ || r.steer_deferred ||
-      r.steer_shed || r.overload_diversions || r.admission_overdrafts ||
+  // Shown once steering or the overload gate acted: an in-transit verdict
+  // alone is every run's default route.
+  if (r.steer_in_situ || r.steer_deferred || r.steer_shed ||
+      r.overload_diversions || r.admission_overdrafts ||
       r.overload_bytes_injected || r.credits_starved) {
     count_row("steer: in-transit", r.steer_in_transit);
     count_row("steer: in-situ fallback", r.steer_in_situ);

@@ -1,5 +1,5 @@
-// A small fixed label set for the obs registries (counters, histograms,
-// time series): `tenant`, `bucket`, and `site`. Labels replace the
+// A small fixed label set for the obs registries (counters and
+// histograms): `tenant`, `bucket`, and `site`. Labels replace the
 // name-mangling the multi-tenant service used to do ("metric_t3") with
 // proper dimensions, so the Prometheus exporter can emit
 // `hia_metric{tenant="3"}` and RunSummary can build per-label breakdown

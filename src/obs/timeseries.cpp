@@ -29,9 +29,8 @@ struct Series {
 struct SamplerState {
   // `mutex` guards the gauge map, the rings, and the clocks; one sampling
   // pass holds it end to end so dual clocks stay monotone per series.
-  // Keyed by (name, labels); the unlabeled series is Labels{}.
   std::mutex mutex;
-  std::map<std::pair<std::string, Labels>, std::unique_ptr<Series>> series;
+  std::map<std::string, std::unique_ptr<Series>> series;
   std::function<double()> virtual_clock;
   const void* virtual_clock_owner = nullptr;
   std::atomic<size_t> capacity{4096};
@@ -53,7 +52,7 @@ SamplerState& state() {
 void sample_locked(SamplerState& st) {
   const double t_s = now_us() * 1e-6;
   const double vt_s = st.virtual_clock ? st.virtual_clock() : -1.0;
-  for (auto& [key, series] : st.series) {
+  for (auto& [name, series] : st.series) {
     SeriesSample sample{t_s, vt_s, series->fn ? series->fn() : 0.0};
     if (series->count == series->samples.size()) {
       ++series->dropped;  // overwrite the oldest sample
@@ -78,35 +77,23 @@ void sampler_main() {
 
 }  // namespace
 
-void register_gauge(const std::string& name, const Labels& labels,
-                    std::function<double()> fn) {
+void register_gauge(const std::string& name, std::function<double()> fn) {
   SamplerState& st = state();
   std::lock_guard lock(st.mutex);
-  const auto key = std::make_pair(name, labels);
-  auto it = st.series.find(key);
+  auto it = st.series.find(name);
   if (it == st.series.end()) {
     auto series = std::make_unique<Series>(
         std::max<size_t>(st.capacity.load(std::memory_order_relaxed), 1));
     series->fn = std::move(fn);
-    st.series.emplace(key, std::move(series));
+    st.series.emplace(name, std::move(series));
   } else {
     it->second->fn = std::move(fn);
   }
 }
 
-void register_gauge(const std::string& name, std::function<double()> fn) {
-  register_gauge(name, Labels{}, std::move(fn));
-}
-
 void register_counter_gauge(const std::string& name) {
   Counter& c = counter(name);
   register_gauge(name, [&c] { return static_cast<double>(c.value()); });
-}
-
-void register_counter_gauge(const std::string& name, const Labels& labels) {
-  Counter& c = counter(name, labels);
-  register_gauge(name, labels,
-                 [&c] { return static_cast<double>(c.value()); });
 }
 
 void set_virtual_clock(std::function<double()> fn, const void* owner) {
@@ -177,11 +164,9 @@ void set_series_capacity(size_t samples) {
 namespace {
 
 /// Requires st.mutex held.
-SeriesSnapshot snapshot_one(const std::pair<std::string, Labels>& key,
-                            const Series& series) {
+SeriesSnapshot snapshot_one(const std::string& name, const Series& series) {
   SeriesSnapshot snap;
-  snap.name = key.first;
-  snap.labels = key.second;
+  snap.name = name;
   snap.dropped = series.dropped;
   const size_t cap = series.samples.size();
   const size_t start = series.count == cap ? series.head : 0;
@@ -199,18 +184,8 @@ std::vector<SeriesSnapshot> timeseries_snapshot() {
   std::lock_guard lock(st.mutex);
   std::vector<SeriesSnapshot> out;
   out.reserve(st.series.size());
-  for (const auto& [key, series] : st.series) {
-    if (key.second.empty()) out.push_back(snapshot_one(key, *series));
-  }
-  return out;
-}
-
-std::vector<SeriesSnapshot> labeled_timeseries_snapshot() {
-  SamplerState& st = state();
-  std::lock_guard lock(st.mutex);
-  std::vector<SeriesSnapshot> out;
-  for (const auto& [key, series] : st.series) {
-    if (!key.second.empty()) out.push_back(snapshot_one(key, *series));
+  for (const auto& [name, series] : st.series) {
+    out.push_back(snapshot_one(name, *series));
   }
   return out;
 }

@@ -25,8 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/labels.hpp"
-
 namespace hia::obs {
 
 struct SeriesSample {
@@ -37,7 +35,6 @@ struct SeriesSample {
 
 struct SeriesSnapshot {
   std::string name;
-  Labels labels;                      // empty() for the unlabeled series
   std::vector<SeriesSample> samples;  // oldest first
   uint64_t dropped = 0;               // overwritten by ring overflow
 };
@@ -46,15 +43,8 @@ struct SeriesSnapshot {
 /// closure (the recorded samples are kept).
 void register_gauge(const std::string& name, std::function<double()> fn);
 
-/// Labeled variant: each distinct (name, labels) pair is its own series.
-void register_gauge(const std::string& name, const Labels& labels,
-                    std::function<double()> fn);
-
 /// Registers a gauge that polls obs::counter(name).value().
 void register_counter_gauge(const std::string& name);
-
-/// Labeled variant, polling obs::counter(name, labels).value().
-void register_counter_gauge(const std::string& name, const Labels& labels);
 
 /// Installs the virtual-clock source attached to every sample. `owner` is
 /// an identity token: clear_virtual_clock(owner) removes the source only
@@ -82,12 +72,9 @@ void stop_sampler();
 /// call (default 4096). Existing rings keep their size.
 void set_series_capacity(size_t samples);
 
-/// Name-sorted snapshot of every *unlabeled* registered series (the
-/// pre-label surface: RunSummary's "series" table).
+/// Name-sorted snapshot of every registered series (RunSummary's "series"
+/// table).
 std::vector<SeriesSnapshot> timeseries_snapshot();
-
-/// (name, labels)-sorted snapshot of every *labeled* series.
-std::vector<SeriesSnapshot> labeled_timeseries_snapshot();
 
 /// Drops every sample and gauge registration, stops the sampler, and
 /// clears the virtual-clock source (test isolation).

@@ -98,6 +98,12 @@ ScriptedEvent parse_scripted(ScriptedEvent::Kind kind, const std::string& name,
 
 }  // namespace
 
+FaultPlanConfig no_faults() {
+  FaultPlanConfig config;
+  config.retry.max_task_attempts = 1;
+  return config;
+}
+
 FaultPlanConfig FaultPlan::parse_spec(const std::string& spec) {
   FaultPlanConfig cfg;
   size_t begin = 0;

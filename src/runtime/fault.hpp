@@ -15,11 +15,13 @@
 // thread interleaving. See docs/FAILURE_MODEL.md for the exact guarantee.
 //
 // The plan is immutable after construction except for its injection
-// counters (atomics); all methods are thread-safe. A null plan pointer
-// means "faults off": Dart pays one branch per transfer (the
-// zero-overhead-when-off contract gated by tools/bench_diff against
-// bench/baselines/), and the staging service runs under its own empty
-// plan, whose RetryPolicy allows one attempt before degrading.
+// counters (atomics); all methods are thread-safe. Faults off is a plan
+// too: no_faults() injects and scripts nothing, and its RetryPolicy allows
+// one task attempt before degrading. Each staging deployment holds one
+// plan and lends it to its Dart; the staging service reads it through that
+// Dart. Dart stamps and checks frame CRCs only while
+// frame_faults_enabled() (the zero-overhead-when-off contract gated by
+// tools/bench_diff against bench/baselines/).
 #pragma once
 
 #include <atomic>
@@ -115,6 +117,10 @@ struct FaultPlanConfig {
 
   RetryPolicy retry;
 };
+
+/// Faults off: nothing injected or scripted, and a failed task attempt (a
+/// thrown handler) is the task's only bucket attempt before it degrades.
+FaultPlanConfig no_faults();
 
 /// Injection-side tally (what the plan did to the run). The reaction-side
 /// tally (retries, backoff, degradations) lives in the staging records.

@@ -4,7 +4,6 @@
 #pragma once
 
 #include <array>
-#include <vector>
 
 #include "sim/box.hpp"
 #include "util/error.hpp"
@@ -85,14 +84,6 @@ class Decomposition {
     auto rc = rank_coords(r);
     rc[0] += dx; rc[1] += dy; rc[2] += dz;
     return rank_at(rc);
-  }
-
-  /// All blocks, indexed by rank.
-  [[nodiscard]] std::vector<Box3> all_blocks() const {
-    std::vector<Box3> out;
-    out.reserve(static_cast<size_t>(num_ranks()));
-    for (int r = 0; r < num_ranks(); ++r) out.push_back(block(r));
-    return out;
   }
 
   /// The rank owning global point (i, j, k).

@@ -238,12 +238,6 @@ int ObjectStore::live_servers() const {
   return live;
 }
 
-size_t ObjectStore::tenant_bytes(int tenant) const {
-  std::lock_guard lock(tenant_mutex_);
-  auto it = tenant_bytes_.find(tenant);
-  return it == tenant_bytes_.end() ? 0 : it->second.bytes;
-}
-
 size_t ObjectStore::tenant_peak_bytes(int tenant) const {
   std::lock_guard lock(tenant_mutex_);
   auto it = tenant_bytes_.find(tenant);

@@ -97,10 +97,9 @@ class ObjectStore {
     return overload_.pressure().store_bytes;
   }
 
-  /// Bytes currently resident for one tenant (descriptors carry their
-  /// owning tenant id), and the high-water mark of that residency — the
-  /// per-tenant half of the store-pressure attribution.
-  [[nodiscard]] size_t tenant_bytes(int tenant) const;
+  /// High-water mark of the bytes resident for one tenant (descriptors
+  /// carry their owning tenant id) — the per-tenant half of the
+  /// store-pressure attribution.
   [[nodiscard]] size_t tenant_peak_bytes(int tenant) const;
 
  private:

@@ -41,24 +41,10 @@ std::vector<double> TaskContext::pull_doubles(const DataDescriptor& desc) {
 
 // -------------------------------------------------------- StagingService --
 
-namespace {
-/// Faults off: nothing is injected or scripted, and a failed attempt (a
-/// thrown handler) is the task's only bucket attempt before it degrades.
-FaultPlanConfig no_faults() {
-  FaultPlanConfig config;
-  config.retry.max_task_attempts = 1;
-  return config;
-}
-}  // namespace
-
 StagingService::StagingService(Dart& dart, Options options)
     : dart_(dart),
-      overload_(options.overload != nullptr ? *options.overload
-                                            : idle_overload_),
-      store_(options.num_servers, &overload_, options.replicas),
-      no_faults_(no_faults()),
-      faults_(options.faults != nullptr ? options.faults : &no_faults_),
-      queue_([o = &overload_](size_t, size_t bytes) {
+      store_(options.num_servers, &dart.overload(), options.replicas),
+      queue_([o = &dart.overload()](size_t, size_t bytes) {
         return o->queue_would_overflow(bytes);
       }) {
   HIA_REQUIRE(options.num_buckets > 0, "need at least one staging bucket");
@@ -68,15 +54,16 @@ StagingService::StagingService(Dart& dart, Options options)
   obs::register_counter_gauge("staging_busy_buckets");
   obs::set_virtual_clock([this] { return clock_.seconds(); }, this);
   using Kind = ScriptedEvent::Kind;
-  if (!overload_.config().enabled() &&
-      (faults_->scripts(Kind::kOverload) ||
-       faults_->scripts(Kind::kCreditStarve) ||
-       faults_->scripts(Kind::kTenantHog))) {
+  const FaultPlan& faults = dart_.faults();
+  if (!dart_.overload().config().enabled() &&
+      (faults.scripts(Kind::kOverload) ||
+       faults.scripts(Kind::kCreditStarve) ||
+       faults.scripts(Kind::kTenantHog))) {
     HIA_LOG_WARN("staging",
                  "fault plan scripts overload events but overload control "
                  "is off; they will not fire");
   }
-  if (faults_->scripts(Kind::kCrashServer) && store_.replicas() < 2) {
+  if (faults.scripts(Kind::kCrashServer) && store_.replicas() < 2) {
     HIA_LOG_WARN("staging",
                  "fault plan scripts server crashes but replicas=%d; "
                  "committed objects on the crashed shard will be lost",
@@ -209,7 +196,7 @@ void StagingService::heartbeat() {
     }
   }
   for (auto& [b, a] : reclaimed) {
-    if (a.attempt < faults_->retry().max_task_attempts) {
+    if (a.attempt < dart_.faults().retry().max_task_attempts) {
       tasks_reexecuted_.fetch_add(1, std::memory_order_relaxed);
       static obs::Counter& reexecs = obs::counter("staging_task_reexecs");
       reexecs.add(1);
@@ -255,7 +242,7 @@ void count_terminal(const char* name, int tenant) {
 }  // namespace
 
 void StagingService::enqueue_locked(Assigned assigned) {
-  overload_.on_queue_add(assigned.ticket.bytes);
+  dart_.overload().on_queue_add(assigned.ticket.bytes);
   queue_.push(assigned.ticket);
   queued_.emplace(assigned.ticket.id, std::move(assigned));
 }
@@ -265,7 +252,7 @@ StagingService::Assigned StagingService::dequeue_locked(const Ticket& ticket) {
   HIA_ASSERT(!node.empty());
   Assigned assigned = std::move(node.mapped());
   assigned.ticket = ticket;  // carries the pick's provisional charge
-  overload_.on_queue_remove(ticket.bytes);
+  dart_.overload().on_queue_remove(ticket.bytes);
   return assigned;
 }
 
@@ -290,7 +277,7 @@ void StagingService::stop_bucket_locked(int b, bool crash, long step) {
 
 void StagingService::fire_scripted_locked(long step) {
   using Kind = ScriptedEvent::Kind;
-  const std::vector<ScriptedEvent>& timeline = faults_->config().scripted;
+  const std::vector<ScriptedEvent>& timeline = dart_.faults().config().scripted;
   // A `continue` below consumes an event without effect: it is not counted.
   for (; scripted_next_ < timeline.size() &&
          timeline[scripted_next_].step <= step;
@@ -346,11 +333,11 @@ void StagingService::fire_scripted_locked(long step) {
       }
       case Kind::kOverload:
       case Kind::kTenantHog: {
-        if (!overload_.config().enabled()) continue;
+        if (!dart_.overload().config().enabled()) continue;
         // A hog's burst raises the shared pressure signal like any rogue
         // producer, but its bytes are *attributed* to the hog's ledger.
         const bool hog = e.kind == Kind::kTenantHog;
-        overload_.inject_phantom_bytes(e.amount);
+        dart_.overload().inject_phantom_bytes(e.amount);
         if (hog) tallies_[e.target].hog_bytes += e.amount;
         obs::record_event(
             obs::EventKind::kFaultVerdict, hog ? e.target : -1, -1,
@@ -370,8 +357,8 @@ void StagingService::fire_scripted_locked(long step) {
         break;
       }
       case Kind::kCreditStarve:
-        if (!overload_.config().enabled()) continue;
-        overload_.starve_credits(static_cast<int>(e.amount));
+        if (!dart_.overload().config().enabled()) continue;
+        dart_.overload().starve_credits(static_cast<int>(e.amount));
         obs::record_event(
             obs::EventKind::kFaultVerdict, -1, -1,
             static_cast<int64_t>(obs::EventFaultSite::kCreditStarve),
@@ -382,7 +369,7 @@ void StagingService::fire_scripted_locked(long step) {
                      static_cast<unsigned long long>(e.amount), step);
         break;
     }
-    faults_->count_scripted(e);
+    dart_.faults().count_scripted(e);
   }
 }
 
@@ -551,7 +538,7 @@ uint64_t StagingService::record_deferred(const std::string& analysis,
 }
 
 PressureSignal StagingService::pressure() const {
-  PressureSignal signal = overload_.pressure();
+  PressureSignal signal = dart_.overload().pressure();
   signal.live_buckets = live_bucket_count();
   return signal;
 }
@@ -811,7 +798,7 @@ void StagingService::fail_attempt(int bucket_index, Assigned assigned,
     std::lock_guard lock(mutex_);
     queue_.settle(assigned.ticket, busy_s);
   }
-  if (assigned.attempt < faults_->retry().max_task_attempts) {
+  if (assigned.attempt < dart_.faults().retry().max_task_attempts) {
     retry_task(bucket_index, std::move(assigned));
     return;
   }
@@ -824,7 +811,7 @@ void StagingService::fail_attempt(int bucket_index, Assigned assigned,
 
 void StagingService::retry_task(int failed_bucket, Assigned assigned) {
   const double backoff =
-      faults_->backoff_seconds(assigned.task.task_id, assigned.attempt);
+      dart_.faults().backoff_seconds(assigned.task.task_id, assigned.attempt);
   const uint64_t task_id = assigned.task.task_id;
   const int tenant = assigned.task.tenant;
   const int failed_attempt = assigned.attempt;
@@ -870,7 +857,7 @@ void StagingService::retry_task(int failed_bucket, Assigned assigned) {
 }
 
 void StagingService::degrade_or_shed(Assigned assigned) {
-  if (faults_->retry().degrade_to_insitu) {
+  if (dart_.faults().retry().degrade_to_insitu) {
     // ElasticBroker-style degradation: the analysis still runs, but on the
     // in-situ fallback executor — work is conserved, latency is charged to
     // the primary side. In the virtual cluster the calling thread plays
@@ -950,7 +937,7 @@ void StagingService::run_task(int bucket_index, Assigned assigned,
   Stopwatch watch;
   bool failed = false;
   if (bucket_index >= 0 &&
-      faults_->task_fails(assigned.task.task_id, assigned.attempt)) {
+      dart_.faults().task_fails(assigned.task.task_id, assigned.attempt)) {
     // An injected timeout (deterministic per (task, attempt)): the handler
     // never runs, and the attempt holds its bucket like a real hang.
     failed = true;
@@ -959,7 +946,7 @@ void StagingService::run_task(int bucket_index, Assigned assigned,
                   .step = assigned.task.step,
                   .vtime = clock_.seconds()});
     std::this_thread::sleep_for(
-        std::chrono::duration<double>(faults_->retry().task_timeout_s));
+        std::chrono::duration<double>(dart_.faults().retry().task_timeout_s));
   } else {
     try {
       obs::Span compute_span("sched", "compute",
@@ -1003,7 +990,7 @@ void StagingService::run_task(int bucket_index, Assigned assigned,
   if (bucket_index >= 0) {
     // Scripted slowdown: this bucket's core is oversubscribed; stretch the
     // compute phase by the configured factor.
-    const double factor = faults_->bucket_slow_factor(bucket_index);
+    const double factor = dart_.faults().bucket_slow_factor(bucket_index);
     if (factor > 1.0) {
       std::this_thread::sleep_for(
           std::chrono::duration<double>(wall * (factor - 1.0)));

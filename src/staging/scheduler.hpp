@@ -17,7 +17,10 @@
 // backs off with decorrelated jitter and is requeued, preferring a
 // different bucket; after K attempts the task either degrades to the
 // in-situ fallback executor or is shed with an explicit counter. Faults
-// off is the same machinery under an empty plan whose K is 1. Scripted
+// off is the same machinery under the off plan (no_faults()), whose K is 1.
+// The service owns neither its fault plan nor its overload ledger: it
+// reads both through its Dart (Dart::faults(), Dart::overload()), so the
+// wire, the queue and the store always share one of each. Scripted
 // bucket kills retire buckets gracefully (they finish their current task);
 // when no live bucket remains, new work degrades immediately. Every
 // submitted task ends in exactly one TaskRecord — see docs/FAILURE_MODEL.md
@@ -122,16 +125,6 @@ class StagingService {
   struct Options {
     int num_servers = 2;   // DataSpaces metadata servers
     int num_buckets = 4;   // in-transit cores
-    /// Fault-injection plan (task failures, bucket kills/slowdowns) and its
-    /// RetryPolicy. Null = faults off: the service runs under its own empty
-    /// plan, which injects nothing and allows one attempt before degrading.
-    const FaultPlan* faults = nullptr;
-    /// Overload control (unowned, must outlive the service). The queue and
-    /// the store keep their byte/depth accounting in its ledger, and
-    /// submit() enforces its hard queue budget by diverting overflow work
-    /// to degrade_or_shed. Null = overload off: the service runs under its
-    /// own idle ledger, which counts but sets no budget.
-    OverloadControl* overload = nullptr;
     /// Object-store replication factor (clamped to [1, num_servers]).
     /// With R > 1 committed objects survive R-1 crash-server losses.
     int replicas = 1;
@@ -139,6 +132,10 @@ class StagingService {
 
   using Handler = std::function<void(TaskContext&)>;
 
+  /// `dart` must outlive the service. Its faults() plan drives task
+  /// failures, retries and the scripted timeline; its overload() ledger
+  /// keeps the queue and store accounting, and submit() diverts work past
+  /// its hard queue budget to degrade_or_shed.
   StagingService(Dart& dart, Options options);
   ~StagingService();
 
@@ -374,13 +371,9 @@ class StagingService {
   /// crashed buckets' threads outside mutex_.
   void wait_drained(const std::function<bool()>& drained);
 
-  Dart& dart_;
-  OverloadControl idle_overload_{OverloadConfig{}};  // when none is given
-  OverloadControl& overload_;  // the ledger the queue and store feed
+  Dart& dart_;  // also the fault plan and the overload ledger
   ObjectStore store_;
   Stopwatch clock_;
-  const FaultPlan no_faults_;  // the plan when Options::faults is null
-  const FaultPlan* faults_;    // never null
   int fallback_node_ = -1;  // Dart registration of the fallback executor
   int live_buckets_ = 0;    // guarded by mutex_
 

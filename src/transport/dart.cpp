@@ -9,24 +9,16 @@
 #include "obs/histogram.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
-#include "runtime/fault.hpp"
 #include "util/crc32.hpp"
 #include "util/numeric.hpp"
 #include "util/stopwatch.hpp"
 
 namespace hia {
 
-namespace {
-/// CRC stamping happens only under an active frame-fault plan, so the
-/// fault-free wire path stays byte-identical to the baseline.
-bool frame_faults_on(const Dart::Options& options) {
-  return options.faults != nullptr && options.faults->frame_faults_enabled();
-}
-}  // namespace
-
 Dart::Dart(NetworkModel& network, Options options)
     : network_(network),
       options_(options),
+      faults_(options.faults != nullptr ? *options.faults : off_faults_),
       overload_(options.overload != nullptr ? *options.overload
                                             : idle_overload_) {
   // In-flight wire bytes and concurrent flows are the two transport gauges
@@ -122,9 +114,10 @@ DartHandle Dart::publish(int owner_node, std::vector<std::byte> wire,
     id = next_handle_++;
     Region region{owner_node, std::move(wire), raw_bytes, encoded};
     region.tenant = tenant;
-    if (frame_faults_on(options_)) {
+    // CRC stamping happens only under frame faults, so the fault-free
+    // wire path stays byte-identical to the baseline.
+    if (faults_.frame_faults_enabled()) {
       region.crc = crc32(region.data.data(), region.data.size());
-      region.crc_stamped = true;
     }
     regions_.emplace(id, std::move(region));
   }
@@ -151,12 +144,12 @@ std::vector<std::byte> Dart::get(int dest_node, const DartHandle& handle,
   static obs::Histogram& smsg_s = obs::histogram("net_smsg_modeled_s");
   static obs::Histogram& bte_s = obs::histogram("net_bte_modeled_s");
 
-  const FaultPlan* faults =
-      frame_faults_on(options_) ? options_.faults : nullptr;
+  const bool frame_faults = faults_.frame_faults_enabled();
   const int max_attempts =
-      faults != nullptr ? faults->retry().max_frame_attempts : 1;
+      frame_faults ? faults_.retry().max_frame_attempts : 1;
 
   std::vector<std::byte> data;
+  uint32_t crc = 0;
   int tenant = -1;
   size_t raw_bytes = 0;
   bool encoded = false;
@@ -179,12 +172,13 @@ std::vector<std::byte> Dart::get(int dest_node, const DartHandle& handle,
       tenant = rit->second.tenant;
       raw_bytes = rit->second.raw_bytes;
       encoded = rit->second.encoded;
+      crc = rit->second.crc;
     }
 
     // The fault layer's verdict for this transfer attempt (deterministic
     // per (handle, attempt); see FaultPlan).
     FaultPlan::FrameFault fault;
-    if (faults != nullptr) fault = faults->frame_fault(handle.id, attempt);
+    if (frame_faults) fault = faults_.frame_fault(handle.id, attempt);
 
     // Model the wire cost outside the lock so concurrent gets overlap.
     // Every attempt — including ones that end up dropped or corrupted —
@@ -214,7 +208,7 @@ std::vector<std::byte> Dart::get(int dest_node, const DartHandle& handle,
     total_seconds += seconds;
     injected_delay_s += fault.delay_s;
 
-    if (faults != nullptr) {
+    if (frame_faults) {
       bool damaged = false;
       if (fault.drop) {
         obs::record_event(
@@ -228,16 +222,7 @@ std::vector<std::byte> Dart::get(int dest_node, const DartHandle& handle,
         }
         // Transport-level integrity check: re-derive the frame CRC and
         // compare with the checksum stamped at put().
-        uint32_t expected = 0;
-        bool stamped = false;
-        {
-          std::lock_guard lock(mutex_);
-          auto rit = regions_.find(handle.id);
-          HIA_REQUIRE(rit != regions_.end(), "region released mid-get");
-          expected = rit->second.crc;
-          stamped = rit->second.crc_stamped;
-        }
-        if (stamped && crc32(data.data(), data.size()) != expected) {
+        if (crc32(data.data(), data.size()) != crc) {
           static obs::Counter& crc_failures = obs::counter("dart_crc_failures");
           crc_failures.add(1);
           obs::record_event(

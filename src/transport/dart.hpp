@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "runtime/fault.hpp"
 #include "runtime/network_model.hpp"
 #include "runtime/overload.hpp"
 #include "util/error.hpp"
@@ -26,7 +27,6 @@
 namespace hia {
 
 class Codec;
-class FaultPlan;
 
 /// Handle to a published (RDMA-registered) buffer.
 struct DartHandle {
@@ -77,12 +77,17 @@ class Dart {
     /// asynchronous pipelining shows up in wall-clock measurements.
     bool sleep_transfers = false;
     double time_scale = 1.0;
-    /// Fault-injection plan (drop/delay/corrupt frames). Null = faults off;
-    /// the wire path then skips CRC stamping/checking entirely.
+    /// Fault plan (unowned, must outlive the Dart instance): frame faults
+    /// on the wire here, and task faults and the scripted timeline for the
+    /// staging service, which reads it through faults(). Null = Dart's own
+    /// off plan (no_faults()). CRCs are stamped and checked only while
+    /// the plan's frame_faults_enabled().
     const FaultPlan* faults = nullptr;
     /// Overload control (unowned, must outlive the Dart instance). Every
     /// put acquires an admission credit, returned on release; a ledger
-    /// without credits admits at once. Null = Dart's own idle ledger.
+    /// without credits admits at once. The staging service and its store
+    /// keep their queue and byte accounting in it through overload().
+    /// Null = Dart's own idle ledger.
     OverloadControl* overload = nullptr;
   };
 
@@ -124,10 +129,10 @@ class Dart {
   /// release(). Returns the wire
   /// bytes verbatim (still encoded for codec-published regions).
   ///
-  /// Under fault injection, dropped or CRC-corrupted frames are
+  /// Under frame faults, dropped or CRC-corrupted frames are
   /// retransmitted transparently (each attempt charges wire time); after
-  /// Options::faults->retry().max_frame_attempts the pull throws
-  /// hia::Error, which the staging layer turns into a task retry.
+  /// faults().retry().max_frame_attempts the pull throws hia::Error,
+  /// which the staging layer turns into a task retry.
   std::vector<std::byte> get(int dest_node, const DartHandle& handle,
                              TransferStats* stats = nullptr);
 
@@ -148,6 +153,12 @@ class Dart {
   void reset_counters();
 
   [[nodiscard]] NetworkModel& network() { return network_; }
+  /// The deployment's fault plan (Dart's own off plan when none was given).
+  [[nodiscard]] const FaultPlan& faults() const { return faults_; }
+  /// The deployment's overload ledger (Dart's own idle one when none was
+  /// given): the admission gate here, the queue and store ledger in the
+  /// staging service.
+  [[nodiscard]] OverloadControl& overload() { return overload_; }
 
  private:
   struct Region {
@@ -155,9 +166,8 @@ class Dart {
     std::vector<std::byte> data;  // wire bytes (encoded frame if `encoded`)
     size_t raw_bytes = 0;         // logical payload size before encoding
     bool encoded = false;
-    uint32_t crc = 0;         // frame checksum (stamped only when
-    bool crc_stamped = false;  // frame faults are enabled)
-    int tenant = 0;            // whose ledger the credit charge sits on
+    uint32_t crc = 0;  // frame checksum, stamped under frame faults only
+    int tenant = 0;    // whose ledger the credit charge sits on
   };
 
   struct NodeState {
@@ -166,14 +176,17 @@ class Dart {
   };
 
   /// The publish body of every put: admission on the wire bytes, the
-  /// region (CRC-stamped under frame faults), the kPut record and the put-size histograms. `raw_bytes` is the logical
-  /// size before encoding; `encode_seconds` joins the transport counters.
+  /// region (CRC-stamped under frame faults), the kPut record and the
+  /// put-size histograms. `raw_bytes` is the logical size before encoding;
+  /// `encode_seconds` joins the transport counters.
   DartHandle publish(int owner_node, std::vector<std::byte> wire,
                      size_t raw_bytes, bool encoded, double encode_seconds,
                      int tenant);
 
   NetworkModel& network_;
   Options options_;
+  const FaultPlan off_faults_{no_faults()};          // when none is given
+  const FaultPlan& faults_;
   OverloadControl idle_overload_{OverloadConfig{}};  // when none is given
   OverloadControl& overload_;  // the admission gate
 

@@ -709,8 +709,8 @@ TEST_F(EventsTest, FaultedTraceShowsEachLifecycleInstantOnce) {
         "task-fail=0.5,attempts=2,backoff=0.0001:0.001,kill-bucket=1@2,"
         "seed=5"));
     NetworkModel net;
-    Dart dart(net);
-    StagingService service(dart, StagingService::Options{1, 3, &plan});
+    Dart dart(net, {.faults = &plan});
+    StagingService service(dart, {1, 3});
     service.register_handler("work", [](TaskContext&) {});
     for (long step = 0; step < 8; ++step) {
       service.submit(InTransitTask{"work", step, {}, 1});
@@ -776,8 +776,8 @@ TEST_F(EventsTest, InjectedTimeoutIsAnOrdinaryFailedAttempt) {
         FaultPlan::parse_spec("task-fail=1:0.01,attempts=2,"
                               "backoff=0.0001:0.001"));
     NetworkModel net;
-    Dart dart(net);
-    StagingService service(dart, StagingService::Options{1, 1, &plan});
+    Dart dart(net, {.faults = &plan});
+    StagingService service(dart, {1, 1});
     service.register_handler("work", [](TaskContext&) {});
     for (int i = 0; i < kTasks; ++i) {
       service.submit(InTransitTask{"work", i, {}, 1});

@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/framework.hpp"
 #include "obs/counters.hpp"
 #include "runtime/fault.hpp"
 #include "staging/scheduler.hpp"
@@ -212,15 +213,47 @@ TEST(FaultDart, NullPlanLeavesWireUntouched) {
   EXPECT_EQ(stats.retries, 0);
   EXPECT_DOUBLE_EQ(stats.injected_delay_s, 0.0);
   EXPECT_EQ(dart.counters().get_retries, 0u);
+  // Without a plan Dart holds the off plan: nothing on the wire, one
+  // task attempt before degrading.
+  EXPECT_FALSE(dart.faults().frame_faults_enabled());
+  EXPECT_EQ(dart.faults().retry().max_task_attempts, 1);
+}
+
+TEST(FaultDeployment, EmptySpecIsTheOffPlanTheServiceReadsThroughDart) {
+  RunConfig cfg;
+  cfg.staging_servers = 1;
+  cfg.staging_buckets = 1;
+  StagingDeployment off(cfg);
+  const FaultPlan& plan = off.dart().faults();
+  EXPECT_FALSE(plan.frame_faults_enabled());
+  EXPECT_TRUE(plan.config().scripted.empty());
+  EXPECT_EQ(plan.retry().max_task_attempts, 1);
+  // A failed bucket attempt is the task's only one: it degrades at once.
+  off.staging().register_handler("work", [](TaskContext& ctx) {
+    if (ctx.bucket() >= 0) throw Error("bucket-side failure");
+  });
+  off.staging().submit(InTransitTask{"work", 0, {}, 0});
+  off.staging().drain();
+  const auto records = off.staging().records();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].outcome, TaskOutcome::kDegraded);
+  EXPECT_EQ(records[0].attempts, 1);
+
+  cfg.faults = "drop=0.1,attempts=3";
+  cfg.fault_seed = 11;
+  StagingDeployment on(cfg);
+  EXPECT_TRUE(on.dart().faults().frame_faults_enabled());
+  EXPECT_EQ(on.dart().faults().retry().max_task_attempts, 3);
+  EXPECT_EQ(on.dart().faults().config().seed, 11u);
 }
 
 // ---- Retry -> degrade/shed state machine ----
 
 struct FaultedService {
   explicit FaultedService(const std::string& spec, int buckets = 2)
-      : plan(FaultPlan::parse_spec(spec)), dart(net) {
+      : plan(FaultPlan::parse_spec(spec)), dart(net, {.faults = &plan}) {
     service = std::make_unique<StagingService>(
-        dart, StagingService::Options{1, buckets, &plan});
+        dart, StagingService::Options{1, buckets});
   }
   FaultPlan plan;
   NetworkModel net;
@@ -391,10 +424,8 @@ TEST(FaultStaging, KillDueOnDivertedSubmissionFires) {
   FaultPlan plan(FaultPlan::parse_spec("kill-bucket=1@3"));
   OverloadControl ctrl(OverloadConfig::parse_spec("queue-bytes=8"));
   NetworkModel net;
-  Dart dart(net);
-  StagingService::Options opts{1, 2, &plan};
-  opts.overload = &ctrl;
-  StagingService service(dart, opts);
+  Dart dart(net, {.faults = &plan, .overload = &ctrl});
+  StagingService service(dart, {1, 2});
   service.register_handler("work", [](TaskContext&) {});
   const int sim = dart.register_node("sim");
   service.publish(sim, "x", 3, Box3{{0, 0, 0}, {2, 1, 1}}, {1.0, 2.0});
@@ -732,9 +763,9 @@ TEST(FaultStaging, CrashServerDuringTransfersKeepsReplicatedObjects) {
   // to the surviving copy and read-repair restores the factor.
   FaultPlan plan(FaultPlan::parse_spec("crash-server=0@2"));
   NetworkModel net;
-  Dart dart(net);
-  StagingService service(dart,
-                         StagingService::Options{3, 2, &plan, nullptr, 2});
+  Dart dart(net, {.faults = &plan});
+  StagingService service(dart, {.num_servers = 3, .num_buckets = 2,
+                                .replicas = 2});
   constexpr long kSteps = 10;
   for (long s = 0; s < kSteps; ++s) {
     DataDescriptor d;

@@ -13,6 +13,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "obs/counters.hpp"
 #include "obs/events.hpp"
 #include "obs/export.hpp"
@@ -950,7 +952,10 @@ TEST(JsonParse, MutatedDocumentsFailOnlyWithAnError) {
   obs::set_events_run_config({.present = true, .buckets = 2, .servers = 1,
                               .replicas = 1, .faults = "drop=0.1",
                               .overload = "", .tenant_weights = {2.0, 1.0}});
-  const std::string path = ::testing::TempDir() + "json_sweep.bin";
+  // Suffixed with the process id: concurrent test_obs processes share
+  // TempDir(), and one must never remove or rewrite another's spill.
+  const std::string path = ::testing::TempDir() + "json_sweep_" +
+                           std::to_string(::getpid()) + ".bin";
   ASSERT_TRUE(obs::write_events_file(path));
   std::string spill;
   {
@@ -960,6 +965,7 @@ TEST(JsonParse, MutatedDocumentsFailOnlyWithAnError) {
   }
   std::remove(path.c_str());
   obs::reset_events();
+  ASSERT_GE(spill.size(), 16u) << "spill shorter than its fixed prefix";
   uint32_t header_len = 0;
   std::memcpy(&header_len, spill.data() + 12, sizeof(header_len));
   const std::string header = spill.substr(16, header_len);

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/framework.hpp"
+#include "core/report.hpp"
 #include "core/stats_pipeline.hpp"
 #include "runtime/overload.hpp"
 #include "staging/object_store.hpp"
@@ -248,8 +249,8 @@ TEST(StagingOverload, HardWallBoundsQueueBytesAndConserves) {
   // while real queued bytes never exceed the budget.
   OverloadControl ctrl(OverloadConfig::parse_spec("queue-bytes=16384"));
   NetworkModel net;
-  Dart dart(net);
-  StagingService service(dart, {1, 1, nullptr, &ctrl});
+  Dart dart(net, {.overload = &ctrl});
+  StagingService service(dart, {1, 1});
   service.register_handler("work", [](TaskContext&) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   });
@@ -416,6 +417,27 @@ TEST(RunnerSteering, AdaptiveUnderNoPressureIsAllInTransit) {
   EXPECT_EQ(report.resilience.tasks_deferred, 0u);
   EXPECT_EQ(report.resilience.steer_in_transit, 3u);
   EXPECT_EQ(report.resilience.overload_diversions, 0u);
+}
+
+TEST(RunnerSteering, SteeringOffCountsEveryTaskInTransit) {
+  // No --steer and no --overload: every staged submission still takes the
+  // steering table's in-transit row, so the verdict count matches the
+  // in-transit records, and the printed resilience table stays quiet.
+  RunConfig cfg;
+  cfg.sim.grid = GlobalGrid{{16, 12, 8}, {1.0, 1.0, 1.0}};
+  cfg.sim.ranks_per_axis = {1, 1, 1};
+  cfg.staging_servers = 1;
+  cfg.staging_buckets = 2;
+  cfg.steps = 3;
+  HybridRunner runner(cfg);
+  runner.add_analysis(std::make_shared<HybridStatistics>());
+  const RunReport report = runner.run();
+  ASSERT_EQ(report.in_transit.size(), 3u);
+  EXPECT_EQ(report.resilience.steer_in_transit, report.in_transit.size());
+  EXPECT_EQ(report.resilience.tasks_completed, 3u);
+  EXPECT_FALSE(report.resilience.any());
+  EXPECT_EQ(format_resilience(report.resilience).find("steer:"),
+            std::string::npos);
 }
 
 // ----------------------------------------------------------- concurrency

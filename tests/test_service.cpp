@@ -229,9 +229,8 @@ TEST_F(ServiceTest, RetriedTasksReenterAtArrivalOrder) {
       FaultPlan::parse_spec("task-fail=0.4,attempts=4,backoff=0.001:0.004");
   plan_cfg.seed = 42;
   FaultPlan plan(plan_cfg);
-  StagingService::Options opts{1, 1};
-  opts.faults = &plan;
-  StagingService service(dart_, opts);
+  Dart dart(net_, {.faults = &plan});
+  StagingService service(dart, {1, 1});
   service.set_tenant_policy(1, 1.0);
   register_sleeper(service, "flaky", 1);
   submit_n(service, 1, 30, "flaky");
@@ -268,10 +267,8 @@ TEST_F(ServiceTest, ScriptedTenantHogChargesTheNamedTenant) {
   FaultPlanConfig plan_cfg = FaultPlan::parse_spec("tenant-hog=2:100000@0");
   FaultPlan plan(plan_cfg);
   OverloadControl ctrl(OverloadConfig::parse_spec("queue-bytes=1m"));
-  StagingService::Options opts{1, 2};
-  opts.faults = &plan;
-  opts.overload = &ctrl;
-  StagingService service(dart_, opts);
+  Dart dart(net_, {.faults = &plan, .overload = &ctrl});
+  StagingService service(dart, {1, 2});
   service.set_tenant_policy(1, 1.0);
   service.set_tenant_policy(2, 1.0);
   register_sleeper(service, "work", 0);
@@ -309,9 +306,8 @@ TEST(FaultSpec, TenantHogParseAndReject) {
 TEST_F(ServiceTest, ElasticPoolGrowsUnderSaturationAndShrinksWhenIdle) {
   OverloadControl ctrl(
       OverloadConfig::parse_spec("queue-depth=8,low=0.3,high=0.8"));
-  StagingService::Options opts{1, 1};
-  opts.overload = &ctrl;
-  StagingService service(dart_, opts);
+  Dart dart(net_, {.overload = &ctrl});
+  StagingService service(dart, {1, 1});
   service.set_tenant_policy(1, 1.0);
   register_sleeper(service, "work", 2);
   ElasticBucketPool pool(service, {1, 3, 0.0});
