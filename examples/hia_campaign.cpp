@@ -40,6 +40,7 @@
 #include "obs/trace.hpp"
 #include "runtime/fault.hpp"
 #include "service/campaign_service.hpp"
+#include "util/table.hpp"
 
 namespace {
 
@@ -623,21 +624,20 @@ int main(int argc, char** argv) {
                 report.final_buckets);
   }
   uint64_t total_tasks = 0;
-  double share_err_max = 0.0;
   bool conserved = true;
   for (const TenantRunRow& row : report.rows) {
     total_tasks += row.submitted;
-    share_err_max = std::max(share_err_max,
-                             std::abs(row.share_observed - row.share_target));
     conserved = conserved &&
                 row.completed + row.degraded + row.deferred + row.shed ==
                     row.submitted;
   }
+  const std::optional<double> share_err = max_share_error(report.rows);
   std::printf("processed %llu tasks (%zu in-transit task records) across %d "
               "tenant(s) over %ld steps; mean simulation step %.4f s; max "
-              "|share error| %.3f; per-tenant conservation %s\n",
+              "|share error| %s; per-tenant conservation %s\n",
               static_cast<unsigned long long>(total_tasks), in_transit_tasks,
-              opt.tenants, opt.steps, mean_sim_step_s, share_err_max,
+              opt.tenants, opt.steps, mean_sim_step_s,
+              share_err ? fmt_fixed(*share_err, 3).c_str() : "n/a",
               conserved ? "OK" : "VIOLATED");
   const bool attrib_ok = !opt.attrib || report_attribution() == 0;
 
@@ -708,7 +708,6 @@ int main(int argc, char** argv) {
         {"in_transit_tasks", static_cast<double>(in_transit_tasks)},
         {"total_tasks", static_cast<double>(total_tasks)},
         {"mean_sim_step_s", mean_sim_step_s},
-        {"share_err_max", share_err_max},
         {"conservation_ok", conserved ? 1.0 : 0.0},
         {"pool_grows", static_cast<double>(report.pool.grows)},
         {"pool_shrinks", static_cast<double>(report.pool.shrinks)},
@@ -739,6 +738,8 @@ int main(int argc, char** argv) {
         {"peak_queue_bytes", static_cast<double>(res.peak_queue_bytes)},
     };
     for (const auto& [key, value] : metrics) summary.metrics[key] = value;
+    // Absent, like the printed "n/a", when no tenant held a bucket.
+    if (share_err) summary.metrics["share_err_max"] = *share_err;
     for (const TenantRunRow& row : report.rows) {
       const std::string prefix = "t" + std::to_string(row.tenant) + "_";
       summary.metrics[prefix + "completed"] =

@@ -2,19 +2,107 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "util/numeric.hpp"
+#include "util/simd.hpp"
 
 namespace hia {
 
 namespace {
-// Independent partial sums per pass, so no sum waits on the previous
-// value's add.
+// Four independent partial sums per pass, so no sum waits on the previous
+// value's add. Lane l takes values l, l + 4, ...; a chunk's remainder goes
+// into lane 0.
 constexpr size_t kLanes = 4;
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 double lane_total(const double (&s)[kLanes]) {
   return (s[0] + s[1]) + (s[2] + s[3]);
+}
+
+/// One chunk's extrema, the centre `shift` of its power sums, and the sums
+/// t_p of (x - shift)^p for p = 1..4.
+struct ChunkSums {
+  double lo, hi, shift, t1, t2, t3, t4;
+};
+
+/// The two passes over one chunk, with lanes 0-1 and 2-3 held as two
+/// packed DoubleX2 halves (util/simd.hpp). Vector arithmetic is lane by
+/// lane, so the sums have the bits of four scalar lanes.
+ChunkSums chunk_sums(const double* x, size_t n) {
+  constexpr size_t kHalves = kLanes / 2;
+  const size_t n_lanes = n - n % kLanes;
+
+  // Pass 1: sum and extrema; v < lo ? v : lo is std::min(lo, v).
+  DoubleX2 vsum[kHalves], vlo[kHalves], vhi[kHalves];
+  for (size_t h = 0; h < kHalves; ++h) {
+    vsum[h] = DoubleX2{};
+    vlo[h] = DoubleX2{} + kInf;
+    vhi[h] = DoubleX2{} - kInf;
+  }
+  for (size_t i = 0; i < n_lanes; i += kLanes) {
+#pragma GCC unroll 2
+    for (size_t h = 0; h < kHalves; ++h) {
+      DoubleX2 v;
+      std::memcpy(&v, x + i + 2 * h, sizeof(v));
+      vsum[h] += v;
+      vlo[h] = v < vlo[h] ? v : vlo[h];
+      vhi[h] = vhi[h] < v ? v : vhi[h];
+    }
+  }
+  double sum[kLanes], lo[kLanes], hi[kLanes];
+  std::memcpy(sum, vsum, sizeof(sum));
+  std::memcpy(lo, vlo, sizeof(lo));
+  std::memcpy(hi, vhi, sizeof(hi));
+  for (size_t i = n_lanes; i < n; ++i) {
+    sum[0] += x[i];
+    lo[0] = std::min(lo[0], x[i]);
+    hi[0] = std::max(hi[0], x[i]);
+  }
+  ChunkSums out;
+  out.lo = *std::min_element(lo, lo + kLanes);
+  out.hi = *std::max_element(hi, hi + kLanes);
+  // A constant chunk centres on its value, so its centred sums are
+  // exactly zero.
+  out.shift = out.lo == out.hi ? out.lo
+                               : lane_total(sum) / static_cast<double>(n);
+
+  // Pass 2: centred power sums about `shift`, plus their residual s1.
+  DoubleX2 v1[kHalves], v2[kHalves], v3[kHalves], v4[kHalves];
+  for (size_t h = 0; h < kHalves; ++h) {
+    v1[h] = v2[h] = v3[h] = v4[h] = DoubleX2{};
+  }
+  for (size_t i = 0; i < n_lanes; i += kLanes) {
+#pragma GCC unroll 2
+    for (size_t h = 0; h < kHalves; ++h) {
+      DoubleX2 v;
+      std::memcpy(&v, x + i + 2 * h, sizeof(v));
+      const DoubleX2 d = v - out.shift;
+      const DoubleX2 d2 = d * d;
+      v1[h] += d;
+      v2[h] += d2;
+      v3[h] += d2 * d;
+      v4[h] += d2 * d2;
+    }
+  }
+  double s1[kLanes], s2[kLanes], s3[kLanes], s4[kLanes];
+  std::memcpy(s1, v1, sizeof(s1));
+  std::memcpy(s2, v2, sizeof(s2));
+  std::memcpy(s3, v3, sizeof(s3));
+  std::memcpy(s4, v4, sizeof(s4));
+  for (size_t i = n_lanes; i < n; ++i) {
+    const double d = x[i] - out.shift;
+    const double d2 = d * d;
+    s1[0] += d;
+    s2[0] += d2;
+    s3[0] += d2 * d;
+    s4[0] += d2 * d2;
+  }
+  out.t1 = lane_total(s1);
+  out.t2 = lane_total(s2);
+  out.t3 = lane_total(s3);
+  out.t4 = lane_total(s4);
+  return out;
 }
 }  // namespace
 
@@ -39,73 +127,23 @@ void MomentAccumulator::update(double x) {
 
 void MomentAccumulator::learn(std::span<const double> values) {
   for (size_t at = 0; at < values.size(); at += kLearnChunk) {
-    const std::span<const double> x =
-        values.subspan(at, std::min(kLearnChunk, values.size() - at));
-    const size_t n = x.size();
-    const size_t n_lanes = n - n % kLanes;
-
-    // Pass 1: sum and extrema.
-    double sum[kLanes] = {};
-    double lo[kLanes] = {kInf, kInf, kInf, kInf};
-    double hi[kLanes] = {-kInf, -kInf, -kInf, -kInf};
-    for (size_t i = 0; i < n_lanes; i += kLanes) {
-#pragma GCC unroll 4
-      for (size_t l = 0; l < kLanes; ++l) {
-        sum[l] += x[i + l];
-        lo[l] = std::min(lo[l], x[i + l]);
-        hi[l] = std::max(hi[l], x[i + l]);
-      }
-    }
-    for (size_t i = n_lanes; i < n; ++i) {
-      sum[0] += x[i];
-      lo[0] = std::min(lo[0], x[i]);
-      hi[0] = std::max(hi[0], x[i]);
-    }
-    const double x_lo = *std::min_element(lo, lo + kLanes);
-    const double x_hi = *std::max_element(hi, hi + kLanes);
-    const double nd = static_cast<double>(n);
-    // A constant chunk centres on its value, so its centred sums are
-    // exactly zero.
-    const double shift = x_lo == x_hi ? x_lo : lane_total(sum) / nd;
-
-    // Pass 2: centred power sums about `shift`, plus their residual s1.
-    double s1[kLanes] = {}, s2[kLanes] = {}, s3[kLanes] = {}, s4[kLanes] = {};
-    for (size_t i = 0; i < n_lanes; i += kLanes) {
-#pragma GCC unroll 4
-      for (size_t l = 0; l < kLanes; ++l) {
-        const double d = x[i + l] - shift;
-        const double d2 = d * d;
-        s1[l] += d;
-        s2[l] += d2;
-        s3[l] += d2 * d;
-        s4[l] += d2 * d2;
-      }
-    }
-    for (size_t i = n_lanes; i < n; ++i) {
-      const double d = x[i] - shift;
-      const double d2 = d * d;
-      s1[0] += d;
-      s2[0] += d2;
-      s3[0] += d2 * d;
-      s4[0] += d2 * d2;
-    }
-    const double t1 = lane_total(s1);
-    const double t2 = lane_total(s2);
-    const double t3 = lane_total(s3);
-    const double t4 = lane_total(s4);
+    const size_t n = std::min(kLearnChunk, values.size() - at);
+    const double* x = values.data() + at;
+    const ChunkSums s = chunk_sums(x, n);
 
     // Shift the sums onto the chunk's exact mean, shift + c (the corrected
     // two-pass algorithm of Chan, Golub and LeVeque); c is a rounding-level
     // residual, so the correction cancels nothing significant.
-    const double c = t1 / nd;
+    const double c = s.t1 / static_cast<double>(n);
     MomentAccumulator part;
     part.n_ = n;
-    part.mean_ = shift + c;
-    part.m2_ = t2 - c * t1;
-    part.m3_ = t3 - 3.0 * c * t2 + 2.0 * c * c * t1;
-    part.m4_ = t4 - 4.0 * c * t3 + 6.0 * c * c * t2 - 3.0 * c * c * c * t1;
-    part.min_ = x_lo;
-    part.max_ = x_hi;
+    part.mean_ = s.shift + c;
+    part.m2_ = s.t2 - c * s.t1;
+    part.m3_ = s.t3 - 3.0 * c * s.t2 + 2.0 * c * c * s.t1;
+    part.m4_ = s.t4 - 4.0 * c * s.t3 + 6.0 * c * c * s.t2 -
+               3.0 * c * c * c * s.t1;
+    part.min_ = s.lo;
+    part.max_ = s.hi;
     combine(part);
   }
 }

@@ -207,12 +207,12 @@ class Mergeable : public HybridAnalysis {
   virtual R derive(const P& global) const = 0;
   /// The in-transit task's result blob.
   virtual std::vector<std::byte> row(const R& result) const = 0;
-  /// kInTransit only: this rank's raw observations, and the learn of one
-  /// rank's raw block into the fold (empty before the first block).
+  /// kInTransit only: this rank's raw observations, and the partial model
+  /// learnt from one rank's raw block (folded like a pulled partial).
   virtual std::vector<double> raw(InSituContext&) {
     throw Error(name() + " has no raw placement");
   }
-  virtual void learn_raw(std::span<const double>, std::optional<P>&) const {
+  virtual P learn_raw(std::span<const double>) const {
     throw Error(name() + " has no raw placement");
   }
 
@@ -261,12 +261,12 @@ void Mergeable<P, R>::in_transit(TaskContext& ctx) {
   std::optional<P> global;
   for (const DataDescriptor& desc : ctx.task().inputs) {
     const std::vector<double> block = ctx.pull_doubles(desc);
-    if (placement_ == Placement::kInTransit) {
-      learn_raw(block, global);
-    } else if (global.has_value()) {
-      global->combine(P::deserialize(block));
+    P part = placement_ == Placement::kInTransit ? learn_raw(block)
+                                                 : P::deserialize(block);
+    if (global.has_value()) {
+      global->combine(part);
     } else {
-      global.emplace(P::deserialize(block));
+      global.emplace(std::move(part));
     }
   }
   HIA_REQUIRE(global.has_value(), name() + " task with no inputs");

@@ -7,16 +7,12 @@ namespace hia {
 
 CovarianceAccumulator correlation_learn_fields(const Field& x,
                                                const Field& y) {
-  HIA_REQUIRE(x.owned() == y.owned(), "fields must share the owned box");
   CovarianceAccumulator acc;
-  const Box3& box = x.owned();
-  if (box.empty()) return acc;
-  const auto row = static_cast<size_t>(box.extent(0));
-  for (int64_t k = box.lo[2]; k < box.hi[2]; ++k) {
-    for (int64_t j = box.lo[1]; j < box.hi[1]; ++j) {
-      acc.learn({x.ptr(box.lo[0], j, k), row}, {y.ptr(box.lo[0], j, k), row});
-    }
-  }
+  stream_owned<CovarianceAccumulator::kLearnChunk>(
+      std::array{&x, &y},
+      [&](const std::array<std::span<const double>, 2>& chunk) {
+        acc.learn(chunk[0], chunk[1]);
+      });
   return acc;
 }
 

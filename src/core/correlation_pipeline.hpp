@@ -32,7 +32,8 @@ class HybridCorrelation final
 };
 
 /// `learn` of the bivariate model over the co-located owned regions of two
-/// fields (no copies).
+/// fields, streamed as in learn_field: equal bit for bit to
+/// correlation_learn(x.pack_owned(), y.pack_owned()).
 CovarianceAccumulator correlation_learn_fields(const Field& x,
                                                const Field& y);
 

@@ -1,5 +1,7 @@
 #include "core/report.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <functional>
 
 #include "sim/species.hpp"
@@ -148,6 +150,16 @@ std::string format_tenant_table(const std::vector<TenantRunRow>& rows) {
                    std::to_string(r.hog_bytes)});
   }
   return table.render();
+}
+
+std::optional<double> max_share_error(const std::vector<TenantRunRow>& rows) {
+  std::optional<double> worst;
+  for (const TenantRunRow& row : rows) {
+    if (row.bucket_seconds <= 0.0) continue;
+    worst = std::max(worst.value_or(0.0),
+                     std::abs(row.share_observed - row.share_target));
+  }
+  return worst;
 }
 
 std::string format_table1(const std::vector<Table1Column>& columns) {

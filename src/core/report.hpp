@@ -3,6 +3,7 @@
 // configurations as Table I.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -32,6 +33,11 @@ std::string format_resilience(const ResilienceSummary& r);
 /// counts, observed vs. target bucket-time share, p99 turnaround, and
 /// isolation ledger (cap diversions, gate waits, hog bytes).
 std::string format_tenant_table(const std::vector<TenantRunRow>& rows);
+
+/// The largest |observed - target| bucket-time share over the tenants that
+/// held a bucket at all; none when no tenant did (a run without in-transit
+/// work has no share to err).
+std::optional<double> max_share_error(const std::vector<TenantRunRow>& rows);
 
 /// One Table I column: core allocation, data size, simulation time, and
 /// modeled I/O read/write time through the OST model.

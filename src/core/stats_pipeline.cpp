@@ -16,14 +16,11 @@ std::vector<Variable> all_variables() {
 
 MomentAccumulator learn_field(const Field& field) {
   MomentAccumulator acc;
-  const Box3& box = field.owned();
-  if (box.empty()) return acc;
-  const auto row = static_cast<size_t>(box.extent(0));
-  for (int64_t k = box.lo[2]; k < box.hi[2]; ++k) {
-    for (int64_t j = box.lo[1]; j < box.hi[1]; ++j) {
-      acc.learn({field.ptr(box.lo[0], j, k), row});
-    }
-  }
+  stream_owned<MomentAccumulator::kLearnChunk>(
+      std::array{&field},
+      [&](const std::array<std::span<const double>, 1>& chunk) {
+        acc.learn(chunk[0]);
+      });
   return acc;
 }
 
@@ -114,17 +111,16 @@ std::vector<double> Statistics::raw(InSituContext& ctx) {
   return out;
 }
 
-void Statistics::learn_raw(std::span<const double> block,
-                           std::optional<MomentSet>& global) const {
+MomentSet Statistics::learn_raw(std::span<const double> block) const {
   HIA_REQUIRE(block.size() % variables_.size() == 0,
               "raw block is not one slice per variable");
-  if (!global.has_value()) {
-    global.emplace().vars.resize(variables_.size());
-  }
+  MomentSet part;
+  part.vars.resize(variables_.size());
   const size_t n = block.size() / variables_.size();
   for (size_t v = 0; v < variables_.size(); ++v) {
-    global->vars[v].learn(block.subspan(v * n, n));
+    part.vars[v].learn(block.subspan(v * n, n));
   }
+  return part;
 }
 
 }  // namespace hia

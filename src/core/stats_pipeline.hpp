@@ -18,8 +18,9 @@ namespace hia {
 /// Default variable set: all 14 solution variables.
 std::vector<Variable> all_variables();
 
-/// `learn` over a field's owned region without copying it: one
-/// MomentAccumulator::learn per owned x row.
+/// `learn` over a field's owned region as one stream of
+/// MomentAccumulator::kLearnChunk-value chunks (stream_owned): equal bit for
+/// bit to learning f.pack_owned(), with no heap allocation.
 MomentAccumulator learn_field(const Field& field);
 
 /// The statistics partial: one primary model per variable, combined
@@ -62,8 +63,9 @@ class Statistics : public Mergeable<MomentSet, std::vector<DescriptiveModel>> {
   }
   /// Every variable's owned values, one slice per variable.
   std::vector<double> raw(InSituContext& ctx) override;
-  void learn_raw(std::span<const double> block,
-                 std::optional<MomentSet>& global) const override;
+  /// One rank's raw block learnt as its own partial, so this placement's
+  /// result equals stats-hybrid's bit for bit.
+  MomentSet learn_raw(std::span<const double> block) const override;
 
   std::vector<Variable> variables_;
 };

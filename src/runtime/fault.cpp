@@ -181,10 +181,14 @@ double FaultPlan::roll(FaultSite site, uint64_t key) const {
   return keyed_uniform(config_.seed, site, key);
 }
 
-FaultPlan::FrameFault FaultPlan::frame_fault(uint64_t handle_id,
+FaultPlan::FrameFault FaultPlan::frame_fault(std::string_view owner,
+                                             uint64_t put,
                                              int attempt) const {
   FrameFault fault;
-  const uint64_t key = pair_key(handle_id, static_cast<uint64_t>(attempt));
+  uint64_t region = 0;
+  for (const char c : owner) region = pair_key(region, static_cast<uint8_t>(c));
+  region = pair_key(region, put);
+  const uint64_t key = pair_key(region, static_cast<uint64_t>(attempt));
   if (config_.frame_drop_prob > 0.0 &&
       roll(FaultSite::kFrameDrop, key) < config_.frame_drop_prob) {
     fault.drop = true;

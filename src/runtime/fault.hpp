@@ -10,9 +10,10 @@
 //
 // Determinism: every probabilistic decision is a *pure function* of
 // (seed, site, logical key) — a counter-based draw, not a shared-stream
-// draw — so the same plan asked about the same logical entity (handle id,
-// task id, attempt number) always answers the same way regardless of
-// thread interleaving. See docs/FAILURE_MODEL.md for the exact guarantee.
+// draw — so the same plan asked about the same logical entity (a region's
+// owner name and put ordinal, task id, attempt number) always answers the
+// same way regardless of thread interleaving. See docs/FAILURE_MODEL.md for the
+// exact guarantee.
 //
 // The plan is immutable after construction except for its injection
 // counters (atomics); all methods are thread-safe. Faults off is a plan
@@ -27,6 +28,7 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace hia {
@@ -95,7 +97,8 @@ struct RetryPolicy {
 struct FaultPlanConfig {
   uint64_t seed = 1;
 
-  // Frame faults on the DART wire (keyed by handle id + attempt).
+  // Frame faults on the DART wire (keyed by owner name + the owner's put
+  // ordinal + attempt).
   double frame_drop_prob = 0.0;
   double frame_corrupt_prob = 0.0;
   double frame_delay_prob = 0.0;
@@ -192,9 +195,14 @@ class FaultPlan {
     size_t corrupt_byte = 0;  // index into the frame (modulo its size)
     double delay_s = 0.0;     // extra modeled seconds
   };
-  /// Decision for transfer attempt `attempt` of the region `handle_id`;
-  /// updates the injection stats for whatever fires.
-  FrameFault frame_fault(uint64_t handle_id, int attempt) const;
+  /// Decision for transfer attempt `attempt` of the `put`-th region (from
+  /// 0) published by the node named `owner`; updates the injection stats
+  /// for whatever fires. Not keyed on handle or node ids, which follow the
+  /// order in which threads happen to register and put, so a seeded run
+  /// injects the same faults every time; nor on the bytes, so regions with
+  /// equal contents draw independently.
+  FrameFault frame_fault(std::string_view owner, uint64_t put,
+                         int attempt) const;
 
   // ---- Staging-task faults ----
 

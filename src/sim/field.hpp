@@ -6,6 +6,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <span>
 #include <string>
 #include <utility>
@@ -92,5 +93,43 @@ class Field {
   Box3 storage_;
   std::vector<double> data_;
 };
+
+/// Streams the owned values of `fields` (all over one owned box) in
+/// storage order, x fastest, through one stack buffer of kChunk values per
+/// field: fn gets one span per field for each full buffer, then one for
+/// the rest. Field f's spans, end to end, are f.pack_owned(), so a learn
+/// that chunks at kChunk gives the learn of the packed block bit for bit.
+template <size_t kChunk, size_t N, class Fn>
+void stream_owned(const std::array<const Field*, N>& fields, Fn&& fn) {
+  const Box3& box = fields[0]->owned();
+  for (const Field* f : fields) {
+    HIA_REQUIRE(f->owned() == box, "fields must share the owned box");
+  }
+  if (box.empty()) return;
+  double buffer[N][kChunk];
+  size_t filled = 0;
+  const auto flush = [&] {
+    std::array<std::span<const double>, N> chunks;
+    for (size_t f = 0; f < N; ++f) chunks[f] = {buffer[f], filled};
+    fn(chunks);
+    filled = 0;
+  };
+  const auto row = static_cast<size_t>(box.extent(0));
+  for (int64_t k = box.lo[2]; k < box.hi[2]; ++k) {
+    for (int64_t j = box.lo[1]; j < box.hi[1]; ++j) {
+      for (size_t done = 0; done < row;) {
+        const size_t take = std::min(row - done, kChunk - filled);
+        const int64_t i = box.lo[0] + static_cast<int64_t>(done);
+        for (size_t f = 0; f < N; ++f) {
+          std::copy_n(fields[f]->ptr(i, j, k), take, buffer[f] + filled);
+        }
+        filled += take;
+        done += take;
+        if (filled == kChunk) flush();
+      }
+    }
+  }
+  if (filled > 0) flush();
+}
 
 }  // namespace hia

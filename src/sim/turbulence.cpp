@@ -5,6 +5,7 @@
 #include <numbers>
 
 #include "util/error.hpp"
+#include "util/simd.hpp"
 
 namespace hia {
 
@@ -24,22 +25,10 @@ void axis_phasors(const GlobalGrid& grid, int axis, int64_t lo, size_t count,
   }
 }
 
-// The row kernel is compiled twice, for AVX2 and for the baseline ISA,
-// and the loader picks one per CPU. AVX2 alone: the "avx512f" and
-// "arch=x86-64-v3" targets also enable FMA, into which GCC contracts
-// ca * cb - sa * sb, and that changes the velocities' bits. Not under
-// ThreadSanitizer: GCC instruments the clones' ifunc resolver with
-// __tsan_func_entry, and the loader runs the resolver before the TSan
-// runtime starts, so the program would crash at load.
-#if defined(__x86_64__) && !defined(__SANITIZE_THREAD__)
-#define HIA_CLONE_AVX2 __attribute__((target_clones("avx2", "default")))
-#else
-#define HIA_CLONE_AVX2
-#endif
-
 /// One x row of sample(): cell n < nx gets the sum over modes m of
 /// amp[m] * (xc[m][n] cb[m] - xs[m][n] sb[m]), where xc and xs are
-/// mode-major tables of row stride nxp (a whole number of blocks).
+/// mode-major tables of row stride nxp (a whole number of blocks). Cloned
+/// for AVX2 and the baseline ISA with the same bits (util/simd.hpp).
 HIA_CLONE_AVX2
 void sum_row(size_t nx, size_t nxp, size_t nm, const double* xc,
              const double* xs, const double* cb, const double* sb,

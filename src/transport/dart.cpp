@@ -114,6 +114,7 @@ DartHandle Dart::publish(int owner_node, std::vector<std::byte> wire,
     id = next_handle_++;
     Region region{owner_node, std::move(wire), raw_bytes, encoded};
     region.tenant = tenant;
+    region.put = it->second.puts++;
     // CRC stamping happens only under frame faults, so the fault-free
     // wire path stays byte-identical to the baseline.
     if (faults_.frame_faults_enabled()) {
@@ -150,6 +151,8 @@ std::vector<std::byte> Dart::get(int dest_node, const DartHandle& handle,
 
   std::vector<std::byte> data;
   uint32_t crc = 0;
+  std::string owner;  // the owner node's name, under frame faults only
+  uint64_t put = 0;   // the region's ordinal among its owner's puts
   int tenant = -1;
   size_t raw_bytes = 0;
   bool encoded = false;
@@ -173,12 +176,14 @@ std::vector<std::byte> Dart::get(int dest_node, const DartHandle& handle,
       raw_bytes = rit->second.raw_bytes;
       encoded = rit->second.encoded;
       crc = rit->second.crc;
+      put = rit->second.put;
+      if (frame_faults) owner = nodes_.at(rit->second.owner_node).name;
     }
 
     // The fault layer's verdict for this transfer attempt (deterministic
-    // per (handle, attempt); see FaultPlan).
+    // per (owner name, the owner's put ordinal, attempt); see FaultPlan).
     FaultPlan::FrameFault fault;
-    if (frame_faults) fault = faults_.frame_fault(handle.id, attempt);
+    if (frame_faults) fault = faults_.frame_fault(owner, put, attempt);
 
     // Model the wire cost outside the lock so concurrent gets overlap.
     // Every attempt — including ones that end up dropped or corrupted —

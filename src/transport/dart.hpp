@@ -168,11 +168,15 @@ class Dart {
     bool encoded = false;
     uint32_t crc = 0;  // frame checksum, stamped under frame faults only
     int tenant = 0;    // whose ledger the credit charge sits on
+    uint64_t put = 0;  // ordinal among the owner's puts: the frame-fault key
   };
 
   struct NodeState {
     std::string name;
     bool registered = false;
+    // Puts so far. Each rank puts from its own thread in program order, so
+    // a region's ordinal is the same in every run of one configuration.
+    uint64_t puts = 0;
   };
 
   /// The publish body of every put: admission on the wire bytes, the

@@ -6,6 +6,8 @@
 // partition that cannot telescope must be flagged, never fudged.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <string>
 #include <vector>
 
@@ -28,8 +30,10 @@ class AttribTest : public ::testing::Test {
     obs::set_events_capacity(16384);
   }
 
+  // Per process: two test binaries run side by side share TempDir(), and
+  // one must never remove or rewrite another's spill.
   static std::string temp_path(const char* name) {
-    return ::testing::TempDir() + name;
+    return ::testing::TempDir() + std::to_string(::getpid()) + "_" + name;
   }
 };
 

@@ -7,6 +7,8 @@
 // pairs stay well-nested under tenant-thread interleaving.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <array>
 #include <condition_variable>
 #include <cstdio>
@@ -47,8 +49,10 @@ class EventsTest : public ::testing::Test {
     obs::set_events_capacity(obs::kDefaultEventsCapacity);
   }
 
+  // Per process: two test binaries run side by side share TempDir(), and
+  // one must never remove or rewrite another's spill.
   static std::string temp_path(const char* name) {
-    return ::testing::TempDir() + name;
+    return ::testing::TempDir() + std::to_string(::getpid()) + "_" + name;
   }
 };
 

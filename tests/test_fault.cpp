@@ -4,6 +4,7 @@
 // kills and crashes, and concurrent injection (TSan-clean).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <map>
@@ -99,8 +100,8 @@ TEST(FaultPlanDraws, SameSeedSameDecisions) {
   const FaultPlan b(cfg);
   for (uint64_t key = 1; key <= 500; ++key) {
     for (int attempt = 1; attempt <= 3; ++attempt) {
-      const auto fa = a.frame_fault(key, attempt);
-      const auto fb = b.frame_fault(key, attempt);
+      const auto fa = a.frame_fault("sim-2", key, attempt);
+      const auto fb = b.frame_fault("sim-2", key, attempt);
       EXPECT_EQ(fa.drop, fb.drop);
       EXPECT_EQ(fa.corrupt, fb.corrupt);
       EXPECT_EQ(fa.corrupt_byte, fb.corrupt_byte);
@@ -200,6 +201,56 @@ TEST(FaultDart, CrcCatchesCorruptionAndRetransmits) {
   EXPECT_GT(counters.crc_failures, 0u);
   EXPECT_GT(counters.recovered_bytes, 0u);
   EXPECT_EQ(counters.crc_failures, plan.stats().frames_corrupted);
+}
+
+TEST(FaultDart, VerdictsFollowEachOwnersPutsNotTheInterleaving) {
+  // Rank threads register and put in whatever order they reach the
+  // staging area, so node and handle ids differ from run to run; a
+  // region's verdicts must not. Every region carries the same bytes: equal
+  // contents must not share a verdict either.
+  const FaultPlan plan(FaultPlan::parse_spec("drop=0.3,corrupt=0.3,seed=4"));
+  constexpr int kPerOwner = 12;
+  const std::vector<double> payload(64, 0.25);
+  // Retries of each owner's puts, in put order: owners "a" and "b"
+  // registered in either order, their puts alternating or "b"'s first.
+  const auto retries = [&](bool reversed) {
+    NetworkModel net;
+    Dart dart(net, {.faults = &plan});
+    const int dst = dart.register_node("dst");
+    const int first = dart.register_node(reversed ? "b" : "a");
+    const int second = dart.register_node(reversed ? "a" : "b");
+    const int a = reversed ? second : first;
+    const int b = reversed ? first : second;
+    std::vector<DartHandle> of_a, of_b;
+    for (int i = 0; i < kPerOwner; ++i) {
+      if (reversed) {
+        of_b.push_back(dart.put_doubles(b, payload));
+      } else {
+        of_a.push_back(dart.put_doubles(a, payload));
+        of_b.push_back(dart.put_doubles(b, payload));
+      }
+    }
+    if (reversed) {
+      for (int i = 0; i < kPerOwner; ++i) {
+        of_a.push_back(dart.put_doubles(a, payload));
+      }
+    }
+    std::vector<int> out;
+    for (const auto* handles : {&of_a, &of_b}) {
+      for (const DartHandle& h : *handles) {
+        TransferStats stats;
+        EXPECT_EQ(dart.get_doubles(dst, h, &stats), payload);
+        out.push_back(stats.retries);
+      }
+    }
+    return out;
+  };
+  const std::vector<int> forward = retries(false);
+  EXPECT_EQ(retries(true), forward);
+  const auto faulted = std::count_if(forward.begin(), forward.end(),
+                                     [](int n) { return n > 0; });
+  EXPECT_GT(faulted, 0);
+  EXPECT_LT(faulted, 2 * kPerOwner);
 }
 
 TEST(FaultDart, NullPlanLeavesWireUntouched) {
@@ -828,7 +879,7 @@ TEST(FaultPlanDraws, ConcurrentInjectionIsRaceFree) {
       uint64_t drops = 0;
       for (uint64_t i = 1; i <= kIters; ++i) {
         const uint64_t key = static_cast<uint64_t>(t) * kIters + i;
-        if (plan.frame_fault(key, 1).drop) ++drops;
+        if (plan.frame_fault("sim", key, 1).drop) ++drops;
         (void)plan.task_fails(key, 1);
         (void)plan.backoff_seconds(key, 2);
       }
@@ -846,7 +897,7 @@ TEST(FaultPlanDraws, ConcurrentInjectionIsRaceFree) {
   for (int t = 0; t < kThreads; ++t) {
     for (uint64_t i = 1; i <= kIters; ++i) {
       const uint64_t key = static_cast<uint64_t>(t) * kIters + i;
-      if (replay.frame_fault(key, 1).drop) ++replay_drops;
+      if (replay.frame_fault("sim", key, 1).drop) ++replay_drops;
     }
   }
   EXPECT_EQ(replay_drops, observed_drops.load());

@@ -3,6 +3,8 @@
 // serialization, and the hybrid pipeline.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -137,7 +139,8 @@ TEST(TriangleMesh, WritesValidObj) {
   TriangleMesh m;
   m.vertices = {{0, 0, 0}, {1, 0, 0}, {0, 1, 0}};
   m.triangles = {{0, 1, 2}};
-  const std::string path = ::testing::TempDir() + "/hia_test.obj";
+  const std::string path = ::testing::TempDir() + "/hia_test_" +
+                           std::to_string(::getpid()) + ".obj";
   write_obj(m, path);
   std::ifstream in(path);
   std::string line;

@@ -4,6 +4,7 @@
 // scheduler bookkeeping matches the run configuration.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -20,6 +21,7 @@
 #include "core/topology_pipeline.hpp"
 #include "core/viz_pipeline.hpp"
 #include "obs/histogram.hpp"
+#include "util/numeric.hpp"
 
 namespace hia {
 namespace {
@@ -193,6 +195,35 @@ TEST(Pipeline, OneStatisticsAgreesUnderEveryPlacement) {
   // Hybrid stats ship a few hundred bytes per rank, not the raw data.
   EXPECT_LT(report.mean_movement_bytes("stats-hybrid"),
             static_cast<double>(report.solution_bytes_per_step) / 100.0);
+}
+
+TEST(StatsPlacements, HybridAndInTransitAgreeBitForBit) {
+  // A rank's partial is the learn of its packed owned block, and the
+  // in-transit fold learns each pulled block into a partial of its own
+  // before merging it, in the store's one input order: the two staged
+  // placements derive from the same global model.
+  for (const std::array<int, 3> layout :
+       {std::array{2, 2, 1}, std::array{2, 2, 2}, std::array{3, 1, 1}}) {
+    RunConfig cfg = small_config(2);
+    cfg.sim.grid = GlobalGrid{{50, 32, 24}, {1.0, 0.75, 0.75}};
+    cfg.sim.ranks_per_axis = layout;
+    HybridRunner runner(cfg);
+    auto hybrid = std::make_shared<Statistics>(Placement::kHybrid);
+    auto raw = std::make_shared<Statistics>(Placement::kInTransit);
+    runner.add_analysis(hybrid);
+    runner.add_analysis(raw);
+    (void)runner.run();
+    const std::vector<double> h =
+        to_doubles(serialize_models(hybrid->latest_models()));
+    const std::vector<double> r =
+        to_doubles(serialize_models(raw->latest_models()));
+    ASSERT_EQ(h.size(), static_cast<size_t>(kNumVariables) * 8);
+    for (size_t i = 0; i < h.size(); ++i) {
+      EXPECT_EQ(h[i], r[i]) << layout[0] << "x" << layout[1] << "x"
+                            << layout[2] << " "
+                            << kVariableNames[i / 8] << " field " << i % 8;
+    }
+  }
 }
 
 TEST(Latest, KeepsTheNewestStepWhateverTheOfferOrder) {

@@ -7,6 +7,8 @@
 // fail-closed contract on spills with dropped records.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -40,8 +42,10 @@ class PlannerTest : public ::testing::Test {
     obs::set_events_capacity(16384);
   }
 
+  // Per process: two test binaries run side by side share TempDir(), and
+  // one must never remove or rewrite another's spill.
   static std::string temp_path(const char* name) {
-    return ::testing::TempDir() + name;
+    return ::testing::TempDir() + std::to_string(::getpid()) + "_" + name;
   }
 };
 

@@ -409,6 +409,18 @@ TEST(CampaignServiceTest, TwoTenantCampaignsEndToEnd) {
   EXPECT_NE(table.find("monitoring"), std::string::npos);
 }
 
+TEST(CampaignServiceTest, ShareErrorCountsOnlyTenantsThatHeldABucket) {
+  TenantRunRow busy;
+  busy.bucket_seconds = 2.0;
+  busy.share_observed = 1.0;
+  busy.share_target = 0.75;
+  TenantRunRow idle;  // no in-transit work: no share to err
+  idle.share_target = 0.25;
+  EXPECT_EQ(max_share_error({busy, idle}), 0.25);
+  EXPECT_EQ(max_share_error({idle}), std::nullopt);
+  EXPECT_EQ(max_share_error({}), std::nullopt);
+}
+
 // Three tenants share a staging layer that loses a bucket *and* an
 // object-store server mid-campaign, ungracefully. The drill asserts the
 // crash-recovery contract end to end: per-tenant conservation stays exact

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <numeric>
 #include <string>
@@ -199,8 +200,8 @@ TEST(RowLearn, MatchesUpdateOnEveryMiniS3DVariable) {
         const Field& f = sim.field(static_cast<Variable>(v));
         const MomentAccumulator exact = two_pass_expectation(f.pack_owned());
         const MomentAccumulator reference = update_field(f);
-        // learn_field goes row by row; stats_learn takes the block as one
-        // run of 9216 values, i.e. several 1024-value chunks.
+        // Both take the block as one run of 9216 values, i.e. several
+        // 1024-value chunks (FieldStreamMatchesPackedLearnBitForBit).
         for (const MomentAccumulator& got :
              {learn_field(f), stats_learn(f.pack_owned())}) {
           expect_same_moments(got, exact);
@@ -213,6 +214,36 @@ TEST(RowLearn, MatchesUpdateOnEveryMiniS3DVariable) {
       for (int s = 0; s < 3; ++s) sim.advance(comm);
     }
   });
+}
+
+TEST(RowLearn, FieldStreamMatchesPackedLearnBitForBit) {
+  // learn_field streams the owned rows through 1024-value chunks, so it is
+  // the learn of the packed block, not just close to it.
+  S3DParams p;
+  p.grid = GlobalGrid{{48, 32, 24}, {1.0, 0.75, 0.75}};
+  p.ranks_per_axis = {2, 2, 1};
+  Decomposition d(p.grid, p.ranks_per_axis);
+  World world(d.num_ranks());
+  world.run([&](Comm& comm) {
+    S3DRank sim(p, comm.rank());
+    sim.initialize();
+    for (int s = 0; s < 2; ++s) sim.advance(comm);
+    for (int v = 0; v < kNumVariables; ++v) {
+      const Field& f = sim.field(static_cast<Variable>(v));
+      EXPECT_EQ(learn_field(f), stats_learn(f.pack_owned()))
+          << kVariableNames[static_cast<size_t>(v)] << " rank "
+          << comm.rank();
+    }
+  });
+  // Rows of 37 values straddle every chunk boundary; rows of 1500 values
+  // span whole chunks.
+  for (const Box3& box :
+       {Box3{{0, 0, 0}, {37, 5, 7}}, Box3{{-3, 2, 0}, {1497, 4, 1}}}) {
+    const std::vector<double> xs =
+        random_data(static_cast<size_t>(box.num_cells()), 17, 2.0, 40.0);
+    const Field f = field_of(box, xs);
+    EXPECT_EQ(learn_field(f), stats_learn(xs)) << box.extent(0);
+  }
 }
 
 TEST(RowLearn, ConstantRunsHaveExactlyZeroCentredSums) {
@@ -229,8 +260,8 @@ TEST(RowLearn, ConstantRunsHaveExactlyZeroCentredSums) {
       EXPECT_EQ(acc.max(), c);
     }
   }
-  // Rows that are each constant: every row merges with zero centred sums,
-  // so the box's moments are the spread of the row values alone.
+  // Rows that are each constant: the box's moments are the spread of the
+  // row values alone; a constant box has exactly zero centred sums.
   const Box3 box{{0, 0, 0}, {37, 4, 3}};
   std::vector<double> xs;
   for (int row = 0; row < 12; ++row) xs.insert(xs.end(), 37, 0.1 * row);
@@ -305,6 +336,58 @@ TEST(RowLearn, MagnitudesFromTinyToHuge) {
   const MomentAccumulator want = two_pass_expectation(xs);
   expect_same_moments(stats_learn(xs), want);
   expect_same_moments(learn_field(field_of(box, xs)), want);
+}
+
+/// FNV-1a over the bit patterns of `values`, continuing from `hash`.
+uint64_t fnv1a(uint64_t hash, std::span<const double> values) {
+  for (const double x : values) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &x, sizeof(bits));
+    for (int b = 0; b < 8; ++b) {
+      hash = (hash ^ ((bits >> (8 * b)) & 0xffU)) * 0x100000001b3ULL;
+    }
+  }
+  return hash;
+}
+
+constexpr uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+constexpr size_t kDigestLengths[] = {1,  3,    4,    5,    47,
+                                     48, 1023, 1024, 1025, 2500};
+
+/// The seeded inputs of the recorded digests: unit normals, 1e-3 noise on
+/// a 1e8 offset, and |x| from 1e-300 to 1e70 in both signs.
+std::vector<std::vector<double>> digest_inputs(size_t n, uint64_t seed) {
+  std::vector<double> wide(n);
+  Xoshiro256 rng(seed);
+  for (double& x : wide) {
+    x = std::pow(10.0, -300.0 + 370.0 * rng.uniform()) *
+        (rng.uniform() < 0.5 ? -1.0 : 1.0);
+  }
+  return {random_data(n, seed), random_data(n, seed + 1, 1e-3, 1e8), wide};
+}
+
+TEST(RowLearn, LearnMatchesRecordedBits) {
+  // Every output bit of learn(), fresh and merged into a one-chunk model,
+  // against a constant recorded from the scalar four-lane kernel: a kernel
+  // change that moves one bit (a reordered sum, a contracted multiply-add)
+  // fails here.
+  constexpr uint64_t kRecorded = 0x3d4b15b9a0651c52ULL;
+  uint64_t hash = kFnvBasis;
+  for (const size_t n : kDigestLengths) {
+    for (const std::vector<double>& xs : digest_inputs(n, 40 + n)) {
+      MomentAccumulator fresh;
+      fresh.learn(xs);
+      MomentAccumulator merged;
+      merged.learn(random_data(1024, n));
+      merged.learn(xs);
+      for (const MomentAccumulator& acc : {fresh, merged}) {
+        double packed[MomentAccumulator::kPackedSize];
+        acc.pack(packed);
+        hash = fnv1a(hash, packed);
+      }
+    }
+  }
+  EXPECT_EQ(hash, kRecorded) << std::hex << "digest 0x" << hash;
 }
 
 TEST(Derive, KnownDistributions) {
@@ -432,6 +515,19 @@ TEST(CovarianceRowLearn, MatchesUpdateOnMiniS3DFields) {
   });
 }
 
+TEST(CovarianceRowLearn, FieldStreamMatchesPackedLearnBitForBit) {
+  for (const Box3& box :
+       {Box3{{0, 0, 0}, {37, 5, 7}}, Box3{{-3, 2, 0}, {1497, 4, 1}}}) {
+    const auto n = static_cast<size_t>(box.num_cells());
+    const std::vector<double> xs = random_data(n, 18, 2.0, 40.0);
+    const std::vector<double> ys = random_data(n, 19, 0.5, -3.0);
+    EXPECT_EQ(correlation_learn_fields(field_of(box, xs), field_of(box, ys))
+                  .serialize(),
+              correlation_learn(xs, ys).serialize())
+        << box.extent(0);
+  }
+}
+
 TEST(CovarianceRowLearn, ConstantSideHasExactlyZeroSpread) {
   for (const double c : {0.1, -1.0 / 3.0, 7.0e5}) {
     const std::vector<double> x(1500, c);
@@ -445,6 +541,29 @@ TEST(CovarianceRowLearn, ConstantSideHasExactlyZeroSpread) {
     EXPECT_EQ(m.slope, 0.0);
     EXPECT_EQ(m.pearson_r, 0.0);
   }
+}
+
+TEST(CovarianceRowLearn, LearnMatchesRecordedBits) {
+  // The bivariate twin of RowLearn.LearnMatchesRecordedBits: every pairing
+  // of the three input kinds, fresh and merged into a one-chunk model.
+  constexpr uint64_t kRecorded = 0x64d72f6efb7d7780ULL;
+  uint64_t hash = kFnvBasis;
+  for (const size_t n : kDigestLengths) {
+    const std::vector<std::vector<double>> in = digest_inputs(n, 70 + n);
+    for (const std::vector<double>& x : in) {
+      for (const std::vector<double>& y : in) {
+        CovarianceAccumulator fresh;
+        fresh.learn(x, y);
+        CovarianceAccumulator merged;
+        merged.learn(random_data(1024, n), random_data(1024, n + 1));
+        merged.learn(x, y);
+        for (const CovarianceAccumulator& acc : {fresh, merged}) {
+          hash = fnv1a(hash, acc.serialize());
+        }
+      }
+    }
+  }
+  EXPECT_EQ(hash, kRecorded) << std::hex << "digest 0x" << hash;
 }
 
 TEST(Autocorrelation, PeriodicSignal) {

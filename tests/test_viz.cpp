@@ -5,6 +5,8 @@
 // as the reference.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -512,7 +514,8 @@ TEST(Image, SerializeRoundTrip) {
 TEST(Image, WritesValidPpm) {
   Image img(4, 4);
   img.at(0, 0) = {1, 0, 0, 1};
-  const std::string path = ::testing::TempDir() + "/hia_test.ppm";
+  const std::string path = ::testing::TempDir() + "/hia_test_" +
+                           std::to_string(::getpid()) + ".ppm";
   write_ppm(img, path);
   std::ifstream in(path, std::ios::binary);
   ASSERT_TRUE(in.good());
@@ -531,7 +534,8 @@ TEST(Image, WritesNanPixelsAsBlack) {
   Image img(2, 1);
   img.at(0, 0) = {std::nanf(""), 0.5f, 2.0f, 1.0f};
   img.at(1, 0) = {0.0f, 0.0f, 0.0f, std::nanf("")};
-  const std::string path = ::testing::TempDir() + "/hia_nan.ppm";
+  const std::string path = ::testing::TempDir() + "/hia_nan_" +
+                           std::to_string(::getpid()) + ".ppm";
   write_ppm(img, path, 0.5f);
   std::ifstream in(path, std::ios::binary);
   std::string header;
