@@ -68,7 +68,6 @@ inline void shape_check(const char* description, bool ok) {
 
 /// The shared bench harness for the obs layer. Scans argv for
 ///   --trace <out.json>      Chrome trace (enables the tracer)
-///   --metrics <out.txt>     Prometheus text dump (enables the tracer)
 ///   --summary <out.json>    RunSummary path (default BENCH_<bench>_summary.json)
 ///   --obs-sample-hz <hz>    background gauge sampler rate (default off)
 ///   --faults <spec>         fault-injection plan for benches that build a
@@ -86,7 +85,6 @@ inline void shape_check(const char* description, bool ok) {
 struct ObsCli {
   std::string bench;  // identity stamped into the summary
   std::string trace_path;
-  std::string metrics_path;
   std::string summary_path;
   double sample_hz = 0.0;  // 0 = background sampler off
   std::string faults;      // fault-injection spec ("" = off)
@@ -109,8 +107,6 @@ struct ObsCli {
       const bool has_value = a + 1 < argc;
       if (std::strcmp(argv[a], "--trace") == 0 && has_value) {
         cli.trace_path = argv[++a];
-      } else if (std::strcmp(argv[a], "--metrics") == 0 && has_value) {
-        cli.metrics_path = argv[++a];
       } else if (std::strcmp(argv[a], "--summary") == 0 && has_value) {
         cli.summary_path = argv[++a];
       } else if (std::strcmp(argv[a], "--obs-sample-hz") == 0 && has_value) {
@@ -124,7 +120,7 @@ struct ObsCli {
       }
     }
     argc = out;
-    if (cli.enabled()) obs::enable();
+    if (!cli.trace_path.empty()) obs::enable();
     // Default gauge so every summary has a time series; first sample now,
     // last one in finish().
     const double start_us = obs::now_us();
@@ -137,10 +133,6 @@ struct ObsCli {
       obs::sample_now();
     }
     return cli;
-  }
-
-  [[nodiscard]] bool enabled() const {
-    return !trace_path.empty() || !metrics_path.empty();
   }
 
   /// Copies the --faults/--fault-seed flags into a RunConfig (no-op when
@@ -167,9 +159,6 @@ struct ObsCli {
     obs::sample_now();
     if (!trace_path.empty() && obs::write_chrome_trace(trace_path)) {
       std::printf("trace written to %s\n", trace_path.c_str());
-    }
-    if (!metrics_path.empty() && obs::write_metrics(metrics_path)) {
-      std::printf("metrics written to %s\n", metrics_path.c_str());
     }
     if (!summary_path.empty() && obs::write_run_summary(summary_path, summary)) {
       std::printf("run summary written to %s\n", summary_path.c_str());

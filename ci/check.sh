@@ -2,9 +2,10 @@
 # The full CI gate:
 #   1. tier-1: default build with warnings as errors (-DHIA_WERROR=ON) +
 #      full ctest suite, its output logged to ci/artifacts/ctest.log
-#   2. traced smoke: hia_campaign with --trace/--metrics/--summary, gated
-#      by trace_lint (trace pairing, Prometheus exposition, RunSummary
-#      schema with >=1 histogram and >=1 gauge series)
+#   2. traced smoke: hia_campaign with --trace/--summary, gated by
+#      trace_lint (trace pairing, RunSummary schema with >=1 histogram and
+#      >=1 gauge series); the summary must carry a staging_tasks_completed
+#      counter above 0 and the recorder's trace_dropped_events counter
 #   3. events gate: a recorded multi-tenant campaign (--events +
 #      --status-interval + --attrib) must produce an hia-events-v1 file
 #      that events_lint validates (framing, schema, timestamp
@@ -34,6 +35,11 @@
 #      --replicas 2) on fault seeds 1-8; each run's RunSummary must read
 #      exactly one expired lease, one re-executed task and one fenced
 #      zombie, events_lint 0 dropped, and --attrib "all partitions exact"
+#   3e. resilience leg: one seeded frame- and task-fault plan run at
+#      --buckets 1 and at --buckets 4; both RunSummaries must read the same
+#      crc_failures, frame_retransmits, recovered_bytes, task_retries and
+#      tasks_completed (fault draws are keyed on data identity, not on
+#      bucket count or thread timing)
 #   4. replay gate: tools/hia_plan replays the same spill under its own
 #      recorded configuration (--calibrate) and must reproduce the
 #      measured makespan within tolerance, then sweeps buckets=1..8;
@@ -78,7 +84,7 @@
 #      TSan over the concurrent paths (see ci/sanitize.sh; sanitizer runs
 #      skip the perf gate — their timings are not comparable to baseline)
 #
-# Artifacts (RunSummary JSONs, Chrome trace, metrics dump) are archived
+# Artifacts (RunSummary JSONs, Chrome trace) are archived
 # under ci/artifacts/ for post-mortem reading.
 #
 #   ci/check.sh              # everything
@@ -101,23 +107,25 @@ cmake --build --preset default -j "$(nproc)"
 # after the run.
 ctest --preset default -j "$(nproc)" --output-log "$artifact_dir/ctest.log"
 
-echo "==> traced smoke: hia_campaign --trace/--metrics/--summary + trace_lint"
+echo "==> traced smoke: hia_campaign --trace/--summary + trace_lint"
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
 ./build/examples/hia_campaign --steps 2 --analyses stats,viz,topo \
   --obs-sample-hz 20 \
-  --trace "$smoke_dir/trace.json" --metrics "$smoke_dir/metrics.txt" \
+  --trace "$smoke_dir/trace.json" \
   --summary "$smoke_dir/campaign_summary.json" \
   > "$smoke_dir/stdout.txt"
 ./build/examples/trace_lint "$smoke_dir/trace.json"
-./build/examples/trace_lint --metrics "$smoke_dir/metrics.txt"
 ./build/examples/trace_lint --summary "$smoke_dir/campaign_summary.json"
-grep -q '^hia_staging_tasks_completed' "$smoke_dir/metrics.txt" || {
-  echo "metrics dump missing staging counters" >&2
-  exit 1
-}
-cp "$smoke_dir/trace.json" "$smoke_dir/metrics.txt" \
-  "$smoke_dir/campaign_summary.json" "$artifact_dir/"
+python3 - "$smoke_dir/campaign_summary.json" <<'PY' || exit 1
+import json, sys
+counters = json.load(open(sys.argv[1]))["counters"]
+if counters.get("staging_tasks_completed", {}).get("value", 0) <= 0:
+    sys.exit("traced smoke: summary lacks staging_tasks_completed > 0")
+if "trace_dropped_events" not in counters:
+    sys.exit("traced smoke: summary lacks the trace_dropped_events counter")
+PY
+cp "$smoke_dir/trace.json" "$smoke_dir/campaign_summary.json" "$artifact_dir/"
 echo "traced smoke OK"
 
 echo "==> events gate: recorded multi-tenant campaign + events_lint"
@@ -221,6 +229,31 @@ done
 cp "$smoke_dir/crash_summary.json" "$smoke_dir/crash_stdout.txt" "$artifact_dir/"
 echo "crash-drill leg OK (one reclaim, one re-execution, one fenced zombie" \
   "per seed)"
+
+echo "==> resilience leg: one seeded fault plan, one resilience block"
+for buckets in 1 4; do
+  ./build/examples/hia_campaign --steps 3 --analyses stats,topo,viz \
+    --buckets "$buckets" \
+    --faults "drop=0.1,corrupt=0.1,task-fail=0.2,attempts=3" --fault-seed 4 \
+    --summary "$smoke_dir/resilience_b$buckets.json" \
+    > "$smoke_dir/resilience_b${buckets}_stdout.txt"
+done
+python3 - "$smoke_dir/resilience_b1.json" "$smoke_dir/resilience_b4.json" \
+  <<'PY' || exit 1
+import json, sys
+keys = ("crc_failures", "frame_retransmits", "recovered_bytes",
+        "task_retries", "tasks_completed")
+runs = [json.load(open(path))["metrics"] for path in sys.argv[1:]]
+for key in keys:
+    values = [run.get(key) for run in runs]
+    if values[0] is None or values.count(values[0]) != len(values):
+        sys.exit(f"resilience leg: {key} = {values} at --buckets 1 and 4")
+print("resilience block:",
+      ", ".join(f"{key} {runs[0][key]:g}" for key in keys))
+PY
+cp "$smoke_dir/resilience_b1.json" "$smoke_dir/resilience_b4.json" \
+  "$artifact_dir/"
+echo "resilience leg OK (same resilience block at --buckets 1 and 4)"
 
 echo "==> replay gate: hia_plan calibration + bucket sweep vs bench/baselines"
 ./build/tools/events_lint --stats "$smoke_dir/events.bin" \

@@ -7,7 +7,7 @@
 //   hia_campaign --steps 10 --analyses stats,viz,topo
 //   hia_campaign --grid 64x48x32 --ranks 2x2x2 --buckets 8
 //                --analyses all --frequency 2 --output-dir campaign_out
-//   hia_campaign --steps 5 --trace trace.json --metrics metrics.txt
+//   hia_campaign --steps 5 --trace trace.json --summary summary.json
 //   hia_campaign --list
 #include <algorithm>
 #include <atomic>
@@ -66,7 +66,6 @@ struct Options {
   int pool_max = 0;
   std::string output_dir;
   std::string trace_path;
-  std::string metrics_path;
   std::string summary_path;
   std::string events_path;
   bool attrib = false;
@@ -130,8 +129,6 @@ bool parse_triple(const char* arg, int64_t out[3]) {
       "  --output-dir DIR    write PPM/OBJ artifacts there\n"
       "  --trace FILE        write a Chrome trace-event JSON (load in\n"
       "                      Perfetto / chrome://tracing)\n"
-      "  --metrics FILE      write a flat Prometheus-style counter dump\n"
-      "                      (per-tenant series carry {tenant=\"N\"} labels)\n"
       "  --events FILE       write the flight recorder's structured event\n"
       "                      log (binary hia-events-v1; validate with\n"
       "                      events_lint, which checks the per-tenant\n"
@@ -208,8 +205,6 @@ Options parse(int argc, char** argv) {
       opt.output_dir = need("--output-dir");
     } else if (std::strcmp(argv[a], "--trace") == 0) {
       opt.trace_path = need("--trace");
-    } else if (std::strcmp(argv[a], "--metrics") == 0) {
-      opt.metrics_path = need("--metrics");
     } else if (std::strcmp(argv[a], "--summary") == 0) {
       opt.summary_path = need("--summary");
     } else if (std::strcmp(argv[a], "--events") == 0) {
@@ -475,9 +470,7 @@ int main(int argc, char** argv) {
     report_names.push_back(entry->make(opt)->name());
   }
 
-  if (!opt.trace_path.empty() || !opt.metrics_path.empty()) {
-    obs::enable();
-  }
+  if (!opt.trace_path.empty()) obs::enable();
   obs::sample_now();  // t=0 point for every gauge series
   if (opt.sample_hz > 0.0) obs::start_sampler(opt.sample_hz);
 
@@ -648,10 +641,6 @@ int main(int argc, char** argv) {
     if (!obs::write_chrome_trace(opt.trace_path)) return 1;
     std::printf("trace written to %s (load in https://ui.perfetto.dev)\n",
                 opt.trace_path.c_str());
-  }
-  if (!opt.metrics_path.empty()) {
-    if (!obs::write_metrics(opt.metrics_path)) return 1;
-    std::printf("metrics written to %s\n", opt.metrics_path.c_str());
   }
   bool events_ok = true;
   if (!opt.events_path.empty()) {

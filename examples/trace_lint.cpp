@@ -1,12 +1,8 @@
-// trace_lint — validates the obs layer's exported artifacts:
+// trace_lint — validates the obs layer's two exported artifacts:
 //
 //   trace_lint <trace.json>          Chrome trace-event JSON: every 'B'
 //                                    event has a matching, correctly
 //                                    nested 'E' on its (pid, tid) track.
-//   trace_lint --metrics <file>      Prometheus text exposition: every
-//                                    sample has a # TYPE, histogram
-//                                    buckets are cumulative/ascending and
-//                                    the +Inf bucket equals _count.
 //   trace_lint --summary <file>      RunSummary JSON (hia-run-summary-v1):
 //                                    schema-valid, with at least one
 //                                    histogram (p50/p99) and one gauge
@@ -47,18 +43,6 @@ int lint_trace(const char* path, const std::string& text) {
   return 0;
 }
 
-int lint_metrics(const char* path, const std::string& text) {
-  const hia::obs::MetricsValidation v = hia::obs::validate_metrics_text(text);
-  if (!v.ok) {
-    std::fprintf(stderr, "trace_lint: %s: INVALID: %s\n", path,
-                 v.error.c_str());
-    return 1;
-  }
-  std::printf("trace_lint: %s: OK (%zu samples, %zu histograms)\n", path,
-              v.samples, v.histograms);
-  return 0;
-}
-
 int lint_summary(const char* path, const std::string& text) {
   const hia::obs::SummaryValidation v =
       hia::obs::validate_run_summary_json(text);
@@ -90,18 +74,16 @@ int lint_summary(const char* path, const std::string& text) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* mode = "trace";
+  bool summary = false;
   const char* path = nullptr;
   if (argc == 2) {
     path = argv[1];
-  } else if (argc == 3 && (std::strcmp(argv[1], "--metrics") == 0 ||
-                           std::strcmp(argv[1], "--summary") == 0)) {
-    mode = argv[1] + 2;
+  } else if (argc == 3 && std::strcmp(argv[1], "--summary") == 0) {
+    summary = true;
     path = argv[2];
   } else {
     std::fprintf(stderr,
                  "usage: trace_lint <trace.json>\n"
-                 "       trace_lint --metrics <metrics.txt>\n"
                  "       trace_lint --summary <summary.json>\n");
     return 2;
   }
@@ -111,7 +93,5 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "trace_lint: cannot open %s\n", path);
     return 2;
   }
-  if (std::strcmp(mode, "metrics") == 0) return lint_metrics(path, text);
-  if (std::strcmp(mode, "summary") == 0) return lint_summary(path, text);
-  return lint_trace(path, text);
+  return summary ? lint_summary(path, text) : lint_trace(path, text);
 }

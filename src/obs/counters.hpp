@@ -8,7 +8,7 @@
 //
 // Gauges use add(+1)/add(-1) (queue depth, busy buckets, in-flight bytes);
 // the registry tracks the high-water mark so reports can show peaks.
-// Export as a flat Prometheus-style text dump via obs/export.hpp.
+// Every counter reaches the run's RunSummary (obs/run_summary.hpp).
 #pragma once
 
 #include <atomic>
@@ -54,7 +54,7 @@ class Counter {
 };
 
 /// Returns the counter registered under `name`, creating it on first use.
-/// Names should be prometheus-flavored: lowercase, '_'-separated.
+/// Names should be lowercase and '_'-separated.
 Counter& counter(const std::string& name);
 
 /// Labeled variant: the counter for `name` carrying `labels`. Each

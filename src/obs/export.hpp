@@ -1,9 +1,8 @@
-// Exporters for the recorder's span view and the counter registry:
-//   * Chrome trace-event JSON — loadable in Perfetto / chrome://tracing;
-//     one "process" per virtual simulation rank and one per staging bucket,
-//     named via process_name metadata events;
-//   * a flat Prometheus-style text dump of every counter (plus the span
-//     view's own drop/oversize accounting).
+// Exporter for the recorder's span view: Chrome trace-event JSON, loadable
+// in Perfetto / chrome://tracing, with one "process" per virtual simulation
+// rank and one per staging bucket, named via process_name metadata events.
+// Counters and histograms have one rendering, the RunSummary
+// (obs/run_summary.hpp).
 //
 // Also hosts the validator the tests and ci/check.sh use to gate exported
 // traces (parses the JSON and proves every 'B' has a matching 'E'), and a
@@ -28,17 +27,6 @@ std::string chrome_trace_json();
 /// (logged through util/log).
 bool write_chrome_trace(const std::string& path);
 
-/// Prometheus-style text exposition of every registered counter plus the
-/// tracer accounting (hia_trace_dropped_events_total etc.). Gauges also
-/// report their high-water mark as <name>_max. Histograms export the
-/// standard exposition triplet: cumulative `_bucket{le="..."}` lines
-/// (sparse: boundaries where the count changes, plus le="+Inf"), `_sum`,
-/// and `_count`.
-std::string metrics_text();
-
-/// Writes metrics_text() to `path`; returns false on I/O failure.
-bool write_metrics(const std::string& path);
-
 // ---- Validation ----
 
 struct TraceValidation {
@@ -53,20 +41,6 @@ struct TraceValidation {
 /// every event has ph/pid/tid/ts, and within each (pid, tid) the B/E
 /// events nest and pair exactly.
 TraceValidation validate_chrome_trace_json(const std::string& json);
-
-struct MetricsValidation {
-  bool ok = false;
-  size_t samples = 0;     // value lines parsed
-  size_t histograms = 0;  // complete _bucket/_sum/_count triplets
-  std::string error;      // empty when ok
-};
-
-/// Validates a Prometheus-style text exposition as produced by
-/// metrics_text(): every sample line is `name value`, every series has a
-/// preceding `# TYPE`, and every histogram's buckets are cumulative,
-/// ascending in `le`, terminated by le="+Inf" whose count equals the
-/// series' `_count` line.
-MetricsValidation validate_metrics_text(const std::string& text);
 
 // ---- Trace-derived statistics (bench hooks) ----
 

@@ -1,9 +1,8 @@
 // A small fixed label set for the obs registries (counters and
 // histograms): `tenant`, `bucket`, and `site`. Labels replace the
 // name-mangling the multi-tenant service used to do ("metric_t3") with
-// proper dimensions, so the Prometheus exporter can emit
-// `hia_metric{tenant="3"}` and RunSummary can build per-label breakdown
-// tables without string surgery.
+// proper dimensions, so RunSummary can build per-label breakdown tables
+// (`"breakdowns": {"metric": {"tenant=3": ...}}`) without string surgery.
 //
 // The unlabeled instrument (`Labels{}` everywhere) is a distinct series
 // from any labeled one: hot paths keep recording into the unlabeled
@@ -45,32 +44,6 @@ struct Labels {
     if (tenant >= 0) append("tenant=" + std::to_string(tenant));
     if (bucket >= 0) append("bucket=" + std::to_string(bucket));
     if (!site.empty()) append("site=" + site);
-    return out;
-  }
-
-  /// Prometheus label-pair rendering without braces: `tenant="3",site="x"`.
-  /// Empty string for the unlabeled set. Set names are fixed and legal;
-  /// the free-form `site` value is escaped by the exporter.
-  [[nodiscard]] std::string prometheus_pairs() const {
-    std::string out;
-    auto append = [&out](const std::string& part) {
-      if (!out.empty()) out += ',';
-      out += part;
-    };
-    if (tenant >= 0) append("tenant=\"" + std::to_string(tenant) + "\"");
-    if (bucket >= 0) append("bucket=\"" + std::to_string(bucket) + "\"");
-    if (!site.empty()) {
-      std::string escaped;
-      for (char c : site) {
-        if (c == '\\' || c == '"') escaped += '\\';
-        if (c == '\n') {
-          escaped += "\\n";
-          continue;
-        }
-        escaped += c;
-      }
-      append("site=\"" + escaped + "\"");
-    }
     return out;
   }
 };

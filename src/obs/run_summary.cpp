@@ -4,11 +4,13 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <utility>
 
 #include "obs/counters.hpp"
 #include "obs/histogram.hpp"
 #include "obs/json.hpp"
 #include "obs/timeseries.hpp"
+#include "obs/trace.hpp"
 #include "util/log.hpp"
 
 namespace hia::obs {
@@ -59,10 +61,23 @@ std::string run_summary_json(const RunSummary& meta) {
     out += ",\n";
   }
 
+  // The recorder's own loss counts ride with the registry's counters
+  // (value = max: both only grow until the next reset_events).
+  std::vector<CounterSample> counters = counters_snapshot();
+  for (const auto& [name, n] :
+       {std::pair{"trace_dropped_events", dropped_trace_records()},
+        std::pair{"trace_oversized_names", oversized_names()}}) {
+    const auto v = static_cast<int64_t>(n);
+    counters.push_back({name, Labels{}, v, v});
+  }
+  std::sort(counters.begin(), counters.end(),
+            [](const CounterSample& a, const CounterSample& b) {
+              return a.name < b.name;
+            });
   out += "  \"counters\": {";
   {
     bool first = true;
-    for (const CounterSample& c : counters_snapshot()) {
+    for (const CounterSample& c : counters) {
       if (!first) out += ",";
       first = false;
       out += "\n    \"";

@@ -1,7 +1,8 @@
 // RunSummary: the unified per-run telemetry artifact every bench emits
 // (schema "hia-run-summary-v1"). One JSON object carrying
 //   * bench-specific scalar metrics (makespan, utilization, ...),
-//   * every registered counter (value + high-water mark),
+//   * every registered counter (value + high-water mark), plus the
+//     recorder's loss counts trace_dropped_events and trace_oversized_names,
 //   * every histogram (count/sum/min/max, p50/p90/p99, sparse buckets),
 //   * every gauge time series (dual-clock samples),
 //   * optional per-metric relative tolerances (baseline files only).
@@ -18,7 +19,9 @@
 //     "bench": "fig5_scheduler",
 //     "metrics":    {"makespan_s": 0.28, ...},
 //     "tolerances": {"makespan_s": 0.50, "default": 0.35},   // baselines
-//     "counters":   {"staging_tasks_completed": {"value": 12, "max": 12}},
+//     "counters":   {"staging_tasks_completed": {"value": 12, "max": 12},
+//                    "trace_dropped_events": {"value": 0, "max": 0},
+//                    "trace_oversized_names": {"value": 0, "max": 0}, ...},
 //     "histograms": {"staging_queue_wait_s": {
 //         "count": 12, "sum": ..., "min": ..., "max": ...,
 //         "p50": ..., "p90": ..., "p99": ...,

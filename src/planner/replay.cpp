@@ -492,10 +492,24 @@ bool parse_sweep(const std::string& spec, SweepSpec* out,
     if (hi < lo) {
       return fail("sweep range is empty (hi < lo) in '" + spec + "'");
     }
-    for (double v = lo; v <= hi + 1e-9 * std::max(1.0, std::fabs(hi));
-         v += step) {
+    // Count the values before making any: a range of 10^12 steps, or one
+    // whose step is lost in rounding, must fail here, not allocate.
+    const double last =
+        std::floor((hi + 1e-9 * std::max(1.0, std::fabs(hi)) - lo) / step);
+    if (!(last < static_cast<double>(kMaxSweepScenarios))) {
+      return fail("sweep range in '" + spec + "' has more than " +
+                  std::to_string(kMaxSweepScenarios) + " values");
+    }
+    double prev = lo;
+    for (size_t k = 0; k <= static_cast<size_t>(last); ++k) {
+      const double v = lo + static_cast<double>(k) * step;
+      if (k > 0 && !(v > prev)) {
+        return fail("sweep step does not advance the value in '" + spec +
+                    "'");
+      }
+      prev = v;
       char buf[64];
-      if (std::fabs(v - std::round(v)) < 1e-9) {
+      if (std::fabs(v - std::round(v)) < 1e-9 && std::fabs(v) < 9e18) {
         std::snprintf(buf, sizeof(buf), "%lld",
                       static_cast<long long>(std::llround(v)));
       } else {
@@ -509,6 +523,10 @@ bool parse_sweep(const std::string& spec, SweepSpec* out,
   if (out->values.empty()) {
     return fail("sweep spec '" + spec + "' has no values");
   }
+  if (out->values.size() > kMaxSweepScenarios) {
+    return fail("sweep spec '" + spec + "' has more than " +
+                std::to_string(kMaxSweepScenarios) + " values");
+  }
   return true;
 }
 
@@ -519,6 +537,20 @@ bool expand_sweeps(const Scenario& base,
   if (sweeps.empty()) {
     out->push_back(base);
     return true;
+  }
+  size_t scenarios = 1;
+  for (const SweepSpec& axis : sweeps) {
+    if (axis.values.empty() ||
+        axis.values.size() > kMaxSweepScenarios / scenarios) {
+      if (error != nullptr) {
+        *error = axis.values.empty()
+                     ? "sweep axis '" + axis.key + "' has no values"
+                     : "sweep grid exceeds " +
+                           std::to_string(kMaxSweepScenarios) + " scenarios";
+      }
+      return false;
+    }
+    scenarios *= axis.values.size();
   }
   std::vector<size_t> index(sweeps.size(), 0);
   while (true) {

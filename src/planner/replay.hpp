@@ -182,7 +182,12 @@ Calibration calibrate(const Workload& workload,
 //   KEY=LO..HI:STEP        inclusive range with explicit step
 //
 // Every key parse_scenario accepts can be swept; multiple sweep axes
-// cross-multiply into the scenario grid.
+// cross-multiply into the scenario grid. One axis, and the whole grid,
+// hold at most kMaxSweepScenarios values.
+
+/// Each scenario is one full replay of the workload, so a grid past this
+/// is a typo ("buckets=1..1e12"), not a plan.
+inline constexpr size_t kMaxSweepScenarios = 4096;
 
 struct SweepSpec {
   std::string key;
@@ -191,14 +196,17 @@ struct SweepSpec {
 };
 
 /// Parses one "key=spec" sweep axis. Returns false with `*error` set on
-/// grammar errors (no '=', empty list, bad range, nonpositive step).
+/// grammar errors (no '=', empty list, bad range, nonpositive step), on a
+/// step too small to advance the value in double precision, and on more
+/// than kMaxSweepScenarios values. A range is counted before any value is
+/// made.
 bool parse_sweep(const std::string& spec, SweepSpec* out,
                  std::string* error);
 
 /// Expands sweep axes over `base` into the scenario cross product, in
 /// row-major order (first axis slowest). Labels carry only the swept
-/// keys ("buckets=4;credits=8"). Returns false when any generated value
-/// fails scenario parsing.
+/// keys ("buckets=4;credits=8"). Returns false when the grid would exceed
+/// kMaxSweepScenarios, or when any generated value fails scenario parsing.
 bool expand_sweeps(const Scenario& base,
                    const std::vector<SweepSpec>& sweeps,
                    std::vector<Scenario>* out, std::string* error);

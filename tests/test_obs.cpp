@@ -108,6 +108,9 @@ TEST_F(ObsTest, NameTruncationIsAccountedNotUB) {
   const std::string longname(obs::Event::kNameCapacity * 3, 'x');
   obs::instant("test", longname.c_str());
   EXPECT_EQ(obs::oversized_names(), 1u);
+  EXPECT_NE(obs::run_summary_json(obs::RunSummary{})
+                .find("\"trace_oversized_names\": {\"value\": 1, \"max\": 1}"),
+            std::string::npos);
   const auto events = obs::snapshot();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_LT(std::string(events[0].name).size(), obs::Event::kNameCapacity);
@@ -178,6 +181,11 @@ TEST_F(ObsTest, RingOverflowDropsOldestAndCounts) {
   EXPECT_GT(obs::dropped_trace_records(), 0u);
   EXPECT_EQ(obs::dropped_trace_records() + held, 640u);
   EXPECT_LE(held, 32u);
+  const std::string dropped = std::to_string(obs::dropped_trace_records());
+  EXPECT_NE(obs::run_summary_json(obs::RunSummary{})
+                .find("\"trace_dropped_events\": {\"value\": " + dropped +
+                      ", \"max\": " + dropped + "}"),
+            std::string::npos);
 
   // Overflow leaves orphan 'E's (their 'B' was overwritten); the export
   // must repair pairing so the trace still validates.
@@ -289,10 +297,13 @@ TEST_F(ObsTest, CountersTrackValueAndHighWater) {
   EXPECT_EQ(c.max(), 8);
   EXPECT_EQ(&c, &obs::counter("test_gauge"));  // stable identity
 
-  const std::string text = obs::metrics_text();
-  EXPECT_NE(text.find("hia_test_gauge 2"), std::string::npos);
-  EXPECT_NE(text.find("hia_test_gauge_max 8"), std::string::npos);
-  EXPECT_NE(text.find("hia_trace_dropped_events"), std::string::npos);
+  // The RunSummary renders every counter with its high-water mark, and
+  // the recorder's loss counts beside them (value = max).
+  const std::string json = obs::run_summary_json(obs::RunSummary{});
+  EXPECT_NE(json.find("\"test_gauge\": {\"value\": 2, \"max\": 8}"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"trace_dropped_events\": {\"value\": 0, \"max\": 0}"),
+            std::string::npos);
 }
 
 TEST_F(ObsTest, CountersAreThreadSafe) {
@@ -639,22 +650,6 @@ TEST_F(ObsTest, DiffRunSummariesGatesOnTolerance) {
   EXPECT_TRUE(saw_missing);
 }
 
-// ---- Prometheus exposition ----
-
-TEST_F(ObsTest, MetricsTextHistogramTripletValidates) {
-  obs::counter("test_gauge_metric").add(5);
-  obs::Histogram& h = obs::histogram("test_expo_s");
-  for (int i = 1; i <= 64; ++i) h.record(i * 1e-3);
-  const std::string text = obs::metrics_text();
-  const obs::MetricsValidation v = obs::validate_metrics_text(text);
-  ASSERT_TRUE(v.ok) << v.error;
-  EXPECT_GE(v.samples, 4u);
-  EXPECT_EQ(v.histograms, 1u);
-  EXPECT_NE(text.find("hia_test_expo_s_bucket{le=\"+Inf\"} 64"),
-            std::string::npos);
-  EXPECT_NE(text.find("hia_test_expo_s_count 64"), std::string::npos);
-}
-
 // ---- Labels ----
 
 TEST_F(ObsTest, LabeledInstrumentsAreIsolatedFromUnlabeled) {
@@ -690,117 +685,13 @@ TEST_F(ObsTest, LabeledInstrumentsAreIsolatedFromUnlabeled) {
   EXPECT_DOUBLE_EQ(obs::histogram("test_lat_s", t1).snapshot().max, 0.25);
 }
 
-TEST_F(ObsTest, LabelsKeyAndPrometheusRendering) {
+TEST_F(ObsTest, LabelsKeyRendering) {
   obs::Labels l;
   EXPECT_TRUE(l.empty());
   EXPECT_EQ(l.key(), "");
   l.tenant = 3;
   l.bucket = 0;
   EXPECT_EQ(l.key(), "tenant=3,bucket=0");
-  EXPECT_EQ(l.prometheus_pairs(), "tenant=\"3\",bucket=\"0\"");
-  obs::Labels site;
-  site.site = "a\"b\\c";
-  EXPECT_EQ(site.prometheus_pairs(), "site=\"a\\\"b\\\\c\"");
-}
-
-TEST_F(ObsTest, MetricsTextWithLabelsValidates) {
-  obs::Labels t3;
-  t3.tenant = 3;
-  obs::counter("test_labeled_total").add(7);
-  obs::counter("test_labeled_total", t3).add(4);
-  obs::Histogram& unlabeled = obs::histogram("test_labeled_s");
-  obs::Histogram& labeled = obs::histogram("test_labeled_s", t3);
-  for (int i = 1; i <= 8; ++i) {
-    unlabeled.record(i * 1e-3);
-    labeled.record(i * 2e-3);
-  }
-  const std::string text = obs::metrics_text();
-  const obs::MetricsValidation v = obs::validate_metrics_text(text);
-  ASSERT_TRUE(v.ok) << v.error;
-  EXPECT_NE(text.find("hia_test_labeled_total{tenant=\"3\"} 4"),
-            std::string::npos);
-  EXPECT_NE(text.find("hia_test_labeled_s_count{tenant=\"3\"} 8"),
-            std::string::npos);
-  EXPECT_NE(text.find("tenant=\"3\",le=\"+Inf\"} 8"), std::string::npos);
-  // Exactly one # TYPE per metric name, shared by every label set.
-  size_t type_decls = 0;
-  for (size_t pos = 0;
-       (pos = text.find("# TYPE hia_test_labeled_s ", pos)) !=
-       std::string::npos;
-       ++pos) {
-    ++type_decls;
-  }
-  EXPECT_EQ(type_decls, 1u);
-}
-
-TEST_F(ObsTest, ExporterSanitizesAndDedupesIllegalNames) {
-  // Both names sanitize to the same legal metric; the exporter must emit
-  // one series, not a duplicate pair the validator would reject.
-  obs::counter("test-bad.name").add(1);
-  obs::counter("test?bad/name").add(2);
-  const std::string text = obs::metrics_text();
-  const obs::MetricsValidation v = obs::validate_metrics_text(text);
-  ASSERT_TRUE(v.ok) << v.error;
-  size_t occurrences = 0;
-  for (size_t pos = 0;
-       (pos = text.find("\nhia_test_bad_name ", pos)) != std::string::npos;
-       ++pos) {
-    ++occurrences;
-  }
-  EXPECT_EQ(occurrences, 1u);
-}
-
-TEST_F(ObsTest, MetricsValidationRejectsIllegalAndDuplicateSeries) {
-  EXPECT_FALSE(obs::validate_metrics_text("# TYPE 9bad gauge\n9bad 1\n").ok);
-  const std::string dup_series =
-      "# TYPE hia_x gauge\n"
-      "hia_x{tenant=\"1\"} 1\n"
-      "hia_x{tenant=\"1\"} 2\n";
-  EXPECT_FALSE(obs::validate_metrics_text(dup_series).ok);
-  const std::string dup_label =
-      "# TYPE hia_x gauge\n"
-      "hia_x{tenant=\"1\",tenant=\"2\"} 1\n";
-  EXPECT_FALSE(obs::validate_metrics_text(dup_label).ok);
-  const std::string bad_label =
-      "# TYPE hia_x gauge\n"
-      "hia_x{9enant=\"1\"} 1\n";
-  EXPECT_FALSE(obs::validate_metrics_text(bad_label).ok);
-  // Same labels in a different order are the same series.
-  const std::string reordered =
-      "# TYPE hia_x gauge\n"
-      "hia_x{tenant=\"1\",bucket=\"0\"} 1\n"
-      "hia_x{bucket=\"0\",tenant=\"1\"} 2\n";
-  EXPECT_FALSE(obs::validate_metrics_text(reordered).ok);
-}
-
-TEST_F(ObsTest, MetricsTextCarriesHelpHeadersAndBuildInfo) {
-  obs::counter("test_help_gauge").add(1);
-  const std::string text = obs::metrics_text();
-  ASSERT_TRUE(obs::validate_metrics_text(text).ok);
-  EXPECT_NE(text.find("# HELP hia_test_help_gauge "), std::string::npos);
-  EXPECT_NE(text.find("# HELP hia_build_info "), std::string::npos);
-  EXPECT_NE(text.find("hia_build_info{"), std::string::npos);
-
-  // A TYPE declaration with no preceding HELP is rejected...
-  const std::string no_help =
-      "# HELP hia_build_info x\n"
-      "# TYPE hia_build_info gauge\n"
-      "hia_build_info 1\n"
-      "# TYPE hia_x gauge\n"
-      "hia_x 1\n";
-  EXPECT_FALSE(obs::validate_metrics_text(no_help).ok);
-  // ...as is an exposition without the constant build-identity gauge...
-  const std::string no_build_info =
-      "# HELP hia_x x\n"
-      "# TYPE hia_x gauge\n"
-      "hia_x 1\n";
-  EXPECT_FALSE(obs::validate_metrics_text(no_build_info).ok);
-  // ...or one where it is not the constant 1.
-  const std::string bad_build_info =
-      "# HELP hia_build_info x\n"
-      "# TYPE hia_build_info gauge\n"
-      "hia_build_info 2\n";
-  EXPECT_FALSE(obs::validate_metrics_text(bad_build_info).ok);
 }
 
 TEST_F(ObsTest, RunSummaryBreakdownsValidate) {
@@ -829,25 +720,6 @@ TEST_F(ObsTest, RunSummaryBreakdownsValidate) {
   const std::string plain = obs::run_summary_json(meta);
   EXPECT_EQ(plain.find("\"breakdowns\""), std::string::npos);
   EXPECT_EQ(obs::validate_run_summary_json(plain).breakdowns, 0u);
-}
-
-TEST_F(ObsTest, MetricsValidationCatchesMalformedHistograms) {
-  EXPECT_FALSE(obs::validate_metrics_text("hia_orphan 3\n").ok);
-  const std::string non_cumulative =
-      "# TYPE hia_h histogram\n"
-      "hia_h_bucket{le=\"0.1\"} 5\n"
-      "hia_h_bucket{le=\"0.2\"} 3\n"   // decreasing: invalid
-      "hia_h_bucket{le=\"+Inf\"} 5\n"
-      "hia_h_sum 0.5\n"
-      "hia_h_count 5\n";
-  EXPECT_FALSE(obs::validate_metrics_text(non_cumulative).ok);
-  const std::string inf_mismatch =
-      "# TYPE hia_h histogram\n"
-      "hia_h_bucket{le=\"0.1\"} 5\n"
-      "hia_h_bucket{le=\"+Inf\"} 5\n"
-      "hia_h_sum 0.5\n"
-      "hia_h_count 6\n";                // +Inf != _count: invalid
-  EXPECT_FALSE(obs::validate_metrics_text(inf_mismatch).ok);
 }
 
 // ---- JSON parser (trace_lint, RunSummary, bench_diff, spill headers) ----

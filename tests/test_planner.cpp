@@ -3,13 +3,16 @@
 // construction — single-task identity, bucket serialization, queue-cap
 // shed/degrade diversion, fair-share vs FCFS ordering, the starvation
 // guard the replay shares with the live matcher, modeled
-// transfers against the NetworkModel — plus the sweep grammar and the
+// transfers against the NetworkModel — plus the sweep grammar, its size
+// cap, a mutation sweep over the --set/--sweep spec parsers, and the
 // fail-closed contract on spills with dropped records.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -17,6 +20,7 @@
 #include "obs/events.hpp"
 #include "planner/replay.hpp"
 #include "runtime/network_model.hpp"
+#include "util/rng.hpp"
 
 namespace hia {
 namespace {
@@ -383,6 +387,25 @@ TEST_F(PlannerTest, SweepGrammarListsRangesAndSteps) {
   EXPECT_FALSE(planner::parse_sweep("buckets=", &s, &error));
   EXPECT_FALSE(planner::parse_sweep("buckets=4..1", &s, &error));
   EXPECT_FALSE(planner::parse_sweep("buckets=1..4:0", &s, &error));
+
+  // A range is counted before any value is made: 10^12 values, or 10^17
+  // steps of 1 that are lost in rounding (1e17 + 1 == 1e17), fail with an
+  // error instead of allocating until the process dies.
+  error.clear();
+  EXPECT_FALSE(planner::parse_sweep("buckets=1..1e12", &s, &error));
+  EXPECT_NE(error.find("more than"), std::string::npos) << error;
+  error.clear();
+  EXPECT_FALSE(planner::parse_sweep("nodes=1e17..2e17", &s, &error));
+  EXPECT_FALSE(error.empty());
+  EXPECT_FALSE(planner::parse_sweep("nodes=1..2:1e-300", &s, &error));
+  EXPECT_FALSE(planner::parse_sweep("nodes=-1e308..1e308", &s, &error));
+  const std::string cap = std::to_string(planner::kMaxSweepScenarios);
+  ASSERT_TRUE(planner::parse_sweep("buckets=1.." + cap, &s, &error)) << error;
+  EXPECT_EQ(s.values.size(), planner::kMaxSweepScenarios);
+  EXPECT_EQ(s.values.back(), cap);
+  EXPECT_FALSE(planner::parse_sweep(
+      "buckets=1.." + std::to_string(planner::kMaxSweepScenarios + 1), &s,
+      &error));
 }
 
 TEST_F(PlannerTest, SweepExpansionCrossesAxesRowMajor) {
@@ -404,6 +427,99 @@ TEST_F(PlannerTest, SweepExpansionCrossesAxesRowMajor) {
   // Swept values still pass scenario domain checks.
   ASSERT_TRUE(planner::parse_sweep("buckets=0..1", &axes[0], &error));
   EXPECT_FALSE(planner::expand_sweeps(base, {axes[0]}, &grid, &error));
+
+  // Axes within the cap can still cross into a grid past it.
+  ASSERT_TRUE(planner::parse_sweep("buckets=1..64", &axes[0], &error));
+  ASSERT_TRUE(planner::parse_sweep("credits=0..64", &axes[1], &error));
+  error.clear();
+  EXPECT_FALSE(planner::expand_sweeps(base, axes, &grid, &error));
+  EXPECT_NE(error.find("exceeds"), std::string::npos) << error;
+}
+
+TEST_F(PlannerTest, MutatedScenarioAndSweepSpecsFailOnlyWithAnError) {
+  // hia_plan --set and --sweep specs: every scenario key, the non-count
+  // fields (modes, codecs, rates, latencies) included, and every range
+  // form. Each mutation must parse or fail with an error, never throw, and
+  // never yield more than kMaxSweepScenarios values or scenarios.
+  const std::string specs[] = {
+      "buckets=4,credits=8,queue-depth=16,divert=degrade,policy=fair",
+      "nodes=2.5,base-nodes=1,arrival-scale=0.5,xfer=modeled,codec=delta",
+      "codec-ratio=0.3,smsg-lat=1e-6,smsg-bw=4g,smsg-max=4k",
+      "bte-lat=2e-6,bte-bw=6g,congestion=1.5,xfer=recorded,divert=shed",
+      "buckets=1..8",
+      "arrival-scale=0.5..2:0.25",
+      "nodes=1..64:0.5",
+      "smsg-bw=1g..4g:1g",
+      "codec=raw,rle,delta,quantize",
+      "policy=fcfs,fair"};
+  const char* const splices[] = {"1e17", "1e12", "..", ":", "0", "-1",
+                                 "1e308", "inf", "nan", ",,", "=", "4k",
+                                 "1e-300", "g", "4096", "..1e9:1e-9"};
+  SplitMix64 rng(0x5e7);
+  Scenario base;
+  size_t accepted = 0;
+  for (int iter = 0; iter < 3000; ++iter) {
+    std::string m = specs[iter % std::size(specs)];
+    const uint64_t draw = rng.next();
+    const size_t at = (draw >> 8) % m.size();
+    switch (draw % 5) {
+      case 0:  // one byte changes to a number-ish or any byte
+        m[at] = (draw >> 32) % 2 == 0 ? ".eE-+019k,=:"[(draw >> 40) % 12]
+                                      : static_cast<char>(draw >> 48);
+        break;
+      case 1:  // a splice over the bytes at `at`
+        m.replace(at, (draw >> 32) % 4,
+                  splices[(draw >> 40) % std::size(splices)]);
+        break;
+      case 2:  // a byte goes
+        m.erase(at, 1);
+        break;
+      case 3:  // truncation
+        m.resize(at);
+        break;
+      default:  // a run doubles: 16 -> 1616, 1..8 -> 1..1..8
+        m.insert(at, m.substr(at, (draw >> 32) % 6));
+        break;
+    }
+    Scenario sc;
+    std::string error;
+    bool ok = false;
+    ASSERT_NO_THROW(ok = planner::parse_scenario(m, &sc, &error)) << m;
+    EXPECT_TRUE(ok || !error.empty()) << m;
+    if (ok) {
+      EXPECT_GE(sc.buckets, 0) << m;
+      EXPECT_TRUE(std::isfinite(sc.nodes) && sc.nodes >= 0.0) << m;
+      EXPECT_TRUE(std::isfinite(sc.arrival_scale) && sc.arrival_scale > 0.0)
+          << m;
+      EXPECT_TRUE(std::isfinite(sc.codec_ratio) && sc.codec_ratio > 0.0)
+          << m;
+    }
+
+    SweepSpec axis;
+    error.clear();
+    ASSERT_NO_THROW(ok = planner::parse_sweep(m, &axis, &error)) << m;
+    if (!ok) {
+      EXPECT_FALSE(error.empty()) << m;
+      continue;
+    }
+    ++accepted;
+    EXPECT_GE(axis.values.size(), 1u) << m;
+    EXPECT_LE(axis.values.size(), planner::kMaxSweepScenarios) << m;
+    std::vector<Scenario> grid;
+    ASSERT_NO_THROW(ok = planner::expand_sweeps(base, {axis, axis}, &grid,
+                                                &error))
+        << m;
+    if (ok) {
+      EXPECT_EQ(grid.size(), axis.values.size() * axis.values.size()) << m;
+    } else {
+      EXPECT_FALSE(error.empty()) << m;
+    }
+    if (::testing::Test::HasFailure()) {
+      FAIL() << "iteration " << iter << " (mutation " << draw % 5 << "): " << m;
+    }
+  }
+  // Harmless mutations (a digit inside a number) leave valid sweeps.
+  EXPECT_GT(accepted, 300u);
 }
 
 }  // namespace
