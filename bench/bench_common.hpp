@@ -71,8 +71,8 @@ inline void shape_check(const char* description, bool ok) {
 ///   --summary <out.json>    RunSummary path (default BENCH_<bench>_summary.json)
 ///   --obs-sample-hz <hz>    background gauge sampler rate (default off)
 ///   --faults <spec>         fault-injection plan for benches that build a
-///                           RunConfig (apply_faults(); others ignore it)
-///   --fault-seed <n>        override the fault plan's seed
+///                           RunConfig (`cfg.faults = cli.faults`; others
+///                           ignore it; its seed=N directive seeds the plan)
 /// and CONSUMES those flags (compacting argv), so benches that forward
 /// argc/argv to google-benchmark don't trip its unknown-flag check.
 ///
@@ -88,7 +88,6 @@ struct ObsCli {
   std::string summary_path;
   double sample_hz = 0.0;  // 0 = background sampler off
   std::string faults;      // fault-injection spec ("" = off)
-  uint64_t fault_seed = 0;  // 0 = keep the spec/plan default
   obs::RunSummary summary;
   Stopwatch wall;
 
@@ -113,8 +112,6 @@ struct ObsCli {
         cli.sample_hz = std::atof(argv[++a]);
       } else if (std::strcmp(argv[a], "--faults") == 0 && has_value) {
         cli.faults = argv[++a];
-      } else if (std::strcmp(argv[a], "--fault-seed") == 0 && has_value) {
-        cli.fault_seed = std::strtoull(argv[++a], nullptr, 10);
       } else {
         argv[out++] = argv[a];  // not ours: keep for the bench
       }
@@ -133,14 +130,6 @@ struct ObsCli {
       obs::sample_now();
     }
     return cli;
-  }
-
-  /// Copies the --faults/--fault-seed flags into a RunConfig (no-op when
-  /// the flags were absent, preserving the fault-free baseline path).
-  void apply_faults(RunConfig& cfg) const {
-    if (faults.empty()) return;
-    cfg.faults = faults;
-    cfg.fault_seed = fault_seed;
   }
 
   /// Bench-specific scalar for the summary's "metrics" object (what

@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   using namespace hia::bench;
 
   RunConfig cfg = laptop_config(3);
-  obs_cli.apply_faults(cfg);
+  cfg.faults = obs_cli.faults;
   HybridRunner runner(cfg);
 
   VizConfig viz;

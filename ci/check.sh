@@ -28,8 +28,9 @@
 #      task-attempt timeouts (task-fail) on top; events_lint
 #      must report 0 dropped, --attrib "all partitions exact", the report
 #      "per-tenant conservation OK", the RunSummary one killed bucket, one
-#      crashed bucket and one crashed server, and the resilience block
-#      all three injected pressure rows
+#      crashed bucket, one crashed server, 64 KiB of phantom bytes, two
+#      starved credits and 64 KiB of tenant-hog bytes, and the resilience
+#      block all three injected pressure rows
 #   3d. crash-drill leg: EXPERIMENTS.md's ungraceful-crash drill (bucket
 #      0 slowed 50x, crashed at step 2; server 0 crashed at step 4 under
 #      --replicas 2) on fault seeds 1-8; each run's RunSummary must read
@@ -37,9 +38,10 @@
 #      zombie, events_lint 0 dropped, and --attrib "all partitions exact"
 #   3e. resilience leg: one seeded frame- and task-fault plan run at
 #      --buckets 1 and at --buckets 4; both RunSummaries must read the same
-#      crc_failures, frame_retransmits, recovered_bytes, task_retries and
-#      tasks_completed (fault draws are keyed on data identity, not on
-#      bucket count or thread timing)
+#      crc_failures, frame_retransmits, recovered_bytes, task_retries,
+#      tasks_completed, frames_dropped, frames_corrupted and tasks_failed
+#      (fault draws are keyed on data identity, not on bucket count or
+#      thread timing)
 #   4. replay gate: tools/hia_plan replays the same spill under its own
 #      recorded configuration (--calibrate) and must reproduce the
 #      measured makespan within tolerance, then sweeps buckets=1..8;
@@ -193,9 +195,13 @@ done
 python3 - "$smoke_dir/fault_summary.json" <<'PY' || exit 1
 import json, sys
 metrics = json.load(open(sys.argv[1]))["metrics"]
-for key in ("buckets_killed", "buckets_crashed", "servers_crashed"):
-    if metrics.get(key) != 1:
-        sys.exit(f"scripted-fault leg: {key} = {metrics.get(key)}, want 1")
+want = {"buckets_killed": 1, "buckets_crashed": 1, "servers_crashed": 1,
+        "overload_bytes_injected": 65536, "credits_starved": 2,
+        "tenant_hog_bytes": 65536}
+for key, value in want.items():
+    if metrics.get(key) != value:
+        sys.exit(f"scripted-fault leg: {key} = {metrics.get(key)}, "
+                 f"want {value}")
 PY
 cp "$smoke_dir/fault_summary.json" "$smoke_dir/fault_stdout.txt" "$artifact_dir/"
 echo "scripted-fault leg OK (one of each verdict, conserved, attribution exact)"
@@ -204,8 +210,8 @@ echo "==> crash-drill leg: lease reclaim and zombie fencing, fault seeds 1-8"
 for seed in 1 2 3 4 5 6 7 8; do
   ./build/examples/hia_campaign --steps 8 --analyses all \
     --buckets 2 --servers 4 --replicas 2 \
-    --faults "slow-bucket=0:50,crash-bucket=0@2,crash-server=0@4" \
-    --fault-seed "$seed" --events "$smoke_dir/crash_events.bin" --attrib \
+    --faults "slow-bucket=0:50,crash-bucket=0@2,crash-server=0@4,seed=$seed" \
+    --events "$smoke_dir/crash_events.bin" --attrib \
     --summary "$smoke_dir/crash_summary.json" > "$smoke_dir/crash_stdout.txt"
   ./build/tools/events_lint "$smoke_dir/crash_events.bin" |
     grep -q ', 0 dropped,' || {
@@ -234,7 +240,7 @@ echo "==> resilience leg: one seeded fault plan, one resilience block"
 for buckets in 1 4; do
   ./build/examples/hia_campaign --steps 3 --analyses stats,topo,viz \
     --buckets "$buckets" \
-    --faults "drop=0.1,corrupt=0.1,task-fail=0.2,attempts=3" --fault-seed 4 \
+    --faults "drop=0.1,corrupt=0.1,task-fail=0.2,attempts=3,seed=4" \
     --summary "$smoke_dir/resilience_b$buckets.json" \
     > "$smoke_dir/resilience_b${buckets}_stdout.txt"
 done
@@ -242,7 +248,8 @@ python3 - "$smoke_dir/resilience_b1.json" "$smoke_dir/resilience_b4.json" \
   <<'PY' || exit 1
 import json, sys
 keys = ("crc_failures", "frame_retransmits", "recovered_bytes",
-        "task_retries", "tasks_completed")
+        "task_retries", "tasks_completed", "frames_dropped",
+        "frames_corrupted", "tasks_failed")
 runs = [json.load(open(path))["metrics"] for path in sys.argv[1:]]
 for key in keys:
     values = [run.get(key) for run in runs]

@@ -103,8 +103,8 @@ done <<<"$mentioned"
 echo "--- required flags present in --help and docs"
 # Load-bearing operator knobs: the failure/overload handbook is useless if
 # either side silently drops one of these.
-required_flags=(--faults --fault-seed --overload --steer --tenants --weights
-                --events --status-interval)
+required_flags=(--faults --overload --steer --tenants --weights --events
+                --status-interval)
 for flag in "${required_flags[@]}"; do
   if ! grep -qxF -e "$flag" <<<"$known"; then
     echo "MISSING REQUIRED FLAG: hia_campaign --help no longer lists $flag" >&2

@@ -57,7 +57,6 @@ struct Options {
   std::string analyses = "stats,viz,topo";
   std::string codec;
   std::string faults;
-  uint64_t fault_seed = 0;
   std::string overload;
   std::string steer;
   int tenants = 1;
@@ -107,8 +106,6 @@ bool parse_triple(const char* arg, int64_t out[3]) {
       "                      crash-bucket=B@N and crash-server=S@N are\n"
       "                      ungraceful: no drain, in-flight work seized;\n"
       "                      see docs/FAILURE_MODEL.md)\n"
-      "  --fault-seed N      override the fault plan's seed (same seed =>\n"
-      "                      same injected faults, same resilience block)\n"
       "  --overload SPEC     overload-control budgets, comma-separated, e.g.\n"
       "                      queue-bytes=4m,queue-depth=32,credits=16\n"
       "                      (directives: queue-bytes/queue-depth/\n"
@@ -187,8 +184,6 @@ Options parse(int argc, char** argv) {
       opt.codec = need("--codec");
     } else if (std::strcmp(argv[a], "--faults") == 0) {
       opt.faults = need("--faults");
-    } else if (std::strcmp(argv[a], "--fault-seed") == 0) {
-      opt.fault_seed = std::strtoull(need("--fault-seed"), nullptr, 10);
     } else if (std::strcmp(argv[a], "--overload") == 0) {
       opt.overload = need("--overload");
     } else if (std::strcmp(argv[a], "--steer") == 0) {
@@ -368,6 +363,19 @@ int report_attribution() {
   return 0;
 }
 
+/// Runs `check`, a parse that throws hia::Error on a bad value; reports
+/// that error as "bad FLAG: ..." and returns false (main then exits 2).
+template <typename Check>
+bool flag_ok(const char* flag, Check check) {
+  try {
+    check();
+    return true;
+  } catch (const Error& e) {
+    std::fprintf(stderr, "bad %s: %s\n", flag, e.what());
+    return false;
+  }
+}
+
 /// --weights: one fair-share weight per tenant, all 1.0 when the flag is
 /// absent. Returns an empty vector (after saying why) on a bad list.
 std::vector<double> parse_weights(const Options& opt) {
@@ -403,42 +411,24 @@ int main(int argc, char** argv) {
   }
   if (!opt.output_dir.empty()) ::mkdir(opt.output_dir.c_str(), 0755);
 
-  if (!opt.codec.empty()) {
-    try {
-      (void)make_codec(opt.codec);
-    } catch (const Error& e) {
-      std::fprintf(stderr, "bad --codec: %s\n", e.what());
-      return 2;
-    }
+  if (!opt.codec.empty() &&
+      !flag_ok("--codec", [&] { (void)make_codec(opt.codec); })) {
+    return 2;
   }
-  if (!opt.faults.empty()) {
-    try {
-      (void)FaultPlan::parse_spec(opt.faults);
-    } catch (const Error& e) {
-      std::fprintf(stderr, "bad --faults: %s\n", e.what());
-      return 2;
-    }
+  if (!opt.faults.empty() &&
+      !flag_ok("--faults", [&] { (void)FaultPlan::parse_spec(opt.faults); })) {
+    return 2;
   }
-  if (!opt.overload.empty()) {
-    try {
-      const OverloadConfig ocfg = OverloadConfig::parse_spec(opt.overload);
-      if (!ocfg.enabled()) {
-        std::fprintf(stderr,
-                     "bad --overload: spec sets no budget and no credits\n");
-        return 2;
-      }
-    } catch (const Error& e) {
-      std::fprintf(stderr, "bad --overload: %s\n", e.what());
-      return 2;
-    }
+  if (!opt.overload.empty() && !flag_ok("--overload", [&] {
+        if (!OverloadConfig::parse_spec(opt.overload).enabled()) {
+          throw Error("spec sets no budget and no credits");
+        }
+      })) {
+    return 2;
   }
-  if (!opt.steer.empty()) {
-    try {
-      (void)parse_steer_policy(opt.steer);
-    } catch (const Error& e) {
-      std::fprintf(stderr, "bad --steer: %s\n", e.what());
-      return 2;
-    }
+  if (!opt.steer.empty() &&
+      !flag_ok("--steer", [&] { (void)parse_steer_policy(opt.steer); })) {
+    return 2;
   }
   if (opt.tenants < 1) {
     std::fprintf(stderr, "--tenants must be >= 1\n");
@@ -446,6 +436,14 @@ int main(int argc, char** argv) {
   }
   if (opt.replicas < 1) {
     std::fprintf(stderr, "--replicas must be >= 1\n");
+    return 2;
+  }
+  if (opt.frequency < 1) {
+    std::fprintf(stderr, "--frequency must be >= 1\n");
+    return 2;
+  }
+  if (!flag_ok("--grid/--ranks",
+               [&] { (void)Decomposition(GlobalGrid{opt.grid}, opt.ranks); })) {
     return 2;
   }
   const std::vector<double> weights = parse_weights(opt);
@@ -491,7 +489,6 @@ int main(int argc, char** argv) {
   sopts.staging_buckets = opt.buckets;
   sopts.staging_replicas = opt.replicas;
   sopts.faults = opt.faults;
-  sopts.fault_seed = opt.fault_seed;
   sopts.overload = opt.overload;
   sopts.pool_min = opt.pool_min;
   sopts.pool_max = opt.pool_max;
@@ -546,9 +543,7 @@ int main(int argc, char** argv) {
   if (!opt.faults.empty()) {
     std::printf("fault injection: %s (seed %llu)\n\n", opt.faults.c_str(),
                 static_cast<unsigned long long>(
-                    opt.fault_seed != 0 ? opt.fault_seed
-                                        : FaultPlan::parse_spec(opt.faults)
-                                              .seed));
+                    FaultPlan::parse_spec(opt.faults).seed));
   }
   if (!opt.overload.empty() || !opt.steer.empty()) {
     std::printf("overload control: %s, steering: %s\n\n",
@@ -589,19 +584,25 @@ int main(int argc, char** argv) {
     });
   }
 
-  const CampaignService::ServiceReport report = service.run();
+  // A tenant's error surfaces here, after every tenant thread has joined.
+  std::optional<CampaignService::ServiceReport> ran;
+  try {
+    ran.emplace(service.run());
+  } catch (const Error& e) {
+    std::fprintf(stderr, "hia_campaign: campaign failed: %s\n", e.what());
+  }
   campaign_done.store(true, std::memory_order_release);
   if (digest.joinable()) digest.join();
   obs::stop_sampler();
+  if (!ran) return 1;
+  const CampaignService::ServiceReport& report = *ran;
   obs::sample_now();  // closing point for every gauge series
 
-  size_t in_transit_tasks = 0;
   double mean_sim_step_s = 0.0;
   for (const CampaignService::TenantReport& tr : report.tenants) {
     std::printf("tenant %d (%s):\n%s\n%s\n", tr.tenant, tr.name.c_str(),
                 format_table2(tr.report, report_names).c_str(),
                 format_fig6(tr.report, report_names).c_str());
-    in_transit_tasks += tr.report.in_transit.size();
     mean_sim_step_s += tr.report.mean_sim_step_seconds() /
                        static_cast<double>(report.tenants.size());
   }
@@ -625,11 +626,11 @@ int main(int argc, char** argv) {
                     row.submitted;
   }
   const std::optional<double> share_err = max_share_error(report.rows);
-  std::printf("processed %llu tasks (%zu in-transit task records) across %d "
-              "tenant(s) over %ld steps; mean simulation step %.4f s; max "
-              "|share error| %s; per-tenant conservation %s\n",
-              static_cast<unsigned long long>(total_tasks), in_transit_tasks,
-              opt.tenants, opt.steps, mean_sim_step_s,
+  std::printf("processed %llu tasks across %d tenant(s) over %ld steps; mean "
+              "simulation step %.4f s; max |share error| %s; per-tenant "
+              "conservation %s\n",
+              static_cast<unsigned long long>(total_tasks), opt.tenants,
+              opt.steps, mean_sim_step_s,
               share_err ? fmt_fixed(*share_err, 3).c_str() : "n/a",
               conserved ? "OK" : "VIOLATED");
   const bool attrib_ok = !opt.attrib || report_attribution() == 0;
@@ -688,45 +689,21 @@ int main(int argc, char** argv) {
                 events_ok ? "matches" : "MISMATCHES");
   }
   if (!opt.summary_path.empty()) {
-    const ResilienceSummary& res = report.resilience;
     obs::RunSummary summary;
     summary.bench = "hia_campaign";
     const std::pair<const char*, double> metrics[] = {
         {"steps", static_cast<double>(opt.steps)},
         {"tenants", static_cast<double>(opt.tenants)},
-        {"in_transit_tasks", static_cast<double>(in_transit_tasks)},
         {"total_tasks", static_cast<double>(total_tasks)},
         {"mean_sim_step_s", mean_sim_step_s},
         {"conservation_ok", conserved ? 1.0 : 0.0},
         {"pool_grows", static_cast<double>(report.pool.grows)},
         {"pool_shrinks", static_cast<double>(report.pool.shrinks)},
-        {"tasks_completed", static_cast<double>(res.tasks_completed)},
-        {"tasks_degraded", static_cast<double>(res.tasks_degraded)},
-        {"tasks_shed", static_cast<double>(res.tasks_shed)},
-        {"tasks_deferred", static_cast<double>(res.tasks_deferred)},
-        {"task_retries", static_cast<double>(res.task_retries)},
-        {"backoff_s", res.backoff_seconds},
-        {"frame_retransmits", static_cast<double>(res.frame_retransmits)},
-        {"crc_failures", static_cast<double>(res.crc_failures)},
-        {"recovered_bytes", static_cast<double>(res.recovered_bytes)},
-        {"buckets_killed", static_cast<double>(res.buckets_killed)},
-        {"buckets_crashed", static_cast<double>(res.buckets_crashed)},
-        {"servers_crashed", static_cast<double>(res.servers_crashed)},
-        {"leases_expired", static_cast<double>(res.leases_expired)},
-        {"tasks_reexecuted", static_cast<double>(res.tasks_reexecuted)},
-        {"zombies_fenced", static_cast<double>(res.zombies_fenced)},
-        {"replicas_repaired", static_cast<double>(res.replicas_repaired)},
-        {"objects_lost", static_cast<double>(res.objects_lost)},
-        {"steer_in_situ", static_cast<double>(res.steer_in_situ)},
-        {"steer_deferred", static_cast<double>(res.steer_deferred)},
-        {"steer_shed", static_cast<double>(res.steer_shed)},
-        {"overload_diversions", static_cast<double>(res.overload_diversions)},
-        {"admission_overdrafts",
-         static_cast<double>(res.admission_overdrafts)},
-        {"admission_wait_s", res.admission_wait_s},
-        {"peak_queue_bytes", static_cast<double>(res.peak_queue_bytes)},
     };
     for (const auto& [key, value] : metrics) summary.metrics[key] = value;
+    for (const LedgerField& f : kLedgerFields) {
+      summary.metrics[f.key] = f.value(report.resilience);
+    }
     // Absent, like the printed "n/a", when no tenant held a bucket.
     if (share_err) summary.metrics["share_err_max"] = *share_err;
     for (const TenantRunRow& row : report.rows) {

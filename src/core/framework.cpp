@@ -19,13 +19,9 @@ std::shared_ptr<const Codec> staging_codec(const std::string& spec) {
   return spec.empty() ? nullptr : make_codec(spec);
 }
 
-/// An empty spec is faults off (no_faults()); `seed` overrides the plan's
-/// seed when nonzero.
-FaultPlanConfig fault_config(const std::string& spec, uint64_t seed) {
-  FaultPlanConfig config =
-      spec.empty() ? no_faults() : FaultPlan::parse_spec(spec);
-  if (seed != 0) config.seed = seed;
-  return config;
+/// An empty spec is faults off (no_faults()).
+FaultPlanConfig fault_config(const std::string& spec) {
+  return spec.empty() ? no_faults() : FaultPlan::parse_spec(spec);
 }
 
 /// An empty spec is overload off (an idle ledger); a spec given must set
@@ -41,7 +37,7 @@ OverloadConfig overload_config(const std::string& spec) {
 
 StagingDeployment::StagingDeployment(const RunConfig& config)
     : network_(config.network),
-      faults_(fault_config(config.faults, config.fault_seed)),
+      faults_(fault_config(config.faults)),
       overload_(overload_config(config.overload)) {
   Dart::Options dart = config.dart;
   dart.faults = &faults_;
@@ -147,8 +143,7 @@ RunReport HybridRunner::run() {
     int defers = 0;  // step boundaries already crossed
   };
   std::vector<Parked> parked;
-  uint64_t steer_in_transit = 0, steer_in_situ = 0, steer_deferred = 0,
-           steer_shed = 0;
+  ResilienceSummary& res = report.resilience;
   const int max_defers = overload.config().max_defers;
 
   // Routes one in-transit submission through the steering table (steering
@@ -158,38 +153,34 @@ RunReport HybridRunner::run() {
   auto steer_submit = [&](const std::string& analysis, long step,
                           const std::vector<std::string>& staged,
                           int defers) {
-    // Bumps a verdict's counter and its tenant-labeled variant (the
-    // campaign console's per-tenant steering mix); each counter appears
-    // with its first verdict.
-    auto count = [this](const char* name) {
-      obs::counter(name).add(1);
+    // Tallies a verdict in the ledger and, for a stamped tenant, in its
+    // tenant-labeled counter (the per-tenant steering mix); each counter
+    // appears with its first verdict.
+    auto count = [&](uint64_t& tally, const char* name) {
+      ++tally;
       if (tenant_ > 0) obs::counter(name, {.tenant = tenant_}).add(1);
     };
     const PressureSignal pressure = staging.pressure();
     switch (steer_decide(steer_, pressure, defers, max_defers)) {
       case SteerDecision::kInTransit:
-        ++steer_in_transit;
-        count("steer_in_transit");
+        count(res.steer_in_transit, "steer_in_transit");
         staging.submit_for(analysis, step, staged, SubmitRoute::kQueue,
                              tenant_);
         break;
       case SteerDecision::kInSitu:
-        ++steer_in_situ;
-        count("steer_in_situ");
+        count(res.steer_in_situ, "steer_in_situ");
         obs::instant("overload", "steer_in_situ", {.step = step});
         staging.submit_for(analysis, step, staged, SubmitRoute::kFallback,
                              tenant_);
         break;
       case SteerDecision::kShed:
-        ++steer_shed;
-        count("steer_shed");
+        count(res.steer_shed, "steer_shed");
         obs::instant("overload", "steer_shed", {.step = step});
         staging.submit_for(analysis, step, staged, SubmitRoute::kShed,
                              tenant_);
         break;
       case SteerDecision::kDefer:
-        ++steer_deferred;
-        count("steer_deferred");
+        count(res.steer_deferred, "steer_deferred");
         staging.record_deferred(analysis, step, tenant_);
         parked.push_back(Parked{analysis, step, staged, defers + 1});
         break;
@@ -313,7 +304,6 @@ RunReport HybridRunner::run() {
 
   // This tenant's slice of the resilience ledger: the reaction side from
   // its task records and steering verdicts, and its admission waits.
-  ResilienceSummary& res = report.resilience;
   for (const TaskRecord& rec : report.in_transit) {
     switch (rec.outcome) {
       case TaskOutcome::kCompleted: ++res.tasks_completed; break;
@@ -324,10 +314,6 @@ RunReport HybridRunner::run() {
     res.task_retries += static_cast<uint64_t>(rec.attempts - 1);
     res.backoff_seconds += rec.backoff_seconds;
   }
-  res.steer_in_transit = steer_in_transit;
-  res.steer_in_situ = steer_in_situ;
-  res.steer_deferred = steer_deferred;
-  res.steer_shed = steer_shed;
   const OverloadControl::TenantStats tstats = overload.tenant_stats(tenant_);
   res.admission_overdrafts = tstats.overdrafts;
   res.admission_wait_s = tstats.wait_s;

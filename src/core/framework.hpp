@@ -47,11 +47,10 @@ struct RunConfig {
   /// Fault-injection spec (FaultPlan::parse_spec grammar, e.g.
   /// "drop=0.05,task-fail=0.1,kill-bucket=2@3"). Empty = faults off: the
   /// deployment's plan is no_faults(), which injects nothing (Dart stamps
-  /// no CRCs) and degrades a failed task after its one attempt.
+  /// no CRCs) and degrades a failed task after its one attempt. Its
+  /// `seed=N` directive seeds the plan (same seed + same config => same
+  /// fault decisions, same RunSummary resilience block).
   std::string faults;
-  /// Overrides the plan's seed when nonzero (same seed + same config =>
-  /// same fault decisions, same RunSummary resilience block).
-  uint64_t fault_seed = 0;
   /// Overload-control spec (OverloadConfig::parse_spec grammar, e.g.
   /// "queue-bytes=4m,credits=16,low=0.5,high=0.9"). Empty = overload
   /// control off: the deployment's ledger is idle (no budgets, no
@@ -72,7 +71,7 @@ struct RunConfig {
 class StagingDeployment {
  public:
   /// Built from the staging fields of `config`: servers, buckets,
-  /// replicas, network, dart, faults, fault_seed and overload.
+  /// replicas, network, dart, faults and overload.
   explicit StagingDeployment(const RunConfig& config);
 
   StagingDeployment(const StagingDeployment&) = delete;

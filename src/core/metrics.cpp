@@ -1,6 +1,23 @@
 #include "core/metrics.hpp"
 
+#include <algorithm>
+
 namespace hia {
+
+bool ResilienceSummary::any() const {
+  return std::ranges::any_of(kLedgerFields, [this](const LedgerField& f) {
+    return f.trigger && f.value(*this) != 0.0;
+  });
+}
+
+ResilienceSummary& ResilienceSummary::operator+=(
+    const ResilienceSummary& slice) {
+  for (const LedgerField& f : kLedgerFields) {
+    if (f.count != nullptr) this->*f.count += slice.*f.count;
+    if (f.seconds != nullptr) this->*f.seconds += slice.*f.seconds;
+  }
+  return *this;
+}
 
 namespace {
 template <typename Items, typename Pred, typename Get>

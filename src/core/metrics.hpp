@@ -15,6 +15,10 @@ namespace hia {
 /// counts partition the submitted tasks: completed + degraded + deferred +
 /// shed == everything that was ever submitted — no task is lost silently
 /// (a deferred record is terminal; its payload re-enters as a new task).
+/// Each fact is counted once, by the instance that owns it (task records,
+/// the runner's steering verdicts, the DART, the scheduler, the object
+/// store, the fault plan, the overload ledger); kLedgerFields below names
+/// every field's summary key, console label, unit and console group.
 struct ResilienceSummary {
   // Reaction side (what the pipeline did about the faults).
   uint64_t tasks_completed = 0;  // finished on a staging bucket
@@ -54,23 +58,115 @@ struct ResilienceSummary {
   uint64_t overload_diversions = 0;   // hard queue-budget diversions
   uint64_t admission_overdrafts = 0;  // waits that hit admit_max_wait_s
   double admission_wait_s = 0.0;      // producer seconds blocked at the gate
-  size_t peak_queue_bytes = 0;        // high-water queued bytes (+ phantom)
+  uint64_t peak_queue_bytes = 0;      // high-water queued bytes (+ phantom)
   uint64_t overload_bytes_injected = 0;  // scripted phantom bytes
   uint64_t credits_starved = 0;          // scripted confiscated credits
   uint64_t tenant_hog_bytes = 0;         // scripted tenant-attributed bytes
 
-  /// True when any fault fired or any recovery action ran.
-  [[nodiscard]] bool any() const {
-    return tasks_degraded || tasks_shed || tasks_deferred || task_retries ||
-           frame_retransmits || crc_failures || frames_dropped ||
-           frames_corrupted || frames_delayed || tasks_failed ||
-           buckets_killed || buckets_crashed ||
-           servers_crashed || leases_expired || tasks_reexecuted ||
-           zombies_fenced || replicas_repaired || objects_lost ||
-           steer_in_situ || steer_deferred || steer_shed ||
-           overload_diversions || admission_overdrafts ||
-           overload_bytes_injected || credits_starved || tenant_hog_bytes;
+  /// True when any fault fired or any recovery action ran (a trigger field
+  /// of kLedgerFields is nonzero).
+  [[nodiscard]] bool any() const;
+
+  /// Adds every field of `slice`: a service total over its tenants' slices.
+  ResilienceSummary& operator+=(const ResilienceSummary& slice);
+};
+
+/// How a ledger field prints on the console.
+enum class LedgerUnit { kCount, kSeconds, kBytes };
+
+/// The console groups of format_resilience, in print order. kTasks and
+/// kFrames always print; kCrash and kSteer print once one of their trigger
+/// fields is nonzero, and kHog once its field is nonzero inside an open
+/// kSteer.
+enum class LedgerGroup { kTasks, kCrash, kFrames, kSteer, kHog };
+
+/// One ResilienceSummary field. Exactly one of `count` / `seconds` is set:
+/// kSeconds fields are doubles, every other unit is a count.
+struct LedgerField {
+  const char* key;    // RunSummary metrics key
+  const char* label;  // console row label
+  LedgerUnit unit;
+  LedgerGroup group;
+  bool trigger;  // nonzero means a fault fired or recovery ran
+  uint64_t ResilienceSummary::*count = nullptr;
+  double ResilienceSummary::*seconds = nullptr;
+
+  [[nodiscard]] double value(const ResilienceSummary& r) const {
+    return count != nullptr ? static_cast<double>(r.*count) : r.*seconds;
   }
+};
+
+/// Every ResilienceSummary field, once, in console order.
+inline constexpr LedgerField kLedgerFields[] = {
+    {"tasks_completed", "  completed on buckets", LedgerUnit::kCount,
+     LedgerGroup::kTasks, false, &ResilienceSummary::tasks_completed},
+    {"tasks_degraded", "  degraded to in-situ fallback", LedgerUnit::kCount,
+     LedgerGroup::kTasks, true, &ResilienceSummary::tasks_degraded},
+    {"tasks_deferred", "  deferred one step (resubmitted)", LedgerUnit::kCount,
+     LedgerGroup::kTasks, true, &ResilienceSummary::tasks_deferred},
+    {"tasks_shed", "  shed (dropped, counted)", LedgerUnit::kCount,
+     LedgerGroup::kTasks, true, &ResilienceSummary::tasks_shed},
+    {"task_retries", "task retries", LedgerUnit::kCount, LedgerGroup::kTasks,
+     true, &ResilienceSummary::task_retries},
+    {"backoff_s", "retry backoff total (s)", LedgerUnit::kSeconds,
+     LedgerGroup::kTasks, false, nullptr, &ResilienceSummary::backoff_seconds},
+    {"tasks_failed", "injected task timeouts", LedgerUnit::kCount,
+     LedgerGroup::kTasks, true, &ResilienceSummary::tasks_failed},
+    {"buckets_killed", "buckets killed", LedgerUnit::kCount,
+     LedgerGroup::kTasks, true, &ResilienceSummary::buckets_killed},
+    {"buckets_crashed", "buckets crashed (ungraceful)", LedgerUnit::kCount,
+     LedgerGroup::kCrash, true, &ResilienceSummary::buckets_crashed},
+    {"servers_crashed", "servers crashed (ungraceful)", LedgerUnit::kCount,
+     LedgerGroup::kCrash, true, &ResilienceSummary::servers_crashed},
+    {"leases_expired", "leases expired (reclaimed)", LedgerUnit::kCount,
+     LedgerGroup::kCrash, true, &ResilienceSummary::leases_expired},
+    {"tasks_reexecuted", "tasks re-executed", LedgerUnit::kCount,
+     LedgerGroup::kCrash, true, &ResilienceSummary::tasks_reexecuted},
+    {"zombies_fenced", "zombie completions fenced", LedgerUnit::kCount,
+     LedgerGroup::kCrash, true, &ResilienceSummary::zombies_fenced},
+    {"replicas_repaired", "replica copies read-repaired", LedgerUnit::kCount,
+     LedgerGroup::kCrash, true, &ResilienceSummary::replicas_repaired},
+    {"objects_lost", "objects lost (last copy died)", LedgerUnit::kCount,
+     LedgerGroup::kCrash, true, &ResilienceSummary::objects_lost},
+    {"frame_retransmits", "frame retransmits", LedgerUnit::kCount,
+     LedgerGroup::kFrames, true, &ResilienceSummary::frame_retransmits},
+    {"frames_dropped", "  frames dropped (injected)", LedgerUnit::kCount,
+     LedgerGroup::kFrames, true, &ResilienceSummary::frames_dropped},
+    {"frames_corrupted", "  frames corrupted (injected)", LedgerUnit::kCount,
+     LedgerGroup::kFrames, true, &ResilienceSummary::frames_corrupted},
+    {"crc_failures", "  CRC failures caught", LedgerUnit::kCount,
+     LedgerGroup::kFrames, true, &ResilienceSummary::crc_failures},
+    {"recovered_bytes", "recovered payload", LedgerUnit::kBytes,
+     LedgerGroup::kFrames, false, &ResilienceSummary::recovered_bytes},
+    {"frames_delayed", "frames delayed (injected)", LedgerUnit::kCount,
+     LedgerGroup::kFrames, true, &ResilienceSummary::frames_delayed},
+    {"injected_delay_s", "injected frame delay (s)", LedgerUnit::kSeconds,
+     LedgerGroup::kFrames, false, nullptr,
+     &ResilienceSummary::injected_delay_s},
+    // An in-transit verdict alone is every run's default route: it is
+    // shown with the group, never opens it.
+    {"steer_in_transit", "steer: in-transit", LedgerUnit::kCount,
+     LedgerGroup::kSteer, false, &ResilienceSummary::steer_in_transit},
+    {"steer_in_situ", "steer: in-situ fallback", LedgerUnit::kCount,
+     LedgerGroup::kSteer, true, &ResilienceSummary::steer_in_situ},
+    {"steer_deferred", "steer: deferred", LedgerUnit::kCount,
+     LedgerGroup::kSteer, true, &ResilienceSummary::steer_deferred},
+    {"steer_shed", "steer: shed", LedgerUnit::kCount, LedgerGroup::kSteer, true,
+     &ResilienceSummary::steer_shed},
+    {"overload_diversions", "queue-budget diversions", LedgerUnit::kCount,
+     LedgerGroup::kSteer, true, &ResilienceSummary::overload_diversions},
+    {"admission_overdrafts", "admission overdrafts", LedgerUnit::kCount,
+     LedgerGroup::kSteer, true, &ResilienceSummary::admission_overdrafts},
+    {"admission_wait_s", "admission wait total (s)", LedgerUnit::kSeconds,
+     LedgerGroup::kSteer, false, nullptr, &ResilienceSummary::admission_wait_s},
+    {"peak_queue_bytes", "peak queue bytes", LedgerUnit::kBytes,
+     LedgerGroup::kSteer, false, &ResilienceSummary::peak_queue_bytes},
+    {"overload_bytes_injected", "injected phantom bytes", LedgerUnit::kBytes,
+     LedgerGroup::kSteer, true, &ResilienceSummary::overload_bytes_injected},
+    {"credits_starved", "credits starved (injected)", LedgerUnit::kCount,
+     LedgerGroup::kSteer, true, &ResilienceSummary::credits_starved},
+    {"tenant_hog_bytes", "tenant-hog bytes (injected)", LedgerUnit::kBytes,
+     LedgerGroup::kHog, true, &ResilienceSummary::tenant_hog_bytes},
 };
 
 /// Per-tenant roll-up of a multi-tenant service run: the conservation,

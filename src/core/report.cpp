@@ -66,62 +66,29 @@ std::string format_fig6(const RunReport& report,
 }
 
 std::string format_resilience(const ResilienceSummary& r) {
-  const uint64_t total = r.tasks_completed + r.tasks_degraded +
-                         r.tasks_deferred + r.tasks_shed;
-  Table table({"resilience metric", "value"});
-  auto count_row = [&](const std::string& label, uint64_t v) {
-    table.add_row({label, std::to_string(v)});
-  };
-  count_row("tasks submitted", total);
-  count_row("  completed on buckets", r.tasks_completed);
-  count_row("  degraded to in-situ fallback", r.tasks_degraded);
-  count_row("  deferred one step (resubmitted)", r.tasks_deferred);
-  count_row("  shed (dropped, counted)", r.tasks_shed);
-  count_row("task retries", r.task_retries);
-  table.add_row({"retry backoff total (s)", fmt_fixed(r.backoff_seconds, 4)});
-  count_row("injected task timeouts", r.tasks_failed);
-  count_row("buckets killed", r.buckets_killed);
-  if (r.buckets_crashed || r.servers_crashed || r.leases_expired ||
-      r.tasks_reexecuted || r.zombies_fenced || r.replicas_repaired ||
-      r.objects_lost) {
-    count_row("buckets crashed (ungraceful)", r.buckets_crashed);
-    count_row("servers crashed (ungraceful)", r.servers_crashed);
-    count_row("leases expired (reclaimed)", r.leases_expired);
-    count_row("tasks re-executed", r.tasks_reexecuted);
-    count_row("zombie completions fenced", r.zombies_fenced);
-    count_row("replica copies read-repaired", r.replicas_repaired);
-    count_row("objects lost (last copy died)", r.objects_lost);
+  auto bit = [](LedgerGroup g) { return 1u << static_cast<unsigned>(g); };
+  unsigned open = bit(LedgerGroup::kTasks) | bit(LedgerGroup::kFrames);
+  for (const LedgerField& f : kLedgerFields) {
+    if (f.trigger && f.value(r) != 0.0) open |= bit(f.group);
   }
-  count_row("frame retransmits", r.frame_retransmits);
-  count_row("  frames dropped (injected)", r.frames_dropped);
-  count_row("  frames corrupted (injected)", r.frames_corrupted);
-  count_row("  CRC failures caught", r.crc_failures);
-  table.add_row({"recovered payload", fmt_bytes(
-      static_cast<double>(r.recovered_bytes))});
-  count_row("frames delayed (injected)", r.frames_delayed);
-  table.add_row({"injected frame delay (s)", fmt_fixed(r.injected_delay_s,
-                                                       4)});
-  // Shown once steering or the overload gate acted: an in-transit verdict
-  // alone is every run's default route.
-  if (r.steer_in_situ || r.steer_deferred || r.steer_shed ||
-      r.overload_diversions || r.admission_overdrafts ||
-      r.overload_bytes_injected || r.credits_starved) {
-    count_row("steer: in-transit", r.steer_in_transit);
-    count_row("steer: in-situ fallback", r.steer_in_situ);
-    count_row("steer: deferred", r.steer_deferred);
-    count_row("steer: shed", r.steer_shed);
-    count_row("queue-budget diversions", r.overload_diversions);
-    count_row("admission overdrafts", r.admission_overdrafts);
-    table.add_row({"admission wait total (s)",
-                   fmt_fixed(r.admission_wait_s, 4)});
-    table.add_row({"peak queue bytes",
-                   fmt_bytes(static_cast<double>(r.peak_queue_bytes))});
-    table.add_row({"injected phantom bytes",
-                   fmt_bytes(static_cast<double>(r.overload_bytes_injected))});
-    count_row("credits starved (injected)", r.credits_starved);
-    if (r.tenant_hog_bytes > 0) {
-      table.add_row({"tenant-hog bytes (injected)",
-                     fmt_bytes(static_cast<double>(r.tenant_hog_bytes))});
+  // The hog row is a line of the steering group: never shown without it.
+  if ((open & bit(LedgerGroup::kSteer)) == 0) open &= ~bit(LedgerGroup::kHog);
+  Table table({"resilience metric", "value"});
+  table.add_row({"tasks submitted",
+                 std::to_string(r.tasks_completed + r.tasks_degraded +
+                                r.tasks_deferred + r.tasks_shed)});
+  for (const LedgerField& f : kLedgerFields) {
+    if ((open & bit(f.group)) == 0) continue;
+    switch (f.unit) {
+      case LedgerUnit::kCount:
+        table.add_row({f.label, std::to_string(r.*f.count)});
+        break;
+      case LedgerUnit::kSeconds:
+        table.add_row({f.label, fmt_fixed(r.*f.seconds, 4)});
+        break;
+      case LedgerUnit::kBytes:
+        table.add_row({f.label, fmt_bytes(f.value(r))});
+        break;
     }
   }
   return table.render();

@@ -23,10 +23,10 @@ std::string format_table2(const RunReport& report,
 std::string format_fig6(const RunReport& report,
                         const std::vector<std::string>& analyses);
 
-/// Resilience block: task outcomes (completed/degraded/shed), retry and
-/// backoff totals, and the transport-level retransmit/CRC ledger. Callers
-/// normally print it only when the ledger's any() is true — on a fault-free
-/// run every row is zero.
+/// Resilience block: the tasks-submitted total, then one row per
+/// kLedgerFields entry whose console group is open (see LedgerGroup).
+/// Callers normally print it only when the ledger's any() is
+/// true — on a fault-free run every row is zero.
 std::string format_resilience(const ResilienceSummary& r);
 
 /// Multi-tenant service block: one row per tenant with its conservation

@@ -14,7 +14,8 @@ RenderSetup RenderSetup::make(const GlobalGrid& grid, const VizConfig& cfg) {
       OrthoCamera::default_view(size, cfg.image_size, cfg.image_size);
   TransferFunction tf = TransferFunction::flame(cfg.tf_lo, cfg.tf_hi);
   RenderParams params;
-  params.step = cfg.step_scale * grid.spacing(0);
+  // One ray step per grid cell: the opacity table's reference step.
+  params.step = grid.spacing(0);
   params.reference_step = grid.spacing(0);
   return RenderSetup{std::move(camera), std::move(tf), params};
 }

@@ -28,7 +28,6 @@ struct VizConfig {
   int image_size = 128;          // square output image
   double tf_lo = 0.8, tf_hi = 6.0;  // transfer-function range
   int downsample_stride = 8;     // hybrid variant only (paper: 8)
-  double step_scale = 1.0;       // ray step relative to one grid cell
   std::string output_dir;        // when set, PPMs are written per step
 };
 

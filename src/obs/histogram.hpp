@@ -110,8 +110,8 @@ class Histogram {
 };
 
 /// Returns the histogram registered under `name`, creating it on first
-/// use. Names should be prometheus-flavored with a unit suffix
-/// (`staging_queue_wait_s`, `dart_get_wire_bytes`).
+/// use. Names are snake_case with a unit suffix (`staging_queue_wait_s`,
+/// `dart_get_wire_bytes`).
 Histogram& histogram(const std::string& name);
 
 /// Labeled variant: each distinct (name, labels) pair is its own

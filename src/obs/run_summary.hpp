@@ -1,8 +1,11 @@
 // RunSummary: the unified per-run telemetry artifact every bench emits
 // (schema "hia-run-summary-v1"). One JSON object carrying
-//   * bench-specific scalar metrics (makespan, utilization, ...),
+//   * bench-specific scalar metrics (makespan, utilization, ...); a run's
+//     resilience ledger (fault and recovery facts) lives only here, one
+//     key per ResilienceSummary field,
 //   * every registered counter (value + high-water mark), plus the
-//     recorder's loss counts trace_dropped_events and trace_oversized_names,
+//     recorder's loss counts trace_dropped_events and trace_oversized_names;
+//     no counter repeats a ledger fact,
 //   * every histogram (count/sum/min/max, p50/p90/p99, sparse buckets),
 //   * every gauge time series (dual-clock samples),
 //   * optional per-metric relative tolerances (baseline files only).

@@ -234,9 +234,6 @@ void OverloadControl::admit(size_t bytes, int tenant) {
     // the credit pool is undersized for the producer rate.
     ++overdrafts_;
     ++ledger.overdrafts;
-    static obs::Counter& overdraft_c =
-        obs::counter("dart_admission_overdrafts");
-    overdraft_c.add(1);
     if (tenant > 0) {
       obs::counter("dart_admission_overdrafts", {.tenant = tenant}).add(1);
     }

@@ -25,23 +25,8 @@ RunConfig deployment_config(const CampaignService::Options& options) {
   config.staging_replicas = options.staging_replicas;
   config.network = options.network;
   config.faults = options.faults;
-  config.fault_seed = options.fault_seed;
   config.overload = options.overload;
   return config;
-}
-
-/// Adds one tenant's reaction-side ledger slice into the service total.
-void add_slice(ResilienceSummary& total, const ResilienceSummary& slice) {
-  total.tasks_completed += slice.tasks_completed;
-  total.tasks_degraded += slice.tasks_degraded;
-  total.tasks_shed += slice.tasks_shed;
-  total.tasks_deferred += slice.tasks_deferred;
-  total.task_retries += slice.task_retries;
-  total.backoff_seconds += slice.backoff_seconds;
-  total.steer_in_transit += slice.steer_in_transit;
-  total.steer_in_situ += slice.steer_in_situ;
-  total.steer_deferred += slice.steer_deferred;
-  total.steer_shed += slice.steer_shed;
 }
 
 }  // namespace
@@ -56,7 +41,6 @@ CampaignService::CampaignService(Options options)
     ElasticBucketPool::Options popts;
     popts.min_buckets = options_.pool_min >= 1 ? options_.pool_min : 1;
     popts.max_buckets = options_.pool_max;
-    popts.cooldown_s = options_.pool_cooldown_s;
     HIA_REQUIRE(popts.max_buckets >= options_.staging_buckets,
                 "pool_max below the initial bucket count");
     pool_ = std::make_unique<ElasticBucketPool>(staging(), popts);
@@ -206,8 +190,10 @@ CampaignService::ServiceReport CampaignService::run() {
   if (pool_ != nullptr) out.pool = pool_->stats();
   out.final_buckets = staging().live_bucket_count();
 
+  // The tenants' reaction-side slices sum; the deployment then sets its
+  // shared facts (admission totals included) over them.
   for (const TenantReport& tr : out.tenants) {
-    add_slice(out.resilience, tr.report.resilience);
+    out.resilience += tr.report.resilience;
   }
   deployment_.add_ledger(out.resilience);
 

@@ -48,7 +48,6 @@ class CampaignService {
     /// Service-wide fault plan (FaultPlan::parse_spec grammar, including
     /// `tenant-hog=T:B@N`). Empty = faults off.
     std::string faults;
-    uint64_t fault_seed = 0;
     /// Service-wide overload spec (OverloadConfig::parse_spec grammar).
     /// Empty = overload off: an idle ledger, so no admission gate and a
     /// pressure state that stays Nominal (queue and store still counted).
@@ -57,7 +56,6 @@ class CampaignService {
     /// pool_max > 0 needs an overload spec: the pool acts on its pressure.
     int pool_min = 0;
     int pool_max = 0;
-    double pool_cooldown_s = 0.25;
   };
 
   struct TenantSpec {

@@ -5,7 +5,6 @@
 #include <memory>
 #include <tuple>
 
-#include "obs/counters.hpp"
 #include "obs/events.hpp"
 #include "util/error.hpp"
 
@@ -117,7 +116,6 @@ std::vector<DataDescriptor> ObjectStore::fetch_and_repair(
       if (has) continue;
       if (insert_unique(*servers_[targets[t]], key, d)) {
         replicas_repaired_.fetch_add(1, std::memory_order_relaxed);
-        obs::counter("staging_replicas_repaired").add(1);
         obs::record_event(obs::EventKind::kReplicaRepair, d.tenant,
                           static_cast<int>(targets[t]),
                           static_cast<int64_t>(d.handle.id),
@@ -217,10 +215,7 @@ size_t ObjectStore::crash_server(int server) {
       tb.bytes -= std::min(tb.bytes, d.handle.bytes);
     }
   }
-  if (lost > 0) {
-    objects_lost_.fetch_add(lost, std::memory_order_relaxed);
-    obs::counter("staging_store_objects_lost").add(static_cast<int64_t>(lost));
-  }
+  objects_lost_.fetch_add(lost, std::memory_order_relaxed);
   return lost;
 }
 

@@ -138,8 +138,6 @@ bool StagingService::zombie_fenced(const Assigned& assigned,
   // record, no outstanding_ decrement, no handle release, no terminal
   // event — the re-execution owns all of those.
   zombies_fenced_.fetch_add(1, std::memory_order_relaxed);
-  static obs::Counter& fenced = obs::counter("staging_zombies_fenced");
-  fenced.add(1);
   obs::record_event(obs::EventKind::kZombieFence, assigned.task.tenant,
                     bucket_index,
                     static_cast<int64_t>(assigned.task.task_id),
@@ -181,8 +179,6 @@ void StagingService::heartbeat() {
         Assigned a = std::move(*bucket.running);
         bucket.running.reset();
         leases_expired_.fetch_add(1, std::memory_order_relaxed);
-        static obs::Counter& expired = obs::counter("staging_leases_expired");
-        expired.add(1);
         obs::record_event(obs::EventKind::kLeaseExpire, a.task.tenant, b,
                           static_cast<int64_t>(a.task.task_id), a.attempt,
                           now);
@@ -198,8 +194,6 @@ void StagingService::heartbeat() {
   for (auto& [b, a] : reclaimed) {
     if (a.attempt < dart_.faults().retry().max_task_attempts) {
       tasks_reexecuted_.fetch_add(1, std::memory_order_relaxed);
-      static obs::Counter& reexecs = obs::counter("staging_task_reexecs");
-      reexecs.add(1);
       obs::record_event(obs::EventKind::kTaskReexec, a.task.tenant, b,
                         static_cast<int64_t>(a.task.task_id), a.attempt + 1,
                         clock_.seconds());
@@ -262,8 +256,6 @@ void StagingService::stop_bucket_locked(int b, bool crash, long step) {
   bucket.crashed = crash;
   --live_buckets_;
   std::erase(free_buckets_, b);
-  obs::counter(crash ? "staging_buckets_crashed" : "staging_buckets_killed")
-      .add(1);
   obs::record_event(
       obs::EventKind::kFaultVerdict, -1, b,
       static_cast<int64_t>(crash ? obs::EventFaultSite::kBucketCrash
@@ -318,7 +310,6 @@ void StagingService::fire_scripted_locked(long step) {
           continue;
         }
         const size_t lost = store_.crash_server(e.target);
-        obs::counter("staging_servers_crashed").add(1);
         obs::record_event(
             obs::EventKind::kFaultVerdict, -1, e.target,
             static_cast<int64_t>(obs::EventFaultSite::kServerCrash),
@@ -462,10 +453,7 @@ uint64_t StagingService::submit(InTransitTask task, SubmitRoute route) {
   work_cv_.notify_all();
   if (divert != TaskQueue::Divert::kNone) {
     const bool tenant_capped = divert == TaskQueue::Divert::kTenantCap;
-    static obs::Counter& diversions = obs::counter("staging_overload_diversions");
-    static obs::Counter& cap_diversions =
-        obs::counter("staging_tenant_cap_diversions");
-    (tenant_capped ? cap_diversions : diversions).add(1);
+    if (tenant_capped) obs::counter("staging_tenant_cap_diversions").add(1);
     obs::instant("overload",
                  tenant_capped ? "tenant_cap_diverted" : "queue_diverted",
                  {.step = step,
@@ -607,8 +595,6 @@ int StagingService::add_bucket() {
     ++live_buckets_;
     live_after = live_buckets_;
   }
-  static obs::Counter& grows = obs::counter("staging_pool_grows");
-  grows.add(1);
   obs::record_event(obs::EventKind::kPoolGrow, -1, index, index, live_after,
                     clock_.seconds());
   HIA_LOG_INFO("staging", "elastic pool grew: bucket %d joined", index);
@@ -647,8 +633,6 @@ int StagingService::retire_bucket(int min_live) {
     live_after = live_buckets_;
     std::erase(free_buckets_, victim);
   }
-  static obs::Counter& shrinks = obs::counter("staging_pool_shrinks");
-  shrinks.add(1);
   obs::record_event(obs::EventKind::kPoolShrink, -1, victim, victim,
                     live_after, clock_.seconds());
   HIA_LOG_INFO("staging", "elastic pool shrank: bucket %d retired", victim);
@@ -815,9 +799,7 @@ void StagingService::retry_task(int failed_bucket, Assigned assigned) {
   const uint64_t task_id = assigned.task.task_id;
   const int tenant = assigned.task.tenant;
   const int failed_attempt = assigned.attempt;
-  static obs::Counter& retries = obs::counter("staging_task_retries");
   static obs::Histogram& backoff_h = obs::histogram("staging_backoff_s");
-  retries.add(1);
   backoff_h.record(backoff);
   bool no_capacity = false;
   double retry_vt = 0.0;
@@ -1056,8 +1038,8 @@ void StagingService::run_task(int bucket_index, Assigned assigned,
   if (record.tenant > 0) {
     // Per-tenant turnaround: the isolation metric the service drill and
     // the tenants ablation gate on (p99 per tenant under contention). A
-    // labeled series per tenant, not a mangled name: the exporter renders
-    // it as hia_staging_turnaround_s{tenant="N"}.
+    // labeled series per tenant, not a mangled name: the RunSummary lists
+    // it under breakdowns.staging_turnaround_s["tenant=N"].
     obs::histogram("staging_turnaround_s", {.tenant = record.tenant})
         .record(record.complete_time - record.enqueue_time);
   }

@@ -228,8 +228,6 @@ std::vector<std::byte> Dart::get(int dest_node, const DartHandle& handle,
         // Transport-level integrity check: re-derive the frame CRC and
         // compare with the checksum stamped at put().
         if (crc32(data.data(), data.size()) != crc) {
-          static obs::Counter& crc_failures = obs::counter("dart_crc_failures");
-          crc_failures.add(1);
           obs::record_event(
               obs::EventKind::kFaultVerdict, tenant, -1,
               static_cast<int64_t>(obs::EventFaultSite::kFrameCrc),
@@ -240,13 +238,11 @@ std::vector<std::byte> Dart::get(int dest_node, const DartHandle& handle,
         }
       }
       if (damaged) {
-        static obs::Counter& retries_c = obs::counter("dart_get_retries");
         HIA_REQUIRE(attempt < max_attempts,
                     "dart: frame lost/corrupted on every one of " +
                         std::to_string(max_attempts) +
                         " attempts (handle " + std::to_string(handle.id) +
                         ")");
-        retries_c.add(1);
         std::lock_guard lock(mutex_);
         ++counters_.get_retries;
         continue;
@@ -279,8 +275,6 @@ std::vector<std::byte> Dart::get(int dest_node, const DartHandle& handle,
     counters_.raw_bytes_moved += raw_bytes;
     counters_.modeled_seconds_total += total_seconds;  // incl. wasted attempts
     if (attempt > 1) {
-      static obs::Counter& recovered = obs::counter("dart_recovered_bytes");
-      recovered.add(static_cast<int64_t>(data.size()));
       counters_.recovered_bytes += data.size();
     }
   }

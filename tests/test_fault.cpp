@@ -1,7 +1,8 @@
 // Tests for the fault-injection/resilience subsystem: spec parsing,
 // deterministic keyed draws, backoff bounds, CRC-guarded frame
 // retransmission, the retry -> degrade/shed state machine, scripted bucket
-// kills and crashes, and concurrent injection (TSan-clean).
+// kills and crashes, concurrent injection (TSan-clean), and the
+// resilience ledger's field list and console block.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,12 +11,15 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/framework.hpp"
+#include "core/metrics.hpp"
+#include "core/report.hpp"
 #include "obs/counters.hpp"
 #include "runtime/fault.hpp"
 #include "staging/scheduler.hpp"
@@ -290,8 +294,7 @@ TEST(FaultDeployment, EmptySpecIsTheOffPlanTheServiceReadsThroughDart) {
   EXPECT_EQ(records[0].outcome, TaskOutcome::kDegraded);
   EXPECT_EQ(records[0].attempts, 1);
 
-  cfg.faults = "drop=0.1,attempts=3";
-  cfg.fault_seed = 11;
+  cfg.faults = "drop=0.1,attempts=3,seed=11";
   StagingDeployment on(cfg);
   EXPECT_TRUE(on.dart().faults().frame_faults_enabled());
   EXPECT_EQ(on.dart().faults().retry().max_task_attempts, 3);
@@ -924,6 +927,241 @@ TEST(FaultStaging, ConcurrentFaultedSubmissionsStayConserved) {
   for (const TaskRecord& r : records) {
     EXPECT_NE(r.outcome, TaskOutcome::kShed);  // degrade policy: none lost
   }
+}
+
+// ---- The resilience ledger's one field list ----
+
+// Every ResilienceSummary field is an 8-byte count or seconds value listed
+// once in kLedgerFields: a field added without its entry changes the size.
+TEST(LedgerFields, ListEveryFieldOnceWithOneKey) {
+  EXPECT_EQ(std::size(kLedgerFields), 33u);
+  EXPECT_EQ(sizeof(ResilienceSummary), std::size(kLedgerFields) * 8);
+  std::set<std::string> keys;
+  std::set<std::string> labels;
+  for (const LedgerField& f : kLedgerFields) {
+    keys.insert(f.key);
+    labels.insert(f.label);
+    EXPECT_NE(f.count == nullptr, f.seconds == nullptr) << f.key;
+    EXPECT_EQ(f.seconds != nullptr, f.unit == LedgerUnit::kSeconds) << f.key;
+  }
+  EXPECT_EQ(keys.size(), 33u);
+  EXPECT_EQ(labels.size(), 33u);
+}
+
+// Setting field i to `scale * (i + 1)` reaches every field through the
+// list: summing two slices adds each field, and nothing else.
+TEST(LedgerFields, SlicesSumFieldByField) {
+  auto filled = [](double scale) {
+    ResilienceSummary r;
+    for (size_t i = 0; i < std::size(kLedgerFields); ++i) {
+      const LedgerField& f = kLedgerFields[i];
+      const double v = scale * static_cast<double>(i + 1);
+      if (f.count != nullptr) r.*f.count = static_cast<uint64_t>(v);
+      if (f.seconds != nullptr) r.*f.seconds = v / 4.0;
+    }
+    return r;
+  };
+  ResilienceSummary total;
+  total += filled(1.0);
+  total += filled(100.0);
+  const ResilienceSummary expect = filled(101.0);
+  for (const LedgerField& f : kLedgerFields) {
+    EXPECT_EQ(f.value(total), f.value(expect)) << f.key;
+  }
+  EXPECT_EQ(total.tasks_completed, 101u);
+  EXPECT_EQ(total.backoff_seconds, 6 * 101 / 4.0);
+}
+
+// any() is true exactly when one trigger field is nonzero.
+TEST(LedgerFields, AnyFiresOnEachTriggerFieldAlone) {
+  EXPECT_FALSE(ResilienceSummary{}.any());
+  for (const LedgerField& f : kLedgerFields) {
+    ResilienceSummary r;
+    if (f.count != nullptr) r.*f.count = 1;
+    if (f.seconds != nullptr) r.*f.seconds = 0.5;
+    EXPECT_EQ(r.any(), f.trigger) << f.key;
+  }
+}
+
+// The console block's rows, order and formatting, pinned to the text the
+// hand-written per-field printer produced before the list existed.
+TEST(LedgerFields, FormatResilienceGolden) {
+  ResilienceSummary full;
+  full.tasks_completed = 40;
+  full.tasks_degraded = 3;
+  full.tasks_deferred = 2;
+  full.tasks_shed = 1;
+  full.task_retries = 7;
+  full.backoff_seconds = 0.01234;
+  full.tasks_failed = 5;
+  full.buckets_killed = 1;
+  full.buckets_crashed = 1;
+  full.servers_crashed = 1;
+  full.leases_expired = 2;
+  full.tasks_reexecuted = 2;
+  full.zombies_fenced = 1;
+  full.replicas_repaired = 4;
+  full.objects_lost = 3;
+  full.frame_retransmits = 11;
+  full.frames_dropped = 4;
+  full.frames_corrupted = 7;
+  full.crc_failures = 7;
+  full.recovered_bytes = 111480;
+  full.frames_delayed = 6;
+  full.injected_delay_s = 0.5;
+  full.steer_in_transit = 30;
+  full.steer_in_situ = 3;
+  full.steer_deferred = 2;
+  full.steer_shed = 1;
+  full.overload_diversions = 2;
+  full.admission_overdrafts = 68;
+  full.admission_wait_s = 6.015;
+  full.peak_queue_bytes = 262144;
+  full.overload_bytes_injected = 65536;
+  full.credits_starved = 2;
+  full.tenant_hog_bytes = 65536;
+  EXPECT_EQ(format_resilience(full),
+            R"(| resilience metric                 | value     |
+|-----------------------------------|-----------|
+| tasks submitted                   | 46        |
+|   completed on buckets            | 40        |
+|   degraded to in-situ fallback    | 3         |
+|   deferred one step (resubmitted) | 2         |
+|   shed (dropped, counted)         | 1         |
+| task retries                      | 7         |
+| retry backoff total (s)           | 0.0123    |
+| injected task timeouts            | 5         |
+| buckets killed                    | 1         |
+| buckets crashed (ungraceful)      | 1         |
+| servers crashed (ungraceful)      | 1         |
+| leases expired (reclaimed)        | 2         |
+| tasks re-executed                 | 2         |
+| zombie completions fenced         | 1         |
+| replica copies read-repaired      | 4         |
+| objects lost (last copy died)     | 3         |
+| frame retransmits                 | 11        |
+|   frames dropped (injected)       | 4         |
+|   frames corrupted (injected)     | 7         |
+|   CRC failures caught             | 7         |
+| recovered payload                 | 108.87 KB |
+| frames delayed (injected)         | 6         |
+| injected frame delay (s)          | 0.5000    |
+| steer: in-transit                 | 30        |
+| steer: in-situ fallback           | 3         |
+| steer: deferred                   | 2         |
+| steer: shed                       | 1         |
+| queue-budget diversions           | 2         |
+| admission overdrafts              | 68        |
+| admission wait total (s)          | 6.0150    |
+| peak queue bytes                  | 256.00 KB |
+| injected phantom bytes            | 64.00 KB  |
+| credits starved (injected)        | 2         |
+| tenant-hog bytes (injected)       | 64.00 KB  |
+)");
+
+  // Crash group only: task and frame rows print, steering rows do not.
+  ResilienceSummary crash;
+  crash.tasks_completed = 9;
+  crash.buckets_crashed = 1;
+  crash.servers_crashed = 1;
+  crash.leases_expired = 1;
+  crash.tasks_reexecuted = 1;
+  crash.zombies_fenced = 1;
+  crash.replicas_repaired = 2;
+  EXPECT_EQ(format_resilience(crash),
+            R"(| resilience metric                 | value  |
+|-----------------------------------|--------|
+| tasks submitted                   | 9      |
+|   completed on buckets            | 9      |
+|   degraded to in-situ fallback    | 0      |
+|   deferred one step (resubmitted) | 0      |
+|   shed (dropped, counted)         | 0      |
+| task retries                      | 0      |
+| retry backoff total (s)           | 0.0000 |
+| injected task timeouts            | 0      |
+| buckets killed                    | 0      |
+| buckets crashed (ungraceful)      | 1      |
+| servers crashed (ungraceful)      | 1      |
+| leases expired (reclaimed)        | 1      |
+| tasks re-executed                 | 1      |
+| zombie completions fenced         | 1      |
+| replica copies read-repaired      | 2      |
+| objects lost (last copy died)     | 0      |
+| frame retransmits                 | 0      |
+|   frames dropped (injected)       | 0      |
+|   frames corrupted (injected)     | 0      |
+|   CRC failures caught             | 0      |
+| recovered payload                 | 0.00 B |
+| frames delayed (injected)         | 0      |
+| injected frame delay (s)          | 0.0000 |
+)");
+
+  // Steering group only: no crash rows, and no hog row at zero bytes.
+  ResilienceSummary steer;
+  steer.tasks_completed = 12;
+  steer.steer_in_transit = 12;
+  steer.steer_in_situ = 3;
+  steer.steer_deferred = 2;
+  steer.steer_shed = 1;
+  steer.overload_diversions = 4;
+  steer.admission_overdrafts = 5;
+  steer.admission_wait_s = 1.25;
+  steer.peak_queue_bytes = 1 << 20;
+  EXPECT_EQ(format_resilience(steer),
+            R"(| resilience metric                 | value   |
+|-----------------------------------|---------|
+| tasks submitted                   | 12      |
+|   completed on buckets            | 12      |
+|   degraded to in-situ fallback    | 0       |
+|   deferred one step (resubmitted) | 0       |
+|   shed (dropped, counted)         | 0       |
+| task retries                      | 0       |
+| retry backoff total (s)           | 0.0000  |
+| injected task timeouts            | 0       |
+| buckets killed                    | 0       |
+| frame retransmits                 | 0       |
+|   frames dropped (injected)       | 0       |
+|   frames corrupted (injected)     | 0       |
+|   CRC failures caught             | 0       |
+| recovered payload                 | 0.00 B  |
+| frames delayed (injected)         | 0       |
+| injected frame delay (s)          | 0.0000  |
+| steer: in-transit                 | 12      |
+| steer: in-situ fallback           | 3       |
+| steer: deferred                   | 2       |
+| steer: shed                       | 1       |
+| queue-budget diversions           | 4       |
+| admission overdrafts              | 5       |
+| admission wait total (s)          | 1.2500  |
+| peak queue bytes                  | 1.00 MB |
+| injected phantom bytes            | 0.00 B  |
+| credits starved (injected)        | 0       |
+)");
+
+  // Hog bytes alone: the hog row only prints inside the steering group.
+  ResilienceSummary hog;
+  hog.tenant_hog_bytes = 65536;
+  EXPECT_TRUE(hog.any());
+  EXPECT_EQ(format_resilience(hog),
+            R"(| resilience metric                 | value  |
+|-----------------------------------|--------|
+| tasks submitted                   | 0      |
+|   completed on buckets            | 0      |
+|   degraded to in-situ fallback    | 0      |
+|   deferred one step (resubmitted) | 0      |
+|   shed (dropped, counted)         | 0      |
+| task retries                      | 0      |
+| retry backoff total (s)           | 0.0000 |
+| injected task timeouts            | 0      |
+| buckets killed                    | 0      |
+| frame retransmits                 | 0      |
+|   frames dropped (injected)       | 0      |
+|   frames corrupted (injected)     | 0      |
+|   CRC failures caught             | 0      |
+| recovered payload                 | 0.00 B |
+| frames delayed (injected)         | 0      |
+| injected frame delay (s)          | 0.0000 |
+)");
 }
 
 }  // namespace
